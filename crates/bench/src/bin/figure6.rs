@@ -8,8 +8,6 @@
 //! Run: `cargo run --release -p essent-bench --bin figure6 [designs...]`
 
 use essent_bench::{build_design, verify_built, workload_set, Cli};
-use essent_core::partition::partition;
-use essent_core::plan::{extended_dag, CcssPlan, PlanOptions};
 use essent_designs::workloads::run_workload;
 use essent_sim::{EngineConfig, EssentSim};
 use std::time::Instant;
@@ -29,21 +27,11 @@ fn main() {
     for config in cli.configs() {
         let design = build_design(&config);
         verify_built(&cli, &design);
-        let (dag, writes) = extended_dag(&design.optimized);
         for workload in workload_set(cli.scale) {
             let mut times = Vec::new();
             for cp in CPS {
-                let parts = partition(&dag, cp);
-                let plan = CcssPlan::from_partitioning(
+                let mut sim = EssentSim::new(
                     &design.optimized,
-                    &dag,
-                    &writes,
-                    &parts,
-                    PlanOptions::default(),
-                );
-                let mut sim = EssentSim::from_plan(
-                    &design.optimized,
-                    plan,
                     &EngineConfig {
                         c_p: cp,
                         capture_printf: false,

@@ -20,8 +20,6 @@
 //! Run: `cargo run --release -p essent-bench --bin figure7`
 
 use essent_bench::{build_design, verify_built, workload_set, Cli};
-use essent_core::partition::partition;
-use essent_core::plan::{extended_dag, CcssPlan, PlanOptions};
 use essent_designs::soc::SocConfig;
 use essent_designs::workloads::run_workload;
 use essent_sim::{EngineConfig, EssentSim, Simulator};
@@ -33,7 +31,6 @@ fn main() {
     let design = build_design(&SocConfig::r16());
     verify_built(&cli, &design);
     let workload = &workload_set(cli.scale)[0]; // dhrystone
-    let (dag, writes) = extended_dag(&design.optimized);
 
     println!("Figure 7: overhead decomposition vs C_p (r16 x dhrystone)\n");
     println!(
@@ -42,18 +39,8 @@ fn main() {
     );
     println!("{}", "-".repeat(86));
     for cp in CPS {
-        let parts = partition(&dag, cp);
-        let plan = CcssPlan::from_partitioning(
+        let mut sim = EssentSim::new(
             &design.optimized,
-            &dag,
-            &writes,
-            &parts,
-            PlanOptions::default(),
-        );
-        let partitions = plan.partitions.len();
-        let mut sim = EssentSim::from_plan(
-            &design.optimized,
-            plan,
             &EngineConfig {
                 c_p: cp,
                 capture_printf: false,
@@ -69,7 +56,7 @@ fn main() {
         println!(
             "{:>5} | {:>10} | {:>11.1} {:>11.1} {:>11.1} | {:>10.1} | {:>8.2}%",
             cp,
-            partitions,
+            sim.partition_count(),
             c.ops_evaluated as f64 / cycles,
             c.static_checks as f64 / cycles,
             c.dynamic_checks as f64 / cycles,

@@ -1,9 +1,12 @@
 //! **Sanitize** — runs the parallel CCSS engine under the shadow-memory
 //! race sanitizer on real designs and workloads, as the dynamic
-//! counterpart of the static footprint proof (`essent-verify`
-//! `R0501`–`R0504`): the sanitizer panics on any same-level
-//! cross-partition arena conflict, so a clean run is a dynamic witness
-//! that the proven schedule is the one actually executed.
+//! counterpart of the static footprint and dependence proofs
+//! (`essent-verify` `R0501`–`R0504`, `S0601`–`S0605`): the sanitizer
+//! panics on any cross-partition arena conflict the dataflow schedule
+//! did not order (ready-flag waits must cover every conflict,
+//! cycle-boundary overlap may only pair footprint-independent
+//! partitions), so a clean run is a dynamic witness that the proven
+//! schedule is the one actually executed.
 //!
 //! Two engines per design run the same workload — sanitizer on and off —
 //! and the binary fails (exit 1 via panic) when their architectural
@@ -15,56 +18,41 @@
 //! (the sanitizer hooks compile away).
 //!
 //! Run: `cargo run --release -p essent-bench --features race-sanitizer
-//! --bin sanitize [--cycles N] [--threads T] [--dataflow] [tiny r16 r18 boom]`.
+//! --bin sanitize [--cycles N] [--threads T] [tiny r16 r18 boom]`.
 //!
-//! `--dataflow` runs the statically scheduled dataflow engine
-//! ([`EngineConfig::par_dataflow`]) instead of the LPT level sweep: the
-//! sanitizer then dynamically witnesses the `S06xx` dependence-layer
-//! proof (ready-flag waits cover every conflict, cycle-boundary overlap
-//! only between footprint-independent partitions) rather than the
-//! level-barrier discipline.
+//! [`RunResult`]: essent_designs::workloads::RunResult
+//! [`WorkCounters`]: essent_sim::WorkCounters
 
 use essent_bench::build_design;
 use essent_designs::soc::SocConfig;
 use essent_designs::workloads::{dhrystone, run_workload};
 use essent_sim::{EngineConfig, ParEssentSim, Simulator};
 
+fn usage_exit(problem: &str) -> ! {
+    eprintln!("{problem}\nusage: sanitize [--cycles N] [--threads T] [tiny r16 r18 boom]");
+    std::process::exit(2);
+}
+
+/// The numeric value following `flag`.
+fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage_exit(&format!("`{flag}` takes a number")))
+}
+
 fn main() {
     let mut designs: Vec<String> = Vec::new();
     let mut max_cycles: u64 = 50_000;
     let mut threads: usize = 3;
-    let mut dataflow = false;
-    let mut expect_value = false;
-    let mut expect: Option<&mut dyn FnMut(&str)> = None;
-    let mut set_cycles = |v: &str| max_cycles = v.parse().expect("--cycles takes a number");
-    let mut set_threads = |v: &str| threads = v.parse().expect("--threads takes a number");
-    for arg in std::env::args().skip(1) {
-        if expect_value {
-            expect.take().expect("flag parser state")(&arg);
-            expect_value = false;
-            continue;
-        }
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--cycles" => {
-                expect = Some(&mut set_cycles);
-                expect_value = true;
-            }
-            "--threads" => {
-                expect = Some(&mut set_threads);
-                expect_value = true;
-            }
-            "--dataflow" => dataflow = true,
+            "--cycles" => max_cycles = value(&mut args, "--cycles"),
+            "--threads" => threads = value(&mut args, "--threads"),
             "tiny" | "r16" | "r18" | "boom" => designs.push(arg),
-            other => {
-                eprintln!(
-                    "usage: sanitize [--cycles N] [--threads T] [--dataflow] \
-                     [tiny r16 r18 boom]"
-                );
-                panic!("unknown argument `{other}`");
-            }
+            other => usage_exit(&format!("unknown argument `{other}`")),
         }
     }
-    assert!(!expect_value, "flag needs a value argument");
     if designs.is_empty() {
         designs = vec!["tiny".to_string()];
     }
@@ -84,16 +72,12 @@ fn main() {
             _ => SocConfig::boom(),
         };
         let built = build_design(&config);
-        let engine = EngineConfig {
-            par_dataflow: dataflow,
-            ..EngineConfig::default()
-        };
-        let mut off = ParEssentSim::new(&built.optimized, &engine, threads);
+        let mut off = ParEssentSim::new(&built.optimized, &EngineConfig::default(), threads);
         let mut on = ParEssentSim::new(
             &built.optimized,
             &EngineConfig {
                 race_sanitizer: true,
-                ..engine
+                ..EngineConfig::default()
             },
             threads,
         );
@@ -111,12 +95,8 @@ fn main() {
         );
         println!(
             "sanitize: `{name}` ok — {} cycle(s), {} instruction(s), \
-             tohost {:#x}, {} thread(s), {} engine, no races observed",
-            r_on.cycles,
-            r_on.instret,
-            r_on.tohost,
-            threads,
-            if dataflow { "dataflow" } else { "level-sweep" }
+             tohost {:#x}, {} thread(s), no races observed",
+            r_on.cycles, r_on.instret, r_on.tohost, threads
         );
     }
 }

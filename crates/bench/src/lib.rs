@@ -12,7 +12,7 @@ use essent_sim::{EngineConfig, EssentSim, EventDrivenSim, FullCycleSim, Simulato
 use std::time::{Duration, Instant};
 
 /// Command-line options shared by the harness binaries.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cli {
     /// 1 for `--quick` (default), 10 for `--full`.
     pub scale: u32,
@@ -21,60 +21,45 @@ pub struct Cli {
     /// `--verify`: run the static verifier stack on every built design
     /// before measuring, aborting on error findings.
     pub verify: bool,
-    /// `--lanes N`: batched-lane count for lane-aware binaries
-    /// (default 8; 1..=64).
-    pub lanes: usize,
-    /// `--seed-stride K`: per-lane stimulus stride — lane `l`'s stimulus
-    /// derives from seed `l * K`, so lanes diverge deterministically
-    /// (default 1; 0 replays identical stimulus on every lane).
-    pub seed_stride: u64,
 }
 
+const USAGE: &str = "usage: [--quick|--full] [--verify] [r16 r18 boom tiny]";
+
 impl Cli {
-    /// Parses `std::env::args`.
+    /// Parses `std::env::args`; on a bad argument prints the usage line
+    /// to stderr and exits with status 2.
     pub fn parse() -> Cli {
+        Cli::parse_from(std::env::args().skip(1)).unwrap_or_else(|err| {
+            eprintln!("{err}\n{USAGE}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses an argument list (without the program name).
+    ///
+    /// # Errors
+    ///
+    /// Names the first argument that is neither a known flag nor a known
+    /// design.
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
         let mut cli = Cli {
             scale: 1,
             designs: Vec::new(),
             verify: false,
-            lanes: 8,
-            seed_stride: 1,
         };
-        // Value-taking flag currently awaiting its argument.
-        let mut pending: Option<&'static str> = None;
-        for arg in std::env::args().skip(1) {
-            if let Some(flag) = pending.take() {
-                let parsed = arg.parse::<u64>();
-                match (flag, parsed) {
-                    ("--lanes", Ok(n)) if (1..=64).contains(&n) => cli.lanes = n as usize,
-                    ("--seed-stride", Ok(k)) => cli.seed_stride = k,
-                    _ => panic!("`{flag}` needs a numeric argument, got `{arg}`"),
-                }
-                continue;
-            }
+        for arg in args {
             match arg.as_str() {
                 "--full" => cli.scale = 10,
                 "--quick" => cli.scale = 1,
                 "--verify" => cli.verify = true,
-                "--lanes" => pending = Some("--lanes"),
-                "--seed-stride" => pending = Some("--seed-stride"),
                 "r16" | "r18" | "boom" | "tiny" => cli.designs.push(arg),
-                other => {
-                    eprintln!(
-                        "usage: [--quick|--full] [--verify] [--lanes N] \
-                         [--seed-stride K] [r16 r18 boom tiny]"
-                    );
-                    panic!("unknown argument `{other}`");
-                }
+                other => return Err(format!("unknown argument `{other}`")),
             }
-        }
-        if let Some(flag) = pending {
-            panic!("`{flag}` needs a numeric argument");
         }
         if cli.designs.is_empty() {
             cli.designs = vec!["r16".into(), "r18".into(), "boom".into()];
         }
-        cli
+        Ok(cli)
     }
 
     /// The configured designs.
@@ -256,76 +241,36 @@ pub fn khz(run: &TimedRun) -> f64 {
     run.result.cycles as f64 / run.elapsed.as_secs_f64() / 1e3
 }
 
-/// Machine-speed calibration: the golden netlist interpreter's rate on
-/// this design, in kHz. The interpreter lives in `essent-netlist` and
-/// contains no engine or profiler code at all, so the *ratio* of two
-/// calibration rates taken at different times (or on different machines)
-/// isolates machine speed from any engine change — benches that gate a
-/// live rate against a recorded one scale the record by this ratio.
-/// Held in reset so no stop/assert can halt the run early.
-pub fn calibration_khz(netlist: &Netlist) -> f64 {
-    let mut golden = essent_netlist::interp::Interpreter::new(netlist);
-    if let Some(id) = netlist.find("reset") {
-        if matches!(netlist.signal(id).def, essent_netlist::SignalDef::Input) {
-            golden.poke("reset", essent_bits::Bits::from_u64(1, 1));
-        }
-    }
-    let start = Instant::now();
-    let mut cycles = 0u64;
-    loop {
-        let did = golden.step(256);
-        cycles += did;
-        if did < 256 || start.elapsed().as_secs_f64() >= 0.2 {
-            break;
-        }
-    }
-    cycles as f64 / start.elapsed().as_secs_f64() / 1e3
-}
-
 /// Formats a duration like the paper's seconds columns.
 pub fn secs(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64())
 }
 
-/// Extracts the nested per-design `"profile": { ... }` object for
-/// `name` out of a `BENCH_profile.json`-style file (brace matching; our
-/// own hand-rolled format, so a string scan keeps this dependency-free)
-/// and converts it into an [`ActivityPrior`] keyed to `netlist`'s plan
-/// at `c_p`.
-///
-/// Returns `None` when the design is absent or the nested report does
-/// not parse — callers treat that as "no feedback available" and fall
-/// back to the neutral prior. Summary-form reports (the default
-/// `BENCH_profile.json`) yield a *partial* prior: only the recorded
-/// top-N partitions carry rates, everything else stays unknown, which
-/// the merge phase treats as cold.
-pub fn load_feedback(
-    text: &str,
-    netlist: &Netlist,
-    name: &str,
-    c_p: usize,
-) -> Option<essent_core::partition::ActivityPrior> {
-    let at = text.find(&format!("\"name\": \"{name}\""))?;
-    let rest = &text[at..];
-    let key = "\"profile\": {";
-    let start = rest.find(key)? + key.len() - 1;
-    let bytes = &rest.as_bytes()[start..];
-    let mut depth = 0usize;
-    let mut len = None;
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    len = Some(i + 1);
-                    break;
-                }
-            }
-            _ => {}
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        Cli::parse_from(args.iter().map(|a| a.to_string()))
     }
-    let report = essent_sim::ProfileReport::from_json(&rest[start..start + len?])?;
-    let plan = essent_core::plan::CcssPlan::build(netlist, c_p);
-    Some(essent_sim::activity_prior(netlist, &plan, &report))
+
+    #[test]
+    fn no_arguments_selects_the_three_paper_designs_at_quick_scale() {
+        let cli = parse(&[]).unwrap();
+        assert_eq!(cli.designs, ["r16", "r18", "boom"]);
+        assert_eq!((cli.scale, cli.verify), (1, false));
+    }
+
+    #[test]
+    fn full_scales_by_ten_and_named_designs_replace_the_default() {
+        let cli = parse(&["--full", "tiny", "--verify"]).unwrap();
+        assert_eq!(cli.designs, ["tiny"]);
+        assert_eq!((cli.scale, cli.verify), (10, true));
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error_not_a_panic() {
+        let err = parse(&["r16", "--lanes"]).unwrap_err();
+        assert!(err.contains("`--lanes`"), "{err}");
+    }
 }

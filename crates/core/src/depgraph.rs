@@ -196,7 +196,7 @@ impl DepGraph {
     }
 }
 
-/// The static dataflow (BSP) schedule the `par_dataflow` engine runs.
+/// The static dataflow (BSP) schedule the parallel engine runs.
 ///
 /// Per cycle `k` (1-based within a run), worker `t` walks
 /// `workers[t]` in order; before evaluating partition `p` it waits for
@@ -250,8 +250,8 @@ impl DataflowSchedule {
 const HANDOFF: u64 = 200;
 
 /// Designs whose whole per-cycle work is below this are not worth any
-/// cross-worker signaling: the synthesis collapses them to one worker
-/// (the same ~microsecond threshold as the LPT serial floor).
+/// cross-worker signaling (single-digit microseconds): the synthesis
+/// collapses them to one worker.
 const SERIAL_FLOOR: u64 = 3000;
 
 /// Synthesizes the static dataflow schedule: earliest-finish-time list

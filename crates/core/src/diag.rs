@@ -161,12 +161,11 @@ pub mod codes {
     /// endpoint, a size-cap overflow, an illegal (cycle-inducing) pair,
     /// or a final assignment that the audited merge log cannot reproduce.
     pub const ACTIVITY_SIDE_CONDITION: DiagCode = DiagCode::new("F0401", "activity-side-condition");
-    /// The per-level thread bins are not an exact cover of the schedule:
-    /// a partition is missing, duplicated, or binned at the wrong level.
-    pub const BIN_COVER: DiagCode = DiagCode::new("F0402", "bin-cover");
-    /// The scheduler's cost table is malformed: wrong cardinality or a
-    /// non-positive entry (every partition must carry positive cost or
-    /// LPT packing degenerates).
+    // F0402 (bin-cover) audited the barrier-per-level LPT schedule and
+    // went with it; the number is not reused.
+    /// The per-partition cost table is malformed: wrong cardinality or a
+    /// non-positive entry (a zero cost makes the partition free to the
+    /// dataflow worker assignment and invisible to JIT selection).
     pub const COST_RANGE: DiagCode = DiagCode::new("F0403", "cost-range");
 
     // --- R: footprint / race-freedom invariants ----------------------------
@@ -400,16 +399,6 @@ impl Report {
         }
         out
     }
-
-    /// Legacy adapter: `Ok(())` when clean, else the first error's
-    /// rendered text — the shape of the pre-diagnostic `validate`
-    /// methods. Kept for the deprecated shims.
-    pub fn into_legacy_result(self) -> Result<(), String> {
-        match self.errors().next() {
-            None => Ok(()),
-            Some(e) => Err(e.to_string()),
-        }
-    }
 }
 
 impl fmt::Display for Report {
@@ -482,8 +471,6 @@ mod tests {
         assert!(r.contains(codes::TRIGGER_MISSING));
         assert!(!r.contains(codes::COMB_LOOP));
         assert_eq!(r.codes().len(), 2);
-        let legacy = r.clone().into_legacy_result();
-        assert!(legacy.unwrap_err().contains("V0102-trigger-missing"));
         let rendered = r.to_string();
         assert!(rendered.contains("partition 3") && rendered.contains("`y`"));
     }

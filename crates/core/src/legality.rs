@@ -108,11 +108,11 @@ mod tests {
         let mut ok = singletons(&dag);
         assert!(merge_legal(&ok, 0, 1));
         ok.merge(0, 1);
-        assert!(ok.validate(&dag).is_ok());
+        assert!(ok.check(&dag).is_clean());
         // Illegal merge really would create a cycle:
         let mut bad = singletons(&dag);
         bad.merge(0, 3);
-        assert!(bad.validate(&dag).is_err());
+        assert!(!bad.check(&dag).is_clean());
     }
 
     #[test]

@@ -56,7 +56,7 @@
 //! // A diamond: 0 -> {1, 2} -> 3.
 //! let dag = DagView::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
 //! let parts = partition(&dag, 8);
-//! parts.validate(&dag).expect("partitioning invariants hold");
+//! assert!(parts.check(&dag).is_clean(), "partitioning invariants hold");
 //! // Small graphs collapse into one partition at C_p = 8.
 //! assert_eq!(parts.live_partitions().count(), 1);
 //! ```
@@ -76,4 +76,4 @@ pub use partition::{
     activity_merge, partition, partition_with_prior, ActivityMergeParams, ActivityMergeRecord,
     ActivityPrior, PartitionStats, Partitioning,
 };
-pub use plan::{plan_levels, CcssPlan};
+pub use plan::CcssPlan;

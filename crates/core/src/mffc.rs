@@ -69,7 +69,7 @@ mod tests {
     fn chain_is_one_cone_fanout_roots_new_ones() {
         let dag = DagView::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]);
         let parts = mffc_decompose(&dag);
-        parts.validate(&dag).unwrap();
+        assert!(parts.check(&dag).is_clean());
         // 0,1,2,3 form one cone (3's MFFC); 4 and 5 are their own cones.
         let p3 = parts.part_of(3);
         assert_eq!(parts.part_of(0), p3);
@@ -86,7 +86,7 @@ mod tests {
         // 0 feeds both 1 and 2; 1 and 2 feed 3.
         let dag = DagView::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         let parts = mffc_decompose(&dag);
-        parts.validate(&dag).unwrap();
+        assert!(parts.check(&dag).is_clean());
         // 3 roots a cone containing 1 and 2 (their only fanout is 3); 0
         // fans out to two members of the same cone, so 0 joins it too —
         // the whole diamond is one MFFC.
@@ -100,7 +100,7 @@ mod tests {
         // different cones, so 0 is its own cone.
         let dag = DagView::from_edges(3, &[(0, 1), (0, 2)]);
         let parts = mffc_decompose(&dag);
-        parts.validate(&dag).unwrap();
+        assert!(parts.check(&dag).is_clean());
         assert_eq!(parts.live_partitions().count(), 3);
     }
 
@@ -122,7 +122,7 @@ mod tests {
             ],
         );
         let parts = mffc_decompose(&dag);
-        parts.validate(&dag).unwrap();
+        assert!(parts.check(&dag).is_clean());
         for p in parts.live_partitions() {
             let members = parts.members(p);
             // The root is the unique member with no successor inside p.

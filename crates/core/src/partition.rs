@@ -170,20 +170,8 @@ impl Partitioning {
     /// Checks the two partitioning invariants on which CCSS execution
     /// rests: every node in exactly one live partition (*exact cover* —
     /// partitioning, not clustering), and the partition graph *acyclic*
-    /// (singular schedules exist).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the violated invariant.
-    ///
-    /// Thin shim over [`Partitioning::check`]; prefer the structured
-    /// [`Report`] it returns.
-    pub fn validate(&self, dag: &DagView) -> Result<(), String> {
-        self.check(dag).into_legacy_result()
-    }
-
-    /// Structured-diagnostic form of [`Partitioning::validate`]: reports
-    /// every violation (not just the first) with stable codes.
+    /// (singular schedules exist). Reports every violation (not just the
+    /// first) with stable codes.
     pub fn check(&self, dag: &DagView) -> Report {
         let mut report = Report::new();
         // Exact cover.
@@ -730,11 +718,11 @@ mod tests {
         let dag = DagView::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         // Force the bad assignment {A,D}, {B,C}:
         let mut bad = Partitioning::from_assignment(vec![0, 1, 1, 0], 2);
-        assert!(bad.validate(&dag).is_err());
+        assert!(!bad.check(&dag).is_clean());
         bad.attach(&dag);
         // And the alternate {A,B}, {C,D} is fine:
         let good = Partitioning::from_assignment(vec![0, 0, 1, 1], 2);
-        assert!(good.validate(&dag).is_ok());
+        assert!(good.check(&dag).is_clean());
     }
 
     #[test]
@@ -749,7 +737,7 @@ mod tests {
         // cones: {1,3} rooted at 3, {2}, {0}.
         assert_eq!(parts.live_partitions().count(), 3);
         merge_single_parent(&mut parts);
-        parts.validate(&dag).unwrap();
+        assert!(parts.check(&dag).is_clean());
         // {1,3} and {2} each have the single parent {0}: all merge.
         assert_eq!(parts.live_partitions().count(), 1);
     }
@@ -758,7 +746,7 @@ mod tests {
     fn full_partitioner_collapses_small_graph() {
         let dag = DagView::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         let parts = partition(&dag, 8);
-        parts.validate(&dag).unwrap();
+        assert!(parts.check(&dag).is_clean());
         assert_eq!(parts.live_partitions().count(), 1);
     }
 
@@ -767,7 +755,7 @@ mod tests {
         // With c_p = 1 nothing is "small", so only phase A runs.
         let dag = DagView::from_edges(5, &[(0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 4)]);
         let parts = partition(&dag, 1);
-        parts.validate(&dag).unwrap();
+        assert!(parts.check(&dag).is_clean());
         let merged = partition(&dag, 16);
         assert!(merged.live_partitions().count() <= parts.live_partitions().count());
     }
@@ -782,7 +770,7 @@ mod tests {
         assert!(parts.succs[1].contains(&3));
         assert!(!parts.is_alive(2));
         assert_eq!(parts.part_of(2), 1);
-        parts.validate(&dag).unwrap();
+        assert!(parts.check(&dag).is_clean());
     }
 
     /// A chain of three singleton partitions, all hot: phase D should
@@ -800,7 +788,7 @@ mod tests {
         let log = activity_merge(&mut parts, &prior, &params);
         assert_eq!(parts.live_partitions().count(), 1);
         assert_eq!(log.len(), 2);
-        parts.validate(&dag).unwrap();
+        assert!(parts.check(&dag).is_clean());
         for rec in &log {
             assert!(rec.rate_kept >= params.hot_threshold);
             assert!(rec.rate_absorbed >= params.hot_threshold);
@@ -821,7 +809,7 @@ mod tests {
         assert_eq!(log.len(), 1);
         assert_eq!((log[0].kept, log[0].absorbed), (0, 1));
         assert!(parts.is_alive(2), "cold partition must survive");
-        parts.validate(&dag).unwrap();
+        assert!(parts.check(&dag).is_clean());
     }
 
     /// Neutral and all-zero priors drive no merges at all.
@@ -855,7 +843,7 @@ mod tests {
         for p in parts.live_partitions() {
             assert!(parts.members(p).len() <= 2);
         }
-        parts.validate(&dag).unwrap();
+        assert!(parts.check(&dag).is_clean());
     }
 
     /// Figure 2 shape, everything hot: phase D must not take the
@@ -871,7 +859,7 @@ mod tests {
             max_size: 4,
         };
         activity_merge(&mut parts, &prior, &params);
-        parts.validate(&dag).unwrap();
+        assert!(parts.check(&dag).is_clean());
     }
 
     /// Partition aggregates: unknown members don't dilute the mean.

@@ -466,7 +466,7 @@ impl CcssPlan {
     }
 
     /// Stores a synthesized dataflow schedule in the plan for the
-    /// `par_dataflow` runtime to consume.
+    /// parallel runtime to consume.
     pub fn attach_dataflow(&mut self, sched: crate::depgraph::DataflowSchedule) {
         self.dataflow = Some(sched);
     }
@@ -486,21 +486,9 @@ impl CcssPlan {
             .sum()
     }
 
-    /// Checks the plan's structural invariants against the netlist.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the violated invariant (used heavily by
-    /// the property tests).
-    ///
-    /// Thin shim over [`CcssPlan::check`]; prefer the structured
-    /// [`Report`] it returns.
-    pub fn validate(&self, netlist: &Netlist) -> Result<(), String> {
-        self.check(netlist).into_legacy_result()
-    }
-
-    /// Structured-diagnostic form of [`CcssPlan::validate`]: reports every
-    /// violation (not just the first) with stable codes.
+    /// Checks the plan's structural invariants against the netlist,
+    /// reporting every violation (not just the first) with stable codes
+    /// (used heavily by the property tests).
     pub fn check(&self, netlist: &Netlist) -> Report {
         let mut report = Report::new();
         // Members are topologically consistent within and across
@@ -646,51 +634,6 @@ pub fn extended_dag(netlist: &Netlist) -> (DagView, Vec<(MemId, usize)>) {
     )
 }
 
-/// Groups a plan's scheduled partitions by dependency level: the
-/// partition-level edges are combinational triggers (always forward in
-/// schedule order) plus elision ordering (reader -> writer), and a
-/// partition's level is one past its deepest predecessor.
-///
-/// Shared by the parallel runtime's level sweep and LPT packer;
-/// `essent-verify` keeps an *independent* re-derivation
-/// (`footprint::derive_levels`) per the layer discipline.
-pub fn plan_levels(plan: &CcssPlan) -> Vec<Vec<u32>> {
-    let np = plan.partitions.len();
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); np];
-    for (sched, part) in plan.partitions.iter().enumerate() {
-        for o in &part.outputs {
-            for &c in &o.consumers {
-                if (c as usize) > sched {
-                    preds[c as usize].push(sched as u32);
-                }
-            }
-        }
-        for &ri in &part.elided_regs {
-            for &reader in &plan.reg_plans[ri].wake_on_change {
-                if (reader as usize) != sched {
-                    preds[sched].push(reader);
-                }
-            }
-        }
-    }
-    let mut level_of = vec![0u32; np];
-    // Scheduled order is a topological order of this graph.
-    for sched in 0..np {
-        let lvl = preds[sched]
-            .iter()
-            .map(|&p| level_of[p as usize] + 1)
-            .max()
-            .unwrap_or(0);
-        level_of[sched] = lvl;
-    }
-    let max_level = level_of.iter().copied().max().unwrap_or(0) as usize;
-    let mut levels: Vec<Vec<u32>> = vec![Vec::new(); max_level + 1];
-    for (sched, &lvl) in level_of.iter().enumerate() {
-        levels[lvl as usize].push(sched as u32);
-    }
-    levels
-}
-
 /// The complete activity-wake routing of a plan, flattened into one
 /// canonical, deterministic artifact: every path by which the engines set
 /// an activity flag. The batched engine builds its per-lane wake-mask
@@ -773,7 +716,7 @@ mod tests {
     fn counter_plan_elides_register() {
         let n = netlist_of(COUNTER);
         let plan = CcssPlan::build(&n, 8);
-        plan.validate(&n).unwrap();
+        assert!(plan.check(&n).is_clean());
         assert_eq!(plan.reg_plans.len(), 1);
         assert!(plan.reg_plans[0].elided, "feedback-only register elides");
         // The register wakes its own partition (feedback loop).
@@ -803,7 +746,7 @@ mod tests {
         let src = "circuit T :\n  module T :\n    input a : UInt<8>\n    input b : UInt<8>\n    output x : UInt<9>\n    output y : UInt<9>\n    output z : UInt<1>\n    x <= add(a, b)\n    y <= sub(a, b)\n    z <= eq(a, b)\n";
         let n = netlist_of(src);
         let plan = CcssPlan::build(&n, 1);
-        plan.validate(&n).unwrap();
+        assert!(plan.check(&n).is_clean());
         for (sched, part) in plan.partitions.iter().enumerate() {
             for o in &part.outputs {
                 for &c in &o.consumers {
@@ -833,7 +776,7 @@ mod tests {
         let src = "circuit M :\n  module M :\n    input clock : Clock\n    input addr : UInt<3>\n    input wen : UInt<1>\n    input wdata : UInt<8>\n    output o : UInt<8>\n    mem m :\n      data-type => UInt<8>\n      depth => 8\n      read-latency => 0\n      write-latency => 1\n      reader => r\n      writer => w\n    m.r.clk <= clock\n    m.r.en <= UInt<1>(1)\n    m.r.addr <= addr\n    m.w.clk <= clock\n    m.w.en <= wen\n    m.w.addr <= addr\n    m.w.data <= wdata\n    m.w.mask <= UInt<1>(1)\n    o <= m.r.data\n";
         let n = netlist_of(src);
         let plan = CcssPlan::build(&n, 8);
-        plan.validate(&n).unwrap();
+        assert!(plan.check(&n).is_clean());
         assert_eq!(plan.mem_write_plans.len(), 1);
         let wp = &plan.mem_write_plans[0];
         assert!(!wp.wake_on_change.is_empty());
@@ -855,7 +798,7 @@ mod tests {
             },
         );
         assert!(plan.reg_plans.iter().all(|r| !r.elided));
-        plan.validate(&n).unwrap();
+        assert!(plan.check(&n).is_clean());
     }
 
     #[test]
@@ -884,7 +827,8 @@ mod tests {
         let n = netlist_of(src);
         for cp in [1, 2, 4, 8, 32] {
             let plan = CcssPlan::build(&n, cp);
-            plan.validate(&n).unwrap_or_else(|e| panic!("cp={cp}: {e}"));
+            let report = plan.check(&n);
+            assert!(report.is_clean(), "cp={cp}:\n{report}");
         }
     }
 }

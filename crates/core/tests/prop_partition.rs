@@ -29,7 +29,7 @@ proptest! {
     #[test]
     fn mffc_decomposition_is_valid(dag in arb_dag(40, 0.15)) {
         let parts = mffc_decompose(&dag);
-        prop_assert!(parts.validate(&dag).is_ok());
+        prop_assert!(parts.check(&dag).is_clean());
     }
 
     /// Figure 3's containment property: if u is in the cone rooted at v,
@@ -66,17 +66,17 @@ proptest! {
         let mut parts = mffc_decompose(&dag);
         parts.attach(&dag);
         merge_single_parent(&mut parts);
-        prop_assert!(parts.validate(&dag).is_ok(), "after phase A");
+        prop_assert!(parts.check(&dag).is_clean(), "after phase A");
         merge_small_siblings(&mut parts, &dag, cp);
-        prop_assert!(parts.validate(&dag).is_ok(), "after phase B");
+        prop_assert!(parts.check(&dag).is_clean(), "after phase B");
         merge_small_into_any_sibling(&mut parts, &dag, cp);
-        prop_assert!(parts.validate(&dag).is_ok(), "after phase C");
+        prop_assert!(parts.check(&dag).is_clean(), "after phase C");
     }
 
     #[test]
     fn full_partitioner_valid_across_cp(dag in arb_dag(50, 0.12), cp in 1usize..32) {
         let parts = partition(&dag, cp);
-        prop_assert!(parts.validate(&dag).is_ok());
+        prop_assert!(parts.check(&dag).is_clean());
     }
 
     /// Larger C_p never produces (strictly) more partitions on the same

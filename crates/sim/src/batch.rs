@@ -35,15 +35,13 @@
 //! conditionalization, state elision, push/pull triggering, tier-1,
 //! trigger fusion — behaves per lane exactly as in [`crate::EssentSim`].
 
-use crate::compile::{compile_plan, Block, Layout};
+use crate::compile::{Block, Layout};
 use crate::engine::EngineConfig;
+use crate::frontend::{build_plan, Frontend};
 use crate::machine::{run_items_raw, MemBank, WorkCounters};
-use crate::step1::{
-    item_rw, lower_tier1, run_tier1_lanes, ItemRw, OutSpec, Tier1Program, TierStats, NO_FUSE,
-};
+use crate::step1::{item_rw, run_tier1_lanes, ItemRw, Tier1Program, TierStats, NO_FUSE};
 use essent_bits::{kernels, Bits};
-use essent_core::partition::partition;
-use essent_core::plan::{extended_dag, CcssPlan, PlanOptions};
+use essent_core::plan::CcssPlan;
 use essent_netlist::interp::format_printf;
 use essent_netlist::{Netlist, SignalDef, SignalId};
 use std::cell::Cell;
@@ -173,18 +171,7 @@ impl BatchSim {
 
     /// [`BatchSim::new`] over an already-shared netlist (no deep clone).
     pub fn new_shared(netlist: Arc<Netlist>, config: &EngineConfig) -> BatchSim {
-        let (dag, writes) = extended_dag(&netlist);
-        let parts = partition(&dag, config.c_p);
-        let plan = CcssPlan::from_partitioning(
-            &netlist,
-            &dag,
-            &writes,
-            &parts,
-            PlanOptions {
-                elide_state: config.elide_state,
-                elide_mem: config.elide_state,
-            },
-        );
+        let plan = build_plan(&netlist, config, None, config.elide_state);
         BatchSim::from_plan_shared(netlist, plan, config)
     }
 
@@ -202,25 +189,11 @@ impl BatchSim {
             "batch lanes must be 1..=64, got {lanes}"
         );
         let layout = Layout::new(&netlist);
-        let blocks = compile_plan(&netlist, &layout, &plan, config);
-        let fuse = config.tier1 && config.fuse_triggers && config.trigger_push;
-        let programs: Option<Vec<Tier1Program>> = config.tier1.then(|| {
-            plan.partitions
-                .iter()
-                .zip(&blocks)
-                .map(|(part, block)| {
-                    let outs: Vec<OutSpec> = part
-                        .outputs
-                        .iter()
-                        .map(|o| OutSpec {
-                            sig: o.signal,
-                            consumers: o.consumers.clone(),
-                        })
-                        .collect();
-                    lower_tier1(&netlist, block, &outs, fuse)
-                })
-                .collect()
-        });
+        // No native tier here: the bodies are compiled against the scalar
+        // arena stride.
+        let Frontend {
+            blocks, programs, ..
+        } = Frontend::compile(&netlist, &layout, &plan, config, None, None);
         let generic_rw: Vec<Vec<ItemRw>> = match &programs {
             Some(progs) => progs
                 .iter()

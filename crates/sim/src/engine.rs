@@ -55,21 +55,12 @@ pub struct EngineConfig {
     /// skips, wake-cause attribution, sampled eval time. Off by default;
     /// the disabled cost is zero (the probe calls monomorphize away).
     pub profile: bool,
-    /// Parallel engine only: pack each dependency level into per-thread
-    /// bins by estimated partition cost (LPT — longest processing time
-    /// first), with a serial fallback for levels too light to amortize a
-    /// barrier. When `false` the engine uses the original uniform level
-    /// sweep (dynamic work-stealing over an atomic cursor).
-    pub par_lpt: bool,
-    /// Parallel engine only: replace the level-barrier sweep with the
-    /// statically synthesized dataflow (BSP) schedule — compile-time
-    /// partition→worker assignment, per-edge waits on per-partition
-    /// `done` cycle counters instead of global barriers, and
-    /// cycle-boundary overlap for partitions the dependence analysis
-    /// proves independent of the serial phase
-    /// ([`essent_core::depgraph`]). Takes precedence over `par_lpt`.
-    /// Independently verified by `essent-verify`'s seventh layer
-    /// (`S06xx`).
+    /// Inert. It used to select the dataflow schedule over the
+    /// barrier-per-level engines; those are gone and
+    /// [`crate::ParEssentSim`] always runs the dataflow schedule. Nothing
+    /// reads this field: it survives only because the frozen `bench`
+    /// package still names it in a struct literal, and goes when that
+    /// package next changes (ROADMAP item 2b).
     pub par_dataflow: bool,
     /// Compile hot partitions' tier-1 programs to native machine code
     /// ([`crate::jit`]): partitions whose estimated eval cost clears
@@ -83,8 +74,9 @@ pub struct EngineConfig {
     pub jit: bool,
     /// Parallel engine only: shadow-memory race sanitizer — tag every
     /// arena word with its last writer/reader partition during parallel
-    /// evaluation and panic on any same-level cross-partition conflict,
-    /// the dynamic oracle for the static footprint proof (`R05xx`).
+    /// evaluation and panic on any cross-partition conflict the dataflow
+    /// schedule did not order, the dynamic oracle for the static
+    /// footprint and dependence proofs (`R05xx`, `S06xx`).
     /// Only effective when `essent-sim` is compiled with the
     /// `race-sanitizer` cargo feature; a no-op (and zero-cost) otherwise.
     pub race_sanitizer: bool,
@@ -111,8 +103,7 @@ impl Default for EngineConfig {
             tier1: true,
             fuse_triggers: true,
             profile: false,
-            par_lpt: true,
-            par_dataflow: false,
+            par_dataflow: true,
             jit: false,
             race_sanitizer: false,
             lanes: 1,
@@ -121,6 +112,14 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
+    /// Whether partition-output triggers are fused into the defining
+    /// tier-1 instruction. Fusion needs the word-specialized tier and
+    /// push-direction triggering: pull mode detects changes by input
+    /// snapshots and must not consume the outputs' consumer wakes.
+    pub fn fuses_triggers(&self) -> bool {
+        self.tier1 && self.fuse_triggers && self.trigger_push
+    }
+
     /// The paper's **Baseline**: every optimization off (pure full-cycle
     /// evaluation of the unoptimized netlist).
     pub fn baseline() -> Self {
@@ -136,8 +135,7 @@ impl EngineConfig {
             tier1: false,
             fuse_triggers: false,
             profile: false,
-            par_lpt: false,
-            par_dataflow: false,
+            par_dataflow: true,
             jit: false,
             race_sanitizer: false,
             lanes: 1,

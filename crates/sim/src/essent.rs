@@ -21,15 +21,16 @@
 //! detection, and external input changes wake their reader partitions in
 //! the main eval function.
 
-use crate::compile::{compile_plan, Block};
+use crate::compile::Block;
 use crate::engine::{delegate_simulator_basics, EngineConfig, Simulator};
+use crate::frontend::{build_plan, Frontend};
 use crate::jit;
 use crate::machine::Machine;
 use crate::profile::{NoProfile, ProfileArena, ProfileReport, ProfileWiring, Profiler};
-use crate::step1::{lower_tier1, OutSpec, Tier1Program, TierStats};
+use crate::step1::{Tier1Program, TierStats};
 use essent_bits::Bits;
-use essent_core::partition::partition;
-use essent_core::plan::{extended_dag, CcssPlan, PlanOptions};
+use essent_core::partition::ActivityPrior;
+use essent_core::plan::CcssPlan;
 use essent_netlist::{Netlist, SignalId};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -110,74 +111,36 @@ impl EssentSim {
         EssentSim::new_shared_with_prior(netlist, config, None)
     }
 
-    /// [`EssentSim::new`] with a measured activity prior: the structural
-    /// partitioning gains the profile-guided `activity_merge` phase
-    /// before the plan is built (the feedback loop's repartitioning
-    /// step). A neutral prior reproduces [`EssentSim::new`] exactly.
-    pub fn new_with_prior(
-        netlist: &Netlist,
-        config: &EngineConfig,
-        prior: &essent_core::partition::ActivityPrior,
-    ) -> EssentSim {
-        EssentSim::new_shared_with_prior(Arc::new(netlist.clone()), config, Some(prior))
-    }
-
-    /// The general constructor behind [`EssentSim::new_shared`] and
-    /// [`EssentSim::new_with_prior`].
+    /// [`EssentSim::new_shared`] with a measured activity prior (the
+    /// feedback loop's repartitioning step): the structural partitioning
+    /// gains the profile-guided `activity_merge` phase, and the JIT
+    /// selects hot partitions by measured eval cost instead of static
+    /// step counts. `None`, or a neutral prior, reproduces
+    /// [`EssentSim::new_shared`] exactly.
     pub fn new_shared_with_prior(
         netlist: Arc<Netlist>,
         config: &EngineConfig,
-        prior: Option<&essent_core::partition::ActivityPrior>,
+        prior: Option<&ActivityPrior>,
     ) -> EssentSim {
-        let (dag, writes) = extended_dag(&netlist);
-        let parts = match prior {
-            Some(pr) => {
-                essent_core::partition::partition_with_prior(
-                    &dag,
-                    config.c_p,
-                    pr,
-                    &essent_core::partition::ActivityMergeParams::for_cp(config.c_p),
-                )
-                .0
-            }
-            None => partition(&dag, config.c_p),
-        };
-        let plan = CcssPlan::from_partitioning(
-            &netlist,
-            &dag,
-            &writes,
-            &parts,
-            PlanOptions {
-                elide_state: config.elide_state,
-                elide_mem: config.elide_state,
-            },
-        );
-        EssentSim::from_plan_shared_with_prior(netlist, plan, config, prior)
+        let plan = build_plan(&netlist, config, prior, config.elide_state);
+        EssentSim::build(netlist, plan, config, prior)
     }
 
-    /// Builds the simulator from a pre-computed plan (used by the `C_p`
-    /// sweep harness to reuse partitioning work).
-    pub fn from_plan(netlist: &Netlist, plan: CcssPlan, config: &EngineConfig) -> EssentSim {
-        EssentSim::from_plan_shared(Arc::new(netlist.clone()), plan, config)
-    }
-
-    /// [`EssentSim::from_plan`] over an already-shared netlist.
+    /// Builds the simulator from a pre-computed plan (the `C_p` sweep and
+    /// the traced bench run reuse partitioning work).
     pub fn from_plan_shared(
         netlist: Arc<Netlist>,
         plan: CcssPlan,
         config: &EngineConfig,
     ) -> EssentSim {
-        EssentSim::from_plan_shared_with_prior(netlist, plan, config, None)
+        EssentSim::build(netlist, plan, config, None)
     }
 
-    /// [`EssentSim::from_plan_shared`] with a measured activity prior:
-    /// the JIT cost model selects hot partitions by measured eval-tick
-    /// cost instead of static step counts.
-    pub fn from_plan_shared_with_prior(
+    fn build(
         netlist: Arc<Netlist>,
         plan: CcssPlan,
         config: &EngineConfig,
-        prior: Option<&essent_core::partition::ActivityPrior>,
+        prior: Option<&ActivityPrior>,
     ) -> EssentSim {
         if config.verify {
             let report = plan.check(&netlist);
@@ -188,46 +151,19 @@ impl EssentSim {
         }
         let mut machine = Machine::from_arc(Arc::clone(&netlist));
         machine.capture_printf = config.capture_printf;
-        let blocks = compile_plan(&netlist, &machine.layout, &plan, config);
-
-        // Word-specialized tier. Trigger fusion additionally requires
-        // push-direction triggering: pull mode detects changes by input
-        // snapshots and must not consume the outputs' consumer wakes.
-        let fuse = config.tier1 && config.fuse_triggers && config.trigger_push;
-        let programs: Option<Vec<Tier1Program>> = config.tier1.then(|| {
-            plan.partitions
-                .iter()
-                .zip(&blocks)
-                .map(|(part, block)| {
-                    let outs: Vec<OutSpec> = part
-                        .outputs
-                        .iter()
-                        .map(|o| OutSpec {
-                            sig: o.signal,
-                            consumers: o.consumers.clone(),
-                        })
-                        .collect();
-                    lower_tier1(&netlist, block, &outs, fuse)
-                })
-                .collect()
-        });
-
-        // Native tier (`config.jit`): compile partitions whose cost
-        // estimate clears the threshold. Skipped when profiling (wake
-        // attribution needs the interpreter's flag sinks) and under the
-        // race sanitizer (the dynamic oracle instruments the
-        // interpreter loop).
-        let jit = (config.jit
-            && !config.profile
-            && !cfg!(feature = "race-sanitizer")
-            && jit::supported())
-        .then(|| {
-            programs.as_ref().map(|progs| {
-                let cost = crate::par::CostModel::build(&plan, &blocks, prior);
-                jit::JitParts::build(progs, &cost.costs, &machine.mems)
-            })
-        })
-        .flatten();
+        let Frontend {
+            blocks,
+            programs,
+            jit,
+            ..
+        } = Frontend::compile(
+            &netlist,
+            &machine.layout,
+            &plan,
+            config,
+            prior,
+            Some(&machine.mems),
+        );
 
         // Snapshot-compare tables cover only the outputs the tier did not
         // fuse (all of them when the tier is off).

@@ -1,0 +1,168 @@
+//! The front end the three CCSS engines share: netlist → partitioning →
+//! plan ([`build_plan`]), then plan → bytecode → tier-1 programs → cost
+//! table → native bodies ([`Frontend::compile`]).
+//!
+//! [`EssentSim`](crate::EssentSim), [`ParEssentSim`](crate::ParEssentSim)
+//! and [`BatchSim`](crate::BatchSim) differ only in the runtime tables
+//! they build *from* these artifacts, and `essent-verify` audits the same
+//! artifacts, so the lowering an engine runs and the lowering the
+//! verifier proves cannot drift apart.
+
+use crate::compile::{compile_plan, Block, Item, Layout};
+use crate::engine::EngineConfig;
+use crate::jit::{self, JitParts};
+use crate::machine::MemBank;
+use crate::step1::{lower_tier1, OutSpec, Tier1Program};
+use essent_core::partition::{partition, partition_with_prior, ActivityMergeParams, ActivityPrior};
+use essent_core::plan::{extended_dag, CcssPlan, PartitionPlan, PlanOptions};
+use essent_netlist::Netlist;
+
+/// Per-partition cost estimates: what the dataflow schedule's EFT worker
+/// assignment balances and what the JIT selects hot partitions by.
+///
+/// Units are *approximately nanoseconds per simulated cycle*: measured
+/// priors record expected eval time per cycle, and the static fallback
+/// counts single-word steps (~1 ns each). The unit only weighs
+/// partitions against each other and against fixed thresholds, so the
+/// approximation is harmless.
+#[derive(Debug, Clone)]
+pub struct CostModel {
+    /// Estimated cost per scheduled partition (always ≥ 1).
+    pub costs: Vec<u64>,
+}
+
+impl CostModel {
+    /// Builds the cost table for a plan: measured per-cycle eval cost
+    /// where `prior` covers a partition's members, static step counts
+    /// elsewhere.
+    pub fn build(plan: &CcssPlan, blocks: &[Block], prior: Option<&ActivityPrior>) -> CostModel {
+        let costs = plan
+            .partitions
+            .iter()
+            .zip(blocks)
+            .map(|(part, block)| {
+                let measured: f64 = prior
+                    .map(|pr| {
+                        part.members
+                            .iter()
+                            .filter(|s| s.index() < pr.len())
+                            .map(|s| pr.node_cost(s.index()))
+                            .sum()
+                    })
+                    .unwrap_or(0.0);
+                let cost = if measured > 0.0 {
+                    measured.round() as u64
+                } else {
+                    block.items.iter().map(Item::step_count).sum::<usize>() as u64
+                };
+                cost.max(1)
+            })
+            .collect();
+        CostModel { costs }
+    }
+}
+
+/// Partitions the design at `config.c_p` — with the profile-guided merge
+/// phase when a measured `prior` is supplied — and builds the CCSS plan.
+/// Register elision follows `config.elide_state`; the caller decides
+/// memory-write elision (the parallel engine keeps every bank write in
+/// its serial phase).
+pub fn build_plan(
+    netlist: &Netlist,
+    config: &EngineConfig,
+    prior: Option<&ActivityPrior>,
+    elide_mem: bool,
+) -> CcssPlan {
+    let (dag, writes) = extended_dag(netlist);
+    let parts = match prior {
+        Some(pr) => {
+            partition_with_prior(
+                &dag,
+                config.c_p,
+                pr,
+                &ActivityMergeParams::for_cp(config.c_p),
+            )
+            .0
+        }
+        None => partition(&dag, config.c_p),
+    };
+    CcssPlan::from_partitioning(
+        netlist,
+        &dag,
+        &writes,
+        &parts,
+        PlanOptions {
+            elide_state: config.elide_state,
+            elide_mem,
+        },
+    )
+}
+
+/// A partition's outputs as the tier-1 lowering takes them.
+pub fn out_specs(part: &PartitionPlan) -> Vec<OutSpec> {
+    part.outputs
+        .iter()
+        .map(|o| OutSpec {
+            sig: o.signal,
+            consumers: o.consumers.clone(),
+        })
+        .collect()
+}
+
+/// Everything compiled from a plan, per scheduled partition.
+pub struct Frontend {
+    pub blocks: Vec<Block>,
+    /// Word-specialized programs (`config.tier1`), triggers fused per
+    /// [`EngineConfig::fuses_triggers`]; `None` runs the generic item
+    /// interpreter.
+    pub programs: Option<Vec<Tier1Program>>,
+    pub cost: CostModel,
+    /// Native bodies for the partitions whose cost clears
+    /// [`jit::JIT_MIN_COST`]; `None` unless `config.jit` applies.
+    pub jit: Option<JitParts>,
+}
+
+impl Frontend {
+    /// Compiles `plan`. `jit_banks` are the memory banks native bodies
+    /// read; pass `None` for a consumer with no native tier (the batch
+    /// engine, the verifier). The JIT is also skipped without `tier1`,
+    /// when profiling (wake attribution needs the interpreter's flag
+    /// sinks), under the race sanitizer (the dynamic oracle instruments
+    /// the interpreter loop) and on unsupported hosts.
+    pub fn compile(
+        netlist: &Netlist,
+        layout: &Layout,
+        plan: &CcssPlan,
+        config: &EngineConfig,
+        prior: Option<&ActivityPrior>,
+        jit_banks: Option<&[MemBank]>,
+    ) -> Frontend {
+        let blocks = compile_plan(netlist, layout, plan, config);
+        let fuse = config.fuses_triggers();
+        let programs: Option<Vec<Tier1Program>> = config.tier1.then(|| {
+            plan.partitions
+                .iter()
+                .zip(&blocks)
+                .map(|(part, block)| lower_tier1(netlist, block, &out_specs(part), fuse))
+                .collect()
+        });
+        let cost = CostModel::build(plan, &blocks, prior);
+        let jit = match (&programs, jit_banks) {
+            (Some(progs), Some(banks))
+                if config.jit
+                    && !config.profile
+                    && !cfg!(feature = "race-sanitizer")
+                    && jit::supported() =>
+            {
+                Some(JitParts::build(progs, &cost.costs, banks))
+            }
+            _ => None,
+        };
+        Frontend {
+            blocks,
+            programs,
+            cost,
+            jit,
+        }
+    }
+}

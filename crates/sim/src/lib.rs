@@ -20,7 +20,9 @@
 //!   (signal-granularity change propagation), the stand-in for the
 //!   commercial event-driven simulator ("CommVer") in Table III.
 //!
-//! Supporting modules: [`compile`] (bytecode, including the conditional
+//! Supporting modules: [`frontend`] (the one partition → plan → bytecode →
+//! tier-1 → cost table → native-code routine the CCSS engines and the
+//! verifier share), [`compile`] (bytecode, including the conditional
 //! multiplexer-way optimization of Section III-B), [`machine`] (arena,
 //! memory banks, commit logic, work counters for the Figure 7 overhead
 //! decomposition), [`activity`] (per-cycle activity-factor measurement
@@ -46,12 +48,14 @@
 //! # Unsafe code
 //!
 //! Every `unsafe` block in this crate is a raw-pointer arena access
-//! whose soundness rests on one invariant: **partitions co-scheduled in
-//! a dependency level have disjoint write footprints, and never write
-//! what a co-leveled partition reads**. The invariant is not assumed —
-//! it is statically proven per design by the `essent-verify` footprint
-//! layer (`R0501`–`R0504`), and dynamically cross-checked by the
-//! `race-sanitizer` feature ([`sanitizer`]).
+//! whose soundness rests on one invariant: **partitions that can run
+//! concurrently have disjoint write footprints, and never write what
+//! the other reads**. The invariant is not assumed — the `essent-verify`
+//! footprint layer (`R0501`–`R0504`) derives every partition's exact
+//! footprint and the dependence layer (`S0601`–`S0605`) proves per
+//! design that the parallel engine's dataflow schedule orders every
+//! conflicting pair; the `race-sanitizer` feature ([`sanitizer`])
+//! cross-checks it dynamically.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
@@ -63,6 +67,7 @@ pub mod compile;
 pub mod engine;
 pub mod essent;
 pub mod event;
+pub mod frontend;
 pub mod full_cycle;
 pub mod jit;
 pub mod machine;
@@ -79,7 +84,8 @@ pub use batch::{BatchAudit, BatchSim};
 pub use engine::{EngineConfig, Simulator};
 pub use essent::EssentSim;
 pub use event::EventDrivenSim;
+pub use frontend::CostModel;
 pub use full_cycle::FullCycleSim;
 pub use machine::WorkCounters;
-pub use par::{plan_levels, CostModel, LevelPlan, LevelSchedule, ParEssentSim};
+pub use par::ParEssentSim;
 pub use profile::{activity_prior, ProfileReport, ProfileWiring};

@@ -335,7 +335,8 @@ impl Machine {
 /// `arena` must point at the machine's arena; the caller must guarantee no
 /// other thread concurrently accesses the destination slot of `step`, and
 /// that all source slots are not concurrently written. The engines uphold
-/// this with disjoint partition memberships and level barriers.
+/// this with disjoint partition memberships and the dataflow schedule's
+/// wait edges.
 pub(crate) unsafe fn run_step_raw(step: &Step, arena: *mut u64, mems: &[MemBank], ops: &mut u64) {
     *ops += 1;
     let base = arena;

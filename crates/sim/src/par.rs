@@ -1,177 +1,55 @@
-//! A parallel CCSS engine: partition-level parallelism over the acyclic
-//! schedule.
+//! A parallel CCSS engine: partition-level parallelism over a statically
+//! synthesized dataflow schedule.
 //!
 //! The acyclic partitioning that makes singular *sequential* schedules
-//! possible also exposes parallelism — partitions at the same dependency
-//! depth touch disjoint output slots and can evaluate concurrently. This
-//! engine levelizes the partition DAG (including the elision ordering
-//! edges) and sweeps it level by level with a worker pool; activation
-//! flags become atomics, so the conditional-execution benefit of CCSS is
-//! preserved: an inactive partition costs one relaxed atomic load.
+//! possible also exposes parallelism — partitions with no dependence
+//! path between them touch disjoint output slots and can evaluate
+//! concurrently. At construction the engine derives the exact
+//! inter-partition dependence graph, assigns every partition to a worker
+//! (earliest finish time over the [`CostModel`]) and reduces the graph to
+//! per-edge waits on per-partition `done` cycle counters
+//! ([`essent_core::depgraph`]); there is no global barrier, and
+//! partitions the analysis proves independent of the end-of-cycle serial
+//! phase start the next cycle early. Activation flags become atomics, so
+//! the conditional-execution benefit of CCSS is preserved: an inactive
+//! partition costs one relaxed atomic load.
 //!
 //! This is the direction of the follow-on research building on ESSENT
 //! (thread-parallel simulation over replication-free partitionings); it
 //! is not part of the DAC 2020 evaluation and is benchmarked separately.
+//! It is the only parallel schedule here: the barrier-per-level sweep and
+//! its LPT bin packer ran 1.8× (soc) to 11.6× (boom) slower and were
+//! removed (DESIGN.md §10).
 //!
 //! Memory-write elision is disabled here (concurrent in-partition writes
 //! to a shared bank would race — see [`PlanOptions::elide_mem`]); register
 //! elision is kept, since each register is written by exactly one
-//! partition into a private slot and all readers are at strictly earlier
-//! levels.
+//! partition into a private slot and the schedule orders every reader
+//! before the writer.
 //!
-//! Level barriers cost microseconds, so speedups appear only on designs
-//! wide enough to fill each level with real work; tiny designs are slower
-//! than [`EssentSim`](crate::EssentSim) — measure before adopting.
+//! Designs whose whole cycle is lighter than a cross-worker handoff
+//! collapse to one worker; tiny designs are still slower than
+//! [`EssentSim`](crate::EssentSim) — measure before adopting.
 //!
-//! # Cost-model level scheduling
-//!
-//! With [`EngineConfig::par_lpt`] (the default) the uniform level sweep
-//! is replaced by a static **LPT bin-packing** schedule: each level's
-//! partitions are packed into per-thread bins, heaviest first onto the
-//! least-loaded bin, using a per-partition [`CostModel`] — profiled mean
-//! eval ticks when an [`ActivityPrior`] is supplied
-//! ([`ParEssentSim::new_with_prior`]), static single-word step counts
-//! otherwise. Levels whose total cost cannot amortize a barrier run
-//! *serially* on the main thread with no barrier round-trip at all. The
-//! resulting [`LevelSchedule`] is a pure function of (levels, costs,
-//! threads) and is independently audited by `essent-verify`
-//! (F0402/F0403).
+//! [`PlanOptions::elide_mem`]: essent_core::plan::PlanOptions::elide_mem
 
-use crate::compile::{compile_plan, Block, Item};
+use crate::compile::Block;
 use crate::engine::{delegate_simulator_basics, EngineConfig, Simulator};
+use crate::frontend::{build_plan, Frontend};
 use crate::jit;
 use crate::machine::{self, Machine};
 use crate::profile::{AtomicProfile, ProfileReport, ProfileWiring};
-use crate::step1::{
-    lower_tier1, run_tier1_raw, AtomicFlags, OutSpec, ProfAtomicFlags, Tier1Program,
-};
+use crate::step1::{run_tier1_raw, AtomicFlags, ProfAtomicFlags, Tier1Program};
 use essent_bits::Bits;
 use essent_core::depgraph::{synthesize_dataflow, DataflowSchedule, DepGraph};
-use essent_core::partition::{partition, partition_with_prior, ActivityMergeParams, ActivityPrior};
-use essent_core::plan::{extended_dag, CcssPlan, PlanOptions};
+use essent_core::partition::ActivityPrior;
+use essent_core::plan::CcssPlan;
 use essent_netlist::{Netlist, SignalDef, SignalId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
-// The runtime's level derivation lives in `essent_core::plan` (shared
-// with the LPT packer and the bench tooling); re-exported so existing
-// `essent_sim::par::plan_levels` users keep working. `essent-verify`
-// keeps its own independent re-derivation.
-pub use essent_core::plan::plan_levels;
-
-/// Per-partition cost estimates feeding the LPT packer, plus the
-/// threshold below which a level is not worth a barrier round-trip.
-///
-/// Units are *approximately nanoseconds per simulated cycle*: measured
-/// priors record expected eval time per cycle, and the static fallback
-/// counts single-word steps (~1 ns each). The unit only weighs bins
-/// against each other and against `serial_floor`, so the approximation
-/// is harmless.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Estimated cost per scheduled partition (always ≥ 1).
-    pub costs: Vec<u64>,
-    /// Levels with total cost below this run serially on the main
-    /// thread.
-    pub serial_floor: u64,
-}
-
-/// A level's total work must be worth roughly a barrier wake-up
-/// (single-digit microseconds) before fanning out pays.
-const SERIAL_FLOOR: u64 = 3000;
-
-impl CostModel {
-    /// Builds the cost table for a plan: measured per-cycle eval cost
-    /// where `prior` covers a partition's members, static step counts
-    /// elsewhere.
-    pub fn build(plan: &CcssPlan, blocks: &[Block], prior: Option<&ActivityPrior>) -> CostModel {
-        let costs = plan
-            .partitions
-            .iter()
-            .zip(blocks)
-            .map(|(part, block)| {
-                let measured: f64 = prior
-                    .map(|pr| {
-                        part.members
-                            .iter()
-                            .filter(|s| s.index() < pr.len())
-                            .map(|s| pr.node_cost(s.index()))
-                            .sum()
-                    })
-                    .unwrap_or(0.0);
-                let cost = if measured > 0.0 {
-                    measured.round() as u64
-                } else {
-                    block.items.iter().map(Item::step_count).sum::<usize>() as u64
-                };
-                cost.max(1)
-            })
-            .collect();
-        CostModel {
-            costs,
-            serial_floor: SERIAL_FLOOR,
-        }
-    }
-}
-
-/// One dependency level's execution shape.
-#[derive(Debug, Clone)]
-pub struct LevelPlan {
-    /// Run on the main thread without a barrier round-trip (`bins` then
-    /// holds exactly one bin).
-    pub serial: bool,
-    /// Per-worker partition lists; worker `t` evaluates `bins[t]`.
-    /// Workers beyond `bins.len()` idle at the barrier for this level.
-    pub bins: Vec<Vec<u32>>,
-}
-
-/// The full static level schedule: an exact cover of the scheduled
-/// partitions, level-faithful, built by LPT packing over a [`CostModel`].
-#[derive(Debug, Clone)]
-pub struct LevelSchedule {
-    pub levels: Vec<LevelPlan>,
-}
-
-impl LevelSchedule {
-    /// Packs each level's partitions into at most `threads` bins:
-    /// heaviest partition first, each onto the currently least-loaded
-    /// bin (ties to the lowest bin index; cost ties broken by schedule
-    /// index — the build is deterministic). Levels below the cost
-    /// model's serial floor, or with nothing to share, fall back to one
-    /// serial bin.
-    pub fn build(levels: &[Vec<u32>], cost: &CostModel, threads: usize) -> LevelSchedule {
-        let levels = levels
-            .iter()
-            .map(|level| {
-                let total: u64 = level.iter().map(|&s| cost.costs[s as usize]).sum();
-                let nbins = threads.min(level.len()).max(1);
-                if nbins < 2 || total < cost.serial_floor {
-                    return LevelPlan {
-                        serial: true,
-                        bins: vec![level.clone()],
-                    };
-                }
-                let mut order = level.clone();
-                order.sort_by_key(|&s| (std::cmp::Reverse(cost.costs[s as usize]), s));
-                let mut bins = vec![Vec::new(); nbins];
-                let mut load = vec![0u64; nbins];
-                for s in order {
-                    let t = (0..nbins)
-                        .min_by_key(|&t| (load[t], t))
-                        .expect("nbins >= 1");
-                    load[t] += cost.costs[s as usize];
-                    bins[t].push(s);
-                }
-                LevelPlan {
-                    serial: false,
-                    bins,
-                }
-            })
-            .collect();
-        LevelSchedule { levels }
-    }
-}
+pub use crate::frontend::CostModel;
 
 /// Shared arena pointer that workers may dereference under the engine's
 /// disjointness discipline.
@@ -179,9 +57,9 @@ impl LevelSchedule {
 struct ArenaPtr(*mut u64);
 // SAFETY: workers only touch disjoint slots while running concurrently
 // (each signal is written by exactly one partition; reads target
-// finished producers or state), enforced by the level barriers or the
-// dataflow wait protocol and proven statically by the `essent-verify`
-// footprint layer (R0502/R0503) and dependence-cover layer (S0601).
+// finished producers or state), enforced by the dataflow wait protocol
+// and proven statically by the `essent-verify` footprint layer
+// (R0502/R0503) and dependence-cover layer (S0601).
 unsafe impl Send for ArenaPtr {}
 // SAFETY: same disjointness discipline as the `Send` impl above —
 // concurrent `&ArenaPtr` access only ever dereferences
@@ -201,9 +79,8 @@ impl ArenaPtr {
 struct MemsPtr(*mut crate::machine::MemBank, usize);
 // SAFETY: workers only *read* the banks during partition evaluation;
 // the banks are written exclusively in the serial phase, which runs
-// while workers are parked at the cycle barrier (level sweep) or —
-// under the dataflow schedule — concurrently only with partitions whose
-// exemption proof includes bank-read disjointness (S0602).
+// concurrently only with partitions whose exemption proof includes
+// bank-read disjointness (S0602).
 unsafe impl Send for MemsPtr {}
 // SAFETY: same read-only-during-evaluation discipline as `Send`.
 unsafe impl Sync for MemsPtr {}
@@ -244,6 +121,8 @@ struct PartTriggers {
 /// Thread-parallel CCSS simulator.
 pub struct ParEssentSim {
     machine: Machine,
+    /// The plan, with the synthesized dataflow schedule attached
+    /// (`plan.dataflow`) — the only schedule this engine runs.
     plan: CcssPlan,
     blocks: Vec<Block>,
     /// Word-specialized programs per partition (`config.tier1`); fused
@@ -254,21 +133,10 @@ pub struct ParEssentSim {
     /// [`jit::JIT_MIN_COST`] and whose program was eligible.
     jit: Option<jit::JitParts>,
     flags: Vec<AtomicBool>,
-    /// Scheduled partition indices grouped by dependency level.
-    levels: Vec<Vec<u32>>,
-    /// Static per-thread bin schedule ([`EngineConfig::par_lpt`]).
-    sched: LevelSchedule,
-    /// Use `sched` (LPT bins + serial fallback) instead of the dynamic
-    /// cursor sweep over `levels`.
-    lpt: bool,
-    /// Statically synthesized dataflow schedule
-    /// ([`EngineConfig::par_dataflow`]); when present the engine runs
-    /// [`ParEssentSim::run_cycles_dataflow`] instead of the level sweep.
-    dsched: Option<DataflowSchedule>,
     /// Per-partition arena offsets of the stop-condition bits the
-    /// partition computes (dataflow mode): after evaluating, the owner
-    /// probes these and publishes an early halt bound so speculative
-    /// next-cycle work never outruns a firing `stop`.
+    /// partition computes: after evaluating, the owner probes these and
+    /// publishes an early halt bound so speculative next-cycle work
+    /// never outruns a firing `stop`.
     stop_probe: Vec<Vec<u32>>,
     part_triggers: Vec<PartTriggers>,
     /// Per-partition private snapshot storage, indexed by the offsets in
@@ -276,7 +144,6 @@ pub struct ParEssentSim {
     old_vals: Vec<u64>,
     input_wake: HashMap<SignalId, Vec<u32>>,
     commit_regs: Vec<usize>,
-    threads: usize,
     /// Telemetry counters ([`EngineConfig::profile`]); atomic because
     /// workers update them concurrently through `&self`.
     profile: Option<Box<AtomicProfile>>,
@@ -287,22 +154,11 @@ pub struct ParEssentSim {
 }
 
 impl ParEssentSim {
-    /// Partitions the design and builds the parallel simulator with
-    /// `threads` workers (0 = available parallelism).
+    /// Partitions the design, synthesizes its dataflow schedule and
+    /// builds the parallel simulator with `threads` workers (0 =
+    /// available parallelism).
     pub fn new(netlist: &Netlist, config: &EngineConfig, threads: usize) -> ParEssentSim {
         ParEssentSim::new_shared(Arc::new(netlist.clone()), config, threads)
-    }
-
-    /// [`ParEssentSim::new`] with a measured activity prior: the
-    /// partitioning gains the profile-guided merge phase and the LPT
-    /// bins pack by measured cost instead of static step counts.
-    pub fn new_with_prior(
-        netlist: &Netlist,
-        config: &EngineConfig,
-        threads: usize,
-        prior: &ActivityPrior,
-    ) -> ParEssentSim {
-        ParEssentSim::new_shared_with_prior(Arc::new(netlist.clone()), config, threads, Some(prior))
     }
 
     /// [`ParEssentSim::new`] over an already-shared netlist (no deep
@@ -315,62 +171,36 @@ impl ParEssentSim {
         ParEssentSim::new_shared_with_prior(netlist, config, threads, None)
     }
 
-    /// The general constructor behind [`ParEssentSim::new_shared`] and
-    /// [`ParEssentSim::new_with_prior`].
+    /// [`ParEssentSim::new_shared`] with a measured activity prior: the
+    /// partitioning gains the profile-guided merge phase, and worker
+    /// assignment and JIT selection weigh partitions by measured cost
+    /// instead of static step counts.
     pub fn new_shared_with_prior(
         netlist: Arc<Netlist>,
         config: &EngineConfig,
         threads: usize,
         prior: Option<&ActivityPrior>,
     ) -> ParEssentSim {
-        let (dag, writes) = extended_dag(&netlist);
-        let parts = match prior {
-            Some(pr) => {
-                partition_with_prior(
-                    &dag,
-                    config.c_p,
-                    pr,
-                    &ActivityMergeParams::for_cp(config.c_p),
-                )
-                .0
-            }
-            None => partition(&dag, config.c_p),
-        };
-        let plan = CcssPlan::from_partitioning(
-            &netlist,
-            &dag,
-            &writes,
-            &parts,
-            PlanOptions {
-                elide_state: config.elide_state,
-                elide_mem: false,
-            },
-        );
+        // Memory-write elision off: every bank write stays in the serial
+        // phase (see the module docs).
+        let mut plan = build_plan(&netlist, config, prior, false);
         let mut machine = Machine::from_arc(Arc::clone(&netlist));
         machine.capture_printf = config.capture_printf;
-        let blocks = compile_plan(&netlist, &machine.layout, &plan, config);
-
-        let fuse = config.tier1 && config.fuse_triggers && config.trigger_push;
-        let programs: Option<Vec<Tier1Program>> = config.tier1.then(|| {
-            plan.partitions
-                .iter()
-                .zip(&blocks)
-                .map(|(part, block)| {
-                    let outs: Vec<OutSpec> = part
-                        .outputs
-                        .iter()
-                        .map(|o| OutSpec {
-                            sig: o.signal,
-                            consumers: o.consumers.clone(),
-                        })
-                        .collect();
-                    lower_tier1(&netlist, block, &outs, fuse)
-                })
-                .collect()
-        });
+        let Frontend {
+            blocks,
+            programs,
+            cost,
+            jit,
+        } = Frontend::compile(
+            &netlist,
+            &machine.layout,
+            &plan,
+            config,
+            prior,
+            Some(&machine.mems),
+        );
 
         let np = plan.partitions.len();
-        let levels = plan_levels(&plan);
 
         // Flattened per-partition trigger + elided-register tables,
         // covering only the outputs the tier did not fuse.
@@ -435,68 +265,41 @@ impl ParEssentSim {
         } else {
             threads
         };
-        let cost = CostModel::build(&plan, &blocks, prior);
-        let sched = LevelSchedule::build(&levels, &cost, threads);
 
-        // Native tier (`config.jit`): compile partitions whose cost
-        // estimate clears the threshold. Skipped when profiling (wake
-        // attribution needs the interpreter's flag sinks) and under the
-        // race sanitizer (the dynamic oracle instruments the
-        // interpreter loop).
-        let jit = (config.jit
-            && !config.profile
-            && !cfg!(feature = "race-sanitizer")
-            && jit::supported())
-        .then(|| {
-            programs
-                .as_ref()
-                .map(|progs| jit::JitParts::build(progs, &cost.costs, &machine.mems))
-        })
-        .flatten();
-
-        // Dataflow mode: derive the dependence graph, synthesize the
-        // static worker schedule, and build the stop-probe table.
-        let graph_and_sched = config.par_dataflow.then(|| {
-            let graph = DepGraph::derive(&netlist, &plan);
-            let ds = synthesize_dataflow(&plan, &graph, &cost.costs, threads);
-            (graph, ds)
-        });
+        // Derive the dependence graph, synthesize the static worker
+        // schedule, and build the stop-probe table.
+        let graph = DepGraph::derive(&netlist, &plan);
+        let dsched = synthesize_dataflow(&plan, &graph, &cost.costs, threads);
         let mut stop_probe = vec![Vec::new(); np];
-        if graph_and_sched.is_some() {
-            for st in netlist.stops() {
-                if matches!(
-                    netlist.signal(st.en).def,
-                    SignalDef::Op(_) | SignalDef::MemRead { .. }
-                ) {
-                    let owner = plan.sched_of_signal[st.en.index()] as usize;
-                    stop_probe[owner].push(machine.layout.offset(st.en) as u32);
-                }
+        for st in netlist.stops() {
+            if matches!(
+                netlist.signal(st.en).def,
+                SignalDef::Op(_) | SignalDef::MemRead { .. }
+            ) {
+                let owner = plan.sched_of_signal[st.en.index()] as usize;
+                stop_probe[owner].push(machine.layout.offset(st.en) as u32);
             }
         }
-        // The sanitizer's dataflow mode needs the schedule's same-cycle
-        // ordering relation to tell legal handoffs from races.
-        #[cfg(feature = "race-sanitizer")]
-        let sanitizer_edges: Option<std::collections::HashSet<u64>> =
-            graph_and_sched.as_ref().map(|(graph, _)| {
-                let mut edges = std::collections::HashSet::new();
-                for (p, preds) in graph.preds.iter().enumerate() {
-                    for &q in preds {
-                        edges.insert(((q as u64) << 32) | p as u64);
-                    }
-                }
-                edges
-            });
-        let dsched = graph_and_sched.map(|(_, ds)| ds);
-        let mut plan = plan;
-        if let Some(ds) = &dsched {
-            plan.attach_dataflow(ds.clone());
-        }
+        plan.attach_dataflow(dsched);
 
         let profile = config
             .profile
             .then(|| Box::new(AtomicProfile::new(ProfileWiring::for_plan(&netlist, &plan))));
+        // The sanitizer needs the schedule's same-cycle ordering relation
+        // to tell legal handoffs from races.
         #[cfg(feature = "race-sanitizer")]
-        let total_words = machine.layout.total_words();
+        let shadow = config.race_sanitizer.then(|| {
+            let edges = graph
+                .preds
+                .iter()
+                .enumerate()
+                .flat_map(|(p, preds)| preds.iter().map(move |&q| ((q as u64) << 32) | p as u64))
+                .collect();
+            Box::new(crate::sanitizer::ShadowMem::new(
+                machine.layout.total_words(),
+                edges,
+            ))
+        });
         ParEssentSim {
             machine,
             plan,
@@ -504,30 +307,22 @@ impl ParEssentSim {
             programs,
             jit,
             flags: (0..np).map(|_| AtomicBool::new(true)).collect(),
-            levels,
-            sched,
-            lpt: config.par_lpt,
-            dsched,
             stop_probe,
             part_triggers,
             old_vals,
             input_wake,
             commit_regs,
-            threads,
             profile,
             #[cfg(feature = "race-sanitizer")]
-            shadow: config.race_sanitizer.then(|| {
-                Box::new(crate::sanitizer::ShadowMem::new_with_edges(
-                    total_words,
-                    sanitizer_edges,
-                ))
-            }),
+            shadow,
         }
     }
 
-    /// Number of dependency levels in the parallel schedule.
-    pub fn level_count(&self) -> usize {
-        self.levels.len()
+    /// The synthesized dataflow schedule this engine runs: per-worker
+    /// partition lists, the reduced wait edges and the exempt set.
+    /// Always `Some` (it reads the plan's optional attachment slot).
+    pub fn dataflow_schedule(&self) -> Option<&DataflowSchedule> {
+        self.plan.dataflow.as_ref()
     }
 
     /// Borrow of the underlying machine (testing, activity profiling).
@@ -586,11 +381,13 @@ impl ParEssentSim {
     ///
     /// # Safety
     ///
-    /// Caller must guarantee level-disjointness: no partition
-    /// co-scheduled with `sched` in the current dependency level may
-    /// write any arena word this partition reads or writes. That is
-    /// exactly the property `essent-verify`'s footprint layer proves
-    /// statically per design (`R0501`–`R0504`), and that the
+    /// Caller must guarantee schedule-disjointness: no partition that
+    /// can run concurrently with `sched` may write any arena word this
+    /// partition reads or writes, or read one it writes. The dataflow
+    /// schedule orders every pair whose footprints (`R0501`–`R0504`)
+    /// conflict by a wait edge and lets cycles overlap only between
+    /// footprint-disjoint partitions — what `essent-verify`'s dependence
+    /// layer proves statically per design (`S0601`–`S0605`) and the
     /// `race-sanitizer` feature checks dynamically.
     unsafe fn eval_partition(
         &self,
@@ -607,7 +404,7 @@ impl ParEssentSim {
             #[cfg(feature = "race-sanitizer")]
             crate::sanitizer::note_read(off, w as u32);
             // SAFETY: `off..off+w` are this partition's own output
-            // slots (no co-leveled writer per R0502/R0503); the `old`
+            // slots (no concurrent writer, caller's contract); the `old`
             // range is this partition's private snapshot storage.
             unsafe {
                 std::ptr::copy_nonoverlapping(
@@ -626,7 +423,7 @@ impl ParEssentSim {
                 // SAFETY: the compiled body touches only arena offsets
                 // lowered from this partition's tier-1 program, whose
                 // footprint equals the generic block's (R0501) — proved
-                // level-disjoint and in-bounds (R0502–R0504) — and is
+                // schedule-disjoint and in-bounds (R0502–R0504) — and is
                 // independently audited against the emitted bytes by
                 // the J07xx verify layer. Wakes are 1-byte stores of
                 // `true` into the `AtomicBool` flags (one byte each;
@@ -650,7 +447,7 @@ impl ParEssentSim {
                 match prof {
                     // SAFETY: the tier-1 program's footprint equals the
                     // generic block's (R0501), which the footprint
-                    // layer proved level-disjoint and in-bounds
+                    // layer proved schedule-disjoint and in-bounds
                     // (R0502–R0504); banks are read-only here.
                     Some(p) => unsafe {
                         run_tier1_raw(
@@ -680,7 +477,7 @@ impl ParEssentSim {
                 }
             }
             // SAFETY: the generic block's footprint is exactly what the
-            // footprint layer analyzed and proved level-disjoint and
+            // footprint layer analyzed and proved schedule-disjoint and
             // in-bounds (R0502–R0504); banks are read-only here.
             None => unsafe {
                 machine::run_items_raw(&self.blocks[sched].items, arena.get(), mems, ops)
@@ -690,7 +487,7 @@ impl ParEssentSim {
         for (next_off, out_off, w, ri, wake) in &tr.regs {
             // SAFETY: the elided register's `next` and `out` slots are
             // in this partition's footprint (counted by the footprint
-            // layer's engine-access pass), hence level-exclusive.
+            // layer's engine-access pass), hence exclusive here.
             let changed = unsafe {
                 machine::commit_state_raw(
                     arena.get(),
@@ -713,7 +510,7 @@ impl ParEssentSim {
             #[cfg(feature = "race-sanitizer")]
             crate::sanitizer::note_read(off, w as u32);
             // SAFETY: output slots are written only by this partition
-            // within the level (R0502/R0503); the snapshot range is
+            // while it runs (caller's contract); the snapshot range is
             // private. Both ranges are in-bounds by construction.
             let (cur, snap) = unsafe {
                 (
@@ -739,8 +536,7 @@ impl ParEssentSim {
     /// # Safety
     ///
     /// No concurrently running partition evaluation may touch any arena
-    /// word or memory bank this phase accesses. The level engine parks
-    /// every worker at the cycle barrier; the dataflow engine lets only
+    /// word or memory bank this phase accesses. The runtime lets only
     /// *exempt* partitions run concurrently, whose footprints the
     /// dependence analysis proves disjoint from the serial footprint
     /// (verified as S0602).
@@ -790,7 +586,7 @@ impl ParEssentSim {
             for w in 0..netlist.mems()[m].writers.len() {
                 *static_checks += 1;
                 // SAFETY: the banks are serial-phase-exclusive (caller's
-                // contract: workers parked or bank-disjoint by S0602).
+                // contract: concurrent workers are bank-disjoint, S0602).
                 let bank = unsafe { &mut *mems.get().0.add(m) };
                 // SAFETY: serial-footprint words; `m`/`w` index real
                 // mems/writers, layout is in-bounds.
@@ -834,191 +630,10 @@ impl ParEssentSim {
         }
     }
 
-    fn run_cycles(&mut self, n: u64) -> u64 {
-        if self.dsched.is_some() {
-            return self.run_cycles_dataflow(n);
-        }
-        let threads = self.threads;
-        // Raw views of the machine's storage for the scope's duration.
-        // SAFETY invariants (upheld below): within a level, every arena
-        // slot is written by at most one worker (unique partition
-        // membership) and read slots were finalized at earlier levels or
-        // are state; memory banks are only *read* by workers and only
-        // *written* in the serial phase while workers are parked at the
-        // cycle barrier.
-        let arena = ArenaPtr(self.machine.arena.as_mut_ptr());
-        let mems = MemsPtr(self.machine.mems.as_mut_ptr(), self.machine.mems.len());
-        let old_ptr = OldPtr(self.old_vals.as_mut_ptr());
-
-        let barrier = Barrier::new(threads);
-        let cursor = AtomicUsize::new(0);
-        let level_idx = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let total_ops = AtomicUsize::new(0);
-
-        // Serial-phase state kept in locals (merged back after the scope).
-        let netlist = self.machine.netlist.clone();
-        let layout = self.machine.layout.clone();
-        let capture_printf = self.machine.capture_printf;
-        let mut halted = self.machine.halted;
-        let mut printf_log: Vec<String> = Vec::new();
-        let mut static_checks = 0u64;
-        let mut ran = 0u64;
-
-        let this = &*self;
-        // Claim-and-evaluate for one scheduled partition; shared by the
-        // parallel workers and the serial-level fast path.
-        let eval_claimed =
-            |sched: usize, tid: usize, banks: &[crate::machine::MemBank], ops: &mut u64| {
-                if this.flags[sched].swap(false, Ordering::Relaxed) {
-                    // Record this thread's arena accesses as `sched` for the
-                    // duration of the evaluation (no-op without the feature).
-                    #[cfg(feature = "race-sanitizer")]
-                    let _sanitizer_scope = this
-                        .shadow
-                        .as_deref()
-                        .map(|s| crate::sanitizer::enter(s, sched as u32));
-                    match this.profile.as_deref() {
-                        Some(p) => {
-                            let t0 = p.eval_begin(sched);
-                            let mut part_ops = 0u64;
-                            // SAFETY: level barriers + disjoint slots.
-                            unsafe {
-                                this.eval_partition(
-                                    sched,
-                                    arena,
-                                    banks,
-                                    old_ptr.get(),
-                                    &mut part_ops,
-                                    Some(p),
-                                )
-                            };
-                            p.eval_end_on(sched, tid as u32, t0, part_ops);
-                            *ops += part_ops;
-                        }
-                        // SAFETY: level barriers + disjoint slots.
-                        None => unsafe {
-                            this.eval_partition(sched, arena, banks, old_ptr.get(), ops, None)
-                        },
-                    }
-                } else if let Some(p) = this.profile.as_deref() {
-                    p.unit_skip(sched);
-                }
-            };
-        // Declared before the scope so spawned threads can borrow it for
-        // the scope's full lifetime. Worker 0 is the main thread.
-        let worker = |tid: usize| -> u64 {
-            let mut ops = 0u64;
-            loop {
-                barrier.wait();
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                let lvl = level_idx.load(Ordering::Acquire);
-                let (mptr, mlen) = mems.get();
-                // SAFETY: read-only view; banks are written only while
-                // workers are parked (see above).
-                let banks = unsafe { std::slice::from_raw_parts(mptr, mlen) };
-                if this.lpt {
-                    // Static LPT bins: worker `tid` owns bin `tid`.
-                    if let Some(bin) = this.sched.levels[lvl].bins.get(tid) {
-                        for &s in bin {
-                            eval_claimed(s as usize, tid, banks, &mut ops);
-                        }
-                    }
-                } else {
-                    // Uniform sweep: dynamic work-stealing via the cursor.
-                    let level = &this.levels[lvl];
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= level.len() {
-                            break;
-                        }
-                        eval_claimed(level[i] as usize, tid, banks, &mut ops);
-                    }
-                }
-                barrier.wait();
-                if tid == 0 {
-                    return ops;
-                }
-            }
-            ops
-        };
-        std::thread::scope(|scope| {
-            let worker = &worker;
-            let handles: Vec<_> = (1..threads)
-                .map(|t| scope.spawn(move || worker(t)))
-                .collect();
-
-            'cycles: for _ in 0..n {
-                if halted.is_some() {
-                    break 'cycles;
-                }
-                if let Some(p) = this.profile.as_deref() {
-                    p.begin_cycle();
-                }
-                for lvl in 0..this.levels.len() {
-                    // New dependency level: all prior sanitizer tags go
-                    // stale (cross-level sharing is legal).
-                    #[cfg(feature = "race-sanitizer")]
-                    if let Some(s) = this.shadow.as_deref() {
-                        s.next_epoch();
-                    }
-                    if this.lpt && this.sched.levels[lvl].serial {
-                        // Too little work to amortize a barrier: run the
-                        // level inline while workers stay parked.
-                        let (mptr, mlen) = mems.get();
-                        // SAFETY: workers are parked at the cycle
-                        // barrier; the main thread has exclusive use.
-                        let banks = unsafe { std::slice::from_raw_parts(mptr, mlen) };
-                        let mut ops = 0u64;
-                        for &s in &this.sched.levels[lvl].bins[0] {
-                            eval_claimed(s as usize, 0, banks, &mut ops);
-                        }
-                        total_ops.fetch_add(ops as usize, Ordering::Relaxed);
-                        continue;
-                    }
-                    level_idx.store(lvl, Ordering::Release);
-                    cursor.store(0, Ordering::Release);
-                    let ops = worker(0);
-                    total_ops.fetch_add(ops as usize, Ordering::Relaxed);
-                }
-                // Serial phase (workers parked at the cycle barrier, so
-                // the main thread has exclusive arena and bank access).
-                // SAFETY: the cycle barrier above parked every worker.
-                unsafe {
-                    this.serial_phase(
-                        &netlist,
-                        &layout,
-                        arena,
-                        &mems,
-                        capture_printf,
-                        &mut halted,
-                        &mut printf_log,
-                        &mut static_checks,
-                    )
-                };
-                ran += 1;
-            }
-            stop.store(true, Ordering::Release);
-            barrier.wait();
-            for h in handles {
-                total_ops.fetch_add(h.join().expect("worker join") as usize, Ordering::Relaxed);
-            }
-        });
-
-        self.machine.counters.ops_evaluated += total_ops.load(Ordering::Relaxed) as u64;
-        self.machine.counters.static_checks += static_checks;
-        self.machine.counters.cycles += ran;
-        self.machine.cycle += ran;
-        self.machine.halted = halted;
-        self.machine.printf_log.extend(printf_log);
-        ran
-    }
-
     /// The dataflow (BSP) runtime: no barriers — each worker walks its
     /// static partition list every cycle, synchronizing through
-    /// per-partition `done` cycle counters.
+    /// per-partition `done` cycle counters. Runs up to `n` cycles and
+    /// returns how many ran.
     ///
     /// Protocol, per worker `t`, cycle `k` (1-based), partition `p`:
     ///
@@ -1033,7 +648,7 @@ impl ParEssentSim {
     ///    `serial_done >= k-1` (cycle `k-1` fully closed);
     /// 3. bail if a halt at a cycle before `k` was published (before
     ///    touching the activity flag, so poke/wake state survives for a
-    ///    later `step` exactly as in the level engine);
+    ///    later `step`);
     /// 4. claim the flag and evaluate (or skip); probe any owned stop
     ///    bits and publish `halt_at = min(halt_at, k)` *before* step 5,
     ///    so no cycle `k+1` evaluation can start once a stop fired;
@@ -1047,11 +662,13 @@ impl ParEssentSim {
     /// order, so all same-cycle waiting follows a total order; `waits_prev`
     /// and `serial_done` waits reference strictly earlier cycles
     /// (verified as S0603/S0605).
-    fn run_cycles_dataflow(&mut self, n: u64) -> u64 {
+    fn run_cycles(&mut self, n: u64) -> u64 {
         let arena = ArenaPtr(self.machine.arena.as_mut_ptr());
         let mems = MemsPtr(self.machine.mems.as_mut_ptr(), self.machine.mems.len());
         let old_ptr = OldPtr(self.old_vals.as_mut_ptr());
-        let ds = self.dsched.as_ref().expect("dataflow schedule");
+        let ds = self
+            .dataflow_schedule()
+            .expect("schedule attached at construction");
         let nworkers = ds.worker_count();
         let np = self.plan.partitions.len();
 
@@ -1102,8 +719,8 @@ impl ParEssentSim {
                     // Cheap activity test before the claiming RMW: only
                     // this worker clears the flag, so a relaxed load
                     // cannot miss a wake the wait edges ordered before
-                    // this cycle (the RMW on every idle partition is
-                    // what the level engines pay the sweep for).
+                    // this cycle (an RMW on every idle partition is
+                    // what a claim-by-swap sweep would pay).
                     if this.flags[p].load(Ordering::Relaxed)
                         && this.flags[p].swap(false, Ordering::Relaxed)
                     {
@@ -1357,11 +974,6 @@ impl ParEssentSim {
         self.machine.printf_log.extend(printf_log);
         ran
     }
-
-    /// The synthesized dataflow schedule, when running in dataflow mode.
-    pub fn dataflow_schedule(&self) -> Option<&DataflowSchedule> {
-        self.dsched.as_ref()
-    }
 }
 
 impl Simulator for ParEssentSim {
@@ -1394,11 +1006,11 @@ impl Simulator for ParEssentSim {
     }
 
     fn engine_name(&self) -> &'static str {
-        "essent-parallel"
+        "essent-dataflow"
     }
 
     fn profile_report(&self) -> Option<ProfileReport> {
-        self.profile.as_ref().map(|p| p.report("essent-parallel"))
+        self.profile.as_ref().map(|p| p.report("essent-dataflow"))
     }
 
     delegate_simulator_basics!();
@@ -1417,19 +1029,8 @@ mod tests {
     const COUNTER: &str = "circuit C :\n  module C :\n    input clock : Clock\n    input reset : UInt<1>\n    output q : UInt<8>\n    reg r : UInt<8>, clock with : (reset => (reset, UInt<8>(0)))\n    r <= tail(add(r, UInt<8>(1)), 1)\n    q <= r\n";
 
     #[test]
-    fn parallel_counter_counts() {
-        let n = netlist_of(COUNTER);
-        for threads in [1, 2, 4] {
-            let mut sim = ParEssentSim::new(&n, &EngineConfig::default(), threads);
-            sim.poke("reset", Bits::from_u64(0, 1));
-            sim.step(10);
-            assert_eq!(sim.peek("q").to_u64(), Some(9), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn parallel_matches_sequential_on_wide_design() {
-        // Many independent register pipelines: real level-parallel work.
+        // Many independent register pipelines: real parallel work.
         let mut body = String::new();
         use std::fmt::Write;
         for i in 0..16 {
@@ -1480,29 +1081,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_respects_stop() {
-        let src = "circuit S :\n  module S :\n    input clock : Clock\n    input reset : UInt<1>\n    reg r : UInt<4>, clock with : (reset => (reset, UInt<4>(0)))\n    r <= tail(add(r, UInt<4>(1)), 1)\n    stop(clock, eq(r, UInt<4>(5)), 9)\n";
-        let n = netlist_of(src);
-        let mut sim = ParEssentSim::new(&n, &EngineConfig::default(), 2);
-        sim.poke("reset", Bits::from_u64(0, 1));
-        let ran = sim.step(100);
-        assert_eq!(sim.halted(), Some(9));
-        assert!(ran < 100);
-    }
-
-    fn dataflow_config() -> EngineConfig {
-        EngineConfig {
-            par_dataflow: true,
-            ..EngineConfig::default()
-        }
-    }
-
-    #[test]
     fn dataflow_counter_counts() {
         let n = netlist_of(COUNTER);
         for threads in [1, 2, 4] {
-            let mut sim = ParEssentSim::new(&n, &dataflow_config(), threads);
-            assert!(sim.dataflow_schedule().is_some());
+            let mut sim = ParEssentSim::new(&n, &EngineConfig::default(), threads);
             sim.poke("reset", Bits::from_u64(0, 1));
             sim.step(10);
             assert_eq!(sim.peek("q").to_u64(), Some(9), "threads={threads}");
@@ -1535,16 +1117,9 @@ mod tests {
         let n = netlist_of(&register_farm(768));
         let cfg = EngineConfig {
             c_p: 2,
-            par_dataflow: true,
             ..EngineConfig::default()
         };
-        let mut seq = EssentSim::new(
-            &n,
-            &EngineConfig {
-                c_p: 2,
-                ..EngineConfig::default()
-            },
-        );
+        let mut seq = EssentSim::new(&n, &cfg);
         let mut dts: Vec<_> = [1usize, 2, 4]
             .iter()
             .map(|&t| ParEssentSim::new(&n, &cfg, t))
@@ -1567,13 +1142,7 @@ mod tests {
         }
         // Batched steps keep adjacent cycles in flight simultaneously.
         let mut batched = ParEssentSim::new(&n, &cfg, 4);
-        let mut seq = EssentSim::new(
-            &n,
-            &EngineConfig {
-                c_p: 2,
-                ..EngineConfig::default()
-            },
-        );
+        let mut seq = EssentSim::new(&n, &cfg);
         batched.poke("x", Bits::from_u64(0x1234, 16));
         seq.poke("x", Bits::from_u64(0x1234, 16));
         batched.step(64);
@@ -1588,12 +1157,12 @@ mod tests {
         let src = "circuit S :\n  module S :\n    input clock : Clock\n    input reset : UInt<1>\n    reg r : UInt<4>, clock with : (reset => (reset, UInt<4>(0)))\n    r <= tail(add(r, UInt<4>(1)), 1)\n    stop(clock, eq(r, UInt<4>(5)), 9)\n";
         let n = netlist_of(src);
         for threads in [1, 2, 4] {
-            let mut sim = ParEssentSim::new(&n, &dataflow_config(), threads);
+            let mut sim = ParEssentSim::new(&n, &EngineConfig::default(), threads);
             sim.poke("reset", Bits::from_u64(0, 1));
             let ran = sim.step(100);
             assert_eq!(sim.halted(), Some(9), "threads={threads}");
             assert!(ran < 100, "threads={threads}");
-            // Post-halt steps are no-ops, exactly like the level engine.
+            // Post-halt steps are no-ops.
             assert_eq!(sim.step(5), 0, "threads={threads}");
         }
     }
@@ -1623,11 +1192,10 @@ mod tests {
     }
 
     /// The `halt_at` publication protocol, empirically: a stop firing at
-    /// *every* cycle offset inside one batched `step` must leave both
-    /// parallel engines with exactly the golden sequential state — no
+    /// *every* cycle offset inside one batched `step` must leave the
+    /// parallel engine with exactly the golden sequential state — no
     /// speculated cycle may survive a halt, and the halting cycle itself
-    /// must complete. Covers the level (LPT) batched path and the
-    /// dataflow path where exempt partitions run a cycle ahead of the
+    /// must complete — where exempt partitions run a cycle ahead of the
     /// stop owner's publication.
     #[test]
     fn batched_halt_at_every_offset_matches_sequential() {
@@ -1636,13 +1204,9 @@ mod tests {
             c_p: 2,
             ..EngineConfig::default()
         };
-        let df_cfg = EngineConfig {
-            par_dataflow: true,
-            ..cfg.clone()
-        };
         // The farm must actually exercise cross-cycle speculation.
         assert!(
-            ParEssentSim::new(&n, &df_cfg, 4)
+            ParEssentSim::new(&n, &cfg, 4)
                 .dataflow_schedule()
                 .unwrap()
                 .exempt_count()
@@ -1658,15 +1222,12 @@ mod tests {
             seq.poke("x", x.clone());
             let seq_ran = seq.step(BATCH);
             assert_eq!(seq.halted(), Some(7), "offset {offset}");
-            for (threads, dcfg) in [(4, &cfg), (2, &df_cfg), (4, &df_cfg)] {
-                let mut par = ParEssentSim::new(&n, dcfg, threads);
+            for threads in [2, 4] {
+                let mut par = ParEssentSim::new(&n, &cfg, threads);
                 par.poke("t", t.clone());
                 par.poke("x", x.clone());
                 let ran = par.step(BATCH);
-                let tag = format!(
-                    "offset {offset} threads {threads} dataflow {}",
-                    dcfg.par_dataflow
-                );
+                let tag = format!("offset {offset} threads {threads}");
                 assert_eq!(ran, seq_ran, "{tag}: cycle count");
                 assert_eq!(par.halted(), Some(7), "{tag}: halt code");
                 for p in probes {
@@ -1682,7 +1243,7 @@ mod tests {
     #[test]
     fn dataflow_schedule_is_sane() {
         let n = netlist_of(COUNTER);
-        let sim = ParEssentSim::new(&n, &dataflow_config(), 4);
+        let sim = ParEssentSim::new(&n, &EngineConfig::default(), 4);
         let ds = sim.dataflow_schedule().unwrap();
         let np = sim.partition_count();
         let mut seen = vec![false; np];
@@ -1700,23 +1261,5 @@ mod tests {
                 assert!(ds.worker_count() > 1);
             }
         }
-    }
-
-    #[test]
-    fn levels_respect_dependencies() {
-        let n = netlist_of(COUNTER);
-        let sim = ParEssentSim::new(
-            &n,
-            &EngineConfig {
-                c_p: 1,
-                ..EngineConfig::default()
-            },
-            1,
-        );
-        assert!(sim.level_count() >= 1);
-        assert_eq!(
-            sim.levels.iter().map(Vec::len).sum::<usize>(),
-            sim.partition_count()
-        );
     }
 }

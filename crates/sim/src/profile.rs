@@ -651,8 +651,11 @@ impl AtomicProfile {
 
     /// [`AtomicProfile::eval_end`] with the worker lane for the trace;
     /// parallel engines pass their worker id so the Chrome export shows
-    /// real thread occupancy.
-    #[inline]
+    /// real thread occupancy. Never inlined: it runs only when profiling,
+    /// and its trace-window locking would otherwise sit inside the
+    /// workers' per-partition loop, whose idle path is the engine's hot
+    /// path.
+    #[inline(never)]
     pub fn eval_end_on(&self, unit: usize, worker: u32, start: u64, ops_delta: u64) {
         self.ops[unit].fetch_add(ops_delta, Ordering::Relaxed);
         let dur = tick().saturating_sub(start);
@@ -1060,7 +1063,8 @@ impl ProfileReport {
 }
 
 /// Projects a per-unit [`ProfileReport`] down to the per-node
-/// [`ActivityPrior`] the partitioner and the LPT scheduler consume.
+/// [`ActivityPrior`] the partitioner and the [`CostModel`](crate::CostModel)
+/// consume.
 ///
 /// The report's units are schedule indices of `plan` (names `p<i>`);
 /// each unit's activity rate lands on every node the unit covers, and

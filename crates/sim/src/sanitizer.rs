@@ -1,16 +1,18 @@
 //! Shadow-memory race sanitizer (`--features race-sanitizer`).
 //!
-//! The dynamic oracle for the static footprint proof (`essent-verify`
-//! `R05xx`): every arena word carries a last-writer and a last-reader
-//! tag `(epoch << 24) | partition+1`, where the epoch advances at every
-//! dependency level of every cycle. Workers record each actual arena
-//! access while evaluating a partition; two accesses to the same word in
-//! the same epoch from different partitions — where at least one is a
-//! write — are exactly the data races the static analysis proves absent,
-//! so the sanitizer panics with the offending pair.
+//! The dynamic oracle for the static footprint and dependence proofs
+//! (`essent-verify` `R05xx`, `S06xx`): every arena word carries a
+//! last-writer and a last-reader tag `(epoch << 24) | partition+1`, one
+//! epoch per simulated cycle. Workers record each actual arena access
+//! while evaluating a partition; two accesses to the same word in the
+//! same cycle from different partitions — where at least one is a write
+//! and the dataflow schedule does not order the pair — or any access that
+//! finds a tag from a *later* cycle, are exactly the data races the
+//! static analysis proves absent, so the sanitizer panics with the
+//! offending pair.
 //!
 //! The recording context is thread-local and set only around
-//! `ParEssentSim`'s partition evaluation ([`enter`]); the serial phase
+//! `ParEssentSim`'s partition evaluation ([`enter_at`]); the serial phase
 //! and the sequential engines never set it, so their accesses through
 //! the shared executors are no-ops. With the feature disabled, none of
 //! this module exists and the hooks compile away entirely.
@@ -27,28 +29,22 @@ const PART_MASK: u64 = (1 << PART_BITS) - 1;
 pub struct ShadowMem {
     writer: Vec<AtomicU64>,
     reader: Vec<AtomicU64>,
-    /// Current (cycle, level) epoch; tags from older epochs are stale
-    /// and never conflict, which makes per-level reset O(1).
+    /// Next unreserved epoch; tags from older epochs are stale and
+    /// never conflict, so nothing is ever reset.
     epoch: AtomicU64,
-    /// Dataflow mode: the synthesized schedule's same-cycle dependence
-    /// edges, packed `(before << 32) | after`. `None` is the level-sweep
-    /// mode, where any same-epoch cross-partition conflict is a race;
-    /// with edges, a same-epoch W→R / R→W pair is legal exactly when
-    /// the runtime ordered it (`before → after` in the edge set), and a
-    /// tag from a *newer* epoch is always a race (a partition outran a
-    /// wait the schedule should have imposed).
-    edges: Option<HashSet<u64>>,
+    /// The synthesized schedule's same-cycle dependence edges, packed
+    /// `(before << 32) | after`. A same-epoch W→R / R→W pair is legal
+    /// exactly when the runtime ordered it (`before → after` in the edge
+    /// set), and a tag from a *newer* epoch is always a race (a
+    /// partition outran a wait the schedule should have imposed).
+    edges: HashSet<u64>,
 }
 
 impl ShadowMem {
-    /// Shadow state for an arena of `words` words (level-sweep mode).
-    pub fn new(words: usize) -> ShadowMem {
-        ShadowMem::new_with_edges(words, None)
-    }
-
-    /// Shadow state in dataflow mode: `edges` is the schedule's
-    /// same-cycle ordering relation as `(before << 32) | after` pairs.
-    pub fn new_with_edges(words: usize, edges: Option<HashSet<u64>>) -> ShadowMem {
+    /// Shadow state for an arena of `words` words; `edges` is the
+    /// schedule's same-cycle ordering relation as
+    /// `(before << 32) | after` pairs.
+    pub fn new(words: usize, edges: HashSet<u64>) -> ShadowMem {
         ShadowMem {
             writer: (0..words).map(|_| AtomicU64::new(0)).collect(),
             reader: (0..words).map(|_| AtomicU64::new(0)).collect(),
@@ -57,25 +53,17 @@ impl ShadowMem {
         }
     }
 
-    /// Advances to the next dependency level (or cycle): all existing
-    /// tags become stale at once.
-    pub fn next_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Dataflow mode: reserves `by` fresh epochs for one run and returns
-    /// the base — the run tags cycle `k` (1-based) with epoch
-    /// `base + k`, so overlapping cycles stay distinguishable and no
-    /// epoch ever collides with an earlier run's tags.
+    /// Reserves `by` fresh epochs for one run and returns the base — the
+    /// run tags cycle `k` (1-based) with epoch `base + k`, so
+    /// overlapping cycles stay distinguishable and no epoch ever
+    /// collides with an earlier run's tags.
     pub fn advance_base(&self, by: u64) -> u64 {
         self.epoch.fetch_add(by, Ordering::Relaxed)
     }
 
     /// Is the same-epoch pair `before → after` ordered by the schedule?
     fn ordered(&self, before: u64, after: u64) -> bool {
-        self.edges
-            .as_ref()
-            .is_some_and(|e| e.contains(&((before << 32) | after)))
+        self.edges.contains(&((before << 32) | after))
     }
 }
 
@@ -105,17 +93,11 @@ impl Drop for ScopeGuard {
 }
 
 /// Starts recording the current thread's arena accesses as partition
-/// `part` under `shadow`'s current epoch. The caller must keep `shadow`
-/// alive for the guard's lifetime (the engine owns it for its own
-/// lifetime and evaluation never outlives the engine).
-pub fn enter(shadow: &ShadowMem, part: u32) -> ScopeGuard {
-    enter_at(shadow, part, shadow.epoch.load(Ordering::Relaxed))
-}
-
-/// [`enter`] with an explicit epoch — the dataflow runtime tags each
-/// partition evaluation with its own cycle's epoch (`base + k`), since
-/// overlapping cycles are in flight at once and no single "current"
-/// epoch exists.
+/// `part` in `epoch` — the runtime tags each partition evaluation with
+/// its own cycle's epoch (`base + k`), since overlapping cycles are in
+/// flight at once and no single "current" epoch exists. The caller must
+/// keep `shadow` alive for the guard's lifetime (the engine owns it for
+/// its own lifetime and evaluation never outlives the engine).
 pub fn enter_at(shadow: &ShadowMem, part: u32, epoch: u64) -> ScopeGuard {
     debug_assert!((part as u64) < PART_MASK);
     let ctx = Ctx {
@@ -134,7 +116,7 @@ fn part_of(tag: u64) -> u64 {
 
 fn with_ctx(f: impl FnOnce(&ShadowMem, u64)) {
     if let Some(ctx) = CTX.with(|c| c.get()) {
-        // SAFETY: `enter`'s contract — the shadow outlives the guard,
+        // SAFETY: `enter_at`'s contract — the shadow outlives the guard,
         // and the guard clears the context on drop.
         let shadow = unsafe { &*ctx.shadow };
         f(shadow, ctx.tag);
@@ -164,7 +146,7 @@ pub fn note_read(off: u32, words: u32) {
                 if wr_epoch == epoch && !shadow.ordered(part_of(wr), part_of(tag)) {
                     panic!(
                         "race sanitizer: partition p{} read arena word {w} written by partition \
-                         p{} in the same level",
+                         p{} in the same cycle",
                         part_of(tag),
                         part_of(wr)
                     );
@@ -198,7 +180,7 @@ pub fn note_write(off: u32, words: u32) {
                 if prev_epoch == epoch {
                     panic!(
                         "race sanitizer: partitions p{} and p{} both wrote arena word {w} in the \
-                         same level",
+                         same cycle",
                         part_of(prev),
                         part_of(tag)
                     );
@@ -218,7 +200,7 @@ pub fn note_write(off: u32, words: u32) {
                 if rd_epoch == epoch && !shadow.ordered(part_of(rd), part_of(tag)) {
                     panic!(
                         "race sanitizer: partition p{} wrote arena word {w} read by partition \
-                         p{} in the same level",
+                         p{} in the same cycle",
                         part_of(tag),
                         part_of(rd)
                     );
@@ -264,47 +246,27 @@ mod tests {
 
     #[test]
     fn same_partition_accesses_are_quiet() {
-        let shadow = ShadowMem::new(8);
-        let _guard = enter(&shadow, 3);
+        let shadow = ShadowMem::new(8, HashSet::new());
+        let base = shadow.advance_base(3);
+        let _guard = enter_at(&shadow, 3, base + 1);
         note_write(0, 2);
         note_read(0, 2);
         note_write(0, 2);
     }
 
     #[test]
-    fn stale_epochs_do_not_conflict() {
-        let shadow = ShadowMem::new(8);
-        {
-            let _guard = enter(&shadow, 1);
-            note_write(4, 1);
-        }
-        shadow.next_epoch();
-        let _guard = enter(&shadow, 2);
-        note_write(4, 1); // same word, next level: fine
-    }
-
-    #[test]
     #[should_panic(expected = "both wrote arena word")]
-    fn same_level_write_write_panics() {
-        let shadow = ShadowMem::new(8);
+    fn same_cycle_write_write_panics_even_when_ordered() {
+        // Every word has one writer: an edge cannot legalize W-W.
+        let edges: HashSet<u64> = [(1u64 << 32) | 2].into_iter().collect();
+        let shadow = ShadowMem::new(8, edges);
+        let base = shadow.advance_base(3);
         {
-            let _guard = enter(&shadow, 1);
+            let _guard = enter_at(&shadow, 1, base + 1);
             note_write(5, 1);
         }
-        let _guard = enter(&shadow, 2);
+        let _guard = enter_at(&shadow, 2, base + 1);
         note_write(5, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "read arena word")]
-    fn same_level_write_read_panics() {
-        let shadow = ShadowMem::new(8);
-        {
-            let _guard = enter(&shadow, 1);
-            note_write(6, 1);
-        }
-        let _guard = enter(&shadow, 2);
-        note_read(6, 1);
     }
 
     #[test]
@@ -312,7 +274,7 @@ mod tests {
         // Edge 1 -> 2: partition 2 may read what 1 wrote this cycle, and
         // (the elision anti-edge direction) 2 may overwrite what 1 read.
         let edges: HashSet<u64> = [(1u64 << 32) | 2].into_iter().collect();
-        let shadow = ShadowMem::new_with_edges(8, Some(edges));
+        let shadow = ShadowMem::new(8, edges);
         let base = shadow.advance_base(3);
         {
             let _guard = enter_at(&shadow, 1, base + 1);
@@ -325,9 +287,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "in the same level")]
+    #[should_panic(expected = "in the same cycle")]
     fn dataflow_unordered_same_cycle_pair_panics() {
-        let shadow = ShadowMem::new_with_edges(8, Some(HashSet::new()));
+        let shadow = ShadowMem::new(8, HashSet::new());
         let base = shadow.advance_base(3);
         {
             let _guard = enter_at(&shadow, 1, base + 1);
@@ -343,7 +305,7 @@ mod tests {
         // Partition 2 speculated into cycle k+1 and read word 5; then
         // partition 1, still in cycle k, writes it — 2 outran a wait.
         let edges: HashSet<u64> = [(1u64 << 32) | 2].into_iter().collect();
-        let shadow = ShadowMem::new_with_edges(8, Some(edges));
+        let shadow = ShadowMem::new(8, edges);
         let base = shadow.advance_base(4);
         {
             let _guard = enter_at(&shadow, 2, base + 2);
@@ -355,7 +317,7 @@ mod tests {
 
     #[test]
     fn dataflow_prior_cycle_tags_are_stale() {
-        let shadow = ShadowMem::new_with_edges(8, Some(HashSet::new()));
+        let shadow = ShadowMem::new(8, HashSet::new());
         let base = shadow.advance_base(4);
         {
             let _guard = enter_at(&shadow, 1, base + 1);

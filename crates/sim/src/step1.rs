@@ -1379,7 +1379,7 @@ mod lanes_simd {
 /// program was lowered from; no other thread may concurrently access any
 /// slot this program writes, nor write any slot it reads. The engines
 /// uphold this with exclusive borrows (sequential) or disjoint partition
-/// memberships plus level barriers (parallel).
+/// memberships plus the dataflow schedule's wait edges (parallel).
 pub(crate) unsafe fn run_tier1_raw<F: FlagSink>(
     prog: &Tier1Program,
     arena: *mut u64,

@@ -1,9 +1,9 @@
 //! Properties of the profile-feedback loop: the activity-guided merge
 //! phase is pure scheduling — it may regroup partitions but can never
 //! break the exact-cover/acyclicity invariants or change observable
-//! behavior — and the LPT level scheduler is execution-equivalent to
-//! the original uniform level sweep, cycle for cycle, counter for
-//! counter.
+//! behavior — and the parallel engine's dataflow schedule is
+//! execution-equivalent to the sequential engine at every worker count,
+//! cycle for cycle, op for op.
 
 use essent_bits::Bits;
 use essent_core::partition::{partition, partition_with_prior, ActivityMergeParams, ActivityPrior};
@@ -14,6 +14,7 @@ use essent_sim::{activity_prior, EngineConfig, EssentSim, ParEssentSim, Simulato
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn build(source: &str) -> Netlist {
     let parsed = essent_firrtl::parse(source)
@@ -56,9 +57,11 @@ fn check_merge_invariants(seed: u64) {
             ("random", random_prior(n, seed)),
         ] {
             let (merged, log) = partition_with_prior(&dag, c_p, &prior, &params);
-            merged.validate(&dag).unwrap_or_else(|e| {
-                panic!("seed {seed} c_p={c_p} [{label}]: merged partitioning invalid: {e}")
-            });
+            let report = merged.check(&dag);
+            assert!(
+                report.is_clean(),
+                "seed {seed} c_p={c_p} [{label}]: merged partitioning invalid:\n{report}"
+            );
             match label {
                 // Unknown (or cold) rates never clear the hot threshold:
                 // the structural partitioning must come through unchanged.
@@ -88,7 +91,7 @@ fn check_merge_invariants(seed: u64) {
 }
 
 /// Closes the loop end-to-end on a random circuit: profile a run,
-/// convert the report to a prior, rebuild with `new_with_prior`, and
+/// convert the report to a prior, rebuild with `new_shared_with_prior`, and
 /// require golden-equivalence of the repartitioned engine.
 fn check_feedback_loop(seed: u64) {
     let circuit = gen_circuit(seed);
@@ -124,7 +127,7 @@ fn check_feedback_loop(seed: u64) {
 
     // The feedback-guided engine must still match the interpreter.
     let mut golden = Interpreter::new(&netlist);
-    let mut fb = EssentSim::new_with_prior(&netlist, &config, &prior);
+    let mut fb = EssentSim::new_shared_with_prior(Arc::new(netlist.clone()), &config, Some(&prior));
     let mut rng = StdRng::seed_from_u64(seed ^ 0xF00D);
     for cycle in 0..40u64 {
         for (name, width) in &circuit.inputs {
@@ -149,178 +152,87 @@ fn check_feedback_loop(seed: u64) {
     }
 }
 
-/// LPT bins vs. the uniform level sweep across the full optimization
-/// switch matrix: identical outputs *and* identical work counters every
-/// cycle — the scheduler may only change who runs a partition, never
-/// whether or how it runs.
-fn check_lpt_differential(seed: u64) {
+/// The static dataflow schedule vs. the sequential engine vs. the golden
+/// interpreter across the optimization matrix, at 1, 2 and 4 workers:
+/// the schedule may only change *who* runs a partition and *when*
+/// relative to others (ready-flag waits, cycle-boundary overlap for
+/// exempt partitions), never whether it runs or what it computes. So
+/// outputs agree with both references every cycle, the three worker
+/// counts agree on exact [`WorkCounters`](essent_sim::WorkCounters), and
+/// they evaluate exactly the ops the sequential engine evaluates —
+/// per cycle, and again over a batched `step(16)`, the only place
+/// cross-cycle overlap actually engages (a `step(1)` drains the pipeline
+/// every call).
+fn check_dataflow_differential(seed: u64) {
+    const WORKERS: [usize; 3] = [1, 2, 4];
     let circuit = gen_circuit(seed);
     let netlist = build(&circuit.source);
     for bits in 0..32u32 {
-        let sweep_cfg = EngineConfig {
+        let config = EngineConfig {
             trigger_push: bits & 1 != 0,
             mux_conditional: bits & 2 != 0,
             elide_state: bits & 4 != 0,
             tier1: bits & 8 != 0,
             fuse_triggers: bits & 16 != 0,
             c_p: 4,
-            par_lpt: false,
             ..EngineConfig::default()
         };
-        let lpt_cfg = EngineConfig {
-            par_lpt: true,
-            ..sweep_cfg.clone()
-        };
-        let mut golden = Interpreter::new(&netlist);
-        let mut sweep = ParEssentSim::new(&netlist, &sweep_cfg, 3);
-        let mut lpt = ParEssentSim::new(&netlist, &lpt_cfg, 3);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x1B7);
-        for cycle in 0..25u64 {
-            for (name, width) in &circuit.inputs {
-                let value = if name == "reset" {
-                    Bits::from_u64((cycle < 2 || rng.gen_bool(0.05)) as u64, 1)
-                } else {
-                    Bits::from_limbs(vec![rng.gen(), rng.gen()], *width)
-                };
-                golden.poke(name, value.clone());
-                sweep.poke(name, value.clone());
-                lpt.poke(name, value);
-            }
-            golden.step(1);
-            sweep.step(1);
-            lpt.step(1);
-            for out in &circuit.outputs {
-                let expect = golden.peek(out);
-                for (which, e) in [("sweep", &sweep), ("lpt", &lpt)] {
+        // Per-cycle phase, then a batched phase on fresh engines: one
+        // poke, sixteen cycles in a single engine call.
+        for steps in [&[1u64; 20][..], &[2, 16][..]] {
+            let mut golden = Interpreter::new(&netlist);
+            let mut seq = EssentSim::new(&netlist, &config);
+            let mut dfs = WORKERS.map(|w| ParEssentSim::new(&netlist, &config, w));
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xDA7A);
+            let mut cycle = 0u64;
+            for &n in steps {
+                let tag = format!("seed {seed} bits={bits:05b} cycle {cycle}+{n}");
+                for (name, width) in &circuit.inputs {
+                    let value = if name == "reset" {
+                        Bits::from_u64((cycle < 2 || rng.gen_bool(0.05)) as u64, 1)
+                    } else {
+                        Bits::from_limbs(vec![rng.gen(), rng.gen()], *width)
+                    };
+                    golden.poke(name, value.clone());
+                    seq.poke(name, value.clone());
+                    for df in &mut dfs {
+                        df.poke(name, value.clone());
+                    }
+                }
+                golden.step(n);
+                seq.step(n);
+                for df in &mut dfs {
+                    df.step(n);
+                }
+                cycle += n;
+                for out in &circuit.outputs {
+                    let expect = golden.peek(out);
+                    assert_eq!(seq.peek(out), expect, "{tag}: sequential on {out}");
+                    for (df, w) in dfs.iter().zip(WORKERS) {
+                        assert_eq!(
+                            df.peek(out),
+                            expect,
+                            "{tag}: dataflow at {w} worker(s) disagrees on {out}\n{}",
+                            circuit.source
+                        );
+                    }
+                }
+                for (df, w) in dfs.iter().zip(WORKERS).skip(1) {
                     assert_eq!(
-                        e.peek(out),
-                        expect,
-                        "seed {seed} bits={bits:05b} cycle {cycle}: {which} disagrees on {out}\n{}",
+                        df.counters(),
+                        dfs[0].counters(),
+                        "{tag}: {w} workers changed the work done\n{}",
                         circuit.source
                     );
                 }
-            }
-            assert_eq!(
-                sweep.counters(),
-                lpt.counters(),
-                "seed {seed} bits={bits:05b} cycle {cycle}: LPT changed the work done\n{}",
-                circuit.source
-            );
-        }
-    }
-}
-
-/// The static dataflow schedule vs. the LPT level sweep vs. the golden
-/// interpreter across the optimization matrix: the dataflow engine may
-/// only change *when* a partition runs relative to others (ready-flag
-/// waits instead of level barriers, cycle-boundary overlap for exempt
-/// partitions), never whether it runs or what it computes. Outputs and
-/// [`WorkCounters`] must agree cycle for cycle, and again over a
-/// batched `step(16)` — the only place cross-cycle overlap actually
-/// engages, since a `step(1)` drains the pipeline every call.
-fn check_dataflow_differential(seed: u64) {
-    let circuit = gen_circuit(seed);
-    let netlist = build(&circuit.source);
-    for bits in 0..32u32 {
-        // Rotate the worker count through the matrix so every flag
-        // combination sees single-, dual-, and quad-worker schedules.
-        let threads = [1usize, 2, 4][(bits % 3) as usize];
-        let lpt_cfg = EngineConfig {
-            trigger_push: bits & 1 != 0,
-            mux_conditional: bits & 2 != 0,
-            elide_state: bits & 4 != 0,
-            tier1: bits & 8 != 0,
-            fuse_triggers: bits & 16 != 0,
-            c_p: 4,
-            par_lpt: true,
-            ..EngineConfig::default()
-        };
-        let df_cfg = EngineConfig {
-            par_dataflow: true,
-            ..lpt_cfg.clone()
-        };
-        let mut golden = Interpreter::new(&netlist);
-        let mut lpt = ParEssentSim::new(&netlist, &lpt_cfg, threads);
-        let mut df = ParEssentSim::new(&netlist, &df_cfg, threads);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xDA7A);
-        for cycle in 0..20u64 {
-            for (name, width) in &circuit.inputs {
-                let value = if name == "reset" {
-                    Bits::from_u64((cycle < 2 || rng.gen_bool(0.05)) as u64, 1)
-                } else {
-                    Bits::from_limbs(vec![rng.gen(), rng.gen()], *width)
-                };
-                golden.poke(name, value.clone());
-                lpt.poke(name, value.clone());
-                df.poke(name, value);
-            }
-            golden.step(1);
-            lpt.step(1);
-            df.step(1);
-            for out in &circuit.outputs {
-                let expect = golden.peek(out);
                 assert_eq!(
-                    df.peek(out),
-                    expect,
-                    "seed {seed} bits={bits:05b} threads={threads} cycle {cycle}: \
-                     dataflow disagrees on {out}\n{}",
-                    circuit.source
-                );
-                assert_eq!(
-                    lpt.peek(out),
-                    expect,
-                    "seed {seed} bits={bits:05b} threads={threads} cycle {cycle}: \
-                     lpt disagrees on {out}\n{}",
+                    (dfs[0].counters().cycles, dfs[0].counters().ops_evaluated),
+                    (seq.counters().cycles, seq.counters().ops_evaluated),
+                    "{tag}: dataflow evaluated different ops than sequential\n{}",
                     circuit.source
                 );
             }
-            assert_eq!(
-                df.counters(),
-                lpt.counters(),
-                "seed {seed} bits={bits:05b} threads={threads} cycle {cycle}: \
-                 dataflow changed the work done\n{}",
-                circuit.source
-            );
         }
-
-        // Batched phase: fresh twins, one poke, sixteen cycles in a
-        // single engine call so exempt partitions overlap the boundary.
-        let mut golden = Interpreter::new(&netlist);
-        let mut lpt = ParEssentSim::new(&netlist, &lpt_cfg, threads);
-        let mut df = ParEssentSim::new(&netlist, &df_cfg, threads);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
-        for (phase, n) in [(0u32, 2u64), (1, 16)] {
-            for (name, width) in &circuit.inputs {
-                let value = if name == "reset" {
-                    Bits::from_u64((phase == 0) as u64, 1)
-                } else {
-                    Bits::from_limbs(vec![rng.gen(), rng.gen()], *width)
-                };
-                golden.poke(name, value.clone());
-                lpt.poke(name, value.clone());
-                df.poke(name, value);
-            }
-            golden.step(n);
-            lpt.step(n);
-            df.step(n);
-        }
-        for out in &circuit.outputs {
-            let expect = golden.peek(out);
-            assert_eq!(
-                df.peek(out),
-                expect,
-                "seed {seed} bits={bits:05b} threads={threads}: batched dataflow \
-                 disagrees on {out}\n{}",
-                circuit.source
-            );
-        }
-        assert_eq!(
-            df.counters(),
-            lpt.counters(),
-            "seed {seed} bits={bits:05b} threads={threads}: batched dataflow \
-             changed the work done\n{}",
-            circuit.source
-        );
     }
 }
 
@@ -343,12 +255,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn lpt_matches_level_sweep(seed in any::<u64>()) {
-        check_lpt_differential(seed);
-    }
-
-    #[test]
-    fn dataflow_matches_lpt_and_golden(seed in any::<u64>()) {
+    fn dataflow_matches_sequential_and_golden(seed in any::<u64>()) {
         check_dataflow_differential(seed);
     }
 }
@@ -363,15 +270,8 @@ fn feedback_fixed_seeds() {
 }
 
 #[test]
-fn lpt_fixed_seeds() {
-    for seed in [0u64, 7, 0xC0FFEE] {
-        check_lpt_differential(seed);
-    }
-}
-
-#[test]
 fn dataflow_fixed_seeds() {
-    for seed in [0u64, 7, 0xDF10] {
+    for seed in [0u64, 7, 0xC0FFEE, 0xDF10] {
         check_dataflow_differential(seed);
     }
 }

@@ -102,13 +102,16 @@ fn check_jit_essent(seed: u64, config: &EngineConfig) {
 }
 
 /// Parallel engine (3 workers), every partition force-compiled, vs
-/// golden; mid-run deopt subset as above. Covers both the LPT level
-/// sweep and the dataflow schedule via `config`.
-fn check_jit_par(seed: u64, config: &EngineConfig) {
+/// golden; mid-run deopt subset as above.
+fn check_jit_par(seed: u64) {
+    let config = EngineConfig {
+        jit: true,
+        ..EngineConfig::default()
+    };
     let circuit = gen_circuit(seed);
     let netlist = build(&circuit.source);
     let mut golden = Interpreter::new(&netlist);
-    let mut jitted = ParEssentSim::new(&netlist, config, 3);
+    let mut jitted = ParEssentSim::new(&netlist, &config, 3);
     let compiled = jitted.jit_compiled_count();
     let forced = jitted.jit_compile_all();
     let parts = jitted.partition_count();
@@ -129,9 +132,8 @@ fn check_jit_par(seed: u64, config: &EngineConfig) {
             assert_eq!(
                 jitted.peek(out),
                 expect,
-                "seed {seed} cycle {cycle} (cost-selected {compiled}, forced {forced}/{parts}, \
-                 dataflow={}): jitted par disagrees with golden on {out}\n{}",
-                config.par_dataflow,
+                "seed {seed} cycle {cycle} (cost-selected {compiled}, forced {forced}/{parts}): \
+                 jitted par disagrees with golden on {out}\n{}",
                 circuit.source
             );
         }
@@ -173,21 +175,7 @@ proptest! {
 
     #[test]
     fn jit_par_matches_golden(seed in any::<u64>()) {
-        check_jit_par(
-            seed,
-            &EngineConfig {
-                jit: true,
-                ..EngineConfig::default()
-            },
-        );
-        check_jit_par(
-            seed,
-            &EngineConfig {
-                jit: true,
-                par_dataflow: true,
-                ..EngineConfig::default()
-            },
-        );
+        check_jit_par(seed);
     }
 }
 
@@ -196,21 +184,7 @@ proptest! {
 fn jit_fixed_seeds() {
     for seed in [0u64, 1, 42, 0xE55E] {
         check_jit_config_matrix(seed);
-        check_jit_par(
-            seed,
-            &EngineConfig {
-                jit: true,
-                ..EngineConfig::default()
-            },
-        );
-        check_jit_par(
-            seed,
-            &EngineConfig {
-                jit: true,
-                par_dataflow: true,
-                ..EngineConfig::default()
-            },
-        );
+        check_jit_par(seed);
     }
 }
 

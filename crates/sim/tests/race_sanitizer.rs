@@ -1,11 +1,13 @@
 //! Differential oracle for the race sanitizer: with the
 //! `race-sanitizer` feature enabled, a [`ParEssentSim`] built with
 //! `race_sanitizer: true` must (a) never panic — the static footprint
-//! proof (`essent-verify` `R0501`–`R0504`) claims the parallel schedule
-//! is race-free, and the sanitizer panics exactly on races — and
+//! and dependence proofs (`essent-verify` `R0501`–`R0504`,
+//! `S0601`–`S0605`) claim the dataflow schedule is race-free, and the
+//! sanitizer panics exactly on races — and
 //! (b) behave identically to the sanitizer-off twin: same outputs every
 //! cycle, same [`WorkCounters`] at the end, across the full 32-config
-//! engine matrix at 1, 2, and 3 worker threads.
+//! engine matrix — stepping cycle by cycle at 1, 2, and 3 workers, and in
+//! batched steps (where cycles overlap) at 1, 2, and 4.
 //!
 //! Without the feature the test still runs (both twins are plain
 //! parallel engines), keeping the harness itself under test.
@@ -95,12 +97,11 @@ fn check_sanitizer_twins(seed: u64, threads: usize) {
     }
 }
 
-/// The same twin discipline over the dataflow engine: ready-flag waits
-/// and cycle-boundary overlap replace the level barriers, and the
-/// sanitizer's epoch windows must still see every access as ordered.
-/// The batched `step(16)` leg is the one that actually overlaps
-/// cycles — a `step(1)` drains the pipeline every call.
-fn check_dataflow_sanitizer_twins(seed: u64, threads: usize) {
+/// The same twin discipline over batched steps: the `step(16)` legs are
+/// the ones that actually overlap cycles — a `step(1)` drains the
+/// pipeline every call — and the sanitizer's epoch windows must still
+/// see every access as ordered.
+fn check_batched_sanitizer_twins(seed: u64, threads: usize) {
     let circuit = gen_circuit(seed);
     let netlist = build(&circuit.source);
     for bits in 0..32u32 {
@@ -111,7 +112,6 @@ fn check_dataflow_sanitizer_twins(seed: u64, threads: usize) {
             tier1: bits & 8 != 0,
             fuse_triggers: bits & 16 != 0,
             c_p: 4,
-            par_dataflow: true,
             ..EngineConfig::default()
         };
         let mut golden = Interpreter::new(&netlist);
@@ -147,13 +147,13 @@ fn check_dataflow_sanitizer_twins(seed: u64, threads: usize) {
                 assert_eq!(
                     off.peek(out),
                     expect,
-                    "dataflow sanitizer-off `{out}` diverged (seed={seed} bits={bits:05b} \
+                    "batched sanitizer-off `{out}` diverged (seed={seed} bits={bits:05b} \
                      threads={threads} phase={phase})"
                 );
                 assert_eq!(
                     on.peek(out),
                     expect,
-                    "dataflow sanitizer-on `{out}` diverged (seed={seed} bits={bits:05b} \
+                    "batched sanitizer-on `{out}` diverged (seed={seed} bits={bits:05b} \
                      threads={threads} phase={phase})"
                 );
             }
@@ -161,7 +161,7 @@ fn check_dataflow_sanitizer_twins(seed: u64, threads: usize) {
         assert_eq!(
             on.counters(),
             off.counters(),
-            "dataflow sanitizer changed work counters (seed={seed} bits={bits:05b} \
+            "batched sanitizer changed work counters (seed={seed} bits={bits:05b} \
              threads={threads})"
         );
     }
@@ -182,9 +182,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     #[test]
-    fn dataflow_sanitizer_is_pure_observer(seed in any::<u64>()) {
+    fn batched_sanitizer_is_pure_observer(seed in any::<u64>()) {
         for threads in [1usize, 2, 4] {
-            check_dataflow_sanitizer_twins(seed, threads);
+            check_batched_sanitizer_twins(seed, threads);
         }
     }
 }
@@ -200,10 +200,10 @@ fn sanitizer_twins_fixed_seeds() {
 }
 
 #[test]
-fn dataflow_sanitizer_fixed_seeds() {
+fn batched_sanitizer_fixed_seeds() {
     for seed in [0u64, 42] {
         for threads in [1usize, 2, 4] {
-            check_dataflow_sanitizer_twins(seed, threads);
+            check_batched_sanitizer_twins(seed, threads);
         }
     }
 }

@@ -23,12 +23,11 @@
 
 use crate::footprint::derive_footprints;
 use essent_core::diag::{codes, Diagnostic, Report};
-use essent_core::partition::partition;
-use essent_core::plan::{extended_dag, CcssPlan, PlanOptions, WakeRouting};
+use essent_core::plan::WakeRouting;
 use essent_netlist::Netlist;
 use essent_sim::batch::BatchAudit;
-use essent_sim::compile::{compile_plan, Layout};
-use essent_sim::step1::{lower_tier1, OutSpec, Tier1Program};
+use essent_sim::compile::Layout;
+use essent_sim::frontend::{build_plan, Frontend};
 use essent_sim::EngineConfig;
 
 /// Audits a batch engine's captured stride/routing/permutation tables
@@ -39,17 +38,7 @@ pub fn check_batch(netlist: &Netlist, config: &EngineConfig, audit: &BatchAudit)
 
     // Independent re-derivation: same construction parameters, none of
     // the engine's intermediate state.
-    let (dag, writes) = extended_dag(netlist);
-    let plan = CcssPlan::from_partitioning(
-        netlist,
-        &dag,
-        &writes,
-        &partition(&dag, config.c_p),
-        PlanOptions {
-            elide_state: config.elide_state,
-            elide_mem: config.elide_state,
-        },
-    );
+    let plan = build_plan(netlist, config, None, config.elide_state);
     let layout = Layout::new(netlist);
     let np = plan.partitions.len();
 
@@ -129,27 +118,14 @@ pub fn check_batch(netlist: &Netlist, config: &EngineConfig, audit: &BatchAudit)
 
     // --- X0801 (continued): routed offsets inside the partition's
     //     independently derived write footprint ----------------------
-    let blocks = compile_plan(netlist, &layout, &plan, config);
-    let programs: Option<Vec<Tier1Program>> = config.tier1.then(|| {
-        let fuse = config.fuse_triggers && config.trigger_push;
-        plan.partitions
-            .iter()
-            .zip(&blocks)
-            .map(|(part, block)| {
-                let outs: Vec<OutSpec> = part
-                    .outputs
-                    .iter()
-                    .map(|o| OutSpec {
-                        sig: o.signal,
-                        consumers: o.consumers.clone(),
-                    })
-                    .collect();
-                lower_tier1(netlist, block, &outs, fuse)
-            })
-            .collect()
-    });
-    let (footprints, _fp_report) =
-        derive_footprints(netlist, &layout, &plan, &blocks, programs.as_deref());
+    let front = Frontend::compile(netlist, &layout, &plan, config, None, None);
+    let (footprints, _fp_report) = derive_footprints(
+        netlist,
+        &layout,
+        &plan,
+        &front.blocks,
+        front.programs.as_deref(),
+    );
     if footprints.len() == np {
         for (sched, routes) in audit.out_routes.iter().enumerate() {
             let writes = &footprints[sched].writes;

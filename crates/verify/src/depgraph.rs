@@ -2,8 +2,8 @@
 //! proof behind the barrier-free BSP runtime's `unsafe` blocks
 //! (`S0601`–`S0605`).
 //!
-//! The parallel engine's dataflow mode replaces per-level barriers with
-//! a statically synthesized schedule ([`DataflowSchedule`]): a
+//! The parallel engine synchronizes through a statically synthesized
+//! schedule, not barriers ([`DataflowSchedule`]): a
 //! compile-time partition→worker assignment, per-edge waits on
 //! per-partition `done` cycle counters, and cycle-boundary overlap for
 //! partitions proven independent of the end-of-cycle serial phase. This
@@ -33,8 +33,7 @@
 //!   `waits_prev`/`waits_same` targets, and their wait-graph ancestors.
 //!
 //! The `race-sanitizer` cargo feature of `essent-sim` is the dynamic
-//! differential oracle: in dataflow mode the shadow memory tags carry
-//! the cycle epoch, and any access pair the static edges do not order
+//! differential oracle: the shadow memory tags carry the cycle epoch, and any access pair the static edges do not order
 //! panics at runtime.
 
 use crate::footprint::{derive_footprints, Footprint, WordSet};

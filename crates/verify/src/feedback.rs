@@ -1,5 +1,5 @@
 //! Profile-feedback verifier (`F____` codes): audits the activity-guided
-//! repartitioning and the LPT level schedule.
+//! repartitioning and the cost table the profile feeds.
 //!
 //! Two passes:
 //!
@@ -11,11 +11,9 @@
 //!   the replayed partition graph. The replay must land exactly on the
 //!   claimed final assignment, which is then re-proved an exact acyclic
 //!   cover of the extended DAG (`F0401`).
-//! * [`check_level_schedule`] re-derives every partition's dependency
-//!   level from the plan alone and checks that the LPT bin schedule is
-//!   an exact, level-faithful cover within the thread budget (`F0402`),
-//!   over a cost table of the right cardinality with no zero entries
-//!   (`F0403`).
+//! * [`check_cost_model`] checks the per-partition cost table that the
+//!   dataflow schedule's worker assignment and the JIT's hot-partition
+//!   selection consume: right cardinality, no zero entries (`F0403`).
 //!
 //! As everywhere in this crate, the builders' own checks are never
 //! called; the one shared piece is [`Partitioning::merge`] itself, the
@@ -27,7 +25,7 @@ use essent_core::partition::{
 };
 use essent_core::plan::CcssPlan;
 use essent_core::DagView;
-use essent_sim::par::{CostModel, LevelSchedule};
+use essent_sim::frontend::CostModel;
 use std::collections::BTreeSet;
 
 /// Is there a path `from -> ... -> to` through at least one intermediate
@@ -207,16 +205,9 @@ pub fn check_activity_merge(
     report
 }
 
-/// Audits an LPT [`LevelSchedule`] against an independent re-derivation
-/// of the plan's dependency levels: exact cover, level-faithful binning,
-/// bin counts within the thread budget (`F0402`); cost table cardinality
-/// and positivity (`F0403`).
-pub fn check_level_schedule(
-    plan: &CcssPlan,
-    sched: &LevelSchedule,
-    cost: &CostModel,
-    threads: usize,
-) -> Report {
+/// Audits a [`CostModel`] against the plan it was built for: one entry
+/// per scheduled partition, none zero (`F0403`).
+pub fn check_cost_model(plan: &CcssPlan, cost: &CostModel) -> Report {
     let mut report = Report::new();
     let np = plan.partitions.len();
     if cost.costs.len() != np {
@@ -227,7 +218,7 @@ pub fn check_level_schedule(
                 cost.costs.len()
             ),
         ));
-        // Cardinality mismatch poisons every per-entry check below.
+        // Cardinality mismatch poisons the per-entry check below.
         return report;
     }
     for (sched_idx, &c) in cost.costs.iter().enumerate() {
@@ -238,108 +229,6 @@ pub fn check_level_schedule(
                     format!("partition p{sched_idx} has zero estimated cost; the floor is 1"),
                 )
                 .with_partition(sched_idx),
-            );
-        }
-    }
-
-    // Independent level derivation: combinational trigger edges always
-    // point forward in schedule order; elided-register wakes order the
-    // reader before the writer within a cycle.
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); np];
-    for (s, part) in plan.partitions.iter().enumerate() {
-        for o in &part.outputs {
-            for &c in &o.consumers {
-                if (c as usize) > s {
-                    preds[c as usize].push(s as u32);
-                }
-            }
-        }
-        for &ri in &part.elided_regs {
-            for &reader in &plan.reg_plans[ri].wake_on_change {
-                if (reader as usize) != s {
-                    preds[s].push(reader);
-                }
-            }
-        }
-    }
-    let mut level_of = vec![0u32; np];
-    for s in 0..np {
-        level_of[s] = preds[s]
-            .iter()
-            .map(|&p| level_of[p as usize] + 1)
-            .max()
-            .unwrap_or(0);
-    }
-    let nlevels = level_of.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
-    if sched.levels.len() != nlevels {
-        report.push(Diagnostic::error(
-            codes::BIN_COVER,
-            format!(
-                "schedule has {} levels, dependency analysis derives {nlevels}",
-                sched.levels.len()
-            ),
-        ));
-        return report;
-    }
-
-    let mut seen = vec![0usize; np];
-    for (lvl, lp) in sched.levels.iter().enumerate() {
-        if lp.serial && lp.bins.len() != 1 {
-            report.push(Diagnostic::error(
-                codes::BIN_COVER,
-                format!("serial level {lvl} has {} bins, expected 1", lp.bins.len()),
-            ));
-        }
-        if !lp.serial && (lp.bins.len() < 2 || lp.bins.len() > threads.max(1)) {
-            report.push(Diagnostic::error(
-                codes::BIN_COVER,
-                format!(
-                    "parallel level {lvl} has {} bins for {threads} threads",
-                    lp.bins.len()
-                ),
-            ));
-        }
-        for bin in &lp.bins {
-            for &s in bin {
-                if s as usize >= np {
-                    report.push(Diagnostic::error(
-                        codes::BIN_COVER,
-                        format!("level {lvl} bins unknown partition p{s} ({np} scheduled)"),
-                    ));
-                    continue;
-                }
-                seen[s as usize] += 1;
-                if level_of[s as usize] as usize != lvl {
-                    report.push(
-                        Diagnostic::error(
-                            codes::BIN_COVER,
-                            format!(
-                                "partition p{s} binned at level {lvl}, dependency level is {}",
-                                level_of[s as usize]
-                            ),
-                        )
-                        .with_partition(s as usize),
-                    );
-                }
-            }
-        }
-    }
-    for (s, &count) in seen.iter().enumerate() {
-        if count == 0 {
-            report.push(
-                Diagnostic::error(
-                    codes::BIN_COVER,
-                    format!("partition p{s} missing from every bin"),
-                )
-                .with_partition(s),
-            );
-        } else if count > 1 {
-            report.push(
-                Diagnostic::error(
-                    codes::BIN_COVER,
-                    format!("partition p{s} appears in {count} bins"),
-                )
-                .with_partition(s),
             );
         }
     }

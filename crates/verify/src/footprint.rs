@@ -371,8 +371,9 @@ fn declared_writes(netlist: &Netlist, layout: &Layout, plan: &CcssPlan, sched: u
 /// Groups partitions by dependency level with the same rules the
 /// parallel engine schedules by — combinational triggers point forward
 /// in schedule order, elided-register wakes order readers before the
-/// writer — re-derived here rather than calling `plan_levels`, so a
-/// leveling bug and a proof bug cannot cancel out.
+/// writer — derived here from the plan alone, sharing no code with the
+/// runtime's dependence analysis, so a scheduling bug and a proof bug
+/// cannot cancel out.
 fn derive_levels(plan: &CcssPlan) -> Vec<Vec<u32>> {
     let np = plan.partitions.len();
     let mut preds: Vec<Vec<u32>> = vec![Vec::new(); np];

@@ -15,7 +15,7 @@
 //! | schedule verifier | [`check_plan`] | `V____` |
 //! | bytecode verifier | [`check_layout`] / [`check_blocks`] | `B____` |
 //! | profiler wiring | [`check_profile`] | `P____` |
-//! | profile feedback | [`check_activity_merge`] / [`check_level_schedule`] | `F____` |
+//! | profile feedback | [`check_activity_merge`] / [`check_cost_model`] | `F____` |
 //! | footprint / race freedom | [`check_footprint`] | `R____` |
 //! | dependence / dataflow schedule | [`check_depgraph`] | `S____` |
 //! | native-code (JIT) audit | [`check_jit`] | `J____` |
@@ -43,7 +43,7 @@ pub use depgraph::check_depgraph;
 pub use essent_core::depgraph::DataflowSchedule;
 pub use essent_core::diag::{DiagCode, Diagnostic, Report, Severity};
 pub use essent_core::plan::MayOverlap;
-pub use feedback::{check_activity_merge, check_level_schedule};
+pub use feedback::{check_activity_merge, check_cost_model};
 pub use footprint::{check_footprint, Footprint, WordSet};
 pub use jit::check_jit;
 pub use lint::lint_netlist;
@@ -51,15 +51,11 @@ pub use profile::check_profile;
 pub use schedule::check_plan;
 
 use essent_core::depgraph::{synthesize_dataflow, DepGraph};
-use essent_core::partition::{partition, partition_with_prior, ActivityMergeParams, ActivityPrior};
-// `plan_levels` is the runtime's leveling (moved into `essent-core` so
-// both `essent-sim` and this crate name one canonical artifact to
-// audit); the independent re-derivation lives in `footprint::derive_levels`.
-use essent_core::plan::{extended_dag, plan_levels, CcssPlan, PlanOptions};
+use essent_core::partition::{partition_with_prior, ActivityMergeParams, ActivityPrior};
+use essent_core::plan::{extended_dag, CcssPlan, PlanOptions};
 use essent_netlist::Netlist;
-use essent_sim::compile::{compile_plan, Layout};
-use essent_sim::par::{CostModel, LevelSchedule};
-use essent_sim::step1::{lower_tier1, OutSpec, Tier1Program};
+use essent_sim::compile::Layout;
+use essent_sim::frontend::{build_plan, out_specs, Frontend};
 use essent_sim::EngineConfig;
 
 /// Everything a full verification run produces: the merged report, the
@@ -107,35 +103,30 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
     ));
     let layout = Layout::new(netlist);
     report.merge(check_layout(netlist, &layout));
-    let blocks = compile_plan(netlist, &layout, &plan, config);
-    report.merge(check_blocks(netlist, &layout, &blocks, Some(&plan)));
-    if config.tier1 {
-        // Lower exactly as the engines do and audit each program.
-        let fuse = config.fuse_triggers && config.trigger_push;
-        for (sched, (part, block)) in plan.partitions.iter().zip(&blocks).enumerate() {
-            let outs: Vec<OutSpec> = part
-                .outputs
-                .iter()
-                .map(|o| OutSpec {
-                    sig: o.signal,
-                    consumers: o.consumers.clone(),
-                })
-                .collect();
-            let prog = lower_tier1(netlist, block, &outs, fuse);
-            report.merge(check_tier1(
-                netlist, &layout, block, &outs, &prog, fuse, sched,
-            ));
-            // --- J07: native-code audit layer -------------------------
-            // Both emitters are pure byte generators, so both streams
-            // are generated and audited regardless of the build host
-            // (x86-64 audited as-if popcnt is available; a host without
-            // it would simply not compile Xorr partitions at all).
-            if let Some(code) = essent_sim::jit::x64::emit(&prog, true) {
-                report.merge(check_jit(&prog, &code, sched));
-            }
-            if let Some(code) = essent_sim::jit::a64::emit(&prog) {
-                report.merge(check_jit(&prog, &code, sched));
-            }
+    // Compile and lower through the engines' own front end, then audit
+    // every artifact it produced.
+    let front = Frontend::compile(netlist, &layout, &plan, config, None, None);
+    report.merge(check_blocks(netlist, &layout, &front.blocks, Some(&plan)));
+    for (sched, prog) in front.programs.iter().flatten().enumerate() {
+        report.merge(check_tier1(
+            netlist,
+            &layout,
+            &front.blocks[sched],
+            &out_specs(&plan.partitions[sched]),
+            prog,
+            config.fuses_triggers(),
+            sched,
+        ));
+        // --- J07: native-code audit layer -----------------------------
+        // Both emitters are pure byte generators, so both streams are
+        // generated and audited regardless of the build host (x86-64
+        // audited as-if popcnt is available; a host without it would
+        // simply not compile Xorr partitions at all).
+        if let Some(code) = essent_sim::jit::x64::emit(prog, true) {
+            report.merge(check_jit(prog, &code, sched));
+        }
+        if let Some(code) = essent_sim::jit::a64::emit(prog) {
+            report.merge(check_jit(prog, &code, sched));
         }
     }
 
@@ -159,54 +150,20 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
         &fb_plan,
         &essent_sim::ProfileWiring::for_plan(netlist, &fb_plan),
     ));
-    // Audit the LPT schedule the parallel engine would run over this
-    // plan (static costs; the audit is cost-agnostic beyond F0403).
-    let fb_blocks = compile_plan(netlist, &layout, &fb_plan, config);
-    let cost = CostModel::build(&fb_plan, &fb_blocks, None);
-    let sched = LevelSchedule::build(&plan_levels(&fb_plan), &cost, 4);
-    report.merge(check_level_schedule(&fb_plan, &sched, &cost, 4));
 
     // --- R05: footprint / race-freedom layer -------------------------
     // Analyzed over the exact plan shape the parallel engine runs:
     // memory-write elision off (all bank writes happen in the serial
     // phase), register elision per config. The dual derivation needs the
     // tier-1 programs lowered the way the engines lower them.
-    let par_plan = CcssPlan::from_partitioning(
-        netlist,
-        &dag,
-        &writes,
-        &partition(&dag, config.c_p),
-        PlanOptions {
-            elide_state: config.elide_state,
-            elide_mem: false,
-        },
-    );
-    let par_blocks = compile_plan(netlist, &layout, &par_plan, config);
-    let programs: Option<Vec<Tier1Program>> = config.tier1.then(|| {
-        let fuse = config.fuse_triggers && config.trigger_push;
-        par_plan
-            .partitions
-            .iter()
-            .zip(&par_blocks)
-            .map(|(part, block)| {
-                let outs: Vec<OutSpec> = part
-                    .outputs
-                    .iter()
-                    .map(|o| OutSpec {
-                        sig: o.signal,
-                        consumers: o.consumers.clone(),
-                    })
-                    .collect();
-                lower_tier1(netlist, block, &outs, fuse)
-            })
-            .collect()
-    });
+    let par_plan = build_plan(netlist, config, None, false);
+    let par = Frontend::compile(netlist, &layout, &par_plan, config, None, None);
     let (fp_report, may_overlap) = check_footprint(
         netlist,
         &layout,
         &par_plan,
-        &par_blocks,
-        programs.as_deref(),
+        &par.blocks,
+        par.programs.as_deref(),
     );
     report.merge(fp_report);
 
@@ -214,15 +171,16 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
     // Synthesize the schedule exactly as the parallel engine would at 4
     // threads (the runtime's own dependence analysis + cost model), then
     // prove it against obligations re-derived from the word-level
-    // footprints alone.
+    // footprints alone. The cost table the placement weighs is audited
+    // first (F0403).
+    report.merge(check_cost_model(&par_plan, &par.cost));
     let graph = DepGraph::derive(netlist, &par_plan);
-    let par_cost = CostModel::build(&par_plan, &par_blocks, None);
-    let dsched = synthesize_dataflow(&par_plan, &graph, &par_cost.costs, 4);
+    let dsched = synthesize_dataflow(&par_plan, &graph, &par.cost.costs, 4);
     report.merge(check_depgraph(
         netlist,
         &layout,
         &par_plan,
-        &par_blocks,
+        &par.blocks,
         &dsched,
     ));
 

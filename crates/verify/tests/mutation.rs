@@ -539,18 +539,17 @@ use essent_core::partition::{
     Partitioning,
 };
 use essent_core::plan::extended_dag;
-use essent_sim::par::{plan_levels, CostModel, LevelSchedule};
-use essent_verify::{check_activity_merge, check_level_schedule};
+use essent_sim::frontend::CostModel;
+use essent_verify::{check_activity_merge, check_cost_model};
 
-/// The plan + LPT schedule a feedback-enabled engine would build, ready
-/// for bin and cost mutations.
-fn sched_setup(netlist: &Netlist, c_p: usize) -> (CcssPlan, LevelSchedule, CostModel) {
+/// The plan + cost table a parallel or JIT engine would build, ready
+/// for cost mutations.
+fn cost_setup(netlist: &Netlist, c_p: usize) -> (CcssPlan, CostModel) {
     let plan = CcssPlan::build(netlist, c_p);
     let layout = Layout::new(netlist);
     let blocks = compile_plan(netlist, &layout, &plan, &EngineConfig::default());
     let cost = CostModel::build(&plan, &blocks, None);
-    let sched = LevelSchedule::build(&plan_levels(&plan), &cost, 4);
-    (plan, sched, cost)
+    (plan, cost)
 }
 
 #[test]
@@ -563,8 +562,8 @@ fn pristine_feedback_layer_is_clean() {
             let (merged, log) = partition_with_prior(&dag, c_p, &prior, &params);
             let report = check_activity_merge(&dag, c_p, &prior, &params, &log, &merged);
             assert_eq!(report.error_count(), 0, "c_p={c_p}:\n{report}");
-            let (plan, sched, cost) = sched_setup(&netlist, c_p);
-            let report = check_level_schedule(&plan, &sched, &cost, 4);
+            let (plan, cost) = cost_setup(&netlist, c_p);
+            let report = check_cost_model(&plan, &cost);
             assert_eq!(report.error_count(), 0, "c_p={c_p}:\n{report}");
         }
     }
@@ -617,50 +616,20 @@ fn assignment_mismatch_is_f0401() {
 }
 
 #[test]
-fn moved_bin_entry_is_f0402() {
-    let netlist = diamond();
-    let (plan, mut sched, cost) = sched_setup(&netlist, 1);
-    assert!(sched.levels.len() >= 2, "diamond has a trigger edge");
-    let s = sched.levels[0].bins[0].pop().expect("level 0 nonempty");
-    sched.levels[1].bins[0].push(s);
-    let report = check_level_schedule(&plan, &sched, &cost, 4);
-    assert!(report.contains(codes::BIN_COVER), "{report}");
-}
-
-#[test]
-fn dropped_bin_entry_is_f0402() {
-    let netlist = diamond();
-    let (plan, mut sched, cost) = sched_setup(&netlist, 1);
-    sched.levels[0].bins[0].pop().expect("level 0 nonempty");
-    let report = check_level_schedule(&plan, &sched, &cost, 4);
-    assert!(report.contains(codes::BIN_COVER), "{report}");
-}
-
-#[test]
-fn duplicated_bin_entry_is_f0402() {
-    let netlist = diamond();
-    let (plan, mut sched, cost) = sched_setup(&netlist, 1);
-    let s = sched.levels[0].bins[0][0];
-    sched.levels[0].bins[0].push(s);
-    let report = check_level_schedule(&plan, &sched, &cost, 4);
-    assert!(report.contains(codes::BIN_COVER), "{report}");
-}
-
-#[test]
 fn truncated_cost_table_is_f0403() {
     let netlist = diamond();
-    let (plan, sched, mut cost) = sched_setup(&netlist, 1);
+    let (plan, mut cost) = cost_setup(&netlist, 1);
     cost.costs.pop();
-    let report = check_level_schedule(&plan, &sched, &cost, 4);
+    let report = check_cost_model(&plan, &cost);
     assert!(report.contains(codes::COST_RANGE), "{report}");
 }
 
 #[test]
 fn zero_cost_entry_is_f0403() {
     let netlist = diamond();
-    let (plan, sched, mut cost) = sched_setup(&netlist, 1);
+    let (plan, mut cost) = cost_setup(&netlist, 1);
     cost.costs[0] = 0;
-    let report = check_level_schedule(&plan, &sched, &cost, 4);
+    let report = check_cost_model(&plan, &cost);
     assert!(report.contains(codes::COST_RANGE), "{report}");
 }
 

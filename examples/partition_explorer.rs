@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (dag, writes) = extended_dag(&netlist);
     for c_p in [1usize, 2, 4, 8, 16, 32, 64, 128] {
         let parts = partition(&dag, c_p);
-        parts.validate(&dag).expect("partitioning invariants");
+        assert!(parts.check(&dag).is_clean(), "partitioning invariants");
         let stats = parts.stats();
         let plan = CcssPlan::from_partitioning(&netlist, &dag, &writes, &parts, Default::default());
         let elided = plan.reg_plans.iter().filter(|r| r.elided).count();

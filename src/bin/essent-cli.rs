@@ -5,7 +5,9 @@
 //! essent-cli partition <design.fir> [--cp N]        C_p sweep table
 //! essent-cli sim <design.fir> [options]             run the simulation
 //!     --cycles N          cycles to run (default 1000, stops early on `stop`)
-//!     --engine E          essent | full | event | parallel (default essent)
+//!     --engine E          essent | full | event | parallel (default essent;
+//!                         parallel = CCSS over the static dataflow
+//!                         schedule, one worker per available core)
 //!     --cp N              partitioning threshold (default 8)
 //!     --poke NAME=VALUE   hold an input at a value (repeatable; default all 0,
 //!                         reset pulsed for 2 cycles when present)

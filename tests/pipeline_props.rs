@@ -35,7 +35,7 @@ proptest! {
         };
         let (dag, writes) = extended_dag(&netlist);
         let parts = partition(&dag, cp);
-        prop_assert!(parts.validate(&dag).is_ok());
+        prop_assert!(parts.check(&dag).is_clean());
         let plan = CcssPlan::from_partitioning(
             &netlist,
             &dag,
@@ -43,9 +43,14 @@ proptest! {
             &parts,
             PlanOptions { elide_state: elide, elide_mem: elide },
         );
-        if let Err(e) = plan.validate(&netlist) {
-            prop_assert!(false, "plan invalid (cp={}, elide={}): {}", cp, elide, e);
-        }
+        let report = plan.check(&netlist);
+        prop_assert!(
+            report.is_clean(),
+            "plan invalid (cp={}, elide={}):\n{}",
+            cp,
+            elide,
+            report
+        );
     }
 
     /// The lowered form of a random circuit simulates identically to the

@@ -109,7 +109,7 @@ fn optimizer_shrinks_and_preserves() {
         );
         let (dag, _) = extended_dag(&opt);
         assert!(essent::core::partition::partition(&dag, 8)
-            .validate(&dag)
-            .is_ok());
+            .check(&dag)
+            .is_clean());
     }
 }
