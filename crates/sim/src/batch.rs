@@ -714,6 +714,7 @@ impl BatchSim {
                             scratch,
                             flags,
                             counters,
+                            true,
                         );
                     }
                 }

@@ -151,22 +151,12 @@ fn eligible(prog: &Tier1Program, have_popcnt: bool) -> bool {
         if inst.op == Op1::Xorr && !have_popcnt {
             return false;
         }
-        let offs_ok = match inst.op {
-            Op1::Jmp => true,
-            Op1::JmpIf0 => inst.b <= MAX_ARENA_OFF,
-            _ => {
-                inst.a <= MAX_ARENA_OFF
-                    && inst.b <= MAX_ARENA_OFF
-                    && inst.c <= MAX_ARENA_OFF
-                    && inst.dst <= MAX_ARENA_OFF
-            }
-        };
+        let roles = inst.roles();
+        let offs_ok = roles.reads().iter().all(|&off| off <= MAX_ARENA_OFF)
+            && (!roles.writes_dst || inst.dst <= MAX_ARENA_OFF);
         // Bank table entries are 16 bytes; consumer indices are byte
         // displacements off the flag base.
-        let aux_ok = match inst.op {
-            Op1::MemRead => inst.c <= (i32::MAX as u32) / 16,
-            _ => true,
-        };
+        let aux_ok = roles.bank.is_none_or(|bank| bank <= (i32::MAX as u32) / 16);
         let fuse_ok = inst.ws == NO_FUSE
             || prog.consumers[inst.ws as usize..inst.we as usize]
                 .iter()

@@ -347,11 +347,14 @@ pub(crate) unsafe fn run_step_raw(step: &Step, arena: *mut u64, mems: &[MemBank]
         }
         crate::sanitizer::note_write(step.dst.off, step.dst.words as u32);
     }
-    // SAFETY: `arena` covers the layout (caller contract) and the
-    // destination slot is exclusive to this step's partition — the
+    // SAFETY: `arena` covers the layout (caller contract) and nothing
+    // else touches the destination slot while this step runs — the
     // verifier's footprint layer (R0504) proves every compiled write
-    // stays inside the partition's declared range, and R0502 proves no
-    // co-leveled partition writes it.
+    // stays inside the partition's declared range (its own members), and
+    // S0601 proves every other partition whose footprint overlaps that
+    // word — reader or writer — is ordered against this one by a wait
+    // edge of the dataflow schedule, the only thing that runs
+    // partitions concurrently.
     let dst = unsafe {
         std::slice::from_raw_parts_mut(base.add(step.dst.off as usize), step.dst.words as usize)
     };
@@ -365,8 +368,10 @@ pub(crate) unsafe fn run_step_raw(step: &Step, arena: *mut u64, mems: &[MemBank]
             for (i, a) in step.args.iter().enumerate() {
                 // SAFETY: source slots are in-bounds distinct layout
                 // ranges (a signal never reads itself — the netlist is
-                // acyclic) and not concurrently written (R0503: no
-                // co-leveled partition writes a word this one reads).
+                // acyclic) and not concurrently written (S0601: the
+                // writer of every word this partition reads is ordered
+                // before or after it by the schedule's wait graph; S0604
+                // does the same across the cycle boundary).
                 let src = unsafe {
                     std::slice::from_raw_parts(base.add(a.off as usize), a.words as usize)
                 };
@@ -384,11 +389,11 @@ pub(crate) unsafe fn run_step_raw(step: &Step, arena: *mut u64, mems: &[MemBank]
             let addr_ref = &step.args[0];
             let en_ref = &step.args[1];
             // SAFETY: one-word read of the enable slot; same read
-            // contract as above (R0503).
+            // contract as above (S0601).
             let en = unsafe { *base.add(en_ref.off as usize) } & 1 == 1;
             let bank = &mems[*mem as usize];
             if en {
-                // SAFETY: one-word read of the address slot (R0503).
+                // SAFETY: one-word read of the address slot (S0601).
                 let addr = unsafe { read_u64(base, addr_ref) };
                 if (addr as usize) < bank.depth {
                     dst.copy_from_slice(bank.entry(addr as usize));
@@ -427,8 +432,9 @@ pub(crate) unsafe fn run_items_raw(
                 *ops += 1;
                 #[cfg(feature = "race-sanitizer")]
                 crate::sanitizer::note_read(sel.off, sel.words as u32);
-                // SAFETY: one-word read of the selector slot, which no
-                // co-leveled partition writes (R0503).
+                // SAFETY: one-word read of the selector slot, whose
+                // writer the schedule orders against this partition
+                // (S0601).
                 let take_high = unsafe { *arena.add(sel.off as usize) } & 1 == 1;
                 let (way_items, way) = if take_high {
                     (high_items, high)
@@ -443,9 +449,9 @@ pub(crate) unsafe fn run_items_raw(
                     crate::sanitizer::note_write(dst.off, dst.words as u32);
                 }
                 // SAFETY: the mux destination is a declared write of this
-                // partition (R0504) unshared within the level (R0502),
-                // and the taken way's slot is a read no co-leveled
-                // partition writes (R0503).
+                // partition (R0504) and the taken way's slot one of its
+                // reads; every other partition touching either word is
+                // ordered against this one by a wait edge (S0601).
                 let (d, s) = unsafe {
                     (
                         std::slice::from_raw_parts_mut(
@@ -480,9 +486,13 @@ pub(crate) unsafe fn commit_state_raw(
     }
     // SAFETY: `next` and `out` are distinct signals, hence disjoint
     // layout ranges; for elided in-partition commits the footprint
-    // layer counts the `out` slot as a partition write (R0502/R0504)
-    // and the wake edges level-order every reader before this writer
-    // (R0503), so neither range is concurrently accessed.
+    // layer counts the `out` slot as a partition write (R0504 admits
+    // it as declared) and the `next` slot as a read, and S0601 proves
+    // every reader of `out` this cycle is ordered before this writer by
+    // the wait graph (S0604: and cannot start the next cycle early), so
+    // neither range is concurrently accessed. Serial-phase commits
+    // overlap only exempt partitions, footprint-disjoint from
+    // everything the serial phase touches (S0602).
     let (next, out) = unsafe {
         (
             std::slice::from_raw_parts(arena.add(next_off), words),

@@ -210,36 +210,6 @@ pub fn note_write(off: u32, words: u32) {
     });
 }
 
-/// Records the architectural operand accesses of one tier-1 value
-/// instruction. `Generic` is skipped — its fallback path runs through
-/// the generic executors, which record their own accesses.
-#[inline]
-pub fn note_inst1(inst: &crate::step1::Inst1) {
-    use crate::step1::Op1::*;
-    match inst.op {
-        Jmp | Generic => return,
-        JmpIf0 => {
-            note_read(inst.b, 1);
-            return;
-        }
-        MemRead => {
-            note_read(inst.a, 1);
-            note_read(inst.b, 1);
-        }
-        Mux => {
-            note_read(inst.a, 1);
-            note_read(inst.b, 1);
-            note_read(inst.c, 1);
-        }
-        Neg | Not | Andr | Orr | Xorr | Bits | Ext | Shl | ShrU | ShrS => note_read(inst.a, 1),
-        _ => {
-            note_read(inst.a, 1);
-            note_read(inst.b, 1);
-        }
-    }
-    note_write(inst.dst, 1);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -156,6 +156,71 @@ pub struct Inst1 {
     pub we: u32,
 }
 
+impl Inst1 {
+    /// An unfused `op` writing `dst` under `mask`; every operand field,
+    /// shift and immediate starts at zero for the lowering to fill in.
+    pub fn new(op: Op1, dst: u32, mask: u64) -> Inst1 {
+        Inst1 {
+            op,
+            sxa: 0,
+            sxb: 0,
+            sxc: 0,
+            a: 0,
+            b: 0,
+            c: 0,
+            dst,
+            imm: 0,
+            mask,
+            ws: NO_FUSE,
+            we: NO_FUSE,
+        }
+    }
+
+    /// What this instruction's operand fields *are* — the one table the
+    /// footprint layer, the JIT audit and the x86-64 eligibility check
+    /// read instead of enumerating opcodes themselves. `reads` is an
+    /// upper bound on what `op1_match!` loads (`Mux` reads only the
+    /// taken way; the unit tests pin the bound against the definition).
+    pub fn roles(&self) -> Roles {
+        use Op1::*;
+        let (reads, n_reads) = match self.op {
+            Jmp | Generic => ([0; 3], 0),
+            JmpIf0 => ([self.b, 0, 0], 1),
+            Neg | Not | Andr | Orr | Xorr | Bits | Ext | Shl | ShrU | ShrS => ([self.a, 0, 0], 1),
+            Add | Sub | Mul | DivU | DivS | RemU | RemS | LtU | LtS | LeqU | LeqS | Eq | Neq
+            | And | Or | Xor | Cat | Dshl | DshrU | DshrS | MemRead => ([self.a, self.b, 0], 2),
+            Mux => ([self.a, self.b, self.c], 3),
+        };
+        Roles {
+            reads,
+            n_reads,
+            writes_dst: !matches!(self.op, Jmp | JmpIf0 | Generic),
+            bank: (self.op == MemRead).then_some(self.c),
+            jumps: matches!(self.op, Jmp | JmpIf0),
+        }
+    }
+}
+
+/// Operand roles of one [`Inst1`] (see [`Inst1::roles`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Roles {
+    reads: [u32; 3],
+    n_reads: usize,
+    /// The instruction stores a value to `dst` (and counts one op).
+    pub writes_dst: bool,
+    /// The memory bank read, when `c` is a bank index rather than a slot.
+    pub bank: Option<u32>,
+    /// `a` is an instruction index to jump to, not an arena slot.
+    pub jumps: bool,
+}
+
+impl Roles {
+    /// The arena slots the instruction may load (at most three).
+    pub fn reads(&self) -> &[u32] {
+        &self.reads[..self.n_reads]
+    }
+}
+
 /// A partition output eligible for trigger fusion.
 #[derive(Debug, Clone)]
 pub struct OutSpec {
@@ -241,8 +306,11 @@ impl FlagSink for CellFlags<'_> {
     }
 }
 
-/// Cross-thread flag writes with relaxed atomics (the flags are only
-/// consumed at the next level/cycle boundary, which synchronizes).
+/// Cross-thread flag writes with relaxed atomics. The flag itself
+/// orders nothing: every (waker, consumer) pair is a wake pair S0601
+/// requires the wait graph to order, and the wait — a `Release` store
+/// of the waker's `done` counter, `Acquire`-loaded by the consumer's
+/// worker (`par.rs`) — publishes the flag with the waker's arena writes.
 pub struct AtomicFlags<'a>(pub &'a [AtomicBool]);
 
 impl FlagSink for AtomicFlags<'_> {
@@ -318,20 +386,7 @@ fn lower_step(netlist: &Netlist, step: &Step) -> Option<Inst1> {
         return None;
     }
     let mask = top_mask(step.dst.width);
-    let mut inst = Inst1 {
-        op: Op1::Ext,
-        sxa: 0,
-        sxb: 0,
-        sxc: 0,
-        a: 0,
-        b: 0,
-        c: 0,
-        dst: step.dst.off,
-        imm: 0,
-        mask,
-        ws: NO_FUSE,
-        we: NO_FUSE,
-    };
+    let mut inst = Inst1::new(Op1::Ext, step.dst.off, mask);
     match &step.kind {
         StepKind::MemRead { mem, .. } => {
             let bank = &netlist.mems()[*mem as usize];
@@ -518,18 +573,8 @@ impl Lowerer<'_> {
         let idx = self.generic.len() as u32;
         self.generic.push(item.clone());
         let inst = Inst1 {
-            op: Op1::Generic,
-            sxa: 0,
-            sxb: 0,
-            sxc: 0,
             a: idx,
-            b: 0,
-            c: 0,
-            dst: 0,
-            imm: 0,
-            mask: 0,
-            ws: NO_FUSE,
-            we: NO_FUSE,
+            ..Inst1::new(Op1::Generic, 0, 0)
         };
         self.push(inst, Some(sig));
     }
@@ -557,52 +602,25 @@ impl Lowerer<'_> {
                         self.emit_generic(item, *sig);
                         continue;
                     }
-                    let blank = Inst1 {
-                        op: Op1::JmpIf0,
-                        sxa: 0,
-                        sxb: 0,
-                        sxc: 0,
-                        a: 0,
+                    let jif = Inst1 {
                         b: sel.off,
-                        c: 0,
-                        dst: 0,
-                        imm: 0,
-                        mask: 0,
-                        ws: NO_FUSE,
-                        we: NO_FUSE,
+                        ..Inst1::new(Op1::JmpIf0, 0, 0)
                     };
-                    let jif = self.push(blank, None);
+                    let jif = self.push(jif, None);
+                    // Each way ends in the `Ext` that stands in for the mux.
+                    let ext_of = |way: &ArgRef| Inst1 {
+                        sxa: sx_of(way.width, way.signed),
+                        a: way.off,
+                        ..Inst1::new(Op1::Ext, dst.off, top_mask(dst.width))
+                    };
                     self.emit_items(high_items, outs);
-                    let mut ext_hi = Inst1 {
-                        op: Op1::Ext,
-                        sxa: sx_of(high.width, high.signed),
-                        a: high.off,
-                        b: 0,
-                        dst: dst.off,
-                        mask: top_mask(dst.width),
-                        ..blank
-                    };
+                    let mut ext_hi = ext_of(high);
                     self.attach_fuse(&mut ext_hi, *sig, outs);
                     self.push(ext_hi, Some(*sig));
-                    let jmp = self.push(
-                        Inst1 {
-                            op: Op1::Jmp,
-                            b: 0,
-                            ..blank
-                        },
-                        None,
-                    );
+                    let jmp = self.push(Inst1::new(Op1::Jmp, 0, 0), None);
                     self.code[jif].a = self.code.len() as u32;
                     self.emit_items(low_items, outs);
-                    let mut ext_lo = Inst1 {
-                        op: Op1::Ext,
-                        sxa: sx_of(low.width, low.signed),
-                        a: low.off,
-                        b: 0,
-                        dst: dst.off,
-                        mask: top_mask(dst.width),
-                        ..blank
-                    };
+                    let mut ext_lo = ext_of(low);
                     self.attach_fuse(&mut ext_lo, *sig, outs);
                     self.push(ext_lo, Some(*sig));
                     self.code[jmp].a = self.code.len() as u32;
@@ -662,6 +680,157 @@ pub fn lower_tier1(netlist: &Netlist, block: &Block, outs: &[OutSpec], fuse: boo
 #[inline(always)]
 fn sext(v: u64, s: u8) -> u64 {
     (((v << s) as i64) >> s) as u64
+}
+
+/// `MemRead`'s value: `en && addr < depth ? mem[addr] : 0`.
+///
+/// # Safety
+///
+/// `inst.c` must index `mems` and that bank must hold at least
+/// `inst.imm` one-word entries — both hold for any lowered program
+/// (`lower_step` takes `c` and `imm = depth` from the netlist bank and
+/// rejects multi-word banks; B0210 re-checks `c`, `imm` against it).
+#[inline(always)]
+unsafe fn mem_read(mems: &[MemBank], inst: &Inst1, addr: u64, en: u64) -> u64 {
+    if en & 1 == 1 && addr < inst.imm {
+        // SAFETY: the function contract bounds `c`; `addr < imm` was
+        // just checked.
+        unsafe {
+            *mems
+                .get_unchecked(inst.c as usize)
+                .data
+                .get_unchecked(addr as usize)
+        }
+    } else {
+        0
+    }
+}
+
+/// The value semantics of the one-word ISA — the only place an opcode's
+/// result is spelled out. Expands to one `match $inst.op` whose 32
+/// value arms each hand the opcode's *unmasked* result expression to
+/// the callback as `$k!($ka.. expr)`, so the caller decides what
+/// surrounds the expression (the scalar executor takes it as is; the
+/// lane executor wraps it in its three per-lane loop shapes) while the
+/// opcode dispatch stays outside that loop. `$ld` is how an arena slot
+/// is loaded (`$ld(off) -> u64`), `$mems` the `&[MemBank]` in effect;
+/// `$ctl` are the caller's arms for `Jmp`, `JmpIf0` and `Generic`,
+/// which produce no value.
+///
+/// The loads an arm performs are bounded by [`Inst1::roles`]; the unit
+/// tests hold the two together.
+macro_rules! op1_match {
+    ($inst:ident, $ld:expr, $mems:expr, $k:ident!($($ka:tt)*), { $($ctl:tt)* }) => {
+        match $inst.op {
+            Op1::Add => $k!($($ka)*
+                sext($ld($inst.a), $inst.sxa).wrapping_add(sext($ld($inst.b), $inst.sxb))),
+            Op1::Sub => $k!($($ka)*
+                sext($ld($inst.a), $inst.sxa).wrapping_sub(sext($ld($inst.b), $inst.sxb))),
+            Op1::Mul => $k!($($ka)*
+                sext($ld($inst.a), $inst.sxa).wrapping_mul(sext($ld($inst.b), $inst.sxb))),
+            Op1::DivU => $k!($($ka)* $ld($inst.a).checked_div($ld($inst.b)).unwrap_or(0)),
+            Op1::DivS => $k!($($ka)* {
+                let b = $ld($inst.b);
+                if b == 0 {
+                    0
+                } else {
+                    let x = sext($ld($inst.a), $inst.sxa) as i64 as i128;
+                    let y = sext(b, $inst.sxb) as i64 as i128;
+                    (x / y) as u64
+                }
+            }),
+            Op1::RemU => $k!($($ka)* {
+                let a = $ld($inst.a);
+                a.checked_rem($ld($inst.b)).unwrap_or(a)
+            }),
+            Op1::RemS => $k!($($ka)* {
+                let b = $ld($inst.b);
+                if b == 0 {
+                    sext($ld($inst.a), $inst.sxa)
+                } else {
+                    let x = sext($ld($inst.a), $inst.sxa) as i64 as i128;
+                    let y = sext(b, $inst.sxb) as i64 as i128;
+                    (x % y) as u64
+                }
+            }),
+            Op1::LtU => $k!($($ka)* ($ld($inst.a) < $ld($inst.b)) as u64),
+            Op1::LtS => $k!($($ka)* ((sext($ld($inst.a), $inst.sxa) as i64)
+                < (sext($ld($inst.b), $inst.sxb) as i64)) as u64),
+            Op1::LeqU => $k!($($ka)* ($ld($inst.a) <= $ld($inst.b)) as u64),
+            Op1::LeqS => $k!($($ka)* ((sext($ld($inst.a), $inst.sxa) as i64)
+                <= (sext($ld($inst.b), $inst.sxb) as i64)) as u64),
+            Op1::Eq => $k!($($ka)*
+                (sext($ld($inst.a), $inst.sxa) == sext($ld($inst.b), $inst.sxb)) as u64),
+            Op1::Neq => $k!($($ka)*
+                (sext($ld($inst.a), $inst.sxa) != sext($ld($inst.b), $inst.sxb)) as u64),
+            Op1::Shl => $k!($($ka)* {
+                if $inst.imm >= $inst.sxc as u64 {
+                    0
+                } else {
+                    $ld($inst.a) << $inst.imm
+                }
+            }),
+            Op1::ShrU => $k!($($ka)* {
+                if $inst.imm >= 64 {
+                    0
+                } else {
+                    $ld($inst.a) >> $inst.imm
+                }
+            }),
+            Op1::ShrS => $k!($($ka)* {
+                let sh = $inst.imm.min(63);
+                ((sext($ld($inst.a), $inst.sxa) as i64) >> sh) as u64
+            }),
+            Op1::Dshl => $k!($($ka)* {
+                let sh = $ld($inst.b);
+                if sh >= $inst.sxc as u64 {
+                    0
+                } else {
+                    $ld($inst.a) << sh
+                }
+            }),
+            Op1::DshrU => $k!($($ka)* {
+                let sh = $ld($inst.b);
+                if sh >= 64 {
+                    0
+                } else {
+                    $ld($inst.a) >> sh
+                }
+            }),
+            Op1::DshrS => $k!($($ka)* {
+                let sh = $ld($inst.b).min(63);
+                ((sext($ld($inst.a), $inst.sxa) as i64) >> sh) as u64
+            }),
+            Op1::Neg => $k!($($ka)* sext($ld($inst.a), $inst.sxa).wrapping_neg()),
+            Op1::Not => $k!($($ka)* !sext($ld($inst.a), $inst.sxa)),
+            Op1::And => $k!($($ka)*
+                sext($ld($inst.a), $inst.sxa) & sext($ld($inst.b), $inst.sxb)),
+            Op1::Or => $k!($($ka)*
+                sext($ld($inst.a), $inst.sxa) | sext($ld($inst.b), $inst.sxb)),
+            Op1::Xor => $k!($($ka)*
+                sext($ld($inst.a), $inst.sxa) ^ sext($ld($inst.b), $inst.sxb)),
+            Op1::Andr => $k!($($ka)* ($ld($inst.a) == $inst.imm) as u64),
+            Op1::Orr => $k!($($ka)* ($ld($inst.a) != 0) as u64),
+            Op1::Xorr => $k!($($ka)* ($ld($inst.a).count_ones() & 1) as u64),
+            Op1::Cat => $k!($($ka)* ($ld($inst.a) << $inst.imm) | $ld($inst.b)),
+            Op1::Bits => $k!($($ka)* $ld($inst.a) >> $inst.imm),
+            Op1::Ext => $k!($($ka)* sext($ld($inst.a), $inst.sxa)),
+            Op1::Mux => $k!($($ka)* {
+                if $ld($inst.a) & 1 == 1 {
+                    sext($ld($inst.b), $inst.sxb)
+                } else {
+                    sext($ld($inst.c), $inst.sxc)
+                }
+            }),
+            Op1::MemRead => $k!($($ka)* {
+                // SAFETY: every caller runs a lowered program against the
+                // banks of the netlist it was lowered from, which is
+                // `mem_read`'s contract.
+                unsafe { mem_read($mems, $inst, $ld($inst.a), $ld($inst.b)) }
+            }),
+            $($ctl)*
+        }
+    };
 }
 
 /// Arena word footprint of one generic-fallback [`Item`]: the batched
@@ -744,7 +913,10 @@ pub fn item_rw(item: &Item) -> ItemRw {
 /// `layout.total_words()` words; `generic_rw` must parallel
 /// `prog.generic`; `lane_mems` and `counters` must have at least
 /// `lanes` entries; `eval_mask` must be non-zero with no bit at or
-/// above `lanes`, and `lanes` in `1..=64`.
+/// above `lanes`, and `lanes` in `1..=64`. `simd` only *permits* the
+/// AVX2 kernels (they still need a host that has them); the engine
+/// passes `true`, the unit tests pass `false` to reach the scalar lane
+/// loops an AVX2 host otherwise never runs.
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn run_tier1_lanes(
     prog: &Tier1Program,
@@ -756,8 +928,13 @@ pub(crate) unsafe fn run_tier1_lanes(
     scratch: &mut [u64],
     flags: &[Cell<u64>],
     counters: &mut [WorkCounters],
+    simd: bool,
 ) {
     debug_assert!(eval_mask != 0 && (1..=64).contains(&lanes));
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = simd && lanes >= 4 && std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = simd; // no vector kernels on this target
     let code = prog.code.as_slice();
     // SAFETY (both closures): `off` is an in-bounds layout slot — the
     // same B0210/R05xx-audited offsets `run_tier1_raw` dereferences —
@@ -771,9 +948,6 @@ pub(crate) unsafe fn run_tier1_lanes(
         // SAFETY: see above.
         unsafe { *arena.add(off as usize * lanes + lane) = v }
     };
-
-    #[cfg(target_arch = "x86_64")]
-    let avx2 = lanes >= 4 && std::arch::is_x86_feature_detected!("avx2");
 
     let mut resume = [0u32; 64];
     let mut active = eval_mask;
@@ -801,16 +975,18 @@ pub(crate) unsafe fn run_tier1_lanes(
         };
     }
 
-    /// Dense-prefix-aware lane loop with the fused-tail branch: the
-    /// plain store path runs a contiguous `0..n` loop whenever the
-    /// active lanes form a prefix (the shape compaction maintains).
+    /// The three per-lane loop shapes around one opcode's value `$val`
+    /// (an expression over lane `$l`, from `op1_match!`): a contiguous
+    /// `$done..n` loop whenever the active lanes form a prefix (the shape
+    /// compaction maintains, and the one that auto-vectorizes), a
+    /// bit-scan over a sparse mask, and the fused-tail loop.
     macro_rules! lanes_op {
-        ($inst:expr, |$l:ident| $val:expr) => {{
+        ($inst:ident, $l:ident, $done:ident, $val:expr) => {{
             seg += 1;
             if $inst.ws == NO_FUSE {
                 if active & active.wrapping_add(1) == 0 {
                     let n = active.count_ones() as usize;
-                    for $l in 0..n {
+                    for $l in $done..n {
                         let v = $val;
                         st($inst.dst, $l, v & $inst.mask);
                     }
@@ -950,175 +1126,55 @@ pub(crate) unsafe fn run_tier1_lanes(
             _ => {}
         }
 
+        // Dense unfused prefixes go four lanes at a time where the op has
+        // a vector form; `done` is how many lanes that finished.
         #[cfg(target_arch = "x86_64")]
-        if avx2 && inst.ws == NO_FUSE && active & active.wrapping_add(1) == 0 {
+        let done = if avx2
+            && inst.ws == NO_FUSE
+            && active & active.wrapping_add(1) == 0
+            && active.count_ones() >= 4
+        {
             let n = active.count_ones() as usize;
-            if n >= 4 {
-                // SAFETY: AVX2 detected above; `inst` offsets and the
-                // strided arena satisfy this function's contract, and
-                // `n <= lanes` because `active ⊆ eval_mask`.
-                if unsafe { lanes_simd::dispatch(inst, arena, lanes, n) } {
-                    seg += 1;
-                    continue;
-                }
+            // SAFETY: AVX2 detected above; `inst` offsets and the strided
+            // arena satisfy this function's contract, and `n <= lanes`
+            // because `active ⊆ eval_mask`.
+            let done = unsafe { lanes_simd::dispatch(inst, arena, lanes, n) };
+            if done == n {
+                seg += 1;
+                continue;
             }
-        }
+            done
+        } else {
+            0
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let done = 0;
 
-        match inst.op {
-            Op1::Add => {
-                lanes_op!(inst, |l| sext(ld(inst.a, l), inst.sxa)
-                    .wrapping_add(sext(ld(inst.b, l), inst.sxb)))
-            }
-            Op1::Sub => {
-                lanes_op!(inst, |l| sext(ld(inst.a, l), inst.sxa)
-                    .wrapping_sub(sext(ld(inst.b, l), inst.sxb)))
-            }
-            Op1::Mul => {
-                lanes_op!(inst, |l| sext(ld(inst.a, l), inst.sxa)
-                    .wrapping_mul(sext(ld(inst.b, l), inst.sxb)))
-            }
-            Op1::DivU => lanes_op!(inst, |l| ld(inst.a, l)
-                .checked_div(ld(inst.b, l))
-                .unwrap_or(0)),
-            Op1::DivS => lanes_op!(inst, |l| {
-                let b = ld(inst.b, l);
-                if b == 0 {
-                    0
-                } else {
-                    let x = sext(ld(inst.a, l), inst.sxa) as i64 as i128;
-                    let y = sext(b, inst.sxb) as i64 as i128;
-                    (x / y) as u64
-                }
-            }),
-            Op1::RemU => lanes_op!(inst, |l| {
-                let a = ld(inst.a, l);
-                a.checked_rem(ld(inst.b, l)).unwrap_or(a)
-            }),
-            Op1::RemS => lanes_op!(inst, |l| {
-                let b = ld(inst.b, l);
-                if b == 0 {
-                    sext(ld(inst.a, l), inst.sxa)
-                } else {
-                    let x = sext(ld(inst.a, l), inst.sxa) as i64 as i128;
-                    let y = sext(b, inst.sxb) as i64 as i128;
-                    (x % y) as u64
-                }
-            }),
-            Op1::LtU => lanes_op!(inst, |l| (ld(inst.a, l) < ld(inst.b, l)) as u64),
-            Op1::LtS => lanes_op!(inst, |l| ((sext(ld(inst.a, l), inst.sxa) as i64)
-                < (sext(ld(inst.b, l), inst.sxb) as i64))
-                as u64),
-            Op1::LeqU => lanes_op!(inst, |l| (ld(inst.a, l) <= ld(inst.b, l)) as u64),
-            Op1::LeqS => lanes_op!(inst, |l| ((sext(ld(inst.a, l), inst.sxa) as i64)
-                <= (sext(ld(inst.b, l), inst.sxb) as i64))
-                as u64),
-            Op1::Eq => {
-                lanes_op!(
-                    inst,
-                    |l| (sext(ld(inst.a, l), inst.sxa) == sext(ld(inst.b, l), inst.sxb)) as u64
-                )
-            }
-            Op1::Neq => {
-                lanes_op!(
-                    inst,
-                    |l| (sext(ld(inst.a, l), inst.sxa) != sext(ld(inst.b, l), inst.sxb)) as u64
-                )
-            }
-            Op1::Shl => lanes_op!(inst, |l| {
-                if inst.imm >= inst.sxc as u64 {
-                    0
-                } else {
-                    ld(inst.a, l) << inst.imm
-                }
-            }),
-            Op1::ShrU => lanes_op!(inst, |l| {
-                if inst.imm >= 64 {
-                    0
-                } else {
-                    ld(inst.a, l) >> inst.imm
-                }
-            }),
-            Op1::ShrS => lanes_op!(inst, |l| {
-                let sh = inst.imm.min(63);
-                ((sext(ld(inst.a, l), inst.sxa) as i64) >> sh) as u64
-            }),
-            Op1::Dshl => lanes_op!(inst, |l| {
-                let sh = ld(inst.b, l);
-                if sh >= inst.sxc as u64 {
-                    0
-                } else {
-                    ld(inst.a, l) << sh
-                }
-            }),
-            Op1::DshrU => lanes_op!(inst, |l| {
-                let sh = ld(inst.b, l);
-                if sh >= 64 {
-                    0
-                } else {
-                    ld(inst.a, l) >> sh
-                }
-            }),
-            Op1::DshrS => lanes_op!(inst, |l| {
-                let sh = ld(inst.b, l).min(63);
-                ((sext(ld(inst.a, l), inst.sxa) as i64) >> sh) as u64
-            }),
-            Op1::Neg => lanes_op!(inst, |l| sext(ld(inst.a, l), inst.sxa).wrapping_neg()),
-            Op1::Not => lanes_op!(inst, |l| !sext(ld(inst.a, l), inst.sxa)),
-            Op1::And => {
-                lanes_op!(inst, |l| sext(ld(inst.a, l), inst.sxa)
-                    & sext(ld(inst.b, l), inst.sxb))
-            }
-            Op1::Or => {
-                lanes_op!(inst, |l| sext(ld(inst.a, l), inst.sxa)
-                    | sext(ld(inst.b, l), inst.sxb))
-            }
-            Op1::Xor => {
-                lanes_op!(inst, |l| sext(ld(inst.a, l), inst.sxa)
-                    ^ sext(ld(inst.b, l), inst.sxb))
-            }
-            Op1::Andr => lanes_op!(inst, |l| (ld(inst.a, l) == inst.imm) as u64),
-            Op1::Orr => lanes_op!(inst, |l| (ld(inst.a, l) != 0) as u64),
-            Op1::Xorr => lanes_op!(inst, |l| (ld(inst.a, l).count_ones() & 1) as u64),
-            Op1::Cat => lanes_op!(inst, |l| (ld(inst.a, l) << inst.imm) | ld(inst.b, l)),
-            Op1::Bits => lanes_op!(inst, |l| ld(inst.a, l) >> inst.imm),
-            Op1::Ext => lanes_op!(inst, |l| sext(ld(inst.a, l), inst.sxa)),
-            Op1::Mux => lanes_op!(inst, |l| {
-                if ld(inst.a, l) & 1 == 1 {
-                    sext(ld(inst.b, l), inst.sxb)
-                } else {
-                    sext(ld(inst.c, l), inst.sxc)
-                }
-            }),
-            Op1::MemRead => lanes_op!(inst, |l| {
-                let bank = &lane_mems[l][inst.c as usize];
-                let addr = ld(inst.a, l);
-                if ld(inst.b, l) & 1 == 1 && addr < inst.imm {
-                    bank.data[addr as usize]
-                } else {
-                    0
-                }
-            }),
-            // Handled above.
-            Op1::Jmp | Op1::JmpIf0 | Op1::Generic => unreachable!(),
-        }
+        op1_match!(inst, |off| ld(off, l), &lane_mems[l], lanes_op!(inst, l, done,), {
+            // The control opcodes, handled above (the scalar executor's
+            // expansion is the one that keeps the arms exhaustive).
+            _ => unreachable!(),
+        });
     }
     flush_seg!();
 }
 
 /// AVX2 lane kernels for the hot unsigned single-word ops: four lanes
 /// per vector over the contiguous per-word lane stripes of the batched
-/// arena. Anything signed, fused, or exotic falls back to the scalar
-/// lane loop (which the compiler auto-vectorizes anyway — this path
-/// pins the vector shape for the ops that dominate ALU-heavy designs).
+/// arena. Anything signed, fused, or exotic — and the last `n % 4` lanes
+/// of everything — is left to the scalar lane loop (which the compiler
+/// auto-vectorizes anyway — this path pins the vector shape for the ops
+/// that dominate ALU-heavy designs).
 #[cfg(target_arch = "x86_64")]
 mod lanes_simd {
     use super::{Inst1, Op1};
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
-    /// Evaluates `inst` across dense lanes `0..n`; returns `false` when
-    /// the op/operand shape has no vector form (caller falls back to
-    /// the scalar lane loop, which must then execute the instruction).
+    /// Evaluates `inst` across dense lanes `0..done` and returns `done`:
+    /// `n` rounded down to a multiple of four, or `0` when the op/operand
+    /// shape has no vector form. The caller's scalar lane loop executes
+    /// lanes `done..n`.
     ///
     /// # Safety
     ///
@@ -1126,7 +1182,7 @@ mod lanes_simd {
     /// accessed strided batch arena, `inst` carries in-bounds layout
     /// offsets, and `n <= lanes`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dispatch(inst: &Inst1, arena: *mut u64, lanes: usize, n: usize) -> bool {
+    pub(super) unsafe fn dispatch(inst: &Inst1, arena: *mut u64, lanes: usize, n: usize) -> usize {
         // SAFETY: `off * lanes .. off * lanes + n` is inside the strided
         // arena for every operand offset (caller contract); unaligned
         // vector loads/stores are used throughout.
@@ -1136,231 +1192,98 @@ mod lanes_simd {
             let pc_ = arena.add(inst.c as usize * lanes).cast_const();
             let pd = arena.add(inst.dst as usize * lanes);
             let vmask = _mm256_set1_epi64x(inst.mask as i64);
+            let one = _mm256_set1_epi64x(1);
             let mut i = 0usize;
-            macro_rules! bin {
-                ($f:ident, $scalar:expr) => {{
-                    if inst.sxa != 0 || inst.sxb != 0 {
-                        return false;
-                    }
-                    while i + 4 <= n {
-                        let va = _mm256_loadu_si256(pa.add(i).cast());
-                        let vb = _mm256_loadu_si256(pb.add(i).cast());
-                        let v = _mm256_and_si256($f(va, vb), vmask);
-                        _mm256_storeu_si256(pd.add(i).cast(), v);
-                        i += 4;
-                    }
-                    while i < n {
-                        let f: fn(u64, u64) -> u64 = $scalar;
-                        *pd.add(i) = f(*pa.add(i), *pb.add(i)) & inst.mask;
-                        i += 1;
-                    }
-                }};
-            }
-            // 0/1 predicate results from a lane-wide compare mask.
-            macro_rules! pred {
-                (|$va:ident, $vb:ident| $vec:expr, |$a:ident, $b:ident| $scalar:expr) => {{
-                    if inst.sxa != 0 || inst.sxb != 0 {
-                        return false;
-                    }
-                    let one = _mm256_set1_epi64x(1);
+            // `dst[i..i+4] = $vec & $and` over whole vectors of lanes, with
+            // `$va`/`$vb` bound to the `a`/`b` operand vectors.
+            macro_rules! lanes4 {
+                (|$va:ident, $vb:ident| $vec:expr, $and:expr) => {
                     while i + 4 <= n {
                         let $va = _mm256_loadu_si256(pa.add(i).cast());
                         let $vb = _mm256_loadu_si256(pb.add(i).cast());
-                        let full: __m256i = $vec;
-                        _mm256_storeu_si256(pd.add(i).cast(), _mm256_and_si256(full, one));
+                        let v: __m256i = $vec;
+                        _mm256_storeu_si256(pd.add(i).cast(), _mm256_and_si256(v, $and));
                         i += 4;
                     }
-                    while i < n {
-                        let $a = *pa.add(i);
-                        let $b = *pb.add(i);
-                        *pd.add(i) = ($scalar) as u64;
-                        i += 1;
-                    }
-                }};
+                };
             }
             // Uniform-count shifts: the count comes from the instruction,
             // not the lanes, so the `_mm256_sll/srl_epi64` forms (count in
-            // the low xmm lane) apply. Callers guard `count < 64`.
-            let vcount = |c: u64| _mm_cvtsi64_si128(c as i64);
+            // the low xmm lane) apply.
+            let vcount = _mm_cvtsi64_si128(inst.imm as i64);
+            let flip = _mm256_set1_epi64x(i64::MIN);
+            let ones = _mm256_set1_epi64x(-1);
+            // Each guard is where the vector form stops matching the scalar
+            // definition: sign-extended operands, and static shift counts
+            // the definition special-cases (or `sll`/`srl` cannot take).
+            let plain = inst.sxa == 0 && inst.sxb == 0;
             match inst.op {
-                Op1::Add => bin!(_mm256_add_epi64, u64::wrapping_add),
-                Op1::Sub => bin!(_mm256_sub_epi64, u64::wrapping_sub),
-                Op1::And => bin!(_mm256_and_si256, |a, b| a & b),
-                Op1::Or => bin!(_mm256_or_si256, |a, b| a | b),
-                Op1::Xor => bin!(_mm256_xor_si256, |a, b| a ^ b),
-                Op1::Eq => pred!(|va, vb| _mm256_cmpeq_epi64(va, vb), |a, b| a == b),
-                Op1::Neq => pred!(
-                    |va, vb| {
-                        let ones = _mm256_set1_epi64x(-1);
-                        _mm256_xor_si256(_mm256_cmpeq_epi64(va, vb), ones)
-                    },
-                    |a, b| a != b
+                Op1::Add if plain => lanes4!(|va, vb| _mm256_add_epi64(va, vb), vmask),
+                Op1::Sub if plain => lanes4!(|va, vb| _mm256_sub_epi64(va, vb), vmask),
+                Op1::And if plain => lanes4!(|va, vb| _mm256_and_si256(va, vb), vmask),
+                Op1::Or if plain => lanes4!(|va, vb| _mm256_or_si256(va, vb), vmask),
+                Op1::Xor if plain => lanes4!(|va, vb| _mm256_xor_si256(va, vb), vmask),
+                // 0/1 predicate results from a lane-wide compare mask.
+                Op1::Eq if plain => lanes4!(|va, vb| _mm256_cmpeq_epi64(va, vb), one),
+                Op1::Neq if plain => {
+                    lanes4!(
+                        |va, vb| _mm256_xor_si256(_mm256_cmpeq_epi64(va, vb), ones),
+                        one
+                    )
+                }
+                Op1::LtU => lanes4!(
+                    |va, vb| _mm256_cmpgt_epi64(
+                        _mm256_xor_si256(vb, flip),
+                        _mm256_xor_si256(va, flip)
+                    ),
+                    one
                 ),
-                Op1::LtU => pred!(
+                Op1::LeqU => lanes4!(
                     |va, vb| {
-                        let flip = _mm256_set1_epi64x(i64::MIN);
-                        _mm256_cmpgt_epi64(_mm256_xor_si256(vb, flip), _mm256_xor_si256(va, flip))
-                    },
-                    |a, b| a < b
-                ),
-                Op1::LeqU => pred!(
-                    |va, vb| {
-                        let flip = _mm256_set1_epi64x(i64::MIN);
                         let gt = _mm256_cmpgt_epi64(
                             _mm256_xor_si256(va, flip),
                             _mm256_xor_si256(vb, flip),
                         );
-                        _mm256_xor_si256(gt, _mm256_set1_epi64x(-1))
+                        _mm256_xor_si256(gt, ones)
                     },
-                    |a, b| a <= b
+                    one
                 ),
-                Op1::Orr => {
-                    let one = _mm256_set1_epi64x(1);
-                    let zero = _mm256_setzero_si256();
-                    while i + 4 <= n {
-                        let va = _mm256_loadu_si256(pa.add(i).cast());
-                        let nz = _mm256_andnot_si256(_mm256_cmpeq_epi64(va, zero), one);
-                        _mm256_storeu_si256(pd.add(i).cast(), nz);
-                        i += 4;
-                    }
-                    while i < n {
-                        *pd.add(i) = (*pa.add(i) != 0) as u64;
-                        i += 1;
-                    }
+                Op1::Orr => lanes4!(
+                    |va, _vb| _mm256_xor_si256(
+                        _mm256_cmpeq_epi64(va, _mm256_setzero_si256()),
+                        ones
+                    ),
+                    one
+                ),
+                Op1::Andr => lanes4!(
+                    |va, _vb| _mm256_cmpeq_epi64(va, _mm256_set1_epi64x(inst.imm as i64)),
+                    one
+                ),
+                Op1::Bits | Op1::ShrU if inst.imm < 64 => {
+                    lanes4!(|va, _vb| _mm256_srl_epi64(va, vcount), vmask)
                 }
-                Op1::Andr => {
-                    let one = _mm256_set1_epi64x(1);
-                    let all = _mm256_set1_epi64x(inst.imm as i64);
-                    while i + 4 <= n {
-                        let va = _mm256_loadu_si256(pa.add(i).cast());
-                        let eq = _mm256_and_si256(_mm256_cmpeq_epi64(va, all), one);
-                        _mm256_storeu_si256(pd.add(i).cast(), eq);
-                        i += 4;
-                    }
-                    while i < n {
-                        *pd.add(i) = (*pa.add(i) == inst.imm) as u64;
-                        i += 1;
-                    }
+                Op1::Shl if inst.imm < 64.min(inst.sxc as u64) => {
+                    lanes4!(|va, _vb| _mm256_sll_epi64(va, vcount), vmask)
                 }
-                Op1::Bits => {
-                    if inst.imm >= 64 {
-                        return false;
-                    }
-                    let c = vcount(inst.imm);
-                    while i + 4 <= n {
-                        let va = _mm256_loadu_si256(pa.add(i).cast());
-                        let v = _mm256_and_si256(_mm256_srl_epi64(va, c), vmask);
-                        _mm256_storeu_si256(pd.add(i).cast(), v);
-                        i += 4;
-                    }
-                    while i < n {
-                        *pd.add(i) = (*pa.add(i) >> inst.imm) & inst.mask;
-                        i += 1;
-                    }
+                Op1::Cat if inst.imm < 64 => {
+                    lanes4!(
+                        |va, vb| _mm256_or_si256(_mm256_sll_epi64(va, vcount), vb),
+                        vmask
+                    )
                 }
-                Op1::ShrU => {
-                    if inst.imm >= 64 {
-                        // Scalar path stores a masked zero; mirror it here.
-                        while i < n {
-                            *pd.add(i) = 0;
-                            i += 1;
-                        }
-                        return true;
-                    }
-                    let c = vcount(inst.imm);
-                    while i + 4 <= n {
-                        let va = _mm256_loadu_si256(pa.add(i).cast());
-                        let v = _mm256_and_si256(_mm256_srl_epi64(va, c), vmask);
-                        _mm256_storeu_si256(pd.add(i).cast(), v);
-                        i += 4;
-                    }
-                    while i < n {
-                        *pd.add(i) = (*pa.add(i) >> inst.imm) & inst.mask;
-                        i += 1;
-                    }
-                }
-                Op1::Shl => {
-                    if inst.imm >= inst.sxc as u64 {
-                        while i < n {
-                            *pd.add(i) = 0;
-                            i += 1;
-                        }
-                        return true;
-                    }
-                    if inst.imm >= 64 {
-                        return false;
-                    }
-                    let c = vcount(inst.imm);
-                    while i + 4 <= n {
-                        let va = _mm256_loadu_si256(pa.add(i).cast());
-                        let v = _mm256_and_si256(_mm256_sll_epi64(va, c), vmask);
-                        _mm256_storeu_si256(pd.add(i).cast(), v);
-                        i += 4;
-                    }
-                    while i < n {
-                        *pd.add(i) = (*pa.add(i) << inst.imm) & inst.mask;
-                        i += 1;
-                    }
-                }
-                Op1::Cat => {
-                    if inst.imm >= 64 {
-                        return false;
-                    }
-                    let c = vcount(inst.imm);
-                    while i + 4 <= n {
-                        let va = _mm256_loadu_si256(pa.add(i).cast());
-                        let vb = _mm256_loadu_si256(pb.add(i).cast());
-                        let v = _mm256_or_si256(_mm256_sll_epi64(va, c), vb);
-                        _mm256_storeu_si256(pd.add(i).cast(), _mm256_and_si256(v, vmask));
-                        i += 4;
-                    }
-                    while i < n {
-                        *pd.add(i) = ((*pa.add(i) << inst.imm) | *pb.add(i)) & inst.mask;
-                        i += 1;
-                    }
-                }
-                Op1::Ext => {
-                    if inst.sxa != 0 {
-                        return false;
-                    }
-                    while i + 4 <= n {
-                        let va = _mm256_loadu_si256(pa.add(i).cast());
-                        _mm256_storeu_si256(pd.add(i).cast(), _mm256_and_si256(va, vmask));
-                        i += 4;
-                    }
-                    while i < n {
-                        *pd.add(i) = *pa.add(i) & inst.mask;
-                        i += 1;
-                    }
-                }
-                Op1::Mux => {
-                    // `a` is the selector, `b`/`c` the high/low ways.
-                    if inst.sxb != 0 || inst.sxc != 0 {
-                        return false;
-                    }
-                    let one = _mm256_set1_epi64x(1);
-                    while i + 4 <= n {
-                        let vs = _mm256_and_si256(_mm256_loadu_si256(pa.add(i).cast()), one);
-                        let hi = _mm256_cmpeq_epi64(vs, one);
-                        let vb = _mm256_loadu_si256(pb.add(i).cast());
+                Op1::Ext if inst.sxa == 0 => lanes4!(|va, _vb| va, vmask),
+                // `a` is the selector, `b`/`c` the high/low ways.
+                Op1::Mux if inst.sxb == 0 && inst.sxc == 0 => lanes4!(
+                    |va, vb| {
+                        let hi = _mm256_cmpeq_epi64(_mm256_and_si256(va, one), one);
                         let vc = _mm256_loadu_si256(pc_.add(i).cast());
-                        let v = _mm256_and_si256(_mm256_blendv_epi8(vc, vb, hi), vmask);
-                        _mm256_storeu_si256(pd.add(i).cast(), v);
-                        i += 4;
-                    }
-                    while i < n {
-                        let v = if *pa.add(i) & 1 == 1 {
-                            *pb.add(i)
-                        } else {
-                            *pc_.add(i)
-                        };
-                        *pd.add(i) = v & inst.mask;
-                        i += 1;
-                    }
-                }
-                _ => return false,
+                        _mm256_blendv_epi8(vc, vb, hi)
+                    },
+                    vmask
+                ),
+                _ => {}
             }
-            true
+            i
         }
     }
 }
@@ -1389,129 +1312,31 @@ pub(crate) unsafe fn run_tier1_raw<F: FlagSink>(
     dynamic: &mut u64,
 ) {
     let code = prog.code.as_slice();
+    // Under `race-sanitizer` each load the definition actually performs
+    // is recorded (an untaken mux way is not).
+    let ld = |off: u32| {
+        #[cfg(feature = "race-sanitizer")]
+        crate::sanitizer::note_read(off, 1);
+        // SAFETY: operand offsets are in-bounds layout slots that no
+        // other thread concurrently writes — the footprint layer proves
+        // the lowered operand offsets match the generic block's reads
+        // (R0501), and every cross-partition write/read overlap of those
+        // footprints is ordered by a wait edge of the dataflow schedule
+        // (S0601), which is all that runs partitions concurrently.
+        unsafe { *arena.add(off as usize) }
+    };
+    macro_rules! value {
+        ($val:expr) => {
+            $val
+        };
+    }
     let mut pc = 0usize;
     while pc < code.len() {
         // SAFETY: the loop condition bounds `pc` on every iteration,
         // including after jumps.
         let inst = unsafe { code.get_unchecked(pc) };
         pc += 1;
-        #[cfg(feature = "race-sanitizer")]
-        crate::sanitizer::note_inst1(inst);
-        // SAFETY: operand offsets are in-bounds layout slots that no
-        // other thread concurrently writes — the footprint layer proves
-        // the lowered operand offsets match the generic block's reads
-        // (R0501) and that no co-leveled partition writes them (R0503).
-        let ld = |off: u32| unsafe { *arena.add(off as usize) };
-        let val = match inst.op {
-            Op1::Add => sext(ld(inst.a), inst.sxa).wrapping_add(sext(ld(inst.b), inst.sxb)),
-            Op1::Sub => sext(ld(inst.a), inst.sxa).wrapping_sub(sext(ld(inst.b), inst.sxb)),
-            Op1::Mul => sext(ld(inst.a), inst.sxa).wrapping_mul(sext(ld(inst.b), inst.sxb)),
-            Op1::DivU => ld(inst.a).checked_div(ld(inst.b)).unwrap_or(0),
-            Op1::DivS => {
-                let b = ld(inst.b);
-                if b == 0 {
-                    0
-                } else {
-                    let x = sext(ld(inst.a), inst.sxa) as i64 as i128;
-                    let y = sext(b, inst.sxb) as i64 as i128;
-                    (x / y) as u64
-                }
-            }
-            Op1::RemU => {
-                let a = ld(inst.a);
-                a.checked_rem(ld(inst.b)).unwrap_or(a)
-            }
-            Op1::RemS => {
-                let b = ld(inst.b);
-                if b == 0 {
-                    sext(ld(inst.a), inst.sxa)
-                } else {
-                    let x = sext(ld(inst.a), inst.sxa) as i64 as i128;
-                    let y = sext(b, inst.sxb) as i64 as i128;
-                    (x % y) as u64
-                }
-            }
-            Op1::LtU => (ld(inst.a) < ld(inst.b)) as u64,
-            Op1::LtS => {
-                ((sext(ld(inst.a), inst.sxa) as i64) < (sext(ld(inst.b), inst.sxb) as i64)) as u64
-            }
-            Op1::LeqU => (ld(inst.a) <= ld(inst.b)) as u64,
-            Op1::LeqS => {
-                ((sext(ld(inst.a), inst.sxa) as i64) <= (sext(ld(inst.b), inst.sxb) as i64)) as u64
-            }
-            Op1::Eq => (sext(ld(inst.a), inst.sxa) == sext(ld(inst.b), inst.sxb)) as u64,
-            Op1::Neq => (sext(ld(inst.a), inst.sxa) != sext(ld(inst.b), inst.sxb)) as u64,
-            Op1::Shl => {
-                if inst.imm >= inst.sxc as u64 {
-                    0
-                } else {
-                    ld(inst.a) << inst.imm
-                }
-            }
-            Op1::ShrU => {
-                if inst.imm >= 64 {
-                    0
-                } else {
-                    ld(inst.a) >> inst.imm
-                }
-            }
-            Op1::ShrS => {
-                let sh = inst.imm.min(63);
-                ((sext(ld(inst.a), inst.sxa) as i64) >> sh) as u64
-            }
-            Op1::Dshl => {
-                let sh = ld(inst.b);
-                if sh >= inst.sxc as u64 {
-                    0
-                } else {
-                    ld(inst.a) << sh
-                }
-            }
-            Op1::DshrU => {
-                let sh = ld(inst.b);
-                if sh >= 64 {
-                    0
-                } else {
-                    ld(inst.a) >> sh
-                }
-            }
-            Op1::DshrS => {
-                let sh = ld(inst.b).min(63);
-                ((sext(ld(inst.a), inst.sxa) as i64) >> sh) as u64
-            }
-            Op1::Neg => sext(ld(inst.a), inst.sxa).wrapping_neg(),
-            Op1::Not => !sext(ld(inst.a), inst.sxa),
-            Op1::And => sext(ld(inst.a), inst.sxa) & sext(ld(inst.b), inst.sxb),
-            Op1::Or => sext(ld(inst.a), inst.sxa) | sext(ld(inst.b), inst.sxb),
-            Op1::Xor => sext(ld(inst.a), inst.sxa) ^ sext(ld(inst.b), inst.sxb),
-            Op1::Andr => (ld(inst.a) == inst.imm) as u64,
-            Op1::Orr => (ld(inst.a) != 0) as u64,
-            Op1::Xorr => (ld(inst.a).count_ones() & 1) as u64,
-            Op1::Cat => (ld(inst.a) << inst.imm) | ld(inst.b),
-            Op1::Bits => ld(inst.a) >> inst.imm,
-            Op1::Ext => sext(ld(inst.a), inst.sxa),
-            Op1::Mux => {
-                if ld(inst.a) & 1 == 1 {
-                    sext(ld(inst.b), inst.sxb)
-                } else {
-                    sext(ld(inst.c), inst.sxc)
-                }
-            }
-            Op1::MemRead => {
-                // SAFETY: `inst.c` indexes a lowered bank (B0210 audits
-                // it against the netlist) and `addr < imm = depth`
-                // bounds the entry; single-word banks store one word
-                // per entry.
-                unsafe {
-                    let bank = mems.get_unchecked(inst.c as usize);
-                    let addr = ld(inst.a);
-                    if ld(inst.b) & 1 == 1 && addr < inst.imm {
-                        *bank.data.get_unchecked(addr as usize)
-                    } else {
-                        0
-                    }
-                }
-            }
+        let val = op1_match!(inst, ld, mems, value!(), {
             Op1::Jmp => {
                 pc = inst.a as usize;
                 continue;
@@ -1532,13 +1357,17 @@ pub(crate) unsafe fn run_tier1_raw<F: FlagSink>(
                 }
                 continue;
             }
-        };
+        });
         *ops += 1;
         let val = val & inst.mask;
+        #[cfg(feature = "race-sanitizer")]
+        crate::sanitizer::note_write(inst.dst, 1);
         // SAFETY: `inst.dst` is a declared write of this partition
         // (R0501 proves it equals the generic block's write set, R0504
-        // bounds it, R0502 proves no co-leveled partition shares it);
-        // the fused-tail pre-write read touches the same exclusive slot.
+        // bounds it to the partition's own member slots, and every word
+        // has one writing partition — R0502 over the whole plan); any
+        // other partition's read of it is ordered by a schedule edge
+        // (S0601). The fused-tail pre-write read touches the same slot.
         unsafe {
             let slot = arena.add(inst.dst as usize);
             if inst.ws == NO_FUSE {
@@ -1559,5 +1388,720 @@ pub(crate) unsafe fn run_tier1_raw<F: FlagSink>(
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Op1::*;
+    use super::*;
+    use crate::machine::run_step_raw;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cell::RefCell;
+    use std::collections::BTreeSet;
+
+    const ALL: [Op1; 35] = [
+        Add, Sub, Mul, DivU, DivS, RemU, RemS, LtU, LtS, LeqU, LeqS, Eq, Neq, Shl, ShrU, ShrS,
+        Dshl, DshrU, DshrS, Neg, Not, And, Or, Xor, Andr, Orr, Xorr, Cat, Bits, Ext, Mux, MemRead,
+        Jmp, JmpIf0, Generic,
+    ];
+    /// Scalar arena size of every test: operands live in `0..16`,
+    /// destinations in `16..WORDS`.
+    const WORDS: usize = 40;
+    /// Bank depth; bank `k` entry `j` holds `bank_word(k, j)`.
+    const DEPTH: usize = 6;
+    /// Trials per opcode / program (Miri interprets ~1000x slower).
+    const TRIALS: usize = if cfg!(miri) { 6 } else { 200 };
+
+    fn bank_word(bank: usize, addr: usize, salt: u64) -> u64 {
+        ((bank as u64 + 1) << 40) | ((addr as u64) << 8) | salt
+    }
+
+    fn banks(salt: u64) -> Vec<MemBank> {
+        (0..2)
+            .map(|k| MemBank {
+                words_per: 1,
+                depth: DEPTH,
+                width: 64,
+                data: (0..DEPTH).map(|j| bank_word(k, j, salt)).collect(),
+            })
+            .collect()
+    }
+
+    /// A value with the edge cases (0, 1, all-ones, small, shift counts
+    /// around the word size) over-represented.
+    fn rand_word(rng: &mut StdRng) -> u64 {
+        match rng.gen_range(0..7u32) {
+            0 => 0,
+            1 => 1,
+            2 => u64::MAX,
+            3 => rng.gen_range(0..8u64),
+            4 => rng.gen_range(62..=65u64),
+            _ => rng.gen(),
+        }
+    }
+
+    fn rand_sx(rng: &mut StdRng) -> u8 {
+        if rng.gen_bool(0.5) {
+            0
+        } else {
+            rng.gen_range(1..=63u32) as u8
+        }
+    }
+
+    fn rand_mask(rng: &mut StdRng) -> u64 {
+        match rng.gen_range(0..4u32) {
+            0 => u64::MAX,
+            1 => 1,
+            _ => top_mask(rng.gen_range(1..=64u32)),
+        }
+    }
+
+    /// Fills every field but the operand offsets with values the
+    /// lowering can produce (shift counts the definition's `<<`/`>>`
+    /// accept, `sxc` a destination width for the shifts), edge cases
+    /// included: static shifts at and past 64 and past the destination
+    /// width, masks of one bit and of all 64.
+    fn rand_fields(inst: &mut Inst1, rng: &mut StdRng) {
+        inst.sxa = rand_sx(rng);
+        // A zero-extended divisor: `sext` of a value wider than its
+        // shift claims could turn a non-zero divisor into zero.
+        inst.sxb = if matches!(inst.op, DivS | RemS) {
+            0
+        } else {
+            rand_sx(rng)
+        };
+        inst.mask = rand_mask(rng);
+        inst.sxc = match inst.op {
+            Shl | Dshl => rng.gen_range(1..=64u32) as u8,
+            _ => rand_sx(rng),
+        };
+        inst.imm = match inst.op {
+            Shl | ShrU | ShrS => rng.gen_range(0..=70u64),
+            Cat | Bits => rng.gen_range(0..=63u64),
+            Andr => top_mask(rng.gen_range(1..=64u32)),
+            MemRead => DEPTH as u64,
+            _ => rng.gen(),
+        };
+    }
+
+    /// The definition, run once with a recording `ld`: the masked value
+    /// (`None` for the control opcodes) and every offset it loaded.
+    /// `JmpIf0`'s selector load is the executors' own, mirrored here.
+    fn eval(inst: &Inst1, arena: &[u64], mems: &[MemBank]) -> (Option<u64>, Vec<u32>) {
+        let loads = RefCell::new(Vec::new());
+        let ld = |off: u32| {
+            loads.borrow_mut().push(off);
+            arena[off as usize]
+        };
+        macro_rules! masked {
+            ($val:expr) => {
+                Some($val & inst.mask)
+            };
+        }
+        let val = op1_match!(inst, ld, mems, masked!(), {
+            Jmp | Generic => None,
+            JmpIf0 => {
+                ld(inst.b);
+                None
+            }
+        });
+        (val, loads.into_inner())
+    }
+
+    /// Runs `prog` through the scalar executor; returns `(ops, dynamic)`.
+    fn run_scalar(
+        prog: &Tier1Program,
+        arena: &mut [u64],
+        mems: &[MemBank],
+        flags: &[Cell<bool>],
+    ) -> (u64, u64) {
+        let (mut ops, mut dynamic) = (0, 0);
+        // SAFETY: every test program keeps its offsets below `WORDS`,
+        // the arena length, and is run single-threaded.
+        unsafe {
+            run_tier1_raw(
+                prog,
+                arena.as_mut_ptr(),
+                mems,
+                &CellFlags(flags),
+                &mut ops,
+                &mut dynamic,
+            );
+        }
+        (ops, dynamic)
+    }
+
+    fn program(code: Vec<Inst1>, generic: Vec<Item>, consumers: Vec<u32>) -> Tier1Program {
+        Tier1Program {
+            sigs: vec![u32::MAX; code.len()],
+            code,
+            generic,
+            consumers,
+            unfused: Vec::new(),
+            stats: TierStats::default(),
+        }
+    }
+
+    /// (a) The operand-role table against the definition: whatever an
+    /// arm loads is one of `roles().reads()`, every listed read is
+    /// loaded (always, for branch-free arms; on some input, for the six
+    /// arms that branch before loading), and a value comes out exactly
+    /// when the table says `dst` is written.
+    #[test]
+    fn role_table_bounds_what_the_definition_loads() {
+        let mut rng = StdRng::seed_from_u64(0x15A);
+        let mems = banks(0);
+        for op in ALL {
+            let mut inst = Inst1::new(op, 16, 0);
+            (inst.a, inst.b, inst.c) = (3, 7, 11);
+            if op == MemRead {
+                inst.c = 1;
+            }
+            let roles = inst.roles();
+            let allowed: BTreeSet<u32> = roles.reads().iter().copied().collect();
+            assert_eq!(allowed.len(), roles.reads().len(), "{op:?}: duplicate read");
+            let mut union = BTreeSet::new();
+            for _ in 0..TRIALS.max(64) {
+                rand_fields(&mut inst, &mut rng);
+                let arena: Vec<u64> = (0..WORDS).map(|_| rand_word(&mut rng)).collect();
+                let (val, loads) = eval(&inst, &arena, &mems);
+                let loaded: BTreeSet<u32> = loads.into_iter().collect();
+                assert!(loaded.is_subset(&allowed), "{op:?} loaded {loaded:?}");
+                if !matches!(op, Mux | DivS | Shl | ShrU | Dshl | DshrU) {
+                    assert_eq!(loaded, allowed, "{op:?} is branch-free");
+                }
+                assert_eq!(val.is_some(), roles.writes_dst, "{op:?}");
+                union.extend(loaded);
+            }
+            assert_eq!(union, allowed, "{op:?}: a listed read is never loaded");
+        }
+    }
+
+    /// The table's other three columns, derived from what the scalar
+    /// executor does: `a` is a jump target exactly when the instruction
+    /// can skip its successor, `dst` is stored exactly when
+    /// `writes_dst`, and the bank read is bank `c`.
+    #[test]
+    fn role_table_matches_executor_control_and_banks() {
+        let mems = banks(0);
+        for op in ALL {
+            if op == Generic {
+                let roles = Inst1::new(op, 0, 0).roles();
+                assert!(roles.reads().is_empty() && !roles.writes_dst && !roles.jumps);
+                assert_eq!(roles.bank, None);
+                continue;
+            }
+            // Slot 2 holds 5, slot 4 (the `JmpIf0` selector, a zero
+            // divisor, a shift count, a clear enable) holds 0.
+            let mut first = Inst1::new(op, 16, 0xFF);
+            (first.a, first.b, first.c, first.sxc) = (2, 4, 1, 8);
+            first.imm = if op == MemRead { DEPTH as u64 } else { 1 };
+            let marker = Inst1 {
+                a: 2,
+                ..Inst1::new(Ext, 17, u64::MAX)
+            };
+            let last = Inst1 { dst: 18, ..marker };
+            let prog = program(vec![first, marker, last], Vec::new(), Vec::new());
+            let mut arena = vec![0u64; WORDS];
+            (arena[2], arena[16], arena[17]) = (5, 0xDEAD, 0xDEAD);
+            run_scalar(&prog, &mut arena, &mems, &[]);
+            let roles = first.roles();
+            assert_eq!(arena[17] == 0xDEAD, roles.jumps, "{op:?}: jump column");
+            assert_eq!(arena[16] != 0xDEAD, roles.writes_dst, "{op:?}: dst column");
+        }
+        for bank in 0..2u32 {
+            let mut inst = Inst1::new(MemRead, 16, u64::MAX);
+            (inst.a, inst.b, inst.c, inst.imm) = (2, 3, bank, DEPTH as u64);
+            let mut arena = vec![0u64; WORDS];
+            (arena[2], arena[3]) = (4, 1);
+            let (val, _) = eval(&inst, &arena, &mems);
+            assert_eq!(val, Some(bank_word(bank as usize, 4, 0)));
+            assert_eq!(inst.roles().bank, Some(bank));
+        }
+    }
+
+    /// Under `race-sanitizer` the scalar executor's own `ld` and store
+    /// are the shadow-memory hooks: a load of a word another partition
+    /// wrote this cycle, with no schedule edge, panics — and a mux way
+    /// that was not taken was not loaded, so it is not reported.
+    #[cfg(feature = "race-sanitizer")]
+    #[test]
+    fn sanitizer_sees_exactly_the_loads_performed() {
+        use crate::sanitizer::{enter_at, ShadowMem};
+        let run = |sel: u64| {
+            let shadow = ShadowMem::new(WORDS, Default::default());
+            let epoch = shadow.advance_base(2) + 1;
+            let mut arena = vec![0u64; WORDS];
+            arena[1] = sel;
+            // Partition 1 writes slot 16; partition 2 muxes slot 2
+            // (taken when `sel` = 1) against slot 16.
+            let writer = Inst1 {
+                a: 3,
+                ..Inst1::new(Ext, 16, u64::MAX)
+            };
+            let mut reader = Inst1::new(Mux, 17, u64::MAX);
+            (reader.a, reader.b, reader.c) = (1, 2, 16);
+            {
+                let _scope = enter_at(&shadow, 1, epoch);
+                run_scalar(&program(vec![writer], vec![], vec![]), &mut arena, &[], &[]);
+            }
+            let _scope = enter_at(&shadow, 2, epoch);
+            run_scalar(&program(vec![reader], vec![], vec![]), &mut arena, &[], &[]);
+        };
+        run(1);
+        let raced =
+            std::panic::catch_unwind(|| run(0)).expect_err("taking the low way loads slot 16");
+        let msg = raced.downcast_ref::<String>().expect("panic message");
+        assert!(
+            msg.contains("read arena word 16 written by partition p1"),
+            "{msg}"
+        );
+    }
+
+    // ---- the definition against the generic kernels ----
+
+    fn netlist_of(src: &str) -> Netlist {
+        let lowered = essent_firrtl::passes::lower(essent_firrtl::parse(src).unwrap()).unwrap();
+        Netlist::from_circuit(&lowered).unwrap()
+    }
+
+    fn arg(off: u32, width: u32, signed: bool) -> ArgRef {
+        ArgRef {
+            off,
+            words: 1,
+            width,
+            signed,
+        }
+    }
+
+    /// A well-typed one-word step of `kind` over operand slots 1, 2, 3
+    /// and destination slot 16 (FIRRTL result widths, everything ≤ 64
+    /// bits; `Copy` takes any destination width).
+    fn typed_step(kind: OpKind, rng: &mut StdRng) -> Step {
+        use OpKind as K;
+        let s = rng.gen_bool(0.5);
+        // Widths lean on the widest case, where sign handling bites.
+        let w = |rng: &mut StdRng, hi: u32| {
+            if rng.gen_bool(0.25) {
+                hi
+            } else {
+                rng.gen_range(1..=hi)
+            }
+        };
+        let (args, params, dst_w) = match kind {
+            K::Add | K::Sub => {
+                let (wa, wb) = (w(rng, 63), w(rng, 63));
+                (vec![arg(1, wa, s), arg(2, wb, s)], vec![], wa.max(wb) + 1)
+            }
+            K::Mul | K::Cat => {
+                let (wa, wb) = (w(rng, 32), w(rng, 32));
+                let s = s && kind == K::Mul;
+                (vec![arg(1, wa, s), arg(2, wb, s)], vec![], wa + wb)
+            }
+            K::Div => {
+                let (wa, wb) = (w(rng, 63), w(rng, 63));
+                (vec![arg(1, wa, s), arg(2, wb, s)], vec![], wa + s as u32)
+            }
+            K::Rem => {
+                let (wa, wb) = (w(rng, 64), w(rng, 64));
+                (vec![arg(1, wa, s), arg(2, wb, s)], vec![], wa.min(wb))
+            }
+            K::Lt | K::Leq | K::Gt | K::Geq | K::Eq | K::Neq => (
+                vec![arg(1, w(rng, 64), s), arg(2, w(rng, 64), s)],
+                vec![],
+                1,
+            ),
+            K::And | K::Or | K::Xor => {
+                let (wa, wb) = (w(rng, 64), w(rng, 64));
+                (vec![arg(1, wa, s), arg(2, wb, s)], vec![], wa.max(wb))
+            }
+            K::Shl => {
+                let wa = w(rng, 40);
+                let n = rng.gen_range(0..=64 - wa);
+                (vec![arg(1, wa, s)], vec![n as u64], wa + n)
+            }
+            K::Shr => {
+                let wa = w(rng, 64);
+                // Counts straddle the word size, where the definition clamps.
+                let near = rng.gen_bool(0.3);
+                let n = rng.gen_range(if near { 61..=66u32 } else { 0..=70 });
+                (
+                    vec![arg(1, wa, s)],
+                    vec![n as u64],
+                    wa.saturating_sub(n).max(1),
+                )
+            }
+            K::Dshl => {
+                let (wa, wb) = (w(rng, 32), w(rng, 5));
+                (
+                    vec![arg(1, wa, s), arg(2, wb, false)],
+                    vec![],
+                    wa + (1 << wb) - 1,
+                )
+            }
+            K::Dshr => {
+                let wa = w(rng, 64);
+                (vec![arg(1, wa, s), arg(2, w(rng, 64), false)], vec![], wa)
+            }
+            K::Neg => {
+                let wa = w(rng, 63);
+                (vec![arg(1, wa, s)], vec![], wa + 1)
+            }
+            K::Not => {
+                let wa = w(rng, 64);
+                (vec![arg(1, wa, s)], vec![], wa)
+            }
+            K::Andr | K::Orr | K::Xorr => (vec![arg(1, w(rng, 64), false)], vec![], 1),
+            K::Bits => {
+                let wa = w(rng, 64);
+                let lo = rng.gen_range(0..wa);
+                let hi = rng.gen_range(lo..wa);
+                (vec![arg(1, wa, s)], vec![hi as u64, lo as u64], hi - lo + 1)
+            }
+            K::Mux => {
+                let (wh, wl) = (w(rng, 64), w(rng, 64));
+                let ways = vec![arg(1, 1, false), arg(2, wh, s), arg(3, wl, s)];
+                (ways, vec![], wh.max(wl))
+            }
+            K::Copy => (vec![arg(1, w(rng, 64), s)], vec![], w(rng, 64)),
+        };
+        // Dataflow narrowing may leave a destination narrower than its
+        // FIRRTL type (the `cat`/`bits` kernels insist on theirs).
+        let dst_w = if !matches!(kind, K::Cat | K::Bits) && rng.gen_bool(0.3) {
+            rng.gen_range(1..=dst_w)
+        } else {
+            dst_w
+        };
+        Step {
+            kind: StepKind::Op(kind),
+            dst: DstRef {
+                off: 16,
+                words: 1,
+                width: dst_w,
+            },
+            args,
+            params,
+            sig: SignalId(0),
+        }
+    }
+
+    /// An arena whose operand slots hold values normalized to `args`'
+    /// widths (what every engine maintains), and a stale destination.
+    fn arena_for(args: &[ArgRef], rng: &mut StdRng) -> Vec<u64> {
+        let mut arena = vec![0u64; WORDS];
+        for a in args {
+            arena[a.off as usize] = rand_word(rng) & top_mask(a.width);
+        }
+        arena[16] = rng.gen();
+        arena
+    }
+
+    const KINDS: [OpKind; 27] = {
+        use OpKind::*;
+        [
+            Add, Sub, Mul, Div, Rem, Lt, Leq, Gt, Geq, Eq, Neq, Shl, Shr, Dshl, Dshr, Neg, Not,
+            And, Or, Xor, Andr, Orr, Xorr, Cat, Bits, Mux, Copy,
+        ]
+    };
+
+    /// Every `OpKind`, lowered and run through the definition, leaves the
+    /// arena exactly as the generic kernel (`eval_op`, the golden
+    /// interpreter's) does — the per-opcode oracle that makes a mutated
+    /// arm of `op1_match!` fail here, not only in a whole-design
+    /// differential. `MemRead` and the `Jmp`/`JmpIf0` diamond follow.
+    #[test]
+    fn definition_matches_generic_kernels() {
+        let netlist = netlist_of(
+            "circuit T :\n  module T :\n    input a : UInt<1>\n    output o : UInt<1>\n    o <= a\n",
+        );
+        let mut rng = StdRng::seed_from_u64(0x0DD5);
+        let mems = banks(0);
+        let mut seen = BTreeSet::new();
+        for kind in KINDS {
+            for _ in 0..TRIALS {
+                let step = typed_step(kind, &mut rng);
+                let inst = lower_step(&netlist, &step).expect("one-word step lowers");
+                seen.insert(format!("{:?}", inst.op));
+                let mut generic = arena_for(&step.args, &mut rng);
+                let mut tier1 = generic.clone();
+                let mut ops = 0;
+                // SAFETY: offsets 1, 2, 3 and 16 are inside the arena.
+                unsafe { run_step_raw(&step, generic.as_mut_ptr(), &mems, &mut ops) };
+                let prog = program(vec![inst], Vec::new(), Vec::new());
+                assert_eq!(run_scalar(&prog, &mut tier1, &mems, &[]), (1, 0));
+                assert_eq!(tier1, generic, "{step:?} lowered to {inst:?}");
+            }
+        }
+        let value_ops = ALL
+            .iter()
+            .filter(|op| !matches!(op, MemRead | Jmp | JmpIf0 | Generic));
+        let expected: BTreeSet<String> = value_ops.map(|op| format!("{op:?}")).collect();
+        assert_eq!(seen, expected, "an opcode no OpKind lowered to");
+
+        // MemRead: enabled/disabled, in and out of range, both banks.
+        for _ in 0..TRIALS {
+            let bank = rng.gen_range(0..2u32);
+            let step = Step {
+                kind: StepKind::MemRead { mem: bank, port: 0 },
+                dst: DstRef {
+                    off: 16,
+                    words: 1,
+                    width: 64,
+                },
+                args: vec![arg(1, 4, false), arg(2, 1, false)],
+                params: vec![],
+                sig: SignalId(0),
+            };
+            let mut inst = Inst1::new(MemRead, 16, u64::MAX);
+            (inst.a, inst.b, inst.c, inst.imm) = (1, 2, bank, DEPTH as u64);
+            let mut generic = arena_for(&step.args, &mut rng);
+            let mut tier1 = generic.clone();
+            let mut ops = 0;
+            // SAFETY: as above.
+            unsafe { run_step_raw(&step, generic.as_mut_ptr(), &mems, &mut ops) };
+            run_scalar(
+                &program(vec![inst], Vec::new(), Vec::new()),
+                &mut tier1,
+                &mems,
+                &[],
+            );
+            assert_eq!(tier1, generic, "MemRead bank {bank}");
+        }
+
+        // The forward-jump diamond against the generic lazy mux.
+        for _ in 0..TRIALS {
+            // The ways: an add into slot 17, a subtract of the same
+            // operands into slot 18.
+            let mut hi = typed_step(OpKind::Add, &mut rng);
+            hi.dst.off = 17;
+            let mut lo = hi.clone();
+            (lo.kind, lo.dst.off) = (StepKind::Op(OpKind::Sub), 18);
+            let item = Item::CondMux {
+                sel: arg(3, 1, false),
+                dst: DstRef {
+                    off: 16,
+                    words: 1,
+                    width: 64,
+                },
+                high: arg(17, hi.dst.width, hi.args[0].signed),
+                low: arg(18, lo.dst.width, lo.args[0].signed),
+                high_items: vec![Item::Step(hi.clone())],
+                low_items: vec![Item::Step(lo)],
+                sig: SignalId(0),
+            };
+            let block = Block {
+                items: vec![item.clone()],
+            };
+            let prog = lower_tier1(&netlist, &block, &[], false);
+            assert!(prog.generic.is_empty() && prog.code.len() == 6);
+            let mut generic = arena_for(&[hi.args[0], hi.args[1], arg(3, 1, false)], &mut rng);
+            let mut tier1 = generic.clone();
+            let mut ops = 0;
+            // SAFETY: as above.
+            unsafe { run_items_raw(&[item], generic.as_mut_ptr(), &mems, &mut ops) };
+            assert_eq!(run_scalar(&prog, &mut tier1, &mems, &[]), (ops, 0));
+            assert_eq!(tier1, generic);
+        }
+    }
+
+    // ---- the lane executor ----
+
+    /// A random forward-jumping program over operand slots `0..16`:
+    /// value instructions (about a third fused), a mux diamond, a
+    /// `MemRead` and one `Generic` fallback item. Every instruction has
+    /// its own destination, as lowered programs do.
+    fn rand_program(rng: &mut StdRng) -> Tier1Program {
+        // `ALL` lists the 31 slot-to-slot value opcodes first.
+        const VALUE: &[Op1] = ALL.split_at(31).0;
+        let mut code = Vec::new();
+        let mut consumers = Vec::new();
+        let mut next_dst = 16;
+        let mut value_inst = |code: &mut Vec<Inst1>, op: Op1, rng: &mut StdRng| {
+            let mut inst = Inst1::new(op, next_dst, 0);
+            next_dst += 1;
+            rand_fields(&mut inst, rng);
+            // Operands: inputs, or an earlier result.
+            let mut slot = || rng.gen_range(0..inst.dst);
+            (inst.a, inst.b, inst.c) = (slot(), slot(), slot());
+            if rng.gen_bool(0.35) {
+                inst.ws = consumers.len() as u32;
+                consumers.extend((0..rng.gen_range(0..3u32)).map(|_| rng.gen_range(0..4u32)));
+                inst.we = consumers.len() as u32;
+            }
+            code.push(inst);
+        };
+        for _ in 0..6 {
+            let op = VALUE[rng.gen_range(0..VALUE.len())];
+            value_inst(&mut code, op, rng);
+        }
+        let mut mem = Inst1::new(MemRead, 38, u64::MAX);
+        (mem.a, mem.b, mem.c, mem.imm) = (0, 1, rng.gen_range(0..2), DEPTH as u64);
+        code.push(mem);
+        // Diamond: both ways end in an `Ext` to the same destination.
+        let jif = code.len();
+        code.push(Inst1 {
+            b: rng.gen_range(0..16),
+            ..Inst1::new(JmpIf0, 0, 0)
+        });
+        value_inst(&mut code, VALUE[rng.gen_range(0..VALUE.len())], rng);
+        let join = Inst1 {
+            a: rng.gen_range(0..16),
+            ..Inst1::new(Ext, 39, u64::MAX)
+        };
+        code.push(join);
+        let jmp = code.len();
+        code.push(Inst1::new(Jmp, 0, 0));
+        code[jif].a = code.len() as u32;
+        value_inst(&mut code, VALUE[rng.gen_range(0..VALUE.len())], rng);
+        code.push(Inst1 {
+            a: rng.gen_range(0..16),
+            ..join
+        });
+        code[jmp].a = code.len() as u32;
+        code.push(Inst1::new(Generic, 0, 0));
+        for _ in 0..3 {
+            let op = VALUE[rng.gen_range(0..VALUE.len())];
+            value_inst(&mut code, op, rng);
+        }
+        let mut fallback = typed_step(OpKind::Add, rng);
+        (fallback.dst.off, fallback.dst.width) = (37, 64);
+        program(code, vec![Item::Step(fallback)], consumers)
+    }
+
+    /// (c) The lane executor ≡ the scalar executor run once per awake
+    /// lane — arena image, both work counters and the wake masks — on
+    /// sparse and dense masks, fused tails, divergent diamonds and the
+    /// gather/scatter fallback. `simd = false` is the scalar lane path
+    /// an AVX2 host otherwise never reaches (and the only one Miri sees);
+    /// `simd = true` adds the vector kernels where the host has them.
+    #[test]
+    fn lane_executor_matches_per_lane_scalar() {
+        let mut rng = StdRng::seed_from_u64(0x1A7E5);
+        for trial in 0..TRIALS {
+            let prog = rand_program(&mut rng);
+            let generic_rw: Vec<ItemRw> = prog.generic.iter().map(item_rw).collect();
+            let lanes = [1, 3, 5, 8, 12, 64][trial % 6];
+            let all = u64::MAX >> (64 - lanes);
+            let eval_mask = match trial % 3 {
+                0 => all,                                         // dense: the prefix loops
+                1 => (rng.gen::<u64>() & all) | 1 << (lanes - 1), // sparse
+                _ => all >> rng.gen_range(0..lanes),              // shorter prefix
+            };
+            let lane_mems: Vec<Vec<MemBank>> = (0..lanes).map(|l| banks(l as u64)).collect();
+            let before: Vec<u64> = (0..WORDS * lanes).map(|_| rand_word(&mut rng)).collect();
+            for simd in [false, true] {
+                let mut strided = before.clone();
+                let mut scratch = vec![0u64; WORDS];
+                let flags: Vec<Cell<u64>> = (0..4).map(|_| Cell::new(0)).collect();
+                let mut counters = vec![WorkCounters::default(); lanes];
+                // SAFETY: the arena is `WORDS * lanes` words for programs
+                // confined to `0..WORDS`, `scratch` is `WORDS` words,
+                // `generic_rw` parallels `prog.generic`, there is one
+                // bank set and one counter per lane, and the mask is
+                // non-zero inside `lanes`.
+                unsafe {
+                    run_tier1_lanes(
+                        &prog,
+                        &generic_rw,
+                        strided.as_mut_ptr(),
+                        lanes,
+                        eval_mask,
+                        &lane_mems,
+                        &mut scratch,
+                        &flags,
+                        &mut counters,
+                        simd,
+                    );
+                }
+                for l in 0..lanes {
+                    let lane = |img: &[u64]| -> Vec<u64> {
+                        (0..WORDS).map(|w| img[w * lanes + l]).collect()
+                    };
+                    let mut scalar = lane(&before);
+                    let woken: Vec<Cell<bool>> = (0..4).map(|_| Cell::new(false)).collect();
+                    let mut expect = WorkCounters::default();
+                    if eval_mask >> l & 1 == 1 {
+                        (expect.ops_evaluated, expect.dynamic_checks) =
+                            run_scalar(&prog, &mut scalar, &lane_mems[l], &woken);
+                    }
+                    let ctx = format!("trial {trial} lane {l}/{lanes} simd {simd}");
+                    assert_eq!(lane(&strided), scalar, "{ctx}: arena");
+                    assert_eq!(counters[l], expect, "{ctx}: counters");
+                    for (c, w) in woken.iter().enumerate() {
+                        assert_eq!(flags[c].get() >> l & 1 == 1, w.get(), "{ctx}: wake {c}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// (b) `lanes_simd::dispatch` plus the scalar remainder ≡ the
+    /// definition, for every opcode with a vector form, `n` in `4..=11`:
+    /// the returned count is a multiple of four no larger than `n`, zero
+    /// where the vector form must decline (sign-extended operands, shift
+    /// counts the definition special-cases), lanes `0..done` hold the
+    /// definition's value and no lane at or past `done` is touched.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_dispatch_matches_the_definition() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        const VECTOR: [Op1; 17] = [
+            Add, Sub, And, Or, Xor, Eq, Neq, LtU, LeqU, Orr, Andr, Bits, ShrU, Shl, Cat, Ext, Mux,
+        ];
+        const LANES: usize = 12;
+        let mut rng = StdRng::seed_from_u64(0xA2);
+        let mems = banks(0);
+        let mut vectorized = BTreeSet::new();
+        for op in VECTOR {
+            for trial in 0..TRIALS {
+                let n = 4 + trial % 8;
+                let mut inst = Inst1::new(op, 16, 0);
+                (inst.a, inst.b, inst.c) = (3, 7, 11);
+                rand_fields(&mut inst, &mut rng);
+                if trial % 2 == 0 {
+                    // The shapes lowering emits for unsigned operands.
+                    (inst.sxa, inst.sxb) = (0, 0);
+                    if op == Mux {
+                        inst.sxc = 0;
+                    }
+                }
+                let before: Vec<u64> = (0..WORDS * LANES).map(|_| rand_word(&mut rng)).collect();
+                let mut strided = before.clone();
+                // SAFETY: AVX2 checked above; offsets 3, 7, 11, 16 are
+                // inside the `WORDS * LANES` arena and `n <= LANES`.
+                let done = unsafe { lanes_simd::dispatch(&inst, strided.as_mut_ptr(), LANES, n) };
+                assert!(done == 0 || done == n & !3, "{inst:?}: done {done} of {n}");
+                let must_decline = match op {
+                    Add | Sub | And | Or | Xor | Eq | Neq => inst.sxa != 0 || inst.sxb != 0,
+                    Ext => inst.sxa != 0,
+                    Mux => inst.sxb != 0 || inst.sxc != 0,
+                    Shl => inst.imm >= 64 || inst.imm >= inst.sxc as u64,
+                    ShrU => inst.imm >= 64,
+                    _ => false,
+                };
+                assert_eq!(done == 0, must_decline, "{inst:?}");
+                if done != 0 {
+                    vectorized.insert(format!("{op:?}"));
+                }
+                for l in 0..LANES {
+                    let lane: Vec<u64> = (0..WORDS).map(|w| before[w * LANES + l]).collect();
+                    let got = strided[16 * LANES + l];
+                    if l < done {
+                        assert_eq!(Some(got), eval(&inst, &lane, &mems).0, "{inst:?} lane {l}");
+                    } else {
+                        assert_eq!(got, lane[16], "{inst:?}: lane {l} is past `done`");
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            vectorized.len(),
+            VECTOR.len(),
+            "vector forms hit: {vectorized:?}"
+        );
     }
 }

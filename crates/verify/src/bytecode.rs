@@ -543,20 +543,7 @@ fn ref1(netlist: &Netlist, layout: &Layout, sig: SignalId) -> Option<Ref1> {
 /// item.
 fn expected_tier_inst(netlist: &Netlist, layout: &Layout, sig: SignalId) -> Option<Inst1> {
     let dst = ref1(netlist, layout, sig)?;
-    let mut inst = Inst1 {
-        op: Op1::Ext,
-        sxa: 0,
-        sxb: 0,
-        sxc: 0,
-        a: 0,
-        b: 0,
-        c: 0,
-        dst: dst.off,
-        imm: 0,
-        mask: essent_bits::top_mask(dst.width),
-        ws: NO_FUSE,
-        we: NO_FUSE,
-    };
+    let mut inst = Inst1::new(Op1::Ext, dst.off, essent_bits::top_mask(dst.width));
     match &netlist.signal(sig).def {
         SignalDef::MemRead { mem, port } => {
             let bank = netlist.mems().get(mem.0 as usize)?;
@@ -1043,18 +1030,9 @@ impl TierChecker<'_> {
         }
         self.walk_items(high_items);
         let ext_of = |way: Ref1| Inst1 {
-            op: Op1::Ext,
             sxa: sx_of(way.width, way.signed),
-            sxb: 0,
-            sxc: 0,
             a: way.off,
-            b: 0,
-            c: 0,
-            dst: dst.off,
-            imm: 0,
-            mask: essent_bits::top_mask(dst.width),
-            ws: NO_FUSE,
-            we: NO_FUSE,
+            ..Inst1::new(Op1::Ext, dst.off, essent_bits::top_mask(dst.width))
         };
         self.match_value(sig, ext_of(hi));
         let jmp_at = self.pc;

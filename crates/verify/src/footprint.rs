@@ -27,8 +27,9 @@
 //! independence matrix: which next-cycle head partitions are
 //! footprint-disjoint from which current-cycle tail partitions through
 //! the register-elision boundary. The matrix is attached to the plan
-//! for the future BSP runtime ([ROADMAP] item 2) to overlap adjacent
-//! cycles.
+//! and written by `verify --emit-overlap`; nothing consumes it — the
+//! dataflow schedule's `exempt`/`waits_prev` sets (`S06xx`) are what
+//! the runtime overlaps adjacent cycles with.
 //!
 //! The `race-sanitizer` cargo feature of `essent-sim` is the dynamic
 //! counterpart: per-arena-word last-writer/last-reader shadow tags
@@ -250,37 +251,18 @@ fn block_access(block: &Block) -> Access {
 }
 
 fn add_inst(inst: &Inst1, prog: &Tier1Program, acc: &mut Access) {
-    use Op1::*;
-    match inst.op {
-        Jmp => {}
-        JmpIf0 => acc.reads.add(inst.b, 1),
-        Generic => {
-            // The fallback interprets the original generic item; its
-            // footprint is that item's footprint.
-            add_item(&prog.generic[inst.a as usize], acc);
-        }
-        MemRead => {
-            acc.reads.add(inst.a, 1);
-            acc.reads.add(inst.b, 1);
-            acc.bank_reads.insert(inst.c);
-            acc.writes.add(inst.dst, 1);
-        }
-        Mux => {
-            acc.reads.add(inst.a, 1);
-            acc.reads.add(inst.b, 1);
-            acc.reads.add(inst.c, 1);
-            acc.writes.add(inst.dst, 1);
-        }
-        Neg | Not | Andr | Orr | Xorr | Bits | Ext | Shl | ShrU | ShrS => {
-            acc.reads.add(inst.a, 1);
-            acc.writes.add(inst.dst, 1);
-        }
-        Add | Sub | Mul | DivU | DivS | RemU | RemS | LtU | LtS | LeqU | LeqS | Eq | Neq | And
-        | Or | Xor | Cat | Dshl | DshrU | DshrS => {
-            acc.reads.add(inst.a, 1);
-            acc.reads.add(inst.b, 1);
-            acc.writes.add(inst.dst, 1);
-        }
+    if inst.op == Op1::Generic {
+        // The fallback interprets the original generic item; its
+        // footprint is that item's footprint.
+        add_item(&prog.generic[inst.a as usize], acc);
+    }
+    let roles = inst.roles();
+    for &off in roles.reads() {
+        acc.reads.add(off, 1);
+    }
+    acc.bank_reads.extend(roles.bank);
+    if roles.writes_dst {
+        acc.writes.add(inst.dst, 1);
     }
     if inst.ws != NO_FUSE {
         // The fused tail also re-reads `dst` for the change compare;

@@ -75,77 +75,25 @@ struct Expect {
 
 /// Derives the expected fact set for one instruction.
 fn expect(prog: &Tier1Program, inst: &Inst1, code: &EmittedCode) -> Expect {
-    let mut loads = BTreeSet::new();
-    let mut banks = BTreeSet::new();
+    let roles = inst.roles();
+    let mut loads: BTreeSet<u32> = roles.reads().iter().copied().collect();
+    let banks: BTreeSet<u32> = roles.bank.into_iter().collect();
     let mut req_imms = Vec::new();
-    let mut jump = None;
     match inst.op {
-        Op1::Add
-        | Op1::Sub
-        | Op1::Mul
-        | Op1::DivU
-        | Op1::DivS
-        | Op1::RemU
-        | Op1::RemS
-        | Op1::LtU
-        | Op1::LtS
-        | Op1::LeqU
-        | Op1::LeqS
-        | Op1::Eq
-        | Op1::Neq
-        | Op1::And
-        | Op1::Or
-        | Op1::Xor
-        | Op1::Cat
-        | Op1::Dshl
-        | Op1::DshrU
-        | Op1::DshrS => {
-            loads.insert(inst.a);
-            loads.insert(inst.b);
-        }
-        Op1::Shl => {
-            // Constant-folded to zero when the shift clears the result.
-            if inst.imm < inst.sxc as u64 {
-                loads.insert(inst.a);
-            }
-        }
-        Op1::ShrU => {
-            if inst.imm < 64 {
-                loads.insert(inst.a);
-            }
-        }
-        Op1::ShrS | Op1::Neg | Op1::Not | Op1::Orr | Op1::Xorr | Op1::Bits | Op1::Ext => {
-            loads.insert(inst.a);
-        }
-        Op1::Andr => {
-            loads.insert(inst.a);
-            req_imms.push(inst.imm);
-        }
-        Op1::Mux => {
-            loads.insert(inst.a);
-            loads.insert(inst.b);
-            loads.insert(inst.c);
-        }
-        Op1::MemRead => {
-            loads.insert(inst.a);
-            loads.insert(inst.b);
-            banks.insert(inst.c);
-            req_imms.push(inst.imm);
-        }
-        Op1::Jmp | Op1::JmpIf0 => {
-            if inst.op == Op1::JmpIf0 {
-                loads.insert(inst.b);
-            }
-            let target = if (inst.a as usize) < code.marks.len() {
-                code.marks[inst.a as usize].0
-            } else {
-                code.body_end()
-            };
-            jump = Some(target);
-        }
-        Op1::Generic => {}
+        // Constant-folded to zero when the shift clears the result.
+        Op1::Shl if inst.imm >= inst.sxc as u64 => loads.clear(),
+        Op1::ShrU if inst.imm >= 64 => loads.clear(),
+        Op1::Andr | Op1::MemRead => req_imms.push(inst.imm),
+        _ => {}
     }
-    let value = !matches!(inst.op, Op1::Jmp | Op1::JmpIf0 | Op1::Generic);
+    let jump = roles.jumps.then(|| {
+        if (inst.a as usize) < code.marks.len() {
+            code.marks[inst.a as usize].0
+        } else {
+            code.body_end()
+        }
+    });
+    let value = roles.writes_dst;
     let mut stores = BTreeSet::new();
     let mut flags = BTreeSet::new();
     let mut req_mask_width = None;

@@ -16,6 +16,7 @@
 //! essent-cli codegen <design.fir> [-o out.h]        emit the C++ simulator
 //! ```
 
+use essent::netlist::SignalDef;
 use essent::prelude::*;
 use essent::sim::vcd::VcdWriter;
 use essent::sim::ParEssentSim;
@@ -47,7 +48,10 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
     let source = fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
     let rest = &args[2..];
     match command.as_str() {
-        "stats" => stats(&source),
+        "stats" => {
+            Opts::parse(rest, &[])?;
+            stats(&source)
+        }
         "partition" => partition_sweep(&source, rest),
         "sim" => sim(&source, rest),
         "codegen" => codegen(&source, rest),
@@ -55,20 +59,48 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
+/// The `--name value` pairs after the input file. Every option takes
+/// exactly one value; a name outside `known` or a trailing name with no
+/// value is an error, never silently the default.
+struct Opts<'a>(Vec<(&'a str, &'a str)>);
 
-fn flag_values<'a>(args: &'a [String], name: &str) -> Vec<&'a str> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == name)
-        .filter_map(|(i, _)| args.get(i + 1))
-        .map(String::as_str)
-        .collect()
+impl<'a> Opts<'a> {
+    fn parse(rest: &'a [String], known: &[&str]) -> Result<Opts<'a>, String> {
+        let mut pairs = Vec::new();
+        let mut it = rest.iter();
+        while let Some(name) = it.next() {
+            if !known.contains(&name.as_str()) {
+                return Err(format!("unknown option `{name}`"));
+            }
+            let value = it
+                .next()
+                .ok_or_else(|| format!("option `{name}` needs a value"))?;
+            pairs.push((name.as_str(), value.as_str()));
+        }
+        Ok(Opts(pairs))
+    }
+
+    /// Every value given for `name`, in order.
+    fn all(&self, name: &'a str) -> impl Iterator<Item = &'a str> + '_ {
+        self.0
+            .iter()
+            .filter(move |(n, _)| *n == name)
+            .map(|&(_, v)| v)
+    }
+
+    fn get(&self, name: &'a str) -> Option<&'a str> {
+        self.all(name).next()
+    }
+
+    /// The numeric value of `name`, when given.
+    fn number<T: std::str::FromStr>(&self, name: &'a str) -> Result<Option<T>, String> {
+        self.get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("`{name}` expects a number, got `{v}`"))
+            })
+            .transpose()
+    }
 }
 
 fn stats(source: &str) -> Result<(), Box<dyn Error>> {
@@ -88,9 +120,10 @@ fn stats(source: &str) -> Result<(), Box<dyn Error>> {
 }
 
 fn partition_sweep(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
+    let opts = Opts::parse(rest, &["--cp"])?;
     let netlist = essent::compile(source)?;
-    let cps: Vec<usize> = match flag_value(rest, "--cp") {
-        Some(v) => vec![v.parse()?],
+    let cps: Vec<usize> = match opts.number("--cp")? {
+        Some(cp) => vec![cp],
         None => vec![1, 2, 4, 8, 16, 32, 64, 128],
     };
     println!(
@@ -109,80 +142,78 @@ fn partition_sweep(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> 
     Ok(())
 }
 
-fn sim(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
-    let netlist = essent::compile(source)?;
-    let cycles: u64 = flag_value(rest, "--cycles").unwrap_or("1000").parse()?;
-    let c_p: usize = flag_value(rest, "--cp").unwrap_or("8").parse()?;
-    let config = EngineConfig {
-        c_p,
-        ..EngineConfig::default()
-    };
-    let engine = flag_value(rest, "--engine").unwrap_or("essent");
-    let mut sim: Box<dyn Simulator> = match engine {
-        "essent" => Box::new(EssentSim::new(&netlist, &config)),
-        "full" => Box::new(FullCycleSim::new(&netlist, &config)),
-        "event" => Box::new(EventDrivenSim::new(&netlist, &config)),
-        "parallel" => Box::new(ParEssentSim::new(&netlist, &config, 0)),
-        other => return Err(format!("unknown engine `{other}`").into()),
-    };
-
-    // Default stimulus: everything 0; pulse reset if the design has one.
-    let has_reset = netlist.find("reset").is_some();
+/// Applies the default stimulus — reset pulsed for two cycles when the
+/// design has one — and then the user's pokes.
+fn apply_stimulus(sim: &mut dyn Simulator, has_reset: bool, pokes: &[(&str, Bits)]) {
     if has_reset {
         sim.poke("reset", Bits::from_u64(1, 1));
         sim.step(2);
         sim.poke("reset", Bits::from_u64(0, 1));
     }
-    for poke in flag_values(rest, "--poke") {
+    for (name, bits) in pokes {
+        sim.poke(name, bits.clone());
+    }
+}
+
+fn sim(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
+    let opts = Opts::parse(
+        rest,
+        &["--cycles", "--engine", "--cp", "--poke", "--vcd", "--peek"],
+    )?;
+    let cycles: u64 = opts.number("--cycles")?.unwrap_or(1000);
+    let config = EngineConfig {
+        c_p: opts.number("--cp")?.unwrap_or(8),
+        ..EngineConfig::default()
+    };
+    let build: fn(&Netlist, &EngineConfig) -> Box<dyn Simulator> =
+        match opts.get("--engine").unwrap_or("essent") {
+            "essent" => |n, c| Box::new(EssentSim::new(n, c)),
+            "full" => |n, c| Box::new(FullCycleSim::new(n, c)),
+            "event" => |n, c| Box::new(EventDrivenSim::new(n, c)),
+            "parallel" => |n, c| Box::new(ParEssentSim::new(n, c, 0)),
+            other => return Err(format!("unknown engine `{other}`").into()),
+        };
+    let netlist = essent::compile(source)?;
+
+    // Every name is resolved before any engine is built or cycle run: a
+    // typo costs a message, not a finished simulation and a panic.
+    let is_input = |id| matches!(netlist.signal(id).def, SignalDef::Input);
+    let mut pokes = Vec::new();
+    for poke in opts.all("--poke") {
         let (name, value) = poke
             .split_once('=')
             .ok_or_else(|| format!("--poke expects NAME=VALUE, got `{poke}`"))?;
-        let id = sim
-            .find(name)
-            .ok_or_else(|| format!("no signal named `{name}`"))?;
-        let width = netlist.signal(id).width;
-        let bits = if let Some(hex) = value.strip_prefix("0x") {
-            Bits::parse(&format!("h{hex}"), width)?
-        } else {
-            Bits::parse(value, width)?
-        };
-        sim.poke(name, bits);
-    }
-
-    let mut vcd = match flag_value(rest, "--vcd") {
-        Some(path) => {
-            let file = BufWriter::new(fs::File::create(path)?);
-            Some(VcdWriter::new(file, &netlist, &netlist.name)?)
+        let id = netlist.lookup(name)?;
+        if !is_input(id) {
+            return Err(format!("`{name}` is not an input").into());
         }
-        None => None,
-    };
+        let width = netlist.signal(id).width;
+        let bits = match value.strip_prefix("0x") {
+            Some(hex) => Bits::parse(&format!("h{hex}"), width)?,
+            None => Bits::parse(value, width)?,
+        };
+        pokes.push((name, bits));
+    }
+    let peeks = opts
+        .all("--peek")
+        .map(|name| Ok((name, netlist.lookup(name)?)))
+        .collect::<Result<Vec<_>, String>>()?;
+    let has_reset = netlist.find("reset").is_some_and(is_input);
 
-    let ran = if let Some(v) = vcd.as_mut() {
+    let mut sim = build(&netlist, &config);
+    apply_stimulus(sim.as_mut(), has_reset, &pokes);
+
+    let ran = if let Some(path) = opts.get("--vcd") {
         // VCD sampling requires per-cycle stepping and machine access:
         // use a dedicated full-cycle engine mirror for dumping.
+        let file = BufWriter::new(fs::File::create(path)?);
+        let mut vcd = VcdWriter::new(file, &netlist, &netlist.name)?;
         let mut mirror = FullCycleSim::new(&netlist, &config);
-        if has_reset {
-            mirror.poke("reset", Bits::from_u64(1, 1));
-            mirror.step(2);
-            mirror.poke("reset", Bits::from_u64(0, 1));
-        }
-        for poke in flag_values(rest, "--poke") {
-            if let Some((name, _)) = poke.split_once('=') {
-                let id = mirror.find(name).expect("validated above");
-                let width = netlist.signal(id).width;
-                let value = poke.split_once('=').expect("validated").1;
-                let bits = if let Some(hex) = value.strip_prefix("0x") {
-                    Bits::parse(&format!("h{hex}"), width)?
-                } else {
-                    Bits::parse(value, width)?
-                };
-                mirror.poke(name, bits);
-            }
-        }
+        apply_stimulus(&mut mirror, has_reset, &pokes);
         let mut t = 0;
         while t < cycles && mirror.halted().is_none() {
             mirror.step(1);
-            v.sample(mirror.machine(), t)?;
+            vcd.sample(mirror.machine(), t)?;
             t += 1;
         }
         sim.step(t)
@@ -197,10 +228,10 @@ fn sim(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
     for line in sim.printf_log() {
         print!("{line}");
     }
-    for name in flag_values(rest, "--peek") {
-        println!("{name} = {}", sim.peek(name));
+    for (name, id) in &peeks {
+        println!("{name} = {}", sim.peek_id(*id));
     }
-    if flag_values(rest, "--peek").is_empty() {
+    if peeks.is_empty() {
         for &out in netlist.outputs() {
             let s = netlist.signal(out);
             println!("{} = {}", s.name, sim.peek_id(out));
@@ -215,9 +246,10 @@ fn sim(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn codegen(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
+    let opts = Opts::parse(rest, &["-o"])?;
     let netlist = essent::compile(source)?;
     let cpp = essent::sim::codegen::emit_cpp(&netlist, &EngineConfig::default())?;
-    match flag_value(rest, "-o") {
+    match opts.get("-o") {
         Some(path) => {
             fs::write(path, cpp)?;
             println!("wrote {path}");

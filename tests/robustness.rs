@@ -113,3 +113,68 @@ fn optimizer_shrinks_and_preserves() {
             .is_clean());
     }
 }
+
+/// Runs the built `essent-cli`; returns (exit ok?, stdout, stderr).
+fn cli(args: &[&str]) -> (bool, String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_essent-cli"))
+        .args(args)
+        .output()
+        .expect("essent-cli runs");
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Hostile command lines get a one-line diagnosis on stderr and a
+/// non-zero exit — no panic, no silently-defaulted option, and no
+/// simulation run before a bad name is noticed.
+#[test]
+fn cli_rejects_hostile_input_without_panicking() {
+    let design = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("robustness_cli.fir");
+    std::fs::write(
+        &design,
+        "circuit P :\n  module P :\n    input a : UInt<4>\n    output o : UInt<4>\n    o <= a\n",
+    )
+    .unwrap();
+    let fir = design.to_str().unwrap();
+
+    let (ok, stdout, _) = cli(&[
+        "sim", fir, "--cycles", "3", "--poke", "a=0x5", "--peek", "o",
+    ]);
+    assert!(
+        ok && stdout.contains("ran 3 cycles") && stdout.contains("o = "),
+        "{stdout}"
+    );
+
+    let cases: [(&[&str], &str); 12] = [
+        (&["sim", fir, "--peek", "nope"], "no signal named `nope`"),
+        (&["sim", fir, "--poke", "nope=1"], "no signal named `nope`"),
+        (&["sim", fir, "--poke", "o=1"], "`o` is not an input"),
+        (&["sim", fir, "--poke", "a"], "NAME=VALUE"),
+        (&["sim", fir, "--poke", "a=zz"], ""),
+        (&["sim", fir, "--cycle", "5"], "unknown option `--cycle`"),
+        (&["sim", fir, "--cycles"], "`--cycles` needs a value"),
+        (&["sim", fir, "--cycles", "many"], "expects a number"),
+        (&["sim", fir, "--engine", "warp"], "unknown engine `warp`"),
+        (&["stats", fir, "--verbose", "1"], "unknown option"),
+        (&["simulate", fir], "unknown command"),
+        (&["sim", "/nonexistent/design.fir"], "reading"),
+    ];
+    for (args, needle) in cases {
+        let (ok, stdout, stderr) = cli(args);
+        assert!(!ok, "{args:?} should fail");
+        assert!(stderr.starts_with("essent-cli: "), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(needle),
+            "{args:?}: expected `{needle}` in `{stderr}`"
+        );
+        assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
+        assert_eq!(stderr.trim_end().lines().count(), 1, "{args:?}: {stderr}");
+        assert!(
+            !stdout.contains("ran "),
+            "{args:?} simulated before failing: {stdout}"
+        );
+    }
+}
