@@ -133,11 +133,14 @@ pub mod codes {
     /// A step's operand count/order disagrees with its defining op.
     pub const ARG_ARITY: DiagCode = DiagCode::new("B0209", "arg-arity");
     /// A word-specialized (tier-1) instruction decodes differently from
-    /// the block item it lowers — wrong opcode, operand offset,
-    /// sign-extension shift, mask, or immediate.
+    /// the block item or register commit it lowers — wrong opcode,
+    /// operand offset, sign-extension shift, mask, or immediate — or the
+    /// program ends before the block's commits do.
     pub const TIER_DECODE: DiagCode = DiagCode::new("B0210", "tier-decode");
-    /// A fused trigger write disagrees with the plan's trigger map:
-    /// missing or spurious fusion, or a consumer list mismatch.
+    /// A fused trigger write or register commit disagrees with the
+    /// plan's trigger map: missing or spurious fusion, a consumer list
+    /// mismatch, or a commit that is neither an instruction nor listed
+    /// unabsorbed (or is both).
     pub const TIER_FUSE: DiagCode = DiagCode::new("B0211", "tier-fuse");
     /// Tier-1 control flow is malformed: a jump is backward or out of
     /// bounds, or a conditional-mux diamond has the wrong shape.

@@ -303,6 +303,20 @@ impl CcssPlan {
             if feeds_unelided_write {
                 continue;
             }
+            // The mirror rule for an *elided* write held by the
+            // register's own writer partition: the write reads its
+            // fields after the partition's program has run, and the
+            // program commits its elided registers — the write would
+            // see the next-cycle value. (An elided write in any other
+            // partition is a reader, ordered before the writer below.)
+            let feeds_own_partition_write = dag.succs[reg.out.index()].iter().any(|&s| {
+                s >= signal_count
+                    && write_elided[s - signal_count]
+                    && rank_of_part(parts.part_of(s)) == writer
+            });
+            if feeds_own_partition_write {
+                continue;
+            }
             // Elidable iff no reader is downstream of the writer.
             if readers
                 .iter()

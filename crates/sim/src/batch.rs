@@ -39,7 +39,8 @@ use crate::compile::{Block, Layout};
 use crate::engine::EngineConfig;
 use crate::frontend::{build_plan, Frontend};
 use crate::machine::{run_items_raw, MemBank, WorkCounters};
-use crate::step1::{item_rw, run_tier1_lanes, ItemRw, Tier1Program, TierStats, NO_FUSE};
+use crate::state::{MemWrite, RegCommit, StateTable};
+use crate::step1::{item_rw, run_tier1_lanes, ItemRw, Op1, Tier1Program, TierStats, NO_FUSE};
 use essent_bits::{kernels, Bits};
 use essent_core::plan::CcssPlan;
 use essent_netlist::interp::format_printf;
@@ -83,7 +84,8 @@ struct PullInputs {
 /// Everything the X08xx verify layer audits about a live batch engine:
 /// the stride geometry, the wake routing its runtime tables actually
 /// encode (snapshot-compare triggers ∪ fused tier-1 ranges, by arena
-/// offset), the lane permutation, and each lane's bank shapes. Captured
+/// offset; `Commit` instructions ∪ state-table entries, by plan index),
+/// the lane permutation, and each lane's bank shapes. Captured
 /// by [`BatchSim::batch_audit`]; re-proven from an independently built
 /// plan by `essent-verify::check_batch`.
 #[derive(Debug, Clone)]
@@ -138,8 +140,11 @@ pub struct BatchSim {
     flags: Vec<u64>,
     triggers: Triggers,
     input_wake: HashMap<SignalId, Vec<u32>>,
-    commit_regs: Vec<usize>,
-    commit_writes: Vec<usize>,
+    /// The state updates the programs did not absorb, and the
+    /// end-of-cycle commit path.
+    state: StateTable,
+    /// Per `stop`: its enable slot and halt code.
+    stops: Vec<(u32, u64)>,
     push: bool,
     pull: PullInputs,
     capture_printf: bool,
@@ -192,7 +197,10 @@ impl BatchSim {
         // No native tier here: the bodies are compiled against the scalar
         // arena stride.
         let Frontend {
-            blocks, programs, ..
+            blocks,
+            programs,
+            state,
+            ..
         } = Frontend::compile(&netlist, &layout, &plan, config, None, None);
         let generic_rw: Vec<Vec<ItemRw>> = match &programs {
             Some(progs) => progs
@@ -245,19 +253,10 @@ impl BatchSim {
             .iter()
             .map(|(sig, wakes)| (*sig, wakes.clone()))
             .collect();
-        let commit_regs = plan
-            .reg_plans
+        let stops = netlist
+            .stops()
             .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.elided)
-            .map(|(i, _)| i)
-            .collect();
-        let commit_writes = plan
-            .mem_write_plans
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| !w.elided)
-            .map(|(i, _)| i)
+            .map(|s| (layout.offset(s.en) as u32, s.code))
             .collect();
         let full_steps = blocks
             .iter()
@@ -336,8 +335,8 @@ impl BatchSim {
             flags: vec![full_mask; np],
             triggers,
             input_wake,
-            commit_regs,
-            commit_writes,
+            state,
+            stops,
             push: config.trigger_push,
             pull,
             capture_printf: config.capture_printf,
@@ -589,7 +588,6 @@ impl BatchSim {
         let BatchSim {
             netlist,
             layout,
-            plan,
             blocks,
             programs,
             generic_rw,
@@ -600,8 +598,8 @@ impl BatchSim {
             mems,
             flags,
             triggers: tr,
-            commit_regs,
-            commit_writes,
+            state,
+            stops,
             push,
             pull,
             capture_printf,
@@ -614,7 +612,7 @@ impl BatchSim {
         } = self;
         let lanes = *lanes;
         let push = *push;
-        let np = plan.partitions.len();
+        let np = flags.len();
         // Interior-mutable view of the wake masks so fused trigger
         // writes inside the lane interpreter can set lane bits while
         // the mask slice stays borrowed here.
@@ -682,7 +680,7 @@ impl BatchSim {
                 }
             }
 
-            // 2. Snapshot old output values (unfused outputs only).
+            // Snapshot old output values (unfused outputs only; step 4).
             let (o0, o1) = (tr.part_start[sched] as usize, tr.part_end[sched] as usize);
             for o in o0..o1 {
                 let off = tr.out_off[o] as usize;
@@ -695,7 +693,8 @@ impl BatchSim {
                 }
             }
 
-            // 3. Evaluate members across the awake lanes.
+            // 2. The program across the awake lanes: members, fused
+            //    output triggers and register commits.
             match programs {
                 Some(progs) => {
                     // SAFETY: exclusive access to the strided arena and
@@ -750,38 +749,28 @@ impl BatchSim {
                 }
             }
 
-            // 4. Elided state updates per lane: write in place, wake
-            //    next-cycle consumers' lane bits. Memory writes before
-            //    register updates (write fields may alias register
-            //    outputs of this partition).
-            let part = &plan.partitions[sched];
-            for &wi in &part.elided_writes {
-                let wp = &plan.mem_write_plans[wi];
+            // 3. In-place state updates the program did not absorb, per
+            //    lane: write, wake next-cycle consumers' lane bits.
+            let (writes, regs) = state.in_place(sched);
+            for w in writes {
                 for_lanes(eval, |l| {
                     counters[l].dynamic_checks += 1;
-                    let bank = &mut mems[l][wp.mem.index()];
-                    if mem_write_lane(netlist, layout, arena, bank, lanes, l, wp) {
-                        for &c in &wp.wake_on_change {
-                            let f = &flags[c as usize];
-                            f.set(f.get() | (1u64 << l));
-                        }
+                    if mem_write_lane(arena, &mut mems[l][w.mem as usize], lanes, l, w) {
+                        wake_lane(flags, state.woken(w.wake), l);
                     }
                 });
             }
-            for &ri in &part.elided_regs {
-                let rp = &plan.reg_plans[ri];
+            for r in regs {
                 for_lanes(eval, |l| {
                     counters[l].dynamic_checks += 1;
-                    if commit_reg_lane(netlist, layout, arena, lanes, l, rp.reg.index()) {
-                        for &c in &rp.wake_on_change {
-                            let f = &flags[c as usize];
-                            f.set(f.get() | (1u64 << l));
-                        }
+                    if commit_reg_lane(arena, lanes, l, r) {
+                        wake_lane(flags, state.woken(r.wake), l);
                     }
                 });
             }
 
-            // 5. Push direction: per-output, per-lane change detection.
+            // 4. Push direction: per-lane change detection for the
+            //    outputs the program did not fuse.
             if push {
                 for o in o0..o1 {
                     let off = tr.out_off[o] as usize;
@@ -804,50 +793,34 @@ impl BatchSim {
         }
 
         // Side effects observe end-of-cycle values, per lane.
+        let printing = *capture_printf && !netlist.printfs().is_empty();
         for_lanes(run, |l| {
-            if *capture_printf {
-                for p in netlist.printfs() {
-                    if arena[layout.offset(p.en) * lanes + l] & 1 == 1 {
-                        let args: Vec<Bits> = p
-                            .args
-                            .iter()
-                            .map(|&a| value_strided(netlist, layout, arena, lanes, l, a))
-                            .collect();
-                        printf_log[l].push(format_printf(&p.fmt, &args));
-                    }
-                }
+            if printing {
+                log_printfs(netlist, layout, arena, lanes, l, &mut printf_log[l]);
             }
-            for s in netlist.stops() {
-                if arena[layout.offset(s.en) * lanes + l] & 1 == 1 && halted[l].is_none() {
-                    halted[l] = Some(s.code);
+            for &(en, code) in stops.iter() {
+                if arena[en as usize * lanes + l] & 1 == 1 && halted[l].is_none() {
+                    halted[l] = Some(code);
                 }
             }
         });
 
         // Non-elided state: end-of-cycle commit with change detection,
         // memory writes first (as in the single-instance engine).
-        for &wi in commit_writes.iter() {
-            let wp = &plan.mem_write_plans[wi];
+        let (writes, regs) = state.end_of_cycle();
+        for w in writes {
             for_lanes(run, |l| {
                 counters[l].static_checks += 1;
-                let bank = &mut mems[l][wp.mem.index()];
-                if mem_write_lane(netlist, layout, arena, bank, lanes, l, wp) {
-                    for &c in &wp.wake_on_change {
-                        let f = &flags[c as usize];
-                        f.set(f.get() | (1u64 << l));
-                    }
+                if mem_write_lane(arena, &mut mems[l][w.mem as usize], lanes, l, w) {
+                    wake_lane(flags, state.woken(w.wake), l);
                 }
             });
         }
-        for &ri in commit_regs.iter() {
-            let rp = &plan.reg_plans[ri];
+        for r in regs {
             for_lanes(run, |l| {
                 counters[l].static_checks += 1;
-                if commit_reg_lane(netlist, layout, arena, lanes, l, rp.reg.index()) {
-                    for &c in &rp.wake_on_change {
-                        let f = &flags[c as usize];
-                        f.set(f.get() | (1u64 << l));
-                    }
+                if commit_reg_lane(arena, lanes, l, r) {
+                    wake_lane(flags, state.woken(r.wake), l);
                 }
             });
         }
@@ -946,7 +919,7 @@ impl BatchSim {
             }
             if let Some(progs) = &self.programs {
                 for inst in &progs[sched].code {
-                    if inst.ws != NO_FUSE {
+                    if inst.ws != NO_FUSE && inst.op != Op1::Commit {
                         let entry = routes.entry(inst.dst).or_default();
                         for &c in &progs[sched].consumers[inst.ws as usize..inst.we as usize] {
                             entry.insert(c);
@@ -967,6 +940,23 @@ impl BatchSim {
             s.dedup();
             s
         };
+        // State wakes as the engine will perform them: each register's
+        // from its `Commit` instruction or its table entry, each write
+        // port's from its table entry.
+        let mut reg_wakes = vec![Vec::new(); self.plan.reg_plans.len()];
+        let mut mem_wakes = vec![Vec::new(); self.plan.mem_write_plans.len()];
+        for prog in self.programs.iter().flatten() {
+            for inst in prog.code.iter().filter(|i| i.op == Op1::Commit) {
+                reg_wakes[inst.imm as usize]
+                    .extend(&prog.consumers[inst.ws as usize..inst.we as usize]);
+            }
+        }
+        for (r, woken) in self.state.reg_entries() {
+            reg_wakes[r.plan as usize].extend(woken);
+        }
+        for (w, woken) in self.state.write_entries() {
+            mem_wakes[w.plan as usize].extend(woken);
+        }
         let mut input_wakes: Vec<(u32, Vec<u32>)> = self
             .input_wake
             .iter()
@@ -980,18 +970,8 @@ impl BatchSim {
             arena_len: self.arena.len(),
             scratch_len: self.scratch.len(),
             out_routes,
-            reg_wakes: self
-                .plan
-                .reg_plans
-                .iter()
-                .map(|r| canon(&r.wake_on_change))
-                .collect(),
-            mem_wakes: self
-                .plan
-                .mem_write_plans
-                .iter()
-                .map(|w| canon(&w.wake_on_change))
-                .collect(),
+            reg_wakes: reg_wakes.iter().map(|w| canon(w)).collect(),
+            mem_wakes: mem_wakes.iter().map(|w| canon(w)).collect(),
             input_wakes,
             phys_of_log: self.phys_of_log.clone(),
             log_of_phys: self.log_of_phys.clone(),
@@ -1063,22 +1043,42 @@ fn value_strided(
     Bits::from_limbs(limbs, netlist.signal(sig).width)
 }
 
-/// One lane's register commit (copy next → out, strided); `true` on
-/// change.
-fn commit_reg_lane(
+/// Sets `lane`'s bit in the wake mask of every partition in `woken`.
+#[inline]
+fn wake_lane(flags: &[Cell<u64>], woken: &[u32], lane: usize) {
+    for &c in woken {
+        let f = &flags[c as usize];
+        f.set(f.get() | (1u64 << lane));
+    }
+}
+
+/// Appends the output of every `printf` enabled on `lane` this cycle.
+fn log_printfs(
     netlist: &Netlist,
     layout: &Layout,
-    arena: &mut [u64],
+    arena: &[u64],
     lanes: usize,
     lane: usize,
-    reg_index: usize,
-) -> bool {
-    let reg = &netlist.regs()[reg_index];
-    let next = layout.offset(reg.next);
-    let out = layout.offset(reg.out);
-    let w = layout.words(reg.out);
+    log: &mut Vec<String>,
+) {
+    for p in netlist.printfs() {
+        if arena[layout.offset(p.en) * lanes + lane] & 1 == 1 {
+            let args: Vec<Bits> = p
+                .args
+                .iter()
+                .map(|&a| value_strided(netlist, layout, arena, lanes, lane, a))
+                .collect();
+            log.push(format_printf(&p.fmt, &args));
+        }
+    }
+}
+
+/// One lane's register commit (copy next → out, strided); `true` on
+/// change.
+fn commit_reg_lane(arena: &mut [u64], lanes: usize, lane: usize, reg: &RegCommit) -> bool {
+    let (next, out) = (reg.next as usize, reg.out as usize);
     let mut changed = false;
-    for k in 0..w {
+    for k in 0..reg.words as usize {
         let nv = arena[(next + k) * lanes + lane];
         let slot = &mut arena[(out + k) * lanes + lane];
         if *slot != nv {
@@ -1091,18 +1091,15 @@ fn commit_reg_lane(
 
 /// One lane's memory write port execution (strided field reads, lane
 /// bank storage); `true` when the stored contents changed. Mirrors
-/// `Machine::run_mem_write` including width adaption.
+/// `Machine::write_port` including width adaption.
 fn mem_write_lane(
-    netlist: &Netlist,
-    layout: &Layout,
     arena: &[u64],
     bank: &mut MemBank,
     lanes: usize,
     lane: usize,
-    wp: &essent_core::plan::MemWritePlan,
+    port: &MemWrite,
 ) -> bool {
-    let port = &netlist.mems()[wp.mem.index()].writers[wp.writer];
-    let ld1 = |sig: SignalId| arena[layout.offset(sig) * lanes + lane];
+    let ld1 = |off: u32| arena[off as usize * lanes + lane];
     if ld1(port.en) & 1 != 1 || ld1(port.mask) & 1 != 1 {
         return false;
     }
@@ -1110,9 +1107,8 @@ fn mem_write_lane(
     if addr >= bank.depth {
         return false;
     }
-    let data_sig = netlist.signal(port.data);
-    let doff = layout.offset(port.data);
-    let dw = layout.words(port.data);
+    let doff = port.data as usize;
+    let dw = port.data_words as usize;
     let mut src_st = [0u64; 8];
     let src_vec: Vec<u64>;
     let src: &[u64] = if dw <= 8 {
@@ -1134,7 +1130,7 @@ fn mem_write_lane(
         ad_vec = vec![0u64; wp_words];
         &mut ad_vec
     };
-    kernels::extend(adapted, width, src, data_sig.width, data_sig.signed);
+    kernels::extend(adapted, width, src, port.data_width, port.data_signed);
     let entry = bank.entry_mut(addr);
     if entry != &*adapted {
         entry.copy_from_slice(adapted);

@@ -131,10 +131,33 @@ impl Item {
     }
 }
 
-/// A straight-line block of items (one partition, or the whole design).
+/// An elided register's in-place commit (Section III-B1): after the
+/// block's items, `out` takes the value of `next`, and on a change the
+/// register's readers wake for the next cycle.
+#[derive(Debug, Clone)]
+pub struct Commit {
+    /// Arena offset of the next-value slot (a member of this block).
+    pub next: u32,
+    /// Arena offset of the register's output slot.
+    pub out: u32,
+    /// Words in either slot.
+    pub words: u16,
+    /// Index into [`CcssPlan::reg_plans`] (wake attribution).
+    pub reg_plan: u32,
+    /// Scheduled partitions to wake when the stored value changes.
+    pub consumers: Vec<u32>,
+    /// The register's output signal (diagnostics).
+    pub sig: SignalId,
+}
+
+/// A straight-line block of items (one partition, or the whole design),
+/// followed by the partition's elided register commits.
 #[derive(Debug, Clone, Default)]
 pub struct Block {
     pub items: Vec<Item>,
+    /// In [`PartitionPlan::elided_regs`](essent_core::plan::PartitionPlan)
+    /// order; empty for a full-cycle block.
+    pub commits: Vec<Commit>,
 }
 
 /// Builds the [`ArgRef`] for a signal.
@@ -304,7 +327,10 @@ fn build_block(
     for (_sig, item) in planned {
         items.push(item);
     }
-    Block { items }
+    Block {
+        items,
+        commits: Vec::new(),
+    }
 }
 
 /// A fully compiled design for the full-cycle engine: one block covering
@@ -332,7 +358,8 @@ pub fn compile_full(netlist: &Netlist, layout: &Layout, config: &EngineConfig) -
 }
 
 /// Compiles one block per plan partition (members are already in
-/// dependency order); cross-partition outputs stay eager.
+/// dependency order); cross-partition outputs stay eager. Each block
+/// ends with the partition's elided register commits.
 pub fn compile_plan(
     netlist: &Netlist,
     layout: &Layout,
@@ -344,14 +371,30 @@ pub fn compile_plan(
         .iter()
         .map(|p| {
             let cross: HashSet<SignalId> = p.outputs.iter().map(|o| o.signal).collect();
-            build_block(
+            let mut block = build_block(
                 netlist,
                 layout,
                 &p.members,
                 &cross,
                 config.mux_conditional,
                 &fanouts,
-            )
+            );
+            block.commits = p
+                .elided_regs
+                .iter()
+                .map(|&ri| {
+                    let reg = &netlist.regs()[ri];
+                    Commit {
+                        next: layout.offset(reg.next) as u32,
+                        out: layout.offset(reg.out) as u32,
+                        words: layout.words(reg.out) as u16,
+                        reg_plan: ri as u32,
+                        consumers: plan.reg_plans[ri].wake_on_change.clone(),
+                        sig: reg.out,
+                    }
+                })
+                .collect();
+            block
         })
         .collect()
 }

@@ -7,19 +7,28 @@
 //! flag test (the static overhead); an active partition
 //!
 //! 1. deactivates itself for the next cycle,
-//! 2. snapshots the old values of its outputs,
-//! 3. evaluates its members with full-cycle-style straight-line code,
-//! 4. updates elided registers/memories in place, immediately waking
-//!    their next-cycle consumers (Section III-B1 — safe because every
-//!    consumer is scheduled no later than the writer, so a flag set now
-//!    is consumed only in the following cycle),
-//! 5. compares each output against its snapshot and wakes the consumers
-//!    of changed outputs (push-direction triggering; per-output
-//!    granularity avoids unnecessary activations).
+//! 2. runs its **program** — the tier-1 [`Tier1Program`], natively
+//!    compiled when the JIT selected it — which is the whole of the
+//!    paper's generated partition code: the members as straight-line
+//!    code, each output's compare-against-previous-value and consumer
+//!    wakes fused into its defining instruction (push-direction
+//!    triggering at per-output granularity), and the partition's elided
+//!    registers committed in place by [`Op1::Commit`] instructions that
+//!    wake their next-cycle consumers (Section III-B1 — safe because
+//!    every consumer is scheduled no later than the writer, so a flag set
+//!    now is consumed only in the following cycle),
+//! 3. runs what the program did not absorb from the pre-resolved
+//!    [`StateTable`]: elided memory writes, and the elided registers that
+//!    are wider than a word (all of them under the generic tier or with
+//!    fusion off),
+//! 4. snapshot-compares the outputs the program did not fuse (usually
+//!    none; all of them under the generic tier).
 //!
 //! Non-elidable state falls back to an end-of-cycle commit with change
-//! detection, and external input changes wake their reader partitions in
-//! the main eval function.
+//! detection, from the same table, and external input changes wake their
+//! reader partitions in the main eval function.
+//!
+//! [`Op1::Commit`]: crate::step1::Op1::Commit
 
 use crate::compile::Block;
 use crate::engine::{delegate_simulator_basics, EngineConfig, Simulator};
@@ -27,6 +36,7 @@ use crate::frontend::{build_plan, Frontend};
 use crate::jit;
 use crate::machine::Machine;
 use crate::profile::{NoProfile, ProfileArena, ProfileReport, ProfileWiring, Profiler};
+use crate::state::StateTable;
 use crate::step1::{Tier1Program, TierStats};
 use essent_bits::Bits;
 use essent_core::partition::ActivityPrior;
@@ -70,10 +80,9 @@ pub struct EssentSim {
     flags: Vec<bool>,
     triggers: Triggers,
     input_wake: HashMap<SignalId, Vec<u32>>,
-    /// Indices of non-elided register / memory-write plans (end-of-cycle
-    /// commit path).
-    commit_regs: Vec<usize>,
-    commit_writes: Vec<usize>,
+    /// The state updates the programs did not absorb, and the
+    /// end-of-cycle commit path.
+    state: StateTable,
     /// Total steps a full-cycle evaluation would run (for effective
     /// activity factor reporting).
     full_steps: usize,
@@ -154,6 +163,7 @@ impl EssentSim {
         let Frontend {
             blocks,
             programs,
+            state,
             jit,
             ..
         } = Frontend::compile(
@@ -195,20 +205,6 @@ impl EssentSim {
             .input_wakes
             .iter()
             .map(|(sig, wakes)| (*sig, wakes.clone()))
-            .collect();
-        let commit_regs = plan
-            .reg_plans
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.elided)
-            .map(|(i, _)| i)
-            .collect();
-        let commit_writes = plan
-            .mem_write_plans
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| !w.elided)
-            .map(|(i, _)| i)
             .collect();
         let full_steps = blocks
             .iter()
@@ -268,8 +264,7 @@ impl EssentSim {
             flags,
             triggers,
             input_wake,
-            commit_regs,
-            commit_writes,
+            state,
             full_steps,
             push: config.trigger_push,
             pull_inputs,
@@ -371,14 +366,14 @@ impl EssentSim {
         // the flag slice stays borrowed here.
         let flags = Cell::from_mut(self.flags.as_mut_slice()).as_slice_of_cells();
         let tr = &mut self.triggers;
-        let plan = &self.plan;
+        let state = &self.state;
         let blocks = &self.blocks;
         let programs = &self.programs;
         let jit = &self.jit;
 
         let push = self.push;
         let pull = &mut self.pull_inputs;
-        let np = plan.partitions.len();
+        let np = flags.len();
         if push {
             // One activity flag test per partition per cycle, accounted
             // in bulk: the chunked scan below performs the same tests
@@ -432,7 +427,7 @@ impl EssentSim {
                 }
             }
 
-            // 2. Snapshot old output values.
+            // Snapshot the old values of the unfused outputs (step 4).
             let (o_start, o_end) = (tr.part_start[sched] as usize, tr.part_end[sched] as usize);
             for o in o_start..o_end {
                 let off = tr.out_off[o] as usize;
@@ -441,9 +436,9 @@ impl EssentSim {
                 tr.old_vals[old..old + w].copy_from_slice(&machine.arena[off..off + w]);
             }
 
-            // 3. Evaluate members — through the word-specialized tier
-            //    when lowered (fused outputs compare-and-wake inline),
-            //    through the generic item interpreter otherwise.
+            // 2. The program — through the word-specialized tier when
+            //    lowered (outputs and register commits compare-and-wake
+            //    inline), through the generic item interpreter otherwise.
             match programs {
                 Some(progs) => {
                     let arena = machine.arena.as_mut_ptr();
@@ -454,8 +449,11 @@ impl EssentSim {
                         // SAFETY: exclusive machine access through
                         // &mut self; the compiled body touches only
                         // arena offsets lowered from this partition's
-                        // tier-1 program (audited by the J07xx verify
-                        // layer), wakes consumers through the flag
+                        // tier-1 program — its members' slots and, for
+                        // its `Commit` instructions, its elided
+                        // registers' `next`/`out` slots (B0210 holds the
+                        // program to the block, J07xx the bytes to the
+                        // program) — wakes consumers through the flag
                         // bytes (Cell<bool> is a byte, 1 == true), and
                         // reads memory banks through the pinned bank
                         // table built from this machine's mems.
@@ -483,36 +481,34 @@ impl EssentSim {
                 None => machine.run_items(&blocks[sched].items),
             }
 
-            // 4. Elided state updates: write in place, wake next-cycle
-            //    consumers (they are scheduled at or before this
-            //    partition, so the flags persist into the next cycle).
-            let part = &plan.partitions[sched];
-            // Memory writes before register updates: a write's fields may
-            // alias a register output in this same partition and must see
-            // its intra-cycle value.
-            for &wi in &part.elided_writes {
+            // 3. In-place state updates the program did not absorb:
+            //    write, wake next-cycle consumers (they are scheduled at
+            //    or before this partition, so the flags persist into the
+            //    next cycle).
+            let (writes, regs) = state.in_place(sched);
+            for w in writes {
                 machine.counters.dynamic_checks += 1;
-                let wp = &plan.mem_write_plans[wi];
-                if machine.run_mem_write(wp.mem.index(), wp.writer) {
-                    for &c in &wp.wake_on_change {
+                if machine.write_port(w) {
+                    for &c in state.woken(w.wake) {
                         flags[c as usize].set(true);
-                        prof.wake_state_mem(wi, c);
+                        prof.wake_state_mem(w.plan as usize, c);
                     }
                 }
             }
-            for &ri in &part.elided_regs {
+            for r in regs {
                 machine.counters.dynamic_checks += 1;
-                if machine.commit_reg(ri) {
-                    for &c in &plan.reg_plans[ri].wake_on_change {
+                if machine.commit(r) {
+                    for &c in state.woken(r.wake) {
                         flags[c as usize].set(true);
-                        prof.wake_state_reg(ri, c);
+                        prof.wake_state_reg(r.plan as usize, c);
                     }
                 }
             }
 
-            // 5. Push direction only: per-output change detection; wake
-            //    consumers of changed outputs (branchless OR-reduction in
-            //    the generated C++; a compare + flag writes here).
+            // 4. Push direction only: change detection for the outputs
+            //    the program did not fuse; wake consumers of changed
+            //    outputs (branchless OR-reduction in the generated C++; a
+            //    compare + flag writes here).
             if push {
                 for o in o_start..o_end {
                     machine.counters.dynamic_checks += 1;
@@ -570,25 +566,26 @@ impl EssentSim {
         machine.side_effects();
 
         // Non-elided state: end-of-cycle commit with change detection.
-        // Memory writes first — their fields may alias register outputs
-        // (the plan additionally forbids eliding a register read by a
-        // non-elided write action, so intra-cycle values are observed).
-        for &wi in &self.commit_writes {
+        // Memory writes first — their fields may alias the outputs of
+        // the registers committed next (the plan keeps a register read by
+        // a non-elided write two-phase, so every write here observes
+        // intra-cycle values).
+        let (writes, regs) = state.end_of_cycle();
+        for w in writes {
             machine.counters.static_checks += 1;
-            let wp = &plan.mem_write_plans[wi];
-            if machine.run_mem_write(wp.mem.index(), wp.writer) {
-                for &c in &wp.wake_on_change {
+            if machine.write_port(w) {
+                for &c in state.woken(w.wake) {
                     flags[c as usize].set(true);
-                    prof.wake_state_mem(wi, c);
+                    prof.wake_state_mem(w.plan as usize, c);
                 }
             }
         }
-        for &ri in &self.commit_regs {
+        for r in regs {
             machine.counters.static_checks += 1;
-            if machine.commit_reg(ri) {
-                for &c in &plan.reg_plans[ri].wake_on_change {
+            if machine.commit(r) {
+                for &c in state.woken(r.wake) {
                     flags[c as usize].set(true);
-                    prof.wake_state_reg(ri, c);
+                    prof.wake_state_reg(r.plan as usize, c);
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! The front end the three CCSS engines share: netlist → partitioning →
-//! plan ([`build_plan`]), then plan → bytecode → tier-1 programs → cost
-//! table → native bodies ([`Frontend::compile`]).
+//! plan ([`build_plan`]), then plan → bytecode → tier-1 programs → state
+//! table → cost table → native bodies ([`Frontend::compile`]).
 //!
 //! [`EssentSim`](crate::EssentSim), [`ParEssentSim`](crate::ParEssentSim)
 //! and [`BatchSim`](crate::BatchSim) differ only in the runtime tables
@@ -12,6 +12,7 @@ use crate::compile::{compile_plan, Block, Item, Layout};
 use crate::engine::EngineConfig;
 use crate::jit::{self, JitParts};
 use crate::machine::MemBank;
+use crate::state::StateTable;
 use crate::step1::{lower_tier1, OutSpec, Tier1Program};
 use essent_core::partition::{partition, partition_with_prior, ActivityMergeParams, ActivityPrior};
 use essent_core::plan::{extended_dag, CcssPlan, PartitionPlan, PlanOptions};
@@ -116,6 +117,9 @@ pub struct Frontend {
     /// [`EngineConfig::fuses_triggers`]; `None` runs the generic item
     /// interpreter.
     pub programs: Option<Vec<Tier1Program>>,
+    /// The state updates the programs did not absorb, and the
+    /// end-of-cycle ones, pre-resolved.
+    pub state: StateTable,
     pub cost: CostModel,
     /// Native bodies for the partitions whose cost clears
     /// [`jit::JIT_MIN_COST`]; `None` unless `config.jit` applies.
@@ -146,6 +150,7 @@ impl Frontend {
                 .map(|(part, block)| lower_tier1(netlist, block, &out_specs(part), fuse))
                 .collect()
         });
+        let state = StateTable::build(netlist, layout, plan, programs.as_deref());
         let cost = CostModel::build(plan, &blocks, prior);
         let jit = match (&programs, jit_banks) {
             (Some(progs), Some(banks))
@@ -161,6 +166,7 @@ impl Frontend {
         Frontend {
             blocks,
             programs,
+            state,
             cost,
             jit,
         }

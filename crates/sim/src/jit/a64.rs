@@ -425,6 +425,7 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
             a.ld_arena(ACC, inst.a);
             a.sext(ACC, inst.sxa);
         }
+        Op1::Commit => a.ld_arena(ACC, inst.a),
         Op1::Mux => {
             let (low, done) = (a.label(), a.label());
             a.ld_arena(ACC, inst.a);
@@ -466,9 +467,12 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
         Op1::Generic => unreachable!("emit rejects Generic programs"),
     }
 
-    // Tail: count the op, mask, store (with the fused CCSS trigger
-    // compare-and-wake when this instruction defines a fused output).
-    a.inc(OPS);
+    // Tail: count the op (a commit is not one), mask, store (with the
+    // fused CCSS compare-and-wake when this instruction defines a fused
+    // output or commits a register).
+    if inst.op != Op1::Commit {
+        a.inc(OPS);
+    }
     if inst.mask != u64::MAX {
         // Result masks are contiguous low-bit masks by construction.
         debug_assert_eq!(inst.mask, essent_bits::top_mask(inst.mask.count_ones()));

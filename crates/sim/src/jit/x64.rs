@@ -15,8 +15,9 @@
 //! | `r9`     | `dynamic` counter                         |
 //!
 //! Every arena access is `mov r64, [rdi + disp32]` / `mov [rdi + disp32],
-//! rax` with an always-32-bit displacement (`off * 8`), every fused wake
-//! is `mov byte [rsi + disp32], 1`, and every bank access goes through
+//! rax` — or, for the fused tail's change test, `cmp [rdi + disp32], rax`
+//! — with an always-32-bit displacement (`off * 8`), every fused wake is
+//! `mov byte [rsi + disp32], 1`, and every bank access goes through
 //! the per-call [`JitBank`](super::JitBank) table at `[rbx + c * 16]` —
 //! uniform shapes the J07xx auditor pattern-matches exactly.
 //!
@@ -41,8 +42,9 @@ struct Asm {
     buf: Vec<u8>,
     /// Resolved byte offsets per label (`None` until bound).
     labels: Vec<Option<usize>>,
-    /// Pending rel32 patches: (offset of the rel32 field, label).
-    fixups: Vec<(usize, usize)>,
+    /// Pending branch patches: (offset of the displacement field, label,
+    /// field width in bytes — 4, or 1 for [`Asm::je_short`]).
+    fixups: Vec<(usize, usize, usize)>,
 }
 
 impl Asm {
@@ -82,6 +84,14 @@ impl Asm {
         self.put(&(off.wrapping_mul(8) as i32).to_le_bytes());
     }
 
+    /// `cmp [rdi + off*8], reg` — the fused tail's compare against the
+    /// stored value, without a load into a scratch register.
+    fn cmp_arena(&mut self, reg: u8, off: u32) {
+        let rex = 0x48 | ((reg >> 3) << 2);
+        self.put(&[rex, 0x39, 0x80 | ((reg & 7) << 3) | 7]);
+        self.put(&(off.wrapping_mul(8) as i32).to_le_bytes());
+    }
+
     /// `mov byte [rsi + consumer], 1` — a fused trigger wake.
     fn flag_store(&mut self, consumer: u32) {
         self.put(&[0xC6, 0x86]);
@@ -118,7 +128,7 @@ impl Asm {
     /// `jmp rel32` to a label.
     fn jmp(&mut self, l: usize) {
         self.put(&[0xE9]);
-        self.fixups.push((self.buf.len(), l));
+        self.fixups.push((self.buf.len(), l, 4));
         self.put(&[0; 4]);
     }
 
@@ -126,16 +136,29 @@ impl Asm {
     /// 0x84 jz/je, 0x85 jnz/jne, 0x82 jb, 0x83 jae, 0x86 jbe).
     fn jcc(&mut self, cc: u8, l: usize) {
         self.put(&[0x0F, cc]);
-        self.fixups.push((self.buf.len(), l));
+        self.fixups.push((self.buf.len(), l, 4));
         self.put(&[0; 4]);
     }
 
-    /// Patches every pending rel32 fixup.
+    /// `je rel8` to a label the caller knows is bound within 127 bytes
+    /// (the fused tail's skip over its own store and wakes: a third the
+    /// size of the rel32 form, on the most repeated sequence in a body).
+    fn je_short(&mut self, l: usize) {
+        self.put(&[0x74]);
+        self.fixups.push((self.buf.len(), l, 1));
+        self.put(&[0]);
+    }
+
+    /// Patches every pending branch displacement.
     fn finish(mut self) -> Vec<u8> {
-        for (pos, l) in std::mem::take(&mut self.fixups) {
+        for (pos, l, width) in std::mem::take(&mut self.fixups) {
             let target = self.labels[l].expect("unbound label");
-            let rel = (target as i64 - (pos as i64 + 4)) as i32;
-            self.buf[pos..pos + 4].copy_from_slice(&rel.to_le_bytes());
+            let rel = target as i64 - (pos + width) as i64;
+            if width == 1 {
+                self.buf[pos] = i8::try_from(rel).expect("short branch in range") as u8;
+            } else {
+                self.buf[pos..pos + 4].copy_from_slice(&(rel as i32).to_le_bytes());
+            }
         }
         self.buf
     }
@@ -432,6 +455,7 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
             a.load_arena(RAX, inst.a);
             a.sext(RAX, inst.sxa);
         }
+        Op1::Commit => a.load_arena(RAX, inst.a),
         Op1::Mux => {
             let (low, done) = (a.label(), a.label());
             a.load_arena(RAX, inst.a);
@@ -477,9 +501,12 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
         Op1::Generic => unreachable!("eligibility rejects Generic"),
     }
 
-    // Tail: count the op, mask, store (with the fused CCSS trigger
-    // compare-and-wake when this instruction defines a fused output).
-    a.put(&[0x49, 0xFF, 0xC0]); // inc r8 (ops)
+    // Tail: count the op (a commit is not one), mask, store (with the
+    // fused CCSS compare-and-wake when this instruction defines a fused
+    // output or commits a register).
+    if inst.op != Op1::Commit {
+        a.put(&[0x49, 0xFF, 0xC0]); // inc r8 (ops)
+    }
     if inst.mask != u64::MAX {
         a.mov_imm64(RCX, inst.mask);
         a.put(AND);
@@ -488,12 +515,18 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
         a.store_arena(RAX, inst.dst);
     } else {
         let skip = a.label();
+        let woken = &prog.consumers[inst.ws as usize..inst.we as usize];
         a.put(&[0x49, 0xFF, 0xC1]); // inc r9 (dynamic)
-        a.load_arena(RCX, inst.dst);
-        a.put(&[0x48, 0x39, 0xC1]); // cmp rcx, rax
-        a.jcc(0x84, skip); // je: unchanged, no store, no wakes
+        a.cmp_arena(RAX, inst.dst);
+        // je: unchanged, no store, no wakes. The skipped store and flag
+        // stores are 7 bytes each.
+        if 7 * (1 + woken.len()) <= i8::MAX as usize {
+            a.je_short(skip);
+        } else {
+            a.jcc(0x84, skip);
+        }
         a.store_arena(RAX, inst.dst);
-        for &c in &prog.consumers[inst.ws as usize..inst.we as usize] {
+        for &c in woken {
             a.flag_store(c);
         }
         a.bind(skip);

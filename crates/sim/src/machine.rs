@@ -3,6 +3,7 @@
 //! Figure 7 overhead decomposition.
 
 use crate::compile::{ArgRef, Item, Layout, Step, StepKind};
+use crate::state::{MemWrite, RegCommit};
 use essent_bits::{kernels, words, Bits};
 use essent_netlist::interp::{format_printf, MemRefError};
 use essent_netlist::{eval::Operand, Netlist, SignalDef, SignalId};
@@ -197,60 +198,77 @@ impl Machine {
     /// Evaluates `stop`s and `printf`s against current values; returns
     /// `true` if a stop fired (halting at the current cycle).
     pub fn side_effects(&mut self) -> bool {
-        // Cheap handle clone so the printf/stop defs can be borrowed
-        // while the arena and log are accessed through `self`.
-        let netlist = Arc::clone(&self.netlist);
-        if self.capture_printf {
-            for p in netlist.printfs() {
-                if self.slot_u64(p.en) & 1 == 1 {
+        // This runs every cycle on every engine, so it borrows the
+        // netlist in place (no `Arc` clone) and a design without printfs
+        // skips their walk outright.
+        if self.capture_printf && !self.netlist.printfs().is_empty() {
+            let lines: Vec<String> = self
+                .netlist
+                .printfs()
+                .iter()
+                .filter(|p| self.slot_u64(p.en) & 1 == 1)
+                .map(|p| {
                     let args: Vec<Bits> = p.args.iter().map(|&a| self.value(a)).collect();
-                    self.printf_log.push(format_printf(&p.fmt, &args));
-                }
-            }
+                    format_printf(&p.fmt, &args)
+                })
+                .collect();
+            self.printf_log.extend(lines);
         }
-        let mut fired = false;
-        for s in netlist.stops() {
-            if self.slot_u64(s.en) & 1 == 1 && self.halted.is_none() {
-                self.halted = Some(s.code);
-                fired = true;
-            }
+        if self.halted.is_some() {
+            return false;
         }
-        fired
+        let stops = self.netlist.stops();
+        self.halted = stops
+            .iter()
+            .find(|s| self.slot_u64(s.en) & 1 == 1)
+            .map(|s| s.code);
+        self.halted.is_some()
     }
 
     /// Commits one register (copy next → out); returns `true` on change.
     #[inline]
     pub fn commit_reg(&mut self, reg_index: usize) -> bool {
-        let reg = &self.netlist.regs()[reg_index];
-        let next_off = self.layout.offset(reg.next);
-        let out_off = self.layout.offset(reg.out);
-        let w = self.layout.words(reg.out);
-        // SAFETY: exclusive access through &mut self; the two slots are
-        // distinct signals and so occupy disjoint ranges.
-        unsafe { commit_state_raw(self.arena.as_mut_ptr(), next_off, out_off, w) }
+        self.commit(&RegCommit::resolve(&self.netlist, &self.layout, reg_index))
+    }
+
+    /// Runs one pre-resolved register commit; `true` on change.
+    #[inline]
+    pub fn commit(&mut self, reg: &RegCommit) -> bool {
+        // SAFETY: exclusive access through &mut self; `next` and `out`
+        // are distinct signals and so occupy disjoint ranges.
+        unsafe {
+            commit_state_raw(
+                self.arena.as_mut_ptr(),
+                reg.next as usize,
+                reg.out as usize,
+                reg.words as usize,
+            )
+        }
     }
 
     /// Executes one memory write port if enabled; returns `true` when the
-    /// stored contents changed. The data signal is width-adapted to the
-    /// bank width (they may diverge after optimization), allocation-free.
+    /// stored contents changed.
     pub fn run_mem_write(&mut self, mem_index: usize, writer: usize) -> bool {
-        let Machine {
-            netlist,
-            layout,
-            arena,
-            mems,
-            ..
-        } = self;
+        self.write_port(&MemWrite::resolve(
+            &self.netlist,
+            &self.layout,
+            mem_index,
+            writer,
+        ))
+    }
+
+    /// Runs one pre-resolved memory write port; `true` when the stored
+    /// contents changed. The data signal is width-adapted to the bank
+    /// width (they may diverge after optimization), allocation-free.
+    #[inline]
+    pub fn write_port(&mut self, port: &MemWrite) -> bool {
         // SAFETY: exclusive access through &mut self; the port's arena
         // slots and the bank storage are disjoint.
         unsafe {
             run_mem_write_raw(
-                netlist,
-                layout,
-                arena.as_mut_ptr(),
-                &mut mems[mem_index],
-                mem_index,
-                writer,
+                self.arena.as_mut_ptr(),
+                &mut self.mems[port.mem as usize],
+                port,
             )
         }
     }
@@ -485,14 +503,19 @@ pub(crate) unsafe fn commit_state_raw(
         crate::sanitizer::note_write(out_off as u32, words as u32);
     }
     // SAFETY: `next` and `out` are distinct signals, hence disjoint
-    // layout ranges; for elided in-partition commits the footprint
-    // layer counts the `out` slot as a partition write (R0504 admits
-    // it as declared) and the `next` slot as a read, and S0601 proves
-    // every reader of `out` this cycle is ordered before this writer by
-    // the wait graph (S0604: and cannot start the next cycle early), so
-    // neither range is concurrently accessed. Serial-phase commits
-    // overlap only exempt partitions, footprint-disjoint from
-    // everything the serial phase touches (S0602).
+    // layout ranges. An elided in-partition commit reaches here only
+    // when the partition's program did not absorb it (an `Op1::Commit`
+    // makes the same two accesses inside `run_tier1_raw` or the native
+    // body); either way the block's closing commits put the `out` slot
+    // in the partition's write footprint and the `next` slot in its
+    // read footprint, R0501 holds the tier-1 side — instructions plus
+    // the commits it reports unabsorbed — to exactly that, R0504 admits
+    // `out` as declared, and S0601 proves every reader of `out` this
+    // cycle is ordered before this writer by the wait graph (S0604: and
+    // cannot start the next cycle early), so neither range is
+    // concurrently accessed. Serial-phase commits overlap only exempt
+    // partitions, footprint-disjoint from everything the serial phase
+    // touches (S0602).
     let (next, out) = unsafe {
         (
             std::slice::from_raw_parts(arena.add(next_off), words),
@@ -507,46 +530,42 @@ pub(crate) unsafe fn commit_state_raw(
     }
 }
 
-/// Raw memory-write execution for the parallel engine's serial phase.
-///
-/// Mirrors [`Machine::run_mem_write`] but works over raw arena/bank
-/// pointers so the caller can hold no Rust borrows of the machine.
+/// Raw memory-write execution: the one implementation behind
+/// [`Machine::write_port`] and the parallel engine's serial phase, over
+/// raw arena/bank pointers so the caller can hold no Rust borrows of the
+/// machine.
 ///
 /// # Safety
 ///
-/// `arena` must be the machine's arena pointer and `bank` a valid,
-/// exclusively-accessed memory bank; no other thread may touch either.
+/// `arena` must be the machine's arena pointer, `port` resolved against
+/// its layout, and `bank` the port's exclusively-accessed memory bank;
+/// no other thread may touch either.
 pub(crate) unsafe fn run_mem_write_raw(
-    netlist: &Netlist,
-    layout: &Layout,
     arena: *mut u64,
     bank: &mut MemBank,
-    mem_index: usize,
-    writer: usize,
+    port: &MemWrite,
 ) -> bool {
-    let port = &netlist.mems()[mem_index].writers[writer];
     // SAFETY: one-word reads of the port's en/mask/addr slots; the
     // caller holds the only thread touching the arena (serial phase or
     // &mut Machine).
     let (en, mask) = unsafe {
         (
-            *arena.add(layout.offset(port.en)) & 1 == 1,
-            *arena.add(layout.offset(port.mask)) & 1 == 1,
+            *arena.add(port.en as usize) & 1 == 1,
+            *arena.add(port.mask as usize) & 1 == 1,
         )
     };
     if !en || !mask {
         return false;
     }
     // SAFETY: as above.
-    let addr = unsafe { *arena.add(layout.offset(port.addr)) } as usize;
+    let addr = unsafe { *arena.add(port.addr as usize) } as usize;
     if addr >= bank.depth {
         return false;
     }
-    let data_sig = netlist.signal(port.data);
     // SAFETY: the data slot is a valid layout range, unaliased by the
     // exclusive `bank` borrow.
     let src = unsafe {
-        std::slice::from_raw_parts(arena.add(layout.offset(port.data)), layout.words(port.data))
+        std::slice::from_raw_parts(arena.add(port.data as usize), port.data_words as usize)
     };
     let width = bank.width;
     let entry = bank.entry_mut(addr);
@@ -558,7 +577,7 @@ pub(crate) unsafe fn run_mem_write_raw(
         return {
             // Wide fallback (rare): allocate.
             let mut v = vec![0u64; entry.len()];
-            kernels::extend(&mut v, width, src, data_sig.width, data_sig.signed);
+            kernels::extend(&mut v, width, src, port.data_width, port.data_signed);
             if entry != v.as_slice() {
                 entry.copy_from_slice(&v);
                 true
@@ -567,7 +586,7 @@ pub(crate) unsafe fn run_mem_write_raw(
             }
         };
     };
-    kernels::extend(adapted, width, src, data_sig.width, data_sig.signed);
+    kernels::extend(adapted, width, src, port.data_width, port.data_signed);
     if entry != &*adapted {
         entry.copy_from_slice(adapted);
         true

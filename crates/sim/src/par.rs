@@ -39,6 +39,7 @@ use crate::frontend::{build_plan, Frontend};
 use crate::jit;
 use crate::machine::{self, Machine};
 use crate::profile::{AtomicProfile, ProfileReport, ProfileWiring};
+use crate::state::StateTable;
 use crate::step1::{run_tier1_raw, AtomicFlags, ProfAtomicFlags, Tier1Program};
 use essent_bits::Bits;
 use essent_core::depgraph::{synthesize_dataflow, DataflowSchedule, DepGraph};
@@ -113,9 +114,6 @@ struct PartTriggers {
     /// (consumer range) per output into `consumers`.
     cons: Vec<(u32, u32)>,
     consumers: Vec<u32>,
-    /// Elided registers: (next offset, out offset, words, register plan
-    /// index, wake list).
-    regs: Vec<(u32, u32, u16, u32, Vec<u32>)>,
 }
 
 /// Thread-parallel CCSS simulator.
@@ -143,7 +141,9 @@ pub struct ParEssentSim {
     /// `part_triggers[p].outs`.
     old_vals: Vec<u64>,
     input_wake: HashMap<SignalId, Vec<u32>>,
-    commit_regs: Vec<usize>,
+    /// The elided registers the programs did not absorb (per partition)
+    /// and the serial phase's writes and commits, pre-resolved.
+    state: StateTable,
     /// Telemetry counters ([`EngineConfig::profile`]); atomic because
     /// workers update them concurrently through `&self`.
     profile: Option<Box<AtomicProfile>>,
@@ -189,6 +189,7 @@ impl ParEssentSim {
         let Frontend {
             blocks,
             programs,
+            state,
             cost,
             jit,
         } = Frontend::compile(
@@ -202,8 +203,8 @@ impl ParEssentSim {
 
         let np = plan.partitions.len();
 
-        // Flattened per-partition trigger + elided-register tables,
-        // covering only the outputs the tier did not fuse.
+        // Flattened per-partition trigger tables, covering only the
+        // outputs the tier did not fuse.
         let mut old_vals = Vec::new();
         let mut part_triggers = Vec::with_capacity(np);
         for (sched, part) in plan.partitions.iter().enumerate() {
@@ -224,25 +225,10 @@ impl ParEssentSim {
                 consumers.extend(o.consumers.iter().copied());
                 cons.push((start, consumers.len() as u32));
             }
-            let regs = part
-                .elided_regs
-                .iter()
-                .map(|&ri| {
-                    let reg = &netlist.regs()[ri];
-                    (
-                        machine.layout.offset(reg.next) as u32,
-                        machine.layout.offset(reg.out) as u32,
-                        machine.layout.words(reg.out) as u16,
-                        ri as u32,
-                        plan.reg_plans[ri].wake_on_change.clone(),
-                    )
-                })
-                .collect();
             part_triggers.push(PartTriggers {
                 outs,
                 cons,
                 consumers,
-                regs,
             });
         }
 
@@ -250,13 +236,6 @@ impl ParEssentSim {
             .input_wakes
             .iter()
             .map(|(sig, wakes)| (*sig, wakes.clone()))
-            .collect();
-        let commit_regs = plan
-            .reg_plans
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.elided)
-            .map(|(i, _)| i)
             .collect();
         let threads = if threads == 0 {
             std::thread::available_parallelism()
@@ -311,7 +290,7 @@ impl ParEssentSim {
             part_triggers,
             old_vals,
             input_wake,
-            commit_regs,
+            state,
             profile,
             #[cfg(feature = "race-sanitizer")]
             shadow,
@@ -422,8 +401,10 @@ impl ParEssentSim {
                 let part = j.part(sched).expect("part checked above");
                 // SAFETY: the compiled body touches only arena offsets
                 // lowered from this partition's tier-1 program, whose
-                // footprint equals the generic block's (R0501) — proved
-                // schedule-disjoint and in-bounds (R0502–R0504) — and is
+                // footprint — `Commit` instructions' `next`/`out` slots
+                // included — equals the generic block's (R0501), proved
+                // in-bounds (R0504) and ordered against every
+                // overlapping partition by the schedule (S0601), and is
                 // independently audited against the emitted bytes by
                 // the J07xx verify layer. Wakes are 1-byte stores of
                 // `true` into the `AtomicBool` flags (one byte each;
@@ -456,8 +437,8 @@ impl ParEssentSim {
                             mems,
                             &ProfAtomicFlags {
                                 flags: &self.flags,
-                                caused: p.caused_cell(sched),
-                                woke: p.woke_output_cells(),
+                                profile: p,
+                                producer: sched,
                             },
                             ops,
                             &mut dynamic,
@@ -483,24 +464,26 @@ impl ParEssentSim {
                 machine::run_items_raw(&self.blocks[sched].items, arena.get(), mems, ops)
             },
         }
-        // Elided registers: private slots, single writer.
-        for (next_off, out_off, w, ri, wake) in &tr.regs {
+        // Elided registers the program did not absorb (this engine
+        // elides no memory write): private slots, single writer.
+        for r in self.state.in_place(sched).1 {
             // SAFETY: the elided register's `next` and `out` slots are
-            // in this partition's footprint (counted by the footprint
-            // layer's engine-access pass), hence exclusive here.
+            // in this partition's footprint (the block's commits, in the
+            // footprint layer's generic derivation), hence exclusive
+            // here.
             let changed = unsafe {
                 machine::commit_state_raw(
                     arena.get(),
-                    *next_off as usize,
-                    *out_off as usize,
-                    *w as usize,
+                    r.next as usize,
+                    r.out as usize,
+                    r.words as usize,
                 )
             };
             if changed {
-                for &c in wake {
+                for &c in self.state.woken(r.wake) {
                     self.flags[c as usize].store(true, Ordering::Relaxed);
                     if let Some(p) = prof {
-                        p.wake_state_reg(*ri as usize, c);
+                        p.wake_state_reg(r.plan as usize, c);
                     }
                 }
             }
@@ -582,48 +565,42 @@ impl ParEssentSim {
         }
         // Memory writes (all serial in this engine), then register
         // commits.
-        for m in 0..netlist.mems().len() {
-            for w in 0..netlist.mems()[m].writers.len() {
-                *static_checks += 1;
-                // SAFETY: the banks are serial-phase-exclusive (caller's
-                // contract: concurrent workers are bank-disjoint, S0602).
-                let bank = unsafe { &mut *mems.get().0.add(m) };
-                // SAFETY: serial-footprint words; `m`/`w` index real
-                // mems/writers, layout is in-bounds.
-                let changed =
-                    unsafe { machine::run_mem_write_raw(netlist, layout, arena.get(), bank, m, w) };
-                if changed {
-                    for (wi, wp) in self.plan.mem_write_plans.iter().enumerate() {
-                        if wp.mem.index() == m && wp.writer == w {
-                            for &c in &wp.wake_on_change {
-                                self.flags[c as usize].store(true, Ordering::Relaxed);
-                                if let Some(p) = self.profile.as_deref() {
-                                    p.wake_state_mem(wi, c);
-                                }
-                            }
-                        }
+        let (writes, regs) = self.state.end_of_cycle();
+        for w in writes {
+            *static_checks += 1;
+            // SAFETY: the banks are serial-phase-exclusive (caller's
+            // contract: concurrent workers are bank-disjoint, S0602);
+            // `w.mem` indexes a real bank by construction of the table.
+            let bank = unsafe { &mut *mems.get().0.add(w.mem as usize) };
+            // SAFETY: serial-footprint words, resolved in-bounds against
+            // this machine's layout.
+            let changed = unsafe { machine::run_mem_write_raw(arena.get(), bank, w) };
+            if changed {
+                for &c in self.state.woken(w.wake) {
+                    self.flags[c as usize].store(true, Ordering::Relaxed);
+                    if let Some(p) = self.profile.as_deref() {
+                        p.wake_state_mem(w.plan as usize, c);
                     }
                 }
             }
         }
-        for &ri in &self.commit_regs {
+        for r in regs {
             *static_checks += 1;
-            let reg = &netlist.regs()[ri];
             // SAFETY: `next` and `out` are distinct in-bounds layout
             // ranges in the serial footprint (non-elided registers).
             let changed = unsafe {
                 machine::commit_state_raw(
                     arena.get(),
-                    layout.offset(reg.next),
-                    layout.offset(reg.out),
-                    layout.words(reg.out),
+                    r.next as usize,
+                    r.out as usize,
+                    r.words as usize,
                 )
             };
             if changed {
-                for &c in &self.plan.reg_plans[ri].wake_on_change {
+                for &c in self.state.woken(r.wake) {
                     self.flags[c as usize].store(true, Ordering::Relaxed);
                     if let Some(p) = self.profile.as_deref() {
-                        p.wake_state_reg(ri, c);
+                        p.wake_state_reg(r.plan as usize, c);
                     }
                 }
             }

@@ -201,8 +201,10 @@ pub trait Profiler {
     /// External input `input` changed and woke `consumer`.
     fn wake_input(&mut self, input: SignalId, consumer: u32);
 
-    /// Runs a tier-1 program for `producer`, wiring fused trigger wakes
-    /// through the profiler (the tier-1 dispatch loop's probe point).
+    /// Runs a tier-1 program for `producer`, wiring its fused wakes
+    /// through the profiler — output triggers to the producer, register
+    /// commits to their state slot (the tier-1 dispatch loop's probe
+    /// point).
     ///
     /// # Safety
     ///
@@ -541,10 +543,16 @@ impl Profiler for ProfileArena {
         dynamic: &mut u64,
     ) {
         let slot = self.wiring.producer_slot[producer] as usize;
+        fn cells(v: &mut [u64]) -> &[Cell<u64>] {
+            Cell::from_mut(v).as_slice_of_cells()
+        }
         let sink = ProfCellFlags {
             flags,
             caused: Cell::from_mut(&mut self.caused[slot]),
-            woke: Cell::from_mut(self.woke_output.as_mut_slice()).as_slice_of_cells(),
+            woke: cells(&mut self.woke_output),
+            reg_slot: &self.wiring.reg_slot,
+            state_causes: cells(&mut self.state_causes),
+            woke_state: cells(&mut self.woke_state),
         };
         // SAFETY: forwards this method's contract (same as
         // `run_tier1_raw`'s) unchanged.
@@ -677,18 +685,6 @@ impl AtomicProfile {
     pub fn wake_output(&self, producer: usize, consumer: u32) {
         self.caused[self.wiring.producer_slot[producer] as usize].fetch_add(1, Ordering::Relaxed);
         self.woke_output[consumer as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The producer-side `caused` counter cell for fused wake sinks.
-    #[inline]
-    pub fn caused_cell(&self, producer: usize) -> &AtomicU64 {
-        &self.caused[self.wiring.producer_slot[producer] as usize]
-    }
-
-    /// The consumer-side `woke_output` counters for fused wake sinks.
-    #[inline]
-    pub fn woke_output_cells(&self) -> &[AtomicU64] {
-        &self.woke_output
     }
 
     #[inline]

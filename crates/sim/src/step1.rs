@@ -34,8 +34,18 @@
 //!
 //! All jumps are strictly forward, so every program trivially terminates —
 //! a property `essent-verify` re-proves (`B0212`).
+//!
+//! A partition's program ends with its **elided register commits**
+//! (Section III-B1's in-place state update): each single-word one is an
+//! [`Op1::Commit`] — a raw copy of the `next` slot into the `out` slot
+//! under the same compare-store-wake tail, charged as one dynamic check
+//! and no op — so the commit runs wherever the program runs (scalar
+//! loop, lane loop, native body) and the engines have no state epilogue.
+//! Registers wider than a word, and every commit when fusion is off,
+//! are reported in [`Tier1Program::unabsorbed`] for the engine's
+//! [`StateTable`](crate::state::StateTable).
 
-use crate::compile::{ArgRef, Block, DstRef, Item, Step, StepKind};
+use crate::compile::{ArgRef, Block, Commit, DstRef, Item, Step, StepKind};
 use crate::machine::{run_items_raw, MemBank, WorkCounters};
 use essent_bits::top_mask;
 use essent_netlist::{Netlist, OpKind, SignalId};
@@ -114,6 +124,11 @@ pub enum Op1 {
     /// `dst = en && addr < depth ? mem[addr] : 0`; `a` = addr slot,
     /// `b` = en slot, `c` = bank index, `imm` = depth
     MemRead,
+    /// An elided register commit: `dst = a` (raw, `mask` all ones), always
+    /// under the fused compare-store-wake tail. Counts one dynamic check
+    /// and no op; `imm` = the register-plan index its wakes are
+    /// attributed to
+    Commit,
     /// Unconditional forward jump to instruction `a`
     Jmp,
     /// Jump to instruction `a` when `arena[b] & 1 == 0`
@@ -186,7 +201,9 @@ impl Inst1 {
         let (reads, n_reads) = match self.op {
             Jmp | Generic => ([0; 3], 0),
             JmpIf0 => ([self.b, 0, 0], 1),
-            Neg | Not | Andr | Orr | Xorr | Bits | Ext | Shl | ShrU | ShrS => ([self.a, 0, 0], 1),
+            Neg | Not | Andr | Orr | Xorr | Bits | Ext | Shl | ShrU | ShrS | Commit => {
+                ([self.a, 0, 0], 1)
+            }
             Add | Sub | Mul | DivU | DivS | RemU | RemS | LtU | LtS | LeqU | LeqS | Eq | Neq
             | And | Or | Xor | Cat | Dshl | DshrU | DshrS | MemRead => ([self.a, self.b, 0], 2),
             Mux => ([self.a, self.b, self.c], 3),
@@ -195,6 +212,7 @@ impl Inst1 {
             reads,
             n_reads,
             writes_dst: !matches!(self.op, Jmp | JmpIf0 | Generic),
+            counts_op: !matches!(self.op, Jmp | JmpIf0 | Generic | Commit),
             bank: (self.op == MemRead).then_some(self.c),
             jumps: matches!(self.op, Jmp | JmpIf0),
         }
@@ -206,8 +224,11 @@ impl Inst1 {
 pub struct Roles {
     reads: [u32; 3],
     n_reads: usize,
-    /// The instruction stores a value to `dst` (and counts one op).
+    /// The instruction stores a value to `dst`.
     pub writes_dst: bool,
+    /// Executing it adds one to `ops_evaluated` (every value producer
+    /// but the state commit).
+    pub counts_op: bool,
     /// The memory bank read, when `c` is a bank index rather than a slot.
     pub bank: Option<u32>,
     /// `a` is an instruction index to jump to, not an arena slot.
@@ -240,6 +261,10 @@ pub struct TierStats {
     pub fused_outputs: usize,
     /// Partition outputs overall.
     pub total_outputs: usize,
+    /// Elided register commits lowered to [`Op1::Commit`].
+    pub absorbed_commits: usize,
+    /// Elided register commits in the source block.
+    pub total_commits: usize,
 }
 
 impl TierStats {
@@ -250,6 +275,8 @@ impl TierStats {
             tier1_steps: self.tier1_steps + other.tier1_steps,
             fused_outputs: self.fused_outputs + other.fused_outputs,
             total_outputs: self.total_outputs + other.total_outputs,
+            absorbed_commits: self.absorbed_commits + other.absorbed_commits,
+            total_commits: self.total_commits + other.total_commits,
         }
     }
 
@@ -278,6 +305,9 @@ pub struct Tier1Program {
     /// Indices into the `outs` passed to [`lower_tier1`] whose triggers
     /// were *not* fused (the engine must keep snapshot-compare for them).
     pub unfused: Vec<usize>,
+    /// Indices into the block's `commits` that did *not* become an
+    /// [`Op1::Commit`] (the engine must run them from its state table).
+    pub unabsorbed: Vec<usize>,
     pub stats: TierStats,
 }
 
@@ -285,7 +315,16 @@ pub struct Tier1Program {
 /// mutable flag cells, the parallel engine atomics, and the full-cycle
 /// engine (no triggers) a sink that ignores wakes.
 pub trait FlagSink {
+    /// A changed partition output wakes `consumer`.
     fn wake(&self, consumer: u32);
+
+    /// A changed register (plan index `reg_plan`) wakes `consumer`; the
+    /// same flag write, attributed to the state element by the
+    /// profiling sinks.
+    #[inline(always)]
+    fn wake_state(&self, _reg_plan: u32, consumer: u32) {
+        self.wake(consumer);
+    }
 }
 
 /// No-op sink for engines without activity flags.
@@ -320,39 +359,61 @@ impl FlagSink for AtomicFlags<'_> {
     }
 }
 
-/// [`CellFlags`] plus wake attribution: charges each fused wake to the
-/// producing partition (`caused`) and the woken consumer (`woke`). The
-/// enabled arm of the profiler's monomorphized tier dispatch.
+/// [`CellFlags`] plus wake attribution: charges each fused output wake
+/// to the producing partition (`caused`) and the woken consumer
+/// (`woke`), and each commit wake to the register's state-cause slot
+/// and the consumer's `woke_state`. The enabled arm of the profiler's
+/// monomorphized tier dispatch.
 pub struct ProfCellFlags<'a> {
     pub flags: &'a [Cell<bool>],
     pub caused: &'a Cell<u64>,
     pub woke: &'a [Cell<u64>],
+    /// Register-plan index → slot of `state_causes`.
+    pub reg_slot: &'a [u32],
+    pub state_causes: &'a [Cell<u64>],
+    pub woke_state: &'a [Cell<u64>],
+}
+
+#[inline(always)]
+fn bump(counter: &Cell<u64>) {
+    counter.set(counter.get() + 1);
 }
 
 impl FlagSink for ProfCellFlags<'_> {
     #[inline(always)]
     fn wake(&self, consumer: u32) {
         self.flags[consumer as usize].set(true);
-        self.caused.set(self.caused.get() + 1);
-        let w = &self.woke[consumer as usize];
-        w.set(w.get() + 1);
+        bump(self.caused);
+        bump(&self.woke[consumer as usize]);
+    }
+
+    #[inline(always)]
+    fn wake_state(&self, reg_plan: u32, consumer: u32) {
+        self.flags[consumer as usize].set(true);
+        bump(&self.state_causes[self.reg_slot[reg_plan as usize] as usize]);
+        bump(&self.woke_state[consumer as usize]);
     }
 }
 
-/// [`AtomicFlags`] plus wake attribution, for the parallel engine's
-/// profiled tier path.
+/// [`AtomicFlags`] plus wake attribution through the parallel engine's
+/// profile counters, for partition `producer`'s profiled tier path.
 pub struct ProfAtomicFlags<'a> {
     pub flags: &'a [AtomicBool],
-    pub caused: &'a std::sync::atomic::AtomicU64,
-    pub woke: &'a [std::sync::atomic::AtomicU64],
+    pub profile: &'a crate::profile::AtomicProfile,
+    pub producer: usize,
 }
 
 impl FlagSink for ProfAtomicFlags<'_> {
     #[inline(always)]
     fn wake(&self, consumer: u32) {
         self.flags[consumer as usize].store(true, Ordering::Relaxed);
-        self.caused.fetch_add(1, Ordering::Relaxed);
-        self.woke[consumer as usize].fetch_add(1, Ordering::Relaxed);
+        self.profile.wake_output(self.producer, consumer);
+    }
+
+    #[inline(always)]
+    fn wake_state(&self, reg_plan: u32, consumer: u32) {
+        self.flags[consumer as usize].store(true, Ordering::Relaxed);
+        self.profile.wake_state_reg(reg_plan as usize, consumer);
     }
 }
 
@@ -579,6 +640,29 @@ impl Lowerer<'_> {
         self.push(inst, Some(sig));
     }
 
+    /// Appends one [`Op1::Commit`] per single-word commit when fusing;
+    /// returns the indices left to the engine.
+    fn emit_commits(&mut self, commits: &[Commit]) -> Vec<usize> {
+        let mut unabsorbed = Vec::new();
+        for (ci, commit) in commits.iter().enumerate() {
+            if !self.fuse || commit.words != 1 {
+                unabsorbed.push(ci);
+                continue;
+            }
+            let ws = self.consumers.len() as u32;
+            self.consumers.extend(commit.consumers.iter().copied());
+            let inst = Inst1 {
+                a: commit.next,
+                imm: commit.reg_plan as u64,
+                ws,
+                we: self.consumers.len() as u32,
+                ..Inst1::new(Op1::Commit, commit.out, u64::MAX)
+            };
+            self.push(inst, Some(commit.sig));
+        }
+        unabsorbed
+    }
+
     fn emit_items(&mut self, items: &[Item], outs: &[OutSpec]) {
         for item in items {
             match item {
@@ -636,8 +720,10 @@ impl Lowerer<'_> {
 /// consumers; when `fuse` is set, outputs defined by specialized
 /// instructions get fused compare-and-wake tails (the rest are reported
 /// via [`Tier1Program::unfused`] and must keep the engine's
-/// snapshot-compare path). Pass an empty `outs` / `fuse = false` for
-/// engines without triggers.
+/// snapshot-compare path), and the block's single-word register commits
+/// become [`Op1::Commit`] instructions (the rest are reported via
+/// [`Tier1Program::unabsorbed`]). Pass an empty `outs` / `fuse = false`
+/// for engines without triggers.
 pub fn lower_tier1(netlist: &Netlist, block: &Block, outs: &[OutSpec], fuse: bool) -> Tier1Program {
     let mut low = Lowerer {
         netlist,
@@ -651,6 +737,7 @@ pub fn lower_tier1(netlist: &Netlist, block: &Block, outs: &[OutSpec], fuse: boo
         fused: vec![false; outs.len()],
     };
     low.emit_items(&block.items, outs);
+    let unabsorbed = low.emit_commits(&block.commits);
     let total_steps: usize = block.items.iter().map(Item::step_count).sum();
     let generic_steps: usize = low.generic.iter().map(Item::step_count).sum();
     let unfused: Vec<usize> = low
@@ -665,6 +752,8 @@ pub fn lower_tier1(netlist: &Netlist, block: &Block, outs: &[OutSpec], fuse: boo
         tier1_steps: total_steps - generic_steps,
         fused_outputs: outs.len() - unfused.len(),
         total_outputs: outs.len(),
+        absorbed_commits: block.commits.len() - unabsorbed.len(),
+        total_commits: block.commits.len(),
     };
     Tier1Program {
         code: low.code,
@@ -672,6 +761,7 @@ pub fn lower_tier1(netlist: &Netlist, block: &Block, outs: &[OutSpec], fuse: boo
         generic: low.generic,
         consumers: low.consumers,
         unfused,
+        unabsorbed,
         stats,
     }
 }
@@ -707,7 +797,7 @@ unsafe fn mem_read(mems: &[MemBank], inst: &Inst1, addr: u64, en: u64) -> u64 {
 }
 
 /// The value semantics of the one-word ISA — the only place an opcode's
-/// result is spelled out. Expands to one `match $inst.op` whose 32
+/// result is spelled out. Expands to one `match $inst.op` whose 33
 /// value arms each hand the opcode's *unmasked* result expression to
 /// the callback as `$k!($ka.. expr)`, so the caller decides what
 /// surrounds the expression (the scalar executor takes it as is; the
@@ -828,6 +918,7 @@ macro_rules! op1_match {
                 // `mem_read`'s contract.
                 unsafe { mem_read($mems, $inst, $ld($inst.a), $ld($inst.b)) }
             }),
+            Op1::Commit => $k!($($ka)* $ld($inst.a)),
             $($ctl)*
         }
     };
@@ -901,9 +992,9 @@ pub fn item_rw(item: &Item) -> ItemRw {
 ///
 /// Work accounting per lane matches [`run_tier1_raw`] exactly: one
 /// `ops_evaluated` per value-producing instruction a lane executes
-/// (jumps free, the taken `Ext` stands in for a mux diamond), one
-/// `dynamic_checks` per fused trigger compare. Fused trigger wakes set
-/// the lane's bit in the consumers' wake masks.
+/// (jumps and commits free, the taken `Ext` stands in for a mux
+/// diamond), one `dynamic_checks` per fused trigger or commit compare.
+/// Fused wakes set the lane's bit in the consumers' wake masks.
 ///
 /// # Safety
 ///
@@ -982,7 +1073,7 @@ pub(crate) unsafe fn run_tier1_lanes(
     /// bit-scan over a sparse mask, and the fused-tail loop.
     macro_rules! lanes_op {
         ($inst:ident, $l:ident, $done:ident, $val:expr) => {{
-            seg += 1;
+            seg += ($inst.op != Op1::Commit) as u64;
             if $inst.ws == NO_FUSE {
                 if active & active.wrapping_add(1) == 0 {
                     let n = active.count_ones() as usize;
@@ -1294,7 +1385,9 @@ mod lanes_simd {
 /// value-producing instruction adds one to `ops` (jumps are free; a mux
 /// diamond's taken `Ext` stands in for the `CondMux` item), and every
 /// fused trigger adds one to `dynamic` (standing in for the engine's
-/// per-output snapshot compare).
+/// per-output snapshot compare). An [`Op1::Commit`] adds one to
+/// `dynamic` and nothing to `ops`, as the engines' in-place register
+/// commit does.
 ///
 /// # Safety
 ///
@@ -1358,15 +1451,17 @@ pub(crate) unsafe fn run_tier1_raw<F: FlagSink>(
                 continue;
             }
         });
-        *ops += 1;
+        let commit = inst.op == Op1::Commit;
+        *ops += !commit as u64;
         let val = val & inst.mask;
         #[cfg(feature = "race-sanitizer")]
         crate::sanitizer::note_write(inst.dst, 1);
         // SAFETY: `inst.dst` is a declared write of this partition
         // (R0501 proves it equals the generic block's write set, R0504
-        // bounds it to the partition's own member slots, and every word
-        // has one writing partition — R0502 over the whole plan); any
-        // other partition's read of it is ordered by a schedule edge
+        // bounds it to the partition's own member slots and — for a
+        // `Commit` — the out-slots of the registers it elides, and every
+        // word has one writing partition — R0502 over the whole plan);
+        // any other partition's read of it is ordered by a schedule edge
         // (S0601). The fused-tail pre-write read touches the same slot.
         unsafe {
             let slot = arena.add(inst.dst as usize);
@@ -1379,11 +1474,15 @@ pub(crate) unsafe fn run_tier1_raw<F: FlagSink>(
                 *dynamic += 1;
                 if *slot != val {
                     *slot = val;
-                    for &c in prog
+                    let woken = prog
                         .consumers
-                        .get_unchecked(inst.ws as usize..inst.we as usize)
-                    {
-                        flags.wake(c);
+                        .get_unchecked(inst.ws as usize..inst.we as usize);
+                    if commit {
+                        woken
+                            .iter()
+                            .for_each(|&c| flags.wake_state(inst.imm as u32, c));
+                    } else {
+                        woken.iter().for_each(|&c| flags.wake(c));
                     }
                 }
             }
@@ -1393,18 +1492,21 @@ pub(crate) unsafe fn run_tier1_raw<F: FlagSink>(
 
 #[cfg(test)]
 mod tests {
+    // Explicit, so that `Commit` names the opcode here and not the
+    // block-level `compile::Commit` that `super::*` also brings in.
+    use super::Op1::Commit;
     use super::Op1::*;
     use super::*;
-    use crate::machine::run_step_raw;
+    use crate::machine::{commit_state_raw, run_step_raw};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::cell::RefCell;
     use std::collections::BTreeSet;
 
-    const ALL: [Op1; 35] = [
+    const ALL: [Op1; 36] = [
         Add, Sub, Mul, DivU, DivS, RemU, RemS, LtU, LtS, LeqU, LeqS, Eq, Neq, Shl, ShrU, ShrS,
         Dshl, DshrU, DshrS, Neg, Not, And, Or, Xor, Andr, Orr, Xorr, Cat, Bits, Ext, Mux, MemRead,
-        Jmp, JmpIf0, Generic,
+        Commit, Jmp, JmpIf0, Generic,
     ];
     /// Scalar arena size of every test: operands live in `0..16`,
     /// destinations in `16..WORDS`.
@@ -1540,6 +1642,7 @@ mod tests {
             generic,
             consumers,
             unfused: Vec::new(),
+            unabsorbed: Vec::new(),
             stats: TierStats::default(),
         }
     }
@@ -1834,9 +1937,11 @@ mod tests {
                 assert_eq!(tier1, generic, "{step:?} lowered to {inst:?}");
             }
         }
+        // (`Commit` comes from a block's commits, not from an `OpKind`;
+        // `commit_instruction_is_the_register_commit` is its oracle.)
         let value_ops = ALL
             .iter()
-            .filter(|op| !matches!(op, MemRead | Jmp | JmpIf0 | Generic));
+            .filter(|op| !matches!(op, MemRead | Commit | Jmp | JmpIf0 | Generic));
         let expected: BTreeSet<String> = value_ops.map(|op| format!("{op:?}")).collect();
         assert_eq!(seen, expected, "an opcode no OpKind lowered to");
 
@@ -1893,6 +1998,7 @@ mod tests {
             };
             let block = Block {
                 items: vec![item.clone()],
+                commits: Vec::new(),
             };
             let prog = lower_tier1(&netlist, &block, &[], false);
             assert!(prog.generic.is_empty() && prog.code.len() == 6);
@@ -1903,6 +2009,87 @@ mod tests {
             unsafe { run_items_raw(&[item], generic.as_mut_ptr(), &mems, &mut ops) };
             assert_eq!(run_scalar(&prog, &mut tier1, &mems, &[]), (ops, 0));
             assert_eq!(tier1, generic);
+        }
+    }
+
+    /// `lower_tier1` turns a block's single-word commits into `Commit`
+    /// instructions (under fusion only) and reports the rest; the
+    /// instruction leaves the arena as `commit_state_raw` does, counts
+    /// one dynamic check and no op, and wakes through `wake_state` with
+    /// its register-plan index.
+    #[test]
+    fn commit_instruction_is_the_register_commit() {
+        struct Recorder(RefCell<Vec<(Option<u32>, u32)>>);
+        impl FlagSink for Recorder {
+            fn wake(&self, consumer: u32) {
+                self.0.borrow_mut().push((None, consumer));
+            }
+            fn wake_state(&self, reg_plan: u32, consumer: u32) {
+                self.0.borrow_mut().push((Some(reg_plan), consumer));
+            }
+        }
+        let netlist = netlist_of(
+            "circuit T :\n  module T :\n    input a : UInt<1>\n    output o : UInt<1>\n    o <= a\n",
+        );
+        let commit = |next, out, words, reg_plan| crate::compile::Commit {
+            next,
+            out,
+            words,
+            reg_plan,
+            consumers: vec![2, 0],
+            sig: SignalId(0),
+        };
+        let block = Block {
+            items: Vec::new(),
+            commits: vec![commit(3, 16, 1, 7), commit(4, 18, 2, 9)],
+        };
+        let unfused = lower_tier1(&netlist, &block, &[], false);
+        assert!(unfused.code.is_empty());
+        assert_eq!(unfused.unabsorbed, vec![0, 1]);
+        let prog = lower_tier1(&netlist, &block, &[], true);
+        assert_eq!(prog.unabsorbed, vec![1], "two words stay with the engine");
+        assert_eq!(
+            (prog.stats.absorbed_commits, prog.stats.total_commits),
+            (1, 2)
+        );
+        let [inst] = prog.code[..] else {
+            panic!("one instruction, got {:?}", prog.code)
+        };
+        assert_eq!((inst.op, inst.a, inst.dst, inst.imm), (Commit, 3, 16, 7));
+        assert_eq!(inst.mask, u64::MAX);
+        assert_eq!(&prog.consumers[inst.ws as usize..inst.we as usize], [2, 0]);
+
+        let mut rng = StdRng::seed_from_u64(0xC0);
+        for _ in 0..TRIALS {
+            let mut arena: Vec<u64> = (0..WORDS).map(|_| rand_word(&mut rng)).collect();
+            if rng.gen_bool(0.3) {
+                arena[16] = arena[3];
+            }
+            let mut want = arena.clone();
+            // SAFETY: slots 3 and 16 are distinct words inside the arena.
+            let changed = unsafe { commit_state_raw(want.as_mut_ptr(), 3, 16, 1) };
+            let sink = Recorder(RefCell::new(Vec::new()));
+            let (mut ops, mut dynamic) = (0, 0);
+            // SAFETY: the program touches slots 3 and 16 of a
+            // `WORDS`-word arena, single-threaded.
+            unsafe {
+                run_tier1_raw(
+                    &prog,
+                    arena.as_mut_ptr(),
+                    &[],
+                    &sink,
+                    &mut ops,
+                    &mut dynamic,
+                );
+            }
+            assert_eq!(arena, want);
+            assert_eq!((ops, dynamic), (0, 1));
+            let woken = if changed {
+                vec![(Some(7), 2), (Some(7), 0)]
+            } else {
+                Vec::new()
+            };
+            assert_eq!(sink.0.into_inner(), woken);
         }
     }
 
@@ -1965,6 +2152,15 @@ mod tests {
             let op = VALUE[rng.gen_range(0..VALUE.len())];
             value_inst(&mut code, op, rng);
         }
+        // The program's tail: a register commit of an earlier result.
+        let ws = consumers.len() as u32;
+        consumers.push(rng.gen_range(0..4u32));
+        code.push(Inst1 {
+            a: rng.gen_range(16..20),
+            ws,
+            we: ws + 1,
+            ..Inst1::new(Commit, 36, u64::MAX)
+        });
         let mut fallback = typed_step(OpKind::Add, rng);
         (fallback.dst.off, fallback.dst.width) = (37, 64);
         program(code, vec![Item::Step(fallback)], consumers)

@@ -11,14 +11,46 @@ use essent_sim::{EngineConfig, EssentSim};
 
 const COVERAGE_FLOOR: f64 = 0.90;
 
+fn optimized_soc(config: &SocConfig) -> Netlist {
+    let circuit = essent_firrtl::parse(&generate_soc(config)).expect("generated FIRRTL parses");
+    let lowered = essent_firrtl::passes::lower(circuit).expect("generated FIRRTL lowers");
+    let mut netlist = Netlist::from_circuit(&lowered).expect("netlist builds");
+    opt::optimize(&mut netlist, &opt::OptConfig::default());
+    netlist
+}
+
+/// No silent fall-back on the commit path either: on the benchmark's
+/// three designs every elided register that fits a word is a `Commit`
+/// instruction of its partition's program, and the engine's per-wake
+/// state table is left with the wider ones only. The single-word count
+/// is taken from the plan and the netlist, not from the lowering.
+#[test]
+fn every_single_word_elided_register_is_absorbed() {
+    for config in [SocConfig::r16(), SocConfig::r18(), SocConfig::boom()] {
+        let netlist = optimized_soc(&config);
+        let sim = EssentSim::new(&netlist, &EngineConfig::default());
+        let elided = sim.plan().reg_plans.iter().filter(|rp| rp.elided);
+        let (word, wide): (Vec<_>, Vec<_>) =
+            elided.partition(|rp| essent_bits::words(netlist.regs()[rp.reg.index()].width) == 1);
+        let stats = sim.tier_stats().expect("default config lowers the tier");
+        assert!(
+            !word.is_empty(),
+            "design `{}` elides registers",
+            config.name
+        );
+        assert_eq!(
+            (stats.absorbed_commits, stats.total_commits),
+            (word.len(), word.len() + wide.len()),
+            "design `{}`",
+            config.name
+        );
+    }
+}
+
 #[test]
 fn tier1_covers_at_least_90_percent_of_soc_steps() {
     for config in [SocConfig::tiny(), SocConfig::r16()] {
-        let circuit =
-            essent_firrtl::parse(&generate_soc(&config)).expect("generated FIRRTL parses");
-        let lowered = essent_firrtl::passes::lower(circuit).expect("generated FIRRTL lowers");
-        let mut netlist = Netlist::from_circuit(&lowered).expect("netlist builds");
-        opt::optimize(&mut netlist, &opt::OptConfig::default());
+        let netlist = optimized_soc(&config);
         let stats = EssentSim::new(&netlist, &EngineConfig::default())
             .tier_stats()
             .expect("default config lowers the tier");

@@ -11,7 +11,9 @@
 //!   slot of exactly the signal the defining operation names, in bounds,
 //!   with matching width and signedness;
 //! * **arity** — a step carries exactly the operands its op requires;
-//! * **coverage** — every computed signal is compiled exactly once;
+//! * **coverage** — every computed signal is compiled exactly once, and
+//!   every block ends with exactly its partition's elided register
+//!   commits (slots, plan index and consumers re-derived from the plan);
 //! * **def-before-use** — along the schedule order (including into
 //!   conditional mux ways), no step reads a computed value before the
 //!   step defining it;
@@ -19,17 +21,20 @@
 //! * **tier-1 audit** (`B0210`–`B0212`) — the word-specialized program a
 //!   block lowers to decodes exactly as an independent re-derivation from
 //!   the netlist and layout demands: opcode selection, operand offsets,
-//!   sign-extension shifts, masks, and static parameters (`B0210`); every
-//!   fused trigger write carries precisely the plan's consumer set and
-//!   every unfused output stays on the engine's snapshot-compare path
-//!   (`B0211`); all jumps are strictly forward and join the conditional
+//!   sign-extension shifts, masks, and static parameters (`B0210`), the
+//!   block's single-word commits closing the stream as `Commit`
+//!   instructions; every fused trigger write carries precisely the plan's
+//!   consumer set and every unfused output stays on the engine's
+//!   snapshot-compare path, every commit instruction carries its
+//!   register's consumers and every other commit stays on the engine's
+//!   state table (`B0211`); all jumps are strictly forward and join the conditional
 //!   diamond where the item structure says they must, so termination is
 //!   proven structurally (`B0212`).
 
 use essent_core::diag::{codes, Diagnostic, Report};
 use essent_core::plan::CcssPlan;
 use essent_netlist::{Netlist, OpKind, SignalDef, SignalId};
-use essent_sim::compile::{ArgRef, Block, DstRef, Item, Layout, Step, StepKind};
+use essent_sim::compile::{ArgRef, Block, Commit, DstRef, Item, Layout, Step, StepKind};
 use essent_sim::step1::{Inst1, Op1, OutSpec, Tier1Program, NO_FUSE};
 use std::collections::HashMap;
 
@@ -151,6 +156,7 @@ pub fn check_blocks(
         for item in &block.items {
             chk.check_item(item, bi, plan);
         }
+        chk.check_commits(&block.commits, bi, plan);
     }
 
     // Coverage: every computed signal compiled exactly once.
@@ -370,6 +376,78 @@ impl Checker<'_> {
         }
         self.check_dst(sig, &step.dst);
         self.define(sig);
+    }
+
+    /// A block's commits must be exactly its partition's elided
+    /// registers, in plan order, each resolved through the netlist and
+    /// layout; a full-cycle block (no plan) commits nothing in place.
+    fn check_commits(&mut self, commits: &[Commit], block: usize, plan: Option<&CcssPlan>) {
+        let elided: &[usize] = plan
+            .and_then(|p| p.partitions.get(block))
+            .map_or(&[], |part| &part.elided_regs);
+        if commits.len() != elided.len() {
+            let code = if commits.len() < elided.len() {
+                codes::STEP_MISSING
+            } else {
+                codes::STEP_DUPLICATE
+            };
+            self.report.push(
+                Diagnostic::error(
+                    code,
+                    format!(
+                        "block {block} carries {} register commit(s), its partition elides {}",
+                        commits.len(),
+                        elided.len()
+                    ),
+                )
+                .with_partition(block),
+            );
+        }
+        let Some(plan) = plan else { return };
+        for (commit, &ri) in commits.iter().zip(elided) {
+            let reg = &self.netlist.regs()[ri];
+            let mut bad = |code, what: String| {
+                self.report.push(
+                    Diagnostic::error(code, format!("commit of `{}`: {what}", reg.name))
+                        .with_signal(reg.name.clone())
+                        .with_partition(block),
+                );
+            };
+            if commit.next as usize != self.layout.offset(reg.next) {
+                bad(
+                    codes::ARG_OUT_OF_BOUNDS,
+                    format!(
+                        "reads offset {}, the next-value slot is at {}",
+                        commit.next,
+                        self.layout.offset(reg.next)
+                    ),
+                );
+            }
+            if commit.out as usize != self.layout.offset(reg.out)
+                || commit.words as usize != self.layout.words(reg.out)
+            {
+                bad(
+                    codes::DST_OUT_OF_BOUNDS,
+                    format!(
+                        "writes offset {} ({} words), the output slot is {} ({} words)",
+                        commit.out,
+                        commit.words,
+                        self.layout.offset(reg.out),
+                        self.layout.words(reg.out)
+                    ),
+                );
+            }
+            let wakes = &plan.reg_plans[ri].wake_on_change;
+            if commit.reg_plan as usize != ri || &commit.consumers != wakes {
+                bad(
+                    codes::STATE_WAKE_MISSING,
+                    format!(
+                        "wakes {:?} as register plan {}, the plan's entry {ri} wakes {wakes:?}",
+                        commit.consumers, commit.reg_plan
+                    ),
+                );
+            }
+        }
     }
 
     /// Block placement: under a plan, a step must live in the block of
@@ -717,8 +795,11 @@ fn item_sig(item: &Item) -> SignalId {
 /// the netlist and layout (never from the program): `B0210` for decode
 /// mismatches, `B0211` for fused trigger writes that disagree with the
 /// plan's consumer map in `outs`, `B0212` for control-flow violations
-/// (non-forward jumps, malformed conditional diamonds). `fuse` states
-/// whether the engine intended trigger fusion for this block.
+/// (non-forward jumps, malformed conditional diamonds). After the items
+/// come the block's commits ([`check_blocks`] holds those to the plan):
+/// each single-word one a `Commit` instruction carrying its consumers,
+/// every other one listed unabsorbed. `fuse` states whether the engine
+/// intended trigger fusion for this block.
 pub fn check_tier1(
     netlist: &Netlist,
     layout: &Layout,
@@ -740,6 +821,7 @@ pub fn check_tier1(
         seen_ranges: vec![Vec::new(); outs.len()],
     };
     chk.walk_items(&block.items);
+    chk.walk_commits(&block.commits, fuse);
     if chk.pc < prog.code.len() {
         chk.report.push(
             Diagnostic::error(
@@ -850,6 +932,102 @@ impl TierChecker<'_> {
                 None => self.match_generic(item, step.sig),
             },
             Item::CondMux { .. } => self.walk_cond_mux(item),
+        }
+    }
+
+    /// The block's commits, in order: a single-word commit under fusion
+    /// is the next instruction (`B0210`) with the register's consumers
+    /// on an always-present compare-store-wake tail; anything else must
+    /// be listed for the engine's state table (`B0211`) — a commit in
+    /// neither place never happens, one in both happens twice.
+    fn walk_commits(&mut self, commits: &[Commit], fuse: bool) {
+        for &ci in &self.prog.unabsorbed {
+            if ci >= commits.len() {
+                self.error(
+                    codes::TIER_FUSE,
+                    format!(
+                        "unabsorbed index {ci} out of range for {} commit(s)",
+                        commits.len()
+                    ),
+                );
+            }
+        }
+        for (ci, commit) in commits.iter().enumerate() {
+            let name = self.netlist.signal(commit.sig).name.clone();
+            let listed = self.prog.unabsorbed.contains(&ci);
+            if !fuse || commit.words != 1 {
+                if !listed {
+                    self.error(
+                        codes::TIER_FUSE,
+                        format!(
+                            "commit of `{name}` is neither an instruction nor listed \
+                             unabsorbed: the register would never update"
+                        ),
+                    );
+                }
+                continue;
+            }
+            if listed {
+                self.error(
+                    codes::TIER_FUSE,
+                    format!(
+                        "commit of `{name}` is lowerable but listed unabsorbed \
+                         (the register would be committed twice, or never)"
+                    ),
+                );
+            }
+            let at = self.pc;
+            let Some(got) = self.fetch(&format!("the commit of `{name}`")) else {
+                continue;
+            };
+            self.check_tag(at, commit.sig.0, &name);
+            let exp = Inst1 {
+                a: commit.next,
+                imm: commit.reg_plan as u64,
+                ..Inst1::new(Op1::Commit, commit.out, u64::MAX)
+            };
+            if !same_decode(&got, &exp) {
+                self.report.push(
+                    Diagnostic::error(
+                        codes::TIER_DECODE,
+                        format!(
+                            "instruction at pc {at} for the commit of `{name}` decodes as \
+                             {got:?}, the block requires {exp:?}"
+                        ),
+                    )
+                    .with_signal(name)
+                    .with_partition(self.partition),
+                );
+                continue;
+            }
+            let woken = (got.ws != NO_FUSE)
+                .then(|| self.prog.consumers.get(got.ws as usize..got.we as usize))
+                .flatten();
+            match woken {
+                Some(slice) => {
+                    let mut got_set = slice.to_vec();
+                    got_set.sort_unstable();
+                    let mut want = commit.consumers.clone();
+                    want.sort_unstable();
+                    if got_set != want {
+                        self.error(
+                            codes::TIER_FUSE,
+                            format!(
+                                "commit of `{name}` at pc {at} wakes {got_set:?}, its \
+                                 register's readers are {want:?}"
+                            ),
+                        );
+                    }
+                }
+                None => self.error(
+                    codes::TIER_FUSE,
+                    format!(
+                        "commit of `{name}` at pc {at} has no compare-store-wake tail \
+                         inside the {}-entry consumer table",
+                        self.prog.consumers.len()
+                    ),
+                ),
+            }
         }
     }
 

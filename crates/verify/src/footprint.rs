@@ -8,15 +8,18 @@
 //! from two independent artifacts:
 //!
 //! * the generic [`Block`] bytecode (arg/dst ranges, `CondMux` ways,
-//!   memory-read banks), and
+//!   memory-read banks, the block's register commits), and
 //! * the lowered [`Tier1Program`] instruction stream (operand offsets,
-//!   jump diamonds, `Generic` fallbacks, fused-trigger sinks),
+//!   jump diamonds, `Generic` fallbacks, `Commit` instructions,
+//!   fused-trigger sinks) together with the commits it reports
+//!   unabsorbed, resolved from the plan as the engine's state table
+//!   resolves them,
 //!
 //! and the two must agree word-for-word (`R0501`) — so a lowering bug
-//! that shifts an offset cannot silently survive into the proof. On top
-//! of the bytecode footprint the analysis adds the engine-level
-//! accesses `ParEssentSim::eval_partition` performs around the bytecode
-//! (unfused-output snapshot/compare reads, elided-register commits,
+//! that shifts an offset, or drops a register commit, cannot silently
+//! survive into the proof. On top of the bytecode footprint the analysis
+//! adds the engine-level accesses `ParEssentSim::eval_partition` performs
+//! around the bytecode (unfused-output snapshot/compare reads,
 //! trigger-flag writes), then proves, over an *independently
 //! re-derived* level grouping, that no two partitions co-scheduled in
 //! the same dependency level ever write the same word (`R0502`) or
@@ -193,6 +196,9 @@ struct Access {
     /// Fused-trigger flag targets (tier-1 derivation only; the generic
     /// tier performs all trigger writes in the engine, not in bytecode).
     fused_flags: BTreeSet<u32>,
+    /// `(register plan, consumer)` per `Commit` instruction wake (tier-1
+    /// derivation only).
+    commit_flags: BTreeSet<(u32, u32)>,
 }
 
 impl Access {
@@ -240,11 +246,16 @@ fn add_item(item: &Item, acc: &mut Access) {
     }
 }
 
-/// Footprint of a partition's generic `Block` bytecode.
+/// Footprint of a partition's generic `Block` bytecode: its items, then
+/// its in-place register commits (`next` read, `out` written).
 fn block_access(block: &Block) -> Access {
     let mut acc = Access::default();
     for item in &block.items {
         add_item(item, &mut acc);
+    }
+    for commit in &block.commits {
+        acc.reads.add(commit.next, commit.words as u32);
+        acc.writes.add(commit.out, commit.words as u32);
     }
     acc.seal();
     acc
@@ -270,26 +281,46 @@ fn add_inst(inst: &Inst1, prog: &Tier1Program, acc: &mut Access) {
         // read (every output slot is snapshot- or compare-read), so it
         // is deliberately not part of the bytecode footprint here.
         for &c in &prog.consumers[inst.ws as usize..inst.we as usize] {
-            acc.fused_flags.insert(c);
+            if inst.op == Op1::Commit {
+                acc.commit_flags.insert((inst.imm as u32, c));
+            } else {
+                acc.fused_flags.insert(c);
+            }
         }
     }
 }
 
 /// Footprint of a partition's lowered `Tier1Program` — derived from the
-/// instruction stream alone, never from the block it was lowered from.
-fn tier_access(prog: &Tier1Program) -> Access {
+/// instruction stream alone, never from the block it was lowered from —
+/// plus the commits the program leaves to the engine's state table,
+/// resolved as the table resolves them: `unabsorbed[k]` names the
+/// partition's `k`-th elided register. `None` when such an index is out
+/// of range.
+fn tier_access(
+    netlist: &Netlist,
+    layout: &Layout,
+    elided_regs: &[usize],
+    prog: &Tier1Program,
+) -> Option<Access> {
     let mut acc = Access::default();
     for inst in &prog.code {
         add_inst(inst, prog, &mut acc);
     }
+    for &ci in &prog.unabsorbed {
+        let reg = &netlist.regs()[*elided_regs.get(ci)?];
+        let words = layout.words(reg.out) as u32;
+        acc.reads.add(layout.offset(reg.next) as u32, words);
+        acc.writes.add(layout.offset(reg.out) as u32, words);
+    }
     acc.seal();
-    acc
+    Some(acc)
 }
 
 /// Engine-level accesses `ParEssentSim::eval_partition` performs around
-/// the bytecode: output snapshot/compare reads, trigger-flag writes,
-/// and in-place elided-register commits (`next` read, `out` write).
-/// Elided memory writes (sequential plans only) read the port's
+/// the bytecode: output snapshot/compare reads and trigger-flag writes
+/// (the in-place register commits' `next` read and `out` write are part
+/// of the bytecode footprint; their wakes are added here, from the
+/// plan). Elided memory writes (sequential plans only) read the port's
 /// addr/en/mask/data slots and write the bank.
 fn engine_access(
     netlist: &Netlist,
@@ -306,11 +337,6 @@ fn engine_access(
         fp.flag_wakes.extend(o.consumers.iter().copied());
     }
     for &ri in &part.elided_regs {
-        let reg = &netlist.regs()[ri];
-        let (noff, nwords) = slot(reg.next);
-        let (ooff, owords) = slot(reg.out);
-        fp.reads.add(noff, nwords);
-        fp.writes.add(ooff, owords);
         fp.flag_wakes
             .extend(plan.reg_plans[ri].wake_on_change.iter().copied());
     }
@@ -412,8 +438,9 @@ fn word_owner(netlist: &Netlist, layout: &Layout, word: u32) -> String {
 /// the tier-1 cross-check when programs are given) and proves the
 /// parallel schedule data-race free:
 ///
-/// * `R0501` — the tier-1 footprint disagrees with the block footprint,
-///   or a fused trigger wakes a partition the plan never names;
+/// * `R0501` — the tier-1 footprint (unabsorbed commits included)
+///   disagrees with the block footprint, or a fused trigger or a commit
+///   wakes a partition the plan never names for it;
 /// * `R0502` — two same-level partitions write an overlapping arena
 ///   word or memory bank;
 /// * `R0503` — a same-level partition reads a word or bank another one
@@ -475,7 +502,22 @@ pub(crate) fn derive_footprints(
     for sched in 0..np {
         let block_acc = block_access(&blocks[sched]);
         if let Some(progs) = programs {
-            let tier_acc = tier_access(&progs[sched]);
+            let elided_regs = &plan.partitions[sched].elided_regs;
+            let Some(tier_acc) = tier_access(netlist, layout, elided_regs, &progs[sched]) else {
+                report.push(
+                    Diagnostic::error(
+                        codes::FOOTPRINT_TIER_MISMATCH,
+                        format!(
+                            "partition p{sched}: the tier-1 program leaves commits {:?} to the \
+                             engine, the partition elides {} register(s)",
+                            progs[sched].unabsorbed,
+                            elided_regs.len()
+                        ),
+                    )
+                    .with_partition(sched),
+                );
+                return (Vec::new(), report);
+            };
             for (what, a, b) in [
                 ("read", &block_acc.reads, &tier_acc.reads),
                 ("write", &block_acc.writes, &tier_acc.writes),
@@ -526,6 +568,25 @@ pub(crate) fn derive_footprints(
                     )
                     .with_partition(sched),
                 );
+            }
+            // Every commit wake must be a reader the plan declares for
+            // that register, and the register one this partition elides.
+            for &(ri, c) in &tier_acc.commit_flags {
+                let planned = elided_regs.contains(&(ri as usize))
+                    && plan.reg_plans[ri as usize].wake_on_change.contains(&c);
+                if !planned {
+                    report.push(
+                        Diagnostic::error(
+                            codes::FOOTPRINT_TIER_MISMATCH,
+                            format!(
+                                "partition p{sched}: a commit wakes partition p{c} for register \
+                                 plan {ri}, which the plan does not name among the readers of a \
+                                 register this partition elides"
+                            ),
+                        )
+                        .with_partition(sched),
+                    );
+                }
             }
         }
         let mut fp = Footprint {

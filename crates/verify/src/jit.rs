@@ -31,7 +31,9 @@
 //!   its target, or a backward jump (termination);
 //! * `J0704` **fuse** — a fused-trigger tail whose wake sites differ
 //!   from the program's consumer list, a missing/spurious `dynamic`
-//!   increment, or wakes on an unfused instruction.
+//!   increment, or wakes on an unfused instruction. A `Commit`
+//!   instruction is held to the same tail, and to *no* `ops` increment
+//!   (`J0702`).
 
 use essent_core::diag::{codes, Diagnostic, Report};
 use essent_sim::jit::{EmittedCode, JitArch};
@@ -101,8 +103,9 @@ fn expect(prog: &Tier1Program, inst: &Inst1, code: &EmittedCode) -> Expect {
     if value {
         stores.insert(inst.dst);
         if inst.ws != NO_FUSE {
-            // The fused tail re-loads the destination for the
-            // compare-and-wake.
+            // The fused tail reads the destination for the
+            // compare-and-wake (x86-64: as the memory operand of the
+            // compare).
             loads.insert(inst.dst);
             flags.extend(
                 prog.consumers[inst.ws as usize..inst.we as usize]
@@ -126,7 +129,7 @@ fn expect(prog: &Tier1Program, inst: &Inst1, code: &EmittedCode) -> Expect {
         req_imms,
         req_mask_width,
         jump,
-        ops_incs: u32::from(value),
+        ops_incs: u32::from(roles.counts_op),
         dyn_incs,
     }
 }
@@ -207,6 +210,17 @@ fn decode_x64(
                     }
                 }
             }
+            // cmp [rdi+disp32], rax: the fused tail's read of the stored
+            // value.
+            0x48 if rest >= 7 && bytes[p + 1] == 0x39 && bytes[p + 2] == 0x87 => {
+                let disp = rd32(bytes, p + 3);
+                if disp < 0 || disp % 8 != 0 {
+                    bad_at(report, p, &mut f);
+                    return f;
+                }
+                f.loads.insert((disp / 8) as u32);
+                p += 7;
+            }
             // movabs rcx, imm64
             0x48 if rest >= 10 && bytes[p + 1] == 0xB9 => {
                 let mut v = [0u8; 8];
@@ -237,7 +251,6 @@ fn decode_x64(
                         | (0x09, 0xC8) // or rax, rcx
                         | (0x31, 0xC8) // xor rax, rcx
                         | (0x39, 0xC8) // cmp rax, rcx
-                        | (0x39, 0xC1) // cmp rcx, rax
                         | (0x85, 0xC9) // test rcx, rcx
                         | (0x85, 0xC0) // test rax, rax
                         | (0x89, 0xD0) // mov rax, rdx (div remainder)
@@ -281,6 +294,12 @@ fn decode_x64(
                     return f;
                 }
             },
+            // je rel8 (the fused tail's skip)
+            0x74 if rest >= 2 => {
+                let rel = bytes[p + 1] as i8;
+                f.branch_targets.push(((p as i64 + 2) + rel as i64) as u32);
+                p += 2;
+            }
             // jmp rel32
             0xE9 if rest >= 5 => {
                 let rel = rd32(bytes, p + 1);

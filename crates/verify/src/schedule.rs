@@ -523,21 +523,36 @@ pub fn check_plan(netlist: &Netlist, plan: &CcssPlan) -> Report {
                 );
             }
         }
-        // A non-elided write action reads field values at end of cycle and
-        // must see the register's pre-update value.
+        // A write action reading the register must see its pre-update
+        // value. A non-elided write runs at end of cycle, after every
+        // in-place commit; an elided one runs after its partition's
+        // program, which commits that partition's elided registers — so
+        // it must sit in a partition scheduled strictly before the
+        // register's writer.
         for (wi, wp) in plan.mem_write_plans.iter().enumerate() {
-            if wp.elided {
+            let port = &netlist.mems()[wp.mem.index()].writers[wp.writer];
+            if ![port.addr, port.en, port.mask, port.data].contains(&reg.out) {
                 continue;
             }
-            let port = &netlist.mems()[wp.mem.index()].writers[wp.writer];
-            if [port.addr, port.en, port.mask, port.data].contains(&reg.out) {
+            let mem = &netlist.mems()[wp.mem.index()].name;
+            let late = if wp.elided {
+                plan.partitions
+                    .iter()
+                    .position(|p| p.elided_writes.contains(&wi))
+                    .filter(|&holder| holder >= writer)
+                    .map(|holder| {
+                        format!("elided write {wi} of memory `{mem}` in partition {holder}")
+                    })
+            } else {
+                Some(format!("end-of-cycle write {wi} of memory `{mem}`"))
+            };
+            if let Some(what) = late {
                 report.push(
                     Diagnostic::error(
                         codes::UNSAFE_ELISION,
                         format!(
-                            "elided register `{}` feeds end-of-cycle write {wi} of memory `{}`",
-                            reg.name,
-                            netlist.mems()[wp.mem.index()].name
+                            "elided register `{}` (writer partition {writer}) feeds {what}",
+                            reg.name
                         ),
                     )
                     .with_signal(reg.name.clone()),

@@ -52,7 +52,7 @@ fn sid(netlist: &Netlist, name: &str) -> SignalId {
 
 #[test]
 fn pristine_plans_verify_clean() {
-    for netlist in [chain(), diamond(), reg_late_readers()] {
+    for netlist in [chain(), diamond(), reg_late_readers(), reg_fed_write()] {
         for c_p in [1, 2, 64] {
             let plan = CcssPlan::build(&netlist, c_p);
             let report = check_plan(&netlist, &plan);
@@ -152,6 +152,50 @@ fn unsafe_elision_is_v0106() {
     plan.partitions[writer as usize].elided_regs.push(ri);
     let report = check_plan(&netlist, &plan);
     assert!(report.contains(codes::UNSAFE_ELISION), "{report}");
+}
+
+/// A memory whose write port is fed straight from two registers; at
+/// `c_p = 64` the write, both next-values and the read all share one
+/// partition, so the write elides there — the stage for the rule that
+/// keeps `r` and `a` out of that partition's in-place commits.
+fn reg_fed_write() -> Netlist {
+    let mut netlist = build(
+        "circuit W :\n  module W :\n    input clock : Clock\n    input x : UInt<8>\n    output o : UInt<8>\n    reg r : UInt<8>, clock\n    reg a : UInt<3>, clock\n    r <= tail(add(r, x), 1)\n    a <= tail(add(a, UInt<3>(1)), 1)\n    mem m :\n      data-type => UInt<8>\n      depth => 8\n      read-latency => 0\n      write-latency => 1\n      reader => rd\n      writer => w\n    m.rd.clk <= clock\n    m.rd.en <= UInt<1>(1)\n    m.rd.addr <= bits(x, 2, 0)\n    o <= m.rd.data\n    m.w.clk <= clock\n    m.w.en <= UInt<1>(1)\n    m.w.mask <= UInt<1>(1)\n    m.w.data <= r\n    m.w.addr <= a\n",
+    );
+    // Copy forwarding makes the port fields *be* the register outputs.
+    essent_netlist::opt::optimize(&mut netlist, &essent_netlist::opt::OptConfig::default());
+    netlist
+}
+
+#[test]
+fn register_elided_beside_the_write_reading_it_is_v0106() {
+    let netlist = reg_fed_write();
+    let mut plan = CcssPlan::build(&netlist, 64);
+    let report = check_plan(&netlist, &plan);
+    assert_eq!(report.error_count(), 0, "{report}");
+    let port = &netlist.mems()[0].writers[0];
+    let ri = netlist
+        .regs()
+        .iter()
+        .position(|reg| reg.out == port.data)
+        .expect("forwarding wires `r` into the port");
+    let holder = plan
+        .partitions
+        .iter()
+        .position(|p| p.elided_writes.contains(&0))
+        .expect("the write elides");
+    let writer = plan.sched_of_signal[netlist.regs()[ri].next.index()] as usize;
+    assert_eq!(holder, writer, "one partition holds the write and `r$next`");
+    assert!(
+        !plan.reg_plans[ri].elided,
+        "the planner keeps `r` two-phase beside the write that reads it"
+    );
+    // Committing `r` inside the partition's program would hand the write
+    // next cycle's data.
+    plan.reg_plans[ri].elided = true;
+    plan.partitions[writer].elided_regs.push(ri);
+    let report = check_plan(&netlist, &plan);
+    assert_eq!(report.codes(), vec![codes::UNSAFE_ELISION], "{report}");
 }
 
 #[test]
@@ -275,6 +319,16 @@ fn wide() -> Netlist {
     )
 }
 
+/// A 100-bit self-feeding register beside an 8-bit one: both elide, but
+/// only the narrow one can become a `Commit` instruction — the wide one
+/// must be reported unabsorbed and audited as the engine's state table
+/// will run it.
+fn wide_reg() -> Netlist {
+    build(
+        "circuit R :\n  module R :\n    input clock : Clock\n    input a : UInt<100>\n    output o : UInt<100>\n    output p : UInt<8>\n    reg w : UInt<100>, clock\n    reg n : UInt<8>, clock\n    w <= xor(w, a)\n    n <= tail(add(n, UInt<8>(1)), 1)\n    o <= w\n    p <= n\n",
+    )
+}
+
 #[test]
 fn pristine_tier_programs_verify_clean() {
     for netlist in [
@@ -283,6 +337,8 @@ fn pristine_tier_programs_verify_clean() {
         reg_late_readers(),
         mux_diamond(),
         wide(),
+        wide_reg(),
+        reg_fed_write(),
     ] {
         for c_p in [1, 2, 64] {
             let setup = tier_setup(&netlist, c_p);
@@ -317,7 +373,7 @@ fn corrupted_fused_consumers_is_b0211() {
         .find_map(|p| {
             p.code
                 .iter()
-                .find(|i| i.ws != NO_FUSE && i.we > i.ws)
+                .find(|i| i.op != Op1::Commit && i.ws != NO_FUSE && i.we > i.ws)
                 .map(|i| i.ws as usize)
                 .map(|ws| &mut p.consumers[ws])
         })
@@ -335,7 +391,7 @@ fn defused_output_missing_from_unfused_list_is_b0211() {
         .progs
         .iter_mut()
         .flat_map(|p| &mut p.code)
-        .find(|i| i.ws != NO_FUSE)
+        .find(|i| i.op != Op1::Commit && i.ws != NO_FUSE)
         .expect("diamond plan must have a fused output");
     // Silently dropping the fused tail without re-registering the output
     // for snapshot-compare would strand its consumers forever.
@@ -343,6 +399,44 @@ fn defused_output_missing_from_unfused_list_is_b0211() {
     inst.we = NO_FUSE;
     let report = tier_report(&netlist, &setup);
     assert!(report.contains(codes::TIER_FUSE), "{report}");
+}
+
+/// `diamond`'s registers feed only their own partitions, so both elide
+/// and each partition's program ends in their `Commit`.
+fn program_ending_in_commit(setup: &mut TierSetup) -> &mut Tier1Program {
+    setup
+        .progs
+        .iter_mut()
+        .find(|p| p.code.last().is_some_and(|i| i.op == Op1::Commit))
+        .expect("an elided single-word register lowers to a closing Commit")
+}
+
+#[test]
+fn dropped_commit_instruction_is_b0210() {
+    let netlist = diamond();
+    let mut setup = tier_setup(&netlist, 1);
+    // The register would silently stop updating: no instruction commits
+    // it and the program does not hand it to the engine either.
+    let prog = program_ending_in_commit(&mut setup);
+    prog.code.pop();
+    prog.sigs.pop();
+    let report = tier_report(&netlist, &setup);
+    assert_eq!(report.codes(), vec![codes::TIER_DECODE], "{report}");
+}
+
+#[test]
+fn rewired_commit_consumer_range_is_b0211() {
+    let netlist = diamond();
+    let mut setup = tier_setup(&netlist, 1);
+    // One reader fewer: that partition would sleep through the change.
+    let commit = program_ending_in_commit(&mut setup)
+        .code
+        .last_mut()
+        .expect("checked non-empty");
+    assert!(commit.we > commit.ws, "the register has a reader");
+    commit.we -= 1;
+    let report = tier_report(&netlist, &setup);
+    assert_eq!(report.codes(), vec![codes::TIER_FUSE], "{report}");
 }
 
 #[test]
@@ -706,6 +800,7 @@ fn pristine_footprints_verify_clean() {
         reg_late_readers(),
         mux_diamond(),
         wide(),
+        wide_reg(),
     ] {
         for c_p in [1, 2, 64] {
             for tier in [false, true] {
@@ -769,7 +864,7 @@ fn unplanned_fused_wake_is_r0501() {
         .find_map(|p| {
             p.code
                 .iter()
-                .find(|i| i.ws != NO_FUSE && i.we > i.ws)
+                .find(|i| i.op != Op1::Commit && i.ws != NO_FUSE && i.we > i.ws)
                 .map(|i| i.ws as usize)
                 .map(|ws| &mut p.consumers[ws])
         })
