@@ -24,6 +24,13 @@
 //! 4. snapshot-compares the outputs the program did not fuse (usually
 //!    none; all of them under the generic tier).
 //!
+//! Steps 3 and 4 are empty for most partitions, and the engine knows
+//! which before it wakes one: each partition has a **wake slot**
+//! ([`crate::slots`]) — the native entry, if any, and a `plain` bit for
+//! "the program is the whole wake" — so a plain wake is one record load,
+//! one flag clear and one call, and only the rest visit the trigger and
+//! state tables.
+//!
 //! Non-elidable state falls back to an end-of-cycle commit with change
 //! detection, from the same table, and external input changes wake their
 //! reader partitions in the main eval function.
@@ -36,6 +43,7 @@ use crate::frontend::{build_plan, Frontend};
 use crate::jit;
 use crate::machine::Machine;
 use crate::profile::{NoProfile, ProfileArena, ProfileReport, ProfileWiring, Profiler};
+use crate::slots::{WakeSlot, WakeSlots};
 use crate::state::StateTable;
 use crate::step1::{Tier1Program, TierStats};
 use essent_bits::Bits;
@@ -73,10 +81,10 @@ pub struct EssentSim {
     /// Word-specialized programs per partition (`config.tier1`); `None`
     /// runs the generic item interpreter.
     programs: Option<Vec<Tier1Program>>,
-    /// Native-compiled partitions (`config.jit`): entries are `Some` for
-    /// partitions that cleared the cost threshold and lowered cleanly;
-    /// everything else stays on the tier-1 interpreter.
-    jit: Option<jit::JitParts>,
+    /// Per partition: the native entry (`config.jit`; partitions that
+    /// cleared the cost threshold and lowered cleanly) and whether the
+    /// program is the whole wake. Owns the native parts.
+    slots: WakeSlots,
     flags: Vec<bool>,
     triggers: Triggers,
     input_wake: HashMap<SignalId, Vec<u32>>,
@@ -256,6 +264,16 @@ impl EssentSim {
             .profile
             .then(|| Box::new(ProfileArena::new(ProfileWiring::for_plan(&netlist, &plan))));
         let flags = vec![true; plan.partitions.len()];
+        // Plain: a lowered program in push mode (pull refreshes input
+        // snapshots on every wake) that left nothing to steps 3 and 4.
+        let plain = (0..plan.partitions.len())
+            .map(|sched| {
+                config.trigger_push
+                    && programs.is_some()
+                    && triggers.part_start[sched] == triggers.part_end[sched]
+                    && !state.has_in_place(sched)
+            })
+            .collect();
         EssentSim {
             machine,
             plan,
@@ -269,7 +287,7 @@ impl EssentSim {
             push: config.trigger_push,
             pull_inputs,
             profile,
-            jit,
+            slots: WakeSlots::new(jit, plain),
         }
     }
 
@@ -307,19 +325,25 @@ impl EssentSim {
     /// Number of partitions currently running native-compiled bodies
     /// (0 when the JIT is off or unsupported on this target).
     pub fn jit_compiled_count(&self) -> usize {
-        self.jit.as_ref().map_or(0, |j| j.compiled_count())
+        self.slots.compiled_count()
+    }
+
+    /// Number of partitions whose wake is the program alone: no unfused
+    /// output to compare, no in-place state left to the engine.
+    pub fn plain_slot_count(&self) -> usize {
+        self.slots.plain_count()
     }
 
     /// Discards the compiled body for one partition, forcing it back to
     /// the tier-1 interpreter (deopt testing). Returns whether a body
     /// was actually dropped.
     pub fn force_deopt(&mut self, sched: usize) -> bool {
-        self.jit.as_mut().is_some_and(|j| j.deopt(sched))
+        self.slots.deopt(sched)
     }
 
     /// Discards every compiled body; returns how many were dropped.
     pub fn force_deopt_all(&mut self) -> usize {
-        self.jit.as_mut().map_or(0, |j| j.deopt_all())
+        self.slots.deopt_all()
     }
 
     /// Testing hook: compiles every eligible partition regardless of the
@@ -327,23 +351,16 @@ impl EssentSim {
     /// would leave interpreted. Returns how many bodies now exist; 0 on
     /// unsupported targets or when the tier/profile gating forbids JIT.
     pub fn jit_compile_all(&mut self) -> usize {
-        if self.profile.is_some() || cfg!(feature = "race-sanitizer") || !jit::supported() {
-            return 0;
-        }
-        match &self.programs {
-            Some(progs) => {
-                let j = jit::JitParts::build_all(progs, &self.machine.mems);
-                let n = j.compiled_count();
-                self.jit = Some(j);
-                n
-            }
-            None => 0,
-        }
+        self.slots.compile_all(
+            self.programs.as_deref(),
+            &self.machine.mems,
+            self.profile.is_some(),
+        )
     }
 
     /// Borrow of the compiled partitions (verification, tests).
     pub fn jit_parts(&self) -> Option<&jit::JitParts> {
-        self.jit.as_ref()
+        self.slots.jit()
     }
 
     /// Borrow of the telemetry arena (trace export; `None` unless built
@@ -367,66 +384,21 @@ impl EssentSim {
         let flags = Cell::from_mut(self.flags.as_mut_slice()).as_slice_of_cells();
         let tr = &mut self.triggers;
         let state = &self.state;
-        let blocks = &self.blocks;
-        let programs = &self.programs;
-        let jit = &self.jit;
+        let slots = self.slots.as_slice();
+        let code = Programs {
+            programs: self.programs.as_deref(),
+            blocks: &self.blocks,
+            flags,
+            banks: self.slots.banks(),
+        };
 
         let push = self.push;
-        let pull = &mut self.pull_inputs;
         let np = flags.len();
-        if push {
-            // One activity flag test per partition per cycle, accounted
-            // in bulk: the chunked scan below performs the same tests
-            // eight at a time.
-            machine.counters.static_checks += np as u64;
-        }
-        let mut run_part = |sched: usize, prof: &mut P| {
-            if !push {
-                machine.counters.static_checks += 1;
-            }
-            let mut active = flags[sched].get();
-            if !push && !active {
-                // Pull direction: compare every cross-partition input
-                // against its snapshot — per-cycle work proportional to
-                // the partition's inputs, the overhead the paper's push
-                // choice avoids.
-                let (i_start, i_end) = (
-                    pull.part_start[sched] as usize,
-                    pull.part_end[sched] as usize,
-                );
-                for i in i_start..i_end {
-                    machine.counters.static_checks += 1;
-                    let off = pull.in_off[i] as usize;
-                    let w = pull.in_words[i] as usize;
-                    let snap = pull.snap_off[i] as usize;
-                    if machine.arena[off..off + w] != pull.snapshots[snap..snap + w] {
-                        active = true;
-                        break;
-                    }
-                }
-            }
-            if !active {
-                prof.unit_skip(sched);
-                return;
-            }
+        // A woken non-plain partition, its flag already cleared: steps
+        // 2 to 4 of the module docs.
+        let mut wake_full = |sched: usize, slot: WakeSlot, machine: &mut Machine, prof: &mut P| {
             let ops_before = machine.counters.ops_evaluated;
             let t0 = prof.eval_begin(sched);
-            // 1. Deactivate for the next cycle.
-            flags[sched].set(false);
-            if !push {
-                // Refresh input snapshots for the next pull comparison.
-                let (i_start, i_end) = (
-                    pull.part_start[sched] as usize,
-                    pull.part_end[sched] as usize,
-                );
-                for i in i_start..i_end {
-                    let off = pull.in_off[i] as usize;
-                    let w = pull.in_words[i] as usize;
-                    let snap = pull.snap_off[i] as usize;
-                    pull.snapshots[snap..snap + w].copy_from_slice(&machine.arena[off..off + w]);
-                }
-            }
-
             // Snapshot the old values of the unfused outputs (step 4).
             let (o_start, o_end) = (tr.part_start[sched] as usize, tr.part_end[sched] as usize);
             for o in o_start..o_end {
@@ -436,50 +408,7 @@ impl EssentSim {
                 tr.old_vals[old..old + w].copy_from_slice(&machine.arena[off..off + w]);
             }
 
-            // 2. The program — through the word-specialized tier when
-            //    lowered (outputs and register commits compare-and-wake
-            //    inline), through the generic item interpreter otherwise.
-            match programs {
-                Some(progs) => {
-                    let arena = machine.arena.as_mut_ptr();
-                    let native = jit
-                        .as_ref()
-                        .and_then(|j| j.part(sched).map(|p| (p, j.banks())));
-                    if let Some((part, banks)) = native {
-                        // SAFETY: exclusive machine access through
-                        // &mut self; the compiled body touches only
-                        // arena offsets lowered from this partition's
-                        // tier-1 program — its members' slots and, for
-                        // its `Commit` instructions, its elided
-                        // registers' `next`/`out` slots (B0210 holds the
-                        // program to the block, J07xx the bytes to the
-                        // program) — wakes consumers through the flag
-                        // bytes (Cell<bool> is a byte, 1 == true), and
-                        // reads memory banks through the pinned bank
-                        // table built from this machine's mems.
-                        let (o, d) = unsafe {
-                            part.run(arena, flags.as_ptr().cast::<u8>().cast_mut(), banks)
-                        };
-                        machine.counters.ops_evaluated += o;
-                        machine.counters.dynamic_checks += d;
-                    } else {
-                        // SAFETY: exclusive machine access through &mut self;
-                        // the flag cells alias no arena or bank storage.
-                        unsafe {
-                            prof.run_tier1(
-                                &progs[sched],
-                                arena,
-                                &machine.mems,
-                                flags,
-                                sched,
-                                &mut machine.counters.ops_evaluated,
-                                &mut machine.counters.dynamic_checks,
-                            )
-                        }
-                    }
-                }
-                None => machine.run_items(&blocks[sched].items),
-            }
+            code.run(slot, sched, machine, prof);
 
             // 3. In-place state updates the program did not absorb:
             //    write, wake next-cycle consumers (they are scheduled at
@@ -527,6 +456,10 @@ impl EssentSim {
         };
 
         if push {
+            // One activity flag test per partition per cycle, accounted
+            // in bulk: the chunked scan below performs the same tests
+            // eight at a time.
+            machine.counters.static_checks += np as u64;
             // Chunked idle scan: with the paper's low activity factors
             // most flags are clear most cycles, so the sweep tests eight
             // flag bytes with one word load and skips whole idle runs.
@@ -552,13 +485,61 @@ impl EssentSim {
                 }
                 let lanes = (np - sched).min(8);
                 for _ in 0..lanes {
-                    run_part(sched, prof);
+                    if !flags[sched].get() {
+                        prof.unit_skip(sched);
+                    } else {
+                        // 1. Deactivate for the next cycle.
+                        flags[sched].set(false);
+                        let slot = slots[sched];
+                        if slot.plain {
+                            // The program is the whole wake: one record
+                            // load, one flag clear, one call.
+                            let ops_before = machine.counters.ops_evaluated;
+                            let t0 = prof.eval_begin(sched);
+                            code.run(slot, sched, machine, prof);
+                            prof.eval_end(sched, t0, machine.counters.ops_evaluated - ops_before);
+                        } else {
+                            wake_full(sched, slot, machine, prof);
+                        }
+                    }
                     sched += 1;
                 }
             }
         } else {
+            // Pull direction (no slot is plain): a partition whose flag
+            // is clear compares every cross-partition input against its
+            // snapshot — per-cycle work proportional to the partition's
+            // inputs, the overhead the paper's push choice avoids.
+            let pull = &mut self.pull_inputs;
             for sched in 0..np {
-                run_part(sched, prof);
+                machine.counters.static_checks += 1;
+                let inputs = pull.part_start[sched] as usize..pull.part_end[sched] as usize;
+                let mut active = flags[sched].get();
+                if !active {
+                    for i in inputs.clone() {
+                        machine.counters.static_checks += 1;
+                        let off = pull.in_off[i] as usize;
+                        let w = pull.in_words[i] as usize;
+                        let snap = pull.snap_off[i] as usize;
+                        if machine.arena[off..off + w] != pull.snapshots[snap..snap + w] {
+                            active = true;
+                            break;
+                        }
+                    }
+                }
+                if !active {
+                    prof.unit_skip(sched);
+                    continue;
+                }
+                flags[sched].set(false);
+                // Refresh input snapshots for the next pull comparison.
+                for i in inputs {
+                    let off = pull.in_off[i] as usize;
+                    let w = pull.in_words[i] as usize;
+                    let snap = pull.snap_off[i] as usize;
+                    pull.snapshots[snap..snap + w].copy_from_slice(&machine.arena[off..off + w]);
+                }
+                wake_full(sched, slots[sched], machine, prof);
             }
         }
 
@@ -591,6 +572,65 @@ impl EssentSim {
         }
         machine.cycle += 1;
         machine.counters.cycles += 1;
+    }
+}
+
+/// What a wake runs as the partition's program, and what the program
+/// needs beside the machine.
+struct Programs<'a> {
+    programs: Option<&'a [Tier1Program]>,
+    blocks: &'a [Block],
+    flags: &'a [Cell<bool>],
+    banks: *const jit::JitBank,
+}
+
+impl Programs<'_> {
+    /// Step 2: partition `sched`'s program — natively when its slot has
+    /// an entry, through the word-specialized tier when lowered (outputs
+    /// and register commits compare-and-wake inline either way), through
+    /// the generic item interpreter otherwise.
+    #[inline(always)]
+    fn run<P: Profiler>(&self, slot: WakeSlot, sched: usize, machine: &mut Machine, prof: &mut P) {
+        let arena = machine.arena.as_mut_ptr();
+        match (slot.entry, self.programs) {
+            (Some(entry), _) => {
+                // SAFETY: the slot table is rebuilt whenever the native
+                // parts change, so `entry` is a live body of this
+                // engine; exclusive machine access through the engine's
+                // &mut self; the body touches only arena offsets lowered
+                // from this partition's tier-1 program — its members'
+                // slots and, for its `Commit` instructions, its elided
+                // registers' `next`/`out` slots (B0210 holds the program
+                // to the block, J07xx the bytes to the program) — wakes
+                // consumers through the flag bytes (Cell<bool> is a
+                // byte, 1 == true), and reads memory banks through the
+                // pinned bank table built from this machine's mems.
+                let (o, d) = unsafe {
+                    jit::call(
+                        entry,
+                        arena,
+                        self.flags.as_ptr().cast::<u8>().cast_mut(),
+                        self.banks,
+                    )
+                };
+                machine.counters.ops_evaluated += o;
+                machine.counters.dynamic_checks += d;
+            }
+            // SAFETY: exclusive machine access through the engine's
+            // &mut self; the flag cells alias no arena or bank storage.
+            (None, Some(progs)) => unsafe {
+                prof.run_tier1(
+                    &progs[sched],
+                    arena,
+                    &machine.mems,
+                    self.flags,
+                    sched,
+                    &mut machine.counters.ops_evaluated,
+                    &mut machine.counters.dynamic_checks,
+                )
+            },
+            (None, None) => machine.run_items(&self.blocks[sched].items),
+        }
     }
 }
 

@@ -136,14 +136,18 @@ impl BankTable {
 /// everything that does work while skipping the degenerate forwarders.
 pub const JIT_MIN_COST: u64 = 2;
 
-/// Cap on total emitted machine code per engine. Native bodies are
-/// ~10–20× larger than the `Inst1` words they replace, so compiling a
-/// huge design wholesale turns the interpreter's compact data stream
-/// into an instruction-fetch problem and loses to tier-1 outright.
-/// Selection is costliest-first under this budget, which keeps the
-/// native tier's footprint within reach of the last-level cache while
-/// covering the partitions where the dispatch overhead actually
-/// concentrates.
+/// Cap on total emitted machine code per engine. A native body is
+/// *smaller* than the program it replaces — on boom ≈ 23 bytes per
+/// `Inst1` (29 382 instructions in 685 527 B; it was 37 B before
+/// accumulator forwarding, short result masks and per-run counters)
+/// against the 48-byte `Inst1` itself — but it is fetched through the
+/// instruction side, in a wake order nothing prefetches, so an
+/// unbounded native tier on a huge design trades dispatch for
+/// instruction-cache misses. Selection is costliest-first under this
+/// budget, which keeps the native tier's footprint within reach of the
+/// last-level cache while covering the partitions where the dispatch
+/// overhead actually concentrates. Every eligible partition of the
+/// paper designs fits (boom: 1 754 of 1 754).
 pub const JIT_CODE_BUDGET: usize = 1 << 20;
 
 /// Whether this build target can execute emitted code (Linux on x86-64
@@ -174,7 +178,34 @@ pub fn emit_for_host(prog: &Tier1Program) -> Option<EmittedCode> {
 }
 
 /// The function signature of an emitted partition body.
-type EntryFn = unsafe extern "C" fn(*mut u64, *mut u8, *const JitBank) -> u64;
+pub(crate) type EntryFn = unsafe extern "C" fn(*mut u64, *mut u8, *const JitBank) -> u64;
+
+/// Calls an emitted body; returns its `(ops, dynamic)` work-counter
+/// deltas, matching `run_tier1_raw`'s accounting exactly.
+///
+/// # Safety
+///
+/// `entry` must be the [`CompiledPart::entry`] of a part its
+/// [`JitParts`] still holds. The data contract is `run_tier1_raw`'s:
+/// `arena` points at the machine's arena laid out as when the program
+/// was lowered, with no concurrent writer of any slot this partition
+/// reads nor any accessor of slots it writes; `flags` points at one byte
+/// per scheduled partition (`bool` / `AtomicBool` storage — the code
+/// stores the byte `1`, which is a valid `true` for either and, at
+/// machine-code level, matches the relaxed-store discipline of the
+/// atomic sink); `banks` points at a [`BankTable`] built over the
+/// machine's banks.
+#[inline(always)]
+pub(crate) unsafe fn call(
+    entry: EntryFn,
+    arena: *mut u64,
+    flags: *mut u8,
+    banks: *const JitBank,
+) -> (u64, u64) {
+    // SAFETY: forwarded to the caller.
+    let packed = unsafe { entry(arena, flags, banks) };
+    (packed & 0xFFFF_FFFF, packed >> 32)
+}
 
 /// A partition compiled into the engine's shared executable arena.
 ///
@@ -189,7 +220,7 @@ pub struct CompiledPart {
 
 // SAFETY: the mapping is immutable (R+X) after construction; calling the
 // code from another thread is as safe as calling it from this one — the
-// *caller* upholds the arena/bank disjointness contract of `run`.
+// *caller* upholds the arena/bank disjointness contract of [`call`].
 unsafe impl Send for CompiledPart {}
 // SAFETY: as above — shared access only reads the mapping pointer.
 unsafe impl Sync for CompiledPart {}
@@ -200,29 +231,14 @@ impl CompiledPart {
         &self.code
     }
 
-    /// Evaluates the partition; returns `(ops, dynamic)` work-counter
-    /// deltas, matching `run_tier1_raw`'s accounting exactly.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as `run_tier1_raw`: `arena` points at the machine's
-    /// arena laid out as when the program was lowered, with no concurrent
-    /// writer of any slot this partition reads nor any accessor of slots
-    /// it writes; `flags` points at one byte per scheduled partition
-    /// (`bool` / `AtomicBool` storage — the code stores the byte `1`,
-    /// which is a valid `true` for either and, at machine-code level,
-    /// matches the relaxed-store discipline of the atomic sink); `banks`
-    /// points at a [`BankTable`] built over the machine's banks.
-    pub unsafe fn run(&self, arena: *mut u64, flags: *mut u8, banks: *const JitBank) -> (u64, u64) {
+    /// The body's entry point. Valid for as long as the owning
+    /// [`JitParts`] lives and keeps this part (the wake-slot table
+    /// caches it under that rule).
+    pub(crate) fn entry(&self) -> EntryFn {
         // SAFETY: `entry` points at a complete emitted stream for the
         // host architecture (prologue..epilogue) produced by this
-        // module's emitter, inside the owning `JitParts` arena mapping;
-        // the caller upholds the data contract above.
-        let packed = unsafe {
-            let f: EntryFn = std::mem::transmute::<*const u8, EntryFn>(self.entry);
-            f(arena, flags, banks)
-        };
-        (packed & 0xFFFF_FFFF, packed >> 32)
+        // module's emitter, inside the owning `JitParts` arena mapping.
+        unsafe { std::mem::transmute::<*const u8, EntryFn>(self.entry) }
     }
 }
 
@@ -352,6 +368,15 @@ impl JitParts {
     /// Number of partitions currently running native code.
     pub fn compiled_count(&self) -> usize {
         self.parts.iter().filter(|p| p.is_some()).count()
+    }
+
+    /// Bytes of machine code those partitions run.
+    pub fn code_bytes(&self) -> usize {
+        self.parts
+            .iter()
+            .flatten()
+            .map(|p| p.code.bytes.len())
+            .sum()
     }
 
     /// Drops one partition back to the tier-1 interpreter; returns

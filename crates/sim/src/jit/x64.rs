@@ -21,6 +21,26 @@
 //! the per-call [`JitBank`](super::JitBank) table at `[rbx + c * 16]` —
 //! uniform shapes the J07xx auditor pattern-matches exactly.
 //!
+//! **Accumulator forwarding.** After an instruction's tail `rax` holds
+//! exactly the word it stored to `dst`, and the emitter remembers that
+//! (`Asm::acc`): when the next instruction of the same straight-line
+//! run reads that word, its load is skipped (operand in `rax`) or becomes
+//! `mov rcx, rax` (operand in `rcx`). The knowledge dies at every bound
+//! label — a jump target may be reached with a different `rax` — after
+//! every jump instruction, and at the first emitted instruction that
+//! writes `rax`, so a `Cat` whose two operands are the same word still
+//! loads the second one after its shift.
+//!
+//! **Result masks** use the shortest form that clears the same bits:
+//! nothing for all ones, `mov eax, eax` for the low 32, `and eax, imm8` /
+//! `and eax, imm32` below that (a 32-bit operation zero-extends), and
+//! `movabs rcx, m; and rax, rcx` only above 32 bits.
+//!
+//! **Work counters** are static per straight-line run — every path
+//! through an instruction counts the same — so they are added once per
+//! run (`add r8, imm8` / `add r9, imm8`): before each jump, before each
+//! jump target, and before the epilogue.
+//!
 //! Division avoids the two `div`/`idiv` traps by construction: a zero
 //! divisor branches to the interpreter-defined result, and signed
 //! division by `-1` is rewritten as negation (`i64::MIN / -1` then wraps
@@ -45,6 +65,14 @@ struct Asm {
     /// Pending branch patches: (offset of the displacement field, label,
     /// field width in bytes — 4, or 1 for [`Asm::je_short`]).
     fixups: Vec<(usize, usize, usize)>,
+    /// The arena word whose current value `rax` is known to hold.
+    /// [`Asm::put`] — the default way to emit — forgets it; only the
+    /// helpers that provably leave `rax` alone go through
+    /// [`Asm::put_keep`].
+    acc: Option<u32>,
+    /// `ops` and `dynamic` counted since the last [`Asm::flush_counts`].
+    ops: u32,
+    dynamic: u32,
 }
 
 impl Asm {
@@ -53,10 +81,20 @@ impl Asm {
             buf: Vec::new(),
             labels: Vec::new(),
             fixups: Vec::new(),
+            acc: None,
+            ops: 0,
+            dynamic: 0,
         }
     }
 
+    /// Emits bytes that may write `rax`.
     fn put(&mut self, bytes: &[u8]) {
+        self.acc = None;
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Emits bytes that do not write `rax`.
+    fn put_keep(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
@@ -65,45 +103,59 @@ impl Asm {
         self.labels.len() - 1
     }
 
+    /// Binds a label here. Control may arrive from its jumps with a
+    /// different `rax`, so the accumulator knowledge ends.
     fn bind(&mut self, l: usize) {
         debug_assert!(self.labels[l].is_none(), "label bound twice");
         self.labels[l] = Some(self.buf.len());
+        self.acc = None;
     }
 
-    /// `mov reg, [rdi + off*8]`.
+    /// `op reg, [rdi + off*8]` / `op [rdi + off*8], reg`.
+    fn arena_op(&mut self, opcode: u8, reg: u8, off: u32) {
+        let rex = 0x48 | ((reg >> 3) << 2);
+        self.put_keep(&[rex, opcode, 0x80 | ((reg & 7) << 3) | 7]);
+        self.put_keep(&(off.wrapping_mul(8) as i32).to_le_bytes());
+    }
+
+    /// Brings arena word `off` into `rax` or `rcx`: nothing (`rax`) or
+    /// `mov rcx, rax` when the accumulator already holds it, `mov reg,
+    /// [rdi + off*8]` otherwise.
     fn load_arena(&mut self, reg: u8, off: u32) {
-        let rex = 0x48 | ((reg >> 3) << 2);
-        self.put(&[rex, 0x8B, 0x80 | ((reg & 7) << 3) | 7]);
-        self.put(&(off.wrapping_mul(8) as i32).to_le_bytes());
+        match (self.acc == Some(off), reg) {
+            (true, RAX) => {}
+            (true, _) => self.put_keep(&[0x48, 0x89, 0xC1]), // mov rcx, rax
+            (false, _) => {
+                self.arena_op(0x8B, reg, off);
+                if reg == RAX {
+                    self.acc = Some(off);
+                }
+            }
+        }
     }
 
-    /// `mov [rdi + off*8], reg`.
-    fn store_arena(&mut self, reg: u8, off: u32) {
-        let rex = 0x48 | ((reg >> 3) << 2);
-        self.put(&[rex, 0x89, 0x80 | ((reg & 7) << 3) | 7]);
-        self.put(&(off.wrapping_mul(8) as i32).to_le_bytes());
+    /// `mov [rdi + off*8], rax`.
+    fn store_arena(&mut self, off: u32) {
+        self.arena_op(0x89, RAX, off);
     }
 
-    /// `cmp [rdi + off*8], reg` — the fused tail's compare against the
+    /// `cmp [rdi + off*8], rax` — the fused tail's compare against the
     /// stored value, without a load into a scratch register.
-    fn cmp_arena(&mut self, reg: u8, off: u32) {
-        let rex = 0x48 | ((reg >> 3) << 2);
-        self.put(&[rex, 0x39, 0x80 | ((reg & 7) << 3) | 7]);
-        self.put(&(off.wrapping_mul(8) as i32).to_le_bytes());
+    fn cmp_arena(&mut self, off: u32) {
+        self.arena_op(0x39, RAX, off);
     }
 
     /// `mov byte [rsi + consumer], 1` — a fused trigger wake.
     fn flag_store(&mut self, consumer: u32) {
-        self.put(&[0xC6, 0x86]);
-        self.put(&(consumer as i32).to_le_bytes());
-        self.put(&[0x01]);
+        self.put_keep(&[0xC6, 0x86]);
+        self.put_keep(&(consumer as i32).to_le_bytes());
+        self.put_keep(&[0x01]);
     }
 
-    /// `movabs reg, imm` (always the 10-byte form).
-    fn mov_imm64(&mut self, reg: u8, imm: u64) {
-        let rex = 0x48 | (reg >> 3);
-        self.put(&[rex, 0xB8 + (reg & 7)]);
-        self.put(&imm.to_le_bytes());
+    /// `movabs rcx, imm` (always the 10-byte form).
+    fn mov_rcx_imm64(&mut self, imm: u64) {
+        self.put_keep(&[0x48, 0xB9]);
+        self.put_keep(&imm.to_le_bytes());
     }
 
     /// Sign-extension by shift pair: `shl reg, s; sar reg, s` (no-op for
@@ -112,9 +164,21 @@ impl Asm {
         if s == 0 {
             return;
         }
-        let rex = 0x48 | (reg >> 3);
-        self.put(&[rex, 0xC1, 0xE0 | (reg & 7), s]); // shl
-        self.put(&[rex, 0xC1, 0xF8 | (reg & 7), s]); // sar
+        let pair = [
+            0x48,
+            0xC1,
+            0xE0 | reg,
+            s, // shl
+            0x48,
+            0xC1,
+            0xF8 | reg,
+            s, // sar
+        ];
+        if reg == RAX {
+            self.put(&pair);
+        } else {
+            self.put_keep(&pair);
+        }
     }
 
     /// `shl/shr/sar rax, imm8` (`ext` = 4/5/7).
@@ -125,28 +189,58 @@ impl Asm {
         self.put(&[0x48, 0xC1, 0xC0 | (ext << 3), imm]);
     }
 
+    /// `rax &= mask`, in the shortest form that clears the same bits.
+    fn mask(&mut self, mask: u64) {
+        match mask {
+            u64::MAX => {}
+            0xFFFF_FFFF => self.put(&[0x89, 0xC0]), // mov eax, eax
+            0..=0x7F => self.put(&[0x83, 0xE0, mask as u8]), // and eax, imm8
+            0x80..=0xFFFF_FFFE => {
+                self.put(&[0x25]); // and eax, imm32
+                self.put(&(mask as u32).to_le_bytes());
+            }
+            _ => {
+                self.mov_rcx_imm64(mask);
+                self.put(&[0x48, 0x21, 0xC8]); // and rax, rcx
+            }
+        }
+    }
+
+    /// Adds what the run has counted so far to `r8` (`ops`) and `r9`
+    /// (`dynamic`). `add r64, imm8` sign-extends, so a run of more than
+    /// 127 splits. Clobbers the flags, never `rax`.
+    fn flush_counts(&mut self) {
+        for (modrm, pending) in [(0xC0, &mut self.ops), (0xC1, &mut self.dynamic)] {
+            while *pending > 0 {
+                let step = (*pending).min(i8::MAX as u32);
+                self.buf.extend_from_slice(&[0x49, 0x83, modrm, step as u8]);
+                *pending -= step;
+            }
+        }
+    }
+
     /// `jmp rel32` to a label.
     fn jmp(&mut self, l: usize) {
-        self.put(&[0xE9]);
+        self.put_keep(&[0xE9]);
         self.fixups.push((self.buf.len(), l, 4));
-        self.put(&[0; 4]);
+        self.put_keep(&[0; 4]);
     }
 
     /// `jcc rel32` to a label (`cc` = the 0F-prefixed condition byte:
     /// 0x84 jz/je, 0x85 jnz/jne, 0x82 jb, 0x83 jae, 0x86 jbe).
     fn jcc(&mut self, cc: u8, l: usize) {
-        self.put(&[0x0F, cc]);
+        self.put_keep(&[0x0F, cc]);
         self.fixups.push((self.buf.len(), l, 4));
-        self.put(&[0; 4]);
+        self.put_keep(&[0; 4]);
     }
 
     /// `je rel8` to a label the caller knows is bound within 127 bytes
     /// (the fused tail's skip over its own store and wakes: a third the
     /// size of the rel32 form, on the most repeated sequence in a body).
     fn je_short(&mut self, l: usize) {
-        self.put(&[0x74]);
+        self.put_keep(&[0x74]);
         self.fixups.push((self.buf.len(), l, 1));
-        self.put(&[0]);
+        self.put_keep(&[0]);
     }
 
     /// Patches every pending branch displacement.
@@ -194,8 +288,17 @@ pub fn emit(prog: &Tier1Program, have_popcnt: bool) -> Option<EmittedCode> {
         return None;
     }
     let mut a = Asm::new();
-    // Labels 0..=n: instruction starts plus the epilogue (jump targets).
-    let inst_labels: Vec<usize> = (0..=prog.code.len()).map(|_| a.label()).collect();
+    let n = prog.code.len();
+    // Labels 0..=n: instruction starts plus the epilogue. Only the ones
+    // a jump names are bound — binding ends accumulator forwarding.
+    let inst_labels: Vec<usize> = (0..=n).map(|_| a.label()).collect();
+    let mut target = vec![false; n + 1];
+    for inst in &prog.code {
+        if inst.roles().jumps {
+            target[inst.a as usize] = true;
+        }
+    }
+    target[n] = true;
 
     // Prologue: save rbx, move the bank table out of rdx (div clobbers
     // it), zero the counters.
@@ -204,14 +307,21 @@ pub fn emit(prog: &Tier1Program, have_popcnt: bool) -> Option<EmittedCode> {
     a.put(&[0x45, 0x31, 0xC0]); // xor r8d, r8d   (ops)
     a.put(&[0x45, 0x31, 0xC9]); // xor r9d, r9d   (dynamic)
 
-    let mut marks = Vec::with_capacity(prog.code.len());
+    let mut marks = Vec::with_capacity(n);
     for (pc, inst) in prog.code.iter().enumerate() {
-        a.bind(inst_labels[pc]);
+        if target[pc] {
+            a.bind(inst_labels[pc]);
+        }
         let start = a.buf.len() as u32;
         emit_inst(&mut a, prog, inst, &inst_labels);
+        // The run ends where another path joins: settle its counts
+        // before the label.
+        if target[pc + 1] {
+            a.flush_counts();
+        }
         marks.push((start, a.buf.len() as u32));
     }
-    a.bind(inst_labels[prog.code.len()]);
+    a.bind(inst_labels[n]);
 
     // Epilogue: rax = ops | (dynamic << 32).
     a.put(&[0x4C, 0x89, 0xC8]); // mov rax, r9
@@ -240,6 +350,7 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
     const TEST_CX: &[u8] = &[0x48, 0x85, 0xC9]; // test rcx, rcx
     const TEST_AX: &[u8] = &[0x48, 0x85, 0xC0]; // test rax, rax
     const TEST_AL1: &[u8] = &[0xA8, 0x01]; // test al, 1
+    const CMP_CX_M1: &[u8] = &[0x48, 0x83, 0xF9, 0xFF]; // cmp rcx, -1
     const ZERO_AX: &[u8] = &[0x31, 0xC0]; // xor eax, eax
     const ZERO_DX: &[u8] = &[0x31, 0xD2]; // xor edx, edx
     const DIV_CX: &[u8] = &[0x48, 0xF7, 0xF1]; // div rcx
@@ -251,6 +362,7 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
     const MOVZX_AL: &[u8] = &[0x0F, 0xB6, 0xC0]; // movzx eax, al
     const POPCNT: &[u8] = &[0xF3, 0x48, 0x0F, 0xB8, 0xC0]; // popcnt rax, rax
     const AND_AX_1: &[u8] = &[0x83, 0xE0, 0x01]; // and eax, 1
+    const CMOVZ: &[u8] = &[0x48, 0x0F, 0x44, 0xC1]; // cmovz rax, rcx
     const SHL_CL: &[u8] = &[0x48, 0xD3, 0xE0]; // shl rax, cl
     const SHR_CL: &[u8] = &[0x48, 0xD3, 0xE8]; // shr rax, cl
     const SAR_CL: &[u8] = &[0x48, 0xD3, 0xF8]; // sar rax, cl
@@ -260,12 +372,25 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
         a.put(&[0x0F, setcc, 0xC0]);
         a.put(MOVZX_AL);
     }
-    /// Loads both operands with their sign extensions.
+    /// `a` into `rax` and `b` into `rcx`, shifted by `sxa`/`sxb`. When
+    /// the accumulator holds `b` it moves to `rcx` first — before `a`'s
+    /// load or sign extension overwrites `rax`.
+    fn load_pair(a: &mut Asm, inst: &Inst1, sxa: u8, sxb: u8) {
+        if a.acc == Some(inst.b) {
+            a.load_arena(RCX, inst.b);
+            a.sext(RCX, sxb);
+            a.load_arena(RAX, inst.a);
+            a.sext(RAX, sxa);
+        } else {
+            a.load_arena(RAX, inst.a);
+            a.sext(RAX, sxa);
+            a.load_arena(RCX, inst.b);
+            a.sext(RCX, sxb);
+        }
+    }
+    /// Both operands with their sign extensions.
     fn load_ab(a: &mut Asm, inst: &Inst1) {
-        a.load_arena(RAX, inst.a);
-        a.sext(RAX, inst.sxa);
-        a.load_arena(RCX, inst.b);
-        a.sext(RCX, inst.sxb);
+        load_pair(a, inst, inst.sxa, inst.sxb);
     }
 
     match inst.op {
@@ -283,9 +408,8 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
         }
         Op1::DivU => {
             let (zero, done) = (a.label(), a.label());
-            a.load_arena(RAX, inst.a);
-            a.load_arena(RCX, inst.b);
-            a.put(TEST_CX);
+            load_pair(a, inst, 0, 0);
+            a.put_keep(TEST_CX);
             a.jcc(0x84, zero);
             a.put(ZERO_DX);
             a.put(DIV_CX);
@@ -298,11 +422,11 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
             let (zero, div, done) = (a.label(), a.label(), a.label());
             a.load_arena(RCX, inst.b);
             a.sext(RCX, inst.sxb);
-            a.put(TEST_CX);
+            a.put_keep(TEST_CX);
             a.jcc(0x84, zero);
             a.load_arena(RAX, inst.a);
             a.sext(RAX, inst.sxa);
-            a.put(&[0x48, 0x83, 0xF9, 0xFF]); // cmp rcx, -1
+            a.put_keep(CMP_CX_M1);
             a.jcc(0x85, div);
             a.put(NEG_AX); // a / -1 = -a (MIN wraps, matching i128 math)
             a.jmp(done);
@@ -316,9 +440,8 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
         }
         Op1::RemU => {
             let done = a.label();
-            a.load_arena(RAX, inst.a);
-            a.load_arena(RCX, inst.b);
-            a.put(TEST_CX);
+            load_pair(a, inst, 0, 0);
+            a.put_keep(TEST_CX);
             a.jcc(0x84, done); // b == 0 -> a (already in rax)
             a.put(ZERO_DX);
             a.put(DIV_CX);
@@ -327,13 +450,10 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
         }
         Op1::RemS => {
             let (rem, done) = (a.label(), a.label());
-            a.load_arena(RAX, inst.a);
-            a.sext(RAX, inst.sxa);
-            a.load_arena(RCX, inst.b);
-            a.sext(RCX, inst.sxb);
-            a.put(TEST_CX);
+            load_ab(a, inst);
+            a.put_keep(TEST_CX);
             a.jcc(0x84, done); // b == 0 -> sext(a) (already in rax)
-            a.put(&[0x48, 0x83, 0xF9, 0xFF]); // cmp rcx, -1
+            a.put_keep(CMP_CX_M1);
             a.jcc(0x85, rem);
             a.put(ZERO_AX); // a % -1 = 0 (idiv would trap on MIN)
             a.jmp(done);
@@ -345,7 +465,7 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
         }
         Op1::LtU | Op1::LtS | Op1::LeqU | Op1::LeqS | Op1::Eq | Op1::Neq => {
             load_ab(a, inst);
-            a.put(CMP_AX_CX);
+            a.put_keep(CMP_AX_CX);
             set_bool(
                 a,
                 match inst.op {
@@ -388,7 +508,7 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
             };
             a.load_arena(RCX, inst.b);
             a.load_arena(RAX, inst.a);
-            a.put(&[0x48, 0x83, 0xF9, bound]); // cmp rcx, bound
+            a.put_keep(&[0x48, 0x83, 0xF9, bound]); // cmp rcx, bound
             a.jcc(0x82, ok); // jb
             a.put(ZERO_AX);
             a.jmp(done);
@@ -399,12 +519,12 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
         Op1::DshrS => {
             let ok = a.label();
             a.load_arena(RCX, inst.b);
-            a.put(&[0x48, 0x83, 0xF9, 0x3F]); // cmp rcx, 63
-            a.jcc(0x86, ok); // jbe
-            a.put(&[0xB9, 0x3F, 0x00, 0x00, 0x00]); // mov ecx, 63
-            a.bind(ok);
             a.load_arena(RAX, inst.a);
             a.sext(RAX, inst.sxa);
+            a.put_keep(&[0x48, 0x83, 0xF9, 0x3F]); // cmp rcx, 63
+            a.jcc(0x86, ok); // jbe
+            a.put_keep(&[0xB9, 0x3F, 0x00, 0x00, 0x00]); // mov ecx, 63
+            a.bind(ok);
             a.put(SAR_CL);
         }
         Op1::Neg => {
@@ -427,13 +547,13 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
         }
         Op1::Andr => {
             a.load_arena(RAX, inst.a);
-            a.mov_imm64(RCX, inst.imm);
-            a.put(CMP_AX_CX);
+            a.mov_rcx_imm64(inst.imm);
+            a.put_keep(CMP_AX_CX);
             set_bool(a, 0x94); // sete
         }
         Op1::Orr => {
             a.load_arena(RAX, inst.a);
-            a.put(TEST_AX);
+            a.put_keep(TEST_AX);
             set_bool(a, 0x95); // setne
         }
         Op1::Xorr => {
@@ -442,9 +562,16 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
             a.put(AND_AX_1);
         }
         Op1::Cat => {
+            // As in `load_pair`: a forwarded `b` leaves `rax` first.
+            let b_first = a.acc == Some(inst.b);
+            if b_first {
+                a.load_arena(RCX, inst.b);
+            }
             a.load_arena(RAX, inst.a);
             a.shift_imm(4, inst.imm as u8);
-            a.load_arena(RCX, inst.b);
+            if !b_first {
+                a.load_arena(RCX, inst.b);
+            }
             a.put(OR);
         }
         Op1::Bits => {
@@ -456,10 +583,19 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
             a.sext(RAX, inst.sxa);
         }
         Op1::Commit => a.load_arena(RAX, inst.a),
+        Op1::Mux if inst.sxb == 0 && inst.sxc == 0 => {
+            // Both ways are plain loads: select without a branch (`mov`
+            // leaves the flags of the selector test alone).
+            a.load_arena(RAX, inst.a);
+            a.put_keep(TEST_AL1);
+            a.load_arena(RAX, inst.b);
+            a.load_arena(RCX, inst.c);
+            a.put(CMOVZ);
+        }
         Op1::Mux => {
             let (low, done) = (a.label(), a.label());
             a.load_arena(RAX, inst.a);
-            a.put(TEST_AL1);
+            a.put_keep(TEST_AL1);
             a.jcc(0x84, low);
             a.load_arena(RAX, inst.b);
             a.sext(RAX, inst.sxb);
@@ -472,15 +608,14 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
         Op1::MemRead => {
             let (zero, done) = (a.label(), a.label());
             a.load_arena(RAX, inst.b); // en
-            a.put(TEST_AL1);
+            a.put_keep(TEST_AL1);
             a.jcc(0x84, zero);
             a.load_arena(RAX, inst.a); // addr
-            a.mov_imm64(RCX, inst.imm); // depth
-            a.put(CMP_AX_CX);
+            a.mov_rcx_imm64(inst.imm); // depth
+            a.put_keep(CMP_AX_CX);
             a.jcc(0x83, zero); // jae
-                               // mov rcx, [rbx + c*16] (bank data pointer)
-            a.put(&[0x48, 0x8B, 0x8B]);
-            a.put(&(inst.c.wrapping_mul(16) as i32).to_le_bytes());
+            a.put_keep(&[0x48, 0x8B, 0x8B]); // mov rcx, [rbx + c*16] (bank data)
+            a.put_keep(&(inst.c.wrapping_mul(16) as i32).to_le_bytes());
             // mov rax, [rcx + rax*8]
             a.put(&[0x48, 0x8B, 0x04, 0xC1]);
             a.jmp(done);
@@ -488,14 +623,21 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
             a.put(ZERO_AX);
             a.bind(done);
         }
+        // A jump ends its run: the counts settle first (`add` would
+        // clobber the flags of the selector test), and whatever `rax`
+        // holds afterwards is not an instruction's `dst`.
         Op1::Jmp => {
+            a.flush_counts();
             a.jmp(inst_labels[inst.a as usize]);
+            a.acc = None;
             return;
         }
         Op1::JmpIf0 => {
+            a.flush_counts();
             a.load_arena(RAX, inst.b);
-            a.put(TEST_AL1);
+            a.put_keep(TEST_AL1);
             a.jcc(0x84, inst_labels[inst.a as usize]);
+            a.acc = None;
             return;
         }
         Op1::Generic => unreachable!("eligibility rejects Generic"),
@@ -504,20 +646,15 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
     // Tail: count the op (a commit is not one), mask, store (with the
     // fused CCSS compare-and-wake when this instruction defines a fused
     // output or commits a register).
-    if inst.op != Op1::Commit {
-        a.put(&[0x49, 0xFF, 0xC0]); // inc r8 (ops)
-    }
-    if inst.mask != u64::MAX {
-        a.mov_imm64(RCX, inst.mask);
-        a.put(AND);
-    }
+    a.ops += u32::from(inst.op != Op1::Commit);
+    a.mask(inst.mask);
     if inst.ws == NO_FUSE {
-        a.store_arena(RAX, inst.dst);
+        a.store_arena(inst.dst);
     } else {
         let skip = a.label();
         let woken = &prog.consumers[inst.ws as usize..inst.we as usize];
-        a.put(&[0x49, 0xFF, 0xC1]); // inc r9 (dynamic)
-        a.cmp_arena(RAX, inst.dst);
+        a.dynamic += 1;
+        a.cmp_arena(inst.dst);
         // je: unchanged, no store, no wakes. The skipped store and flag
         // stores are 7 bytes each.
         if 7 * (1 + woken.len()) <= i8::MAX as usize {
@@ -525,10 +662,355 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
         } else {
             a.jcc(0x84, skip);
         }
-        a.store_arena(RAX, inst.dst);
+        a.store_arena(inst.dst);
         for &c in woken {
             a.flag_store(c);
         }
         a.bind(skip);
+    }
+    // Stored or found equal: either way `rax` is the word at `dst`.
+    a.acc = Some(inst.dst);
+}
+
+#[cfg(test)]
+mod tests {
+    //! Byte-exact expectations for the body shape, each program also run
+    //! natively against `run_tier1_raw` on the same arena (x86-64 Linux
+    //! hosts; elsewhere only the bytes are checked). The expected bytes
+    //! are spelled out here, not produced by [`Asm`].
+
+    use super::*;
+    use crate::step1::TierStats;
+
+    fn program(code: Vec<Inst1>, consumers: Vec<u32>) -> Tier1Program {
+        Tier1Program {
+            sigs: vec![u32::MAX; code.len()],
+            code,
+            generic: Vec::new(),
+            consumers,
+            unfused: Vec::new(),
+            unabsorbed: Vec::new(),
+            stats: TierStats::default(),
+        }
+    }
+
+    fn arena_op(opcode: u8, modrm: u8, off: u32) -> Vec<u8> {
+        let mut v = vec![0x48, opcode, modrm];
+        v.extend_from_slice(&(off * 8).to_le_bytes());
+        v
+    }
+    fn mov_rax(off: u32) -> Vec<u8> {
+        arena_op(0x8B, 0x87, off)
+    }
+    fn mov_rcx(off: u32) -> Vec<u8> {
+        arena_op(0x8B, 0x8F, off)
+    }
+    fn store(off: u32) -> Vec<u8> {
+        arena_op(0x89, 0x87, off)
+    }
+    fn cmp_mem(off: u32) -> Vec<u8> {
+        arena_op(0x39, 0x87, off)
+    }
+    fn wake(consumer: u32) -> Vec<u8> {
+        let mut v = vec![0xC6, 0x86];
+        v.extend_from_slice(&consumer.to_le_bytes());
+        v.push(0x01);
+        v
+    }
+    fn sext_rax(s: u8) -> Vec<u8> {
+        vec![0x48, 0xC1, 0xE0, s, 0x48, 0xC1, 0xF8, s]
+    }
+    const MOV_RCX_RAX: &[u8] = &[0x48, 0x89, 0xC1];
+    const ADD: &[u8] = &[0x48, 0x01, 0xC8];
+    const SUB: &[u8] = &[0x48, 0x29, 0xC8];
+    const OR: &[u8] = &[0x48, 0x09, 0xC8];
+    const NOT: &[u8] = &[0x48, 0xF7, 0xD0];
+    const TEST_AL1: &[u8] = &[0xA8, 0x01];
+    const CMOVZ: &[u8] = &[0x48, 0x0F, 0x44, 0xC1];
+    fn add_ops(n: u8) -> Vec<u8> {
+        vec![0x49, 0x83, 0xC0, n]
+    }
+    fn add_dyn(n: u8) -> Vec<u8> {
+        vec![0x49, 0x83, 0xC1, n]
+    }
+
+    /// Emits `prog`, runs it natively and through the interpreter from
+    /// the same `arena` (the two must leave the same arena, wake the
+    /// same flags and count the same work), and returns each
+    /// instruction's bytes.
+    fn emit_and_run(prog: &Tier1Program, arena: &[u64]) -> Vec<Vec<u8>> {
+        let code = emit(prog, true).expect("test programs are eligible");
+        assert_eq!(code.marks.len(), prog.code.len());
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        {
+            use crate::step1::{run_tier1_raw, CellFlags};
+            use std::cell::Cell;
+            let nflags = prog.consumers.iter().max().map_or(0, |&c| c as usize + 1);
+
+            let mut interp = arena.to_vec();
+            let cells: Vec<Cell<bool>> = vec![Cell::new(false); nflags];
+            let (mut ops, mut dynamic) = (0, 0);
+            // SAFETY: the program's offsets index `interp`, which nothing
+            // else touches; no banks are read.
+            unsafe {
+                run_tier1_raw(
+                    prog,
+                    interp.as_mut_ptr(),
+                    &[],
+                    &CellFlags(&cells),
+                    &mut ops,
+                    &mut dynamic,
+                );
+            }
+
+            let mut native = arena.to_vec();
+            let mut bytes = vec![0u8; nflags];
+            let buf = super::super::ExecBuf::new(&code.bytes).expect("executable mapping");
+            // SAFETY: `buf` holds one complete emitted stream; its
+            // offsets index `native` and `bytes`; no banks are read.
+            let counted = unsafe {
+                let entry = std::mem::transmute::<*const u8, super::super::EntryFn>(buf.ptr());
+                super::super::call(
+                    entry,
+                    native.as_mut_ptr(),
+                    bytes.as_mut_ptr(),
+                    std::ptr::null(),
+                )
+            };
+            assert_eq!(native, interp, "arena");
+            let woken: Vec<u8> = cells.iter().map(|c| c.get() as u8).collect();
+            assert_eq!(bytes, woken, "flags");
+            assert_eq!(counted, (ops, dynamic), "(ops, dynamic)");
+        }
+        #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+        let _ = arena;
+        code.marks
+            .iter()
+            .map(|&(s, e)| code.bytes[s as usize..e as usize].to_vec())
+            .collect()
+    }
+
+    const PATTERN: u64 = 0xDEAD_BEEF_CAFE_F00D;
+
+    #[test]
+    fn each_mask_takes_its_shortest_form() {
+        let movabs = [
+            &[0x48, 0xB9][..],
+            &(1u64 << 32).to_le_bytes(),
+            &[0x48, 0x21, 0xC8],
+        ]
+        .concat();
+        let forms: [(u64, Vec<u8>); 6] = [
+            (1, vec![0x83, 0xE0, 0x01]),
+            (0xFF, vec![0x25, 0xFF, 0x00, 0x00, 0x00]),
+            (0x7FFF_FFFF, vec![0x25, 0xFF, 0xFF, 0xFF, 0x7F]),
+            (0xFFFF_FFFF, vec![0x89, 0xC0]),
+            (1 << 32, movabs),
+            (u64::MAX, vec![]),
+        ];
+        for (mask, form) in forms {
+            let prog = program(vec![Inst1::new(Op1::Ext, 1, mask)], vec![]);
+            for word in [u64::MAX, PATTERN, PATTERN | (1 << 32) | 1] {
+                let insts = emit_and_run(&prog, &[word, 0]);
+                let want = [mov_rax(0), form.clone(), store(1), add_ops(1)].concat();
+                assert_eq!(insts[0], want, "mask {mask:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn previous_dst_forwards_into_a_b_and_a_mux_selector() {
+        // 0: t2 = !w0 (8 bits)   1: w3 = t2 + w1, fused, wakes 0 and 2
+        let fused = Inst1 {
+            a: 2,
+            b: 1,
+            ws: 0,
+            we: 2,
+            ..Inst1::new(Op1::Add, 3, u64::MAX)
+        };
+        let prog = program(vec![Inst1::new(Op1::Not, 2, 0xFF), fused], vec![0, 2]);
+        let insts = emit_and_run(&prog, &[PATTERN, 7, 0, 0]);
+        let mask = vec![0x25, 0xFF, 0x00, 0x00, 0x00];
+        assert_eq!(
+            insts[0],
+            [mov_rax(0), NOT.to_vec(), mask, store(2)].concat()
+        );
+        // `a` is already in rax: only `b` is loaded.
+        let tail = [cmp_mem(3), vec![0x74, 21], store(3), wake(0), wake(2)].concat();
+        assert_eq!(
+            insts[1],
+            [mov_rcx(1), ADD.to_vec(), tail, add_ops(2), add_dyn(1)].concat()
+        );
+
+        // Into `b`: it leaves rax before `a` is loaded over it.
+        let sub = Inst1 {
+            a: 1,
+            b: 2,
+            ..Inst1::new(Op1::Sub, 3, u64::MAX)
+        };
+        let prog = program(vec![Inst1::new(Op1::Not, 2, 0xFF), sub], vec![]);
+        let insts = emit_and_run(&prog, &[PATTERN, 7, 0, 0]);
+        assert_eq!(
+            insts[1],
+            [MOV_RCX_RAX, &mov_rax(1), SUB, &store(3), &add_ops(2)].concat()
+        );
+
+        // Into a mux selector, for either value of it.
+        let not = Inst1 {
+            a: 0,
+            ..Inst1::new(Op1::Not, 4, 1)
+        };
+        let mux = Inst1 {
+            a: 4,
+            b: 2,
+            c: 3,
+            ..Inst1::new(Op1::Mux, 5, u64::MAX)
+        };
+        let prog = program(vec![not, mux], vec![]);
+        for sel in [0, 1] {
+            let insts = emit_and_run(&prog, &[sel, 0, 0x1111, 0x2222, 0, 0]);
+            assert_eq!(
+                insts[1],
+                [
+                    TEST_AL1,
+                    &mov_rax(2),
+                    &mov_rcx(3),
+                    CMOVZ,
+                    &store(5),
+                    &add_ops(2)
+                ]
+                .concat()
+            );
+        }
+    }
+
+    #[test]
+    fn a_jump_target_reloads() {
+        // 0: w5 = w1   1: if !w0 goto 3   2: w5 = w2   3: w6 = !w5
+        // Instruction 3 follows a write of w5 on the fall-through path
+        // and the selector test on the taken one: it must load w5.
+        let ext = |a: u32| Inst1 {
+            a,
+            ..Inst1::new(Op1::Ext, 5, u64::MAX)
+        };
+        let jif = Inst1 {
+            a: 3,
+            b: 0,
+            ..Inst1::new(Op1::JmpIf0, 0, 0)
+        };
+        let not = Inst1 {
+            a: 5,
+            ..Inst1::new(Op1::Not, 6, u64::MAX)
+        };
+        let prog = program(vec![ext(1), jif, ext(2), not], vec![]);
+        for sel in [0, 1] {
+            let insts = emit_and_run(&prog, &[sel, 0x1111, 0x2222, 0, 0, 0, 0]);
+            // The run's count settles before the jump...
+            assert_eq!(insts[1][..4], add_ops(1)[..]);
+            // ...and again before the target.
+            assert_eq!(insts[2], [mov_rax(2), store(5), add_ops(1)].concat());
+            assert_eq!(
+                insts[3],
+                [mov_rax(5), NOT.to_vec(), store(6), add_ops(1)].concat()
+            );
+        }
+
+        // The same at a `Jmp` target: 0: if !w0 goto 3   1: w5 = w1
+        // 2: goto 4   3: w5 = w2   4: w6 = !w5
+        let jif = Inst1 {
+            a: 3,
+            b: 0,
+            ..Inst1::new(Op1::JmpIf0, 0, 0)
+        };
+        let jmp = Inst1 {
+            a: 4,
+            ..Inst1::new(Op1::Jmp, 0, 0)
+        };
+        let prog = program(vec![jif, ext(1), jmp, ext(2), not], vec![]);
+        for sel in [0, 1] {
+            let insts = emit_and_run(&prog, &[sel, 0x1111, 0x2222, 0, 0, 0, 0]);
+            assert_eq!(insts[2][..4], add_ops(1)[..], "before the jump");
+            assert_eq!(
+                insts[4],
+                [mov_rax(5), NOT.to_vec(), store(6), add_ops(1)].concat()
+            );
+        }
+    }
+
+    #[test]
+    fn a_written_accumulator_forwards_nothing() {
+        // `a` loaded and sign-extended in rax: `b`, the same word, comes
+        // from memory.
+        let add = Inst1 {
+            a: 0,
+            b: 0,
+            sxa: 56,
+            ..Inst1::new(Op1::Add, 1, u64::MAX)
+        };
+        let insts = emit_and_run(&program(vec![add], vec![]), &[0x80, 0]);
+        assert_eq!(
+            insts[0],
+            [
+                mov_rax(0),
+                sext_rax(56),
+                mov_rcx(0),
+                ADD.to_vec(),
+                store(1),
+                add_ops(1)
+            ]
+            .concat()
+        );
+
+        // ...but a forwarded `b` is taken before `a`'s sign extension.
+        let ext = Inst1 {
+            a: 1,
+            ..Inst1::new(Op1::Ext, 0, 0xFF)
+        };
+        let insts = emit_and_run(&program(vec![ext, add], vec![]), &[0, 0x1F80]);
+        assert_eq!(
+            insts[1],
+            [MOV_RCX_RAX, &sext_rax(56), ADD, &store(1), &add_ops(2)].concat()
+        );
+
+        // `Cat` of a word with itself: the shift overwrote rax.
+        let cat = Inst1 {
+            a: 0,
+            b: 0,
+            imm: 8,
+            ..Inst1::new(Op1::Cat, 1, 0xFFFF)
+        };
+        let insts = emit_and_run(&program(vec![cat], vec![]), &[0xAB, 0]);
+        let shl = vec![0x48, 0xC1, 0xE0, 8];
+        let mask = vec![0x25, 0xFF, 0xFF, 0x00, 0x00];
+        assert_eq!(
+            insts[0],
+            [
+                mov_rax(0),
+                shl,
+                mov_rcx(0),
+                OR.to_vec(),
+                mask,
+                store(1),
+                add_ops(1)
+            ]
+            .concat()
+        );
+    }
+
+    #[test]
+    fn a_long_run_splits_its_count() {
+        // 130 negations of one word in one straight-line run: `add r8,
+        // imm8` sign-extends, so the count takes two.
+        let not = Inst1 {
+            a: 0,
+            ..Inst1::new(Op1::Not, 0, u64::MAX)
+        };
+        let insts = emit_and_run(&program(vec![not; 130], vec![]), &[PATTERN]);
+        assert_eq!(insts[0], [mov_rax(0), NOT.to_vec(), store(0)].concat());
+        assert_eq!(insts[1], [NOT.to_vec(), store(0)].concat());
+        assert_eq!(
+            insts[129],
+            [NOT.to_vec(), store(0), add_ops(127), add_ops(3)].concat()
+        );
     }
 }

@@ -75,6 +75,7 @@ pub mod par;
 pub mod profile;
 #[cfg(feature = "race-sanitizer")]
 pub mod sanitizer;
+mod slots;
 pub mod state;
 pub mod step1;
 pub mod testbench;

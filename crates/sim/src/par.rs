@@ -39,6 +39,7 @@ use crate::frontend::{build_plan, Frontend};
 use crate::jit;
 use crate::machine::{self, Machine};
 use crate::profile::{AtomicProfile, ProfileReport, ProfileWiring};
+use crate::slots::{WakeSlot, WakeSlots};
 use crate::state::StateTable;
 use crate::step1::{run_tier1_raw, AtomicFlags, ProfAtomicFlags, Tier1Program};
 use essent_bits::Bits;
@@ -126,10 +127,11 @@ pub struct ParEssentSim {
     /// Word-specialized programs per partition (`config.tier1`); fused
     /// trigger writes go through the atomic flag sink.
     programs: Option<Vec<Tier1Program>>,
-    /// Native-compiled partitions (`config.jit`): entries are `Some` for
-    /// partitions whose cost estimate cleared
-    /// [`jit::JIT_MIN_COST`] and whose program was eligible.
-    jit: Option<jit::JitParts>,
+    /// Per partition: the native entry (`config.jit`; partitions whose
+    /// cost estimate cleared [`jit::JIT_MIN_COST`] and whose program was
+    /// eligible) and whether the program is the whole wake. Owns the
+    /// native parts.
+    slots: WakeSlots,
     flags: Vec<AtomicBool>,
     /// Per-partition arena offsets of the stop-condition bits the
     /// partition computes: after evaluating, the owner probes these and
@@ -279,12 +281,21 @@ impl ParEssentSim {
                 edges,
             ))
         });
+        // Plain: a lowered program that left the engine no unfused
+        // output to compare and no register to commit.
+        let plain = (0..np)
+            .map(|sched| {
+                programs.is_some()
+                    && part_triggers[sched].outs.is_empty()
+                    && !state.has_in_place(sched)
+            })
+            .collect();
         ParEssentSim {
             machine,
             plan,
             blocks,
             programs,
-            jit,
+            slots: WakeSlots::new(jit, plain),
             flags: (0..np).map(|_| AtomicBool::new(true)).collect(),
             stop_probe,
             part_triggers,
@@ -317,19 +328,19 @@ impl ParEssentSim {
     /// Number of partitions currently running native-compiled bodies
     /// (0 when the JIT is off or unsupported on this target).
     pub fn jit_compiled_count(&self) -> usize {
-        self.jit.as_ref().map_or(0, |j| j.compiled_count())
+        self.slots.compiled_count()
     }
 
     /// Discards the compiled body for one partition, forcing it back to
     /// the tier-1 interpreter (deopt testing). Returns whether a body
     /// was actually dropped.
     pub fn force_deopt(&mut self, sched: usize) -> bool {
-        self.jit.as_mut().is_some_and(|j| j.deopt(sched))
+        self.slots.deopt(sched)
     }
 
     /// Discards every compiled body; returns how many were dropped.
     pub fn force_deopt_all(&mut self) -> usize {
-        self.jit.as_mut().map_or(0, |j| j.deopt_all())
+        self.slots.deopt_all()
     }
 
     /// Testing hook: compiles every eligible partition regardless of the
@@ -337,69 +348,40 @@ impl ParEssentSim {
     /// would leave interpreted. Returns how many bodies now exist; 0 on
     /// unsupported targets or when the tier/profile gating forbids JIT.
     pub fn jit_compile_all(&mut self) -> usize {
-        if self.profile.is_some() || cfg!(feature = "race-sanitizer") || !jit::supported() {
-            return 0;
-        }
-        match &self.programs {
-            Some(progs) => {
-                let j = jit::JitParts::build_all(progs, &self.machine.mems);
-                let n = j.compiled_count();
-                self.jit = Some(j);
-                n
-            }
-            None => 0,
-        }
+        self.slots.compile_all(
+            self.programs.as_deref(),
+            &self.machine.mems,
+            self.profile.is_some(),
+        )
     }
 
     /// Borrow of the compiled partitions (verification, tests).
     pub fn jit_parts(&self) -> Option<&jit::JitParts> {
-        self.jit.as_ref()
+        self.slots.jit()
     }
 
-    /// Worker routine: evaluate one partition (flag already claimed).
+    /// Runs partition `sched`'s program: natively when its slot has an
+    /// entry, through the tier-1 interpreter when lowered, through the
+    /// generic item interpreter otherwise.
     ///
     /// # Safety
     ///
-    /// Caller must guarantee schedule-disjointness: no partition that
-    /// can run concurrently with `sched` may write any arena word this
-    /// partition reads or writes, or read one it writes. The dataflow
-    /// schedule orders every pair whose footprints (`R0501`–`R0504`)
-    /// conflict by a wait edge and lets cycles overlap only between
-    /// footprint-disjoint partitions — what `essent-verify`'s dependence
-    /// layer proves statically per design (`S0601`–`S0605`) and the
-    /// `race-sanitizer` feature checks dynamically.
-    unsafe fn eval_partition(
+    /// [`ParEssentSim::eval_partition`]'s contract.
+    unsafe fn run_program(
         &self,
+        slot: WakeSlot,
         sched: usize,
         arena: ArenaPtr,
         mems: &[crate::machine::MemBank],
-        old_vals: *mut u64,
         ops: &mut u64,
         prof: Option<&AtomicProfile>,
     ) {
-        let tr = &self.part_triggers[sched];
-        // Snapshot outputs.
-        for &(off, w, old) in &tr.outs {
-            #[cfg(feature = "race-sanitizer")]
-            crate::sanitizer::note_read(off, w as u32);
-            // SAFETY: `off..off+w` are this partition's own output
-            // slots (no concurrent writer, caller's contract); the `old`
-            // range is this partition's private snapshot storage.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    arena.get().add(off as usize),
-                    old_vals.add(old as usize),
-                    w as usize,
-                );
-            }
-        }
-        match &self.programs {
-            Some(_)
-                if prof.is_none() && self.jit.as_ref().is_some_and(|j| j.part(sched).is_some()) =>
-            {
-                let j = self.jit.as_ref().expect("jit checked above");
-                let part = j.part(sched).expect("part checked above");
-                // SAFETY: the compiled body touches only arena offsets
+        match (slot.entry, &self.programs) {
+            (Some(entry), _) => {
+                // SAFETY: the slot table is rebuilt whenever the native
+                // parts change, so `entry` is a live body of this engine
+                // (never under profiling: no parts are built then). The
+                // compiled body touches only arena offsets
                 // lowered from this partition's tier-1 program, whose
                 // footprint — `Commit` instructions' `next`/`out` slots
                 // included — equals the generic block's (R0501), proved
@@ -413,15 +395,16 @@ impl ParEssentSim {
                 // Banks are read-only here, through the pinned bank
                 // table built from this machine's mems.
                 let (o, _d) = unsafe {
-                    part.run(
+                    jit::call(
+                        entry,
                         arena.get(),
                         self.flags.as_ptr().cast::<u8>().cast_mut(),
-                        j.banks(),
+                        self.slots.banks(),
                     )
                 };
                 *ops += o;
             }
-            Some(progs) => {
+            (None, Some(progs)) => {
                 // Fused trigger writes go straight to the atomic flags;
                 // this engine does not track dynamic-check counts.
                 let mut dynamic = 0u64;
@@ -460,10 +443,58 @@ impl ParEssentSim {
             // SAFETY: the generic block's footprint is exactly what the
             // footprint layer analyzed and proved schedule-disjoint and
             // in-bounds (R0502–R0504); banks are read-only here.
-            None => unsafe {
+            (None, None) => unsafe {
                 machine::run_items_raw(&self.blocks[sched].items, arena.get(), mems, ops)
             },
         }
+    }
+
+    /// Worker routine: evaluate one partition (flag already claimed).
+    ///
+    /// # Safety
+    ///
+    /// Caller must guarantee schedule-disjointness: no partition that
+    /// can run concurrently with `sched` may write any arena word this
+    /// partition reads or writes, or read one it writes. The dataflow
+    /// schedule orders every pair whose footprints (`R0501`–`R0504`)
+    /// conflict by a wait edge and lets cycles overlap only between
+    /// footprint-disjoint partitions — what `essent-verify`'s dependence
+    /// layer proves statically per design (`S0601`–`S0605`) and the
+    /// `race-sanitizer` feature checks dynamically.
+    unsafe fn eval_partition(
+        &self,
+        sched: usize,
+        arena: ArenaPtr,
+        mems: &[crate::machine::MemBank],
+        old_vals: *mut u64,
+        ops: &mut u64,
+        prof: Option<&AtomicProfile>,
+    ) {
+        let slot = self.slots.as_slice()[sched];
+        if slot.plain {
+            // The program is the whole wake.
+            // SAFETY: forwards this function's contract.
+            unsafe { self.run_program(slot, sched, arena, mems, ops, prof) };
+            return;
+        }
+        let tr = &self.part_triggers[sched];
+        // Snapshot outputs.
+        for &(off, w, old) in &tr.outs {
+            #[cfg(feature = "race-sanitizer")]
+            crate::sanitizer::note_read(off, w as u32);
+            // SAFETY: `off..off+w` are this partition's own output
+            // slots (no concurrent writer, caller's contract); the `old`
+            // range is this partition's private snapshot storage.
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    arena.get().add(off as usize),
+                    old_vals.add(old as usize),
+                    w as usize,
+                );
+            }
+        }
+        // SAFETY: forwards this function's contract.
+        unsafe { self.run_program(slot, sched, arena, mems, ops, prof) };
         // Elided registers the program did not absorb (this engine
         // elides no memory write): private slots, single writer.
         for r in self.state.in_place(sched).1 {

@@ -185,6 +185,13 @@ impl StateTable {
         )
     }
 
+    /// Whether partition `sched` has any in-place update (the wake-slot
+    /// table's `plain` bit needs none).
+    pub fn has_in_place(&self, sched: usize) -> bool {
+        let (writes, regs) = self.in_place(sched);
+        !writes.is_empty() || !regs.is_empty()
+    }
+
     /// The end-of-cycle updates, writes then registers.
     #[inline]
     pub fn end_of_cycle(&self) -> (&[MemWrite], &[RegCommit]) {

@@ -275,3 +275,81 @@ fn jit_threshold_selection_is_transparent() {
         }
     }
 }
+
+/// The engines cache native entry pointers in their wake-slot tables.
+/// Every operation that changes the native parts must refresh them:
+/// `jit_compile_all` unmaps the executable arena the cost-selected
+/// entries pointed into, `force_deopt` nulls one part and
+/// `force_deopt_all` the rest. Partitions keep waking (random stimulus
+/// every cycle) across that sequence, and the run stays bit-exact
+/// against the golden interpreter and counter-exact against a JIT-free
+/// twin.
+#[test]
+fn wake_slots_follow_every_change_of_the_native_parts() {
+    let config = EngineConfig {
+        jit: true,
+        ..EngineConfig::default()
+    };
+    for seed in [5u64, 0xA11, 0xE55E] {
+        let circuit = gen_circuit(seed);
+        let netlist = build(&circuit.source);
+        let mut golden = Interpreter::new(&netlist);
+        let mut plain = EssentSim::new(&netlist, &EngineConfig::default());
+        let mut seq = EssentSim::new(&netlist, &config);
+        let mut par = ParEssentSim::new(&netlist, &config, 2);
+        let parts = seq.partition_count();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x51075);
+        for cycle in 0..48u64 {
+            match cycle {
+                8 => {
+                    seq.jit_compile_all();
+                    par.jit_compile_all();
+                }
+                // One at a time, a cycle apart: each slot goes from
+                // native to interpreted while its neighbours stay.
+                16..=31 if parts > 0 => {
+                    let sched = (cycle as usize - 16) * parts / 16;
+                    seq.force_deopt(sched);
+                    par.force_deopt(sched);
+                }
+                32 => {
+                    seq.force_deopt_all();
+                    par.force_deopt_all();
+                    assert_eq!(seq.jit_compiled_count(), 0);
+                    assert_eq!(par.jit_compiled_count(), 0);
+                }
+                // And back: a second arena, a second set of entries.
+                40 => {
+                    seq.jit_compile_all();
+                    par.jit_compile_all();
+                }
+                _ => {}
+            }
+            poke_all(
+                &mut rng,
+                cycle,
+                &circuit.inputs,
+                &mut golden,
+                &mut [&mut plain, &mut seq, &mut par],
+            );
+            golden.step(1);
+            plain.step(1);
+            seq.step(1);
+            par.step(1);
+            for out in &circuit.outputs {
+                let expect = golden.peek(out);
+                assert_eq!(seq.peek(out), expect, "seed {seed} cycle {cycle} {out}");
+                assert_eq!(
+                    par.peek(out),
+                    expect,
+                    "seed {seed} cycle {cycle} {out} (par)"
+                );
+            }
+            assert_eq!(
+                seq.counters(),
+                plain.counters(),
+                "seed {seed} cycle {cycle}: counters"
+            );
+        }
+    }
+}

@@ -13,27 +13,49 @@
 //! * arena word offsets loaded and stored,
 //! * activity-flag bytes written (the fused CCSS wake sites),
 //! * bank-table entries dereferenced,
-//! * 64-bit immediates materialized,
+//! * immediates materialized or applied as a mask,
 //! * branch targets, and
-//! * `ops` / `dynamic` counter increments.
+//! * the amounts added to the `ops` / `dynamic` counters.
+//!
+//! The x86-64 emitter forwards the accumulator: an instruction may use
+//! the word the previous one left in `rax` instead of loading it. The
+//! decoder does not take the emitter's word for it. It derives from the
+//! program alone when `rax` can hold a known word at an instruction's
+//! first byte — the previous instruction stored it to its `dst`, and no
+//! jump lands in between — and then follows `rax` through the bytes: a
+//! load sets it, any other write (and any branch target inside the
+//! range) forgets it, and an encoding that *reads* `rax` — `mov rcx,
+//! rax` included — while it is known records a load of that word. A
+//! forwarded operand thus shows up as the same load fact a memory load
+//! would, and a forward the program does not justify as a missing one.
 //!
 //! The facts are then compared against what the [`Inst1`] semantics
 //! demand (including the constant-folding the emitters perform — an
 //! out-of-range `Shl` must load *nothing*):
 //!
-//! * `J0701` **decode** — an undecodable byte/word, a malformed
-//!   prologue/epilogue, or a non-contiguous instruction mark table;
-//! * `J0702` **operand** — a load/store/bank/immediate/count fact that
+//! * `J0701` **decode** — an undecodable byte/word (on x86-64 that
+//!   includes `cmovnz`: only `cmovz rax, rcx` is in the vocabulary), a
+//!   malformed prologue/epilogue, or a non-contiguous instruction mark
+//!   table;
+//! * `J0702` **operand** — a load/store/bank/immediate/mask fact that
 //!   differs from the instruction's operands (in-arena offsets per the
-//!   same footprints the `R05xx` layer proves disjoint);
+//!   same footprints the `R05xx` layer proves disjoint), or a
+//!   straight-line run whose `ops` additions do not sum to the ops it
+//!   holds, or a counter addition a branch can skip;
 //! * `J0703` **flow** — a branch leaving its instruction's byte range
 //!   other than to the lowered jump target, a `Jmp`/`JmpIf0` without
 //!   its target, or a backward jump (termination);
 //! * `J0704` **fuse** — a fused-trigger tail whose wake sites differ
-//!   from the program's consumer list, a missing/spurious `dynamic`
-//!   increment, or wakes on an unfused instruction. A `Commit`
-//!   instruction is held to the same tail, and to *no* `ops` increment
-//!   (`J0702`).
+//!   from the program's consumer list, a run whose `dynamic` additions
+//!   do not sum to its fused instructions, or wakes on an unfused
+//!   instruction. A `Commit` instruction is held to the same tail, and
+//!   to adding nothing to `ops` (`J0702`).
+//!
+//! Counters are checked per **straight-line run** — from one leader
+//! (instruction 0, a jump target, the instruction after a jump) to the
+//! next — because every path through a run executes all of it: the
+//! x86-64 stream adds each run's total once, the aarch64 stream one per
+//! instruction, and both must reach the same sums.
 
 use essent_core::diag::{codes, Diagnostic, Report};
 use essent_sim::jit::{EmittedCode, JitArch};
@@ -52,6 +74,7 @@ struct InstFacts {
     mask_widths: BTreeSet<u32>,
     /// Absolute byte offsets into the stream.
     branch_targets: Vec<u32>,
+    /// Amounts added to the `ops` / `dynamic` counters.
     ops_incs: u32,
     dyn_incs: u32,
     /// Decode failed somewhere in this range (already reported).
@@ -65,14 +88,15 @@ struct Expect {
     flags: BTreeSet<u32>,
     banks: BTreeSet<u32>,
     /// Immediates that must appear (`Andr` mask, `MemRead` depth, and on
-    /// x86-64 the result mask).
+    /// x86-64 the result mask, in whichever form it is applied).
     req_imms: Vec<u64>,
     /// Required bitfield mask width (aarch64 result masking).
     req_mask_width: Option<u32>,
     /// Lowered jump target (absolute byte offset) for `Jmp`/`JmpIf0`.
     jump: Option<u32>,
-    ops_incs: u32,
-    dyn_incs: u32,
+    /// What executing the instruction adds to `ops` / `dynamic`.
+    ops: u32,
+    dynamic: u32,
 }
 
 /// Derives the expected fact set for one instruction.
@@ -99,7 +123,7 @@ fn expect(prog: &Tier1Program, inst: &Inst1, code: &EmittedCode) -> Expect {
     let mut stores = BTreeSet::new();
     let mut flags = BTreeSet::new();
     let mut req_mask_width = None;
-    let mut dyn_incs = 0;
+    let mut dynamic = 0;
     if value {
         stores.insert(inst.dst);
         if inst.ws != NO_FUSE {
@@ -112,7 +136,7 @@ fn expect(prog: &Tier1Program, inst: &Inst1, code: &EmittedCode) -> Expect {
                     .iter()
                     .copied(),
             );
-            dyn_incs = 1;
+            dynamic = 1;
         }
         if inst.mask != u64::MAX {
             match code.arch {
@@ -129,8 +153,8 @@ fn expect(prog: &Tier1Program, inst: &Inst1, code: &EmittedCode) -> Expect {
         req_imms,
         req_mask_width,
         jump,
-        ops_incs: u32::from(roles.counts_op),
-        dyn_incs,
+        ops: u32::from(roles.counts_op),
+        dynamic,
     }
 }
 
@@ -140,198 +164,201 @@ fn expect(prog: &Tier1Program, inst: &Inst1, code: &EmittedCode) -> Expect {
 
 /// Decodes one instruction byte range of the x86-64 vocabulary into a
 /// fact set. Reports `J0701` for anything outside the vocabulary.
+///
+/// `fwd` is the word `rax` holds at `start` — the caller's derivation
+/// from the program, never the emitter's. The decoder follows `rax`
+/// from there (see the module docs) and records a load of the word it
+/// holds wherever an encoding reads it.
 fn decode_x64(
     bytes: &[u8],
     start: usize,
     end: usize,
+    fwd: Option<u32>,
     report: &mut Report,
     partition: usize,
     pc: usize,
 ) -> InstFacts {
+    /// How an encoding touches `rax`.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Rax {
+        /// Neither reads nor writes it.
+        Apart,
+        Reads,
+        /// Writes it without reading (a zeroing or a partial write).
+        Kills,
+        ReadsKills,
+        /// Loads this arena word into it.
+        Loads(u32),
+    }
     let mut f = InstFacts::default();
-    let mut p = start;
-    let bad_at = |report: &mut Report, p: usize, f: &mut InstFacts| {
-        f.bad = true;
-        report.push(
-            Diagnostic::error(
-                codes::JIT_DECODE,
-                format!("x64 stream undecodable at byte {p} (inst {pc})"),
-            )
-            .with_partition(partition),
-        );
+    let mut rax = fwd;
+    // Branch targets inside the range: another path joins there, so
+    // `rax` is unknown again; and a counter addition before the furthest
+    // one is an addition some path skips.
+    let mut joins: Vec<usize> = Vec::new();
+    let branch = |f: &mut InstFacts, joins: &mut Vec<usize>, target: i64| {
+        f.branch_targets.push(target as u32);
+        joins.push(target as usize);
     };
-    let rd32 = |bytes: &[u8], p: usize| {
-        i32::from_le_bytes([bytes[p], bytes[p + 1], bytes[p + 2], bytes[p + 3]])
+    let mut p = start;
+    let word = |d: &[u8]| i32::from_le_bytes([d[0], d[1], d[2], d[3]]);
+    // A non-negative displacement that is a multiple of `scale`.
+    let scaled = |d: &[u8], scale: i32| {
+        let disp = word(d);
+        (disp >= 0 && disp % scale == 0).then_some((disp / scale) as u32)
     };
     while p < end {
-        let rest = end - p;
-        let b = bytes[p];
-        match b {
-            // mov r64, [rdi+disp32] / [rbx+disp32] ; mov [rdi+disp32], r64
-            0x48 if rest >= 4
-                && matches!(bytes[p + 1], 0x8B | 0x89)
-                && bytes[p + 2] & 0xC0 != 0xC0 =>
-            {
-                let modrm = bytes[p + 2];
-                let is_load = bytes[p + 1] == 0x8B;
-                match (modrm & 0xC0, modrm & 7) {
-                    (0x80, 7) if rest >= 7 => {
-                        // rdi base: arena access.
-                        let disp = rd32(bytes, p + 3);
-                        if disp < 0 || disp % 8 != 0 {
-                            bad_at(report, p, &mut f);
-                            return f;
-                        }
-                        let off = (disp / 8) as u32;
-                        if is_load {
-                            f.loads.insert(off);
-                        } else {
-                            f.stores.insert(off);
-                        }
-                        p += 7;
-                    }
-                    (0x80, 3) if is_load && rest >= 7 => {
-                        // rbx base: bank table entry.
-                        let disp = rd32(bytes, p + 3);
-                        if disp < 0 || disp % 16 != 0 {
-                            bad_at(report, p, &mut f);
-                            return f;
-                        }
-                        f.banks.insert((disp / 16) as u32);
-                        p += 7;
-                    }
-                    (0x00, 4) if is_load && modrm == 0x04 && bytes[p + 3] == 0xC1 => {
-                        // mov rax, [rcx + rax*8]: the bank-indexed load.
-                        p += 4;
-                    }
-                    _ => {
-                        bad_at(report, p, &mut f);
-                        return f;
-                    }
-                }
-            }
+        if joins.contains(&p) {
+            rax = None;
+        }
+        let decoded: Option<(usize, Rax)> = match bytes[p..end] {
+            // mov rax, [rdi+disp32] ; mov rcx, [rdi+disp32] ;
+            // mov [rdi+disp32], rax
+            [0x48, 0x8B, 0x87, ref d @ ..] if d.len() >= 4 => scaled(d, 8).map(|off| {
+                f.loads.insert(off);
+                (7, Rax::Loads(off))
+            }),
+            [0x48, 0x8B, 0x8F, ref d @ ..] if d.len() >= 4 => scaled(d, 8).map(|off| {
+                f.loads.insert(off);
+                (7, Rax::Apart)
+            }),
+            [0x48, 0x89, 0x87, ref d @ ..] if d.len() >= 4 => scaled(d, 8).map(|off| {
+                f.stores.insert(off);
+                (7, Rax::Reads)
+            }),
             // cmp [rdi+disp32], rax: the fused tail's read of the stored
             // value.
-            0x48 if rest >= 7 && bytes[p + 1] == 0x39 && bytes[p + 2] == 0x87 => {
-                let disp = rd32(bytes, p + 3);
-                if disp < 0 || disp % 8 != 0 {
-                    bad_at(report, p, &mut f);
-                    return f;
-                }
-                f.loads.insert((disp / 8) as u32);
-                p += 7;
-            }
+            [0x48, 0x39, 0x87, ref d @ ..] if d.len() >= 4 => scaled(d, 8).map(|off| {
+                f.loads.insert(off);
+                (7, Rax::Reads)
+            }),
+            // mov rcx, [rbx+disp32]: a bank table entry.
+            [0x48, 0x8B, 0x8B, ref d @ ..] if d.len() >= 4 => scaled(d, 16).map(|bank| {
+                f.banks.insert(bank);
+                (7, Rax::Apart)
+            }),
+            // mov rax, [rcx + rax*8]: the bank-indexed load.
+            [0x48, 0x8B, 0x04, 0xC1, ..] => Some((4, Rax::ReadsKills)),
             // movabs rcx, imm64
-            0x48 if rest >= 10 && bytes[p + 1] == 0xB9 => {
+            [0x48, 0xB9, ref d @ ..] if d.len() >= 8 => {
                 let mut v = [0u8; 8];
-                v.copy_from_slice(&bytes[p + 2..p + 10]);
+                v.copy_from_slice(&d[..8]);
                 f.imms.insert(u64::from_le_bytes(v));
-                p += 10;
+                Some((10, Rax::Apart))
             }
-            // shl/shr/sar r64, imm8
-            0x48 if rest >= 4 && bytes[p + 1] == 0xC1 && bytes[p + 2] & 0xC0 == 0xC0 => {
-                match (bytes[p + 2] >> 3) & 7 {
-                    4 | 5 | 7 => p += 4,
-                    _ => {
-                        bad_at(report, p, &mut f);
-                        return f;
-                    }
-                }
-            }
+            // shl/shr/sar rax, imm8 ; shl/sar rcx, imm8
+            [0x48, 0xC1, 0xE0 | 0xE8 | 0xF8, _, ..] => Some((4, Rax::ReadsKills)),
+            [0x48, 0xC1, 0xE1 | 0xF9, _, ..] => Some((4, Rax::Apart)),
             // cmp rcx, imm8
-            0x48 if rest >= 4 && bytes[p + 1] == 0x83 && bytes[p + 2] == 0xF9 => p += 4,
-            // Fixed three-byte r64 ALU forms: add/sub/imul(via 0F)/and/
-            // or/xor/cmp/test/div/idiv/neg/not/shifts-by-cl and cqo.
-            0x48 if rest >= 3
-                && matches!(
-                    (bytes[p + 1], bytes[p + 2]),
-                    (0x01, 0xC8) // add rax, rcx
-                        | (0x29, 0xC8) // sub rax, rcx
-                        | (0x21, 0xC8) // and rax, rcx
-                        | (0x09, 0xC8) // or rax, rcx
-                        | (0x31, 0xC8) // xor rax, rcx
-                        | (0x39, 0xC8) // cmp rax, rcx
-                        | (0x85, 0xC9) // test rcx, rcx
-                        | (0x85, 0xC0) // test rax, rax
-                        | (0x89, 0xD0) // mov rax, rdx (div remainder)
-                        | (0xF7, 0xF1) // div rcx
-                        | (0xF7, 0xF9) // idiv rcx
-                        | (0xF7, 0xD8) // neg rax
-                        | (0xF7, 0xD0) // not rax
-                        | (0xD3, 0xE0) // shl rax, cl
-                        | (0xD3, 0xE8) // shr rax, cl
-                        | (0xD3, 0xF8) // sar rax, cl
-                ) =>
-            {
-                p += 3;
+            [0x48, 0x83, 0xF9, _, ..] => Some((4, Rax::Apart)),
+            // add/sub/and/or/xor rax, rcx; div/idiv rcx; neg/not rax;
+            // shl/shr/sar rax, cl
+            [0x48, 0x01 | 0x29 | 0x21 | 0x09 | 0x31, 0xC8, ..]
+            | [0x48, 0xF7, 0xF1 | 0xF9 | 0xD8 | 0xD0, ..]
+            | [0x48, 0xD3, 0xE0 | 0xE8 | 0xF8, ..] => Some((3, Rax::ReadsKills)),
+            // cmp rax, rcx ; test rax, rax ; mov rcx, rax
+            [0x48, 0x39, 0xC8, ..] | [0x48, 0x85, 0xC0, ..] | [0x48, 0x89, 0xC1, ..] => {
+                Some((3, Rax::Reads))
             }
-            // imul rax, rcx
-            0x48 if rest >= 4 && bytes[p + 1] == 0x0F && bytes[p + 2] == 0xAF => p += 4,
+            // test rcx, rcx
+            [0x48, 0x85, 0xC9, ..] => Some((3, Rax::Apart)),
+            // mov rax, rdx (div remainder)
+            [0x48, 0x89, 0xD0, ..] => Some((3, Rax::Kills)),
+            // imul rax, rcx ; cmovz rax, rcx
+            [0x48, 0x0F, 0xAF | 0x44, 0xC1, ..] => Some((4, Rax::ReadsKills)),
             // cqo
-            0x48 if rest >= 2 && bytes[p + 1] == 0x99 => p += 2,
-            // inc r8 (ops) / inc r9 (dynamic)
-            0x49 if rest >= 3 && bytes[p + 1] == 0xFF && matches!(bytes[p + 2], 0xC0 | 0xC1) => {
-                if bytes[p + 2] == 0xC0 {
-                    f.ops_incs += 1;
-                } else {
-                    f.dyn_incs += 1;
+            [0x48, 0x99, ..] => Some((2, Rax::Reads)),
+            // add r8, imm8 (ops) / add r9, imm8 (dynamic)
+            [0x49, 0x83, reg @ (0xC0 | 0xC1), n @ 1..=0x7F, ..] => {
+                if let Some(&t) = joins.iter().find(|&&t| t > p) {
+                    report.push(
+                        Diagnostic::error(
+                            codes::JIT_OPERAND,
+                            format!(
+                                "inst {pc}: the counter addition at byte {p} is skipped by \
+                                 the branch to byte {t}"
+                            ),
+                        )
+                        .with_partition(partition),
+                    );
                 }
-                p += 3;
+                if reg == 0xC0 {
+                    f.ops_incs += n as u32;
+                } else {
+                    f.dyn_incs += n as u32;
+                }
+                Some((4, Rax::Apart))
             }
             // popcnt rax, rax
-            0xF3 if rest >= 5 && bytes[p + 1..p + 5] == [0x48, 0x0F, 0xB8, 0xC0] => p += 5,
-            // setcc al / movzx eax, al / jcc rel32
-            0x0F if rest >= 3 => match bytes[p + 1] {
-                0x90..=0x9F if bytes[p + 2] == 0xC0 => p += 3,
-                0xB6 if bytes[p + 2] == 0xC0 => p += 3,
-                0x82..=0x86 if rest >= 6 => {
-                    let rel = rd32(bytes, p + 2);
-                    f.branch_targets.push(((p as i64 + 6) + rel as i64) as u32);
-                    p += 6;
-                }
-                _ => {
-                    bad_at(report, p, &mut f);
-                    return f;
-                }
-            },
+            [0xF3, 0x48, 0x0F, 0xB8, 0xC0, ..] => Some((5, Rax::ReadsKills)),
+            // setcc al / movzx eax, al
+            [0x0F, 0x90..=0x9F | 0xB6, 0xC0, ..] => Some((3, Rax::Kills)),
+            // jcc rel32
+            [0x0F, 0x82..=0x86, ref d @ ..] if d.len() >= 4 => {
+                branch(&mut f, &mut joins, (p as i64 + 6) + word(d) as i64);
+                Some((6, Rax::Apart))
+            }
             // je rel8 (the fused tail's skip)
-            0x74 if rest >= 2 => {
-                let rel = bytes[p + 1] as i8;
-                f.branch_targets.push(((p as i64 + 2) + rel as i64) as u32);
-                p += 2;
+            [0x74, rel, ..] => {
+                branch(&mut f, &mut joins, (p as i64 + 2) + rel as i8 as i64);
+                Some((2, Rax::Apart))
             }
             // jmp rel32
-            0xE9 if rest >= 5 => {
-                let rel = rd32(bytes, p + 1);
-                f.branch_targets.push(((p as i64 + 5) + rel as i64) as u32);
-                p += 5;
+            [0xE9, ref d @ ..] if d.len() >= 4 => {
+                branch(&mut f, &mut joins, (p as i64 + 5) + word(d) as i64);
+                Some((5, Rax::Apart))
             }
             // mov byte [rsi+disp32], 1
-            0xC6 if rest >= 7 && bytes[p + 1] == 0x86 && bytes[p + 6] == 0x01 => {
-                let disp = rd32(bytes, p + 2);
-                if disp < 0 {
-                    bad_at(report, p, &mut f);
-                    return f;
-                }
-                f.flags.insert(disp as u32);
-                p += 7;
-            }
+            [0xC6, 0x86, ref d @ ..] if d.len() >= 5 && d[4] == 0x01 => scaled(d, 1).map(|c| {
+                f.flags.insert(c);
+                (7, Rax::Apart)
+            }),
             // xor eax, eax / xor edx, edx
-            0x31 if rest >= 2 && matches!(bytes[p + 1], 0xC0 | 0xD2) => p += 2,
+            [0x31, 0xC0, ..] => Some((2, Rax::Kills)),
+            [0x31, 0xD2, ..] => Some((2, Rax::Apart)),
             // test al, 1
-            0xA8 if rest >= 2 && bytes[p + 1] == 0x01 => p += 2,
-            // and eax, 1
-            0x83 if rest >= 3 && bytes[p + 1] == 0xE0 && bytes[p + 2] == 0x01 => p += 3,
-            // mov ecx, 63
-            0xB9 if rest >= 5 => {
-                f.imms.insert(rd32(bytes, p + 1) as u32 as u64);
-                p += 5;
+            [0xA8, 0x01, ..] => Some((2, Rax::Reads)),
+            // The result masks: and eax, imm8 / and eax, imm32 /
+            // mov eax, eax (the low 32 bits).
+            [0x83, 0xE0, m @ 0..=0x7F, ..] => {
+                f.imms.insert(m as u64);
+                Some((3, Rax::ReadsKills))
             }
-            _ => {
-                bad_at(report, p, &mut f);
-                return f;
+            [0x25, ref d @ ..] if d.len() >= 4 => {
+                f.imms.insert(word(d) as u32 as u64);
+                Some((5, Rax::ReadsKills))
             }
+            [0x89, 0xC0, ..] => {
+                f.imms.insert(0xFFFF_FFFF);
+                Some((2, Rax::ReadsKills))
+            }
+            // mov ecx, imm32
+            [0xB9, ref d @ ..] if d.len() >= 4 => {
+                f.imms.insert(word(d) as u32 as u64);
+                Some((5, Rax::Apart))
+            }
+            _ => None,
+        };
+        let Some((len, effect)) = decoded else {
+            f.bad = true;
+            report.push(
+                Diagnostic::error(
+                    codes::JIT_DECODE,
+                    format!("x64 stream undecodable at byte {p} (inst {pc})"),
+                )
+                .with_partition(partition),
+            );
+            return f;
+        };
+        if matches!(effect, Rax::Reads | Rax::ReadsKills) {
+            f.loads.extend(rax);
         }
+        match effect {
+            Rax::Kills | Rax::ReadsKills => rax = None,
+            Rax::Loads(off) => rax = Some(off),
+            Rax::Apart | Rax::Reads => {}
+        }
+        p += len;
     }
     f
 }
@@ -618,16 +645,50 @@ pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> R
     }
 
     // --- Per-instruction facts (J0702/J0703/J0704) --------------------
+    // Jump targets, from the program: where a straight-line run starts
+    // and where nothing can be assumed about the accumulator.
+    let mut landing = vec![false; prog.code.len() + 1];
+    for inst in &prog.code {
+        if inst.roles().jumps {
+            if let Some(l) = landing.get_mut(inst.a as usize) {
+                *l = true;
+            }
+        }
+    }
+    let push = |report: &mut Report, code, message: String| {
+        report.push(Diagnostic::error(code, message).with_partition(partition));
+    };
+    // The current run: its first pc, and what the stream added to each
+    // counter against what the run's instructions count.
+    #[derive(Default)]
+    struct Run {
+        first: usize,
+        ops_added: u32,
+        ops: u32,
+        dyn_added: u32,
+        dynamic: u32,
+    }
+    let mut run = Run::default();
     for (pc, (inst, &(s, e))) in prog.code.iter().zip(&code.marks).enumerate() {
         let facts = match code.arch {
-            JitArch::X64 => decode_x64(
-                &code.bytes,
-                s as usize,
-                e as usize,
-                &mut report,
-                partition,
-                pc,
-            ),
+            JitArch::X64 => {
+                // `rax` holds the previous instruction's `dst` when that
+                // instruction stored one and every path here runs it.
+                let fwd = pc
+                    .checked_sub(1)
+                    .map(|prev| &prog.code[prev])
+                    .filter(|prev| prev.roles().writes_dst && !landing[pc])
+                    .map(|prev| prev.dst);
+                decode_x64(
+                    &code.bytes,
+                    s as usize,
+                    e as usize,
+                    fwd,
+                    &mut report,
+                    partition,
+                    pc,
+                )
+            }
             JitArch::A64 => decode_a64(
                 &code.bytes,
                 s as usize,
@@ -638,79 +699,58 @@ pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> R
             ),
         };
         if facts.bad {
-            continue;
+            // The run's sums are unknowable; J0701 is already reported.
+            return report;
         }
         let want = expect(prog, inst, code);
         let ctx = |what: &str| format!("inst {pc} ({:?}): {what}", inst.op);
         if facts.loads != want.loads {
-            report.push(
-                Diagnostic::error(
-                    codes::JIT_OPERAND,
-                    ctx(&format!(
-                        "arena loads {:?} != expected {:?}",
-                        facts.loads, want.loads
-                    )),
-                )
-                .with_partition(partition),
+            push(
+                &mut report,
+                codes::JIT_OPERAND,
+                ctx(&format!(
+                    "arena loads {:?} != expected {:?}",
+                    facts.loads, want.loads
+                )),
             );
         }
         if facts.stores != want.stores {
-            report.push(
-                Diagnostic::error(
-                    codes::JIT_OPERAND,
-                    ctx(&format!(
-                        "arena stores {:?} != expected {:?}",
-                        facts.stores, want.stores
-                    )),
-                )
-                .with_partition(partition),
+            push(
+                &mut report,
+                codes::JIT_OPERAND,
+                ctx(&format!(
+                    "arena stores {:?} != expected {:?}",
+                    facts.stores, want.stores
+                )),
             );
         }
         if facts.banks != want.banks {
-            report.push(
-                Diagnostic::error(
-                    codes::JIT_OPERAND,
-                    ctx(&format!(
-                        "bank loads {:?} != expected {:?}",
-                        facts.banks, want.banks
-                    )),
-                )
-                .with_partition(partition),
+            push(
+                &mut report,
+                codes::JIT_OPERAND,
+                ctx(&format!(
+                    "bank loads {:?} != expected {:?}",
+                    facts.banks, want.banks
+                )),
             );
         }
         for imm in &want.req_imms {
             if !facts.imms.contains(imm) {
-                report.push(
-                    Diagnostic::error(
-                        codes::JIT_OPERAND,
-                        ctx(&format!("required immediate {imm:#x} not materialized")),
-                    )
-                    .with_partition(partition),
+                push(
+                    &mut report,
+                    codes::JIT_OPERAND,
+                    ctx(&format!("required immediate {imm:#x} not materialized")),
                 );
             }
         }
         if let Some(wdt) = want.req_mask_width {
             if !facts.mask_widths.contains(&wdt) {
-                report.push(
-                    Diagnostic::error(
-                        codes::JIT_OPERAND,
-                        ctx(&format!("result mask of width {wdt} not applied")),
-                    )
-                    .with_partition(partition),
+                push(
+                    &mut report,
+                    codes::JIT_OPERAND,
+                    ctx(&format!("result mask of width {wdt} not applied")),
                 );
             }
-        }
-        if facts.ops_incs != want.ops_incs {
-            report.push(
-                Diagnostic::error(
-                    codes::JIT_OPERAND,
-                    ctx(&format!(
-                        "{} ops-counter increment(s), expected {}",
-                        facts.ops_incs, want.ops_incs
-                    )),
-                )
-                .with_partition(partition),
-            );
         }
         // Flow: every branch stays inside its instruction range except
         // the lowered jump, which must exist, land on an instruction
@@ -720,66 +760,78 @@ pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> R
             if Some(t) == want.jump {
                 jump_seen = true;
                 if t < e {
-                    report.push(
-                        Diagnostic::error(
-                            codes::JIT_FLOW,
-                            ctx(&format!(
-                                "jump target {t} is not forward (inst ends at {e})"
-                            )),
-                        )
-                        .with_partition(partition),
+                    push(
+                        &mut report,
+                        codes::JIT_FLOW,
+                        ctx(&format!(
+                            "jump target {t} is not forward (inst ends at {e})"
+                        )),
                     );
                 }
             } else if t < s || t > e {
-                report.push(
-                    Diagnostic::error(
-                        codes::JIT_FLOW,
-                        ctx(&format!(
-                            "branch target {t} escapes instruction range [{s}, {e}]"
-                        )),
-                    )
-                    .with_partition(partition),
+                push(
+                    &mut report,
+                    codes::JIT_FLOW,
+                    ctx(&format!(
+                        "branch target {t} escapes instruction range [{s}, {e}]"
+                    )),
                 );
             }
         }
         if let Some(jump) = want.jump {
             if !jump_seen {
-                report.push(
-                    Diagnostic::error(
-                        codes::JIT_FLOW,
-                        ctx(&format!(
-                            "lowered jump to byte {jump} missing from the stream"
-                        )),
-                    )
-                    .with_partition(partition),
+                push(
+                    &mut report,
+                    codes::JIT_FLOW,
+                    ctx(&format!(
+                        "lowered jump to byte {jump} missing from the stream"
+                    )),
                 );
             }
         }
-        // Fuse: wake sites must be exactly the consumer list; the
-        // dynamic counter must tick exactly on fused instructions.
+        // Fuse: wake sites must be exactly the consumer list.
         if facts.flags != want.flags {
-            report.push(
-                Diagnostic::error(
-                    codes::JIT_FUSE,
-                    ctx(&format!(
-                        "flag wake sites {:?} != consumer set {:?}",
-                        facts.flags, want.flags
-                    )),
-                )
-                .with_partition(partition),
+            push(
+                &mut report,
+                codes::JIT_FUSE,
+                ctx(&format!(
+                    "flag wake sites {:?} != consumer set {:?}",
+                    facts.flags, want.flags
+                )),
             );
         }
-        if facts.dyn_incs != want.dyn_incs {
-            report.push(
-                Diagnostic::error(
+        // Counters: the run ends after a jump and before a landing; its
+        // additions must sum to what its instructions count.
+        run.ops_added += facts.ops_incs;
+        run.ops += want.ops;
+        run.dyn_added += facts.dyn_incs;
+        run.dynamic += want.dynamic;
+        if inst.roles().jumps || landing[pc + 1] || pc + 1 == prog.code.len() {
+            let first = run.first;
+            if run.ops_added != run.ops {
+                push(
+                    &mut report,
+                    codes::JIT_OPERAND,
+                    format!(
+                        "run [{first}, {pc}]: {} added to the ops counter, expected {}",
+                        run.ops_added, run.ops
+                    ),
+                );
+            }
+            if run.dyn_added != run.dynamic {
+                push(
+                    &mut report,
                     codes::JIT_FUSE,
-                    ctx(&format!(
-                        "{} dynamic-counter increment(s), expected {}",
-                        facts.dyn_incs, want.dyn_incs
-                    )),
-                )
-                .with_partition(partition),
-            );
+                    format!(
+                        "run [{first}, {pc}]: {} added to the dynamic counter, expected {}",
+                        run.dyn_added, run.dynamic
+                    ),
+                );
+            }
+            run = Run {
+                first: pc + 1,
+                ..Run::default()
+            };
         }
     }
     report

@@ -1361,6 +1361,153 @@ fn jit_flag_sink_drift_is_j0704() {
     }
 }
 
+// The x86-64 body shape's own facts: result masks as `and eax, imm`,
+// operands forwarded through the accumulator, counters added once per
+// straight-line run, and branch-free `Mux`. One exact-code mutation each.
+
+/// A hand-laid program with every one of them, over arena words 0..=7:
+///
+/// ```text
+/// 0: w2 = !w0            (16 bits: `and eax, imm32`)
+/// 1: w3 = w2 + w1        (`a` forwarded; fused, wakes partition 1)
+/// 2: if !w0 goto 4
+/// 3: w5 = w1
+/// 4: w6 = !w5            (jump target: reloads w5 though 3 wrote it)
+/// 5: w7 = w6 ? w1 : w2   (selector forwarded; `cmovz`)
+/// ```
+fn forwarding_prog() -> Tier1Program {
+    use essent_sim::step1::Inst1;
+    let code = vec![
+        Inst1::new(Op1::Not, 2, 0xFFFF),
+        Inst1 {
+            a: 2,
+            b: 1,
+            ws: 0,
+            we: 1,
+            ..Inst1::new(Op1::Add, 3, u64::MAX)
+        },
+        Inst1 {
+            a: 4,
+            b: 0,
+            ..Inst1::new(Op1::JmpIf0, 0, 0)
+        },
+        Inst1 {
+            a: 1,
+            ..Inst1::new(Op1::Ext, 5, u64::MAX)
+        },
+        Inst1 {
+            a: 5,
+            ..Inst1::new(Op1::Not, 6, u64::MAX)
+        },
+        Inst1 {
+            a: 6,
+            b: 1,
+            c: 2,
+            ..Inst1::new(Op1::Mux, 7, u64::MAX)
+        },
+    ];
+    Tier1Program {
+        sigs: vec![u32::MAX; code.len()],
+        code,
+        generic: Vec::new(),
+        consumers: vec![1],
+        unfused: Vec::new(),
+        unabsorbed: Vec::new(),
+        stats: Default::default(),
+    }
+}
+
+/// The x86-64 stream of [`forwarding_prog`], pristine.
+fn forwarding_code(prog: &Tier1Program) -> essent_sim::jit::EmittedCode {
+    let code = essent_sim::jit::x64::emit(prog, true).expect("fixture is x64-eligible");
+    let report = check_jit(prog, &code, 0);
+    assert_eq!(report.error_count(), 0, "pristine:\n{report}");
+    code
+}
+
+/// Offset of the first occurrence of `pattern` inside instruction `pc`.
+fn find_in(code: &essent_sim::jit::EmittedCode, pc: usize, pattern: &[u8]) -> usize {
+    let (s, e) = (code.marks[pc].0 as usize, code.marks[pc].1 as usize);
+    (s..=e - pattern.len())
+        .find(|&i| code.bytes[i..i + pattern.len()] == *pattern)
+        .unwrap_or_else(|| panic!("{pattern:02x?} not in instruction {pc}"))
+}
+
+#[test]
+fn forwarding_fixture_also_verifies_on_aarch64() {
+    let prog = forwarding_prog();
+    let code = essent_sim::jit::a64::emit(&prog).expect("fixture is a64-eligible");
+    let report = check_jit(&prog, &code, 0);
+    assert_eq!(report.error_count(), 0, "{report}");
+}
+
+#[test]
+fn jit_corrupt_mask_immediate_is_j0702() {
+    let prog = forwarding_prog();
+    let mut code = forwarding_code(&prog);
+    // `and eax, 0xFFFF` -> `and eax, 0x7FFF`: bit 15 of the result lost.
+    let at = find_in(&code, 0, &[0x25, 0xFF, 0xFF, 0x00, 0x00]);
+    code.bytes[at + 2] = 0x7F;
+    let report = check_jit(&prog, &code, 0);
+    assert_eq!(report.codes(), vec![codes::JIT_OPERAND], "{report}");
+}
+
+#[test]
+fn jit_forward_of_the_wrong_word_is_j0702() {
+    let mut prog = forwarding_prog();
+    let mut code = forwarding_code(&prog);
+    // Instruction 0 now stores to w4 — in the program and in the bytes,
+    // so it is consistent with itself — while instruction 1 still takes
+    // its `a` (w2) from the accumulator: the forward has no basis.
+    let at = find_in(&code, 0, &[0x48, 0x89, 0x87, 2 * 8, 0, 0, 0]);
+    code.bytes[at + 3] = 4 * 8;
+    prog.code[0].dst = 4;
+    let report = check_jit(&prog, &code, 0);
+    assert_eq!(report.codes(), vec![codes::JIT_OPERAND], "{report}");
+    assert_eq!(
+        report.error_count(),
+        1,
+        "only instruction 1's load:\n{report}"
+    );
+}
+
+#[test]
+fn jit_wrong_run_count_is_j0702() {
+    let prog = forwarding_prog();
+    let mut code = forwarding_code(&prog);
+    // The first run (instructions 0..=2) counts two ops, added before
+    // the jump: `add r8, 2` -> `add r8, 3`.
+    let at = find_in(&code, 2, &[0x49, 0x83, 0xC0, 2]);
+    code.bytes[at + 3] = 3;
+    let report = check_jit(&prog, &code, 0);
+    assert_eq!(report.codes(), vec![codes::JIT_OPERAND], "{report}");
+}
+
+#[test]
+fn jit_cmovnz_is_j0701() {
+    let prog = forwarding_prog();
+    let mut code = forwarding_code(&prog);
+    // `cmovz rax, rcx` -> `cmovnz rax, rcx` selects the other way; the
+    // decoder's vocabulary has only the former.
+    let at = find_in(&code, 5, &[0x48, 0x0F, 0x44, 0xC1]);
+    code.bytes[at + 2] = 0x45;
+    let report = check_jit(&prog, &code, 0);
+    assert_eq!(report.codes(), vec![codes::JIT_DECODE], "{report}");
+}
+
+#[test]
+fn jit_missing_reload_at_jump_target_is_j0702() {
+    let prog = forwarding_prog();
+    let mut code = forwarding_code(&prog);
+    // Instruction 4's `mov rax, [w5]` replaced, byte for byte, by
+    // encodings that load nothing (`test rcx, rcx; xor edx, edx` twice):
+    // correct when 3 falls through, wrong when 2 jumps.
+    let at = find_in(&code, 4, &[0x48, 0x8B, 0x87, 5 * 8, 0, 0, 0]);
+    code.bytes[at..at + 7].copy_from_slice(&[0x48, 0x85, 0xC9, 0x31, 0xD2, 0x31, 0xD2]);
+    let report = check_jit(&prog, &code, 0);
+    assert_eq!(report.codes(), vec![codes::JIT_OPERAND], "{report}");
+}
+
 // ---------------------------------------------------------------------------
 // Layer nine: batched-lane audit (X0801-X0804)
 // ---------------------------------------------------------------------------

@@ -1,11 +1,20 @@
 #!/usr/bin/env bash
-# Paired parent-vs-change runs of one benchmark workload — the rule every
-# performance claim in this repository is judged by (choosing-metrics §8):
-# at least ten pairs, alternating which side runs first; each side's
-# median and quartiles; the change must win nine tenths of the pairs and
-# move the median by more than the parent's own inter-quartile spread.
+# Paired parent-vs-change runs of benchmark workloads — the rule every
+# performance claim in this repository is judged by (choosing-metrics §6
+# and §8): at least ten pairs, alternating which side runs first; each
+# side's median and quartiles. On the *claimed* workload the change must
+# win nine tenths of the pairs and move the median by more than the
+# parent's own inter-quartile spread; on every other (metric, workload)
+# its median must stay within the bound BENCHMARK.json fixes for the
+# metric, and where the parent's own quartile spread is wider than that
+# bound the row is reported as unresolved, not as unchanged.
 #
-#   scripts/bench-pairs.sh <parent-rev> <workload> [pairs=10]
+#   scripts/bench-pairs.sh <parent-rev> <workload>... [pairs=10]
+#
+# The first workload named is the claimed one; `all` stands for every
+# workload of BENCHMARK.json not already named (`all` alone: no claim,
+# every row is a no-regression row). A trailing integer is the number of
+# pairs. Each side is built once, whatever the number of workloads.
 #
 # Both sides are built from the benchmark's own manifest
 # (crates/bench/src/bin/bench/Cargo.toml), exactly as BENCHMARK.json's
@@ -19,22 +28,47 @@
 # own, BENCHMARK.json's `run_seconds`), BENCH_PAIRS_DIR.
 set -euo pipefail
 
-if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-    echo "usage: $0 <parent-rev> <workload> [pairs=10]" >&2
+usage() {
+    echo "usage: $0 <parent-rev> <workload|all>... [pairs=10]" >&2
     exit 2
-fi
+}
+[ $# -ge 2 ] || usage
 parent_rev=$1
-workload=$2
-pairs=${3:-10}
-case $pairs in
-    '' | *[!0-9]* | 0) echo "$0: pairs must be a positive integer, got '$pairs'" >&2; exit 2 ;;
+shift
+pairs=10
+case ${!#} in
+    *[!0-9]*) ;;
+    *) pairs=${!#}; set -- "${@:1:$#-1}" ;;
 esac
+[ $# -ge 1 ] || usage
+[ "$pairs" -gt 0 ] || { echo "$0: pairs must be a positive integer, got '$pairs'" >&2; exit 2; }
 seed=${SEED:-1}
 
 root=$(git rev-parse --show-toplevel)
 manifest=crates/bench/src/bin/bench/Cargo.toml
 work=${BENCH_PAIRS_DIR:-${TMPDIR:-/tmp}/essent-bench-pairs}
 sha=$(git -C "$root" rev-parse --verify "$parent_rev^{commit}")
+
+# BENCHMARK.json, one object per line: the workloads, and each end-to-end
+# metric as name:better:bound (the column order of a samples file).
+mapfile -t known < <(sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' "$root/BENCHMARK.json")
+mapfile -t metrics < <(sed -n \
+    's/.*{"name": "\([a-z_]*\)", .*"better": "\([a-z]*\)", "bound": \([0-9.]*\)}.*/\1:\2:\3/p' \
+    "$root/BENCHMARK.json")
+[ ${#known[@]} -gt 0 ] && [ ${#metrics[@]} -gt 0 ] || {
+    echo "$0: no workloads or end-to-end metrics found in BENCHMARK.json" >&2
+    exit 2
+}
+
+claimed=
+[ "$1" = all ] || claimed=$1
+workloads=()
+for w in "$@"; do
+    if [ "$w" = all ]; then expansion=("${known[@]}"); else expansion=("$w"); fi
+    for e in "${expansion[@]}"; do
+        case " ${workloads[*]-} " in *" $e "*) ;; *) workloads+=("$e") ;; esac
+    done
+done
 
 echo "parent $sha, change: working tree of $root" >&2
 rm -rf "$work/parent" "$work/run"
@@ -52,28 +86,32 @@ if [ -n "${RUN_SECONDS:-}" ]; then
     seconds=(--seconds "$RUN_SECONDS")
 fi
 
-# One run of one side; appends "<sim_khz> <setup_s> <peak_rss_mb>" to
-# $work/<side>.samples. A failed or incorrect run aborts the comparison.
-run() { # <side>
-    local side=$1 line
+# One run of one side on one workload; appends one value per end-to-end
+# metric, in `metrics` order, to $work/run/<side>.<workload>.samples. A
+# failed or incorrect run aborts the comparison.
+run() { # <side> <workload>
+    local side=$1 workload=$2 line spec values=
     line=$(cd "$work/run/$side" &&
         "$work/target-$side/release/bench" --workload "$workload" --seed "$seed" \
             ${seconds[@]+"${seconds[@]}"} --trace 0 2>/dev/null | tail -n 1)
     case $line in
         *'"correct": true'*'"failed": 0'*) ;;
-        *) echo "$0: $side run failed: $line" >&2; exit 1 ;;
+        *) echo "$0: $side run of $workload failed: $line" >&2; exit 1 ;;
     esac
-    metric() { sed -n "s/.*\"$1\": {\"value\": \([-0-9.eE+]*\).*/\1/p" <<<"$line"; }
-    echo "$(metric sim_khz) $(metric setup_s) $(metric peak_rss_mb)" >>"$work/$side.samples"
+    for spec in "${metrics[@]}"; do
+        values+=" $(sed -n "s/.*\"${spec%%:*}\": {\"value\": \([-0-9.eE+]*\).*/\1/p" <<<"$line")"
+    done
+    echo "${values# }" >>"$work/run/$side.$workload.samples"
 }
 
-: >"$work/parent.samples"
-: >"$work/change.samples"
 for ((i = 0; i < pairs; i++)); do
     if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
-    for side in $order; do run "$side"; done
-    echo "pair $((i + 1))/$pairs: parent $(tail -n 1 "$work/parent.samples" | cut -d' ' -f1) kHz," \
-        "change $(tail -n 1 "$work/change.samples" | cut -d' ' -f1) kHz" >&2
+    for workload in "${workloads[@]}"; do
+        for side in $order; do run "$side" "$workload"; done
+        echo "pair $((i + 1))/$pairs, $workload:" \
+            "parent $(tail -n 1 "$work/run/parent.$workload.samples" | cut -d' ' -f1)," \
+            "change $(tail -n 1 "$work/run/change.$workload.samples" | cut -d' ' -f1) ${metrics[0]%%:*}" >&2
+    done
 done
 
 # Median and quartiles (linear interpolation) of column $2 of file $1.
@@ -84,29 +122,43 @@ quartiles() {
         END { printf "%.6g %.6g %.6g", q(0.25), q(0.5), q(0.75) }'
 }
 
-printf '\n%s, seed %s, %s pair(s), parent %s\n' "$workload" "$seed" "$pairs" "${sha:0:12}"
-printf '%-12s %-7s %12s %12s %12s   %s\n' metric side q1 median q3 "pairs won by change"
-col=0
-verdict=
-for spec in sim_khz:higher setup_s:lower peak_rss_mb:lower; do
-    col=$((col + 1))
-    name=${spec%%:*}
-    better=${spec##*:}
-    read -r pq1 pmed pq3 <<<"$(quartiles "$work/parent.samples" $col)"
-    read -r cq1 cmed cq3 <<<"$(quartiles "$work/change.samples" $col)"
-    wins=$(paste -d' ' "$work/parent.samples" "$work/change.samples" | awk -v c=$col -v b="$better" '
-        { p = $c; ch = $(c + 3); if (b == "higher" ? ch > p : ch < p) w++; else if (ch != p) l++ }
-        END { printf "%d won, %d lost, %d tied", w, l, NR - w - l }')
-    printf '%-12s %-7s %12s %12s %12s\n' "$name" parent "$pq1" "$pmed" "$pq3"
-    printf '%-12s %-7s %12s %12s %12s   %s\n' "$name" change "$cq1" "$cmed" "$cq3" "$wins"
-    if [ "$name" = sim_khz ]; then
-        verdict=$(awk -v w="${wins%% *}" -v n="$pairs" -v pm="$pmed" -v cm="$cmed" -v q1="$pq1" -v q3="$pq3" 'BEGIN {
-            ratio = cm / pm
-            if (10 * w >= 9 * n && cm - pm > q3 - q1)
-                printf "sim_khz gain holds: %.3fx the parent median, %d/%d pairs, past the parent IQR (%.4g kHz)", ratio, w, n, q3 - q1
-            else
-                printf "no sim_khz gain shown: %.3fx the parent median, %d/%d pairs, parent IQR %.4g kHz", ratio, w, n, q3 - q1
-        }')
-    fi
+printf '\nseed %s, %s pair(s), parent %s\n' "$seed" "$pairs" "${sha:0:12}"
+printf '%-20s %-12s %-7s %10s %10s %10s   %s\n' workload metric side q1 median q3 "pairs won by change"
+claim=
+others=()
+for workload in "${workloads[@]}"; do
+    col=0
+    for spec in "${metrics[@]}"; do
+        col=$((col + 1))
+        IFS=: read -r name better bound <<<"$spec"
+        read -r pq1 pmed pq3 <<<"$(quartiles "$work/run/parent.$workload.samples" $col)"
+        read -r cq1 cmed cq3 <<<"$(quartiles "$work/run/change.$workload.samples" $col)"
+        wins=$(paste -d' ' "$work/run/parent.$workload.samples" "$work/run/change.$workload.samples" |
+            awk -v c=$col -v n=${#metrics[@]} -v b="$better" '
+                { p = $c; ch = $(c + n); if (b == "higher" ? ch > p : ch < p) w++; else if (ch != p) l++ }
+                END { printf "%d won, %d lost, %d tied", w, l, NR - w - l }')
+        printf '%-20s %-12s %-7s %10s %10s %10s\n' "$workload" "$name" parent "$pq1" "$pmed" "$pq3"
+        printf '%-20s %-12s %-7s %10s %10s %10s   %s\n' "$workload" "$name" change "$cq1" "$cmed" "$cq3" "$wins"
+        if [ "$workload" = "$claimed" ] && [ $col -eq 1 ]; then
+            claim=$(awk -v what="$name on $workload" -v w="${wins%% *}" -v n="$pairs" \
+                -v pm="$pmed" -v cm="$cmed" -v q1="$pq1" -v q3="$pq3" -v b="$better" 'BEGIN {
+                    gain = b == "higher" ? cm - pm : pm - cm
+                    held = 10 * w >= 9 * n && gain > q3 - q1
+                    printf "%s: %s, %.3fx the parent median, %d/%d pairs, parent IQR %.4g", what,
+                        held ? "gain holds" : "no gain shown", cm / pm, w, n, q3 - q1
+                }')
+        else
+            others+=("$(awk -v what="$name on $workload" -v pm="$pmed" -v cm="$cmed" \
+                -v q1="$pq1" -v q3="$pq3" -v b="$better" -v bound="$bound" 'BEGIN {
+                    worse = b == "higher" ? (pm - cm) / pm : (cm - pm) / pm
+                    spread = (q3 - q1) / pm
+                    verdict = spread > bound ? "unresolved" : worse > bound ? "WORSE" : "within bound"
+                    printf "%-34s %-12s %+.1f%% against a bound of %g%%, parent IQR %.1f%% of its median",
+                        what ":", verdict, -100 * worse, 100 * bound, 100 * spread
+                }')")
+        fi
+    done
 done
-echo "$verdict"
+echo
+[ -z "$claim" ] || echo "$claim"
+printf '%s\n' "${others[@]}"

@@ -5,8 +5,10 @@
 //! essent-cli partition <design.fir> [--cp N]        C_p sweep table
 //! essent-cli sim <design.fir> [options]             run the simulation
 //!     --cycles N          cycles to run (default 1000, stops early on `stop`)
-//!     --engine E          essent | full | event | parallel (default essent;
-//!                         parallel = CCSS over the static dataflow
+//!     --engine E          essent | native | full | event | parallel (default
+//!                         essent; native = essent with the hot partitions
+//!                         compiled to machine code, x86-64/aarch64 Linux
+//!                         only; parallel = CCSS over the static dataflow
 //!                         schedule, one worker per available core)
 //!     --cp N              partitioning threshold (default 8)
 //!     --poke NAME=VALUE   hold an input at a value (repeatable; default all 0,
@@ -165,14 +167,35 @@ fn sim(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
         c_p: opts.number("--cp")?.unwrap_or(8),
         ..EngineConfig::default()
     };
-    let build: fn(&Netlist, &EngineConfig) -> Box<dyn Simulator> =
-        match opts.get("--engine").unwrap_or("essent") {
-            "essent" => |n, c| Box::new(EssentSim::new(n, c)),
-            "full" => |n, c| Box::new(FullCycleSim::new(n, c)),
-            "event" => |n, c| Box::new(EventDrivenSim::new(n, c)),
-            "parallel" => |n, c| Box::new(ParEssentSim::new(n, c, 0)),
-            other => return Err(format!("unknown engine `{other}`").into()),
-        };
+    // Each engine with the line it adds to the summary, if any.
+    type Build = fn(&Netlist, &EngineConfig) -> (Box<dyn Simulator>, Option<String>);
+    let build: Build = match opts.get("--engine").unwrap_or("essent") {
+        "essent" => |n, c| (Box::new(EssentSim::new(n, c)), None),
+        "native" => {
+            if !essent::sim::jit::supported() {
+                return Err("engine `native` needs x86-64 or aarch64 Linux".into());
+            }
+            |n, c| {
+                let config = EngineConfig {
+                    jit: true,
+                    ..c.clone()
+                };
+                let sim = EssentSim::new(n, &config);
+                let line = format!(
+                    "native: {} of {} partitions, {} code bytes, {} plain slots",
+                    sim.jit_compiled_count(),
+                    sim.partition_count(),
+                    sim.jit_parts().map_or(0, |j| j.code_bytes()),
+                    sim.plain_slot_count()
+                );
+                (Box::new(sim), Some(line))
+            }
+        }
+        "full" => |n, c| (Box::new(FullCycleSim::new(n, c)), None),
+        "event" => |n, c| (Box::new(EventDrivenSim::new(n, c)), None),
+        "parallel" => |n, c| (Box::new(ParEssentSim::new(n, c, 0)), None),
+        other => return Err(format!("unknown engine `{other}`").into()),
+    };
     let netlist = essent::compile(source)?;
 
     // Every name is resolved before any engine is built or cycle run: a
@@ -200,7 +223,7 @@ fn sim(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
         .collect::<Result<Vec<_>, String>>()?;
     let has_reset = netlist.find("reset").is_some_and(is_input);
 
-    let mut sim = build(&netlist, &config);
+    let (mut sim, engine_line) = build(&netlist, &config);
     apply_stimulus(sim.as_mut(), has_reset, &pokes);
 
     let ran = if let Some(path) = opts.get("--vcd") {
@@ -222,6 +245,9 @@ fn sim(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
     };
 
     println!("ran {ran} cycles on `{}` engine", sim.engine_name());
+    if let Some(line) = engine_line {
+        println!("{line}");
+    }
     if let Some(code) = sim.halted() {
         println!("design stopped with code {code}");
     }

@@ -178,3 +178,56 @@ fn cli_rejects_hostile_input_without_panicking() {
         );
     }
 }
+
+/// `--engine native` is the essent engine with `jit: true`: same results
+/// and work as `--engine essent`, plus one line saying what was
+/// compiled. On a host that cannot execute emitted code it is refused
+/// with the usual one-line diagnosis before anything is simulated.
+#[test]
+fn cli_native_engine_runs_or_is_refused() {
+    let design = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("robustness_native.fir");
+    std::fs::write(
+        &design,
+        "circuit N :\n  module N :\n    input clock : Clock\n    input reset : UInt<1>\n    input a : UInt<8>\n    output o : UInt<8>\n    reg r : UInt<8>, clock with : (reset => (reset, UInt<8>(0)))\n    r <= tail(add(xor(r, a), UInt<8>(3)), 1)\n    o <= and(r, not(a))\n",
+    )
+    .unwrap();
+    let fir = design.to_str().unwrap();
+    let run = |engine: &str| {
+        cli(&[
+            "sim", fir, "--cycles", "20", "--poke", "a=0x5", "--engine", engine,
+        ])
+    };
+
+    let (ok, stdout, stderr) = run("native");
+    if essent::sim::jit::supported() {
+        assert!(ok, "{stderr}");
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("native: "))
+            .unwrap_or_else(|| panic!("no native line in:\n{stdout}"));
+        let numbers: Vec<usize> = line
+            .split(|c: char| !c.is_ascii_digit())
+            .filter(|t| !t.is_empty())
+            .map(|t| t.parse().unwrap())
+            .collect();
+        let &[compiled, partitions, bytes, plain] = numbers.as_slice() else {
+            panic!("expected four counts in `{line}`");
+        };
+        assert!(line.ends_with("plain slots") && line.contains(" code bytes, "));
+        assert!(compiled >= 1 && compiled <= partitions, "{line}");
+        assert!(bytes > 0 && plain <= partitions, "{line}");
+        // Everything else the run prints is the essent engine's.
+        let (ok, essent_out, _) = run("essent");
+        assert!(ok);
+        let rest: String = stdout.lines().filter(|&l| l != line).collect();
+        assert_eq!(rest, essent_out.lines().collect::<String>());
+    } else {
+        assert!(!ok);
+        assert!(
+            stderr.starts_with("essent-cli: ") && stderr.contains("native"),
+            "{stderr}"
+        );
+        assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
+        assert!(!stdout.contains("ran "), "{stdout}");
+    }
+}
