@@ -176,14 +176,14 @@ pub mod codes {
     /// `Block` bytecode disagrees with the footprint independently
     /// re-derived from its lowered `Tier1Program` instruction stream.
     pub const FOOTPRINT_TIER_MISMATCH: DiagCode = DiagCode::new("R0501", "footprint-tier-mismatch");
-    /// Two partitions co-scheduled in the same dependency level write an
-    /// overlapping arena word or memory bank (a write/write data race
-    /// under the parallel engine).
+    /// Two partitions of the plan write the same arena word: no schedule
+    /// can make that word's value well defined (and under the parallel
+    /// engine it is a write/write data race).
     pub const FOOTPRINT_WRITE_WRITE: DiagCode = DiagCode::new("R0502", "footprint-write-write");
-    /// One partition writes an arena word or memory bank that another
-    /// partition in the same dependency level reads (a write/read data
-    /// race under the parallel engine).
-    pub const FOOTPRINT_WRITE_READ: DiagCode = DiagCode::new("R0503", "footprint-write-read");
+    // R0503 (footprint-write-read) was a property of the barrier-per-level
+    // schedule and went with it: a write one partition makes and another
+    // reads must be ordered by a wait edge, which S0601 demands. The
+    // number is not reused.
     /// A partition's derived write set escapes its declared arena range
     /// (the slots of its member signals plus the out-slots of registers
     /// it legally commits), or falls outside the arena entirely.
@@ -236,17 +236,18 @@ pub mod codes {
     /// table: a wake store is missing, spurious, or hits the wrong flag.
     pub const JIT_FUSE: DiagCode = DiagCode::new("J0704", "jit-fuse");
 
-    // --- X: batched-lane engine invariants ----------------------------------
-    /// The batch engine's stride geometry is inconsistent: lane count
+    // --- X: wake-table and batched-lane invariants ---------------------------
+    /// A watched range is misplaced: an unfused output of the front end's
+    /// wake table lies outside its partition's derived write footprint,
+    /// or the batch engine's stride geometry is inconsistent (lane count
     /// out of mask range, stride ≠ lanes, arena/scratch sized off the
-    /// layout, or a routed trigger offset lies outside its partition's
-    /// independently derived write footprint.
+    /// layout).
     pub const BATCH_STRIDE: DiagCode = DiagCode::new("X0801", "batch-stride");
-    /// The engine's wake routing (snapshot-compare triggers ∪ fused
-    /// instruction ranges, register/memory/input wakes) disagrees with
-    /// the consumer sets re-derived from an independently built plan —
-    /// a lane's change would wake the wrong partitions.
-    pub const BATCH_WAKE_ROUTE: DiagCode = DiagCode::new("X0802", "batch-wake-route");
+    /// The wake routing the engines run from (wake-table outputs ∪ fused
+    /// instruction ranges; `Commit` instructions ∪ state-table entries;
+    /// input wakes) disagrees with the plan's consumer sets — a change
+    /// would wake the wrong partitions.
+    pub const WAKE_ROUTE: DiagCode = DiagCode::new("X0802", "wake-route");
     /// The lane compaction permutation is not a bijection or its two
     /// directions disagree — a logical lane has been lost or duplicated
     /// by a remap.

@@ -106,61 +106,6 @@ pub struct MemWritePlan {
     pub wake_on_change: Vec<u32>,
 }
 
-/// Cross-cycle independence matrix: which next-cycle *head* partitions
-/// (dependency level 0) are footprint-disjoint from which current-cycle
-/// *tail* partitions (deepest dependency level) through the
-/// register-elision boundary. `disjoint[i][j]` is `true` iff head
-/// `heads[i]` could start cycle `C+1` while tail `tails[j]` is still
-/// finishing cycle `C`: their arena and memory-bank footprints never
-/// touch and the tail does not wake the head's activity flag. Computed
-/// by the footprint verifier layer; a future BSP runtime consumes it to
-/// overlap adjacent cycles.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MayOverlap {
-    /// Scheduled indices of the level-0 partitions of a cycle.
-    pub heads: Vec<u32>,
-    /// Scheduled indices of the deepest-level partitions of a cycle.
-    pub tails: Vec<u32>,
-    /// `disjoint[i][j]`: head `heads[i]` vs tail `tails[j]`.
-    pub disjoint: Vec<Vec<bool>>,
-}
-
-impl MayOverlap {
-    /// Number of (head, tail) pairs proven independent.
-    pub fn independent_pairs(&self) -> usize {
-        self.disjoint
-            .iter()
-            .map(|row| row.iter().filter(|&&d| d).count())
-            .sum()
-    }
-
-    /// Hand-rolled JSON serialization (the repo carries no serde); the
-    /// artifact the CI lanes upload and the BSP runtime would load.
-    pub fn to_json(&self) -> String {
-        let list = |v: &[u32]| {
-            v.iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let mut rows = Vec::with_capacity(self.disjoint.len());
-        for row in &self.disjoint {
-            let cells: Vec<&str> = row
-                .iter()
-                .map(|&d| if d { "true" } else { "false" })
-                .collect();
-            rows.push(format!("[{}]", cells.join(",")));
-        }
-        format!(
-            "{{\"heads\":[{}],\"tails\":[{}],\"disjoint\":[{}],\"independent_pairs\":{}}}",
-            list(&self.heads),
-            list(&self.tails),
-            rows.join(","),
-            self.independent_pairs()
-        )
-    }
-}
-
 /// The complete CCSS execution plan.
 #[derive(Debug, Clone)]
 pub struct CcssPlan {
@@ -171,10 +116,6 @@ pub struct CcssPlan {
     pub input_wakes: Vec<(SignalId, Vec<u32>)>,
     pub reg_plans: Vec<RegPlan>,
     pub mem_write_plans: Vec<MemWritePlan>,
-    /// Cross-cycle independence matrix attached by the footprint
-    /// verifier ([`CcssPlan::attach_may_overlap`]); `None` until an
-    /// analysis has run.
-    pub may_overlap: Option<MayOverlap>,
     /// Static dataflow (BSP) schedule attached by
     /// [`CcssPlan::attach_dataflow`] after
     /// [`synthesize_dataflow`](crate::depgraph::synthesize_dataflow);
@@ -467,16 +408,8 @@ impl CcssPlan {
             input_wakes,
             reg_plans,
             mem_write_plans,
-            may_overlap: None,
             dataflow: None,
         }
-    }
-
-    /// Stores a footprint-derived cross-cycle independence matrix in the
-    /// plan so downstream consumers (the BSP runtime) can read it
-    /// without re-running the analysis.
-    pub fn attach_may_overlap(&mut self, matrix: MayOverlap) {
-        self.may_overlap = Some(matrix);
     }
 
     /// Stores a synthesized dataflow schedule in the plan for the
@@ -813,26 +746,6 @@ mod tests {
         );
         assert!(plan.reg_plans.iter().all(|r| !r.elided));
         assert!(plan.check(&n).is_clean());
-    }
-
-    #[test]
-    fn may_overlap_attaches_and_serializes() {
-        let n = netlist_of(COUNTER);
-        let mut plan = CcssPlan::build(&n, 8);
-        assert!(plan.may_overlap.is_none());
-        let matrix = MayOverlap {
-            heads: vec![0, 2],
-            tails: vec![1],
-            disjoint: vec![vec![true], vec![false]],
-        };
-        assert_eq!(matrix.independent_pairs(), 1);
-        plan.attach_may_overlap(matrix.clone());
-        assert_eq!(plan.may_overlap.as_ref(), Some(&matrix));
-        let json = matrix.to_json();
-        assert_eq!(
-            json,
-            "{\"heads\":[0,2],\"tails\":[1],\"disjoint\":[[true],[false]],\"independent_pairs\":1}"
-        );
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!   and printf log, so lane `i` of a batched run is bit- and
 //!   counter-identical to an independent single-instance
 //!   [`crate::EssentSim`] run over the same stimulus (the property
-//!   `tests/batch_props.rs` proves differentially and the X08xx verify
-//!   layer audits structurally);
+//!   `tests/batch_props.rs` proves differentially; the X08xx verify layer
+//!   audits the wake table all engines share and this engine's lane
+//!   geometry);
 //! - **divergence-aware lane compaction** remaps cold/halted lanes out
 //!   of the hot stride: lanes are addressed logically through a
 //!   physical permutation, and when per-lane activity drifts (or a
@@ -39,55 +40,24 @@ use crate::compile::{Block, Layout};
 use crate::engine::EngineConfig;
 use crate::frontend::{build_plan, Frontend};
 use crate::machine::{run_items_raw, MemBank, WorkCounters};
+use crate::slots::{WakeTable, Watch};
 use crate::state::{MemWrite, RegCommit, StateTable};
-use crate::step1::{item_rw, run_tier1_lanes, ItemRw, Op1, Tier1Program, TierStats, NO_FUSE};
+use crate::step1::{item_rw, run_tier1_lanes, ItemRw, Tier1Program, TierStats};
 use essent_bits::{kernels, Bits};
 use essent_core::plan::CcssPlan;
 use essent_netlist::interp::format_printf;
 use essent_netlist::{Netlist, SignalDef, SignalId};
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Re-pack lanes by activity at most this often (a halted lane
 /// triggers compaction immediately).
 const COMPACT_INTERVAL: u64 = 1024;
 
-/// Flattened per-output snapshot-compare tables, lane-strided: word `k`
-/// of output snapshot `o` for lane `l` lives at
-/// `(old_off[o] + k) * lanes + l`.
-#[derive(Debug, Default)]
-struct Triggers {
-    out_off: Vec<u32>,
-    out_words: Vec<u16>,
-    old_off: Vec<u32>,
-    cons_start: Vec<u32>,
-    cons_end: Vec<u32>,
-    consumers: Vec<u32>,
-    part_start: Vec<u32>,
-    part_end: Vec<u32>,
-    /// Snapshot storage, lane-strided.
-    old_vals: Vec<u64>,
-}
-
-/// Pull-direction snapshot tables (lane-strided storage).
-#[derive(Debug, Default)]
-struct PullInputs {
-    in_off: Vec<u32>,
-    in_words: Vec<u16>,
-    snap_off: Vec<u32>,
-    part_start: Vec<u32>,
-    part_end: Vec<u32>,
-    snapshots: Vec<u64>,
-}
-
-/// Everything the X08xx verify layer audits about a live batch engine:
-/// the stride geometry, the wake routing its runtime tables actually
-/// encode (snapshot-compare triggers ∪ fused tier-1 ranges, by arena
-/// offset; `Commit` instructions ∪ state-table entries, by plan index),
-/// the lane permutation, and each lane's bank shapes. Captured
-/// by [`BatchSim::batch_audit`]; re-proven from an independently built
-/// plan by `essent-verify::check_batch`.
+/// What the X08xx verify layer audits about a live batch engine beyond
+/// the wake table every engine shares: the stride geometry, the lane
+/// permutation, and each lane's bank shapes. Captured by
+/// [`BatchSim::batch_audit`]; checked by `essent-verify::check_batch`.
 #[derive(Debug, Clone)]
 pub struct BatchAudit {
     pub lanes: usize,
@@ -97,16 +67,6 @@ pub struct BatchAudit {
     pub total_words: usize,
     pub arena_len: usize,
     pub scratch_len: usize,
-    /// Per scheduled partition: `(output arena offset, wake consumers)`,
-    /// sorted, consumers sorted and deduplicated — the union of the
-    /// engine's snapshot-compare tables and fused instruction ranges.
-    pub out_routes: Vec<Vec<(u32, Vec<u32>)>>,
-    /// Per register plan: sorted wake-on-change consumers.
-    pub reg_wakes: Vec<Vec<u32>>,
-    /// Per memory-write plan: sorted wake-on-change consumers.
-    pub mem_wakes: Vec<Vec<u32>>,
-    /// Per external input (sorted by signal id): wake consumers.
-    pub input_wakes: Vec<(u32, Vec<u32>)>,
     /// Logical lane → physical stride slot.
     pub phys_of_log: Vec<u32>,
     /// Physical stride slot → logical lane.
@@ -138,15 +98,19 @@ pub struct BatchSim {
     mems: Vec<Vec<MemBank>>,
     /// Per partition: lane wake mask (bit `l` = physical lane `l` awake).
     flags: Vec<u64>,
-    triggers: Triggers,
-    input_wake: HashMap<SignalId, Vec<u32>>,
+    /// What a wake does beyond its program, as in the single-instance
+    /// engine: unfused outputs, pull inputs, input wakes.
+    wake: WakeTable,
+    /// Last-seen values of everything the wake table watches,
+    /// lane-strided: word `k` of a watch for lane `l` lives at
+    /// `(snap + k) * lanes + l`.
+    snapshots: Vec<u64>,
     /// The state updates the programs did not absorb, and the
     /// end-of-cycle commit path.
     state: StateTable,
     /// Per `stop`: its enable slot and halt code.
     stops: Vec<(u32, u64)>,
     push: bool,
-    pull: PullInputs,
     capture_printf: bool,
     // --- per physical lane state ------------------------------------
     counters: Vec<WorkCounters>,
@@ -159,7 +123,6 @@ pub struct BatchSim {
     evals_since_compact: Vec<u64>,
     cycles_since_compact: u64,
     compactions: u64,
-    full_steps: usize,
 }
 
 impl BatchSim {
@@ -200,6 +163,7 @@ impl BatchSim {
             blocks,
             programs,
             state,
+            wake,
             ..
         } = Frontend::compile(&netlist, &layout, &plan, config, None, None);
         let generic_rw: Vec<Vec<ItemRw>> = match &programs {
@@ -220,80 +184,11 @@ impl BatchSim {
             })
             .collect();
 
-        // Snapshot-compare tables cover only the outputs the tier did
-        // not fuse (all of them when the tier is off); storage strided.
-        let mut triggers = Triggers::default();
-        for (sched, part) in plan.partitions.iter().enumerate() {
-            triggers.part_start.push(triggers.out_off.len() as u32);
-            for (oi, out) in part.outputs.iter().enumerate() {
-                if let Some(progs) = &programs {
-                    if !progs[sched].unfused.contains(&oi) {
-                        continue;
-                    }
-                }
-                let off = layout.offset(out.signal) as u32;
-                let words = layout.words(out.signal) as u16;
-                triggers.out_off.push(off);
-                triggers.out_words.push(words);
-                triggers
-                    .old_off
-                    .push((triggers.old_vals.len() / lanes) as u32);
-                triggers
-                    .old_vals
-                    .extend(std::iter::repeat_n(0, words as usize * lanes));
-                triggers.cons_start.push(triggers.consumers.len() as u32);
-                triggers.consumers.extend(out.consumers.iter().copied());
-                triggers.cons_end.push(triggers.consumers.len() as u32);
-            }
-            triggers.part_end.push(triggers.out_off.len() as u32);
-        }
-
-        let input_wake = plan
-            .input_wakes
-            .iter()
-            .map(|(sig, wakes)| (*sig, wakes.clone()))
-            .collect();
         let stops = netlist
             .stops()
             .iter()
             .map(|s| (layout.offset(s.en) as u32, s.code))
             .collect();
-        let full_steps = blocks
-            .iter()
-            .flat_map(|b| b.items.iter())
-            .map(crate::compile::Item::step_count)
-            .sum();
-
-        // Pull-direction tables, derived exactly as the single-instance
-        // engine derives them; snapshot storage strided.
-        let mut pull = PullInputs::default();
-        if !config.trigger_push {
-            for (sched, part) in plan.partitions.iter().enumerate() {
-                pull.part_start.push(pull.in_off.len() as u32);
-                let mut seen = BTreeSet::new();
-                for &m in &part.members {
-                    for dep in netlist.deps(m) {
-                        if plan.sched_of_signal[dep.index()] as usize != sched
-                            || !matches!(
-                                netlist.signal(dep).def,
-                                SignalDef::Op(_) | SignalDef::MemRead { .. }
-                            )
-                        {
-                            seen.insert(dep);
-                        }
-                    }
-                }
-                for dep in seen {
-                    pull.in_off.push(layout.offset(dep) as u32);
-                    let words = layout.words(dep) as u16;
-                    pull.in_words.push(words);
-                    pull.snap_off.push((pull.snapshots.len() / lanes) as u32);
-                    pull.snapshots
-                        .extend(std::iter::repeat_n(0, words as usize * lanes));
-                }
-                pull.part_end.push(pull.in_off.len() as u32);
-            }
-        }
 
         // Strided arena with constants materialized into every lane.
         let total = layout.total_words();
@@ -333,12 +228,11 @@ impl BatchSim {
             scratch: vec![0u64; total],
             mems: vec![bank_proto; lanes],
             flags: vec![full_mask; np],
-            triggers,
-            input_wake,
+            snapshots: vec![0; wake.snapshot_words * lanes],
+            wake,
             state,
             stops,
             push: config.trigger_push,
-            pull,
             capture_printf: config.capture_printf,
             counters: vec![WorkCounters::default(); lanes],
             cycles: vec![0; lanes],
@@ -349,7 +243,6 @@ impl BatchSim {
             evals_since_compact: vec![0; lanes],
             cycles_since_compact: 0,
             compactions: 0,
-            full_steps,
             netlist,
         }
     }
@@ -371,7 +264,7 @@ impl BatchSim {
 
     /// Steps a full-cycle evaluation would run per cycle per lane.
     pub fn full_steps_per_cycle(&self) -> usize {
-        self.full_steps
+        self.wake.full_steps
     }
 
     /// Aggregated word-specialization coverage (`None` when tier off).
@@ -437,10 +330,8 @@ impl BatchSim {
 
     fn poke_phys(&mut self, phys: usize, id: SignalId, value: &Bits) {
         if self.set_value_phys(phys, id, value) {
-            if let Some(wakes) = self.input_wake.get(&id) {
-                for &c in wakes {
-                    self.flags[c as usize] |= 1u64 << phys;
-                }
+            for &c in self.wake.input_wakes(id) {
+                self.flags[c as usize] |= 1u64 << phys;
             }
         }
     }
@@ -597,11 +488,11 @@ impl BatchSim {
             scratch,
             mems,
             flags,
-            triggers: tr,
+            wake,
+            snapshots: snaps,
             state,
             stops,
             push,
-            pull,
             capture_printf,
             counters,
             cycles,
@@ -631,24 +522,14 @@ impl BatchSim {
                 // Pull direction, per lane: every partition is visited;
                 // sleeping lanes compare their cross-partition input
                 // snapshots (stopping at the first mismatch).
-                let (i0, i1) = (
-                    pull.part_start[sched] as usize,
-                    pull.part_end[sched] as usize,
-                );
                 for_lanes(run, |l| {
                     counters[l].static_checks += 1;
                     if eval & (1u64 << l) != 0 {
                         return;
                     }
-                    for i in i0..i1 {
+                    for i in wake.pull_inputs(sched) {
                         counters[l].static_checks += 1;
-                        let off = pull.in_off[i] as usize;
-                        let w = pull.in_words[i] as usize;
-                        let snap = pull.snap_off[i] as usize;
-                        let diff = (0..w).any(|k| {
-                            arena[(off + k) * lanes + l] != pull.snapshots[(snap + k) * lanes + l]
-                        });
-                        if diff {
+                        if differs(arena, snaps, i, lanes, l) {
                             eval |= 1u64 << l;
                             break;
                         }
@@ -664,33 +545,15 @@ impl BatchSim {
             flags[sched].set(flags[sched].get() & !eval);
             if !push {
                 // Refresh the evaluated lanes' input snapshots.
-                let (i0, i1) = (
-                    pull.part_start[sched] as usize,
-                    pull.part_end[sched] as usize,
-                );
-                for i in i0..i1 {
-                    let off = pull.in_off[i] as usize;
-                    let w = pull.in_words[i] as usize;
-                    let snap = pull.snap_off[i] as usize;
-                    for k in 0..w {
-                        for_lanes(eval, |l| {
-                            pull.snapshots[(snap + k) * lanes + l] = arena[(off + k) * lanes + l];
-                        });
-                    }
+                for i in wake.pull_inputs(sched) {
+                    snapshot(arena, snaps, i, lanes, eval);
                 }
             }
 
             // Snapshot old output values (unfused outputs only; step 4).
-            let (o0, o1) = (tr.part_start[sched] as usize, tr.part_end[sched] as usize);
-            for o in o0..o1 {
-                let off = tr.out_off[o] as usize;
-                let w = tr.out_words[o] as usize;
-                let old = tr.old_off[o] as usize;
-                for k in 0..w {
-                    for_lanes(eval, |l| {
-                        tr.old_vals[(old + k) * lanes + l] = arena[(off + k) * lanes + l];
-                    });
-                }
+            let outs = wake.outputs(sched);
+            for o in outs {
+                snapshot(arena, snaps, o, lanes, eval);
             }
 
             // 2. The program across the awake lanes: members, fused
@@ -772,20 +635,11 @@ impl BatchSim {
             // 4. Push direction: per-lane change detection for the
             //    outputs the program did not fuse.
             if push {
-                for o in o0..o1 {
-                    let off = tr.out_off[o] as usize;
-                    let w = tr.out_words[o] as usize;
-                    let old = tr.old_off[o] as usize;
+                for o in outs {
                     for_lanes(eval, |l| {
                         counters[l].dynamic_checks += 1;
-                        let diff = (0..w).any(|k| {
-                            arena[(off + k) * lanes + l] != tr.old_vals[(old + k) * lanes + l]
-                        });
-                        if diff {
-                            for ci in tr.cons_start[o]..tr.cons_end[o] {
-                                let f = &flags[tr.consumers[ci as usize] as usize];
-                                f.set(f.get() | (1u64 << l));
-                            }
+                        if differs(arena, snaps, o, lanes, l) {
+                            wake_lane(flags, wake.woken(o.wake), l);
                         }
                     });
                 }
@@ -873,8 +727,7 @@ impl BatchSim {
     fn apply_perm(&mut self, order: &[u32]) {
         let lanes = self.lanes;
         permute_strided(&mut self.arena, lanes, order);
-        permute_strided(&mut self.triggers.old_vals, lanes, order);
-        permute_strided(&mut self.pull.snapshots, lanes, order);
+        permute_strided(&mut self.snapshots, lanes, order);
         for f in self.flags.iter_mut() {
             let old = *f;
             let mut new = 0u64;
@@ -903,76 +756,15 @@ impl BatchSim {
         }
     }
 
-    /// Captures the engine's stride geometry, wake routing, lane
-    /// permutation, and bank shapes for the X08xx verify layer.
+    /// Captures the engine's stride geometry, lane permutation and bank
+    /// shapes for the X08xx verify layer.
     pub fn batch_audit(&self) -> BatchAudit {
-        let np = self.plan.partitions.len();
-        let mut out_routes: Vec<Vec<(u32, Vec<u32>)>> = Vec::with_capacity(np);
-        for sched in 0..np {
-            let mut routes: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
-            let tr = &self.triggers;
-            for o in tr.part_start[sched] as usize..tr.part_end[sched] as usize {
-                let entry = routes.entry(tr.out_off[o]).or_default();
-                for ci in tr.cons_start[o]..tr.cons_end[o] {
-                    entry.insert(tr.consumers[ci as usize]);
-                }
-            }
-            if let Some(progs) = &self.programs {
-                for inst in &progs[sched].code {
-                    if inst.ws != NO_FUSE && inst.op != Op1::Commit {
-                        let entry = routes.entry(inst.dst).or_default();
-                        for &c in &progs[sched].consumers[inst.ws as usize..inst.we as usize] {
-                            entry.insert(c);
-                        }
-                    }
-                }
-            }
-            out_routes.push(
-                routes
-                    .into_iter()
-                    .map(|(o, s)| (o, s.into_iter().collect()))
-                    .collect(),
-            );
-        }
-        let canon = |v: &[u32]| {
-            let mut s: Vec<u32> = v.to_vec();
-            s.sort_unstable();
-            s.dedup();
-            s
-        };
-        // State wakes as the engine will perform them: each register's
-        // from its `Commit` instruction or its table entry, each write
-        // port's from its table entry.
-        let mut reg_wakes = vec![Vec::new(); self.plan.reg_plans.len()];
-        let mut mem_wakes = vec![Vec::new(); self.plan.mem_write_plans.len()];
-        for prog in self.programs.iter().flatten() {
-            for inst in prog.code.iter().filter(|i| i.op == Op1::Commit) {
-                reg_wakes[inst.imm as usize]
-                    .extend(&prog.consumers[inst.ws as usize..inst.we as usize]);
-            }
-        }
-        for (r, woken) in self.state.reg_entries() {
-            reg_wakes[r.plan as usize].extend(woken);
-        }
-        for (w, woken) in self.state.write_entries() {
-            mem_wakes[w.plan as usize].extend(woken);
-        }
-        let mut input_wakes: Vec<(u32, Vec<u32>)> = self
-            .input_wake
-            .iter()
-            .map(|(sig, wakes)| (sig.0, canon(wakes)))
-            .collect();
-        input_wakes.sort_unstable();
         BatchAudit {
             lanes: self.lanes,
             stride: self.lanes,
             total_words: self.layout.total_words(),
             arena_len: self.arena.len(),
             scratch_len: self.scratch.len(),
-            out_routes,
-            reg_wakes: reg_wakes.iter().map(|w| canon(w)).collect(),
-            mem_wakes: mem_wakes.iter().map(|w| canon(w)).collect(),
-            input_wakes,
             phys_of_log: self.phys_of_log.clone(),
             log_of_phys: self.log_of_phys.clone(),
             bank_shapes: self
@@ -1041,6 +833,23 @@ fn value_strided(
     let w = layout.words(sig);
     let limbs: Vec<u64> = (0..w).map(|k| arena[(off + k) * lanes + lane]).collect();
     Bits::from_limbs(limbs, netlist.signal(sig).width)
+}
+
+/// Copies a watched range into its snapshot, for the lanes of `mask`.
+fn snapshot(arena: &[u64], snaps: &mut [u64], w: &Watch, lanes: usize, mask: u64) {
+    for k in 0..w.words as usize {
+        for_lanes(mask, |l| {
+            snaps[(w.snap as usize + k) * lanes + l] = arena[(w.off as usize + k) * lanes + l];
+        });
+    }
+}
+
+/// Whether `lane`'s value of a watched range differs from its snapshot.
+#[inline]
+fn differs(arena: &[u64], snaps: &[u64], w: &Watch, lanes: usize, lane: usize) -> bool {
+    (0..w.words as usize).any(|k| {
+        arena[(w.off as usize + k) * lanes + lane] != snaps[(w.snap as usize + k) * lanes + lane]
+    })
 }
 
 /// Sets `lane`'s bit in the wake mask of every partition in `woken`.
@@ -1145,6 +954,7 @@ mod tests {
     use super::*;
     use crate::engine::Simulator;
     use crate::EssentSim;
+    use std::collections::BTreeSet;
 
     fn netlist_of(src: &str) -> Netlist {
         let lowered = essent_firrtl::passes::lower(essent_firrtl::parse(src).unwrap()).unwrap();

@@ -24,12 +24,14 @@
 //! 4. snapshot-compares the outputs the program did not fuse (usually
 //!    none; all of them under the generic tier).
 //!
-//! Steps 3 and 4 are empty for most partitions, and the engine knows
-//! which before it wakes one: each partition has a **wake slot**
-//! ([`crate::slots`]) — the native entry, if any, and a `plain` bit for
-//! "the program is the whole wake" — so a plain wake is one record load,
-//! one flag clear and one call, and only the rest visit the trigger and
-//! state tables.
+//! What steps 3 and 4 are for a partition is resolved once by the front
+//! end ([`StateTable`], [`WakeTable`]); this engine adds storage — arena,
+//! snapshots, flags — and the schedule loop. Both steps are empty for
+//! most partitions, and the engine knows which before it wakes one: each
+//! partition has a **wake slot** ([`crate::slots`]) — the native entry,
+//! if any, and a `plain` bit for "the program is the whole wake" — so a
+//! plain wake is one record load, one flag clear and one call, and only
+//! the rest visit the two tables.
 //!
 //! Non-elidable state falls back to an end-of-cycle commit with change
 //! detection, from the same table, and external input changes wake their
@@ -43,35 +45,15 @@ use crate::frontend::{build_plan, Frontend};
 use crate::jit;
 use crate::machine::Machine;
 use crate::profile::{NoProfile, ProfileArena, ProfileReport, ProfileWiring, Profiler};
-use crate::slots::{WakeSlot, WakeSlots};
+use crate::slots::{WakeSlot, WakeSlots, WakeTable};
 use crate::state::StateTable;
 use crate::step1::{Tier1Program, TierStats};
 use essent_bits::Bits;
 use essent_core::partition::ActivityPrior;
 use essent_core::plan::CcssPlan;
-use essent_netlist::{Netlist, SignalId};
+use essent_netlist::Netlist;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Flattened per-output trigger tables (hot-loop friendly).
-#[derive(Debug, Default)]
-struct Triggers {
-    /// Per output: arena offset and word count.
-    out_off: Vec<u32>,
-    out_words: Vec<u16>,
-    /// Per output: offset of its snapshot in `old_vals`.
-    old_off: Vec<u32>,
-    /// Per output: range into `consumers`.
-    cons_start: Vec<u32>,
-    cons_end: Vec<u32>,
-    consumers: Vec<u32>,
-    /// Per partition: range of outputs in the tables above.
-    part_start: Vec<u32>,
-    part_end: Vec<u32>,
-    /// Snapshot storage.
-    old_vals: Vec<u64>,
-}
 
 /// The CCSS simulator.
 pub struct EssentSim {
@@ -86,34 +68,20 @@ pub struct EssentSim {
     /// program is the whole wake. Owns the native parts.
     slots: WakeSlots,
     flags: Vec<bool>,
-    triggers: Triggers,
-    input_wake: HashMap<SignalId, Vec<u32>>,
+    /// What a wake does beyond its program: the unfused outputs to
+    /// snapshot-compare, the inputs pull mode watches, input wakes.
+    wake: WakeTable,
+    /// Last-seen values of everything the wake table watches.
+    snapshots: Vec<u64>,
     /// The state updates the programs did not absorb, and the
     /// end-of-cycle commit path.
     state: StateTable,
-    /// Total steps a full-cycle evaluation would run (for effective
-    /// activity factor reporting).
-    full_steps: usize,
     /// Push (true) or pull (false) activity triggering.
     push: bool,
-    /// Pull mode: per-partition cross-partition input snapshots.
-    pull_inputs: PullInputs,
     /// Telemetry arena ([`EngineConfig::profile`]); taken out of the
     /// option for the duration of a `step` so the cycle loop
     /// monomorphizes over the enabled/disabled profiler.
     profile: Option<Box<ProfileArena>>,
-}
-
-/// Pull-direction snapshot tables: each partition's cross-partition input
-/// signals and their last-seen values.
-#[derive(Debug, Default)]
-struct PullInputs {
-    in_off: Vec<u32>,
-    in_words: Vec<u16>,
-    snap_off: Vec<u32>,
-    part_start: Vec<u32>,
-    part_end: Vec<u32>,
-    snapshots: Vec<u64>,
 }
 
 impl EssentSim {
@@ -172,6 +140,7 @@ impl EssentSim {
             blocks,
             programs,
             state,
+            wake,
             jit,
             ..
         } = Frontend::compile(
@@ -182,112 +151,21 @@ impl EssentSim {
             prior,
             Some(&machine.mems),
         );
-
-        // Snapshot-compare tables cover only the outputs the tier did not
-        // fuse (all of them when the tier is off).
-        let mut triggers = Triggers::default();
-        for (sched, part) in plan.partitions.iter().enumerate() {
-            triggers.part_start.push(triggers.out_off.len() as u32);
-            for (oi, out) in part.outputs.iter().enumerate() {
-                if let Some(progs) = &programs {
-                    if !progs[sched].unfused.contains(&oi) {
-                        continue;
-                    }
-                }
-                let off = machine.layout.offset(out.signal) as u32;
-                let words = machine.layout.words(out.signal) as u16;
-                triggers.out_off.push(off);
-                triggers.out_words.push(words);
-                triggers.old_off.push(triggers.old_vals.len() as u32);
-                triggers
-                    .old_vals
-                    .extend(std::iter::repeat_n(0, words as usize));
-                triggers.cons_start.push(triggers.consumers.len() as u32);
-                triggers.consumers.extend(out.consumers.iter().copied());
-                triggers.cons_end.push(triggers.consumers.len() as u32);
-            }
-            triggers.part_end.push(triggers.out_off.len() as u32);
-        }
-
-        let input_wake = plan
-            .input_wakes
-            .iter()
-            .map(|(sig, wakes)| (*sig, wakes.clone()))
-            .collect();
-        let full_steps = blocks
-            .iter()
-            .flat_map(|b| b.items.iter())
-            .map(crate::compile::Item::step_count)
-            .sum();
-
-        // Pull-direction tables: the cross-partition signals each
-        // partition's members read (deduplicated), with snapshot storage.
-        let mut pull_inputs = PullInputs::default();
-        if !config.trigger_push {
-            for (sched, part) in plan.partitions.iter().enumerate() {
-                pull_inputs.part_start.push(pull_inputs.in_off.len() as u32);
-                let mut seen = std::collections::BTreeSet::new();
-                for &m in &part.members {
-                    for dep in netlist.deps(m) {
-                        // Inputs from outside this partition, except
-                        // register outputs and external inputs — those are
-                        // still interesting (their changes are what pull
-                        // mode detects by value), so include everything
-                        // not computed in this partition.
-                        if plan.sched_of_signal[dep.index()] as usize != sched
-                            || !matches!(
-                                netlist.signal(dep).def,
-                                essent_netlist::SignalDef::Op(_)
-                                    | essent_netlist::SignalDef::MemRead { .. }
-                            )
-                        {
-                            seen.insert(dep);
-                        }
-                    }
-                }
-                for dep in seen {
-                    pull_inputs.in_off.push(machine.layout.offset(dep) as u32);
-                    let words = machine.layout.words(dep) as u16;
-                    pull_inputs.in_words.push(words);
-                    pull_inputs
-                        .snap_off
-                        .push(pull_inputs.snapshots.len() as u32);
-                    pull_inputs
-                        .snapshots
-                        .extend(std::iter::repeat_n(0, words as usize));
-                }
-                pull_inputs.part_end.push(pull_inputs.in_off.len() as u32);
-            }
-        }
-
         let profile = config
             .profile
             .then(|| Box::new(ProfileArena::new(ProfileWiring::for_plan(&netlist, &plan))));
-        let flags = vec![true; plan.partitions.len()];
-        // Plain: a lowered program in push mode (pull refreshes input
-        // snapshots on every wake) that left nothing to steps 3 and 4.
-        let plain = (0..plan.partitions.len())
-            .map(|sched| {
-                config.trigger_push
-                    && programs.is_some()
-                    && triggers.part_start[sched] == triggers.part_end[sched]
-                    && !state.has_in_place(sched)
-            })
-            .collect();
         EssentSim {
+            flags: vec![true; plan.partitions.len()],
+            slots: WakeSlots::new(jit, &wake.plain),
+            snapshots: vec![0; wake.snapshot_words],
             machine,
             plan,
             blocks,
             programs,
-            flags,
-            triggers,
-            input_wake,
+            wake,
             state,
-            full_steps,
             push: config.trigger_push,
-            pull_inputs,
             profile,
-            slots: WakeSlots::new(jit, plain),
         }
     }
 
@@ -305,7 +183,7 @@ impl EssentSim {
     /// `counters().ops_evaluated / (cycles * full_steps_per_cycle)` is the
     /// *effective activity factor* of Figure 7.
     pub fn full_steps_per_cycle(&self) -> usize {
-        self.full_steps
+        self.wake.full_steps
     }
 
     /// Borrow of the underlying machine.
@@ -382,7 +260,8 @@ impl EssentSim {
         // writes inside the tier-1 interpreter can wake consumers while
         // the flag slice stays borrowed here.
         let flags = Cell::from_mut(self.flags.as_mut_slice()).as_slice_of_cells();
-        let tr = &mut self.triggers;
+        let wake = &self.wake;
+        let snaps = self.snapshots.as_mut_slice();
         let state = &self.state;
         let slots = self.slots.as_slice();
         let code = Programs {
@@ -396,16 +275,18 @@ impl EssentSim {
         let np = flags.len();
         // A woken non-plain partition, its flag already cleared: steps
         // 2 to 4 of the module docs.
-        let mut wake_full = |sched: usize, slot: WakeSlot, machine: &mut Machine, prof: &mut P| {
+        let wake_full = |sched: usize,
+                         slot: WakeSlot,
+                         machine: &mut Machine,
+                         snaps: &mut [u64],
+                         prof: &mut P| {
             let ops_before = machine.counters.ops_evaluated;
             let t0 = prof.eval_begin(sched);
             // Snapshot the old values of the unfused outputs (step 4).
-            let (o_start, o_end) = (tr.part_start[sched] as usize, tr.part_end[sched] as usize);
-            for o in o_start..o_end {
-                let off = tr.out_off[o] as usize;
-                let w = tr.out_words[o] as usize;
-                let old = tr.old_off[o] as usize;
-                tr.old_vals[old..old + w].copy_from_slice(&machine.arena[off..off + w]);
+            let outs = wake.outputs(sched);
+            for o in outs {
+                snaps[range(o.snap, o.words)]
+                    .copy_from_slice(&machine.arena[range(o.off, o.words)]);
             }
 
             code.run(slot, sched, machine, prof);
@@ -439,15 +320,12 @@ impl EssentSim {
             //    outputs (branchless OR-reduction in the generated C++; a
             //    compare + flag writes here).
             if push {
-                for o in o_start..o_end {
+                for o in outs {
                     machine.counters.dynamic_checks += 1;
-                    let off = tr.out_off[o] as usize;
-                    let w = tr.out_words[o] as usize;
-                    let old = tr.old_off[o] as usize;
-                    if machine.arena[off..off + w] != tr.old_vals[old..old + w] {
-                        for ci in tr.cons_start[o]..tr.cons_end[o] {
-                            flags[tr.consumers[ci as usize] as usize].set(true);
-                            prof.wake_output(sched, tr.consumers[ci as usize]);
+                    if machine.arena[range(o.off, o.words)] != snaps[range(o.snap, o.words)] {
+                        for &c in wake.woken(o.wake) {
+                            flags[c as usize].set(true);
+                            prof.wake_output(sched, c);
                         }
                     }
                 }
@@ -499,7 +377,7 @@ impl EssentSim {
                             code.run(slot, sched, machine, prof);
                             prof.eval_end(sched, t0, machine.counters.ops_evaluated - ops_before);
                         } else {
-                            wake_full(sched, slot, machine, prof);
+                            wake_full(sched, slot, machine, snaps, prof);
                         }
                     }
                     sched += 1;
@@ -510,18 +388,14 @@ impl EssentSim {
             // is clear compares every cross-partition input against its
             // snapshot — per-cycle work proportional to the partition's
             // inputs, the overhead the paper's push choice avoids.
-            let pull = &mut self.pull_inputs;
             for sched in 0..np {
                 machine.counters.static_checks += 1;
-                let inputs = pull.part_start[sched] as usize..pull.part_end[sched] as usize;
+                let inputs = wake.pull_inputs(sched);
                 let mut active = flags[sched].get();
                 if !active {
-                    for i in inputs.clone() {
+                    for i in inputs {
                         machine.counters.static_checks += 1;
-                        let off = pull.in_off[i] as usize;
-                        let w = pull.in_words[i] as usize;
-                        let snap = pull.snap_off[i] as usize;
-                        if machine.arena[off..off + w] != pull.snapshots[snap..snap + w] {
+                        if machine.arena[range(i.off, i.words)] != snaps[range(i.snap, i.words)] {
                             active = true;
                             break;
                         }
@@ -534,12 +408,10 @@ impl EssentSim {
                 flags[sched].set(false);
                 // Refresh input snapshots for the next pull comparison.
                 for i in inputs {
-                    let off = pull.in_off[i] as usize;
-                    let w = pull.in_words[i] as usize;
-                    let snap = pull.snap_off[i] as usize;
-                    pull.snapshots[snap..snap + w].copy_from_slice(&machine.arena[off..off + w]);
+                    snaps[range(i.snap, i.words)]
+                        .copy_from_slice(&machine.arena[range(i.off, i.words)]);
                 }
-                wake_full(sched, slots[sched], machine, prof);
+                wake_full(sched, slots[sched], machine, snaps, prof);
             }
         }
 
@@ -573,6 +445,12 @@ impl EssentSim {
         machine.cycle += 1;
         machine.counters.cycles += 1;
     }
+}
+
+/// The `words` words at `off`, as a slice range.
+#[inline(always)]
+fn range(off: u32, words: u32) -> std::ops::Range<usize> {
+    off as usize..(off + words) as usize
 }
 
 /// What a wake runs as the partition's program, and what the program
@@ -645,12 +523,10 @@ impl Simulator for EssentSim {
             "`{name}` is not an input"
         );
         if self.machine.set_value(id, &value) {
-            if let Some(wakes) = self.input_wake.get(&id) {
-                for &c in wakes {
-                    self.flags[c as usize] = true;
-                    if let Some(p) = &mut self.profile {
-                        p.wake_input(id, c);
-                    }
+            for &c in self.wake.input_wakes(id) {
+                self.flags[c as usize] = true;
+                if let Some(p) = &mut self.profile {
+                    p.wake_input(id, c);
                 }
             }
         }

@@ -1,17 +1,20 @@
 //! The front end the three CCSS engines share: netlist → partitioning →
 //! plan ([`build_plan`]), then plan → bytecode → tier-1 programs → state
-//! table → cost table → native bodies ([`Frontend::compile`]).
+//! table → wake table → cost table → native bodies
+//! ([`Frontend::compile`]).
 //!
 //! [`EssentSim`](crate::EssentSim), [`ParEssentSim`](crate::ParEssentSim)
-//! and [`BatchSim`](crate::BatchSim) differ only in the runtime tables
-//! they build *from* these artifacts, and `essent-verify` audits the same
-//! artifacts, so the lowering an engine runs and the lowering the
-//! verifier proves cannot drift apart.
+//! and [`BatchSim`](crate::BatchSim) run from these artifacts — they add
+//! storage (arena, snapshots, flags) and a schedule loop, no table of
+//! their own — and `essent-verify` audits the same artifacts, so the
+//! lowering an engine runs and the lowering the verifier proves cannot
+//! drift apart.
 
 use crate::compile::{compile_plan, Block, Item, Layout};
 use crate::engine::EngineConfig;
 use crate::jit::{self, JitParts};
 use crate::machine::MemBank;
+use crate::slots::WakeTable;
 use crate::state::StateTable;
 use crate::step1::{lower_tier1, OutSpec, Tier1Program};
 use essent_core::partition::{partition, partition_with_prior, ActivityMergeParams, ActivityPrior};
@@ -120,6 +123,9 @@ pub struct Frontend {
     /// The state updates the programs did not absorb, and the
     /// end-of-cycle ones, pre-resolved.
     pub state: StateTable,
+    /// What a wake does beyond its program: unfused outputs, pull
+    /// inputs, the `plain` bits, input wakes.
+    pub wake: WakeTable,
     pub cost: CostModel,
     /// Native bodies for the partitions whose cost clears
     /// [`jit::JIT_MIN_COST`]; `None` unless `config.jit` applies.
@@ -151,6 +157,15 @@ impl Frontend {
                 .collect()
         });
         let state = StateTable::build(netlist, layout, plan, programs.as_deref());
+        let wake = WakeTable::build(
+            netlist,
+            layout,
+            plan,
+            &blocks,
+            programs.as_deref(),
+            &state,
+            config.trigger_push,
+        );
         let cost = CostModel::build(plan, &blocks, prior);
         let jit = match (&programs, jit_banks) {
             (Some(progs), Some(banks))
@@ -167,6 +182,7 @@ impl Frontend {
             blocks,
             programs,
             state,
+            wake,
             cost,
             jit,
         }

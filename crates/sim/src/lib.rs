@@ -21,8 +21,9 @@
 //!   commercial event-driven simulator ("CommVer") in Table III.
 //!
 //! Supporting modules: [`frontend`] (the one partition → plan → bytecode →
-//! tier-1 → cost table → native-code routine the CCSS engines and the
-//! verifier share), [`compile`] (bytecode, including the conditional
+//! tier-1 → state and wake tables → cost table → native-code routine the
+//! CCSS engines and the verifier share), [`state`] and [`slots`] (those
+//! two tables: what a wake does beyond running its program), [`compile`] (bytecode, including the conditional
 //! multiplexer-way optimization of Section III-B), [`machine`] (arena,
 //! memory banks, commit logic, work counters for the Figure 7 overhead
 //! decomposition), [`activity`] (per-cycle activity-factor measurement
@@ -51,10 +52,10 @@
 //! whose soundness rests on one invariant: **partitions that can run
 //! concurrently have disjoint write footprints, and never write what
 //! the other reads**. The invariant is not assumed — the `essent-verify`
-//! footprint layer (`R0501`–`R0504`) derives every partition's exact
-//! footprint and the dependence layer (`S0601`–`S0605`) proves per
-//! design that the parallel engine's dataflow schedule orders every
-//! conflicting pair; the `race-sanitizer` feature ([`sanitizer`])
+//! footprint layer (`R0501`, `R0502`, `R0504`) derives every partition's
+//! exact footprint and proves each arena word has one writing partition,
+//! and the dependence layer (`S0601`–`S0605`) proves per design that the
+//! parallel engine's dataflow schedule orders every conflicting pair; the `race-sanitizer` feature ([`sanitizer`])
 //! cross-checks it dynamically.
 
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -75,7 +76,7 @@ pub mod par;
 pub mod profile;
 #[cfg(feature = "race-sanitizer")]
 pub mod sanitizer;
-mod slots;
+pub mod slots;
 pub mod state;
 pub mod step1;
 pub mod testbench;

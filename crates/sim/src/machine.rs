@@ -601,8 +601,10 @@ pub(crate) unsafe fn run_mem_write_raw(
 ///
 /// `base` must be the machine's arena pointer and `arg.off` an
 /// in-bounds slot no other thread concurrently writes — guaranteed for
-/// partition evaluation by the footprint proof (R0503) and for the
-/// sequential engines by `&mut Machine`.
+/// partition evaluation by the slot's single writing partition (R0502,
+/// plan-wide; R0504 keeps every write inside its partition's declared
+/// range) being ordered before this read by a wait edge (S0601), and
+/// for the sequential engines by `&mut Machine`.
 #[inline]
 unsafe fn read_u64(base: *mut u64, arg: &ArgRef) -> u64 {
     // SAFETY: forwarded from the function's contract.

@@ -39,15 +39,14 @@ use crate::frontend::{build_plan, Frontend};
 use crate::jit;
 use crate::machine::{self, Machine};
 use crate::profile::{AtomicProfile, ProfileReport, ProfileWiring};
-use crate::slots::{WakeSlot, WakeSlots};
+use crate::slots::{WakeSlot, WakeSlots, WakeTable};
 use crate::state::StateTable;
 use crate::step1::{run_tier1_raw, AtomicFlags, ProfAtomicFlags, Tier1Program};
 use essent_bits::Bits;
 use essent_core::depgraph::{synthesize_dataflow, DataflowSchedule, DepGraph};
 use essent_core::partition::ActivityPrior;
 use essent_core::plan::CcssPlan;
-use essent_netlist::{Netlist, SignalDef, SignalId};
-use std::collections::HashMap;
+use essent_netlist::{Netlist, SignalDef};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -57,15 +56,17 @@ pub use crate::frontend::CostModel;
 /// disjointness discipline.
 #[derive(Clone, Copy)]
 struct ArenaPtr(*mut u64);
-// SAFETY: workers only touch disjoint slots while running concurrently
-// (each signal is written by exactly one partition; reads target
-// finished producers or state), enforced by the dataflow wait protocol
-// and proven statically by the `essent-verify` footprint layer
-// (R0502/R0503) and dependence-cover layer (S0601).
+// SAFETY: workers only touch disjoint slots while running concurrently:
+// every arena word has a single writing partition (R0502, plan-wide),
+// no partition writes outside its declared range (R0504), and every
+// pair of partitions whose footprints overlap is ordered by a wait edge
+// of the dataflow schedule (S0601) — proven statically per design by
+// `essent-verify`, enforced at run time by the wait protocol.
 unsafe impl Send for ArenaPtr {}
-// SAFETY: same disjointness discipline as the `Send` impl above —
-// concurrent `&ArenaPtr` access only ever dereferences
-// schedule-disjoint word ranges (R0502/R0503, S0601).
+// SAFETY: same discipline as the `Send` impl above — concurrent
+// `&ArenaPtr` access only ever dereferences word ranges the schedule
+// keeps apart (single writer R0502, in-range writes R0504, wait-edge
+// cover S0601).
 unsafe impl Sync for ArenaPtr {}
 
 impl ArenaPtr {
@@ -94,27 +95,19 @@ impl MemsPtr {
 }
 
 /// Shared snapshot-buffer pointer for the worker closures.
-struct OldPtr(*mut u64);
-// SAFETY: the snapshot buffer is partitioned by construction — each
-// partition owns a private, pre-assigned range (the `old` offsets in
-// `part_triggers`), so workers never alias.
-unsafe impl Send for OldPtr {}
+struct SnapPtr(*mut u64);
+// SAFETY: the snapshot buffer is partitioned by construction — every
+// watch of the wake table owns a private, pre-assigned range (its `snap`
+// offset, handed out once by `WakeTable::build`), so workers never
+// alias.
+unsafe impl Send for SnapPtr {}
 // SAFETY: same private-per-partition ranges as the `Send` impl.
-unsafe impl Sync for OldPtr {}
-impl OldPtr {
+unsafe impl Sync for SnapPtr {}
+impl SnapPtr {
     #[inline]
     fn get(&self) -> *mut u64 {
         self.0
     }
-}
-
-/// One partition's flattened trigger table entry.
-struct PartTriggers {
-    /// (arena offset, words, old-value offset) per output.
-    outs: Vec<(u32, u16, u32)>,
-    /// (consumer range) per output into `consumers`.
-    cons: Vec<(u32, u32)>,
-    consumers: Vec<u32>,
 }
 
 /// Thread-parallel CCSS simulator.
@@ -138,11 +131,11 @@ pub struct ParEssentSim {
     /// publishes an early halt bound so speculative next-cycle work
     /// never outruns a firing `stop`.
     stop_probe: Vec<Vec<u32>>,
-    part_triggers: Vec<PartTriggers>,
-    /// Per-partition private snapshot storage, indexed by the offsets in
-    /// `part_triggers[p].outs`.
-    old_vals: Vec<u64>,
-    input_wake: HashMap<SignalId, Vec<u32>>,
+    /// What a wake does beyond its program: the unfused outputs to
+    /// snapshot-compare, input wakes.
+    wake: WakeTable,
+    /// Snapshot storage, indexed by the wake table's `snap` offsets.
+    snapshots: Vec<u64>,
     /// The elided registers the programs did not absorb (per partition)
     /// and the serial phase's writes and commits, pre-resolved.
     state: StateTable,
@@ -192,6 +185,7 @@ impl ParEssentSim {
             blocks,
             programs,
             state,
+            wake,
             cost,
             jit,
         } = Frontend::compile(
@@ -205,40 +199,6 @@ impl ParEssentSim {
 
         let np = plan.partitions.len();
 
-        // Flattened per-partition trigger tables, covering only the
-        // outputs the tier did not fuse.
-        let mut old_vals = Vec::new();
-        let mut part_triggers = Vec::with_capacity(np);
-        for (sched, part) in plan.partitions.iter().enumerate() {
-            let mut outs = Vec::new();
-            let mut cons = Vec::new();
-            let mut consumers = Vec::new();
-            for (oi, o) in part.outputs.iter().enumerate() {
-                if let Some(progs) = &programs {
-                    if !progs[sched].unfused.contains(&oi) {
-                        continue;
-                    }
-                }
-                let off = machine.layout.offset(o.signal) as u32;
-                let w = machine.layout.words(o.signal) as u16;
-                outs.push((off, w, old_vals.len() as u32));
-                old_vals.extend(std::iter::repeat_n(0, w as usize));
-                let start = consumers.len() as u32;
-                consumers.extend(o.consumers.iter().copied());
-                cons.push((start, consumers.len() as u32));
-            }
-            part_triggers.push(PartTriggers {
-                outs,
-                cons,
-                consumers,
-            });
-        }
-
-        let input_wake = plan
-            .input_wakes
-            .iter()
-            .map(|(sig, wakes)| (*sig, wakes.clone()))
-            .collect();
         let threads = if threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -281,26 +241,16 @@ impl ParEssentSim {
                 edges,
             ))
         });
-        // Plain: a lowered program that left the engine no unfused
-        // output to compare and no register to commit.
-        let plain = (0..np)
-            .map(|sched| {
-                programs.is_some()
-                    && part_triggers[sched].outs.is_empty()
-                    && !state.has_in_place(sched)
-            })
-            .collect();
         ParEssentSim {
+            slots: WakeSlots::new(jit, &wake.plain),
+            flags: (0..np).map(|_| AtomicBool::new(true)).collect(),
+            snapshots: vec![0; wake.snapshot_words],
             machine,
             plan,
             blocks,
             programs,
-            slots: WakeSlots::new(jit, plain),
-            flags: (0..np).map(|_| AtomicBool::new(true)).collect(),
             stop_probe,
-            part_triggers,
-            old_vals,
-            input_wake,
+            wake,
             state,
             profile,
             #[cfg(feature = "race-sanitizer")]
@@ -411,8 +361,10 @@ impl ParEssentSim {
                 match prof {
                     // SAFETY: the tier-1 program's footprint equals the
                     // generic block's (R0501), which the footprint
-                    // layer proved schedule-disjoint and in-bounds
-                    // (R0502–R0504); banks are read-only here.
+                    // layer proved single-writer and in-bounds (R0502,
+                    // R0504) and the schedule orders against every
+                    // overlapping partition (S0601); banks are
+                    // read-only here.
                     Some(p) => unsafe {
                         run_tier1_raw(
                             &progs[sched],
@@ -427,7 +379,7 @@ impl ParEssentSim {
                             &mut dynamic,
                         )
                     },
-                    // SAFETY: as above (R0501–R0504 footprint proof).
+                    // SAFETY: as above (R0501/R0502/R0504, S0601).
                     None => unsafe {
                         run_tier1_raw(
                             &progs[sched],
@@ -441,8 +393,10 @@ impl ParEssentSim {
                 }
             }
             // SAFETY: the generic block's footprint is exactly what the
-            // footprint layer analyzed and proved schedule-disjoint and
-            // in-bounds (R0502–R0504); banks are read-only here.
+            // footprint layer analyzed and proved single-writer and
+            // in-bounds (R0502, R0504), ordered against every
+            // overlapping partition by the schedule (S0601); banks are
+            // read-only here.
             (None, None) => unsafe {
                 machine::run_items_raw(&self.blocks[sched].items, arena.get(), mems, ops)
             },
@@ -456,8 +410,8 @@ impl ParEssentSim {
     /// Caller must guarantee schedule-disjointness: no partition that
     /// can run concurrently with `sched` may write any arena word this
     /// partition reads or writes, or read one it writes. The dataflow
-    /// schedule orders every pair whose footprints (`R0501`–`R0504`)
-    /// conflict by a wait edge and lets cycles overlap only between
+    /// schedule orders every pair whose footprints (`R0501`, `R0502`,
+    /// `R0504`) conflict by a wait edge and lets cycles overlap only between
     /// footprint-disjoint partitions — what `essent-verify`'s dependence
     /// layer proves statically per design (`S0601`–`S0605`) and the
     /// `race-sanitizer` feature checks dynamically.
@@ -466,7 +420,7 @@ impl ParEssentSim {
         sched: usize,
         arena: ArenaPtr,
         mems: &[crate::machine::MemBank],
-        old_vals: *mut u64,
+        snapshots: *mut u64,
         ops: &mut u64,
         prof: Option<&AtomicProfile>,
     ) {
@@ -477,19 +431,19 @@ impl ParEssentSim {
             unsafe { self.run_program(slot, sched, arena, mems, ops, prof) };
             return;
         }
-        let tr = &self.part_triggers[sched];
+        let outs = self.wake.outputs(sched);
         // Snapshot outputs.
-        for &(off, w, old) in &tr.outs {
+        for o in outs {
             #[cfg(feature = "race-sanitizer")]
-            crate::sanitizer::note_read(off, w as u32);
-            // SAFETY: `off..off+w` are this partition's own output
-            // slots (no concurrent writer, caller's contract); the `old`
-            // range is this partition's private snapshot storage.
+            crate::sanitizer::note_read(o.off, o.words);
+            // SAFETY: `off..off+words` are this partition's own output
+            // slots (no concurrent writer, caller's contract); the
+            // `snap` range is this watch's private snapshot storage.
             unsafe {
                 std::ptr::copy_nonoverlapping(
-                    arena.get().add(off as usize),
-                    old_vals.add(old as usize),
-                    w as usize,
+                    arena.get().add(o.off as usize),
+                    snapshots.add(o.snap as usize),
+                    o.words as usize,
                 );
             }
         }
@@ -520,24 +474,23 @@ impl ParEssentSim {
             }
         }
         // Output triggers.
-        for (oi, &(off, w, old)) in tr.outs.iter().enumerate() {
+        for o in outs {
             #[cfg(feature = "race-sanitizer")]
-            crate::sanitizer::note_read(off, w as u32);
+            crate::sanitizer::note_read(o.off, o.words);
             // SAFETY: output slots are written only by this partition
             // while it runs (caller's contract); the snapshot range is
             // private. Both ranges are in-bounds by construction.
             let (cur, snap) = unsafe {
                 (
-                    std::slice::from_raw_parts(arena.get().add(off as usize), w as usize),
-                    std::slice::from_raw_parts(old_vals.add(old as usize), w as usize),
+                    std::slice::from_raw_parts(arena.get().add(o.off as usize), o.words as usize),
+                    std::slice::from_raw_parts(snapshots.add(o.snap as usize), o.words as usize),
                 )
             };
             if cur != snap {
-                let (s, e) = tr.cons[oi];
-                for ci in s..e {
-                    self.flags[tr.consumers[ci as usize] as usize].store(true, Ordering::Relaxed);
+                for &c in self.wake.woken(o.wake) {
+                    self.flags[c as usize].store(true, Ordering::Relaxed);
                     if let Some(p) = prof {
-                        p.wake_output(sched, tr.consumers[ci as usize]);
+                        p.wake_output(sched, c);
                     }
                 }
             }
@@ -673,7 +626,7 @@ impl ParEssentSim {
     fn run_cycles(&mut self, n: u64) -> u64 {
         let arena = ArenaPtr(self.machine.arena.as_mut_ptr());
         let mems = MemsPtr(self.machine.mems.as_mut_ptr(), self.machine.mems.len());
-        let old_ptr = OldPtr(self.old_vals.as_mut_ptr());
+        let snap_ptr = SnapPtr(self.snapshots.as_mut_ptr());
         let ds = self
             .dataflow_schedule()
             .expect("schedule attached at construction");
@@ -747,7 +700,7 @@ impl ParEssentSim {
                                         p,
                                         arena,
                                         banks,
-                                        old_ptr.get(),
+                                        snap_ptr.get(),
                                         &mut part_ops,
                                         Some(prof),
                                     )
@@ -757,7 +710,14 @@ impl ParEssentSim {
                             }
                             // SAFETY: exclusive access, schedule order.
                             None => unsafe {
-                                this.eval_partition(p, arena, banks, old_ptr.get(), &mut ops0, None)
+                                this.eval_partition(
+                                    p,
+                                    arena,
+                                    banks,
+                                    snap_ptr.get(),
+                                    &mut ops0,
+                                    None,
+                                )
                             },
                         }
                     } else if let Some(prof) = this.profile.as_deref() {
@@ -869,7 +829,7 @@ impl ParEssentSim {
                                     p,
                                     arena,
                                     banks,
-                                    old_ptr.get(),
+                                    snap_ptr.get(),
                                     &mut part_ops,
                                     Some(prof),
                                 )
@@ -879,7 +839,7 @@ impl ParEssentSim {
                         }
                         // SAFETY: as above (S0601/S0602/S0604 cover).
                         None => unsafe {
-                            this.eval_partition(p, arena, banks, old_ptr.get(), ops, None)
+                            this.eval_partition(p, arena, banks, snap_ptr.get(), ops, None)
                         },
                     }
                 } else if let Some(prof) = this.profile.as_deref() {
@@ -995,12 +955,10 @@ impl Simulator for ParEssentSim {
             "`{name}` is not an input"
         );
         if self.machine.set_value(id, &value) {
-            if let Some(wakes) = self.input_wake.get(&id) {
-                for &c in wakes {
-                    self.flags[c as usize].store(true, Ordering::Relaxed);
-                    if let Some(p) = self.profile.as_deref() {
-                        p.wake_input(id, c);
-                    }
+            for &c in self.wake.input_wakes(id) {
+                self.flags[c as usize].store(true, Ordering::Relaxed);
+                if let Some(p) = self.profile.as_deref() {
+                    p.wake_input(id, c);
                 }
             }
         }

@@ -1,29 +1,183 @@
-//! The dense **wake-slot table**: everything a CCSS engine needs to know
-//! about a partition at the moment its activity flag tests set, in one
-//! record per scheduled partition.
+//! What a wake does beyond running the partition's program, resolved
+//! once in the front end, and the dense record an engine reads at the
+//! moment an activity flag tests set.
 //!
-//! A wake used to ask several per-partition tables — the native parts,
-//! the unfused-output trigger ranges, the in-place state bounds — mostly
-//! to learn that there was nothing to do besides running the program.
-//! The slot answers all of them at once: the native `entry` (or `None`:
-//! run the tier-1 program), and a `plain` bit meaning *the program is
-//! the whole wake* — no unfused output to snapshot and compare, no
-//! in-place state update the program did not absorb. A plain wake is one
-//! record load, one flag clear and one call; only non-plain partitions
-//! visit the trigger tables and [`StateTable::in_place`].
+//! [`WakeTable`] is the pre-resolved trigger bookkeeping of a plan, built
+//! by [`Frontend::compile`](crate::frontend::Frontend::compile) next to
+//! the [`StateTable`] and run from by all three CCSS engines: per
+//! scheduled partition the outputs its program did not fuse (snapshot
+//! before the program, compare after, wake the consumers of what
+//! changed), the cross-partition inputs a pull-mode partition watches,
+//! and the `plain` bit — *the program is the whole wake*: no unfused
+//! output, no in-place state update the program did not absorb — plus
+//! the external-input wake map. Engines keep only storage (snapshots,
+//! flags) and their schedule loop; `essent-verify` audits the table once
+//! for all of them (`X0801`/`X0802`).
 //!
-//! The table caches entry pointers into the executable arena the
+//! [`WakeSlots`] is the per-engine record in front of it: the native
+//! `entry` (or `None`: run the tier-1 program) beside the table's `plain`
+//! bit, so a plain wake is one record load, one flag clear and one call,
+//! and only non-plain partitions visit [`WakeTable::outputs`] and
+//! [`StateTable::in_place`].
+//!
+//! The slots cache entry pointers into the executable arena the
 //! [`JitParts`] owns, so the two live in one struct with the parts
 //! private to it: every operation that changes them — deopt of one
 //! partition, deopt of all, the force-compile hook that replaces the
 //! arena — ends in [`WakeSlots::rebuild_slots`], and no stale pointer
 //! survives the arena it pointed into.
-//!
-//! [`StateTable::in_place`]: crate::state::StateTable::in_place
 
+use crate::compile::{Block, Item, Layout};
 use crate::jit::{self, EntryFn, JitBank, JitParts};
 use crate::machine::MemBank;
+use crate::state::StateTable;
 use crate::step1::Tier1Program;
+use essent_core::plan::CcssPlan;
+use essent_netlist::{Netlist, SignalDef, SignalId};
+use std::collections::{BTreeSet, HashMap};
+
+/// One watched arena range: `words` words at `off`, last seen at `snap`.
+#[derive(Debug, Clone, Copy)]
+pub struct Watch {
+    pub off: u32,
+    pub words: u32,
+    /// Snapshot offset in *scalar* words: lane-independent, so a
+    /// lane-strided engine multiplies by its lane count.
+    pub snap: u32,
+    /// Consumers to wake on change ([`WakeTable::woken`]); empty for a
+    /// pull input, whose change wakes the watching partition itself.
+    pub wake: (u32, u32),
+}
+
+/// The flat table (see the module docs). Fields are public, like
+/// [`Tier1Program`]'s, for the verifier's mutation tests.
+#[derive(Debug, Clone, Default)]
+pub struct WakeTable {
+    /// Partition 0's unfused outputs, partition 1's, …; `out_bound`
+    /// holds the `partitions + 1` prefix bounds.
+    pub outputs: Vec<Watch>,
+    pub out_bound: Vec<u32>,
+    /// The same shape for the pull direction's watched inputs; every
+    /// range is empty under push triggering.
+    pub inputs: Vec<Watch>,
+    pub in_bound: Vec<u32>,
+    pub consumers: Vec<u32>,
+    /// Per partition: the program is the whole wake.
+    pub plain: Vec<bool>,
+    /// Per external input: the partitions to wake when it changes.
+    pub input_wake: HashMap<SignalId, Vec<u32>>,
+    /// Scalar words of snapshot storage the `snap` offsets address.
+    pub snapshot_words: usize,
+    /// Steps a full-cycle evaluation would run per cycle (the
+    /// denominator of the effective activity factor).
+    pub full_steps: usize,
+}
+
+impl WakeTable {
+    /// Resolves `plan`'s triggers against what the front end compiled:
+    /// `programs` decide which outputs stay with the engine (all of them
+    /// under the generic tier), `state` which partitions have in-place
+    /// updates left, `push` the triggering direction.
+    pub fn build(
+        netlist: &Netlist,
+        layout: &Layout,
+        plan: &CcssPlan,
+        blocks: &[Block],
+        programs: Option<&[Tier1Program]>,
+        state: &StateTable,
+        push: bool,
+    ) -> WakeTable {
+        let mut t = WakeTable::default();
+        for (sched, part) in plan.partitions.iter().enumerate() {
+            t.out_bound.push(t.outputs.len() as u32);
+            t.in_bound.push(t.inputs.len() as u32);
+            for (oi, out) in part.outputs.iter().enumerate() {
+                if programs.is_some_and(|progs| !progs[sched].unfused.contains(&oi)) {
+                    continue;
+                }
+                let start = t.consumers.len() as u32;
+                t.consumers.extend_from_slice(&out.consumers);
+                let watch = t.watch(layout, out.signal, (start, t.consumers.len() as u32));
+                t.outputs.push(watch);
+            }
+            // A lowered program in push mode (pull refreshes input
+            // snapshots on every wake) that left the engine nothing.
+            t.plain.push(
+                push && programs.is_some()
+                    && t.outputs.len() as u32 == t.out_bound[sched]
+                    && !state.has_in_place(sched),
+            );
+            if push {
+                continue;
+            }
+            // Pull direction: every signal the members read that is not
+            // computed in this partition — other partitions' outputs,
+            // register outputs, external inputs — deduplicated.
+            let mut seen = BTreeSet::new();
+            for &m in &part.members {
+                for dep in netlist.deps(m) {
+                    if plan.sched_of_signal[dep.index()] as usize != sched
+                        || !matches!(
+                            netlist.signal(dep).def,
+                            SignalDef::Op(_) | SignalDef::MemRead { .. }
+                        )
+                    {
+                        seen.insert(dep);
+                    }
+                }
+            }
+            for dep in seen {
+                let watch = t.watch(layout, dep, (0, 0));
+                t.inputs.push(watch);
+            }
+        }
+        t.out_bound.push(t.outputs.len() as u32);
+        t.in_bound.push(t.inputs.len() as u32);
+        t.input_wake = plan.input_wakes.iter().cloned().collect();
+        t.full_steps = blocks
+            .iter()
+            .flat_map(|b| b.items.iter())
+            .map(Item::step_count)
+            .sum();
+        t
+    }
+
+    /// A watch on `sig`, with fresh snapshot storage.
+    fn watch(&mut self, layout: &Layout, sig: SignalId, wake: (u32, u32)) -> Watch {
+        let words = layout.words(sig);
+        let snap = self.snapshot_words as u32;
+        self.snapshot_words += words;
+        Watch {
+            off: layout.offset(sig) as u32,
+            words: words as u32,
+            snap,
+            wake,
+        }
+    }
+
+    /// The outputs partition `sched`'s program did not fuse.
+    #[inline]
+    pub fn outputs(&self, sched: usize) -> &[Watch] {
+        &self.outputs[self.out_bound[sched] as usize..self.out_bound[sched + 1] as usize]
+    }
+
+    /// The inputs partition `sched` watches in the pull direction.
+    #[inline]
+    pub fn pull_inputs(&self, sched: usize) -> &[Watch] {
+        &self.inputs[self.in_bound[sched] as usize..self.in_bound[sched + 1] as usize]
+    }
+
+    /// The consumers an output's `wake` range names.
+    #[inline]
+    pub fn woken(&self, wake: (u32, u32)) -> &[u32] {
+        &self.consumers[wake.0 as usize..wake.1 as usize]
+    }
+
+    /// The partitions a change of external input `sig` wakes.
+    pub fn input_wakes(&self, sig: SignalId) -> &[u32] {
+        self.input_wake.get(&sig).map_or(&[], Vec::as_slice)
+    }
+}
 
 /// One partition's record (see the module docs).
 #[derive(Clone, Copy)]
@@ -35,39 +189,32 @@ pub(crate) struct WakeSlot {
     pub plain: bool,
 }
 
-/// The table, with the native parts it points into.
+/// The slots, with the native parts they point into.
 pub(crate) struct WakeSlots {
     jit: Option<JitParts>,
-    /// Fixed at construction: a property of the plan and the lowering,
-    /// not of which partitions run native code.
-    plain: Vec<bool>,
     slots: Vec<WakeSlot>,
 }
 
 impl WakeSlots {
-    /// One slot per entry of `plain`, native where `jit` has a body.
-    pub fn new(jit: Option<JitParts>, plain: Vec<bool>) -> WakeSlots {
-        let mut slots = WakeSlots {
-            jit,
-            plain,
-            slots: Vec::new(),
-        };
+    /// One slot per entry of `plain` (the [`WakeTable`]'s: a property of
+    /// the plan and the lowering, not of which partitions run native
+    /// code), native where `jit` has a body.
+    pub fn new(jit: Option<JitParts>, plain: &[bool]) -> WakeSlots {
+        let slots = plain
+            .iter()
+            .map(|&plain| WakeSlot { entry: None, plain })
+            .collect();
+        let mut slots = WakeSlots { jit, slots };
         slots.rebuild_slots();
         slots
     }
 
-    /// Re-derives every slot from the parts as they are now.
+    /// Re-derives every entry from the parts as they are now.
     fn rebuild_slots(&mut self) {
         let jit = self.jit.as_ref();
-        self.slots = self
-            .plain
-            .iter()
-            .enumerate()
-            .map(|(sched, &plain)| WakeSlot {
-                entry: jit.and_then(|j| j.part(sched)).map(|p| p.entry()),
-                plain,
-            })
-            .collect();
+        for (sched, slot) in self.slots.iter_mut().enumerate() {
+            slot.entry = jit.and_then(|j| j.part(sched)).map(|p| p.entry());
+        }
     }
 
     /// The slots, indexed by scheduled partition.
@@ -95,7 +242,7 @@ impl WakeSlots {
 
     /// Partitions whose wake is the program alone.
     pub fn plain_count(&self) -> usize {
-        self.plain.iter().filter(|&&p| p).count()
+        self.slots.iter().filter(|s| s.plain).count()
     }
 
     /// Drops one partition back to the tier-1 interpreter; returns

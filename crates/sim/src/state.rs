@@ -205,14 +205,4 @@ impl StateTable {
     pub fn woken(&self, wake: (u32, u32)) -> &[u32] {
         &self.consumers[wake.0 as usize..wake.1 as usize]
     }
-
-    /// Every register entry with its consumers (audits).
-    pub fn reg_entries(&self) -> impl Iterator<Item = (&RegCommit, &[u32])> {
-        self.regs.iter().map(|r| (r, self.woken(r.wake)))
-    }
-
-    /// Every write entry with its consumers (audits).
-    pub fn write_entries(&self) -> impl Iterator<Item = (&MemWrite, &[u32])> {
-        self.writes.iter().map(|w| (w, self.woken(w.wake)))
-    }
 }

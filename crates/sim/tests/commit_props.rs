@@ -41,6 +41,10 @@ fn tiers(netlist: &Netlist, c_p: usize) -> Vec<(&'static str, Box<dyn Simulator>
         tier1: false,
         ..on.clone()
     };
+    let pull = EngineConfig {
+        trigger_push: false,
+        ..on.clone()
+    };
     let mut native = EssentSim::new(netlist, &jit);
     native.jit_compile_all();
     vec![
@@ -48,6 +52,7 @@ fn tiers(netlist: &Netlist, c_p: usize) -> Vec<(&'static str, Box<dyn Simulator>
         ("native", Box::new(native)),
         ("unfused", Box::new(EssentSim::new(netlist, &unfused))),
         ("generic", Box::new(EssentSim::new(netlist, &generic))),
+        ("pull", Box::new(EssentSim::new(netlist, &pull))),
         ("dataflow", Box::new(ParEssentSim::new(netlist, &on, 2))),
         (
             "dataflow native",
@@ -151,13 +156,21 @@ fn write_port_fed_by_registers_sees_pre_commit_values() {
 /// A register wider than a word cannot become a `Commit` instruction:
 /// it must be reported unabsorbed, commit from the state table, and
 /// still wake its reader in another partition — beside a narrow register
-/// in the same design that *is* absorbed.
+/// in the same design that *is* absorbed. And a combinational output
+/// wider than a word (`s`, read from a second partition) cannot fuse its
+/// trigger: every engine must snapshot-compare it from the front end's
+/// wake table and wake its reader.
 #[test]
 fn wide_elided_register_commits_from_the_table_and_still_wakes() {
-    const SRC: &str = "circuit R :\n  module R :\n    input clock : Clock\n    input reset : UInt<1>\n    input x : UInt<100>\n    output o : UInt<100>\n    output p : UInt<8>\n    reg w : UInt<100>, clock with : (reset => (reset, UInt<100>(5)))\n    reg n : UInt<8>, clock with : (reset => (reset, UInt<8>(0)))\n    w <= xor(shl(bits(w, 98, 0), 1), x)\n    n <= tail(add(n, bits(x, 7, 0)), 1)\n    o <= not(w)\n    p <= n\n";
+    const SRC: &str = "circuit R :\n  module R :\n    input clock : Clock\n    input reset : UInt<1>\n    input x : UInt<100>\n    output o : UInt<100>\n    output p : UInt<8>\n    output u : UInt<100>\n    output v : UInt<100>\n    reg w : UInt<100>, clock with : (reset => (reset, UInt<100>(5)))\n    reg n : UInt<8>, clock with : (reset => (reset, UInt<8>(0)))\n    w <= xor(shl(bits(w, 98, 0), 1), x)\n    n <= tail(add(n, bits(x, 7, 0)), 1)\n    o <= not(w)\n    p <= n\n    node s = xor(w, shl(bits(x, 98, 0), 1))\n    u <= not(s)\n    v <= and(s, x)\n";
     let netlist = build(SRC, true);
     for c_p in [1, 8] {
-        check_against_golden(&netlist, c_p, &[("reset", 1), ("x", 100)], &["o", "p"]);
+        check_against_golden(
+            &netlist,
+            c_p,
+            &[("reset", 1), ("x", 100)],
+            &["o", "p", "u", "v"],
+        );
     }
     let sim = EssentSim::new(
         &netlist,
@@ -181,6 +194,17 @@ fn wide_elided_register_commits_from_the_table_and_still_wakes() {
     );
     let stats = sim.tier_stats().expect("tier on");
     assert_eq!((stats.absorbed_commits, stats.total_commits), (1, 2));
+    // The non-plain wake path really ran: `s` is a cross-partition
+    // output no program could fuse.
+    assert!(
+        sim.plan()
+            .partitions
+            .iter()
+            .flat_map(|part| &part.outputs)
+            .any(|o| netlist.signal(o.signal).width > 64 && !o.consumers.is_empty()),
+        "at c_p = 1 `v`'s partition reads `s` from `u`'s"
+    );
+    assert!(sim.plain_slot_count() < sim.partition_count());
 }
 
 /// Wake attribution does not depend on who runs the commit: a profiled

@@ -1,46 +1,35 @@
-//! Ninth layer: batched-lane engine audit (`X08xx`).
+//! Ninth layer, second half: batched-lane engine audit (`X0801`,
+//! `X0803`, `X0804`).
 //!
 //! The batch engine ([`essent_sim::batch::BatchSim`]) threads a second
 //! data-parallel axis through the arena and the trigger subsystem: words
 //! become lane stripes, activity flags become lane masks, and a
 //! compaction permutation remaps logical lanes onto physical stride
-//! slots. Each of those is a new way to corrupt a simulation without
-//! failing any single-lane invariant — a stride drift reads lane `l`'s
-//! word from lane `l+1`, a misrouted wake bit silently freezes one lane
-//! of one partition, a bad remap loses a lane's identity entirely.
+//! slots. What it wakes and compares comes from the wake table every
+//! engine shares, audited once by [`crate::wake`]; what is left to audit
+//! here is what only this engine has — a stride drift reads lane `l`'s
+//! word from lane `l+1`, a bad remap loses a lane's identity entirely.
 //!
-//! This layer audits a live engine's captured tables
-//! ([`essent_sim::batch::BatchAudit`]) against re-derivations from an
-//! **independently built** plan and layout (the crate's usual
-//! discipline: never trust the builder's own intermediate state):
+//! This layer audits a live engine's captured geometry
+//! ([`essent_sim::batch::BatchAudit`]) against the netlist and an
+//! independently built layout:
 //!
 //! | code | check |
 //! |---|---|
-//! | `X0801` | stride geometry: lanes/stride/arena/scratch sizes, and every routed trigger offset inside its partition's independently derived write footprint (the `R05xx` machinery) |
-//! | `X0802` | wake-mask completeness: engine routing (snapshot triggers ∪ fused ranges, register/memory/input wakes) ≡ the plan's consumer sets |
+//! | `X0801` | stride geometry: lanes/stride/arena/scratch sizes |
 //! | `X0803` | compaction permutation is a bijection with consistent inverse |
 //! | `X0804` | per-lane memory bank shapes match the netlist declarations |
 
-use crate::footprint::derive_footprints;
 use essent_core::diag::{codes, Diagnostic, Report};
-use essent_core::plan::WakeRouting;
 use essent_netlist::Netlist;
 use essent_sim::batch::BatchAudit;
 use essent_sim::compile::Layout;
-use essent_sim::frontend::{build_plan, Frontend};
-use essent_sim::EngineConfig;
 
-/// Audits a batch engine's captured stride/routing/permutation tables
-/// against an independently built plan for the same netlist and config.
-/// The audit must come from an engine constructed with this `config`.
-pub fn check_batch(netlist: &Netlist, config: &EngineConfig, audit: &BatchAudit) -> Report {
+/// Audits a batch engine's captured stride geometry, lane permutation
+/// and bank shapes against `netlist`, the design it was built over.
+pub fn check_batch(netlist: &Netlist, audit: &BatchAudit) -> Report {
     let mut report = Report::new();
-
-    // Independent re-derivation: same construction parameters, none of
-    // the engine's intermediate state.
-    let plan = build_plan(netlist, config, None, config.elide_state);
     let layout = Layout::new(netlist);
-    let np = plan.partitions.len();
 
     // --- X0801: stride geometry --------------------------------------
     let lanes = audit.lanes;
@@ -86,131 +75,6 @@ pub fn check_batch(netlist: &Netlist, config: &EngineConfig, audit: &BatchAudit)
             format!(
                 "scalar scratch holds {} word(s), expected {total}",
                 audit.scratch_len
-            ),
-        ));
-    }
-
-    // --- X0802 prerequisites: expected routing from the plan ---------
-    let routing: WakeRouting = plan.wake_routing();
-    let expected_routes: Vec<Vec<(u32, Vec<u32>)>> = routing
-        .outputs
-        .iter()
-        .map(|outs| {
-            let mut v: Vec<(u32, Vec<u32>)> = outs
-                .iter()
-                .map(|(sig, consumers)| (layout.offset(*sig) as u32, consumers.clone()))
-                .collect();
-            v.sort();
-            v
-        })
-        .collect();
-
-    if audit.out_routes.len() != np {
-        report.push(Diagnostic::error(
-            codes::BATCH_WAKE_ROUTE,
-            format!(
-                "engine routes {} partition(s), plan has {np}",
-                audit.out_routes.len()
-            ),
-        ));
-        return report;
-    }
-
-    // --- X0801 (continued): routed offsets inside the partition's
-    //     independently derived write footprint ----------------------
-    let front = Frontend::compile(netlist, &layout, &plan, config, None, None);
-    let (footprints, _fp_report) = derive_footprints(
-        netlist,
-        &layout,
-        &plan,
-        &front.blocks,
-        front.programs.as_deref(),
-    );
-    if footprints.len() == np {
-        for (sched, routes) in audit.out_routes.iter().enumerate() {
-            let writes = &footprints[sched].writes;
-            for &(off, _) in routes {
-                let inside = writes.runs().iter().any(|&(s, e)| off >= s && off < e);
-                if !inside {
-                    report.push(
-                        Diagnostic::error(
-                            codes::BATCH_STRIDE,
-                            format!(
-                                "routed trigger offset {off} is outside the partition's \
-                                 derived write footprint — the lane compare would watch \
-                                 a word the partition never produces"
-                            ),
-                        )
-                        .with_partition(sched),
-                    );
-                }
-            }
-        }
-    } else {
-        report.push(Diagnostic::error(
-            codes::BATCH_STRIDE,
-            "write-footprint derivation failed; routed offsets unverifiable".to_string(),
-        ));
-    }
-
-    // --- X0802: wake-mask completeness -------------------------------
-    for (sched, (got, want)) in audit.out_routes.iter().zip(&expected_routes).enumerate() {
-        if got != want {
-            report.push(
-                Diagnostic::error(
-                    codes::BATCH_WAKE_ROUTE,
-                    format!(
-                        "partition output routing disagrees with the plan: engine \
-                         {got:?}, plan {want:?} (offset, consumer list)"
-                    ),
-                )
-                .with_partition(sched),
-            );
-        }
-    }
-    let canon_list = |lists: &[Vec<u32>]| -> Vec<Vec<u32>> {
-        lists
-            .iter()
-            .map(|l| {
-                let mut s = l.clone();
-                s.sort_unstable();
-                s.dedup();
-                s
-            })
-            .collect()
-    };
-    let want_regs = canon_list(&routing.reg_wakes);
-    if audit.reg_wakes != want_regs {
-        report.push(Diagnostic::error(
-            codes::BATCH_WAKE_ROUTE,
-            format!(
-                "register wake routing disagrees with the plan: engine {:?}, plan {want_regs:?}",
-                audit.reg_wakes
-            ),
-        ));
-    }
-    let want_mems = canon_list(&routing.mem_wakes);
-    if audit.mem_wakes != want_mems {
-        report.push(Diagnostic::error(
-            codes::BATCH_WAKE_ROUTE,
-            format!(
-                "memory-write wake routing disagrees with the plan: engine {:?}, plan {want_mems:?}",
-                audit.mem_wakes
-            ),
-        ));
-    }
-    let mut want_inputs: Vec<(u32, Vec<u32>)> = routing
-        .input_wakes
-        .iter()
-        .map(|(sig, consumers)| (sig.0, consumers.clone()))
-        .collect();
-    want_inputs.sort();
-    if audit.input_wakes != want_inputs {
-        report.push(Diagnostic::error(
-            codes::BATCH_WAKE_ROUTE,
-            format!(
-                "input wake routing disagrees with the plan: engine {:?}, plan {want_inputs:?}",
-                audit.input_wakes
             ),
         ));
     }

@@ -5,12 +5,7 @@
 //! cargo run -p essent-verify --bin verify              # r16 r18 boom
 //! cargo run -p essent-verify --bin verify -- tiny r16  # chosen designs
 //! cargo run -p essent-verify --bin verify -- --cp 12   # partition size
-//! cargo run -p essent-verify --bin verify -- --emit-overlap tiny
 //! ```
-//!
-//! `--emit-overlap` writes the footprint layer's cross-cycle
-//! independence matrix to `FOOTPRINT_<design>.mayoverlap.json` (the
-//! artifact the nightly CI lane uploads).
 //!
 //! Exit status is 0 iff every design verifies with no errors (warnings
 //! and infos are reported but do not fail the run).
@@ -42,11 +37,9 @@ fn build_netlist(config: &SocConfig) -> Netlist {
 fn main() {
     let mut designs: Vec<String> = Vec::new();
     let mut c_p: Option<usize> = None;
-    let mut emit_overlap = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--emit-overlap" => emit_overlap = true,
             "--cp" => {
                 let value = args.next().unwrap_or_default();
                 match value.parse() {
@@ -58,7 +51,7 @@ fn main() {
                 }
             }
             "--help" | "-h" => {
-                eprintln!("usage: verify [--cp N] [--emit-overlap] [tiny|r16|r18|boom ...]");
+                eprintln!("usage: verify [--cp N] [tiny|r16|r18|boom ...]");
                 return;
             }
             name if config_for(name).is_some() => designs.push(name.to_string()),
@@ -89,19 +82,6 @@ fn main() {
             netlist.signal_count(),
             netlist.regs().len()
         );
-        if let Some(matrix) = &artifacts.may_overlap {
-            println!(
-                "{name}: may-overlap {} head(s) x {} tail(s), {} pair(s) independent",
-                matrix.heads.len(),
-                matrix.tails.len(),
-                matrix.independent_pairs()
-            );
-            if emit_overlap {
-                let path = format!("FOOTPRINT_{name}.mayoverlap.json");
-                std::fs::write(&path, matrix.to_json()).expect("write may-overlap artifact");
-                println!("{name}: wrote {path}");
-            }
-        }
         if let Some(ds) = &artifacts.dataflow {
             println!(
                 "{name}: dataflow schedule {} worker(s), {} partition(s), {} exempt, \

@@ -1,11 +1,11 @@
-//! Layer six: static read/write **footprint** analysis — the
-//! data-race-freedom proof behind the parallel engine's shared-arena
-//! `unsafe` blocks (`R0501`–`R0504`).
+//! Layer six: static read/write **footprint** analysis — the ground the
+//! parallel engine's shared-arena `unsafe` blocks stand on (`R0501`,
+//! `R0502`, `R0504`).
 //!
 //! For every partition the analysis derives the exact set of arena
 //! words, memory banks, and trigger flags the partition may touch
-//! during its parallel evaluation. The derivation is done **twice**,
-//! from two independent artifacts:
+//! during its evaluation. The derivation is done **twice**, from two
+//! independent artifacts:
 //!
 //! * the generic [`Block`] bytecode (arg/dst ranges, `CondMux` ways,
 //!   memory-read banks, the block's register commits), and
@@ -20,19 +20,16 @@
 //! survive into the proof. On top of the bytecode footprint the analysis
 //! adds the engine-level accesses `ParEssentSim::eval_partition` performs
 //! around the bytecode (unfused-output snapshot/compare reads,
-//! trigger-flag writes), then proves, over an *independently
-//! re-derived* level grouping, that no two partitions co-scheduled in
-//! the same dependency level ever write the same word (`R0502`) or
-//! write a word another one reads (`R0503`), and that every write lands
-//! inside the partition's declared arena range (`R0504`).
+//! trigger-flag writes), then proves two plan-wide properties: every
+//! arena word has a single writing partition (`R0502`), and every write
+//! lands inside the partition's declared arena range (`R0504`).
 //!
-//! As a by-product the analysis emits the [`MayOverlap`] cross-cycle
-//! independence matrix: which next-cycle head partitions are
-//! footprint-disjoint from which current-cycle tail partitions through
-//! the register-elision boundary. The matrix is attached to the plan
-//! and written by `verify --emit-overlap`; nothing consumes it — the
-//! dataflow schedule's `exempt`/`waits_prev` sets (`S06xx`) are what
-//! the runtime overlaps adjacent cycles with.
+//! Which partitions may *run* concurrently is not decided here: the
+//! dependence layer ([`crate::depgraph`], `S06xx`) takes these same
+//! footprints and demands a wait edge of the dataflow schedule for every
+//! pair whose footprints overlap (a write one partition makes and
+//! another reads included), and proves the schedule's cross-cycle
+//! overlap against them.
 //!
 //! The `race-sanitizer` cargo feature of `essent-sim` is the dynamic
 //! counterpart: per-arena-word last-writer/last-reader shadow tags
@@ -40,7 +37,7 @@
 //! that these static footprints over-approximate every real access.
 
 use essent_core::diag::{codes, Diagnostic, Report};
-use essent_core::plan::{CcssPlan, MayOverlap};
+use essent_core::plan::CcssPlan;
 use essent_netlist::{Netlist, SignalId};
 use essent_sim::compile::{Block, Item, Layout, Step, StepKind};
 use essent_sim::step1::{Inst1, Op1, Tier1Program, NO_FUSE};
@@ -173,18 +170,6 @@ impl Footprint {
         self.reads.seal();
         self.writes.seal();
     }
-
-    /// True when no access of `self` can collide with any access of
-    /// `other`: writes never meet the other's reads or writes, on both
-    /// the arena and the memory banks.
-    pub fn disjoint_from(&self, other: &Footprint) -> bool {
-        self.writes.first_overlap(&other.writes).is_none()
-            && self.writes.first_overlap(&other.reads).is_none()
-            && self.reads.first_overlap(&other.writes).is_none()
-            && self.bank_writes.is_disjoint(&other.bank_reads)
-            && self.bank_writes.is_disjoint(&other.bank_writes)
-            && self.bank_reads.is_disjoint(&other.bank_writes)
-    }
 }
 
 /// Bytecode-level accesses accumulated during one derivation.
@@ -259,6 +244,12 @@ fn block_access(block: &Block) -> Access {
     }
     acc.seal();
     acc
+}
+
+/// The arena words a partition's generic block may write — the write
+/// half of its footprint, for the wake-table audit ([`crate::wake`]).
+pub(crate) fn block_writes(block: &Block) -> WordSet {
+    block_access(block).writes
 }
 
 fn add_inst(inst: &Inst1, prog: &Tier1Program, acc: &mut Access) {
@@ -373,51 +364,6 @@ fn declared_writes(netlist: &Netlist, layout: &Layout, plan: &CcssPlan, sched: u
 }
 
 // ---------------------------------------------------------------------
-// Level grouping (independent re-derivation)
-// ---------------------------------------------------------------------
-
-/// Groups partitions by dependency level with the same rules the
-/// parallel engine schedules by — combinational triggers point forward
-/// in schedule order, elided-register wakes order readers before the
-/// writer — derived here from the plan alone, sharing no code with the
-/// runtime's dependence analysis, so a scheduling bug and a proof bug
-/// cannot cancel out.
-fn derive_levels(plan: &CcssPlan) -> Vec<Vec<u32>> {
-    let np = plan.partitions.len();
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); np];
-    for (s, part) in plan.partitions.iter().enumerate() {
-        for o in &part.outputs {
-            for &c in &o.consumers {
-                if (c as usize) > s {
-                    preds[c as usize].push(s as u32);
-                }
-            }
-        }
-        for &ri in &part.elided_regs {
-            for &reader in &plan.reg_plans[ri].wake_on_change {
-                if (reader as usize) != s {
-                    preds[s].push(reader);
-                }
-            }
-        }
-    }
-    let mut level_of = vec![0u32; np];
-    for s in 0..np {
-        level_of[s] = preds[s]
-            .iter()
-            .map(|&p| level_of[p as usize] + 1)
-            .max()
-            .unwrap_or(0);
-    }
-    let max_level = level_of.iter().copied().max().unwrap_or(0) as usize;
-    let mut levels: Vec<Vec<u32>> = vec![Vec::new(); max_level + 1];
-    for (s, &lvl) in level_of.iter().enumerate() {
-        levels[lvl as usize].push(s as u32);
-    }
-    levels
-}
-
-// ---------------------------------------------------------------------
 // The checker
 // ---------------------------------------------------------------------
 
@@ -436,42 +382,88 @@ fn word_owner(netlist: &Netlist, layout: &Layout, word: u32) -> String {
 
 /// Derives every partition's footprint (from the generic blocks, plus
 /// the tier-1 cross-check when programs are given) and proves the
-/// parallel schedule data-race free:
+/// plan-wide write discipline:
 ///
 /// * `R0501` — the tier-1 footprint (unabsorbed commits included)
 ///   disagrees with the block footprint, or a fused trigger or a commit
 ///   wakes a partition the plan never names for it;
-/// * `R0502` — two same-level partitions write an overlapping arena
-///   word or memory bank;
-/// * `R0503` — a same-level partition reads a word or bank another one
-///   writes;
+/// * `R0502` — two partitions write the same arena word;
 /// * `R0504` — a write escapes the partition's declared arena range.
-///
-/// Returns the merged report plus the [`MayOverlap`] cross-cycle
-/// independence matrix (meaningful when the report is clean).
 pub fn check_footprint(
     netlist: &Netlist,
     layout: &Layout,
     plan: &CcssPlan,
     blocks: &[Block],
     programs: Option<&[Tier1Program]>,
-) -> (Report, MayOverlap) {
-    let np = plan.partitions.len();
+) -> Report {
     let (footprints, mut report) = derive_footprints(netlist, layout, plan, blocks, programs);
-    if footprints.len() != np {
-        let empty = MayOverlap {
-            heads: Vec::new(),
-            tails: Vec::new(),
-            disjoint: Vec::new(),
-        };
-        return (report, empty);
+    if footprints.len() != plan.partitions.len() {
+        return report;
     }
-    let matrix = check_footprint_rest(netlist, layout, plan, &footprints, &mut report);
-    (report, matrix)
+
+    // --- R0504: writes stay inside the declared range -----------------
+    let total = layout.total_words() as u32;
+    for (sched, fp) in footprints.iter().enumerate() {
+        let declared = declared_writes(netlist, layout, plan, sched);
+        if let Some(word) = fp.writes.first_uncovered(&declared) {
+            let place = if word >= total {
+                "outside the arena".to_string()
+            } else {
+                format!("owned by {}", word_owner(netlist, layout, word))
+            };
+            report.push(
+                Diagnostic::error(
+                    codes::FOOTPRINT_ESCAPE,
+                    format!(
+                        "partition p{sched} writes arena word {word}, {place}, outside its \
+                         declared range of {} word(s)",
+                        declared.len()
+                    ),
+                )
+                .with_partition(sched),
+            );
+        }
+    }
+
+    // --- R0502: every arena word has a single writing partition -------
+    // Write runs of all partitions sorted by start word: a run that
+    // begins before the furthest end seen so far shares a word with the
+    // run that reached it (runs of one partition are coalesced, so that
+    // run is another partition's).
+    let mut runs: Vec<(u32, u32, u32)> = footprints
+        .iter()
+        .enumerate()
+        .flat_map(|(p, fp)| fp.writes.runs().iter().map(move |&(s, e)| (s, e, p as u32)))
+        .collect();
+    runs.sort_unstable();
+    let mut reported: BTreeSet<(u32, u32)> = BTreeSet::new();
+    let mut reach: Option<(u32, u32)> = None; // (end, partition)
+    for (start, end, p) in runs {
+        if let Some((far, q)) = reach {
+            if start < far && reported.insert((q.min(p), q.max(p))) {
+                report.push(
+                    Diagnostic::error(
+                        codes::FOOTPRINT_WRITE_WRITE,
+                        format!(
+                            "partitions p{} and p{} both write arena word {start} ({})",
+                            q.min(p),
+                            q.max(p),
+                            word_owner(netlist, layout, start)
+                        ),
+                    )
+                    .with_partition(q.min(p) as usize),
+                );
+            }
+        }
+        if reach.is_none_or(|(far, _)| end > far) {
+            reach = Some((end, p));
+        }
+    }
+    report
 }
 
-/// Dual-derives every partition's [`Footprint`] — the shared front half
-/// of [`check_footprint`], reused by the dependence-schedule layer
+/// Dual-derives every partition's [`Footprint`] — the front half of
+/// [`check_footprint`], reused by the dependence-schedule layer
 /// ([`crate::depgraph`]) so both layers reason about the identical
 /// word-level access sets. Reports `R0501` tier disagreements; returns
 /// an empty footprint vector when the derivation cardinalities are
@@ -603,177 +595,6 @@ pub(crate) fn derive_footprints(
     (footprints, report)
 }
 
-/// The back half of [`check_footprint`]: the `R0502`–`R0504` proofs and
-/// the cross-cycle matrix, over already-derived footprints.
-fn check_footprint_rest(
-    netlist: &Netlist,
-    layout: &Layout,
-    plan: &CcssPlan,
-    footprints: &[Footprint],
-    report: &mut Report,
-) -> MayOverlap {
-    // --- R0504: writes stay inside the declared range -----------------
-    let total = layout.total_words() as u32;
-    for (sched, fp) in footprints.iter().enumerate() {
-        let declared = declared_writes(netlist, layout, plan, sched);
-        if let Some(word) = fp.writes.first_uncovered(&declared) {
-            let place = if word >= total {
-                "outside the arena".to_string()
-            } else {
-                format!("owned by {}", word_owner(netlist, layout, word))
-            };
-            report.push(
-                Diagnostic::error(
-                    codes::FOOTPRINT_ESCAPE,
-                    format!(
-                        "partition p{sched} writes arena word {word}, {place}, outside its \
-                         declared range of {} word(s)",
-                        declared.len()
-                    ),
-                )
-                .with_partition(sched),
-            );
-        }
-    }
-
-    // --- R0502/R0503: intra-level conflict sweep ----------------------
-    let levels = derive_levels(plan);
-    for (lvl, parts) in levels.iter().enumerate() {
-        if parts.len() > 1 {
-            sweep_level(netlist, layout, footprints, lvl, parts, report);
-        }
-    }
-
-    // --- Cross-cycle independence matrix ------------------------------
-    let heads = levels.first().cloned().unwrap_or_default();
-    let tails = levels.last().cloned().unwrap_or_default();
-    let disjoint = heads
-        .iter()
-        .map(|&h| {
-            tails
-                .iter()
-                .map(|&t| {
-                    h != t
-                        && footprints[h as usize].disjoint_from(&footprints[t as usize])
-                        && !footprints[t as usize].flag_wakes.contains(&h)
-                })
-                .collect()
-        })
-        .collect();
-    MayOverlap {
-        heads,
-        tails,
-        disjoint,
-    }
-}
-
-/// Sweeps one level's arena runs and bank sets for cross-partition
-/// conflicts. Runs are sorted by start word; an interval overlapping an
-/// earlier-starting active interval of another partition is a conflict
-/// when either side is a write.
-fn sweep_level(
-    netlist: &Netlist,
-    layout: &Layout,
-    footprints: &[Footprint],
-    lvl: usize,
-    parts: &[u32],
-    report: &mut Report,
-) {
-    // (start, end, partition, is_write)
-    let mut events: Vec<(u32, u32, u32, bool)> = Vec::new();
-    for &p in parts {
-        let fp = &footprints[p as usize];
-        for &(s, e) in fp.writes.runs() {
-            events.push((s, e, p, true));
-        }
-        for &(s, e) in fp.reads.runs() {
-            events.push((s, e, p, false));
-        }
-    }
-    events.sort_unstable();
-    let mut active: Vec<(u32, u32, u32, bool)> = Vec::new();
-    let mut reported: BTreeSet<(u32, u32, bool)> = BTreeSet::new();
-    for ev in events {
-        active.retain(|a| a.1 > ev.0);
-        for a in &active {
-            if a.2 == ev.2 || (!a.3 && !ev.3) {
-                continue; // same partition, or read/read
-            }
-            let word = ev.0.max(a.0);
-            let (lo, hi) = (a.2.min(ev.2), a.2.max(ev.2));
-            let ww = a.3 && ev.3;
-            if !reported.insert((lo, hi, ww)) {
-                continue;
-            }
-            if ww {
-                report.push(
-                    Diagnostic::error(
-                        codes::FOOTPRINT_WRITE_WRITE,
-                        format!(
-                            "level {lvl}: partitions p{lo} and p{hi} both write arena word \
-                             {word} ({})",
-                            word_owner(netlist, layout, word)
-                        ),
-                    )
-                    .with_partition(lo as usize),
-                );
-            } else {
-                let (writer, reader) = if a.3 { (a.2, ev.2) } else { (ev.2, a.2) };
-                report.push(
-                    Diagnostic::error(
-                        codes::FOOTPRINT_WRITE_READ,
-                        format!(
-                            "level {lvl}: partition p{writer} writes arena word {word} ({}) \
-                             that partition p{reader} reads",
-                            word_owner(netlist, layout, word)
-                        ),
-                    )
-                    .with_partition(writer as usize),
-                );
-            }
-        }
-        active.push(ev);
-    }
-
-    // Memory banks: any bank written by one partition must be untouched
-    // by every other partition in the level.
-    for (i, &p) in parts.iter().enumerate() {
-        let wfp = &footprints[p as usize];
-        if wfp.bank_writes.is_empty() {
-            continue;
-        }
-        for &q in parts.iter().skip(i + 1).chain(parts.iter().take(i)) {
-            let qfp = &footprints[q as usize];
-            for &bank in &wfp.bank_writes {
-                if qfp.bank_writes.contains(&bank) && p < q {
-                    report.push(
-                        Diagnostic::error(
-                            codes::FOOTPRINT_WRITE_WRITE,
-                            format!(
-                                "level {lvl}: partitions p{p} and p{q} both write memory bank \
-                                 {bank}"
-                            ),
-                        )
-                        .with_partition(p as usize),
-                    );
-                }
-                if qfp.bank_reads.contains(&bank) {
-                    report.push(
-                        Diagnostic::error(
-                            codes::FOOTPRINT_WRITE_READ,
-                            format!(
-                                "level {lvl}: partition p{p} writes memory bank {bank} that \
-                                 partition p{q} reads"
-                            ),
-                        )
-                        .with_partition(p as usize),
-                    );
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -801,23 +622,5 @@ mod tests {
         assert_eq!(a.first_uncovered(&sealed(&[(4, 4), (20, 1)])), Some(8));
         assert_eq!(a.first_difference(&a.clone()), None);
         assert_eq!(sealed(&[]).first_overlap(&a), None);
-    }
-
-    #[test]
-    fn disjoint_footprints_respect_writes() {
-        let mut a = Footprint::default();
-        a.reads.add(0, 4);
-        a.writes.add(10, 2);
-        a.seal();
-        let mut b = Footprint::default();
-        b.reads.add(0, 4); // shared reads are fine
-        b.writes.add(20, 2);
-        b.seal();
-        assert!(a.disjoint_from(&b));
-        let mut c = Footprint::default();
-        c.writes.add(3, 1); // writes a word `a` reads
-        c.seal();
-        assert!(!a.disjoint_from(&c));
-        assert!(!c.disjoint_from(&a));
     }
 }

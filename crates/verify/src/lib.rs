@@ -19,13 +19,13 @@
 //! | footprint / race freedom | [`check_footprint`] | `R____` |
 //! | dependence / dataflow schedule | [`check_depgraph`] | `S____` |
 //! | native-code (JIT) audit | [`check_jit`] | `J____` |
-//! | batched-lane audit | [`check_batch`] | `X____` |
+//! | wake-table / batched-lane audit | [`check_wake_table`] / [`check_batch`] | `X____` |
 //!
-//! [`verify_design`] chains all of them over a freshly built plan and
-//! compilation, which is what the `verify` binary and the `--verify`
-//! bench flag run. [`verify_design_full`] additionally returns the
-//! [`MayOverlap`] cross-cycle independence matrix the footprint layer
-//! derives and the [`DataflowSchedule`] the dependence layer proved.
+//! [`verify_design`] chains all of them over the plans the engines run
+//! for `config` and the front end's compilation of each, which is what
+//! the `verify` binary and the `--verify` bench flag run.
+//! [`verify_design_full`] additionally returns the sequential plan it
+//! audited and the [`DataflowSchedule`] the dependence layer proved.
 
 pub mod batch;
 pub mod bytecode;
@@ -36,19 +36,20 @@ pub mod jit;
 pub mod lint;
 pub mod profile;
 pub mod schedule;
+pub mod wake;
 
 pub use batch::check_batch;
 pub use bytecode::{check_blocks, check_layout, check_tier1};
 pub use depgraph::check_depgraph;
 pub use essent_core::depgraph::DataflowSchedule;
 pub use essent_core::diag::{DiagCode, Diagnostic, Report, Severity};
-pub use essent_core::plan::MayOverlap;
 pub use feedback::{check_activity_merge, check_cost_model};
 pub use footprint::{check_footprint, Footprint, WordSet};
 pub use jit::check_jit;
 pub use lint::lint_netlist;
 pub use profile::check_profile;
 pub use schedule::check_plan;
+pub use wake::check_wake_table;
 
 use essent_core::depgraph::{synthesize_dataflow, DepGraph};
 use essent_core::partition::{partition_with_prior, ActivityMergeParams, ActivityPrior};
@@ -59,18 +60,18 @@ use essent_sim::frontend::{build_plan, out_specs, Frontend};
 use essent_sim::EngineConfig;
 
 /// Everything a full verification run produces: the merged report, the
-/// footprint layer's cross-cycle independence matrix, and the dataflow
+/// plan audited for the sequential and batch engines, and the dataflow
 /// schedule the dependence layer verified (`None` when verification
 /// aborted before the respective layer ran).
 pub struct VerifyArtifacts {
     pub report: Report,
-    pub may_overlap: Option<MayOverlap>,
+    pub plan: Option<CcssPlan>,
     pub dataflow: Option<DataflowSchedule>,
 }
 
-/// Runs the full verifier stack on a design: lints the netlist, builds a
-/// CCSS plan at `config.c_p` and verifies it, then compiles the plan to
-/// bytecode and verifies that — including, when `config.tier1` is on,
+/// Runs the full verifier stack on a design: lints the netlist, builds
+/// the CCSS plan the engines build for `config` and verifies it, then
+/// compiles the plan to bytecode and verifies that — including, when `config.tier1` is on,
 /// auditing every partition's word-specialized program against an
 /// independent re-derivation from the netlist (`B0210`–`B0212`). One
 /// merged report; clean iff no layer found an error.
@@ -78,7 +79,7 @@ pub fn verify_design(netlist: &Netlist, config: &EngineConfig) -> Report {
     verify_design_full(netlist, config).report
 }
 
-/// [`verify_design`] plus the footprint layer's artifacts.
+/// [`verify_design`] plus the plan and the dataflow schedule it audited.
 pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArtifacts {
     let mut report = lint_netlist(netlist);
     if report.contains(essent_core::diag::codes::COMB_LOOP) {
@@ -86,11 +87,13 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
         // panic inside plan construction.
         return VerifyArtifacts {
             report,
-            may_overlap: None,
+            plan: None,
             dataflow: None,
         };
     }
-    let plan = CcssPlan::build(netlist, config.c_p);
+    // The plan `EssentSim` and `BatchSim` run for this config (the
+    // dataflow engine's, memory-write elision off, is audited below).
+    let plan = build_plan(netlist, config, None, config.elide_state);
     report.merge(check_plan(netlist, &plan));
     // Audit the exact attribution tables the engines would profile with
     // (built by the same constructor), whether or not profiling is on:
@@ -107,6 +110,7 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
     // every artifact it produced.
     let front = Frontend::compile(netlist, &layout, &plan, config, None, None);
     report.merge(check_blocks(netlist, &layout, &front.blocks, Some(&plan)));
+    report.merge(check_wake_table(&layout, &plan, &front));
     for (sched, prog) in front.programs.iter().flatten().enumerate() {
         report.merge(check_tier1(
             netlist,
@@ -158,14 +162,14 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
     // tier-1 programs lowered the way the engines lower them.
     let par_plan = build_plan(netlist, config, None, false);
     let par = Frontend::compile(netlist, &layout, &par_plan, config, None, None);
-    let (fp_report, may_overlap) = check_footprint(
+    report.merge(check_footprint(
         netlist,
         &layout,
         &par_plan,
         &par.blocks,
         par.programs.as_deref(),
-    );
-    report.merge(fp_report);
+    ));
+    report.merge(check_wake_table(&layout, &par_plan, &par));
 
     // --- S06: dependence / dataflow-schedule layer --------------------
     // Synthesize the schedule exactly as the parallel engine would at 4
@@ -185,19 +189,20 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
     ));
 
     // --- X08: batched-lane audit layer --------------------------------
-    // Build a 4-lane batch engine exactly as the batch driver would and
-    // re-prove its captured stride geometry, wake routing, and lane
-    // permutation from an independently constructed plan.
+    // The wake routing every engine runs from was audited above, once
+    // per front end (`check_wake_table`); what a 4-lane batch engine
+    // built as the batch driver would build it adds is its stride
+    // geometry, lane permutation and bank shapes.
     let batch_config = EngineConfig {
         lanes: 4,
         ..config.clone()
     };
     let bsim = essent_sim::batch::BatchSim::new(netlist, &batch_config);
-    report.merge(check_batch(netlist, &batch_config, &bsim.batch_audit()));
+    report.merge(check_batch(netlist, &bsim.batch_audit()));
 
     VerifyArtifacts {
         report,
-        may_overlap: Some(may_overlap),
+        plan: Some(plan),
         dataflow: Some(dsched),
     }
 }

@@ -773,17 +773,16 @@ fn foot_setup(netlist: &Netlist, c_p: usize, tier: bool) -> FootSetup {
 }
 
 fn foot_report(netlist: &Netlist, s: &FootSetup) -> essent_core::diag::Report {
-    check_footprint(netlist, &s.layout, &s.plan, &s.blocks, s.progs.as_deref()).0
+    check_footprint(netlist, &s.layout, &s.plan, &s.blocks, s.progs.as_deref())
 }
 
 /// Each footprint mutation must flip exactly its own R-code: the target
-/// present, the three siblings absent.
+/// present, the two siblings absent.
 fn assert_only_r_code(report: &essent_core::diag::Report, code: essent_core::diag::DiagCode) {
     assert!(report.contains(code), "{report}");
     for other in [
         codes::FOOTPRINT_TIER_MISMATCH,
         codes::FOOTPRINT_WRITE_WRITE,
-        codes::FOOTPRINT_WRITE_READ,
         codes::FOOTPRINT_ESCAPE,
     ] {
         if other != code {
@@ -879,10 +878,10 @@ fn unplanned_fused_wake_is_r0501() {
 
 #[test]
 fn duplicated_writer_is_r0502() {
-    // Retarget the level-0 writers of `s` and `t` onto `o`'s slot —
-    // a circuit output nobody reads, owned by the level-1 join
-    // partition. Both level-0 partitions then write the same word
-    // without any same-level reader (a pure write/write overlap).
+    // Retarget the writers of `s` and `t` onto `o`'s slot — a circuit
+    // output nobody reads, owned by the join partition. Three
+    // partitions of the plan then write one word, whatever the
+    // schedule orders.
     let netlist = diamond();
     let mut setup = foot_setup(&netlist, 1, false);
     let o = sid(&netlist, "o");
@@ -906,24 +905,6 @@ fn duplicated_writer_is_r0502() {
     }
     assert_eq!(retargeted, 2, "s and t each have one writing step");
     assert_only_r_code(&foot_report(&netlist, &setup), codes::FOOTPRINT_WRITE_WRITE);
-}
-
-#[test]
-fn flattened_levels_are_r0503() {
-    let netlist = diamond();
-    let mut setup = foot_setup(&netlist, 1, false);
-    // Erase every cross-partition trigger: the level derivation then
-    // co-schedules the diamond's join partition with the writers of the
-    // values it reads.
-    let mut erased = 0;
-    for part in &mut setup.plan.partitions {
-        for o in &mut part.outputs {
-            erased += o.consumers.len();
-            o.consumers = Vec::new();
-        }
-    }
-    assert!(erased > 0, "diamond plan must have triggers to erase");
-    assert_only_r_code(&foot_report(&netlist, &setup), codes::FOOTPRINT_WRITE_READ);
 }
 
 #[test]
@@ -1509,137 +1490,237 @@ fn jit_missing_reload_at_jump_target_is_j0702() {
 }
 
 // ---------------------------------------------------------------------------
-// Layer nine: batched-lane audit (X0801-X0804)
+// Layer nine: wake-table and batched-lane audit (X0801-X0804)
 // ---------------------------------------------------------------------------
 //
-// The corruptions mutate the audit a live `BatchSim` captures — the
-// checker must catch a lying engine, not merely a lying test. Each
-// mutation models a distinct batch-engine bug class: a stride drift
-// (lane l reads lane l+1's words), a wake mask routed to the wrong
-// partition (one lane of one partition silently freezes), a compaction
-// remap that loses a lane, and a lane whose banks have the wrong shape.
+// The routing corruptions mutate the wake table the front end resolves
+// and all three engines run from (or the programs and state table it
+// complements): a consumer dropped from a watched output or a `Commit`
+// is a partition that sleeps through a change on every engine at once, a
+// watch moved off the partition's writes a compare that can never fire,
+// a `plain` bit set wrongly a wake that skips its compare altogether.
 
-fn batch_setup(netlist: &Netlist, lanes: usize) -> (EngineConfig, essent_sim::BatchAudit) {
+use essent_sim::frontend::{build_plan, Frontend};
+use essent_verify::{check_batch, check_wake_table};
+
+/// The front end's compilation of the plan `config` runs sequentially.
+fn wake_setup(netlist: &Netlist, config: &EngineConfig) -> (Layout, CcssPlan, Frontend) {
+    let plan = build_plan(netlist, config, None, config.elide_state);
+    let layout = Layout::new(netlist);
+    let front = Frontend::compile(netlist, &layout, &plan, config, None, None);
+    (layout, plan, front)
+}
+
+/// A 100-bit node read by two output cones: at `c_p = 1` it is a
+/// cross-partition output too wide to fuse, so the wake table watches it.
+fn wide_fanout() -> Netlist {
+    build(
+        "circuit F :\n  module F :\n    input clock : Clock\n    input a : UInt<100>\n    input b : UInt<100>\n    output o1 : UInt<100>\n    output o2 : UInt<100>\n    node s = xor(a, b)\n    o1 <= and(s, a)\n    o2 <= or(s, b)\n",
+    )
+}
+
+fn at_cp(c_p: usize) -> EngineConfig {
+    EngineConfig {
+        c_p,
+        ..EngineConfig::default()
+    }
+}
+
+#[test]
+fn pristine_wake_tables_verify_clean() {
+    let base = EngineConfig::default();
+    let configs = [
+        at_cp(1),
+        base.clone(),
+        // Tier off: every output routes through the table.
+        EngineConfig {
+            tier1: false,
+            ..at_cp(1)
+        },
+        EngineConfig {
+            fuse_triggers: false,
+            ..at_cp(1)
+        },
+        // Pull direction: no partition is plain, inputs are watched.
+        EngineConfig {
+            trigger_push: false,
+            ..at_cp(1)
+        },
+        EngineConfig {
+            elide_state: false,
+            ..base.clone()
+        },
+    ];
+    for netlist in [chain(), diamond(), memful(), wide_fanout(), wide_reg()] {
+        for config in &configs {
+            let (layout, plan, front) = wake_setup(&netlist, config);
+            let report = check_wake_table(&layout, &plan, &front);
+            assert!(report.is_empty(), "{config:?}:\n{report}");
+            // The dataflow engine's plan: memory-write elision off.
+            let par_plan = build_plan(&netlist, config, None, false);
+            let par = Frontend::compile(&netlist, &layout, &par_plan, config, None, None);
+            let report = check_wake_table(&layout, &par_plan, &par);
+            assert!(report.is_empty(), "dataflow {config:?}:\n{report}");
+        }
+    }
+}
+
+#[test]
+fn wake_table_dropped_consumer_is_x0802() {
+    let netlist = wide_fanout();
+    let (layout, plan, mut front) = wake_setup(&netlist, &at_cp(1));
+    let out = front
+        .wake
+        .outputs
+        .iter_mut()
+        .find(|o| o.wake.1 > o.wake.0)
+        .expect("`s` is an unfused output with consumers");
+    // The consumer's partition would sleep through a change of `s`.
+    out.wake.1 -= 1;
+    let report = check_wake_table(&layout, &plan, &front);
+    assert_eq!(report.codes(), vec![codes::WAKE_ROUTE], "{report}");
+}
+
+#[test]
+fn wake_table_offset_outside_footprint_is_x0801() {
+    let netlist = wide_fanout();
+    let (layout, plan, mut front) = wake_setup(&netlist, &at_cp(1));
+    // Redirect a watch to an input's arena slot — words no partition
+    // writes, so the compare could never fire.
+    let input_off = layout.offset(sid(&netlist, "a")) as u32;
+    let out = front
+        .wake
+        .outputs
+        .first_mut()
+        .expect("`s` is an unfused output");
+    out.off = input_off;
+    let report = check_wake_table(&layout, &plan, &front);
+    assert_eq!(report.codes(), vec![codes::BATCH_STRIDE], "{report}");
+}
+
+#[test]
+fn wake_table_wrong_plain_bit_is_x0802() {
+    let netlist = wide_fanout();
+    let (layout, plan, mut front) = wake_setup(&netlist, &at_cp(1));
+    let sched = (0..plan.partitions.len())
+        .find(|&p| !front.wake.outputs(p).is_empty())
+        .expect("`s`'s partition has an unfused output");
+    assert!(!front.wake.plain[sched]);
+    // A plain wake runs the program alone: the watched output would
+    // never be compared.
+    front.wake.plain[sched] = true;
+    let report = check_wake_table(&layout, &plan, &front);
+    assert_eq!(report.codes(), vec![codes::WAKE_ROUTE], "{report}");
+}
+
+#[test]
+fn commit_dropped_consumer_is_x0802() {
+    let netlist = diamond();
+    let (layout, plan, mut front) = wake_setup(&netlist, &at_cp(1));
+    let commit = front
+        .programs
+        .as_mut()
+        .expect("tier on")
+        .iter_mut()
+        .flat_map(|p| &mut p.code)
+        .find(|i| i.op == Op1::Commit && i.we > i.ws)
+        .expect("diamond elides a register with a reader to wake");
+    // The register's reader would sleep through its change.
+    commit.we -= 1;
+    let report = check_wake_table(&layout, &plan, &front);
+    assert_eq!(report.codes(), vec![codes::WAKE_ROUTE], "{report}");
+}
+
+// The batch corruptions mutate the audit a live `BatchSim` captures — the
+// checker must catch a lying engine, not merely a lying test: a stride
+// drift (lane l reads lane l+1's words), a compaction remap that loses a
+// lane, and a lane whose banks have the wrong shape.
+
+fn batch_setup(netlist: &Netlist, lanes: usize) -> essent_sim::BatchAudit {
     let config = EngineConfig {
         lanes,
         ..EngineConfig::default()
     };
-    let sim = essent_sim::BatchSim::new(netlist, &config);
-    (config, sim.batch_audit())
+    essent_sim::BatchSim::new(netlist, &config).batch_audit()
 }
 
 #[test]
 fn pristine_batch_audits_verify_clean() {
     for netlist in [chain(), diamond(), memful()] {
         for lanes in [1, 4] {
-            let (config, audit) = batch_setup(&netlist, lanes);
-            let report = essent_verify::check_batch(&netlist, &config, &audit);
+            let report = check_batch(&netlist, &batch_setup(&netlist, lanes));
             assert_eq!(report.error_count(), 0, "lanes={lanes}:\n{report}");
         }
-        // Tier off: every output routes through the snapshot tables.
-        let config = EngineConfig {
-            lanes: 4,
-            tier1: false,
-            fuse_triggers: false,
-            ..EngineConfig::default()
-        };
-        let sim = essent_sim::BatchSim::new(&netlist, &config);
-        let report = essent_verify::check_batch(&netlist, &config, &sim.batch_audit());
-        assert_eq!(report.error_count(), 0, "tier off:\n{report}");
     }
 }
 
 #[test]
 fn batch_stride_drift_is_x0801() {
     let netlist = diamond();
-    let (config, mut audit) = batch_setup(&netlist, 4);
+    let mut audit = batch_setup(&netlist, 4);
     // A stride one wider than the lane count: every word of lane l
     // would be read from lane l's slot in a differently shaped arena.
     audit.stride += 1;
-    let report = essent_verify::check_batch(&netlist, &config, &audit);
+    let report = check_batch(&netlist, &audit);
     assert!(report.contains(codes::BATCH_STRIDE), "{report}");
-}
-
-#[test]
-fn batch_routed_offset_outside_footprint_is_x0801() {
-    let netlist = diamond();
-    let (config, mut audit) = batch_setup(&netlist, 4);
-    // Redirect a routed trigger to an input's arena slot — a word no
-    // partition writes, so the lane compare could never fire.
-    let layout = Layout::new(&netlist);
-    let input_off = layout.offset(sid(&netlist, "a")) as u32;
-    let moved = audit
-        .out_routes
-        .iter_mut()
-        .flat_map(|r| r.iter_mut())
-        .next()
-        .map(|entry| entry.0 = input_off);
-    assert!(moved.is_some(), "diamond must have a routed trigger");
-    let report = essent_verify::check_batch(&netlist, &config, &audit);
-    assert!(report.contains(codes::BATCH_STRIDE), "{report}");
-}
-
-#[test]
-fn batch_wake_misroute_is_x0802() {
-    let netlist = diamond();
-    let (config, mut audit) = batch_setup(&netlist, 4);
-    // Drop one consumer from a routed trigger: that partition's lanes
-    // would sleep through a producer change.
-    let dropped = audit
-        .out_routes
-        .iter_mut()
-        .flat_map(|r| r.iter_mut())
-        .find(|entry| !entry.1.is_empty())
-        .map(|entry| entry.1.pop());
-    assert!(dropped.is_some(), "diamond must have a consumer to drop");
-    let report = essent_verify::check_batch(&netlist, &config, &audit);
-    assert!(report.contains(codes::BATCH_WAKE_ROUTE), "{report}");
-}
-
-#[test]
-fn batch_reg_wake_misroute_is_x0802() {
-    let netlist = diamond();
-    let (config, mut audit) = batch_setup(&netlist, 4);
-    let dropped = audit
-        .reg_wakes
-        .iter_mut()
-        .find(|w| !w.is_empty())
-        .map(|w| w.pop());
-    assert!(dropped.is_some(), "diamond must have a register wake");
-    let report = essent_verify::check_batch(&netlist, &config, &audit);
-    assert!(report.contains(codes::BATCH_WAKE_ROUTE), "{report}");
 }
 
 #[test]
 fn batch_lost_lane_remap_is_x0803() {
     let netlist = diamond();
-    let (config, mut audit) = batch_setup(&netlist, 4);
+    let mut audit = batch_setup(&netlist, 4);
     // A compaction remap that maps two logical lanes onto one physical
     // slot: lane 1's state is gone.
     audit.phys_of_log[1] = audit.phys_of_log[0];
-    let report = essent_verify::check_batch(&netlist, &config, &audit);
+    let report = check_batch(&netlist, &audit);
     assert!(report.contains(codes::BATCH_LANE_PERM), "{report}");
 }
 
 #[test]
 fn batch_inverse_mismatch_is_x0803() {
     let netlist = diamond();
-    let (config, mut audit) = batch_setup(&netlist, 4);
+    let mut audit = batch_setup(&netlist, 4);
     // Both directions are bijections but disagree with each other.
     audit.log_of_phys.swap(0, 1);
     audit.phys_of_log.swap(2, 3);
-    let report = essent_verify::check_batch(&netlist, &config, &audit);
+    let report = check_batch(&netlist, &audit);
     assert!(report.contains(codes::BATCH_LANE_PERM), "{report}");
 }
 
 #[test]
 fn batch_bank_shape_is_x0804() {
     let netlist = memful();
-    let (config, mut audit) = batch_setup(&netlist, 4);
+    let mut audit = batch_setup(&netlist, 4);
     // One lane's bank claims the wrong depth: its back-door and port
     // bounds checks would cover the wrong address range.
     assert!(!audit.bank_shapes[2].is_empty(), "memful must have a bank");
     audit.bank_shapes[2][0].1 += 1;
-    let report = essent_verify::check_batch(&netlist, &config, &audit);
+    let report = check_batch(&netlist, &audit);
     assert!(report.contains(codes::BATCH_BANK_SHAPE), "{report}");
+}
+
+// ---------------------------------------------------------------------------
+// The full stack audits what the configuration runs
+// ---------------------------------------------------------------------------
+
+/// `verify_design_full` must audit the plan the engines build for the
+/// config it is given: with state elision off that plan elides no
+/// register, exactly as `EssentSim`'s.
+#[test]
+fn full_verify_audits_the_plan_the_config_runs() {
+    let netlist = diamond();
+    for elide_state in [true, false] {
+        let config = EngineConfig {
+            elide_state,
+            ..EngineConfig::default()
+        };
+        let artifacts = essent_verify::verify_design_full(&netlist, &config);
+        assert!(artifacts.report.is_clean(), "{}", artifacts.report);
+        let audited = artifacts.plan.expect("an acyclic design is planned");
+        let sim = essent_sim::EssentSim::new(&netlist, &config);
+        let elided =
+            |plan: &CcssPlan| -> Vec<bool> { plan.reg_plans.iter().map(|r| r.elided).collect() };
+        assert_eq!(elided(&audited), elided(sim.plan()), "elide={elide_state}");
+        assert_eq!(elided(&audited).contains(&true), elide_state);
+    }
 }
