@@ -64,13 +64,14 @@ pub struct EngineConfig {
     pub par_dataflow: bool,
     /// Compile hot partitions' tier-1 programs to native machine code
     /// ([`crate::jit`]): partitions whose estimated eval cost clears
-    /// [`crate::jit::JIT_MIN_COST`] run an emitted x86-64/aarch64 body
-    /// (fused CCSS trigger tail included) instead of the tier-1
-    /// interpreter. Requires `tier1`; silently ignored on unsupported
-    /// targets, under `profile` (wake attribution needs the
-    /// interpreter's flag sinks), and under the `race-sanitizer`
-    /// feature (the dynamic oracle instruments the interpreter loop).
-    /// Used by the ESSENT and parallel engines.
+    /// [`crate::jit::JIT_MIN_COST`] run an emitted x86-64 body (fused
+    /// CCSS trigger tail included) instead of the tier-1 interpreter.
+    /// Requires `tier1`; silently ignored on targets other than x86-64
+    /// Linux, under `profile` (wake attribution needs the interpreter's
+    /// flag sinks), and under the `race-sanitizer` feature (the dynamic
+    /// oracle instruments the interpreter loop). Used by the ESSENT
+    /// engine only: the dataflow engine's workers share flag bytes a
+    /// native bit `or` would race on.
     pub jit: bool,
     /// Parallel engine only: shadow-memory race sanitizer — tag every
     /// arena word with its last writer/reader partition during parallel

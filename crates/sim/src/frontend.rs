@@ -135,10 +135,10 @@ pub struct Frontend {
 impl Frontend {
     /// Compiles `plan`. `jit_banks` are the memory banks native bodies
     /// read; pass `None` for a consumer with no native tier (the batch
-    /// engine, the verifier). The JIT is also skipped without `tier1`,
-    /// when profiling (wake attribution needs the interpreter's flag
-    /// sinks), under the race sanitizer (the dynamic oracle instruments
-    /// the interpreter loop) and on unsupported hosts.
+    /// and dataflow engines, the verifier). The JIT is also skipped
+    /// without `tier1`, when profiling (wake attribution needs the
+    /// interpreter's flag sinks), under the race sanitizer (the dynamic
+    /// oracle instruments the interpreter loop) and on unsupported hosts.
     pub fn compile(
         netlist: &Netlist,
         layout: &Layout,

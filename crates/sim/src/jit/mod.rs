@@ -5,13 +5,13 @@
 //! interpreter dispatch per [`Inst1`]. This module removes that last
 //! overhead for the partitions where it matters: a partition whose
 //! estimated eval cost clears [`JIT_MIN_COST`] has its `Inst1` sequence
-//! lowered to straight-line machine code — x86-64 ([`x64`]) or aarch64
-//! ([`a64`]) — with the fused CCSS trigger tail (compare-and-wake)
-//! preserved as inline compare/branch/flag-store sequences.
+//! lowered to straight-line x86-64 machine code ([`x64`]) with the fused
+//! CCSS trigger tail (compare-and-wake) preserved as inline
+//! compare/branch/bit-set sequences.
 //!
-//! The emitters are *pure* byte generators compiled on every host, so
-//! either instruction stream can be generated (and independently audited
-//! by `essent-verify`'s J07xx layer) regardless of the build target; only
+//! The emitter is a *pure* byte generator compiled on every host, so the
+//! stream can be generated (and independently audited by
+//! `essent-verify`'s J07xx layer) regardless of the build target; only
 //! the execution side ([`CompiledPart`]) is target-gated. Code pages are
 //! managed W^X: every selected partition's bytes are packed, in schedule
 //! order, into one anonymous `mmap`ed RW mapping that is flipped to R+X
@@ -33,33 +33,22 @@
 //! A partition is *ineligible* (and [`emit_for_host`] returns `None`, leaving
 //! the tier-1 interpreter in charge) when its program contains a
 //! [`Op1::Generic`](crate::step1::Op1::Generic) fallback, when an arena
-//! offset or consumer index exceeds the encodable displacement range, or
-//! when a required host feature (`popcnt` for `Xorr` on x86-64) is
-//! missing. The engines additionally *deopt* compiled partitions on
+//! offset exceeds the encodable displacement range, or when a required
+//! host feature (`popcnt` for `Xorr`) is missing. The engines additionally *deopt* compiled partitions on
 //! request ([`JitParts::deopt`]) — the tier-1 interpreter is always a
 //! drop-in fallback because the JIT replicates its semantics exactly,
 //! which the J07xx audit layer and the deopt equivalence tests check.
 
-pub mod a64;
 pub mod x64;
 
 use crate::machine::MemBank;
 use crate::step1::Tier1Program;
 
-/// Instruction-set architecture of an emitted stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JitArch {
-    /// x86-64 (System V AMD64 calling convention).
-    X64,
-    /// AArch64 (AAPCS64 calling convention).
-    A64,
-}
-
-/// An emitted machine-code stream plus the metadata the verify layer
-/// needs to audit it against its [`Tier1Program`] source.
+/// An emitted x86-64 stream (System V AMD64 calling convention) plus the
+/// metadata the verify layer needs to audit it against its
+/// [`Tier1Program`] source.
 #[derive(Debug, Clone)]
 pub struct EmittedCode {
-    pub arch: JitArch,
     pub bytes: Vec<u8>,
     /// Per-[`Inst1`](crate::step1::Inst1) byte range `[start, end)` into
     /// `bytes`; ranges are contiguous, starting after the prologue and
@@ -150,27 +139,20 @@ pub const JIT_MIN_COST: u64 = 2;
 /// paper designs fits (boom: 1 754 of 1 754).
 pub const JIT_CODE_BUDGET: usize = 1 << 20;
 
-/// Whether this build target can execute emitted code (Linux on x86-64
-/// or aarch64). Emission and auditing work everywhere.
+/// Whether this build target can execute emitted code (Linux on
+/// x86-64). Emission and auditing work everywhere.
 pub fn supported() -> bool {
-    cfg!(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))
+    cfg!(all(target_os = "linux", target_arch = "x86_64"))
 }
 
-/// Emits the host-architecture stream for a program; `None` when the
-/// host is not a JIT target or the program is ineligible.
+/// Emits the stream for a program; `None` when the host is not a JIT
+/// target or the program is ineligible.
 pub fn emit_for_host(prog: &Tier1Program) -> Option<EmittedCode> {
     #[cfg(target_arch = "x86_64")]
     {
         x64::emit(prog, std::arch::is_x86_feature_detected!("popcnt"))
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        a64::emit(prog)
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         let _ = prog;
         None
@@ -189,12 +171,11 @@ pub(crate) type EntryFn = unsafe extern "C" fn(*mut u64, *mut u8, *const JitBank
 /// [`JitParts`] still holds. The data contract is `run_tier1_raw`'s:
 /// `arena` points at the machine's arena laid out as when the program
 /// was lowered, with no concurrent writer of any slot this partition
-/// reads nor any accessor of slots it writes; `flags` points at one byte
-/// per scheduled partition (`bool` / `AtomicBool` storage — the code
-/// stores the byte `1`, which is a valid `true` for either and, at
-/// machine-code level, matches the relaxed-store discipline of the
-/// atomic sink); `banks` points at a [`BankTable`] built over the
-/// machine's banks.
+/// reads nor any accessor of slots it writes; `flags` points at the
+/// sequential engine's activity bits — one per scheduled partition,
+/// little-endian `u64` words, no other thread touching them (a wake is a
+/// plain read-modify-write `or` of one byte); `banks` points at a
+/// [`BankTable`] built over the machine's banks.
 #[inline(always)]
 pub(crate) unsafe fn call(
     entry: EntryFn,
@@ -324,9 +305,8 @@ impl JitParts {
         offsets.resize_with(emitted.len(), || None);
         for &p in order {
             offsets[p] = emitted[p].take().map(|code| {
-                // Never-executed inter-body padding (0xCC: `int3` on
-                // x86-64; arbitrary on aarch64 — every body exits via
-                // its own `ret` before the pad).
+                // Never-executed inter-body padding (0xCC: `int3` —
+                // every body exits via its own `ret` before the pad).
                 blob.resize(blob.len().next_multiple_of(16), 0xCC);
                 let off = blob.len();
                 blob.extend_from_slice(&code.bytes);
@@ -413,23 +393,11 @@ unsafe impl Send for ExecBuf {}
 // SAFETY: as above — shared access only reads the mapping.
 unsafe impl Sync for ExecBuf {}
 
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sys {
-    #[cfg(target_arch = "x86_64")]
     pub const SYS_MMAP: usize = 9;
-    #[cfg(target_arch = "x86_64")]
     pub const SYS_MPROTECT: usize = 10;
-    #[cfg(target_arch = "x86_64")]
     pub const SYS_MUNMAP: usize = 11;
-    #[cfg(target_arch = "aarch64")]
-    pub const SYS_MMAP: usize = 222;
-    #[cfg(target_arch = "aarch64")]
-    pub const SYS_MPROTECT: usize = 226;
-    #[cfg(target_arch = "aarch64")]
-    pub const SYS_MUNMAP: usize = 215;
 
     pub const PROT_READ: usize = 1;
     pub const PROT_WRITE: usize = 2;
@@ -455,7 +423,6 @@ mod sys {
         f: usize,
     ) -> isize {
         let ret: isize;
-        #[cfg(target_arch = "x86_64")]
         // SAFETY: `syscall` clobbers rcx/r11 (declared) and returns in
         // rax; all six argument registers are passed per the ABI.
         unsafe {
@@ -473,66 +440,7 @@ mod sys {
                 options(nostack),
             );
         }
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: `svc 0` takes the number in x8, arguments in x0-x5,
-        // and returns in x0 per the AArch64 Linux ABI.
-        unsafe {
-            core::arch::asm!(
-                "svc 0",
-                inlateout("x0") a => ret,
-                in("x1") b,
-                in("x2") c,
-                in("x3") d,
-                in("x4") e,
-                in("x5") f,
-                in("x8") n,
-                options(nostack),
-            );
-        }
         ret
-    }
-
-    /// Makes freshly written code visible to the instruction stream.
-    /// x86-64 has coherent I/D caches; aarch64 needs explicit
-    /// clean-to-PoU / invalidate maintenance.
-    ///
-    /// # Safety
-    ///
-    /// `start..start+len` must be a valid mapped range.
-    #[allow(unused_variables)]
-    pub unsafe fn sync_icache(start: *const u8, len: usize) {
-        #[cfg(target_arch = "aarch64")]
-        {
-            // Conservative 64-byte line; CTR_EL0 could narrow this but
-            // over-flushing is only a startup cost.
-            let line = 64usize;
-            let begin = (start as usize) & !(line - 1);
-            let end = start as usize + len;
-            let mut p = begin;
-            while p < end {
-                // SAFETY: `p` lies in the caller-guaranteed mapped range.
-                unsafe {
-                    core::arch::asm!("dc cvau, {0}", in(reg) p, options(nostack, preserves_flags));
-                }
-                p += line;
-            }
-            // SAFETY: barrier instructions have no memory operands.
-            unsafe {
-                core::arch::asm!("dsb ish", options(nostack, preserves_flags));
-            }
-            let mut p = begin;
-            while p < end {
-                // SAFETY: `p` lies in the caller-guaranteed mapped range.
-                unsafe {
-                    core::arch::asm!("ic ivau, {0}", in(reg) p, options(nostack, preserves_flags));
-                }
-                p += line;
-            }
-            // SAFETY: barrier instructions have no memory operands.
-            unsafe {
-                core::arch::asm!("dsb ish", "isb", options(nostack, preserves_flags));
-            }
-        }
     }
 }
 
@@ -541,10 +449,7 @@ impl ExecBuf {
     /// targets or syscall failure.
     #[allow(unused_variables)]
     fn new(code: &[u8]) -> Option<ExecBuf> {
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
         {
             if code.is_empty() {
                 return None;
@@ -591,14 +496,11 @@ impl ExecBuf {
                 }
                 return None;
             }
-            // SAFETY: the range was just mapped and written.
-            unsafe { sys::sync_icache(ptr, code.len()) };
+            // x86-64 keeps the instruction stream coherent with the
+            // stores above: no cache maintenance.
             Some(ExecBuf { ptr, len })
         }
-        #[cfg(not(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )))]
+        #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
         {
             None
         }
@@ -611,10 +513,7 @@ impl ExecBuf {
 
 impl Drop for ExecBuf {
     fn drop(&mut self) {
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
         // SAFETY: unmaps the mapping this buffer owns; the pointer is
         // never used again (we are in drop).
         unsafe {

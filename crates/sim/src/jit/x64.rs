@@ -6,7 +6,7 @@
 //! | register | role                                      |
 //! |----------|-------------------------------------------|
 //! | `rdi`    | arena base (`*mut u64`, argument 1)       |
-//! | `rsi`    | activity flags base (`*mut u8`, arg 2)    |
+//! | `rsi`    | activity bits base (`*mut u8`, arg 2)     |
 //! | `rbx`    | bank table base (saved from `rdx`, arg 3) |
 //! | `rax`    | accumulator (instruction result)          |
 //! | `rcx`    | second operand / shift count / scratch    |
@@ -16,10 +16,13 @@
 //!
 //! Every arena access is `mov r64, [rdi + disp32]` / `mov [rdi + disp32],
 //! rax` — or, for the fused tail's change test, `cmp [rdi + disp32], rax`
-//! — with an always-32-bit displacement (`off * 8`), every fused wake is
-//! `mov byte [rsi + disp32], 1`, and every bank access goes through
-//! the per-call [`JitBank`](super::JitBank) table at `[rbx + c * 16]` —
-//! uniform shapes the J07xx auditor pattern-matches exactly.
+//! — with an always-32-bit displacement (`off * 8`), every fused wake of
+//! consumer `c` is `or byte [rsi + disp32], imm8` with `disp32 = c / 8`
+//! and `imm8 = 1 << c % 8` (the engine's activity bit `c`, in the byte
+//! that holds it; 7 bytes, like the store), and every bank access goes
+//! through the per-call [`JitBank`](super::JitBank) table at
+//! `[rbx + c * 16]` — uniform shapes the J07xx auditor pattern-matches
+//! exactly.
 //!
 //! **Accumulator forwarding.** After an instruction's tail `rax` holds
 //! exactly the word it stored to `dst`, and the emitter remembers that
@@ -47,7 +50,7 @@
 //! to `i64::MIN`, matching the interpreter's `i128` math truncated to a
 //! word).
 
-use super::{EmittedCode, JitArch};
+use super::EmittedCode;
 use crate::step1::{Inst1, Op1, Tier1Program, NO_FUSE};
 
 // Register numbers (REX extension handled by the helpers).
@@ -145,11 +148,12 @@ impl Asm {
         self.arena_op(0x39, RAX, off);
     }
 
-    /// `mov byte [rsi + consumer], 1` — a fused trigger wake.
-    fn flag_store(&mut self, consumer: u32) {
-        self.put_keep(&[0xC6, 0x86]);
-        self.put_keep(&(consumer as i32).to_le_bytes());
-        self.put_keep(&[0x01]);
+    /// `or byte [rsi + consumer/8], 1 << consumer%8` — a fused trigger
+    /// wake: the consumer's activity bit, in the byte that holds it.
+    fn wake(&mut self, consumer: u32) {
+        self.put_keep(&[0x80, 0x8E]);
+        self.put_keep(&(consumer / 8).to_le_bytes());
+        self.put_keep(&[1 << (consumer % 8)]);
     }
 
     /// `movabs rcx, imm` (always the 10-byte form).
@@ -271,14 +275,9 @@ fn eligible(prog: &Tier1Program, have_popcnt: bool) -> bool {
         let roles = inst.roles();
         let offs_ok = roles.reads().iter().all(|&off| off <= MAX_ARENA_OFF)
             && (!roles.writes_dst || inst.dst <= MAX_ARENA_OFF);
-        // Bank table entries are 16 bytes; consumer indices are byte
-        // displacements off the flag base.
-        let aux_ok = roles.bank.is_none_or(|bank| bank <= (i32::MAX as u32) / 16);
-        let fuse_ok = inst.ws == NO_FUSE
-            || prog.consumers[inst.ws as usize..inst.we as usize]
-                .iter()
-                .all(|&c| c <= i32::MAX as u32);
-        offs_ok && aux_ok && fuse_ok
+        // Bank table entries are 16 bytes. (A wake's displacement,
+        // `consumer / 8`, always fits.)
+        offs_ok && roles.bank.is_none_or(|bank| bank <= (i32::MAX as u32) / 16)
     })
 }
 
@@ -331,7 +330,6 @@ pub fn emit(prog: &Tier1Program, have_popcnt: bool) -> Option<EmittedCode> {
     a.put(&[0xC3]); // ret
 
     Some(EmittedCode {
-        arch: JitArch::X64,
         bytes: a.finish(),
         marks,
     })
@@ -655,8 +653,8 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
         let woken = &prog.consumers[inst.ws as usize..inst.we as usize];
         a.dynamic += 1;
         a.cmp_arena(inst.dst);
-        // je: unchanged, no store, no wakes. The skipped store and flag
-        // stores are 7 bytes each.
+        // je: unchanged, no store, no wakes. The skipped store and wakes
+        // are 7 bytes each.
         if 7 * (1 + woken.len()) <= i8::MAX as usize {
             a.je_short(skip);
         } else {
@@ -664,7 +662,7 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
         }
         a.store_arena(inst.dst);
         for &c in woken {
-            a.flag_store(c);
+            a.wake(c);
         }
         a.bind(skip);
     }
@@ -712,9 +710,9 @@ mod tests {
         arena_op(0x39, 0x87, off)
     }
     fn wake(consumer: u32) -> Vec<u8> {
-        let mut v = vec![0xC6, 0x86];
-        v.extend_from_slice(&consumer.to_le_bytes());
-        v.push(0x01);
+        let mut v = vec![0x80, 0x8E];
+        v.extend_from_slice(&(consumer / 8).to_le_bytes());
+        v.push(1 << (consumer % 8));
         v
     }
     fn sext_rax(s: u8) -> Vec<u8> {
@@ -745,10 +743,14 @@ mod tests {
         {
             use crate::step1::{run_tier1_raw, CellFlags};
             use std::cell::Cell;
-            let nflags = prog.consumers.iter().max().map_or(0, |&c| c as usize + 1);
+            let nwords = prog
+                .consumers
+                .iter()
+                .max()
+                .map_or(0, |&c| c as usize / 64 + 1);
 
             let mut interp = arena.to_vec();
-            let cells: Vec<Cell<bool>> = vec![Cell::new(false); nflags];
+            let cells: Vec<Cell<u64>> = vec![Cell::new(0); nwords];
             let (mut ops, mut dynamic) = (0, 0);
             // SAFETY: the program's offsets index `interp`, which nothing
             // else touches; no banks are read.
@@ -764,22 +766,22 @@ mod tests {
             }
 
             let mut native = arena.to_vec();
-            let mut bytes = vec![0u8; nflags];
+            let mut words = vec![0u64; nwords];
             let buf = super::super::ExecBuf::new(&code.bytes).expect("executable mapping");
             // SAFETY: `buf` holds one complete emitted stream; its
-            // offsets index `native` and `bytes`; no banks are read.
+            // offsets index `native` and `words`; no banks are read.
             let counted = unsafe {
                 let entry = std::mem::transmute::<*const u8, super::super::EntryFn>(buf.ptr());
                 super::super::call(
                     entry,
                     native.as_mut_ptr(),
-                    bytes.as_mut_ptr(),
+                    words.as_mut_ptr().cast(),
                     std::ptr::null(),
                 )
             };
             assert_eq!(native, interp, "arena");
-            let woken: Vec<u8> = cells.iter().map(|c| c.get() as u8).collect();
-            assert_eq!(bytes, woken, "flags");
+            let woken: Vec<u64> = cells.iter().map(Cell::get).collect();
+            assert_eq!(words, woken, "activity bits");
             assert_eq!(counted, (ops, dynamic), "(ops, dynamic)");
         }
         #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
@@ -820,7 +822,8 @@ mod tests {
 
     #[test]
     fn previous_dst_forwards_into_a_b_and_a_mux_selector() {
-        // 0: t2 = !w0 (8 bits)   1: w3 = t2 + w1, fused, wakes 0 and 2
+        // 0: t2 = !w0 (8 bits)   1: w3 = t2 + w1, fused, wakes 0 and 70
+        // (bit 6 of byte 8: the second activity word)
         let fused = Inst1 {
             a: 2,
             b: 1,
@@ -828,15 +831,16 @@ mod tests {
             we: 2,
             ..Inst1::new(Op1::Add, 3, u64::MAX)
         };
-        let prog = program(vec![Inst1::new(Op1::Not, 2, 0xFF), fused], vec![0, 2]);
+        let prog = program(vec![Inst1::new(Op1::Not, 2, 0xFF), fused], vec![0, 70]);
         let insts = emit_and_run(&prog, &[PATTERN, 7, 0, 0]);
         let mask = vec![0x25, 0xFF, 0x00, 0x00, 0x00];
         assert_eq!(
             insts[0],
             [mov_rax(0), NOT.to_vec(), mask, store(2)].concat()
         );
+        assert_eq!(wake(70), [0x80, 0x8E, 8, 0, 0, 0, 0x40]);
         // `a` is already in rax: only `b` is loaded.
-        let tail = [cmp_mem(3), vec![0x74, 21], store(3), wake(0), wake(2)].concat();
+        let tail = [cmp_mem(3), vec![0x74, 21], store(3), wake(0), wake(70)].concat();
         assert_eq!(
             insts[1],
             [mov_rcx(1), ADD.to_vec(), tail, add_ops(2), add_dyn(1)].concat()

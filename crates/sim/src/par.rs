@@ -36,10 +36,9 @@
 use crate::compile::Block;
 use crate::engine::{delegate_simulator_basics, EngineConfig, Simulator};
 use crate::frontend::{build_plan, Frontend};
-use crate::jit;
 use crate::machine::{self, Machine};
 use crate::profile::{AtomicProfile, ProfileReport, ProfileWiring};
-use crate::slots::{WakeSlot, WakeSlots, WakeTable};
+use crate::slots::WakeTable;
 use crate::state::StateTable;
 use crate::step1::{run_tier1_raw, AtomicFlags, ProfAtomicFlags, Tier1Program};
 use essent_bits::Bits;
@@ -118,13 +117,10 @@ pub struct ParEssentSim {
     plan: CcssPlan,
     blocks: Vec<Block>,
     /// Word-specialized programs per partition (`config.tier1`); fused
-    /// trigger writes go through the atomic flag sink.
+    /// trigger writes go through the atomic flag sink. Never native
+    /// code: a body's bit `or` from two workers into one byte would lose
+    /// wakes, so `config.jit` is ignored here.
     programs: Option<Vec<Tier1Program>>,
-    /// Per partition: the native entry (`config.jit`; partitions whose
-    /// cost estimate cleared [`jit::JIT_MIN_COST`] and whose program was
-    /// eligible) and whether the program is the whole wake. Owns the
-    /// native parts.
-    slots: WakeSlots,
     flags: Vec<AtomicBool>,
     /// Per-partition arena offsets of the stop-condition bits the
     /// partition computes: after evaluating, the owner probes these and
@@ -132,7 +128,7 @@ pub struct ParEssentSim {
     /// never outruns a firing `stop`.
     stop_probe: Vec<Vec<u32>>,
     /// What a wake does beyond its program: the unfused outputs to
-    /// snapshot-compare, input wakes.
+    /// snapshot-compare, the `plain` bits, input wakes.
     wake: WakeTable,
     /// Snapshot storage, indexed by the wake table's `snap` offsets.
     snapshots: Vec<u64>,
@@ -168,8 +164,8 @@ impl ParEssentSim {
 
     /// [`ParEssentSim::new_shared`] with a measured activity prior: the
     /// partitioning gains the profile-guided merge phase, and worker
-    /// assignment and JIT selection weigh partitions by measured cost
-    /// instead of static step counts.
+    /// assignment weighs partitions by measured cost instead of static
+    /// step counts.
     pub fn new_shared_with_prior(
         netlist: Arc<Netlist>,
         config: &EngineConfig,
@@ -187,15 +183,8 @@ impl ParEssentSim {
             state,
             wake,
             cost,
-            jit,
-        } = Frontend::compile(
-            &netlist,
-            &machine.layout,
-            &plan,
-            config,
-            prior,
-            Some(&machine.mems),
-        );
+            ..
+        } = Frontend::compile(&netlist, &machine.layout, &plan, config, prior, None);
 
         let np = plan.partitions.len();
 
@@ -242,7 +231,6 @@ impl ParEssentSim {
             ))
         });
         ParEssentSim {
-            slots: WakeSlots::new(jit, &wake.plain),
             flags: (0..np).map(|_| AtomicBool::new(true)).collect(),
             snapshots: vec![0; wake.snapshot_words],
             machine,
@@ -275,86 +263,22 @@ impl ParEssentSim {
         self.plan.partitions.len()
     }
 
-    /// Number of partitions currently running native-compiled bodies
-    /// (0 when the JIT is off or unsupported on this target).
-    pub fn jit_compiled_count(&self) -> usize {
-        self.slots.compiled_count()
-    }
-
-    /// Discards the compiled body for one partition, forcing it back to
-    /// the tier-1 interpreter (deopt testing). Returns whether a body
-    /// was actually dropped.
-    pub fn force_deopt(&mut self, sched: usize) -> bool {
-        self.slots.deopt(sched)
-    }
-
-    /// Discards every compiled body; returns how many were dropped.
-    pub fn force_deopt_all(&mut self) -> usize {
-        self.slots.deopt_all()
-    }
-
-    /// Testing hook: compiles every eligible partition regardless of the
-    /// cost threshold, so deopt tests cover partitions the threshold
-    /// would leave interpreted. Returns how many bodies now exist; 0 on
-    /// unsupported targets or when the tier/profile gating forbids JIT.
-    pub fn jit_compile_all(&mut self) -> usize {
-        self.slots.compile_all(
-            self.programs.as_deref(),
-            &self.machine.mems,
-            self.profile.is_some(),
-        )
-    }
-
-    /// Borrow of the compiled partitions (verification, tests).
-    pub fn jit_parts(&self) -> Option<&jit::JitParts> {
-        self.slots.jit()
-    }
-
-    /// Runs partition `sched`'s program: natively when its slot has an
-    /// entry, through the tier-1 interpreter when lowered, through the
-    /// generic item interpreter otherwise.
+    /// Runs partition `sched`'s program: through the tier-1 interpreter
+    /// when lowered, through the generic item interpreter otherwise.
     ///
     /// # Safety
     ///
     /// [`ParEssentSim::eval_partition`]'s contract.
     unsafe fn run_program(
         &self,
-        slot: WakeSlot,
         sched: usize,
         arena: ArenaPtr,
         mems: &[crate::machine::MemBank],
         ops: &mut u64,
         prof: Option<&AtomicProfile>,
     ) {
-        match (slot.entry, &self.programs) {
-            (Some(entry), _) => {
-                // SAFETY: the slot table is rebuilt whenever the native
-                // parts change, so `entry` is a live body of this engine
-                // (never under profiling: no parts are built then). The
-                // compiled body touches only arena offsets
-                // lowered from this partition's tier-1 program, whose
-                // footprint — `Commit` instructions' `next`/`out` slots
-                // included — equals the generic block's (R0501), proved
-                // in-bounds (R0504) and ordered against every
-                // overlapping partition by the schedule (S0601), and is
-                // independently audited against the emitted bytes by
-                // the J07xx verify layer. Wakes are 1-byte stores of
-                // `true` into the `AtomicBool` flags (one byte each;
-                // single-byte stores are hardware-atomic on the
-                // supported targets, matching the relaxed atomic sink).
-                // Banks are read-only here, through the pinned bank
-                // table built from this machine's mems.
-                let (o, _d) = unsafe {
-                    jit::call(
-                        entry,
-                        arena.get(),
-                        self.flags.as_ptr().cast::<u8>().cast_mut(),
-                        self.slots.banks(),
-                    )
-                };
-                *ops += o;
-            }
-            (None, Some(progs)) => {
+        match &self.programs {
+            Some(progs) => {
                 // Fused trigger writes go straight to the atomic flags;
                 // this engine does not track dynamic-check counts.
                 let mut dynamic = 0u64;
@@ -397,7 +321,7 @@ impl ParEssentSim {
             // in-bounds (R0502, R0504), ordered against every
             // overlapping partition by the schedule (S0601); banks are
             // read-only here.
-            (None, None) => unsafe {
+            None => unsafe {
                 machine::run_items_raw(&self.blocks[sched].items, arena.get(), mems, ops)
             },
         }
@@ -424,11 +348,10 @@ impl ParEssentSim {
         ops: &mut u64,
         prof: Option<&AtomicProfile>,
     ) {
-        let slot = self.slots.as_slice()[sched];
-        if slot.plain {
+        if self.wake.plain[sched] {
             // The program is the whole wake.
             // SAFETY: forwards this function's contract.
-            unsafe { self.run_program(slot, sched, arena, mems, ops, prof) };
+            unsafe { self.run_program(sched, arena, mems, ops, prof) };
             return;
         }
         let outs = self.wake.outputs(sched);
@@ -448,7 +371,7 @@ impl ParEssentSim {
             }
         }
         // SAFETY: forwards this function's contract.
-        unsafe { self.run_program(slot, sched, arena, mems, ops, prof) };
+        unsafe { self.run_program(sched, arena, mems, ops, prof) };
         // Elided registers the program did not absorb (this engine
         // elides no memory write): private slots, single writer.
         for r in self.state.in_place(sched).1 {

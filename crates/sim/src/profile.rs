@@ -215,7 +215,7 @@ pub trait Profiler {
         prog: &Tier1Program,
         arena: *mut u64,
         mems: &[MemBank],
-        flags: &[Cell<bool>],
+        flags: &[Cell<u64>],
         producer: usize,
         ops: &mut u64,
         dynamic: &mut u64,
@@ -253,7 +253,7 @@ impl Profiler for NoProfile {
         prog: &Tier1Program,
         arena: *mut u64,
         mems: &[MemBank],
-        flags: &[Cell<bool>],
+        flags: &[Cell<u64>],
         _producer: usize,
         ops: &mut u64,
         dynamic: &mut u64,
@@ -537,7 +537,7 @@ impl Profiler for ProfileArena {
         prog: &Tier1Program,
         arena: *mut u64,
         mems: &[MemBank],
-        flags: &[Cell<bool>],
+        flags: &[Cell<u64>],
         producer: usize,
         ops: &mut u64,
         dynamic: &mut u64,

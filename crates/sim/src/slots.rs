@@ -16,8 +16,8 @@
 //!
 //! [`WakeSlots`] is the per-engine record in front of it: the native
 //! `entry` (or `None`: run the tier-1 program) beside the table's `plain`
-//! bit, so a plain wake is one record load, one flag clear and one call,
-//! and only non-plain partitions visit [`WakeTable::outputs`] and
+//! bit, so a plain wake is one record load and one call, and only
+//! non-plain partitions visit [`WakeTable::outputs`] and
 //! [`StateTable::in_place`].
 //!
 //! The slots cache entry pointers into the executable arena the

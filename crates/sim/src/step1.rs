@@ -312,7 +312,7 @@ pub struct Tier1Program {
 }
 
 /// Where fused trigger writes land. The sequential engine passes interior-
-/// mutable flag cells, the parallel engine atomics, and the full-cycle
+/// mutable activity bits, the parallel engine atomics, and the full-cycle
 /// engine (no triggers) a sink that ignores wakes.
 pub trait FlagSink {
     /// A changed partition output wakes `consumer`.
@@ -335,13 +335,23 @@ impl FlagSink for NoWake {
     fn wake(&self, _consumer: u32) {}
 }
 
-/// Single-threaded flag writes through `Cell`s.
-pub struct CellFlags<'a>(pub &'a [Cell<bool>]);
+/// Sets partition `consumer`'s activity bit: bit `consumer % 64` of word
+/// `consumer / 64`. The one encoding of a sequential wake — x86-64 is
+/// little-endian, so the native tail's `or byte [flags + c/8], 1 << c%8`
+/// sets the same bit.
+#[inline(always)]
+pub(crate) fn wake_bit(flags: &[Cell<u64>], consumer: u32) {
+    let word = &flags[consumer as usize / 64];
+    word.set(word.get() | 1 << (consumer % 64));
+}
+
+/// Single-threaded wakes into the sequential engine's activity bits.
+pub struct CellFlags<'a>(pub &'a [Cell<u64>]);
 
 impl FlagSink for CellFlags<'_> {
     #[inline(always)]
     fn wake(&self, consumer: u32) {
-        self.0[consumer as usize].set(true);
+        wake_bit(self.0, consumer);
     }
 }
 
@@ -365,7 +375,7 @@ impl FlagSink for AtomicFlags<'_> {
 /// and the consumer's `woke_state`. The enabled arm of the profiler's
 /// monomorphized tier dispatch.
 pub struct ProfCellFlags<'a> {
-    pub flags: &'a [Cell<bool>],
+    pub flags: &'a [Cell<u64>],
     pub caused: &'a Cell<u64>,
     pub woke: &'a [Cell<u64>],
     /// Register-plan index → slot of `state_causes`.
@@ -382,14 +392,14 @@ fn bump(counter: &Cell<u64>) {
 impl FlagSink for ProfCellFlags<'_> {
     #[inline(always)]
     fn wake(&self, consumer: u32) {
-        self.flags[consumer as usize].set(true);
+        wake_bit(self.flags, consumer);
         bump(self.caused);
         bump(&self.woke[consumer as usize]);
     }
 
     #[inline(always)]
     fn wake_state(&self, reg_plan: u32, consumer: u32) {
-        self.flags[consumer as usize].set(true);
+        wake_bit(self.flags, consumer);
         bump(&self.state_causes[self.reg_slot[reg_plan as usize] as usize]);
         bump(&self.woke_state[consumer as usize]);
     }
@@ -1617,7 +1627,7 @@ mod tests {
         prog: &Tier1Program,
         arena: &mut [u64],
         mems: &[MemBank],
-        flags: &[Cell<bool>],
+        flags: &[Cell<u64>],
     ) -> (u64, u64) {
         let (mut ops, mut dynamic) = (0, 0);
         // SAFETY: every test program keeps its offsets below `WORDS`,
@@ -2216,7 +2226,7 @@ mod tests {
                         (0..WORDS).map(|w| img[w * lanes + l]).collect()
                     };
                     let mut scalar = lane(&before);
-                    let woken: Vec<Cell<bool>> = (0..4).map(|_| Cell::new(false)).collect();
+                    let woken = [Cell::new(0u64)];
                     let mut expect = WorkCounters::default();
                     if eval_mask >> l & 1 == 1 {
                         (expect.ops_evaluated, expect.dynamic_checks) =
@@ -2225,8 +2235,9 @@ mod tests {
                     let ctx = format!("trial {trial} lane {l}/{lanes} simd {simd}");
                     assert_eq!(lane(&strided), scalar, "{ctx}: arena");
                     assert_eq!(counters[l], expect, "{ctx}: counters");
-                    for (c, w) in woken.iter().enumerate() {
-                        assert_eq!(flags[c].get() >> l & 1 == 1, w.get(), "{ctx}: wake {c}");
+                    for (c, flag) in flags.iter().enumerate() {
+                        let bit = woken[0].get() >> c & 1;
+                        assert_eq!(flag.get() >> l & 1, bit, "{ctx}: wake {c}");
                     }
                 }
             }

@@ -3,8 +3,8 @@
 //! cannot absorb runs from the engines' pre-resolved state table. These
 //! directed designs pin the seams of that split against the golden
 //! interpreter on every tier — scalar tier-1, native, lanes, dataflow
-//! workers, and the generic and unfused configurations that absorb
-//! nothing.
+//! workers (tier-1 only: that engine runs no native code), and the
+//! generic and unfused configurations that absorb nothing.
 
 use essent_bits::Bits;
 use essent_netlist::{interp::Interpreter, opt, Netlist};
@@ -54,10 +54,6 @@ fn tiers(netlist: &Netlist, c_p: usize) -> Vec<(&'static str, Box<dyn Simulator>
         ("generic", Box::new(EssentSim::new(netlist, &generic))),
         ("pull", Box::new(EssentSim::new(netlist, &pull))),
         ("dataflow", Box::new(ParEssentSim::new(netlist, &on, 2))),
-        (
-            "dataflow native",
-            Box::new(ParEssentSim::new(netlist, &jit, 2)),
-        ),
         (
             "dataflow generic",
             Box::new(ParEssentSim::new(netlist, &generic, 2)),

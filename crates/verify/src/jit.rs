@@ -3,15 +3,17 @@
 //! instruction-by-instruction against the [`Tier1Program`] it was
 //! lowered from.
 //!
-//! The emitters ([`essent_sim::jit::x64`], [`essent_sim::jit::a64`])
-//! deliberately use a small fixed vocabulary of encodings — every arena
-//! access, flag wake, bank load, immediate materialization, and branch
-//! has one uniform shape. This layer re-decodes that vocabulary *from
-//! the bytes* (it shares no encoding tables with the emitters) and
+//! The emitter ([`essent_sim::jit::x64`]) deliberately uses a small
+//! fixed vocabulary of encodings — every arena access, activity-bit wake,
+//! bank load, immediate materialization, and branch has one uniform
+//! shape. This layer re-decodes that vocabulary *from
+//! the bytes* (it shares no encoding tables with the emitter) and
 //! extracts, per source instruction, a **fact set**:
 //!
 //! * arena word offsets loaded and stored,
-//! * activity-flag bytes written (the fused CCSS wake sites),
+//! * activity bits set (the fused CCSS wake sites: `or byte [rsi +
+//!   disp], imm` with a power-of-two `imm` wakes partition
+//!   `disp * 8 + tz(imm)`),
 //! * bank-table entries dereferenced,
 //! * immediates materialized or applied as a mask,
 //! * branch targets, and
@@ -30,11 +32,13 @@
 //! would, and a forward the program does not justify as a missing one.
 //!
 //! The facts are then compared against what the [`Inst1`] semantics
-//! demand (including the constant-folding the emitters perform — an
+//! demand (including the constant-folding the emitter performs — an
 //! out-of-range `Shl` must load *nothing*):
 //!
-//! * `J0701` **decode** — an undecodable byte/word (on x86-64 that
-//!   includes `cmovnz`: only `cmovz rax, rcx` is in the vocabulary), a
+//! * `J0701` **decode** — an undecodable byte (that includes `cmovnz`:
+//!   only `cmovz rax, rcx` is in the vocabulary; a wake whose `imm` is
+//!   not a single bit; and the byte store `mov byte [rsi + disp], 1`,
+//!   which would set one bit of the byte and clear the other seven), a
 //!   malformed prologue/epilogue, or a non-contiguous instruction mark
 //!   table;
 //! * `J0702` **operand** — a load/store/bank/immediate/mask fact that
@@ -54,11 +58,10 @@
 //! Counters are checked per **straight-line run** — from one leader
 //! (instruction 0, a jump target, the instruction after a jump) to the
 //! next — because every path through a run executes all of it: the
-//! x86-64 stream adds each run's total once, the aarch64 stream one per
-//! instruction, and both must reach the same sums.
+//! stream adds each run's total once, and must reach the same sums.
 
 use essent_core::diag::{codes, Diagnostic, Report};
-use essent_sim::jit::{EmittedCode, JitArch};
+use essent_sim::jit::EmittedCode;
 use essent_sim::step1::{Inst1, Op1, Tier1Program, NO_FUSE};
 use std::collections::BTreeSet;
 
@@ -70,8 +73,6 @@ struct InstFacts {
     flags: BTreeSet<u32>,
     banks: BTreeSet<u32>,
     imms: BTreeSet<u64>,
-    /// Bitfield-AND mask widths (aarch64 result masking).
-    mask_widths: BTreeSet<u32>,
     /// Absolute byte offsets into the stream.
     branch_targets: Vec<u32>,
     /// Amounts added to the `ops` / `dynamic` counters.
@@ -87,11 +88,9 @@ struct Expect {
     stores: BTreeSet<u32>,
     flags: BTreeSet<u32>,
     banks: BTreeSet<u32>,
-    /// Immediates that must appear (`Andr` mask, `MemRead` depth, and on
-    /// x86-64 the result mask, in whichever form it is applied).
+    /// Immediates that must appear (`Andr` mask, `MemRead` depth, and
+    /// the result mask, in whichever form it is applied).
     req_imms: Vec<u64>,
-    /// Required bitfield mask width (aarch64 result masking).
-    req_mask_width: Option<u32>,
     /// Lowered jump target (absolute byte offset) for `Jmp`/`JmpIf0`.
     jump: Option<u32>,
     /// What executing the instruction adds to `ops` / `dynamic`.
@@ -122,7 +121,6 @@ fn expect(prog: &Tier1Program, inst: &Inst1, code: &EmittedCode) -> Expect {
     let value = roles.writes_dst;
     let mut stores = BTreeSet::new();
     let mut flags = BTreeSet::new();
-    let mut req_mask_width = None;
     let mut dynamic = 0;
     if value {
         stores.insert(inst.dst);
@@ -139,10 +137,7 @@ fn expect(prog: &Tier1Program, inst: &Inst1, code: &EmittedCode) -> Expect {
             dynamic = 1;
         }
         if inst.mask != u64::MAX {
-            match code.arch {
-                JitArch::X64 => req_imms.push(inst.mask),
-                JitArch::A64 => req_mask_width = Some(inst.mask.count_ones()),
-            }
+            req_imms.push(inst.mask);
         }
     }
     Expect {
@@ -151,7 +146,6 @@ fn expect(prog: &Tier1Program, inst: &Inst1, code: &EmittedCode) -> Expect {
         flags,
         banks,
         req_imms,
-        req_mask_width,
         jump,
         ops: u32::from(roles.counts_op),
         dynamic,
@@ -159,7 +153,7 @@ fn expect(prog: &Tier1Program, inst: &Inst1, code: &EmittedCode) -> Expect {
 }
 
 // ---------------------------------------------------------------------
-// x86-64 restricted decoder
+// The restricted decoder
 // ---------------------------------------------------------------------
 
 /// Decodes one instruction byte range of the x86-64 vocabulary into a
@@ -308,11 +302,14 @@ fn decode_x64(
                 branch(&mut f, &mut joins, (p as i64 + 5) + word(d) as i64);
                 Some((5, Rax::Apart))
             }
-            // mov byte [rsi+disp32], 1
-            [0xC6, 0x86, ref d @ ..] if d.len() >= 5 && d[4] == 0x01 => scaled(d, 1).map(|c| {
-                f.flags.insert(c);
-                (7, Rax::Apart)
-            }),
+            // or byte [rsi+disp32], imm8: one activity bit.
+            [0x80, 0x8E, ref d @ ..] if d.len() >= 5 && d[4].is_power_of_two() => {
+                let bit = scaled(d, 1).and_then(|byte| byte.checked_mul(8));
+                bit.map(|bit| {
+                    f.flags.insert(bit + d[4].trailing_zeros());
+                    (7, Rax::Apart)
+                })
+            }
             // xor eax, eax / xor edx, edx
             [0x31, 0xC0, ..] => Some((2, Rax::Kills)),
             [0x31, 0xD2, ..] => Some((2, Rax::Apart)),
@@ -364,7 +361,7 @@ fn decode_x64(
 }
 
 /// The exact prologue the x86-64 emitter produces.
-const X64_PROLOGUE: &[u8] = &[
+const PROLOGUE: &[u8] = &[
     0x53, // push rbx
     0x48, 0x89, 0xD3, // mov rbx, rdx
     0x45, 0x31, 0xC0, // xor r8d, r8d
@@ -372,205 +369,12 @@ const X64_PROLOGUE: &[u8] = &[
 ];
 
 /// The exact epilogue the x86-64 emitter produces.
-const X64_EPILOGUE: &[u8] = &[
+const EPILOGUE: &[u8] = &[
     0x4C, 0x89, 0xC8, // mov rax, r9
     0x48, 0xC1, 0xE0, 0x20, // shl rax, 32
     0x4C, 0x09, 0xC0, // or rax, r8
     0x5B, // pop rbx
     0xC3, // ret
-];
-
-// ---------------------------------------------------------------------
-// AArch64 restricted decoder
-// ---------------------------------------------------------------------
-
-const A64_OFF: u32 = 15;
-const A64_ARENA: u32 = 0;
-const A64_FLAGS: u32 = 1;
-const A64_BANKS: u32 = 2;
-const A64_OPS: u32 = 13;
-const A64_DYN: u32 = 14;
-
-/// Decodes one instruction word range of the AArch64 vocabulary.
-fn decode_a64(
-    bytes: &[u8],
-    start: usize,
-    end: usize,
-    report: &mut Report,
-    partition: usize,
-    pc: usize,
-) -> InstFacts {
-    let mut f = InstFacts::default();
-    // Offset register (x15) value and general immediate tracking
-    // (movz/movk builders).
-    let mut off: Option<u32> = None;
-    let mut imm_val = [0u64; 32];
-    let mut p = start;
-    while p < end {
-        let w = u32::from_le_bytes([bytes[p], bytes[p + 1], bytes[p + 2], bytes[p + 3]]);
-        let widx = p / 4;
-        let rd = w & 31;
-        if w & 0xFF80_0000 == 0xD280_0000 {
-            // movz rd, imm16, lsl #(hw*16)
-            let hw = (w >> 21) & 3;
-            let imm16 = ((w >> 5) & 0xFFFF) as u64;
-            imm_val[rd as usize] = imm16 << (16 * hw);
-            f.imms.insert(imm_val[rd as usize]);
-            if rd == A64_OFF {
-                off = (hw == 0).then_some(imm16 as u32);
-            }
-        } else if w & 0xFF80_0000 == 0xF280_0000 {
-            // movk rd, imm16, lsl #(hw*16)
-            let hw = (w >> 21) & 3;
-            let imm16 = ((w >> 5) & 0xFFFF) as u64;
-            let shifted = imm16 << (16 * hw);
-            imm_val[rd as usize] = (imm_val[rd as usize] & !(0xFFFFu64 << (16 * hw))) | shifted;
-            f.imms.insert(imm_val[rd as usize]);
-            if rd == A64_OFF {
-                off = off.filter(|_| hw == 1).map(|o| o | (imm16 as u32) << 16);
-            }
-        } else if w & 0xFFE0_FC00 == 0xF860_7800 || w & 0xFFE0_FC00 == 0xF820_7800 {
-            // ldr/str Xt, [Xn, Xm, lsl #3]
-            let is_load = w & 0x0040_0000 != 0;
-            let rn = (w >> 5) & 31;
-            let rm = (w >> 16) & 31;
-            if rm == A64_OFF && rn == A64_ARENA {
-                match off {
-                    Some(o) if is_load => {
-                        f.loads.insert(o);
-                    }
-                    Some(o) => {
-                        f.stores.insert(o);
-                    }
-                    None => {
-                        f.bad = true;
-                        report.push(
-                            Diagnostic::error(
-                                codes::JIT_DECODE,
-                                format!(
-                                    "a64 arena access at word {widx} without a \
-                                     materialized offset (inst {pc})"
-                                ),
-                            )
-                            .with_partition(partition),
-                        );
-                        return f;
-                    }
-                }
-            } else if rm == A64_OFF && rn == A64_BANKS && is_load {
-                match off {
-                    // 16-byte table entries addressed as word pairs.
-                    Some(o) if o % 2 == 0 => {
-                        f.banks.insert(o / 2);
-                    }
-                    _ => {
-                        f.bad = true;
-                        report.push(
-                            Diagnostic::error(
-                                codes::JIT_DECODE,
-                                format!("a64 bank access with bad offset at word {widx}"),
-                            )
-                            .with_partition(partition),
-                        );
-                        return f;
-                    }
-                }
-            }
-            // Register-indexed bank[addr] loads carry no static fact.
-        } else if w == 0x3820_6800 | (A64_OFF << 16) | (A64_FLAGS << 5) | 12 {
-            // strb w12, [x1, x15] — the register holding the constant 1
-            match off {
-                Some(o) => {
-                    f.flags.insert(o);
-                }
-                None => {
-                    f.bad = true;
-                    report.push(
-                        Diagnostic::error(
-                            codes::JIT_DECODE,
-                            format!("a64 flag store without offset at word {widx}"),
-                        )
-                        .with_partition(partition),
-                    );
-                    return f;
-                }
-            }
-        } else if w & 0xFFFF_FC00 == 0x9100_0400 && (w >> 5) & 31 == rd {
-            // add rd, rd, #1 — counter increment
-            if rd == A64_OPS {
-                f.ops_incs += 1;
-            } else if rd == A64_DYN {
-                f.dyn_incs += 1;
-            }
-        } else if w & 0xFC00_0000 == 0x1400_0000 {
-            // b
-            let imm = ((w & 0x03FF_FFFF) as i32) << 6 >> 6;
-            f.branch_targets
-                .push(((widx as i64 + imm as i64) * 4) as u32);
-        } else if w & 0xFF00_0010 == 0x5400_0000 || w & 0xFF00_0000 == 0xB400_0000 {
-            // b.cond / cbz
-            let imm = (((w >> 5) & 0x7FFFF) as i32) << 13 >> 13;
-            f.branch_targets
-                .push(((widx as i64 + imm as i64) * 4) as u32);
-        } else if w & 0xFFF8_0000 == 0x3600_0000 {
-            // tbz rt, #0
-            let imm = (((w >> 5) & 0x3FFF) as i32) << 18 >> 18;
-            f.branch_targets
-                .push(((widx as i64 + imm as i64) * 4) as u32);
-        } else if w & 0xFFC0_0000 == 0x9240_0000 && (w >> 16) & 0x3F == 0 {
-            // and rd, rn, #low-mask(width)
-            f.mask_widths.insert(((w >> 10) & 0x3F) + 1);
-        } else if w & 0xFFC0_0000 == 0x9340_0000 && (w >> 16) & 0x3F == 0 {
-            // sbfm sign-extension
-        } else if (w & 0xFFE0_FC1F == 0xEB00_001F) // cmp rr
-            || (w & 0xFFC0_001F == 0xF100_001F) // cmp imm12
-            || (w & 0xFFFF_0FE0 == 0x9A9F_07E0) // cset
-            || (w & 0xFFE0_0C00 == 0x9A80_0000) // csel
-            || (w & 0xFFE0_0000 == 0xCA40_0000) // eor lsr (parity fold)
-            || (w & 0xFFE0_FC00 == 0x8B00_0000) // add
-            || (w & 0xFFE0_FC00 == 0xCB00_0000) // sub / neg
-            || (w & 0xFFE0_FC00 == 0x9B00_7C00) // mul
-            || (w & 0xFFE0_8000 == 0x9B00_8000) // msub
-            || (w & 0xFFE0_FC00 == 0x9AC0_0800) // udiv
-            || (w & 0xFFE0_FC00 == 0x9AC0_0C00) // sdiv
-            || (w & 0xFFE0_FC00 == 0x9AC0_2000) // lslv
-            || (w & 0xFFE0_FC00 == 0x9AC0_2400) // lsrv
-            || (w & 0xFFE0_FC00 == 0x9AC0_2800) // asrv
-            || (w & 0xFFE0_FC00 == 0x8A00_0000) // and rr
-            || (w & 0xFFE0_FC00 == 0xAA00_0000) // orr rr
-            || (w & 0xFFE0_FC00 == 0xAA20_0000) // mvn
-            || (w & 0xFFE0_FC00 == 0xCA00_0000)
-        // eor rr
-        {
-            // Pure register compute: no static facts beyond decoding.
-        } else {
-            f.bad = true;
-            report.push(
-                Diagnostic::error(
-                    codes::JIT_DECODE,
-                    format!("a64 stream undecodable at word {widx} (inst {pc}): {w:#010x}"),
-                )
-                .with_partition(partition),
-            );
-            return f;
-        }
-        p += 4;
-    }
-    f
-}
-
-/// The exact prologue the AArch64 emitter produces (`movz` of the two
-/// counters and the flag constant).
-const A64_PROLOGUE: &[u8] = &[
-    0x0D, 0x00, 0x80, 0xD2, // movz x13, #0
-    0x0E, 0x00, 0x80, 0xD2, // movz x14, #0
-    0x2C, 0x00, 0x80, 0xD2, // movz x12, #1
-];
-
-/// The exact epilogue (`orr x0, x13, x14, lsl #32; ret`).
-const A64_EPILOGUE: &[u8] = &[
-    0xA0, 0x81, 0x0E, 0xAA, // orr x0, x13, x14, lsl #32
-    0xC0, 0x03, 0x5F, 0xD6, // ret
 ];
 
 // ---------------------------------------------------------------------
@@ -596,12 +400,8 @@ pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> R
         );
         return report;
     }
-    let (prologue, epilogue) = match code.arch {
-        JitArch::X64 => (X64_PROLOGUE, X64_EPILOGUE),
-        JitArch::A64 => (A64_PROLOGUE, A64_EPILOGUE),
-    };
-    if code.bytes.len() < prologue.len() + epilogue.len()
-        || &code.bytes[..prologue.len()] != prologue
+    if code.bytes.len() < PROLOGUE.len() + EPILOGUE.len()
+        || &code.bytes[..PROLOGUE.len()] != PROLOGUE
     {
         report.push(
             Diagnostic::error(codes::JIT_DECODE, "malformed prologue".to_string())
@@ -609,16 +409,16 @@ pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> R
         );
         return report;
     }
-    if &code.bytes[code.bytes.len() - epilogue.len()..] != epilogue {
+    if &code.bytes[code.bytes.len() - EPILOGUE.len()..] != EPILOGUE {
         report.push(
             Diagnostic::error(codes::JIT_DECODE, "malformed epilogue".to_string())
                 .with_partition(partition),
         );
         return report;
     }
-    let mut cursor = prologue.len() as u32;
+    let mut cursor = PROLOGUE.len() as u32;
     for (pc, &(s, e)) in code.marks.iter().enumerate() {
-        if s != cursor || e < s || e as usize > code.bytes.len() - epilogue.len() {
+        if s != cursor || e < s || e as usize > code.bytes.len() - EPILOGUE.len() {
             report.push(
                 Diagnostic::error(
                     codes::JIT_DECODE,
@@ -630,13 +430,13 @@ pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> R
         }
         cursor = e;
     }
-    if cursor as usize != code.bytes.len() - epilogue.len() {
+    if cursor as usize != code.bytes.len() - EPILOGUE.len() {
         report.push(
             Diagnostic::error(
                 codes::JIT_DECODE,
                 format!(
                     "body ends at {cursor}, epilogue begins at {}",
-                    code.bytes.len() - epilogue.len()
+                    code.bytes.len() - EPILOGUE.len()
                 ),
             )
             .with_partition(partition),
@@ -670,34 +470,22 @@ pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> R
     }
     let mut run = Run::default();
     for (pc, (inst, &(s, e))) in prog.code.iter().zip(&code.marks).enumerate() {
-        let facts = match code.arch {
-            JitArch::X64 => {
-                // `rax` holds the previous instruction's `dst` when that
-                // instruction stored one and every path here runs it.
-                let fwd = pc
-                    .checked_sub(1)
-                    .map(|prev| &prog.code[prev])
-                    .filter(|prev| prev.roles().writes_dst && !landing[pc])
-                    .map(|prev| prev.dst);
-                decode_x64(
-                    &code.bytes,
-                    s as usize,
-                    e as usize,
-                    fwd,
-                    &mut report,
-                    partition,
-                    pc,
-                )
-            }
-            JitArch::A64 => decode_a64(
-                &code.bytes,
-                s as usize,
-                e as usize,
-                &mut report,
-                partition,
-                pc,
-            ),
-        };
+        // `rax` holds the previous instruction's `dst` when that
+        // instruction stored one and every path here runs it.
+        let fwd = pc
+            .checked_sub(1)
+            .map(|prev| &prog.code[prev])
+            .filter(|prev| prev.roles().writes_dst && !landing[pc])
+            .map(|prev| prev.dst);
+        let facts = decode_x64(
+            &code.bytes,
+            s as usize,
+            e as usize,
+            fwd,
+            &mut report,
+            partition,
+            pc,
+        );
         if facts.bad {
             // The run's sums are unknowable; J0701 is already reported.
             return report;
@@ -740,15 +528,6 @@ pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> R
                     &mut report,
                     codes::JIT_OPERAND,
                     ctx(&format!("required immediate {imm:#x} not materialized")),
-                );
-            }
-        }
-        if let Some(wdt) = want.req_mask_width {
-            if !facts.mask_widths.contains(&wdt) {
-                push(
-                    &mut report,
-                    codes::JIT_OPERAND,
-                    ctx(&format!("result mask of width {wdt} not applied")),
                 );
             }
         }

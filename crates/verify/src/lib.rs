@@ -122,14 +122,11 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
             sched,
         ));
         // --- J07: native-code audit layer -----------------------------
-        // Both emitters are pure byte generators, so both streams are
-        // generated and audited regardless of the build host (x86-64
-        // audited as-if popcnt is available; a host without it would
-        // simply not compile Xorr partitions at all).
+        // The emitter is a pure byte generator, so the stream is
+        // generated and audited regardless of the build host (as-if
+        // popcnt is available; a host without it would simply not
+        // compile Xorr partitions at all).
         if let Some(code) = essent_sim::jit::x64::emit(prog, true) {
-            report.merge(check_jit(prog, &code, sched));
-        }
-        if let Some(code) = essent_sim::jit::a64::emit(prog) {
             report.merge(check_jit(prog, &code, sched));
         }
     }

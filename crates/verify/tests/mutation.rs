@@ -1139,15 +1139,11 @@ fn scrambled_worker_lists_are_s0605() {
 
 // --- J07: native-code (JIT) audit ------------------------------------
 
-/// Both emitted streams for one tier program: the x86-64 stream (popcnt
-/// assumed present, matching what the audit layer checks) and the
-/// aarch64 stream. Both are pure byte generators, so mutations exercise
-/// both decoders on any build host.
-fn jit_streams(prog: &Tier1Program) -> Vec<essent_sim::jit::EmittedCode> {
-    vec![
-        essent_sim::jit::x64::emit(prog, true).expect("fixture is x64-eligible"),
-        essent_sim::jit::a64::emit(prog).expect("fixture is a64-eligible"),
-    ]
+/// The emitted stream for one tier program (popcnt assumed present,
+/// matching what the audit layer checks). The emitter is a pure byte
+/// generator, so mutations exercise the decoder on any build host.
+fn jit_stream(prog: &Tier1Program) -> essent_sim::jit::EmittedCode {
+    essent_sim::jit::x64::emit(prog, true).expect("fixture is x64-eligible")
 }
 
 /// The fixture partition with a fused trigger tail — the stage for
@@ -1168,15 +1164,8 @@ fn pristine_jit_streams_verify_clean() {
         for c_p in [1, 2, 64] {
             let setup = tier_setup(&netlist, c_p);
             for prog in &setup.progs {
-                for code in jit_streams(prog) {
-                    let report = check_jit(prog, &code, 0);
-                    assert_eq!(
-                        report.error_count(),
-                        0,
-                        "{:?} c_p={c_p}:\n{report}",
-                        code.arch
-                    );
-                }
+                let report = check_jit(prog, &jit_stream(prog), 0);
+                assert_eq!(report.error_count(), 0, "c_p={c_p}:\n{report}");
             }
         }
     }
@@ -1187,22 +1176,13 @@ fn jit_corrupt_byte_is_j0701() {
     let netlist = chain();
     let setup = tier_setup(&netlist, 1);
     let prog = &setup.progs[0];
-    for mut code in jit_streams(prog) {
-        let start = code.body_start() as usize;
-        match code.arch {
-            // `push es` does not exist in 64-bit mode: an unrecognizable
-            // first byte of the first instruction's span.
-            essent_sim::jit::JitArch::X64 => code.bytes[start] = 0x06,
-            // An all-zero word is no recognized A64 encoding.
-            essent_sim::jit::JitArch::A64 => code.bytes[start..start + 4].fill(0),
-        }
-        let report = check_jit(prog, &code, 0);
-        assert!(
-            report.contains(codes::JIT_DECODE),
-            "{:?}:\n{report}",
-            code.arch
-        );
-    }
+    let mut code = jit_stream(prog);
+    // `push es` does not exist in 64-bit mode: an unrecognizable first
+    // byte of the first instruction's span.
+    let start = code.body_start() as usize;
+    code.bytes[start] = 0x06;
+    let report = check_jit(prog, &code, 0);
+    assert!(report.contains(codes::JIT_DECODE), "{report}");
 }
 
 #[test]
@@ -1210,46 +1190,17 @@ fn jit_operand_drift_is_j0702() {
     let netlist = chain();
     let setup = tier_setup(&netlist, 1);
     let prog = &setup.progs[0];
-    for mut code in jit_streams(prog) {
-        let (start, end) = (code.body_start() as usize, code.body_end() as usize);
-        let patched = match code.arch {
-            essent_sim::jit::JitArch::X64 => {
-                // `mov rax, [rdi + disp32]` — shift the arena load one
-                // word over, the compiled analogue of a B0210 read drift.
-                (start..end.saturating_sub(6))
-                    .find(|&i| {
-                        code.bytes[i] == 0x48
-                            && code.bytes[i + 1] == 0x8B
-                            && code.bytes[i + 2] == 0x87
-                    })
-                    .map(|i| {
-                        let d = u32::from_le_bytes(code.bytes[i + 3..i + 7].try_into().unwrap());
-                        code.bytes[i + 3..i + 7].copy_from_slice(&(d + 8).to_le_bytes());
-                    })
-            }
-            essent_sim::jit::JitArch::A64 => {
-                // `movz x15, #off` feeding the indexed arena access —
-                // bump the materialized word offset by one.
-                (start..end)
-                    .step_by(4)
-                    .find(|&i| {
-                        let w = u32::from_le_bytes(code.bytes[i..i + 4].try_into().unwrap());
-                        w & 0xFFE0_001F == 0xD280_000F && w != 0xD280_000F
-                    })
-                    .map(|i| {
-                        let w = u32::from_le_bytes(code.bytes[i..i + 4].try_into().unwrap());
-                        code.bytes[i..i + 4].copy_from_slice(&(w + (1 << 5)).to_le_bytes());
-                    })
-            }
-        };
-        assert!(patched.is_some(), "{:?}: no arena operand found", code.arch);
-        let report = check_jit(prog, &code, 0);
-        assert!(
-            report.contains(codes::JIT_OPERAND),
-            "{:?}:\n{report}",
-            code.arch
-        );
-    }
+    let mut code = jit_stream(prog);
+    let (start, end) = (code.body_start() as usize, code.body_end() as usize);
+    // `mov rax, [rdi + disp32]` — shift the arena load one word over, the
+    // compiled analogue of a B0210 read drift.
+    let i = (start..end.saturating_sub(6))
+        .find(|&i| code.bytes[i..i + 3] == [0x48, 0x8B, 0x87])
+        .expect("an arena load");
+    let d = u32::from_le_bytes(code.bytes[i + 3..i + 7].try_into().unwrap());
+    code.bytes[i + 3..i + 7].copy_from_slice(&(d + 8).to_le_bytes());
+    let report = check_jit(prog, &code, 0);
+    assert!(report.contains(codes::JIT_OPERAND), "{report}");
 }
 
 #[test]
@@ -1266,80 +1217,77 @@ fn jit_jump_escape_is_j0703() {
         .iter()
         .position(|i| matches!(i.op, Op1::Jmp))
         .unwrap();
-    for mut code in jit_streams(prog) {
-        let (s, e) = (code.marks[jmp].0 as usize, code.marks[jmp].1 as usize);
-        match code.arch {
-            essent_sim::jit::JitArch::X64 => {
-                // Retarget the `jmp rel32` far past the epilogue.
-                let i = (s..e)
-                    .find(|&i| code.bytes[i] == 0xE9)
-                    .expect("E9 in Jmp span");
-                let d = i32::from_le_bytes(code.bytes[i + 1..i + 5].try_into().unwrap());
-                code.bytes[i + 1..i + 5].copy_from_slice(&(d + 0x400).to_le_bytes());
-            }
-            essent_sim::jit::JitArch::A64 => {
-                // `b imm26`: add 0x100 instructions to the displacement.
-                let i = (s..e)
-                    .step_by(4)
-                    .find(|&i| {
-                        let w = u32::from_le_bytes(code.bytes[i..i + 4].try_into().unwrap());
-                        w & 0xFC00_0000 == 0x1400_0000
-                    })
-                    .expect("b in Jmp span");
-                let w = u32::from_le_bytes(code.bytes[i..i + 4].try_into().unwrap());
-                code.bytes[i..i + 4].copy_from_slice(&(w + 0x100).to_le_bytes());
-            }
-        }
-        let report = check_jit(prog, &code, 0);
-        assert!(
-            report.contains(codes::JIT_FLOW),
-            "{:?}:\n{report}",
-            code.arch
-        );
-    }
+    let mut code = jit_stream(prog);
+    let (s, e) = (code.marks[jmp].0 as usize, code.marks[jmp].1 as usize);
+    // Retarget the `jmp rel32` far past the epilogue.
+    let i = (s..e)
+        .find(|&i| code.bytes[i] == 0xE9)
+        .expect("E9 in Jmp span");
+    let d = i32::from_le_bytes(code.bytes[i + 1..i + 5].try_into().unwrap());
+    code.bytes[i + 1..i + 5].copy_from_slice(&(d + 0x400).to_le_bytes());
+    let report = check_jit(prog, &code, 0);
+    assert!(report.contains(codes::JIT_FLOW), "{report}");
+}
+
+/// The first wake (`or byte [rsi + disp32], imm8`) of [`fused_prog`]'s
+/// stream: the stream, and the wake's offset in it.
+fn first_wake(prog: &Tier1Program) -> (essent_sim::jit::EmittedCode, usize) {
+    let code = jit_stream(prog);
+    let (start, end) = (code.body_start() as usize, code.body_end() as usize);
+    let at = (start..end.saturating_sub(6))
+        .find(|&i| code.bytes[i..i + 2] == [0x80, 0x8E])
+        .expect("a wake in the fused tail");
+    (code, at)
 }
 
 #[test]
 fn jit_flag_sink_drift_is_j0704() {
     let prog = fused_prog();
-    for mut code in jit_streams(&prog) {
-        let (start, end) = (code.body_start() as usize, code.body_end() as usize);
-        let patched = match code.arch {
-            essent_sim::jit::JitArch::X64 => {
-                // `mov byte [rsi + disp32], 1` — wake the wrong consumer,
-                // the compiled analogue of a B0211 consumer-set drift.
-                (start..end.saturating_sub(6))
-                    .find(|&i| code.bytes[i] == 0xC6 && code.bytes[i + 1] == 0x86)
-                    .map(|i| {
-                        let d = u32::from_le_bytes(code.bytes[i + 2..i + 6].try_into().unwrap());
-                        code.bytes[i + 2..i + 6].copy_from_slice(&(d + 1).to_le_bytes());
-                    })
-            }
-            essent_sim::jit::JitArch::A64 => {
-                // The `movz x15, #flag` directly preceding the
-                // `strb w12, [x1, x15]` wake store.
-                let strb: u32 = 0x3820_6800 | (15 << 16) | (1 << 5) | 12;
-                (start + 4..end)
-                    .step_by(4)
-                    .find(|&i| {
-                        let w = u32::from_le_bytes(code.bytes[i..i + 4].try_into().unwrap());
-                        let prev = u32::from_le_bytes(code.bytes[i - 4..i].try_into().unwrap());
-                        w == strb && prev & 0xFFE0_001F == 0xD280_000F
-                    })
-                    .map(|i| {
-                        let w = u32::from_le_bytes(code.bytes[i - 4..i].try_into().unwrap());
-                        code.bytes[i - 4..i].copy_from_slice(&(w + (1 << 5)).to_le_bytes());
-                    })
-            }
-        };
-        assert!(patched.is_some(), "{:?}: no flag sink found", code.arch);
-        let report = check_jit(&prog, &code, 0);
-        assert!(
-            report.contains(codes::JIT_FUSE),
-            "{:?}:\n{report}",
-            code.arch
-        );
-    }
+    let (mut code, at) = first_wake(&prog);
+    // The displacement one byte over: the same bit of the consumer eight
+    // partitions later, the compiled analogue of a B0211 consumer-set
+    // drift.
+    let d = u32::from_le_bytes(code.bytes[at + 2..at + 6].try_into().unwrap());
+    code.bytes[at + 2..at + 6].copy_from_slice(&(d + 1).to_le_bytes());
+    let report = check_jit(&prog, &code, 0);
+    assert!(report.contains(codes::JIT_FUSE), "{report}");
+}
+
+#[test]
+fn jit_wake_bit_moved_to_another_consumer_is_j0704() {
+    let prog = fused_prog();
+    let (mut code, at) = first_wake(&prog);
+    // The same byte, the neighbouring bit: still one activity bit, of a
+    // partition the program does not name.
+    code.bytes[at + 6] = code.bytes[at + 6].rotate_left(1);
+    let report = check_jit(&prog, &code, 0);
+    assert_eq!(report.codes(), vec![codes::JIT_FUSE], "{report}");
+}
+
+#[test]
+fn jit_wake_imm_not_a_power_of_two_is_j0701() {
+    let prog = fused_prog();
+    let (mut code, at) = first_wake(&prog);
+    // Two bits at once wakes two partitions from one site: no wake the
+    // vocabulary has.
+    code.bytes[at + 6] |= code.bytes[at + 6].rotate_left(1);
+    let report = check_jit(&prog, &code, 0);
+    assert_eq!(report.codes(), vec![codes::JIT_DECODE], "{report}");
+}
+
+#[test]
+fn jit_byte_flag_store_is_j0701() {
+    let prog = fused_prog();
+    let (mut code, at) = first_wake(&prog);
+    // The byte-flag wake the engines no longer read, `mov byte [rsi + c],
+    // 1` — seven bytes, like the bit `or` it replaced.
+    let fused = prog.code.iter().find(|i| i.ws != NO_FUSE).unwrap();
+    let consumer = prog.consumers[fused.ws as usize];
+    code.bytes[at..at + 2].copy_from_slice(b"\xC6\x86");
+    code.bytes[at + 2..at + 6].copy_from_slice(&consumer.to_le_bytes());
+    code.bytes[at + 6] = 0x01;
+    let report = check_jit(&prog, &code, 0);
+    assert_eq!(report.codes(), vec![codes::JIT_DECODE], "{report}");
 }
 
 // The x86-64 body shape's own facts: result masks as `and eax, imm`,
@@ -1398,9 +1346,9 @@ fn forwarding_prog() -> Tier1Program {
     }
 }
 
-/// The x86-64 stream of [`forwarding_prog`], pristine.
+/// The stream of [`forwarding_prog`], pristine.
 fn forwarding_code(prog: &Tier1Program) -> essent_sim::jit::EmittedCode {
-    let code = essent_sim::jit::x64::emit(prog, true).expect("fixture is x64-eligible");
+    let code = jit_stream(prog);
     let report = check_jit(prog, &code, 0);
     assert_eq!(report.error_count(), 0, "pristine:\n{report}");
     code
@@ -1412,14 +1360,6 @@ fn find_in(code: &essent_sim::jit::EmittedCode, pc: usize, pattern: &[u8]) -> us
     (s..=e - pattern.len())
         .find(|&i| code.bytes[i..i + pattern.len()] == *pattern)
         .unwrap_or_else(|| panic!("{pattern:02x?} not in instruction {pc}"))
-}
-
-#[test]
-fn forwarding_fixture_also_verifies_on_aarch64() {
-    let prog = forwarding_prog();
-    let code = essent_sim::jit::a64::emit(&prog).expect("fixture is a64-eligible");
-    let report = check_jit(&prog, &code, 0);
-    assert_eq!(report.error_count(), 0, "{report}");
 }
 
 #[test]

@@ -7,8 +7,8 @@
 //!     --cycles N          cycles to run (default 1000, stops early on `stop`)
 //!     --engine E          essent | native | full | event | parallel (default
 //!                         essent; native = essent with the hot partitions
-//!                         compiled to machine code, x86-64/aarch64 Linux
-//!                         only; parallel = CCSS over the static dataflow
+//!                         compiled to machine code, x86-64 Linux only;
+//!                         parallel = CCSS over the static dataflow
 //!                         schedule, one worker per available core)
 //!     --cp N              partitioning threshold (default 8)
 //!     --poke NAME=VALUE   hold an input at a value (repeatable; default all 0,
@@ -173,7 +173,7 @@ fn sim(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
         "essent" => |n, c| (Box::new(EssentSim::new(n, c)), None),
         "native" => {
             if !essent::sim::jit::supported() {
-                return Err("engine `native` needs x86-64 or aarch64 Linux".into());
+                return Err("engine `native` needs x86-64 Linux".into());
             }
             |n, c| {
                 let config = EngineConfig {
