@@ -147,17 +147,11 @@ pub mod codes {
     pub const TIER_FLOW: DiagCode = DiagCode::new("B0212", "tier-flow");
 
     // --- P: profiler wiring invariants ------------------------------------
-    /// The profiler's unit/state/input tables have the wrong cardinality
-    /// for the plan they claim to describe.
-    pub const PROFILE_UNIT_COUNT: DiagCode = DiagCode::new("P0301", "profile-unit-count");
-    /// A counter slot attributes work to the wrong unit or state element
-    /// (off-by-one or permuted attribution).
-    pub const PROFILE_MISATTRIBUTION: DiagCode = DiagCode::new("P0302", "profile-misattribution");
-    /// Two distinct wake causes share one counter slot, so their counts
-    /// would be conflated.
-    pub const PROFILE_SLOT_ALIAS: DiagCode = DiagCode::new("P0303", "profile-slot-alias");
-    /// A counter slot indexes outside its table.
-    pub const PROFILE_SLOT_RANGE: DiagCode = DiagCode::new("P0304", "profile-slot-range");
+    // P0301 (profile-unit-count), P0302 (profile-misattribution), P0303
+    // (profile-slot-alias) and P0304 (profile-slot-range) audited the
+    // profiler's slot table. The profiler now indexes its counters by the
+    // plan's own numbering, so there is no table to audit and the layer
+    // went with it; the numbers are not reused.
 
     // --- F: profile-feedback invariants -----------------------------------
     /// An activity-guided merge violated a side condition: a cold

@@ -28,9 +28,9 @@
 //!   lane halts) the running lanes are re-packed into a dense prefix
 //!   so the dense lane loops stay contiguous.
 //!
-//! The JIT and profiler tiers are intentionally not threaded through
-//! the batch engine: the native bodies are compiled against the scalar
-//! arena stride and the profiler's attribution arena is single-lane.
+//! The JIT is intentionally not threaded through the batch engine: the
+//! native bodies are compiled against the scalar arena stride. Nor does
+//! it profile — only [`crate::EssentSim`] does (DESIGN.md §9).
 //! `EngineConfig::jit` / `profile` are ignored here (documented in
 //! DESIGN.md §14); every other ablation switch — `c_p`, mux
 //! conditionalization, state elision, push/pull triggering, tier-1,

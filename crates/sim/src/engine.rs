@@ -38,11 +38,6 @@ pub struct EngineConfig {
     /// the behavior of traditional event-driven simulators that the paper
     /// contrasts against (Section II).
     pub event_levelized: bool,
-    /// Run the structural self-checks (`CcssPlan::check`) when building
-    /// the ESSENT engine, panicking on any error finding. Off by default;
-    /// the standalone `essent-verify` crate provides the deeper
-    /// independent verification.
-    pub verify: bool,
     /// Lower single-word steps into the specialized one-word tier
     /// ([`crate::step1`]); multi-word steps keep the generic kernels.
     /// Used by the full-cycle, ESSENT, and parallel engines.
@@ -51,9 +46,11 @@ pub struct EngineConfig {
     /// into the defining tier-1 instruction. Requires `tier1` and
     /// push-direction triggering; ignored otherwise.
     pub fuse_triggers: bool,
-    /// Collect per-partition telemetry ([`crate::profile`]): evals,
-    /// skips, wake-cause attribution, sampled eval time. Off by default;
-    /// the disabled cost is zero (the probe calls monomorphize away).
+    /// ESSENT engine only: collect per-partition telemetry
+    /// ([`crate::profile`]) — evals, derived skips, wake-cause
+    /// attribution, sampled eval time. Off by default; the disabled cost
+    /// is zero (the probe calls monomorphize away). The other engines
+    /// ignore it and report no profile.
     pub profile: bool,
     /// Inert. It used to select the dataflow schedule over the
     /// barrier-per-level engines; those are gone and
@@ -100,7 +97,6 @@ impl Default for EngineConfig {
             capture_printf: true,
             trigger_push: true,
             event_levelized: true,
-            verify: false,
             tier1: true,
             fuse_triggers: true,
             profile: false,
@@ -132,7 +128,6 @@ impl EngineConfig {
             capture_printf: true,
             trigger_push: true,
             event_levelized: true,
-            verify: false,
             tier1: false,
             fuse_triggers: false,
             profile: false,

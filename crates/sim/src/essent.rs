@@ -56,7 +56,7 @@ use crate::engine::{delegate_simulator_basics, EngineConfig, Simulator};
 use crate::frontend::{build_plan, Frontend};
 use crate::jit;
 use crate::machine::Machine;
-use crate::profile::{NoProfile, ProfileArena, ProfileReport, ProfileWiring, Profiler};
+use crate::profile::{NoProfile, ProfileArena, ProfileReport, Profiler};
 use crate::slots::{WakeSlot, WakeSlots, WakeTable};
 use crate::state::StateTable;
 use crate::step1::{wake_bit, Tier1Program, TierStats};
@@ -141,13 +141,6 @@ impl EssentSim {
         config: &EngineConfig,
         prior: Option<&ActivityPrior>,
     ) -> EssentSim {
-        if config.verify {
-            let report = plan.check(&netlist);
-            assert!(
-                report.is_clean(),
-                "CCSS plan failed verification:\n{report}"
-            );
-        }
         let mut machine = Machine::from_arc(Arc::clone(&netlist));
         machine.capture_printf = config.capture_printf;
         let Frontend {
@@ -165,9 +158,7 @@ impl EssentSim {
             prior,
             Some(&machine.mems),
         );
-        let profile = config
-            .profile
-            .then(|| Box::new(ProfileArena::new(ProfileWiring::for_plan(&netlist, &plan))));
+        let profile = config.profile.then(|| Box::new(ProfileArena::new(&plan)));
         // Every partition starts awake.
         let np = plan.partitions.len();
         let mut flags = vec![u64::MAX; np.div_ceil(64)];
@@ -261,20 +252,7 @@ impl EssentSim {
         self.slots.jit()
     }
 
-    /// Borrow of the telemetry arena (trace export; `None` unless built
-    /// with [`EngineConfig::profile`]).
-    pub fn profile_arena(&self) -> Option<&ProfileArena> {
-        self.profile.as_deref()
-    }
-
-    /// Mutable borrow of the telemetry arena (trace window / heatmap
-    /// bucket configuration).
-    pub fn profile_arena_mut(&mut self) -> Option<&mut ProfileArena> {
-        self.profile.as_deref_mut()
-    }
-
     fn run_cycle<P: Profiler>(&mut self, prof: &mut P) {
-        prof.begin_cycle();
         let machine = &mut self.machine;
         // Interior-mutable view of the activity bits so fused trigger
         // writes inside the tier-1 interpreter can wake consumers while
@@ -361,8 +339,9 @@ impl EssentSim {
             // are taken — cleared before any of their wakes — into
             // `bits`, and `trailing_zeros` picks the next partition from
             // there, so its index never waits on a load of the word the
-            // previous wake just wrote.
-            let mut next = 0; // first partition neither run nor skipped
+            // previous wake just wrote. A profiled walk pays nothing for
+            // the partitions it skips: their skips are derived from the
+            // cycle count when a report is made.
             let mut w = 0;
             while let Some(skip) = first_set(&flags[w..]) {
                 w += skip;
@@ -372,10 +351,6 @@ impl EssentSim {
                     let bit = bits.trailing_zeros();
                     bits &= bits - 1;
                     let sched = w * 64 + bit as usize;
-                    if P::ENABLED {
-                        (next..sched).for_each(|s| prof.unit_skip(s));
-                        next = sched + 1;
-                    }
                     let slot = slots[sched];
                     if slot.plain {
                         // The program is the whole wake: one record load,
@@ -399,9 +374,6 @@ impl EssentSim {
                 }
                 w += 1;
             }
-            if P::ENABLED {
-                (next..np).for_each(|s| prof.unit_skip(s));
-            }
         } else {
             // Pull direction (no slot is plain): a partition whose bit is
             // clear compares every cross-partition input against its
@@ -422,7 +394,6 @@ impl EssentSim {
                     }
                 }
                 if !active {
-                    prof.unit_skip(sched);
                     continue;
                 }
                 word.set(word.get() & !bit);
@@ -558,9 +529,9 @@ impl Simulator for EssentSim {
             let flags = Cell::from_mut(self.flags.as_mut_slice()).as_slice_of_cells();
             for &c in self.wake.input_wakes(id) {
                 wake_bit(flags, c);
-                if let Some(p) = &mut self.profile {
-                    p.wake_input(id, c);
-                }
+            }
+            if let Some(p) = &mut self.profile {
+                p.wake_input(&self.plan, id);
             }
         }
     }
@@ -583,7 +554,13 @@ impl Simulator for EssentSim {
     }
 
     fn profile_report(&self) -> Option<ProfileReport> {
-        self.profile.as_ref().map(|p| p.report("essent"))
+        self.profile.as_ref().map(|p| {
+            p.report(
+                &self.machine.netlist,
+                &self.plan,
+                self.machine.counters.cycles,
+            )
+        })
     }
 
     delegate_simulator_basics!();
@@ -661,7 +638,7 @@ mod tests {
     /// the golden interpreter and the bits past `np` after each cycle.
     /// Under `config.jit` every partition the host can compile runs a
     /// native body.
-    fn walk(np: usize, config: &EngineConfig) -> crate::WorkCounters {
+    fn walk(np: usize, config: &EngineConfig) -> EssentSim {
         let netlist = design(np);
         let mut sim = EssentSim::new(&netlist, config);
         assert_eq!(sim.partition_count(), np);
@@ -703,7 +680,7 @@ mod tests {
                 "np {np} cycle {cycle}: a bit past the schedule"
             );
         }
-        sim.counters()
+        sim
     }
 
     /// `(np, ops, static, dynamic)` of [`walk`] under the byte-flag sweep
@@ -724,7 +701,8 @@ mod tests {
         (130, 13018, 14897, 52),
     ];
 
-    fn counters_of(c: crate::WorkCounters) -> (u64, u64, u64) {
+    fn counters_of(sim: EssentSim) -> (u64, u64, u64) {
+        let c = sim.counters();
         assert_eq!(c.cycles, 40);
         (c.ops_evaluated, c.static_checks, c.dynamic_checks)
     }
@@ -745,6 +723,91 @@ mod tests {
         for (np, ops, stat, dynamic) in BYTE_FLAG_PULL {
             let got = counters_of(walk(np, &cp1(false)));
             assert_eq!(got, (ops, stat, dynamic), "np {np}");
+        }
+    }
+
+    /// One per-unit profile field of [`walk`]'s 130-partition ladder,
+    /// run-length encoded in schedule order: `(units, value)`.
+    type Runs = &'static [(usize, u64)];
+
+    /// A profiled [`walk`] of the 130-partition ladder: per unit `evals`,
+    /// `skips`, `woke_output`, `woke_state`, `woke_input`, `caused`, then
+    /// the state-cause and input-cause totals, as the profiler that swept
+    /// a skip counter over every idle partition and charged causes
+    /// through a slot table (git `d26f4cf`) counted them.
+    struct ProfilePin {
+        units: [Runs; 6],
+        state_causes: u64,
+        input_causes: u64,
+    }
+
+    const PROFILE_PUSH: ProfilePin = ProfilePin {
+        units: [
+            &[(1, 1), (1, 20), (124, 26), (1, 1), (1, 28), (1, 24), (1, 1)],
+            &[
+                (1, 39),
+                (1, 20),
+                (124, 14),
+                (1, 39),
+                (1, 12),
+                (1, 16),
+                (1, 39),
+            ],
+            &[(3, 0), (1, 25), (122, 26), (1, 0), (1, 26), (2, 0)],
+            &[(1, 0), (2, 20), (124, 0), (2, 20), (1, 0)],
+            &[(2, 0), (1, 10), (124, 0), (2, 7), (1, 0)],
+            &[(2, 0), (1, 25), (123, 26), (4, 0)],
+        ],
+        state_causes: 80,
+        input_causes: 24,
+    };
+    /// Pull mode runs the same partitions; no wake is an output wake.
+    const PROFILE_PULL: ProfilePin = ProfilePin {
+        units: [
+            PROFILE_PUSH.units[0],
+            PROFILE_PUSH.units[1],
+            &[(130, 0)],
+            PROFILE_PUSH.units[3],
+            PROFILE_PUSH.units[4],
+            &[(130, 0)],
+        ],
+        ..PROFILE_PUSH
+    };
+
+    fn runs(values: impl IntoIterator<Item = u64>) -> Vec<(usize, u64)> {
+        let mut runs: Vec<(usize, u64)> = Vec::new();
+        for v in values {
+            match runs.last_mut() {
+                Some((n, last)) if *last == v => *n += 1,
+                _ => runs.push((1, v)),
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn profile_counts_match_the_swept_profiler() {
+        for (push, pin) in [(true, PROFILE_PUSH), (false, PROFILE_PULL)] {
+            let config = EngineConfig {
+                profile: true,
+                ..cp1(push)
+            };
+            let report = walk(130, &config).profile_report().expect("profiled");
+            let fields: [fn(&crate::profile::UnitProfile) -> u64; 6] = [
+                |u| u.evals,
+                |u| u.skips,
+                |u| u.woke_output,
+                |u| u.woke_state,
+                |u| u.woke_input,
+                |u| u.caused,
+            ];
+            for (i, (field, want)) in fields.iter().zip(pin.units).enumerate() {
+                let got = runs(report.units.iter().map(field));
+                assert_eq!(got, want, "push {push} field {i}");
+            }
+            let total = |causes: &[(String, u64)]| causes.iter().map(|c| c.1).sum::<u64>();
+            assert_eq!(total(&report.state_causes), pin.state_causes, "push {push}");
+            assert_eq!(total(&report.input_causes), pin.input_causes, "push {push}");
         }
     }
 

@@ -22,7 +22,6 @@
 use crate::compile::{step_for, Step};
 use crate::engine::{delegate_simulator_basics, EngineConfig, Simulator};
 use crate::machine::Machine;
-use crate::profile::{NoProfile, ProfileArena, ProfileReport, ProfileWiring, Profiler};
 use essent_bits::Bits;
 use essent_netlist::{graph, Netlist, SignalDef, SignalId};
 
@@ -47,9 +46,6 @@ pub struct EventDrivenSim {
     /// Signals to enqueue when a memory's contents change (its read-data
     /// signals), per memory.
     mem_read_sigs: Vec<Vec<u32>>,
-    /// Telemetry arena ([`EngineConfig::profile`]): one unit per
-    /// topological level (the engine's schedule granularity).
-    profile: Option<Box<ProfileArena>>,
 }
 
 impl EventDrivenSim {
@@ -104,12 +100,6 @@ impl EventDrivenSim {
             .max()
             .unwrap_or(1);
 
-        let profile = config.profile.then(|| {
-            Box::new(ProfileArena::new(ProfileWiring::for_levels(
-                netlist,
-                max_level + 1,
-            )))
-        });
         let mut sim = EventDrivenSim {
             machine,
             steps,
@@ -121,7 +111,6 @@ impl EventDrivenSim {
             levelized: config.event_levelized,
             fifo: std::collections::VecDeque::new(),
             mem_read_sigs,
-            profile,
         };
         // First cycle: everything is an event.
         for i in 0..n {
@@ -166,61 +155,33 @@ impl EventDrivenSim {
         self.fanouts[sig as usize] = fans;
     }
 
-    /// Charges every fanout of `sig` as a wake of the fanout's level to
-    /// the given cause (probe bookkeeping mirroring `enqueue_fanouts`).
-    fn attribute_fanouts<P: Profiler>(&self, prof: &mut P, sig: u32, cause: WakeCause) {
-        if !P::ENABLED {
-            return;
-        }
-        for &f in &self.fanouts[sig as usize] {
-            let consumer = self.levels[f as usize];
-            match cause {
-                WakeCause::Output(producer) => prof.wake_output(producer, consumer),
-                WakeCause::Reg(r) => prof.wake_state_reg(r, consumer),
-            }
-        }
-    }
-
-    fn run_cycle<P: Profiler>(&mut self, prof: &mut P) {
-        prof.begin_cycle();
+    fn run_cycle(&mut self) {
         if self.levelized {
             // Levelized sweep: events only ever schedule strictly higher
             // levels, so one ascending pass is singular and complete.
             for lvl in 0..self.buckets.len() {
                 if self.buckets[lvl].is_empty() {
-                    prof.unit_skip(lvl);
                     continue;
                 }
-                let ops_before = self.machine.counters.ops_evaluated;
-                let t0 = prof.eval_begin(lvl);
                 let mut bucket = std::mem::take(&mut self.buckets[lvl]);
                 for &sig in &bucket {
                     self.queued[sig as usize] = false;
                     if self.eval_signal(sig) {
-                        self.attribute_fanouts(prof, sig, WakeCause::Output(lvl));
                         self.enqueue_fanouts(sig);
                     }
                 }
                 bucket.clear();
                 self.buckets[lvl] = bucket;
-                prof.eval_end(lvl, t0, self.machine.counters.ops_evaluated - ops_before);
             }
         } else {
             // Classic FIFO delta queue: arrival order, with repeat
             // evaluations when inputs settle in waves. Terminates because
-            // the graph is acyclic (values reach a fixpoint). Each event
-            // counts as one activation of its signal's level (a level can
-            // activate many times per cycle in this mode).
+            // the graph is acyclic (values reach a fixpoint).
             while let Some(sig) = self.fifo.pop_front() {
                 self.queued[sig as usize] = false;
-                let lvl = self.levels[sig as usize] as usize;
-                let ops_before = self.machine.counters.ops_evaluated;
-                let t0 = prof.eval_begin(lvl);
                 if self.eval_signal(sig) {
-                    self.attribute_fanouts(prof, sig, WakeCause::Output(lvl));
                     self.enqueue_fanouts(sig);
                 }
-                prof.eval_end(lvl, t0, self.machine.counters.ops_evaluated - ops_before);
             }
         }
 
@@ -235,7 +196,6 @@ impl EventDrivenSim {
                 if self.machine.run_mem_write(m, wp) {
                     let reads = std::mem::take(&mut self.mem_read_sigs[m]);
                     for &d in &reads {
-                        prof.wake_state_mem(m, self.levels[d as usize]);
                         self.enqueue(d);
                     }
                     self.mem_read_sigs[m] = reads;
@@ -246,22 +206,12 @@ impl EventDrivenSim {
             self.machine.counters.static_checks += 1;
             if self.machine.commit_reg(r) {
                 let out = self.machine.netlist.regs()[r].out;
-                self.attribute_fanouts(prof, out.0, WakeCause::Reg(r));
                 self.enqueue_fanouts(out.0);
             }
         }
         self.machine.cycle += 1;
         self.machine.counters.cycles += 1;
     }
-}
-
-/// Wake-cause tag for [`EventDrivenSim::attribute_fanouts`].
-#[derive(Clone, Copy)]
-enum WakeCause {
-    /// A changed signal at the given level (producer unit).
-    Output(usize),
-    /// A committed register (plan index = register index).
-    Reg(usize),
 }
 
 impl Simulator for EventDrivenSim {
@@ -272,48 +222,25 @@ impl Simulator for EventDrivenSim {
             "`{name}` is not an input"
         );
         if self.machine.set_value(id, &value) {
-            if let Some(mut p) = self.profile.take() {
-                for &f in &self.fanouts[id.0 as usize] {
-                    p.wake_input(id, self.levels[f as usize]);
-                }
-                self.profile = Some(p);
-            }
             self.enqueue_fanouts(id.0);
         }
     }
 
     fn step(&mut self, n: u64) -> u64 {
-        match self.profile.take() {
-            Some(mut p) => {
-                let ran = self.step_profiled(n, &mut *p);
-                self.profile = Some(p);
-                ran
+        for i in 0..n {
+            if self.machine.halted.is_some() {
+                return i;
             }
-            None => self.step_profiled(n, &mut NoProfile),
+            self.run_cycle();
         }
+        n
     }
 
     fn engine_name(&self) -> &'static str {
         "event-driven"
     }
 
-    fn profile_report(&self) -> Option<ProfileReport> {
-        self.profile.as_ref().map(|p| p.report("event-driven"))
-    }
-
     delegate_simulator_basics!();
-}
-
-impl EventDrivenSim {
-    fn step_profiled<P: Profiler>(&mut self, n: u64, prof: &mut P) -> u64 {
-        for i in 0..n {
-            if self.machine.halted.is_some() {
-                return i;
-            }
-            self.run_cycle(prof);
-        }
-        n
-    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,6 @@
 use crate::compile::{compile_full, Block, Item};
 use crate::engine::{delegate_simulator_basics, EngineConfig, Simulator};
 use crate::machine::Machine;
-use crate::profile::{NoProfile, ProfileArena, ProfileReport, ProfileWiring, Profiler};
 use crate::step1::{lower_tier1, run_tier1_raw, NoWake, Tier1Program};
 use essent_bits::Bits;
 use essent_netlist::Netlist;
@@ -23,9 +22,6 @@ pub struct FullCycleSim {
     /// Word-specialized program (`config.tier1`); no triggers to fuse in
     /// a full-cycle schedule.
     program: Option<Tier1Program>,
-    /// Telemetry arena ([`EngineConfig::profile`]): one unit covering
-    /// the whole schedule (full-cycle has no partitions to attribute).
-    profile: Option<Box<ProfileArena>>,
 }
 
 impl FullCycleSim {
@@ -43,14 +39,10 @@ impl FullCycleSim {
         let program = config
             .tier1
             .then(|| lower_tier1(&netlist, &block, &[], false));
-        let profile = config
-            .profile
-            .then(|| Box::new(ProfileArena::new(ProfileWiring::single("full"))));
         FullCycleSim {
             machine,
             block,
             program,
-            profile,
         }
     }
 
@@ -79,36 +71,10 @@ impl Simulator for FullCycleSim {
     }
 
     fn step(&mut self, n: u64) -> u64 {
-        match self.profile.take() {
-            Some(mut p) => {
-                let ran = self.step_profiled(n, &mut *p);
-                self.profile = Some(p);
-                ran
-            }
-            None => self.step_profiled(n, &mut NoProfile),
-        }
-    }
-
-    fn engine_name(&self) -> &'static str {
-        "full-cycle"
-    }
-
-    fn profile_report(&self) -> Option<ProfileReport> {
-        self.profile.as_ref().map(|p| p.report("full-cycle"))
-    }
-
-    delegate_simulator_basics!();
-}
-
-impl FullCycleSim {
-    fn step_profiled<P: Profiler>(&mut self, n: u64, prof: &mut P) -> u64 {
         for i in 0..n {
             if self.machine.halted.is_some() {
                 return i;
             }
-            prof.begin_cycle();
-            let ops_before = self.machine.counters.ops_evaluated;
-            let t0 = prof.eval_begin(0);
             match &self.program {
                 Some(prog) => {
                     let machine = &mut self.machine;
@@ -144,12 +110,17 @@ impl FullCycleSim {
                 self.machine.counters.static_checks += 1;
                 self.machine.commit_reg(r);
             }
-            prof.eval_end(0, t0, self.machine.counters.ops_evaluated - ops_before);
             self.machine.cycle += 1;
             self.machine.counters.cycles += 1;
         }
         n
     }
+
+    fn engine_name(&self) -> &'static str {
+        "full-cycle"
+    }
+
+    delegate_simulator_basics!();
 }
 
 #[cfg(test)]

@@ -37,13 +37,11 @@ use crate::compile::Block;
 use crate::engine::{delegate_simulator_basics, EngineConfig, Simulator};
 use crate::frontend::{build_plan, Frontend};
 use crate::machine::{self, Machine};
-use crate::profile::{AtomicProfile, ProfileReport, ProfileWiring};
 use crate::slots::WakeTable;
 use crate::state::StateTable;
-use crate::step1::{run_tier1_raw, AtomicFlags, ProfAtomicFlags, Tier1Program};
+use crate::step1::{run_tier1_raw, AtomicFlags, Tier1Program};
 use essent_bits::Bits;
 use essent_core::depgraph::{synthesize_dataflow, DataflowSchedule, DepGraph};
-use essent_core::partition::ActivityPrior;
 use essent_core::plan::CcssPlan;
 use essent_netlist::{Netlist, SignalDef};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -135,9 +133,6 @@ pub struct ParEssentSim {
     /// The elided registers the programs did not absorb (per partition)
     /// and the serial phase's writes and commits, pre-resolved.
     state: StateTable,
-    /// Telemetry counters ([`EngineConfig::profile`]); atomic because
-    /// workers update them concurrently through `&self`.
-    profile: Option<Box<AtomicProfile>>,
     /// Shadow memory for the dynamic race oracle
     /// ([`EngineConfig::race_sanitizer`]).
     #[cfg(feature = "race-sanitizer")]
@@ -159,22 +154,9 @@ impl ParEssentSim {
         config: &EngineConfig,
         threads: usize,
     ) -> ParEssentSim {
-        ParEssentSim::new_shared_with_prior(netlist, config, threads, None)
-    }
-
-    /// [`ParEssentSim::new_shared`] with a measured activity prior: the
-    /// partitioning gains the profile-guided merge phase, and worker
-    /// assignment weighs partitions by measured cost instead of static
-    /// step counts.
-    pub fn new_shared_with_prior(
-        netlist: Arc<Netlist>,
-        config: &EngineConfig,
-        threads: usize,
-        prior: Option<&ActivityPrior>,
-    ) -> ParEssentSim {
         // Memory-write elision off: every bank write stays in the serial
         // phase (see the module docs).
-        let mut plan = build_plan(&netlist, config, prior, false);
+        let mut plan = build_plan(&netlist, config, None, false);
         let mut machine = Machine::from_arc(Arc::clone(&netlist));
         machine.capture_printf = config.capture_printf;
         let Frontend {
@@ -184,7 +166,7 @@ impl ParEssentSim {
             wake,
             cost,
             ..
-        } = Frontend::compile(&netlist, &machine.layout, &plan, config, prior, None);
+        } = Frontend::compile(&netlist, &machine.layout, &plan, config, None, None);
 
         let np = plan.partitions.len();
 
@@ -212,9 +194,6 @@ impl ParEssentSim {
         }
         plan.attach_dataflow(dsched);
 
-        let profile = config
-            .profile
-            .then(|| Box::new(AtomicProfile::new(ProfileWiring::for_plan(&netlist, &plan))));
         // The sanitizer needs the schedule's same-cycle ordering relation
         // to tell legal handoffs from races.
         #[cfg(feature = "race-sanitizer")]
@@ -240,7 +219,6 @@ impl ParEssentSim {
             stop_probe,
             wake,
             state,
-            profile,
             #[cfg(feature = "race-sanitizer")]
             shadow,
         }
@@ -275,45 +253,26 @@ impl ParEssentSim {
         arena: ArenaPtr,
         mems: &[crate::machine::MemBank],
         ops: &mut u64,
-        prof: Option<&AtomicProfile>,
     ) {
         match &self.programs {
             Some(progs) => {
                 // Fused trigger writes go straight to the atomic flags;
                 // this engine does not track dynamic-check counts.
                 let mut dynamic = 0u64;
-                match prof {
-                    // SAFETY: the tier-1 program's footprint equals the
-                    // generic block's (R0501), which the footprint
-                    // layer proved single-writer and in-bounds (R0502,
-                    // R0504) and the schedule orders against every
-                    // overlapping partition (S0601); banks are
-                    // read-only here.
-                    Some(p) => unsafe {
-                        run_tier1_raw(
-                            &progs[sched],
-                            arena.get(),
-                            mems,
-                            &ProfAtomicFlags {
-                                flags: &self.flags,
-                                profile: p,
-                                producer: sched,
-                            },
-                            ops,
-                            &mut dynamic,
-                        )
-                    },
-                    // SAFETY: as above (R0501/R0502/R0504, S0601).
-                    None => unsafe {
-                        run_tier1_raw(
-                            &progs[sched],
-                            arena.get(),
-                            mems,
-                            &AtomicFlags(&self.flags),
-                            ops,
-                            &mut dynamic,
-                        )
-                    },
+                // SAFETY: the tier-1 program's footprint equals the
+                // generic block's (R0501), which the footprint layer
+                // proved single-writer and in-bounds (R0502, R0504) and
+                // the schedule orders against every overlapping
+                // partition (S0601); banks are read-only here.
+                unsafe {
+                    run_tier1_raw(
+                        &progs[sched],
+                        arena.get(),
+                        mems,
+                        &AtomicFlags(&self.flags),
+                        ops,
+                        &mut dynamic,
+                    )
                 }
             }
             // SAFETY: the generic block's footprint is exactly what the
@@ -346,12 +305,11 @@ impl ParEssentSim {
         mems: &[crate::machine::MemBank],
         snapshots: *mut u64,
         ops: &mut u64,
-        prof: Option<&AtomicProfile>,
     ) {
         if self.wake.plain[sched] {
             // The program is the whole wake.
             // SAFETY: forwards this function's contract.
-            unsafe { self.run_program(sched, arena, mems, ops, prof) };
+            unsafe { self.run_program(sched, arena, mems, ops) };
             return;
         }
         let outs = self.wake.outputs(sched);
@@ -371,7 +329,7 @@ impl ParEssentSim {
             }
         }
         // SAFETY: forwards this function's contract.
-        unsafe { self.run_program(sched, arena, mems, ops, prof) };
+        unsafe { self.run_program(sched, arena, mems, ops) };
         // Elided registers the program did not absorb (this engine
         // elides no memory write): private slots, single writer.
         for r in self.state.in_place(sched).1 {
@@ -390,9 +348,6 @@ impl ParEssentSim {
             if changed {
                 for &c in self.state.woken(r.wake) {
                     self.flags[c as usize].store(true, Ordering::Relaxed);
-                    if let Some(p) = prof {
-                        p.wake_state_reg(r.plan as usize, c);
-                    }
                 }
             }
         }
@@ -412,9 +367,6 @@ impl ParEssentSim {
             if cur != snap {
                 for &c in self.wake.woken(o.wake) {
                     self.flags[c as usize].store(true, Ordering::Relaxed);
-                    if let Some(p) = prof {
-                        p.wake_output(sched, c);
-                    }
                 }
             }
         }
@@ -485,9 +437,6 @@ impl ParEssentSim {
             if changed {
                 for &c in self.state.woken(w.wake) {
                     self.flags[c as usize].store(true, Ordering::Relaxed);
-                    if let Some(p) = self.profile.as_deref() {
-                        p.wake_state_mem(w.plan as usize, c);
-                    }
                 }
             }
         }
@@ -506,9 +455,6 @@ impl ParEssentSim {
             if changed {
                 for &c in self.state.woken(r.wake) {
                     self.flags[c as usize].store(true, Ordering::Relaxed);
-                    if let Some(p) = self.profile.as_deref() {
-                        p.wake_state_reg(r.plan as usize, c);
-                    }
                 }
             }
         }
@@ -595,9 +541,6 @@ impl ParEssentSim {
                 if halted.is_some() {
                     break;
                 }
-                if let Some(p) = this.profile.as_deref() {
-                    p.begin_cycle();
-                }
                 for &p in &ds.workers[0] {
                     let p = p as usize;
                     // Cheap activity test before the claiming RMW: only
@@ -613,38 +556,8 @@ impl ParEssentSim {
                             .shadow
                             .as_deref()
                             .map(|s| crate::sanitizer::enter_at(s, p as u32, epoch_base + _k));
-                        match this.profile.as_deref() {
-                            Some(prof) => {
-                                let t0 = prof.eval_begin(p);
-                                let mut part_ops = 0u64;
-                                // SAFETY: exclusive access, schedule order.
-                                unsafe {
-                                    this.eval_partition(
-                                        p,
-                                        arena,
-                                        banks,
-                                        snap_ptr.get(),
-                                        &mut part_ops,
-                                        Some(prof),
-                                    )
-                                };
-                                prof.eval_end_on(p, 0, t0, part_ops);
-                                ops0 += part_ops;
-                            }
-                            // SAFETY: exclusive access, schedule order.
-                            None => unsafe {
-                                this.eval_partition(
-                                    p,
-                                    arena,
-                                    banks,
-                                    snap_ptr.get(),
-                                    &mut ops0,
-                                    None,
-                                )
-                            },
-                        }
-                    } else if let Some(prof) = this.profile.as_deref() {
-                        prof.unit_skip(p);
+                        // SAFETY: exclusive access, schedule order.
+                        unsafe { this.eval_partition(p, arena, banks, snap_ptr.get(), &mut ops0) };
                     }
                 }
                 // SAFETY: no other worker exists.
@@ -738,35 +651,11 @@ impl ParEssentSim {
                         .shadow
                         .as_deref()
                         .map(|s| crate::sanitizer::enter_at(s, p as u32, epoch_base + k));
-                    match this.profile.as_deref() {
-                        Some(prof) => {
-                            let t0 = prof.eval_begin(p);
-                            let mut part_ops = 0u64;
-                            // SAFETY: every cross-partition footprint
-                            // overlap is covered by a wait edge passed
-                            // above (S0601), and cross-cycle overlap
-                            // only pairs footprint-disjoint partitions
-                            // (S0602/S0604).
-                            unsafe {
-                                this.eval_partition(
-                                    p,
-                                    arena,
-                                    banks,
-                                    snap_ptr.get(),
-                                    &mut part_ops,
-                                    Some(prof),
-                                )
-                            };
-                            prof.eval_end_on(p, tid as u32, t0, part_ops);
-                            *ops += part_ops;
-                        }
-                        // SAFETY: as above (S0601/S0602/S0604 cover).
-                        None => unsafe {
-                            this.eval_partition(p, arena, banks, snap_ptr.get(), ops, None)
-                        },
-                    }
-                } else if let Some(prof) = this.profile.as_deref() {
-                    prof.unit_skip(p);
+                    // SAFETY: every cross-partition footprint overlap is
+                    // covered by a wait edge passed above (S0601), and
+                    // cross-cycle overlap only pairs footprint-disjoint
+                    // partitions (S0602/S0604).
+                    unsafe { this.eval_partition(p, arena, banks, snap_ptr.get(), ops) };
                 }
                 // Publish a halt bound for any owned stop bits BEFORE
                 // `done[p]`, so every wait on `done[p] >= k` also sees
@@ -806,9 +695,6 @@ impl ParEssentSim {
 
             let mut ops0 = 0u64;
             for k in 1..=n {
-                if let Some(p) = this.profile.as_deref() {
-                    p.begin_cycle();
-                }
                 if !sweep(0, k, &mut ops0) {
                     break;
                 }
@@ -880,9 +766,6 @@ impl Simulator for ParEssentSim {
         if self.machine.set_value(id, &value) {
             for &c in self.wake.input_wakes(id) {
                 self.flags[c as usize].store(true, Ordering::Relaxed);
-                if let Some(p) = self.profile.as_deref() {
-                    p.wake_input(id, c);
-                }
             }
         }
     }
@@ -896,10 +779,6 @@ impl Simulator for ParEssentSim {
 
     fn engine_name(&self) -> &'static str {
         "essent-dataflow"
-    }
-
-    fn profile_report(&self) -> Option<ProfileReport> {
-        self.profile.as_ref().map(|p| p.report("essent-dataflow"))
     }
 
     delegate_simulator_basics!();

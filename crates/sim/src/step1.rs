@@ -320,7 +320,7 @@ pub trait FlagSink {
 
     /// A changed register (plan index `reg_plan`) wakes `consumer`; the
     /// same flag write, attributed to the state element by the
-    /// profiling sinks.
+    /// profiling sink.
     #[inline(always)]
     fn wake_state(&self, _reg_plan: u32, consumer: u32) {
         self.wake(consumer);
@@ -371,15 +371,13 @@ impl FlagSink for AtomicFlags<'_> {
 
 /// [`CellFlags`] plus wake attribution: charges each fused output wake
 /// to the producing partition (`caused`) and the woken consumer
-/// (`woke`), and each commit wake to the register's state-cause slot
-/// and the consumer's `woke_state`. The enabled arm of the profiler's
-/// monomorphized tier dispatch.
+/// (`woke`), and each commit wake to the register's plan (`state_causes`
+/// is indexed by register-plan index) and the consumer's `woke_state`.
+/// The enabled arm of the profiler's monomorphized tier dispatch.
 pub struct ProfCellFlags<'a> {
     pub flags: &'a [Cell<u64>],
     pub caused: &'a Cell<u64>,
     pub woke: &'a [Cell<u64>],
-    /// Register-plan index → slot of `state_causes`.
-    pub reg_slot: &'a [u32],
     pub state_causes: &'a [Cell<u64>],
     pub woke_state: &'a [Cell<u64>],
 }
@@ -400,30 +398,8 @@ impl FlagSink for ProfCellFlags<'_> {
     #[inline(always)]
     fn wake_state(&self, reg_plan: u32, consumer: u32) {
         wake_bit(self.flags, consumer);
-        bump(&self.state_causes[self.reg_slot[reg_plan as usize] as usize]);
+        bump(&self.state_causes[reg_plan as usize]);
         bump(&self.woke_state[consumer as usize]);
-    }
-}
-
-/// [`AtomicFlags`] plus wake attribution through the parallel engine's
-/// profile counters, for partition `producer`'s profiled tier path.
-pub struct ProfAtomicFlags<'a> {
-    pub flags: &'a [AtomicBool],
-    pub profile: &'a crate::profile::AtomicProfile,
-    pub producer: usize,
-}
-
-impl FlagSink for ProfAtomicFlags<'_> {
-    #[inline(always)]
-    fn wake(&self, consumer: u32) {
-        self.flags[consumer as usize].store(true, Ordering::Relaxed);
-        self.profile.wake_output(self.producer, consumer);
-    }
-
-    #[inline(always)]
-    fn wake_state(&self, reg_plan: u32, consumer: u32) {
-        self.flags[consumer as usize].store(true, Ordering::Relaxed);
-        self.profile.wake_state_reg(reg_plan as usize, consumer);
     }
 }
 

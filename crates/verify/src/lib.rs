@@ -6,7 +6,7 @@
 //! own `check`/`validate` paths, so a bug in plan construction and a bug
 //! in its self-checks cannot cancel out.
 //!
-//! Nine layers, each a standalone pass producing a structured
+//! Eight layers, each a standalone pass producing a structured
 //! [`Report`] of coded [`Diagnostic`]s:
 //!
 //! | layer | entry point | codes |
@@ -14,7 +14,6 @@
 //! | netlist lints | [`lint_netlist`] | `L____` |
 //! | schedule verifier | [`check_plan`] | `V____` |
 //! | bytecode verifier | [`check_layout`] / [`check_blocks`] | `B____` |
-//! | profiler wiring | [`check_profile`] | `P____` |
 //! | profile feedback | [`check_activity_merge`] / [`check_cost_model`] | `F____` |
 //! | footprint / race freedom | [`check_footprint`] | `R____` |
 //! | dependence / dataflow schedule | [`check_depgraph`] | `S____` |
@@ -34,7 +33,6 @@ pub mod feedback;
 pub mod footprint;
 pub mod jit;
 pub mod lint;
-pub mod profile;
 pub mod schedule;
 pub mod wake;
 
@@ -47,7 +45,6 @@ pub use feedback::{check_activity_merge, check_cost_model};
 pub use footprint::{check_footprint, Footprint, WordSet};
 pub use jit::check_jit;
 pub use lint::lint_netlist;
-pub use profile::check_profile;
 pub use schedule::check_plan;
 pub use wake::check_wake_table;
 
@@ -95,15 +92,6 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
     // dataflow engine's, memory-write elision off, is audited below).
     let plan = build_plan(netlist, config, None, config.elide_state);
     report.merge(check_plan(netlist, &plan));
-    // Audit the exact attribution tables the engines would profile with
-    // (built by the same constructor), whether or not profiling is on:
-    // the wiring is pure plan metadata and a bug in it should surface in
-    // every verify run, not only profiled ones.
-    report.merge(check_profile(
-        netlist,
-        &plan,
-        &essent_sim::ProfileWiring::for_plan(netlist, &plan),
-    ));
     let layout = Layout::new(netlist);
     report.merge(check_layout(netlist, &layout));
     // Compile and lower through the engines' own front end, then audit
@@ -135,7 +123,7 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
     // Exercised with a synthetic all-hot prior — the adversarial corner
     // where every legal hot merge fires — so the layer runs on every
     // design, profile data or not. The repartitioned plan must re-prove
-    // the full V01xx/P03xx stack unchanged.
+    // the full V01xx stack unchanged.
     let (dag, writes) = extended_dag(netlist);
     let prior = ActivityPrior::uniform(dag.node_count(), 1.0);
     let params = ActivityMergeParams::for_cp(config.c_p);
@@ -146,11 +134,6 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
     let fb_plan =
         CcssPlan::from_partitioning(netlist, &dag, &writes, &merged, PlanOptions::default());
     report.merge(check_plan(netlist, &fb_plan));
-    report.merge(check_profile(
-        netlist,
-        &fb_plan,
-        &essent_sim::ProfileWiring::for_plan(netlist, &fb_plan),
-    ));
 
     // --- R05: footprint / race-freedom layer -------------------------
     // Analyzed over the exact plan shape the parallel engine runs:

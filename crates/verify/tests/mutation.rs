@@ -511,108 +511,12 @@ fn unreachable_mux_way_is_l0009() {
     assert_only_analysis_code(&lint_netlist(&netlist), codes::UNREACHABLE_MUX_WAY);
 }
 
-/// A registered design with a memory write port, so the profiler wiring
-/// has entries in every attribution table: units, register slots,
-/// memory-write slots, and input slots — the stage for wiring mutations.
+/// A registered design with a memory write port: register and
+/// memory-write plans, a memory read, and waking inputs.
 fn memful() -> Netlist {
     build(
         "circuit memful :\n  module memful :\n    input clock : Clock\n    input a : UInt<8>\n    input we : UInt<1>\n    output o : UInt<8>\n    mem m :\n      data-type => UInt<8>\n      depth => 8\n      read-latency => 0\n      write-latency => 1\n      reader => rd\n      writer => wr\n      read-under-write => undefined\n    reg r : UInt<3>, clock\n    r <= tail(add(r, UInt<3>(1)), 1)\n    m.rd.clk <= clock\n    m.rd.en <= UInt<1>(1)\n    m.rd.addr <= r\n    m.wr.clk <= clock\n    m.wr.en <= we\n    m.wr.addr <= r\n    m.wr.data <= a\n    m.wr.mask <= UInt<1>(1)\n    o <= m.rd.data\n",
     )
-}
-
-/// A wiring built by the engines' constructor plus the plan it claims to
-/// describe — the starting point every wiring mutation corrupts.
-fn wiring_setup(netlist: &Netlist, c_p: usize) -> (CcssPlan, essent_sim::ProfileWiring) {
-    let plan = CcssPlan::build(netlist, c_p);
-    let wiring = essent_sim::ProfileWiring::for_plan(netlist, &plan);
-    (plan, wiring)
-}
-
-#[test]
-fn pristine_profile_wirings_verify_clean() {
-    for netlist in [chain(), diamond(), reg_late_readers(), memful()] {
-        for c_p in [1, 2, 64] {
-            let (plan, wiring) = wiring_setup(&netlist, c_p);
-            let report = essent_verify::check_profile(&netlist, &plan, &wiring);
-            assert_eq!(report.error_count(), 0, "c_p={c_p}:\n{report}");
-        }
-    }
-}
-
-#[test]
-fn off_by_one_producer_attribution_is_p0302() {
-    let netlist = diamond();
-    let (plan, mut wiring) = wiring_setup(&netlist, 1);
-    assert!(wiring.producer_slot.len() >= 2, "need multiple partitions");
-    // Shift every producer's slot down one (wrapping): classic off-by-one
-    // that charges each partition's wakes to its schedule predecessor.
-    let n = wiring.producer_slot.len() as u32;
-    for s in &mut wiring.producer_slot {
-        *s = (*s + n - 1) % n;
-    }
-    let report = essent_verify::check_profile(&netlist, &plan, &wiring);
-    assert!(report.contains(codes::PROFILE_MISATTRIBUTION), "{report}");
-    assert!(!report.contains(codes::PROFILE_SLOT_RANGE), "{report}");
-}
-
-#[test]
-fn reg_mem_slot_collision_is_p0303() {
-    let netlist = memful();
-    let (plan, mut wiring) = wiring_setup(&netlist, 1);
-    assert!(
-        !wiring.reg_slot.is_empty() && !wiring.mem_slot.is_empty(),
-        "memful design has both register and memory-write plans"
-    );
-    // Point the memory-write plan at the register's slot: both causes
-    // would silently accumulate into one count.
-    wiring.mem_slot[0] = wiring.reg_slot[0];
-    let report = essent_verify::check_profile(&netlist, &plan, &wiring);
-    assert!(report.contains(codes::PROFILE_SLOT_ALIAS), "{report}");
-    // The collision is also a misattribution of the mem plan.
-    assert!(report.contains(codes::PROFILE_MISATTRIBUTION), "{report}");
-}
-
-#[test]
-fn truncated_unit_table_is_p0301() {
-    let netlist = diamond();
-    let (plan, mut wiring) = wiring_setup(&netlist, 1);
-    wiring.unit_names.pop();
-    let report = essent_verify::check_profile(&netlist, &plan, &wiring);
-    assert!(report.contains(codes::PROFILE_UNIT_COUNT), "{report}");
-}
-
-#[test]
-fn out_of_range_state_slot_is_p0304() {
-    let netlist = memful();
-    let (plan, mut wiring) = wiring_setup(&netlist, 1);
-    let n_state = wiring.state_names.len() as u32;
-    wiring.reg_slot[0] = n_state + 3;
-    let report = essent_verify::check_profile(&netlist, &plan, &wiring);
-    assert!(report.contains(codes::PROFILE_SLOT_RANGE), "{report}");
-}
-
-#[test]
-fn aliased_input_slots_are_p0303() {
-    let netlist = diamond();
-    let (plan, mut wiring) = wiring_setup(&netlist, 1);
-    assert!(
-        wiring.input_slot.len() >= 2,
-        "diamond has two waking inputs"
-    );
-    let shared = wiring.input_slot[0].1;
-    wiring.input_slot[1].1 = shared;
-    let report = essent_verify::check_profile(&netlist, &plan, &wiring);
-    assert!(report.contains(codes::PROFILE_SLOT_ALIAS), "{report}");
-}
-
-#[test]
-fn dropped_input_slot_is_p0301() {
-    let netlist = diamond();
-    let (plan, mut wiring) = wiring_setup(&netlist, 1);
-    wiring.input_slot.pop();
-    wiring.input_names.pop();
-    let report = essent_verify::check_profile(&netlist, &plan, &wiring);
-    assert!(report.contains(codes::PROFILE_UNIT_COUNT), "{report}");
 }
 
 #[test]
