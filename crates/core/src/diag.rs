@@ -57,10 +57,11 @@ impl fmt::Display for DiagCode {
 
 /// The stable code table. Families: `L____` netlist lints, `V____`
 /// schedule (plan) invariants, `B____` compiled bytecode invariants,
-/// `P____` profiler wiring invariants, `F____` profile-feedback
-/// (activity repartitioning / level scheduling) invariants, `R____`
-/// footprint / race-freedom invariants, `S____` dependence /
-/// dataflow-schedule invariants.
+/// `F____` cost-table invariants, `R____` footprint / race-freedom
+/// invariants, `S____` dependence / dataflow-schedule invariants,
+/// `M____` testbench memory references, `J____` native-code emission
+/// invariants, `X____` wake-table and batched-lane invariants (`P____`
+/// is retired).
 pub mod codes {
     use super::DiagCode;
 
@@ -153,13 +154,11 @@ pub mod codes {
     // plan's own numbering, so there is no table to audit and the layer
     // went with it; the numbers are not reused.
 
-    // --- F: profile-feedback invariants -----------------------------------
-    /// An activity-guided merge violated a side condition: a cold
-    /// endpoint, a size-cap overflow, an illegal (cycle-inducing) pair,
-    /// or a final assignment that the audited merge log cannot reproduce.
-    pub const ACTIVITY_SIDE_CONDITION: DiagCode = DiagCode::new("F0401", "activity-side-condition");
-    // F0402 (bin-cover) audited the barrier-per-level LPT schedule and
-    // went with it; the number is not reused.
+    // --- F: cost-model invariants -----------------------------------------
+    // F0401 (activity-side-condition) replayed the profile-guided
+    // repartitioning's merge log and went with it; F0402 (bin-cover)
+    // audited the barrier-per-level LPT schedule and went with it. The
+    // numbers are not reused.
     /// The per-partition cost table is malformed: wrong cardinality or a
     /// non-positive entry (a zero cost makes the partition free to the
     /// dataflow worker assignment and invisible to JIT selection).

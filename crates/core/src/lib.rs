@@ -22,13 +22,6 @@
 //! 4. merges remaining **small partitions with any sibling**, maximizing
 //!    the fraction of shared input signals.
 //!
-//! When measured activity is available ([`partition::ActivityPrior`],
-//! projected back from a profiled run), a fourth **profile-guided**
-//! phase ([`partition::activity_merge`]) additionally merges
-//! directly-connected partitions that are both almost always active —
-//! their trigger traffic never buys a skip — under the same legality
-//! test, and returns a merge log `essent-verify` replays (F0401).
-//!
 //! Every candidate merge is validated by the external-path test extended
 //! from Herrmann et al. ([`legality`]): *partitions A and B can be merged
 //! iff there is no path between them through nodes outside both*.
@@ -72,8 +65,5 @@ pub mod plan;
 pub use dag::DagView;
 pub use depgraph::{synthesize_dataflow, DataflowSchedule, DepGraph};
 pub use diag::{DiagCode, Diagnostic, Report, Severity};
-pub use partition::{
-    activity_merge, partition, partition_with_prior, ActivityMergeParams, ActivityMergeRecord,
-    ActivityPrior, PartitionStats, Partitioning,
-};
+pub use partition::{partition, PartitionStats, Partitioning};
 pub use plan::CcssPlan;

@@ -18,16 +18,6 @@
 //! legality test ([`crate::legality`]), which guarantees the partition
 //! graph stays acyclic — the property that makes a singular static
 //! schedule possible.
-//!
-//! A fourth, **profile-guided** phase ([`activity_merge`]) runs after
-//! the structural phases when an [`ActivityPrior`] carries measured
-//! per-node activity: directly-connected partitions that are *both*
-//! almost always active merge (their trigger traffic is pure overhead —
-//! the consumer re-evaluates every cycle anyway), while rarely-co-active
-//! pairs are left apart so skipping keeps paying. The phase proves the
-//! same side conditions as B and C (external-path legality, hence
-//! acyclicity) plus its own hot-threshold and size-cap conditions, and
-//! returns a replayable merge log that `essent-verify` audits (F0401).
 
 use crate::dag::DagView;
 use crate::diag::{codes, Diagnostic, Report};
@@ -431,254 +421,6 @@ pub fn merge_small_into_any_sibling(parts: &mut Partitioning, dag: &DagView, c_p
     }
 }
 
-/// Measured (or assumed) per-node activity, the input to the
-/// profile-guided merge phase and the parallel level scheduler.
-///
-/// Rates and costs are indexed by extended-DAG node so the prior
-/// survives repartitioning: a profile taken against one plan's schedule
-/// units is projected down to the member nodes, and any later
-/// partitioning re-aggregates it per partition. `NaN` marks an unknown
-/// rate and `0.0` an unknown cost — a prior built by
-/// [`ActivityPrior::neutral`] therefore drives no merges at all and
-/// leaves cost-model consumers on their static fallback.
-#[derive(Debug, Clone)]
-pub struct ActivityPrior {
-    /// Per node: fraction of cycles the node's owning schedule unit was
-    /// evaluated (`evals / (evals + skips)`), in `[0, 1]`; `NaN` =
-    /// unknown.
-    rate: Vec<f64>,
-    /// Per node: estimated eval ticks attributed to the node over the
-    /// whole profiled run (the owning unit's estimated time split across
-    /// its members); `0.0` = unknown.
-    cost: Vec<f64>,
-}
-
-impl ActivityPrior {
-    /// A prior with no information: all rates unknown, all costs zero.
-    pub fn neutral(nodes: usize) -> ActivityPrior {
-        ActivityPrior {
-            rate: vec![f64::NAN; nodes],
-            cost: vec![0.0; nodes],
-        }
-    }
-
-    /// A prior asserting the same activity rate for every node (the
-    /// adversarial all-zero / all-hot corners use this).
-    pub fn uniform(nodes: usize, rate: f64) -> ActivityPrior {
-        ActivityPrior {
-            rate: vec![rate; nodes],
-            cost: vec![0.0; nodes],
-        }
-    }
-
-    /// Number of nodes the prior describes.
-    pub fn len(&self) -> usize {
-        self.rate.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rate.is_empty()
-    }
-
-    /// `true` when no node carries a known rate or cost — feedback with
-    /// such a prior is a guaranteed no-op on the partitioning.
-    pub fn is_neutral(&self) -> bool {
-        self.rate.iter().all(|r| r.is_nan()) && self.cost.iter().all(|&c| c == 0.0)
-    }
-
-    /// Records measured activity for one node.
-    pub fn set_node(&mut self, node: usize, rate: f64, cost: f64) {
-        self.rate[node] = rate;
-        self.cost[node] = cost;
-    }
-
-    /// The recorded rate of a node (`NaN` if unknown).
-    pub fn node_rate(&self, node: usize) -> f64 {
-        self.rate[node]
-    }
-
-    /// The recorded cost of a node (`0.0` if unknown).
-    pub fn node_cost(&self, node: usize) -> f64 {
-        self.cost[node]
-    }
-
-    /// Aggregate activity rate of a partition: the mean over members
-    /// with a known rate, `NaN` when no member has one. An unknown
-    /// member does not dilute the mean — a partition is only as hot as
-    /// what was actually measured of it.
-    pub fn part_rate(&self, parts: &Partitioning, partition: usize) -> f64 {
-        let mut sum = 0.0;
-        let mut known = 0usize;
-        for &node in parts.members(partition) {
-            let r = self.rate.get(node).copied().unwrap_or(f64::NAN);
-            if !r.is_nan() {
-                sum += r;
-                known += 1;
-            }
-        }
-        if known == 0 {
-            f64::NAN
-        } else {
-            sum / known as f64
-        }
-    }
-
-    /// Aggregate estimated cost of a partition (sum of member costs).
-    pub fn part_cost(&self, parts: &Partitioning, partition: usize) -> f64 {
-        parts
-            .members(partition)
-            .iter()
-            .map(|&n| self.cost.get(n).copied().unwrap_or(0.0))
-            .sum()
-    }
-}
-
-/// Tuning knobs for [`activity_merge`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ActivityMergeParams {
-    /// Both endpoints of a merge must show at least this activity rate.
-    /// Merging anything cooler trades away skippability for nothing.
-    pub hot_threshold: f64,
-    /// Merged partitions may not exceed this many nodes — always-active
-    /// regions must not snowball into one straggler that serializes the
-    /// parallel schedule.
-    pub max_size: usize,
-}
-
-impl ActivityMergeParams {
-    /// Defaults scaled from the coarsening threshold: hot means "active
-    /// ≥ 90% of cycles", and merged partitions stay within `8 × C_p`
-    /// nodes.
-    pub fn for_cp(c_p: usize) -> ActivityMergeParams {
-        ActivityMergeParams {
-            hot_threshold: 0.9,
-            max_size: 8 * c_p.max(1),
-        }
-    }
-}
-
-/// One applied activity merge, in application order. The log is the
-/// verifier's replay script: starting from the structural partitioning,
-/// re-applying each record must reproduce the final assignment with
-/// every side condition holding at its point in the sequence.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ActivityMergeRecord {
-    /// The surviving partition.
-    pub kept: usize,
-    /// The partition merged into `kept` (dead afterwards).
-    pub absorbed: usize,
-    /// Aggregate rates of the two partitions at merge time.
-    pub rate_kept: f64,
-    pub rate_absorbed: f64,
-}
-
-/// Phase D: merge directly-connected partition pairs whose measured
-/// activity shows *correlated, near-permanent* activation.
-///
-/// When producer and consumer are both hot (rate ≥
-/// [`ActivityMergeParams::hot_threshold`]), the cut edge between them is
-/// pure overhead — the output snapshot, compare, and flag store fire
-/// every cycle and never buy a skip — so the pair merges, subject to the
-/// same external-path legality test the structural phases use plus a
-/// size cap. Pairs with an unknown or cold endpoint are left alone:
-/// `NaN` rates (the neutral prior) match no threshold, making the phase
-/// a guaranteed no-op without profile data.
-///
-/// Candidates are scored by `(min endpoint rate, eliminated cut edges)`
-/// and applied greedily until a fixpoint, mirroring phase B's loop
-/// structure. Returns the applied merges in order.
-pub fn activity_merge(
-    parts: &mut Partitioning,
-    prior: &ActivityPrior,
-    params: &ActivityMergeParams,
-) -> Vec<ActivityMergeRecord> {
-    let mut log = Vec::new();
-    loop {
-        // Enumerate hot directly-connected pairs. Rates are recomputed
-        // each round: a merge changes the aggregate of the survivor.
-        // `NaN` rates (unknown) fail the `hot` test by construction.
-        let hot = |r: f64| !r.is_nan() && r >= params.hot_threshold;
-        let mut candidates: Vec<(f64, usize, usize, usize)> = Vec::new();
-        for p in parts.live_partitions() {
-            let rate_p = prior.part_rate(parts, p);
-            if !hot(rate_p) {
-                continue;
-            }
-            for &q in parts.succs[p].iter() {
-                if !parts.is_alive(q) {
-                    continue;
-                }
-                let rate_q = prior.part_rate(parts, q);
-                if !hot(rate_q) {
-                    continue;
-                }
-                if parts.members(p).len() + parts.members(q).len() > params.max_size {
-                    continue;
-                }
-                let shared = parts.preds[p].intersection(&parts.preds[q]).count();
-                let direct = 1 + parts.succs[q].contains(&p) as usize;
-                candidates.push((rate_p.min(rate_q), shared + direct, p, q));
-            }
-        }
-        if candidates.is_empty() {
-            return log;
-        }
-        // Hottest pair first, then most cut edges eliminated; ids break
-        // ties so the phase is deterministic.
-        candidates.sort_by(|a, b| {
-            b.0.total_cmp(&a.0)
-                .then(b.1.cmp(&a.1))
-                .then(a.2.cmp(&b.2))
-                .then(a.3.cmp(&b.3))
-        });
-        let mut merged_any = false;
-        for (_rate, _score, a, b) in candidates {
-            if !parts.is_alive(a) || !parts.is_alive(b) {
-                continue;
-            }
-            // Re-check the side conditions: earlier merges this round may
-            // have grown or cooled either endpoint.
-            let rate_a = prior.part_rate(parts, a);
-            let rate_b = prior.part_rate(parts, b);
-            if !hot(rate_a) || !hot(rate_b) {
-                continue;
-            }
-            if parts.members(a).len() + parts.members(b).len() > params.max_size {
-                continue;
-            }
-            if legality::merge_legal(parts, a, b) {
-                parts.merge(a, b);
-                log.push(ActivityMergeRecord {
-                    kept: a,
-                    absorbed: b,
-                    rate_kept: rate_a,
-                    rate_absorbed: rate_b,
-                });
-                merged_any = true;
-            }
-        }
-        if !merged_any {
-            return log;
-        }
-    }
-}
-
-/// Runs the full partitioner including the profile-guided phase D, and
-/// returns the replayable merge log alongside the partitioning.
-///
-/// With a neutral prior the result is identical to [`partition`] and the
-/// log is empty.
-pub fn partition_with_prior(
-    dag: &DagView,
-    c_p: usize,
-    prior: &ActivityPrior,
-    params: &ActivityMergeParams,
-) -> (Partitioning, Vec<ActivityMergeRecord>) {
-    let mut parts = partition(dag, c_p);
-    let log = activity_merge(&mut parts, prior, params);
-    (parts, log)
-}
-
 /// Enumerates sibling pairs `(score, a, b)` where both are small (and,
 /// when `both_small`, both below `c_p`). Score = shared parents + direct
 /// partition edges between the two.
@@ -771,109 +513,6 @@ mod tests {
         assert!(!parts.is_alive(2));
         assert_eq!(parts.part_of(2), 1);
         assert!(parts.check(&dag).is_clean());
-    }
-
-    /// A chain of three singleton partitions, all hot: phase D should
-    /// collapse the hot pairs while legality keeps the result acyclic.
-    #[test]
-    fn activity_merge_collapses_hot_chain() {
-        let dag = DagView::from_edges(3, &[(0, 1), (1, 2)]);
-        let mut parts = Partitioning::from_assignment(vec![0, 1, 2], 3);
-        parts.attach(&dag);
-        let prior = ActivityPrior::uniform(3, 1.0);
-        let params = ActivityMergeParams {
-            hot_threshold: 0.9,
-            max_size: 8,
-        };
-        let log = activity_merge(&mut parts, &prior, &params);
-        assert_eq!(parts.live_partitions().count(), 1);
-        assert_eq!(log.len(), 2);
-        assert!(parts.check(&dag).is_clean());
-        for rec in &log {
-            assert!(rec.rate_kept >= params.hot_threshold);
-            assert!(rec.rate_absorbed >= params.hot_threshold);
-        }
-    }
-
-    /// A cold endpoint blocks the merge: only the hot-hot edge goes.
-    #[test]
-    fn activity_merge_keeps_cold_partitions_apart() {
-        let dag = DagView::from_edges(3, &[(0, 1), (1, 2)]);
-        let mut parts = Partitioning::from_assignment(vec![0, 1, 2], 3);
-        parts.attach(&dag);
-        let mut prior = ActivityPrior::neutral(3);
-        prior.set_node(0, 1.0, 0.0);
-        prior.set_node(1, 0.95, 0.0);
-        prior.set_node(2, 0.05, 0.0); // rarely active: must stay skippable
-        let log = activity_merge(&mut parts, &prior, &ActivityMergeParams::for_cp(8));
-        assert_eq!(log.len(), 1);
-        assert_eq!((log[0].kept, log[0].absorbed), (0, 1));
-        assert!(parts.is_alive(2), "cold partition must survive");
-        assert!(parts.check(&dag).is_clean());
-    }
-
-    /// Neutral and all-zero priors drive no merges at all.
-    #[test]
-    fn activity_merge_noop_without_heat() {
-        let dag = DagView::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        for prior in [ActivityPrior::neutral(4), ActivityPrior::uniform(4, 0.0)] {
-            let (parts, log) =
-                partition_with_prior(&dag, 1, &prior, &ActivityMergeParams::for_cp(1));
-            assert!(log.is_empty());
-            assert_eq!(parts.assignment(), partition(&dag, 1).assignment());
-        }
-        assert!(ActivityPrior::neutral(4).is_neutral());
-        assert!(!ActivityPrior::uniform(4, 0.0).is_neutral());
-    }
-
-    /// The size cap stops hot regions from snowballing.
-    #[test]
-    fn activity_merge_respects_size_cap() {
-        // A hot chain of 4 singletons with max_size 2: only disjoint
-        // pairs may merge, never a partition of 3+.
-        let dag = DagView::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let mut parts = Partitioning::from_assignment(vec![0, 1, 2, 3], 4);
-        parts.attach(&dag);
-        let prior = ActivityPrior::uniform(4, 1.0);
-        let params = ActivityMergeParams {
-            hot_threshold: 0.5,
-            max_size: 2,
-        };
-        activity_merge(&mut parts, &prior, &params);
-        for p in parts.live_partitions() {
-            assert!(parts.members(p).len() <= 2);
-        }
-        assert!(parts.check(&dag).is_clean());
-    }
-
-    /// Figure 2 shape, everything hot: phase D must not take the
-    /// cycle-inducing merge even though the activity score wants it.
-    #[test]
-    fn activity_merge_refuses_illegal_pairs() {
-        let dag = DagView::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let mut parts = Partitioning::from_assignment(vec![0, 1, 2, 3], 4);
-        parts.attach(&dag);
-        let prior = ActivityPrior::uniform(4, 1.0);
-        let params = ActivityMergeParams {
-            hot_threshold: 0.5,
-            max_size: 4,
-        };
-        activity_merge(&mut parts, &prior, &params);
-        assert!(parts.check(&dag).is_clean());
-    }
-
-    /// Partition aggregates: unknown members don't dilute the mean.
-    #[test]
-    fn prior_aggregation_ignores_unknowns() {
-        let dag = DagView::from_edges(3, &[(0, 1), (0, 2)]);
-        let mut parts = Partitioning::from_assignment(vec![0, 0, 0], 1);
-        parts.attach(&dag);
-        let mut prior = ActivityPrior::neutral(3);
-        prior.set_node(0, 0.8, 10.0);
-        prior.set_node(2, 0.4, 6.0);
-        assert!((prior.part_rate(&parts, 0) - 0.6).abs() < 1e-12);
-        assert!((prior.part_cost(&parts, 0) - 16.0).abs() < 1e-12);
-        assert!(ActivityPrior::neutral(2).part_rate(&parts, 0).is_nan());
     }
 
     #[test]

@@ -139,7 +139,7 @@ impl BatchSim {
 
     /// [`BatchSim::new`] over an already-shared netlist (no deep clone).
     pub fn new_shared(netlist: Arc<Netlist>, config: &EngineConfig) -> BatchSim {
-        let plan = build_plan(&netlist, config, None, config.elide_state);
+        let plan = build_plan(&netlist, config, config.elide_state);
         BatchSim::from_plan_shared(netlist, plan, config)
     }
 
@@ -165,7 +165,7 @@ impl BatchSim {
             state,
             wake,
             ..
-        } = Frontend::compile(&netlist, &layout, &plan, config, None, None);
+        } = Frontend::compile(&netlist, &layout, &plan, config, None);
         let generic_rw: Vec<Vec<ItemRw>> = match &programs {
             Some(progs) => progs
                 .iter()

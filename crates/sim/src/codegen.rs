@@ -8,10 +8,10 @@
 //! into its consumers' flags (branchless), plus an `eval()` walking the
 //! static schedule and a `cycle()` wrapper committing non-elided state.
 //!
-//! With [`EngineConfig::cold_path_hints`] enabled, reset-selected mux
-//! ways and side-effect blocks are annotated `[[unlikely]]` — the paper's
-//! branch hints that let the compiler separate cold code and shrink the
-//! effective instruction working set (Section III-B2).
+//! Reset-selected mux ways and side-effect blocks are annotated
+//! `[[unlikely]]` — the paper's branch hints that let the compiler
+//! separate cold code and shrink the effective instruction working set
+//! (Section III-B2).
 //!
 //! The generator supports designs whose signals are at most 64 bits wide
 //! (the evaluation designs satisfy this); the interpreter engines have no
@@ -122,7 +122,7 @@ pub fn emit_cpp(netlist: &Netlist, config: &EngineConfig) -> Result<String, Code
             let _ = writeln!(w, "    const uint64_t old_{n} = {n};");
         }
         for &m in &part.members {
-            emit_signal_eval(w, netlist, m, config);
+            emit_signal_eval(w, netlist, m);
         }
         // Memory writes precede register updates by convention only: the
         // plan keeps a register two-phase when a write elided into this
@@ -179,11 +179,6 @@ pub fn emit_cpp(netlist: &Netlist, config: &EngineConfig) -> Result<String, Code
     // --- cycle: eval + side effects + non-elided commits. ---
     let _ = writeln!(w, "  void cycle() {{");
     let _ = writeln!(w, "    eval();");
-    let unlikely = if config.cold_path_hints {
-        " [[unlikely]]"
-    } else {
-        ""
-    };
     for p in netlist.printfs() {
         let en = field(&netlist.signal(p.en).name);
         let args: Vec<String> = p
@@ -192,7 +187,7 @@ pub fn emit_cpp(netlist: &Netlist, config: &EngineConfig) -> Result<String, Code
             .map(|a| field(&netlist.signal(*a).name))
             .collect();
         let fmt_c = printf_to_c(&p.fmt);
-        let _ = write!(w, "    if ({en} & 1){unlikely} printf(\"{fmt_c}\"");
+        let _ = write!(w, "    if ({en} & 1) [[unlikely]] printf(\"{fmt_c}\"");
         for a in &args {
             let _ = write!(w, ", (unsigned long long){a}");
         }
@@ -202,7 +197,7 @@ pub fn emit_cpp(netlist: &Netlist, config: &EngineConfig) -> Result<String, Code
         let en = field(&netlist.signal(s.en).name);
         let _ = writeln!(
             w,
-            "    if ({en} & 1){unlikely} {{ done = true; stop_code = {}; }}",
+            "    if ({en} & 1) [[unlikely]] {{ done = true; stop_code = {}; }}",
             s.code
         );
     }
@@ -256,7 +251,7 @@ fn emit_mem_write(w: &mut String, netlist: &Netlist, plan: &CcssPlan, wi: usize,
 }
 
 /// Emits `    name = <expr>;` for one computed signal.
-fn emit_signal_eval(w: &mut String, netlist: &Netlist, sig: SignalId, config: &EngineConfig) {
+fn emit_signal_eval(w: &mut String, netlist: &Netlist, sig: SignalId) {
     let s = netlist.signal(sig);
     let dst = field(&s.name);
     match &s.def {
@@ -265,7 +260,7 @@ fn emit_signal_eval(w: &mut String, netlist: &Netlist, sig: SignalId, config: &E
             // Cold-path hint heuristic: a mux selected by a reset-named
             // signal gets its taken-way marked unlikely via a plain
             // conditional instead of the ternary.
-            if config.cold_path_hints && op.kind == OpKind::Mux {
+            if op.kind == OpKind::Mux {
                 let sel = &netlist.signal(op.args[0]).name;
                 if sel.contains("reset") {
                     let sel_f = field(sel);
@@ -540,19 +535,13 @@ mod tests {
     }
 
     #[test]
-    fn cold_path_hints_toggle_unlikely() {
+    fn cold_paths_are_marked_unlikely() {
         let n = netlist_of(COUNTER);
-        let with_hints = emit_cpp(&n, &EngineConfig::default()).unwrap();
-        let without = emit_cpp(
-            &n,
-            &EngineConfig {
-                cold_path_hints: false,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(with_hints.contains("[[unlikely]]"));
-        assert!(!without.contains("[[unlikely]]"));
+        let cpp = emit_cpp(&n, &EngineConfig::default()).unwrap();
+        assert!(
+            cpp.contains("if (reset & 1) [[unlikely]]"),
+            "the reset mux way is a cold path:\n{cpp}"
+        );
     }
 
     #[test]

@@ -17,11 +17,6 @@ pub struct EngineConfig {
     /// Register/memory update elision (Section III-B1). Only the ESSENT
     /// engine uses it.
     pub elide_state: bool,
-    /// Separate cold code (reset muxes, print/assert paths) from the hot
-    /// path (Section III-B2's branch hints). Only the ESSENT engine uses
-    /// it (the interpreter analog keeps cold items out of the hot item
-    /// vector).
-    pub cold_path_hints: bool,
     /// Capture printf output into a log (disable in benchmarks).
     pub capture_printf: bool,
     /// ESSENT engine only: push-direction triggering (producers wake
@@ -47,10 +42,10 @@ pub struct EngineConfig {
     /// push-direction triggering; ignored otherwise.
     pub fuse_triggers: bool,
     /// ESSENT engine only: collect per-partition telemetry
-    /// ([`crate::profile`]) — evals, derived skips, wake-cause
-    /// attribution, sampled eval time. Off by default; the disabled cost
-    /// is zero (the probe calls monomorphize away). The other engines
-    /// ignore it and report no profile.
+    /// ([`crate::profile`]) — evals, derived skips, ops and wake-cause
+    /// attribution. Off by default; the disabled cost is zero (the probe
+    /// calls monomorphize away). The other engines ignore it and report
+    /// no profile.
     pub profile: bool,
     /// Inert. It used to select the dataflow schedule over the
     /// barrier-per-level engines; those are gone and
@@ -93,7 +88,6 @@ impl Default for EngineConfig {
             c_p: 8,
             mux_conditional: true,
             elide_state: true,
-            cold_path_hints: true,
             capture_printf: true,
             trigger_push: true,
             event_levelized: true,
@@ -124,7 +118,6 @@ impl EngineConfig {
             c_p: 1,
             mux_conditional: false,
             elide_state: false,
-            cold_path_hints: false,
             capture_printf: true,
             trigger_push: true,
             event_levelized: true,

@@ -61,7 +61,6 @@ use crate::slots::{WakeSlot, WakeSlots, WakeTable};
 use crate::state::StateTable;
 use crate::step1::{wake_bit, Tier1Program, TierStats};
 use essent_bits::Bits;
-use essent_core::partition::ActivityPrior;
 use essent_core::plan::CcssPlan;
 use essent_netlist::Netlist;
 use std::cell::Cell;
@@ -107,22 +106,8 @@ impl EssentSim {
 
     /// [`EssentSim::new`] over an already-shared netlist (no deep clone).
     pub fn new_shared(netlist: Arc<Netlist>, config: &EngineConfig) -> EssentSim {
-        EssentSim::new_shared_with_prior(netlist, config, None)
-    }
-
-    /// [`EssentSim::new_shared`] with a measured activity prior (the
-    /// feedback loop's repartitioning step): the structural partitioning
-    /// gains the profile-guided `activity_merge` phase, and the JIT
-    /// selects hot partitions by measured eval cost instead of static
-    /// step counts. `None`, or a neutral prior, reproduces
-    /// [`EssentSim::new_shared`] exactly.
-    pub fn new_shared_with_prior(
-        netlist: Arc<Netlist>,
-        config: &EngineConfig,
-        prior: Option<&ActivityPrior>,
-    ) -> EssentSim {
-        let plan = build_plan(&netlist, config, prior, config.elide_state);
-        EssentSim::build(netlist, plan, config, prior)
+        let plan = build_plan(&netlist, config, config.elide_state);
+        EssentSim::from_plan_shared(netlist, plan, config)
     }
 
     /// Builds the simulator from a pre-computed plan (the `C_p` sweep and
@@ -131,15 +116,6 @@ impl EssentSim {
         netlist: Arc<Netlist>,
         plan: CcssPlan,
         config: &EngineConfig,
-    ) -> EssentSim {
-        EssentSim::build(netlist, plan, config, None)
-    }
-
-    fn build(
-        netlist: Arc<Netlist>,
-        plan: CcssPlan,
-        config: &EngineConfig,
-        prior: Option<&ActivityPrior>,
     ) -> EssentSim {
         let mut machine = Machine::from_arc(Arc::clone(&netlist));
         machine.capture_printf = config.capture_printf;
@@ -155,7 +131,6 @@ impl EssentSim {
             &machine.layout,
             &plan,
             config,
-            prior,
             Some(&machine.mems),
         );
         let profile = config.profile.then(|| Box::new(ProfileArena::new(&plan)));
@@ -279,7 +254,6 @@ impl EssentSim {
                          snaps: &mut [u64],
                          prof: &mut P| {
             let ops_before = machine.counters.ops_evaluated;
-            let t0 = prof.eval_begin(sched);
             // Snapshot the old values of the unfused outputs (step 4).
             let outs = wake.outputs(sched);
             for o in outs {
@@ -328,7 +302,7 @@ impl EssentSim {
                     }
                 }
             }
-            prof.eval_end(sched, t0, machine.counters.ops_evaluated - ops_before);
+            prof.evaluated(sched, machine.counters.ops_evaluated - ops_before);
         };
 
         if push {
@@ -356,9 +330,8 @@ impl EssentSim {
                         // The program is the whole wake: one record load,
                         // one call.
                         let ops_before = machine.counters.ops_evaluated;
-                        let t0 = prof.eval_begin(sched);
                         code.run(slot, sched, machine, prof);
-                        prof.eval_end(sched, t0, machine.counters.ops_evaluated - ops_before);
+                        prof.evaluated(sched, machine.counters.ops_evaluated - ops_before);
                     } else {
                         wake_full(sched, slot, machine, snaps, prof);
                     }

@@ -17,18 +17,16 @@ use crate::machine::MemBank;
 use crate::slots::WakeTable;
 use crate::state::StateTable;
 use crate::step1::{lower_tier1, OutSpec, Tier1Program};
-use essent_core::partition::{partition, partition_with_prior, ActivityMergeParams, ActivityPrior};
+use essent_core::partition::partition;
 use essent_core::plan::{extended_dag, CcssPlan, PartitionPlan, PlanOptions};
 use essent_netlist::Netlist;
 
 /// Per-partition cost estimates: what the dataflow schedule's EFT worker
 /// assignment balances and what the JIT selects hot partitions by.
 ///
-/// Units are *approximately nanoseconds per simulated cycle*: measured
-/// priors record expected eval time per cycle, and the static fallback
-/// counts single-word steps (~1 ns each). The unit only weighs
-/// partitions against each other and against fixed thresholds, so the
-/// approximation is harmless.
+/// A partition's cost is its static step count — single-word steps,
+/// roughly a nanosecond each — floored at 1. The unit only weighs
+/// partitions against each other and against fixed thresholds.
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// Estimated cost per scheduled partition (always ≥ 1).
@@ -36,60 +34,35 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Builds the cost table for a plan: measured per-cycle eval cost
-    /// where `prior` covers a partition's members, static step counts
-    /// elsewhere.
-    pub fn build(plan: &CcssPlan, blocks: &[Block], prior: Option<&ActivityPrior>) -> CostModel {
-        let costs = plan
-            .partitions
+    /// Builds the cost table for a plan from its compiled blocks.
+    ///
+    /// `_inert` is inert. It used to carry a measured activity prior;
+    /// profile-guided repartitioning is gone, an
+    /// [`Infallible`](std::convert::Infallible) has no value, so the only
+    /// argument is `None` and nothing reads it. It survives only because
+    /// the `bench` package still passes it, and goes when that package
+    /// next changes (ROADMAP item 10a).
+    pub fn build(
+        plan: &CcssPlan,
+        blocks: &[Block],
+        _inert: Option<std::convert::Infallible>,
+    ) -> CostModel {
+        let costs = blocks
             .iter()
-            .zip(blocks)
-            .map(|(part, block)| {
-                let measured: f64 = prior
-                    .map(|pr| {
-                        part.members
-                            .iter()
-                            .filter(|s| s.index() < pr.len())
-                            .map(|s| pr.node_cost(s.index()))
-                            .sum()
-                    })
-                    .unwrap_or(0.0);
-                let cost = if measured > 0.0 {
-                    measured.round() as u64
-                } else {
-                    block.items.iter().map(Item::step_count).sum::<usize>() as u64
-                };
-                cost.max(1)
-            })
+            .take(plan.partitions.len())
+            .map(|block| (block.items.iter().map(Item::step_count).sum::<usize>() as u64).max(1))
             .collect();
         CostModel { costs }
     }
 }
 
-/// Partitions the design at `config.c_p` — with the profile-guided merge
-/// phase when a measured `prior` is supplied — and builds the CCSS plan.
+/// Partitions the design at `config.c_p` and builds the CCSS plan.
 /// Register elision follows `config.elide_state`; the caller decides
 /// memory-write elision (the parallel engine keeps every bank write in
 /// its serial phase).
-pub fn build_plan(
-    netlist: &Netlist,
-    config: &EngineConfig,
-    prior: Option<&ActivityPrior>,
-    elide_mem: bool,
-) -> CcssPlan {
+pub fn build_plan(netlist: &Netlist, config: &EngineConfig, elide_mem: bool) -> CcssPlan {
     let (dag, writes) = extended_dag(netlist);
-    let parts = match prior {
-        Some(pr) => {
-            partition_with_prior(
-                &dag,
-                config.c_p,
-                pr,
-                &ActivityMergeParams::for_cp(config.c_p),
-            )
-            .0
-        }
-        None => partition(&dag, config.c_p),
-    };
+    let parts = partition(&dag, config.c_p);
     CcssPlan::from_partitioning(
         netlist,
         &dag,
@@ -144,7 +117,6 @@ impl Frontend {
         layout: &Layout,
         plan: &CcssPlan,
         config: &EngineConfig,
-        prior: Option<&ActivityPrior>,
         jit_banks: Option<&[MemBank]>,
     ) -> Frontend {
         let blocks = compile_plan(netlist, layout, plan, config);
@@ -166,7 +138,7 @@ impl Frontend {
             &state,
             config.trigger_push,
         );
-        let cost = CostModel::build(plan, &blocks, prior);
+        let cost = CostModel::build(plan, &blocks, None);
         let jit = match (&programs, jit_banks) {
             (Some(progs), Some(banks))
                 if config.jit

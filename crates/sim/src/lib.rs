@@ -91,4 +91,4 @@ pub use frontend::CostModel;
 pub use full_cycle::FullCycleSim;
 pub use machine::WorkCounters;
 pub use par::ParEssentSim;
-pub use profile::{activity_prior, ProfileReport};
+pub use profile::ProfileReport;

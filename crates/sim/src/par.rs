@@ -156,7 +156,7 @@ impl ParEssentSim {
     ) -> ParEssentSim {
         // Memory-write elision off: every bank write stays in the serial
         // phase (see the module docs).
-        let mut plan = build_plan(&netlist, config, None, false);
+        let mut plan = build_plan(&netlist, config, false);
         let mut machine = Machine::from_arc(Arc::clone(&netlist));
         machine.capture_printf = config.capture_printf;
         let Frontend {
@@ -166,7 +166,7 @@ impl ParEssentSim {
             wake,
             cost,
             ..
-        } = Frontend::compile(&netlist, &machine.layout, &plan, config, None, None);
+        } = Frontend::compile(&netlist, &machine.layout, &plan, config, None);
 
         let np = plan.partitions.len();
 

@@ -6,9 +6,8 @@
 //! [`crate::activity::ActivityProbe`] cannot say *which* partition pays
 //! for a wake or *who* caused it. This module attributes evals and wake
 //! causes to the partitions of [`EssentSim`](crate::EssentSim)'s schedule
-//! — the one engine that profiles — so the partitioner's merge heuristics
-//! ([`activity_prior`]) and the benchmark's Figure 7 split read evidence
-//! instead of intuition.
+//! — the one engine that profiles — so the benchmark's Figure 7 split
+//! and the wake-cause breakdown read evidence instead of intuition.
 //!
 //! Design:
 //!
@@ -30,49 +29,21 @@
 //!   partition exactly once per cycle, so a unit's skips are
 //!   `cycles − evals` at report time, and an idle partition costs the
 //!   profiled walk nothing, as it costs the plain one nothing.
-//! * **Batched time sampling.** Eval time uses an `rdtsc`-style
-//!   monotonic tick sampled one activation in `TIME_STRIDE` per unit
-//!   and extrapolated in the report — the common case pays two counter
-//!   increments, not two serializing timestamp reads.
+//! * **Counts, not time.** An evaluated partition pays one probe, two
+//!   counter increments (its evals and its ops); nothing reads a clock.
 
 use crate::machine::MemBank;
 use crate::step1::{run_tier1_raw, CellFlags, ProfCellFlags, Tier1Program};
-use essent_core::partition::ActivityPrior;
 use essent_core::plan::CcssPlan;
 use essent_netlist::{Netlist, SignalId};
 use std::cell::Cell;
 
-/// A monotonic cycle-ish timestamp: `rdtsc` on x86-64, a nanosecond
-/// clock elsewhere. Only differences are meaningful; the unit is
-/// reported as raw "ticks".
-#[inline(always)]
-fn tick() -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: rdtsc has no preconditions.
-    unsafe {
-        core::arch::x86_64::_rdtsc()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        use std::time::Instant;
-        static START: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
-        START.get_or_init(Instant::now).elapsed().as_nanos() as u64
-    }
-}
-
-/// Eval time is sampled one activation in this many, per unit.
-pub(crate) const TIME_STRIDE: u32 = 8;
-
 /// The probe interface the engine monomorphizes its cycle loop over.
 /// [`NoProfile`] erases every call; [`ProfileArena`] counts.
 pub(crate) trait Profiler {
-    /// Partition `unit` is about to evaluate; returns a timestamp token
-    /// to pass to [`Profiler::eval_end`] (0 = this activation is not
-    /// timed).
-    fn eval_begin(&mut self, unit: usize) -> u64;
-    /// The unit finished evaluating; `ops_delta` is the engine's
+    /// Partition `unit` evaluated; `ops_delta` is the engine's
     /// `ops_evaluated` increase across the evaluation.
-    fn eval_end(&mut self, unit: usize, start: u64, ops_delta: u64);
+    fn evaluated(&mut self, unit: usize, ops_delta: u64);
     /// Partition `producer`'s changed output woke `consumer`.
     fn wake_output(&mut self, producer: usize, consumer: u32);
     /// Register plan `reg_plan`'s commit changed and woke `consumer`.
@@ -105,11 +76,7 @@ pub(crate) struct NoProfile;
 
 impl Profiler for NoProfile {
     #[inline(always)]
-    fn eval_begin(&mut self, _unit: usize) -> u64 {
-        0
-    }
-    #[inline(always)]
-    fn eval_end(&mut self, _unit: usize, _start: u64, _ops_delta: u64) {}
+    fn evaluated(&mut self, _unit: usize, _ops_delta: u64) {}
     #[inline(always)]
     fn wake_output(&mut self, _producer: usize, _consumer: u32) {}
     #[inline(always)]
@@ -140,12 +107,6 @@ pub(crate) struct ProfileArena {
     /// Per unit: activations / ops evaluated while active.
     evals: Vec<u64>,
     ops: Vec<u64>,
-    /// Per unit: summed ticks over *timed* activations, and how many
-    /// activations were timed (mean × evals estimates total time).
-    time: Vec<u64>,
-    timed_evals: Vec<u64>,
-    /// Per unit, countdown to the next timed activation.
-    stride_ctr: Vec<u32>,
     /// Per unit: wakes received, by cause kind.
     woke_output: Vec<u64>,
     woke_state: Vec<u64>,
@@ -167,9 +128,6 @@ impl ProfileArena {
         ProfileArena {
             evals: units.clone(),
             ops: units.clone(),
-            time: units.clone(),
-            timed_evals: units.clone(),
-            stride_ctr: vec![0; units.len()],
             woke_output: units.clone(),
             woke_state: units.clone(),
             woke_input: units.clone(),
@@ -201,8 +159,6 @@ impl ProfileArena {
                 evals: self.evals[u],
                 skips: cycles - self.evals[u],
                 ops: self.ops[u],
-                time: self.time[u],
-                timed_evals: self.timed_evals[u],
                 woke_output: self.woke_output[u],
                 woke_state: self.woke_state[u],
                 woke_input: self.woke_input[u],
@@ -232,24 +188,9 @@ impl ProfileArena {
 
 impl Profiler for ProfileArena {
     #[inline]
-    fn eval_begin(&mut self, unit: usize) -> u64 {
+    fn evaluated(&mut self, unit: usize, ops_delta: u64) {
         self.evals[unit] += 1;
-        if self.stride_ctr[unit] == 0 {
-            self.stride_ctr[unit] = TIME_STRIDE - 1;
-            tick().max(1)
-        } else {
-            self.stride_ctr[unit] -= 1;
-            0
-        }
-    }
-
-    #[inline]
-    fn eval_end(&mut self, unit: usize, start: u64, ops_delta: u64) {
         self.ops[unit] += ops_delta;
-        if start != 0 {
-            self.time[unit] += tick().saturating_sub(start);
-            self.timed_evals[unit] += 1;
-        }
     }
 
     #[inline]
@@ -307,10 +248,6 @@ pub struct UnitProfile {
     pub skips: u64,
     /// Operations evaluated while this unit was active.
     pub ops: u64,
-    /// Summed ticks over the timed activations.
-    pub time: u64,
-    /// How many activations were timed (stride sampling).
-    pub timed_evals: u64,
     /// Wakes received from producer-output triggers.
     pub woke_output: u64,
     /// Wakes received from state (register/memory) changes.
@@ -329,15 +266,6 @@ impl UnitProfile {
             0.0
         } else {
             self.skips as f64 / total as f64
-        }
-    }
-
-    /// Estimated total eval ticks: mean timed cost × activations.
-    pub fn est_time(&self) -> f64 {
-        if self.timed_evals == 0 {
-            0.0
-        } else {
-            self.time as f64 / self.timed_evals as f64 * self.evals as f64
         }
     }
 }
@@ -383,56 +311,6 @@ impl ProfileReport {
     }
 }
 
-/// Projects a per-unit [`ProfileReport`] down to the per-node
-/// [`ActivityPrior`] the partitioner and the [`CostModel`](crate::CostModel)
-/// consume.
-///
-/// The report's units are the schedule of `plan`, in order; each unit's
-/// activity rate lands on every node the unit covers, and its estimated
-/// eval time — normalized to *ticks per simulated cycle* so priors from
-/// runs of different lengths are comparable — is split evenly across the
-/// unit's computed members. Units that never ran a cycle stay unknown
-/// (`NaN` rate), as do memory-write action nodes of non-elided writes;
-/// the feedback loop degrades gracefully toward "no information" rather
-/// than inventing heat.
-pub fn activity_prior(netlist: &Netlist, plan: &CcssPlan, report: &ProfileReport) -> ActivityPrior {
-    let signal_count = netlist.signal_count();
-    let mut prior = ActivityPrior::neutral(signal_count + plan.mem_write_plans.len());
-    let mut unit_rate = vec![f64::NAN; plan.partitions.len()];
-    let mut unit_cost = vec![0.0f64; plan.partitions.len()];
-    let cycles = report.cycles.max(1) as f64;
-    for (idx, (u, part)) in report.units.iter().zip(&plan.partitions).enumerate() {
-        let total = u.evals + u.skips;
-        if total == 0 {
-            continue;
-        }
-        unit_rate[idx] = u.evals as f64 / total as f64;
-        let share = (part.members.len() + part.elided_writes.len()).max(1) as f64;
-        unit_cost[idx] = u.est_time() / cycles / share;
-    }
-    // Rates cover every signal through the schedule map (inputs and
-    // state outputs carry their partition's rate into a repartitioning);
-    // costs land only on the nodes the unit actually evaluates.
-    for sig in 0..signal_count {
-        let sched = plan.sched_of_signal[sig] as usize;
-        if !unit_rate[sched].is_nan() {
-            prior.set_node(sig, unit_rate[sched], 0.0);
-        }
-    }
-    for (sched, part) in plan.partitions.iter().enumerate() {
-        if unit_rate[sched].is_nan() {
-            continue;
-        }
-        for &s in &part.members {
-            prior.set_node(s.index(), unit_rate[sched], unit_cost[sched]);
-        }
-        for &wi in &part.elided_writes {
-            prior.set_node(signal_count + wi, unit_rate[sched], unit_cost[sched]);
-        }
-    }
-    prior
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,8 +335,7 @@ mod tests {
         assert!(units >= 2, "c_p=1 must split this design");
         let mut p = ProfileArena::new(&plan);
         for _ in 0..10 {
-            let t = p.eval_begin(0);
-            p.eval_end(0, t, 3);
+            p.evaluated(0, 3);
         }
         p.wake_output(0, 1);
         p.wake_state_reg(0, 1);
@@ -490,24 +367,6 @@ mod tests {
         assert_eq!(r.total_evals(), 10);
         assert_eq!(r.total_skips(), 10 * units - 10);
         assert!((r.activity_factor() - 1.0 / units as f64).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stride_samples_one_in_n() {
-        let netlist = netlist_of(MEMFUL);
-        let plan = CcssPlan::build(&netlist, 1);
-        let mut p = ProfileArena::new(&plan);
-        for _ in 0..2 * TIME_STRIDE {
-            let t = p.eval_begin(0);
-            p.eval_end(0, t, 1);
-        }
-        let r = p.report(&netlist, &plan, u64::from(2 * TIME_STRIDE));
-        assert_eq!(r.units[0].evals, u64::from(2 * TIME_STRIDE));
-        assert_eq!(
-            r.units[0].timed_evals, 2,
-            "1 in TIME_STRIDE activations timed"
-        );
-        assert!(r.units[0].est_time() >= 0.0);
     }
 
     /// The report's per-unit counts must be an exact decomposition of

@@ -32,6 +32,11 @@
 //!   with cycle `k` first, through the partition's own worker list, its
 //!   `waits_prev`/`waits_same` targets, and their wait-graph ancestors.
 //!
+//! The per-partition cost table the worker assignment balances (and the
+//! JIT selects hot partitions by) is audited first by
+//! [`check_cost_model`]: one entry per scheduled partition, none zero
+//! (`F0403`).
+//!
 //! The `race-sanitizer` cargo feature of `essent-sim` is the dynamic
 //! differential oracle: the shadow memory tags carry the cycle epoch, and any access pair the static edges do not order
 //! panics at runtime.
@@ -42,6 +47,7 @@ use essent_core::diag::{codes, Diagnostic, Report};
 use essent_core::plan::CcssPlan;
 use essent_netlist::{Netlist, SignalDef, SignalId};
 use essent_sim::compile::{Block, Layout};
+use essent_sim::frontend::CostModel;
 use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------
@@ -279,6 +285,40 @@ fn serial_footprint(netlist: &Netlist, layout: &Layout, plan: &CcssPlan) -> Seri
     fp.reads.seal();
     fp.writes.seal();
     fp
+}
+
+// ---------------------------------------------------------------------
+// The cost table the worker assignment weighs
+// ---------------------------------------------------------------------
+
+/// Audits a [`CostModel`] against the plan it was built for: one entry
+/// per scheduled partition, none zero (`F0403`).
+pub fn check_cost_model(plan: &CcssPlan, cost: &CostModel) -> Report {
+    let mut report = Report::new();
+    let np = plan.partitions.len();
+    if cost.costs.len() != np {
+        report.push(Diagnostic::error(
+            codes::COST_RANGE,
+            format!(
+                "cost table has {} entries for {np} scheduled partitions",
+                cost.costs.len()
+            ),
+        ));
+        // Cardinality mismatch poisons the per-entry check below.
+        return report;
+    }
+    for (sched_idx, &c) in cost.costs.iter().enumerate() {
+        if c == 0 {
+            report.push(
+                Diagnostic::error(
+                    codes::COST_RANGE,
+                    format!("partition p{sched_idx} has zero estimated cost; the floor is 1"),
+                )
+                .with_partition(sched_idx),
+            );
+        }
+    }
+    report
 }
 
 // ---------------------------------------------------------------------

@@ -6,7 +6,7 @@
 //! own `check`/`validate` paths, so a bug in plan construction and a bug
 //! in its self-checks cannot cancel out.
 //!
-//! Eight layers, each a standalone pass producing a structured
+//! Seven layers, each a standalone pass producing a structured
 //! [`Report`] of coded [`Diagnostic`]s:
 //!
 //! | layer | entry point | codes |
@@ -14,9 +14,8 @@
 //! | netlist lints | [`lint_netlist`] | `L____` |
 //! | schedule verifier | [`check_plan`] | `V____` |
 //! | bytecode verifier | [`check_layout`] / [`check_blocks`] | `B____` |
-//! | profile feedback | [`check_activity_merge`] / [`check_cost_model`] | `F____` |
 //! | footprint / race freedom | [`check_footprint`] | `R____` |
-//! | dependence / dataflow schedule | [`check_depgraph`] | `S____` |
+//! | dependence / dataflow schedule | [`check_cost_model`] / [`check_depgraph`] | `F0403`, `S____` |
 //! | native-code (JIT) audit | [`check_jit`] | `J____` |
 //! | wake-table / batched-lane audit | [`check_wake_table`] / [`check_batch`] | `X____` |
 //!
@@ -29,7 +28,6 @@
 pub mod batch;
 pub mod bytecode;
 pub mod depgraph;
-pub mod feedback;
 pub mod footprint;
 pub mod jit;
 pub mod lint;
@@ -38,10 +36,9 @@ pub mod wake;
 
 pub use batch::check_batch;
 pub use bytecode::{check_blocks, check_layout, check_tier1};
-pub use depgraph::check_depgraph;
+pub use depgraph::{check_cost_model, check_depgraph};
 pub use essent_core::depgraph::DataflowSchedule;
 pub use essent_core::diag::{DiagCode, Diagnostic, Report, Severity};
-pub use feedback::{check_activity_merge, check_cost_model};
 pub use footprint::{check_footprint, Footprint, WordSet};
 pub use jit::check_jit;
 pub use lint::lint_netlist;
@@ -49,8 +46,7 @@ pub use schedule::check_plan;
 pub use wake::check_wake_table;
 
 use essent_core::depgraph::{synthesize_dataflow, DepGraph};
-use essent_core::partition::{partition_with_prior, ActivityMergeParams, ActivityPrior};
-use essent_core::plan::{extended_dag, CcssPlan, PlanOptions};
+use essent_core::plan::CcssPlan;
 use essent_netlist::Netlist;
 use essent_sim::compile::Layout;
 use essent_sim::frontend::{build_plan, out_specs, Frontend};
@@ -90,13 +86,13 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
     }
     // The plan `EssentSim` and `BatchSim` run for this config (the
     // dataflow engine's, memory-write elision off, is audited below).
-    let plan = build_plan(netlist, config, None, config.elide_state);
+    let plan = build_plan(netlist, config, config.elide_state);
     report.merge(check_plan(netlist, &plan));
     let layout = Layout::new(netlist);
     report.merge(check_layout(netlist, &layout));
     // Compile and lower through the engines' own front end, then audit
     // every artifact it produced.
-    let front = Frontend::compile(netlist, &layout, &plan, config, None, None);
+    let front = Frontend::compile(netlist, &layout, &plan, config, None);
     report.merge(check_blocks(netlist, &layout, &front.blocks, Some(&plan)));
     report.merge(check_wake_table(&layout, &plan, &front));
     for (sched, prog) in front.programs.iter().flatten().enumerate() {
@@ -119,29 +115,13 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
         }
     }
 
-    // --- F04: profile-feedback layer --------------------------------
-    // Exercised with a synthetic all-hot prior — the adversarial corner
-    // where every legal hot merge fires — so the layer runs on every
-    // design, profile data or not. The repartitioned plan must re-prove
-    // the full V01xx stack unchanged.
-    let (dag, writes) = extended_dag(netlist);
-    let prior = ActivityPrior::uniform(dag.node_count(), 1.0);
-    let params = ActivityMergeParams::for_cp(config.c_p);
-    let (merged, log) = partition_with_prior(&dag, config.c_p, &prior, &params);
-    report.merge(check_activity_merge(
-        &dag, config.c_p, &prior, &params, &log, &merged,
-    ));
-    let fb_plan =
-        CcssPlan::from_partitioning(netlist, &dag, &writes, &merged, PlanOptions::default());
-    report.merge(check_plan(netlist, &fb_plan));
-
     // --- R05: footprint / race-freedom layer -------------------------
     // Analyzed over the exact plan shape the parallel engine runs:
     // memory-write elision off (all bank writes happen in the serial
     // phase), register elision per config. The dual derivation needs the
     // tier-1 programs lowered the way the engines lower them.
-    let par_plan = build_plan(netlist, config, None, false);
-    let par = Frontend::compile(netlist, &layout, &par_plan, config, None, None);
+    let par_plan = build_plan(netlist, config, false);
+    let par = Frontend::compile(netlist, &layout, &par_plan, config, None);
     report.merge(check_footprint(
         netlist,
         &layout,

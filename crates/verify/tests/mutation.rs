@@ -530,107 +530,6 @@ fn dead_code_and_truncation_lints() {
     assert_eq!(report.error_count(), 0, "{report}");
 }
 
-// --- F04: profile-feedback layer ------------------------------------
-
-use essent_core::partition::{
-    partition, partition_with_prior, ActivityMergeParams, ActivityMergeRecord, ActivityPrior,
-    Partitioning,
-};
-use essent_core::plan::extended_dag;
-use essent_sim::frontend::CostModel;
-use essent_verify::{check_activity_merge, check_cost_model};
-
-/// The plan + cost table a parallel or JIT engine would build, ready
-/// for cost mutations.
-fn cost_setup(netlist: &Netlist, c_p: usize) -> (CcssPlan, CostModel) {
-    let plan = CcssPlan::build(netlist, c_p);
-    let layout = Layout::new(netlist);
-    let blocks = compile_plan(netlist, &layout, &plan, &EngineConfig::default());
-    let cost = CostModel::build(&plan, &blocks, None);
-    (plan, cost)
-}
-
-#[test]
-fn pristine_feedback_layer_is_clean() {
-    for netlist in [chain(), diamond(), reg_late_readers()] {
-        for c_p in [1, 2, 64] {
-            let (dag, _) = extended_dag(&netlist);
-            let prior = ActivityPrior::uniform(dag.node_count(), 1.0);
-            let params = ActivityMergeParams::for_cp(c_p);
-            let (merged, log) = partition_with_prior(&dag, c_p, &prior, &params);
-            let report = check_activity_merge(&dag, c_p, &prior, &params, &log, &merged);
-            assert_eq!(report.error_count(), 0, "c_p={c_p}:\n{report}");
-            let (plan, cost) = cost_setup(&netlist, c_p);
-            let report = check_cost_model(&plan, &cost);
-            assert_eq!(report.error_count(), 0, "c_p={c_p}:\n{report}");
-        }
-    }
-}
-
-#[test]
-fn cold_merge_in_log_is_f0401() {
-    // A fabricated log entry merging two partitions whose activity is
-    // *below* the hot threshold: the replay must reject it even though
-    // the merge itself is structurally legal.
-    let netlist = diamond();
-    let (dag, _) = extended_dag(&netlist);
-    let prior = ActivityPrior::uniform(dag.node_count(), 0.0);
-    let params = ActivityMergeParams::for_cp(1);
-    let mut parts = partition(&dag, 1);
-    let live: Vec<usize> = parts.live_partitions().collect();
-    assert!(live.len() >= 2, "diamond at c_p=1 has several partitions");
-    let (a, b) = (live[0], live[1]);
-    let log = vec![ActivityMergeRecord {
-        kept: a,
-        absorbed: b,
-        rate_kept: 0.0,
-        rate_absorbed: 0.0,
-    }];
-    parts.merge(a, b);
-    let report = check_activity_merge(&dag, 1, &prior, &params, &log, &parts);
-    assert!(report.contains(codes::ACTIVITY_SIDE_CONDITION), "{report}");
-}
-
-#[test]
-fn assignment_mismatch_is_f0401() {
-    // The claimed final partitioning disagrees with what replaying the
-    // log produces (a node silently moved after the merge phase).
-    let netlist = diamond();
-    let (dag, _) = extended_dag(&netlist);
-    let prior = ActivityPrior::uniform(dag.node_count(), 1.0);
-    let params = ActivityMergeParams::for_cp(1);
-    let (merged, log) = partition_with_prior(&dag, 1, &prior, &params);
-    let mut assignment = merged.assignment().to_vec();
-    let donor = assignment[0];
-    let victim = assignment
-        .iter()
-        .position(|&p| p != donor)
-        .expect("more than one live partition");
-    assignment[victim] = donor;
-    let slots = assignment.iter().max().unwrap() + 1;
-    let forged = Partitioning::from_assignment(assignment, slots);
-    let report = check_activity_merge(&dag, 1, &prior, &params, &log, &forged);
-    assert!(report.contains(codes::ACTIVITY_SIDE_CONDITION), "{report}");
-}
-
-#[test]
-fn truncated_cost_table_is_f0403() {
-    let netlist = diamond();
-    let (plan, mut cost) = cost_setup(&netlist, 1);
-    cost.costs.pop();
-    let report = check_cost_model(&plan, &cost);
-    assert!(report.contains(codes::COST_RANGE), "{report}");
-}
-
-#[test]
-fn zero_cost_entry_is_f0403() {
-    let netlist = diamond();
-    let (plan, mut cost) = cost_setup(&netlist, 1);
-    cost.costs[0] = 0;
-    let report = check_cost_model(&plan, &cost);
-    assert!(report.contains(codes::COST_RANGE), "{report}");
-}
-
 // ---------------------------------------------------------------------
 // Layer six: footprint / race freedom (R0501-R0504)
 // ---------------------------------------------------------------------
@@ -851,12 +750,44 @@ fn out_of_arena_write_is_r0504() {
 }
 
 // ---------------------------------------------------------------------
-// Layer seven: dependence / dataflow schedule (S0601-S0605)
+// Layer seven: the cost table and the dataflow schedule (F0403, S0601-S0605)
 // ---------------------------------------------------------------------
 
 use essent_core::depgraph::{synthesize_dataflow, DataflowSchedule, DepGraph};
-use essent_core::plan::PlanOptions;
-use essent_verify::check_depgraph;
+use essent_core::partition::partition;
+use essent_core::plan::{extended_dag, PlanOptions};
+use essent_sim::frontend::CostModel;
+use essent_verify::{check_cost_model, check_depgraph};
+
+/// The plan + cost table a parallel or JIT engine would build, ready
+/// for cost mutations; the pristine table audits clean.
+fn cost_setup(netlist: &Netlist, c_p: usize) -> (CcssPlan, CostModel) {
+    let plan = CcssPlan::build(netlist, c_p);
+    let layout = Layout::new(netlist);
+    let blocks = compile_plan(netlist, &layout, &plan, &EngineConfig::default());
+    let cost = CostModel::build(&plan, &blocks, None);
+    let report = check_cost_model(&plan, &cost);
+    assert_eq!(report.error_count(), 0, "c_p={c_p}:\n{report}");
+    (plan, cost)
+}
+
+#[test]
+fn truncated_cost_table_is_f0403() {
+    let netlist = diamond();
+    let (plan, mut cost) = cost_setup(&netlist, 1);
+    cost.costs.pop();
+    let report = check_cost_model(&plan, &cost);
+    assert!(report.contains(codes::COST_RANGE), "{report}");
+}
+
+#[test]
+fn zero_cost_entry_is_f0403() {
+    let netlist = diamond();
+    let (plan, mut cost) = cost_setup(&netlist, 1);
+    cost.costs[0] = 0;
+    let report = check_cost_model(&plan, &cost);
+    assert!(report.contains(codes::COST_RANGE), "{report}");
+}
 
 /// A plan plus the dataflow schedule the parallel engine would
 /// synthesize over it — with uniformly inflated costs, because the tiny
@@ -1349,9 +1280,9 @@ use essent_verify::{check_batch, check_wake_table};
 
 /// The front end's compilation of the plan `config` runs sequentially.
 fn wake_setup(netlist: &Netlist, config: &EngineConfig) -> (Layout, CcssPlan, Frontend) {
-    let plan = build_plan(netlist, config, None, config.elide_state);
+    let plan = build_plan(netlist, config, config.elide_state);
     let layout = Layout::new(netlist);
-    let front = Frontend::compile(netlist, &layout, &plan, config, None, None);
+    let front = Frontend::compile(netlist, &layout, &plan, config, None);
     (layout, plan, front)
 }
 
@@ -1401,8 +1332,8 @@ fn pristine_wake_tables_verify_clean() {
             let report = check_wake_table(&layout, &plan, &front);
             assert!(report.is_empty(), "{config:?}:\n{report}");
             // The dataflow engine's plan: memory-write elision off.
-            let par_plan = build_plan(&netlist, config, None, false);
-            let par = Frontend::compile(&netlist, &layout, &par_plan, config, None, None);
+            let par_plan = build_plan(&netlist, config, false);
+            let par = Frontend::compile(&netlist, &layout, &par_plan, config, None);
             let report = check_wake_table(&layout, &par_plan, &par);
             assert!(report.is_empty(), "dataflow {config:?}:\n{report}");
         }
