@@ -104,11 +104,6 @@ impl Partitioning {
         self.succs[partition].iter().copied().collect()
     }
 
-    /// The partition-level predecessors of a live partition, ascending.
-    pub fn preds_of(&self, partition: usize) -> Vec<usize> {
-        self.preds[partition].iter().copied().collect()
-    }
-
     /// Merges partition `b` into partition `a`, updating the assignment
     /// and the partition graph.
     ///
@@ -295,8 +290,8 @@ pub fn partition(dag: &DagView, c_p: usize) -> Partitioning {
     let mut parts = mffc::mffc_decompose(dag);
     parts.attach(dag);
     merge_single_parent(&mut parts);
-    merge_small_siblings(&mut parts, dag, c_p);
-    merge_small_into_any_sibling(&mut parts, dag, c_p);
+    merge_small_siblings(&mut parts, c_p);
+    merge_small_into_any_sibling(&mut parts, c_p);
     parts
 }
 
@@ -333,19 +328,15 @@ pub fn merge_single_parent(parts: &mut Partitioning) {
 /// each round scores every candidate by the number of partition-level cut
 /// edges the merge would eliminate (shared parents + direct edges, which
 /// "simultaneously maximizes the number of partitions in a merge as well
-/// as the number of common ancestors"), merges greedily in score order,
-/// and repeats until no legal merge remains.
-pub fn merge_small_siblings(parts: &mut Partitioning, dag: &DagView, c_p: usize) {
-    let _ = dag;
+/// as the number of common ancestors"), merges greedily in score order
+/// (ties by ascending `(a, b)`), and repeats until no legal merge remains.
+/// Scores are taken at the start of a round.
+pub fn merge_small_siblings(parts: &mut Partitioning, c_p: usize) {
     loop {
-        let mut candidates = sibling_pairs(parts, c_p, true);
-        if candidates.is_empty() {
-            return;
-        }
-        // Highest score first; ties broken by ids for determinism.
-        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        let buckets = sibling_pairs(parts, c_p);
         let mut merged_any = false;
-        for (_score, a, b) in candidates {
+        for &(a, b) in buckets.iter().rev().flatten() {
+            let (a, b) = (a as usize, b as usize);
             if !parts.is_alive(a) || !parts.is_alive(b) {
                 continue;
             }
@@ -364,12 +355,59 @@ pub fn merge_small_siblings(parts: &mut Partitioning, dag: &DagView, c_p: usize)
     }
 }
 
+/// Phase B's candidates: every pair `a < b` of small partitions with a
+/// shared parent, bucketed by score (shared parents + direct edges) and
+/// in ascending `(a, b)` order within a bucket.
+///
+/// Built one row per small `a`: walking the children of `a`'s parents
+/// counts, for each small sibling `b > a`, how many parents the two
+/// share. That is still Σ k² over each parent's k small children, but
+/// with one counter increment per step and no set or sort of pairs.
+fn sibling_pairs(parts: &Partitioning, c_p: usize) -> Vec<Vec<(u32, u32)>> {
+    let small = |p: usize| parts.members(p).len() < c_p;
+    let mut buckets: Vec<Vec<(u32, u32)>> = Vec::new();
+    // `score[b]` counts for row `a` while `row[b] == a + 1`.
+    let mut row = vec![0; parts.members.len()];
+    let mut score = vec![0; parts.members.len()];
+    let mut siblings = Vec::new();
+    for a in parts.live_partitions().filter(|&a| small(a)) {
+        siblings.clear();
+        for &parent in &parts.preds[a] {
+            for &b in parts.succs[parent].range(a + 1..) {
+                if !small(b) {
+                    continue;
+                }
+                if row[b] != a + 1 {
+                    row[b] = a + 1;
+                    score[b] = 0;
+                    siblings.push(b);
+                }
+                score[b] += 1;
+            }
+        }
+        // A direct edge between the two is one more cut edge removed
+        // (the graph is acyclic, so at most one direction exists).
+        for &b in parts.preds[a].iter().chain(&parts.succs[a]) {
+            if row[b] == a + 1 {
+                score[b] += 1;
+            }
+        }
+        siblings.sort_unstable();
+        for &b in &siblings {
+            if buckets.len() <= score[b] {
+                buckets.resize_with(score[b] + 1, Vec::new);
+            }
+            buckets[score[b]].push((a as u32, b as u32));
+        }
+    }
+    buckets
+}
+
 /// Phase C (Figure 4C): remaining small partitions merge with *any*
 /// sibling (small or large), choosing the sibling with the largest
 /// fraction of shared input partitions (the paper's "fraction of input
 /// signals in common" at the granularity the partition graph retains).
-pub fn merge_small_into_any_sibling(parts: &mut Partitioning, dag: &DagView, c_p: usize) {
-    let _ = dag;
+pub fn merge_small_into_any_sibling(parts: &mut Partitioning, c_p: usize) {
     loop {
         let mut merged_any = false;
         let smalls: Vec<usize> = parts
@@ -419,34 +457,6 @@ pub fn merge_small_into_any_sibling(parts: &mut Partitioning, dag: &DagView, c_p
             return;
         }
     }
-}
-
-/// Enumerates sibling pairs `(score, a, b)` where both are small (and,
-/// when `both_small`, both below `c_p`). Score = shared parents + direct
-/// partition edges between the two.
-fn sibling_pairs(parts: &Partitioning, c_p: usize, both_small: bool) -> Vec<(usize, usize, usize)> {
-    let mut pairs = Vec::new();
-    let mut seen = BTreeSet::new();
-    for parent in parts.live_partitions() {
-        let children: Vec<usize> = parts.succs[parent]
-            .iter()
-            .copied()
-            .filter(|&c| parts.is_alive(c) && (!both_small || parts.members(c).len() < c_p))
-            .collect();
-        for i in 0..children.len() {
-            for j in (i + 1)..children.len() {
-                let (a, b) = (children[i].min(children[j]), children[i].max(children[j]));
-                if !seen.insert((a, b)) {
-                    continue;
-                }
-                let shared = parts.preds[a].intersection(&parts.preds[b]).count();
-                let direct =
-                    parts.succs[a].contains(&b) as usize + parts.succs[b].contains(&a) as usize;
-                pairs.push((shared + direct, a, b));
-            }
-        }
-    }
-    pairs
 }
 
 #[cfg(test)]

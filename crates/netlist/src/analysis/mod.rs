@@ -8,14 +8,18 @@
 //! cycle. [`analyze`] closes those feedback arcs by fixpoint iteration —
 //! registers start at their reset value (all engines zero-initialize
 //! state), each sweep joins the next-value's abstract value into the
-//! register's, and iteration stops when no register changes.
+//! register's, and iteration stops when no register changes. Only the
+//! first sweep evaluates every signal; each later one re-runs the
+//! transfer functions of the outputs of registers that changed and of
+//! whatever reads a value that changed in that sweep.
 //!
 //! Joins only *widen* register values, but the range component can climb
 //! long chains (a counter's interval grows by one per sweep), so after
 //! [`RANGE_WIDEN_SWEEP`] sweeps any still-changing register has its range
 //! widened to the full domain, and after [`TOP_WIDEN_SWEEP`] sweeps it is
 //! dropped to ⊤ outright. Both accelerations lose precision, never
-//! soundness. [`MAX_SWEEPS`] is a defensive hard cap.
+//! soundness. [`MAX_SWEEPS`] is a defensive hard cap: past it every
+//! register goes to ⊤ and one last sweep runs.
 //!
 //! Consumers:
 //! * `opt::narrow` — shrinks signal widths the analysis proves unused;
@@ -82,12 +86,26 @@ pub fn analyze(netlist: &Netlist) -> Result<Analysis, Vec<SignalId>> {
         .map(|r| AbsVal::exact(&Bits::zero(r.width), r.signed))
         .collect();
 
+    // The first sweep evaluates everything; later ones only what changed.
+    let mut dirty = Dirty {
+        all: true,
+        regs: vec![false; reg_abs.len()],
+        signals: vec![false; values.len()],
+    };
     let mut sweeps = 0;
     loop {
         sweeps += 1;
-        sweep(netlist, &order, &reg_abs, &mut values);
+        sweep(netlist, &order, &reg_abs, &mut values, &mut dirty);
+        // An update is a function of the register's value, its next
+        // value and the widening step: with all three as its last update
+        // saw them, the answer is again "no change".
+        let step_moves = sweeps == 1 || sweeps == RANGE_WIDEN_SWEEP || sweeps == TOP_WIDEN_SWEEP;
         let mut changed = false;
         for (i, reg) in netlist.regs().iter().enumerate() {
+            if !step_moves && !dirty.regs[i] && !dirty.signals[reg.next.index()] {
+                continue;
+            }
+            dirty.regs[i] = false;
             let next = transfer::cast(&values[reg.next.index()], reg.width, reg.signed);
             let mut joined = reg_abs[i].join(&next);
             if joined != reg_abs[i] {
@@ -98,6 +116,7 @@ pub fn analyze(netlist: &Netlist) -> Result<Analysis, Vec<SignalId>> {
                 }
                 if joined != reg_abs[i] {
                     reg_abs[i] = joined;
+                    dirty.regs[i] = true;
                     changed = true;
                 }
             }
@@ -110,8 +129,9 @@ pub fn analyze(netlist: &Netlist) -> Result<Analysis, Vec<SignalId>> {
             for (i, reg) in netlist.regs().iter().enumerate() {
                 reg_abs[i] = AbsVal::top(reg.width, reg.signed);
             }
+            dirty.regs.fill(true);
             sweeps += 1;
-            sweep(netlist, &order, &reg_abs, &mut values);
+            sweep(netlist, &order, &reg_abs, &mut values, &mut dirty);
             break;
         }
     }
@@ -124,23 +144,55 @@ pub fn analyze(netlist: &Netlist) -> Result<Analysis, Vec<SignalId>> {
     })
 }
 
-/// One forward pass in topological order.
-fn sweep(netlist: &Netlist, order: &[SignalId], reg_abs: &[AbsVal], values: &mut [AbsVal]) {
+/// What the next [`sweep`] must re-evaluate.
+struct Dirty {
+    /// Everything (the first sweep).
+    all: bool,
+    /// Per register: the last update changed its abstract value.
+    regs: Vec<bool>,
+    /// Per signal: its value changed in the current sweep.
+    signals: Vec<bool>,
+}
+
+/// One forward pass in topological order. Transfer functions are pure,
+/// so a signal is re-evaluated only if it is a register output whose
+/// register changed or an op reading a signal that changed earlier in
+/// this pass; every other value is already what a full pass would give.
+fn sweep(
+    netlist: &Netlist,
+    order: &[SignalId],
+    reg_abs: &[AbsVal],
+    values: &mut [AbsVal],
+    dirty: &mut Dirty,
+) {
     for &id in order {
         let sig = netlist.signal(id);
         let v = match &sig.def {
-            SignalDef::Input => AbsVal::top(sig.width, sig.signed),
-            SignalDef::Const(c) => AbsVal::exact(c, sig.signed),
-            SignalDef::RegOut(r) => transfer::cast(&reg_abs[r.index()], sig.width, sig.signed),
+            SignalDef::Input if dirty.all => AbsVal::top(sig.width, sig.signed),
+            SignalDef::Const(c) if dirty.all => AbsVal::exact(c, sig.signed),
+            SignalDef::RegOut(r) if dirty.all || dirty.regs[r.index()] => {
+                transfer::cast(&reg_abs[r.index()], sig.width, sig.signed)
+            }
             // Memory contents are not tracked; reads are opaque.
-            SignalDef::MemRead { .. } => AbsVal::top(sig.width, sig.signed),
-            SignalDef::Op(op) => {
-                let srcs: Vec<&AbsVal> = op.args.iter().map(|a| &values[a.index()]).collect();
-                transfer::transfer(op.kind, &op.params, sig.width, sig.signed, &srcs)
+            SignalDef::MemRead { .. } if dirty.all => AbsVal::top(sig.width, sig.signed),
+            SignalDef::Op(op) if dirty.all || op.args.iter().any(|a| dirty.signals[a.index()]) => {
+                // Ops have at most three operands.
+                let mut srcs = [&values[id.index()]; 3];
+                for (src, a) in srcs.iter_mut().zip(&op.args) {
+                    *src = &values[a.index()];
+                }
+                let srcs = &srcs[..op.args.len()];
+                transfer::transfer(op.kind, &op.params, sig.width, sig.signed, srcs)
+            }
+            _ => {
+                dirty.signals[id.index()] = false;
+                continue;
             }
         };
+        dirty.signals[id.index()] = v != values[id.index()];
         values[id.index()] = v;
     }
+    dirty.all = false;
 }
 
 #[cfg(test)]
