@@ -41,9 +41,9 @@
 //! snapshots, flags — and the schedule loop. Both steps are empty for
 //! most partitions, and the engine knows which before it wakes one: each
 //! partition has a **wake slot** ([`crate::slots`]) — the native entry,
-//! if any, and a `plain` bit for "the program is the whole wake" — so a
-//! plain wake is one record load and one call, and only the rest visit
-//! the two tables.
+//! if any, with the operand record it reads, and a `plain` bit for "the
+//! program is the whole wake" — so a plain wake is one slot load and one
+//! call, and only the rest visit the two tables.
 //!
 //! Non-elidable state falls back to an end-of-cycle commit with change
 //! detection, from the same table, and external input changes wake their
@@ -74,9 +74,10 @@ pub struct EssentSim {
     /// Word-specialized programs per partition (`config.tier1`); `None`
     /// runs the generic item interpreter.
     programs: Option<Vec<Tier1Program>>,
-    /// Per partition: the native entry (`config.jit`; partitions that
-    /// cleared the cost threshold and lowered cleanly) and whether the
-    /// program is the whole wake. Owns the native parts.
+    /// Per partition: the native entry and its operand record
+    /// (`config.jit`; partitions that cleared the cost threshold and
+    /// lowered cleanly) and whether the program is the whole wake. Owns
+    /// the native parts.
     slots: WakeSlots,
     /// Activity bits: partition `s` is bit `s % 64` of word `s / 64`;
     /// the bits past the partition count are always clear.
@@ -242,6 +243,7 @@ impl EssentSim {
             blocks: &self.blocks,
             flags,
             banks: self.slots.banks(),
+            records: self.slots.records(),
         };
 
         let push = self.push;
@@ -433,6 +435,7 @@ struct Programs<'a> {
     blocks: &'a [Block],
     flags: &'a [Cell<u64>],
     banks: *const jit::JitBank,
+    records: *const u32,
 }
 
 impl Programs<'_> {
@@ -446,25 +449,30 @@ impl Programs<'_> {
         match (slot.entry, self.programs) {
             (Some(entry), _) => {
                 // SAFETY: the slot table is rebuilt whenever the native
-                // parts change, so `entry` is a live body of this
-                // engine; exclusive machine access through the engine's
-                // &mut self; the body touches only arena offsets lowered
-                // from this partition's tier-1 program — its members'
-                // slots and, for its `Commit` instructions, its elided
+                // parts change, so `entry` is a live body of this engine
+                // and `slot.record` is where this partition's operand
+                // record for it starts in the parts' record buffer;
+                // exclusive machine access through the engine's &mut
+                // self; the body touches only arena offsets lowered from
+                // this partition's tier-1 program — its members' slots
+                // and, for its `Commit` instructions, its elided
                 // registers' `next`/`out` slots (B0210 holds the program
-                // to the block, J07xx the bytes to the program) — wakes
-                // consumers by `or`ing their bit into the byte that holds
-                // it (J0704 holds each to the program's consumer list,
-                // which only names scheduled partitions, so every byte is
-                // inside the bit words; no reference to their contents is
-                // live across the call), and reads memory banks through
-                // the pinned bank table built from this machine's mems.
+                // to the block, J07xx the bytes and, slot by slot, this
+                // partition's record to the program) — wakes consumers by
+                // `or`ing their bit into the byte that holds it (J0704
+                // holds each, displaced or recorded, to the program's
+                // consumer list, which only names scheduled partitions,
+                // so every byte is inside the bit words; no reference to
+                // their contents is live across the call), and reads
+                // memory banks through the pinned bank table built from
+                // this machine's mems.
                 let (o, d) = unsafe {
                     jit::call(
                         entry,
                         arena,
                         self.flags.as_ptr().cast::<u8>().cast_mut(),
                         self.banks,
+                        self.records.wrapping_add(slot.record as usize),
                     )
                 };
                 machine.counters.ops_evaluated += o;

@@ -2,36 +2,47 @@
 //!
 //! The word-specialized tier ([`crate::step1`]) already removes `Bits`
 //! allocation and bounds checks from the hot loop, but it still pays one
-//! interpreter dispatch per [`Inst1`]. This module removes that last
-//! overhead for the partitions where it matters: a partition whose
-//! estimated eval cost clears [`JIT_MIN_COST`] has its `Inst1` sequence
-//! lowered to straight-line x86-64 machine code ([`x64`]) with the fused
-//! CCSS trigger tail (compare-and-wake) preserved as inline
-//! compare/branch/bit-set sequences.
+//! interpreter dispatch per [`Inst1`](crate::step1::Inst1). This module
+//! removes that last overhead for the partitions where it matters: a
+//! partition whose estimated eval cost clears [`JIT_MIN_COST`] has its
+//! `Inst1` sequence lowered to straight-line x86-64 machine code
+//! ([`x64`]) with the fused CCSS trigger tail (compare-and-wake)
+//! preserved as inline compare/branch/bit-set sequences.
 //!
-//! The emitter is a *pure* byte generator compiled on every host, so the
-//! stream can be generated (and independently audited by
-//! `essent-verify`'s J07xx layer) regardless of the build target; only
-//! the execution side ([`CompiledPart`]) is target-gated. Code pages are
-//! managed W^X: every selected partition's bytes are packed, in schedule
-//! order, into one anonymous `mmap`ed RW mapping that is flipped to R+X
-//! (`mprotect`) before the first call, via raw Linux syscalls — no
-//! external dependencies, and no per-partition page rounding to thrash
-//! the iTLB on designs with thousands of compiled partitions.
+//! **One body per program shape.** Partitions whose programs differ
+//! only in arena offsets and wake targets — the lanes of a replicated
+//! module — emit identical bytes in the emitter's *record form*, which
+//! reads those operands from a per-partition `u32` record. [`JitPlan`]
+//! groups the record-form bodies by bytes: a shape with two or more
+//! members is mapped once and each member keeps its body index and its
+//! record; a shape with one member is re-emitted in the displacement
+//! form, which loads nothing extra. The form is chosen per shape from
+//! the programs; no knob selects it.
+//!
+//! The emitter and the planner are *pure* byte generators compiled on
+//! every host, so the plan can be generated (and independently audited
+//! by `essent-verify`'s J07xx layer, which audits the same [`JitPlan`]
+//! value [`JitParts::build`] maps) regardless of the build target; only
+//! the execution side ([`JitParts`]) is target-gated. Code pages are
+//! managed W^X: every planned body is packed once into one anonymous
+//! `mmap`ed RW mapping that is flipped to R+X (`mprotect`) before the
+//! first call, via raw Linux syscalls — no external dependencies, and no
+//! per-body page rounding to thrash the iTLB.
 //!
 //! Calling convention of the emitted entry point (C ABI):
 //!
 //! ```text
-//! fn(arena: *mut u64, flags: *mut u8, banks: *const JitBank) -> u64
+//! fn(arena: *mut u64, flags: *mut u8, banks: *const JitBank, record: *const u32) -> u64
 //! ```
 //!
 //! The return value packs the two work counters the interpreter would
 //! have maintained: `ops | (dynamic << 32)`. Memory banks are passed as
 //! a [`JitBank`] table per call rather than baking heap addresses into
 //! the code, so compiled partitions stay valid across simulator moves.
+//! A displacement-form body ignores `record`.
 //!
-//! A partition is *ineligible* (and [`emit_for_host`] returns `None`, leaving
-//! the tier-1 interpreter in charge) when its program contains a
+//! A partition is *ineligible* (and stays on the tier-1 interpreter)
+//! when its program contains a
 //! [`Op1::Generic`](crate::step1::Op1::Generic) fallback, when an arena
 //! offset exceeds the encodable displacement range, or when a required
 //! host feature (`popcnt` for `Xorr`) is missing. The engines additionally *deopt* compiled partitions on
@@ -43,11 +54,12 @@ pub mod x64;
 
 use crate::machine::MemBank;
 use crate::step1::Tier1Program;
+use std::collections::HashMap;
 
 /// An emitted x86-64 stream (System V AMD64 calling convention) plus the
 /// metadata the verify layer needs to audit it against its
 /// [`Tier1Program`] source.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EmittedCode {
     pub bytes: Vec<u8>,
     /// Per-[`Inst1`](crate::step1::Inst1) byte range `[start, end)` into
@@ -88,9 +100,9 @@ pub struct JitBank {
 pub struct BankTable(Vec<JitBank>);
 
 // SAFETY: the table only holds pointers; compiled partitions read banks
-// under the same discipline as the interpreter (banks are written only
-// in the serial phase / end-of-cycle commit, never during partition
-// evaluation — the S0602 exemption proof covers the dataflow overlap).
+// under the same discipline as the interpreter — banks are written only
+// in the end-of-cycle commit, never during partition evaluation — and
+// only the sequential engine, on its own thread, runs native code.
 unsafe impl Send for BankTable {}
 // SAFETY: as above — concurrent `&BankTable` access is read-only.
 unsafe impl Sync for BankTable {}
@@ -125,18 +137,14 @@ impl BankTable {
 /// everything that does work while skipping the degenerate forwarders.
 pub const JIT_MIN_COST: u64 = 2;
 
-/// Cap on total emitted machine code per engine. A native body is
-/// *smaller* than the program it replaces — on boom ≈ 23 bytes per
-/// `Inst1` (29 382 instructions in 685 527 B; it was 37 B before
-/// accumulator forwarding, short result masks and per-run counters)
-/// against the 48-byte `Inst1` itself — but it is fetched through the
-/// instruction side, in a wake order nothing prefetches, so an
+/// Cap on the mapped machine code per engine, counted over distinct
+/// bodies (a shared body counts once). Native code is fetched through
+/// the instruction side, in a wake order nothing prefetches, so an
 /// unbounded native tier on a huge design trades dispatch for
-/// instruction-cache misses. Selection is costliest-first under this
-/// budget, which keeps the native tier's footprint within reach of the
-/// last-level cache while covering the partitions where the dispatch
-/// overhead actually concentrates. Every eligible partition of the
-/// paper designs fits (boom: 1 754 of 1 754).
+/// instruction-cache misses. Selection is costliest body first under
+/// this budget. Every eligible partition of the paper designs fits with
+/// room to spare: boom's 1 754 compiled partitions map 22 538 B in 35
+/// bodies, r18's 812 map 21 536 B in 33.
 pub const JIT_CODE_BUDGET: usize = 1 << 20;
 
 /// Whether this build target can execute emitted code (Linux on
@@ -145,22 +153,136 @@ pub fn supported() -> bool {
     cfg!(all(target_os = "linux", target_arch = "x86_64"))
 }
 
-/// Emits the stream for a program; `None` when the host is not a JIT
-/// target or the program is ineligible.
-pub fn emit_for_host(prog: &Tier1Program) -> Option<EmittedCode> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        x64::emit(prog, std::arch::is_x86_feature_detected!("popcnt"))
+/// One partition's place in a [`JitPlan`]: the body it runs and its
+/// operand record, `[start, end)` in [`JitPlan::records`] (empty for a
+/// displacement body).
+#[derive(Debug, Clone, Copy)]
+pub struct PlannedPart {
+    pub body: usize,
+    pub record: (u32, u32),
+}
+
+/// The native tier as data: the distinct bodies and, per scheduled
+/// partition, which body runs it with which record. [`JitParts::build`]
+/// maps one; the J07xx layer audits the same value.
+#[derive(Debug, Clone)]
+pub struct JitPlan {
+    /// The distinct bodies, in arena order (costliest first).
+    pub bodies: Vec<EmittedCode>,
+    /// Per scheduled partition; `None` stays interpreted.
+    pub parts: Vec<Option<PlannedPart>>,
+    /// Every member's operand record, back to back in schedule order.
+    pub records: Vec<u32>,
+}
+
+impl JitPlan {
+    /// Plans native code for `progs` (see the module docs). With
+    /// `costs`, the partitions whose cost clears [`JIT_MIN_COST`], and
+    /// bodies costliest first — a shared body costs what its members
+    /// cost together — until [`JIT_CODE_BUDGET`]; without, every
+    /// eligible partition, bodies in schedule order of their first
+    /// member (testing: deterministic deopt coverage needs bodies for
+    /// tiny partitions the threshold would skip).
+    pub fn new(progs: &[Tier1Program], costs: Option<&[u64]>, have_popcnt: bool) -> JitPlan {
+        let cost = |p: usize| costs.map_or(0, |c| c.get(p).copied().unwrap_or(0));
+        // Every candidate in record form, grouped by bytes (and marks:
+        // the auditor decodes the members' instructions from them).
+        let mut shape_of: HashMap<EmittedCode, usize> = HashMap::new();
+        let mut members: Vec<Vec<usize>> = Vec::new();
+        let mut records: Vec<Vec<u32>> = vec![Vec::new(); progs.len()];
+        for (p, prog) in progs.iter().enumerate() {
+            if costs.is_some() && cost(p) < JIT_MIN_COST {
+                continue;
+            }
+            let Some((code, record)) = x64::emit_record(prog, have_popcnt) else {
+                continue;
+            };
+            let next = members.len();
+            let shape = *shape_of.entry(code).or_insert(next);
+            if shape == next {
+                members.push(Vec::new());
+            }
+            members[shape].push(p);
+            records[p] = record;
+        }
+        let mut bodies: Vec<Option<EmittedCode>> = vec![None; members.len()];
+        for (code, shape) in shape_of {
+            // A one-member shape keeps displacements: shorter, and no
+            // record loads.
+            bodies[shape] = Some(match members[shape][..] {
+                [p] => {
+                    records[p].clear();
+                    x64::emit(&progs[p], have_popcnt).expect("eligible in either form")
+                }
+                _ => code,
+            });
+        }
+        // Budget pass over distinct bodies, costliest first (stable on
+        // ties, so the first member's schedule index breaks them); the
+        // long cheap tail goes back to the interpreter rather than
+        // bloating the code arena past what the caches can hold. The
+        // arena is laid out in the same order: on a big design only a
+        // small fraction of partitions wake in any given cycle, so
+        // clustering the most-woken bodies beats schedule adjacency.
+        let mut order: Vec<usize> = (0..members.len()).collect();
+        order.sort_by_key(|&b| std::cmp::Reverse(members[b].iter().map(|&p| cost(p)).sum::<u64>()));
+        let mut plan = JitPlan {
+            bodies: Vec::new(),
+            parts: vec![None; progs.len()],
+            records: Vec::new(),
+        };
+        let mut spent = 0usize;
+        for shape in order {
+            let code = bodies[shape].take().expect("one body per shape");
+            let size = code.bytes.len().next_multiple_of(16);
+            if spent + size > JIT_CODE_BUDGET {
+                continue;
+            }
+            spent += size;
+            for &p in &members[shape] {
+                plan.parts[p] = Some(PlannedPart {
+                    body: plan.bodies.len(),
+                    record: (0, 0),
+                });
+            }
+            plan.bodies.push(code);
+        }
+        for (part, record) in plan.parts.iter_mut().zip(&records) {
+            if let Some(part) = part {
+                let start = plan.records.len() as u32;
+                plan.records.extend_from_slice(record);
+                part.record = (start, plan.records.len() as u32);
+            }
+        }
+        plan
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = prog;
-        None
+
+    /// A planned part's operand record.
+    pub fn record(&self, part: &PlannedPart) -> &[u32] {
+        &self.records[part.record.0 as usize..part.record.1 as usize]
+    }
+
+    /// The plan for this host: `popcnt` as detected; nothing planned off
+    /// x86-64.
+    fn for_host(progs: &[Tier1Program], costs: Option<&[u64]>) -> JitPlan {
+        #[cfg(target_arch = "x86_64")]
+        {
+            JitPlan::new(progs, costs, std::arch::is_x86_feature_detected!("popcnt"))
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            JitPlan {
+                bodies: Vec::new(),
+                parts: vec![None; progs.len()],
+                records: Vec::new(),
+            }
+        }
     }
 }
 
 /// The function signature of an emitted partition body.
-pub(crate) type EntryFn = unsafe extern "C" fn(*mut u64, *mut u8, *const JitBank) -> u64;
+pub(crate) type EntryFn =
+    unsafe extern "C" fn(*mut u64, *mut u8, *const JitBank, *const u32) -> u64;
 
 /// Calls an emitted body; returns its `(ops, dynamic)` work-counter
 /// deltas, matching `run_tier1_raw`'s accounting exactly.
@@ -168,13 +290,15 @@ pub(crate) type EntryFn = unsafe extern "C" fn(*mut u64, *mut u8, *const JitBank
 /// # Safety
 ///
 /// `entry` must be the [`CompiledPart::entry`] of a part its
-/// [`JitParts`] still holds. The data contract is `run_tier1_raw`'s:
-/// `arena` points at the machine's arena laid out as when the program
-/// was lowered, with no concurrent writer of any slot this partition
-/// reads nor any accessor of slots it writes; `flags` points at the
-/// sequential engine's activity bits — one per scheduled partition,
-/// little-endian `u64` words, no other thread touching them (a wake is a
-/// plain read-modify-write `or` of one byte); `banks` points at a
+/// [`JitParts`] still holds, and `record` that part's operand record in
+/// [`JitParts::records`] (at its [`CompiledPart::record_start`]).
+/// The data contract is `run_tier1_raw`'s: `arena` points at the
+/// machine's arena laid out as when the program was lowered, with no
+/// concurrent writer of any slot this partition reads nor any accessor
+/// of slots it writes; `flags` points at the sequential engine's
+/// activity bits — one per scheduled partition, little-endian `u64`
+/// words, no other thread touching them (a wake is a plain
+/// read-modify-write `or` of one byte); `banks` points at a
 /// [`BankTable`] built over the machine's banks.
 #[inline(always)]
 pub(crate) unsafe fn call(
@@ -182,39 +306,45 @@ pub(crate) unsafe fn call(
     arena: *mut u64,
     flags: *mut u8,
     banks: *const JitBank,
+    record: *const u32,
 ) -> (u64, u64) {
     // SAFETY: forwarded to the caller.
-    let packed = unsafe { entry(arena, flags, banks) };
+    let packed = unsafe { entry(arena, flags, banks, record) };
     (packed & 0xFFFF_FFFF, packed >> 32)
 }
 
-/// A partition compiled into the engine's shared executable arena.
-///
-/// `entry` points into the [`ExecBuf`] owned by the same [`JitParts`];
-/// the parts vector never outlives the arena (and `CompiledPart` has no
-/// `Drop`), so the pointer stays valid for as long as a caller can hold
-/// a reference to this struct.
-pub struct CompiledPart {
+/// A compiled partition, as seen through its [`JitParts`]: the body's
+/// entry in the shared executable arena, the body's stream and where the
+/// partition's own operand record starts.
+#[derive(Clone, Copy)]
+pub struct CompiledPart<'a> {
     entry: *const u8,
-    code: EmittedCode,
+    body: usize,
+    code: &'a EmittedCode,
+    record_start: u32,
 }
 
-// SAFETY: the mapping is immutable (R+X) after construction; calling the
-// code from another thread is as safe as calling it from this one — the
-// *caller* upholds the arena/bank disjointness contract of [`call`].
-unsafe impl Send for CompiledPart {}
-// SAFETY: as above — shared access only reads the mapping pointer.
-unsafe impl Sync for CompiledPart {}
+impl<'a> CompiledPart<'a> {
+    /// The emitted stream (audit layer, diagnostics) — shared by every
+    /// member of the body.
+    pub fn emitted(&self) -> &'a EmittedCode {
+        self.code
+    }
 
-impl CompiledPart {
-    /// The emitted stream (audit layer, diagnostics).
-    pub fn emitted(&self) -> &EmittedCode {
-        &self.code
+    /// The index of the body this partition runs.
+    pub fn body(&self) -> usize {
+        self.body
+    }
+
+    /// Where the operand record the body reads starts in
+    /// [`JitParts::records`].
+    pub(crate) fn record_start(&self) -> u32 {
+        self.record_start
     }
 
     /// The body's entry point. Valid for as long as the owning
-    /// [`JitParts`] lives and keeps this part (the wake-slot table
-    /// caches it under that rule).
+    /// [`JitParts`] lives (the wake-slot table caches it under that
+    /// rule, next to [`CompiledPart::record_start`]).
     pub(crate) fn entry(&self) -> EntryFn {
         // SAFETY: `entry` points at a complete emitted stream for the
         // host architecture (prologue..epilogue) produced by this
@@ -223,121 +353,81 @@ impl CompiledPart {
     }
 }
 
-/// Per-engine JIT state: one optional compiled body per scheduled
-/// partition, all packed into a single shared executable arena, plus
-/// the bank table.
+/// Per-engine JIT state: a mapped [`JitPlan`] — every distinct body
+/// packed once into a single shared executable arena — plus the bank
+/// table.
 ///
-/// Packing matters: with one page-rounded mapping per partition a big
-/// design compiles into thousands of mostly-padding 4 KiB code pages,
-/// and the per-wake iTLB/icache misses cost more than the interpreter
-/// dispatch the JIT removes. One contiguous mapping, laid out
-/// costliest-first, clusters the most-woken bodies on shared pages.
+/// Packing matters: with one page-rounded mapping per body a big design
+/// compiles into mostly-padding 4 KiB code pages, and the per-wake
+/// iTLB/icache misses cost more than the interpreter dispatch the JIT
+/// removes. One contiguous mapping, laid out costliest-first, clusters
+/// the most-woken bodies on shared pages.
 pub struct JitParts {
-    // Declared before `arena` as a reminder that the entry pointers
-    // point into it (`CompiledPart` has no `Drop`, so order is not
-    // load-bearing — the invariant is that both live and die together).
-    parts: Vec<Option<CompiledPart>>,
+    /// The bodies and each partition's place among them; a deopt clears
+    /// the partition's place, never a body.
+    plan: JitPlan,
+    /// Per body: its offset in `arena`.
+    offsets: Vec<usize>,
     banks: BankTable,
-    /// Keep-alive backing for every `CompiledPart::entry`; never read.
-    #[allow(dead_code)]
     arena: Option<ExecBuf>,
 }
 
 impl JitParts {
-    /// Compiles every partition whose cost estimate clears
-    /// [`JIT_MIN_COST`], costliest first until the emitted bytes reach
-    /// [`JIT_CODE_BUDGET`]; everything else stays interpreted.
+    /// Maps the host's [`JitPlan`] for `progs` under `costs`: the
+    /// partitions whose cost clears [`JIT_MIN_COST`], costliest body
+    /// first until [`JIT_CODE_BUDGET`]; everything else stays
+    /// interpreted.
     pub fn build(progs: &[Tier1Program], costs: &[u64], mems: &[MemBank]) -> JitParts {
-        let mut emitted: Vec<Option<EmittedCode>> = progs
-            .iter()
-            .enumerate()
-            .map(|(p, prog)| {
-                if costs.get(p).copied().unwrap_or(0) >= JIT_MIN_COST {
-                    emit_for_host(prog)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        // Budget pass: keep the costliest partitions' bodies (stable on
-        // ties, so schedule order breaks them deterministically); the
-        // long cheap tail goes back to the interpreter rather than
-        // bloating the code arena past what the caches can hold.
-        let mut order: Vec<usize> = (0..emitted.len())
-            .filter(|&p| emitted[p].is_some())
-            .collect();
-        order.sort_by_key(|&p| std::cmp::Reverse(costs.get(p).copied().unwrap_or(0)));
-        let mut spent = 0usize;
-        for &p in &order {
-            let size = emitted[p]
-                .as_ref()
-                .map_or(0, |c| c.bytes.len().next_multiple_of(16));
-            if spent + size <= JIT_CODE_BUDGET {
-                spent += size;
-            } else {
-                emitted[p] = None;
-            }
-        }
-        // Lay the arena out costliest-first too: on a big design only a
-        // small fraction of partitions wake in any given cycle, so
-        // clustering the most-woken bodies beats schedule adjacency for
-        // icache/iTLB locality.
-        JitParts::pack(emitted, &order, mems)
+        JitParts::map(JitPlan::for_host(progs, Some(costs)), mems)
     }
 
     /// Compiles every *eligible* partition regardless of cost (testing:
     /// deterministic deopt coverage needs bodies for tiny partitions the
     /// threshold would skip).
     pub fn build_all(progs: &[Tier1Program], mems: &[MemBank]) -> JitParts {
-        let emitted: Vec<Option<EmittedCode>> = progs.iter().map(emit_for_host).collect();
-        let order: Vec<usize> = (0..emitted.len()).collect();
-        JitParts::pack(emitted, &order, mems)
+        JitParts::map(JitPlan::for_host(progs, None), mems)
     }
 
-    /// Lays the emitted streams into one W^X arena (16-byte entry
-    /// alignment) in the given partition order and resolves per-partition
-    /// entry pointers. Mapping failure — or an empty selection — yields a
-    /// JIT-free state.
-    fn pack(mut emitted: Vec<Option<EmittedCode>>, order: &[usize], mems: &[MemBank]) -> JitParts {
-        let banks = BankTable::new(mems);
+    /// Lays the plan's bodies into one W^X arena (16-byte entry
+    /// alignment) in plan order. Mapping failure — or an empty plan —
+    /// yields a JIT-free state.
+    fn map(mut plan: JitPlan, mems: &[MemBank]) -> JitParts {
         let mut blob: Vec<u8> = Vec::new();
-        let mut offsets: Vec<Option<(usize, EmittedCode)>> = Vec::new();
-        offsets.resize_with(emitted.len(), || None);
-        for &p in order {
-            offsets[p] = emitted[p].take().map(|code| {
+        let offsets = plan
+            .bodies
+            .iter()
+            .map(|code| {
                 // Never-executed inter-body padding (0xCC: `int3` —
                 // every body exits via its own `ret` before the pad).
                 blob.resize(blob.len().next_multiple_of(16), 0xCC);
-                let off = blob.len();
                 blob.extend_from_slice(&code.bytes);
-                (off, code)
-            });
-        }
+                blob.len() - code.bytes.len()
+            })
+            .collect();
         let arena = ExecBuf::new(&blob);
-        let parts = match &arena {
-            Some(buf) => offsets
-                .into_iter()
-                .map(|slot| {
-                    slot.map(|(off, code)| CompiledPart {
-                        // SAFETY: `off` is within the blob copied into
-                        // the mapping, whose length covers the blob.
-                        entry: unsafe { buf.ptr().add(off) },
-                        code,
-                    })
-                })
-                .collect(),
-            None => offsets.iter().map(|_| None).collect(),
-        };
+        if arena.is_none() {
+            plan.parts.iter_mut().for_each(|p| *p = None);
+        }
         JitParts {
-            parts,
-            banks,
+            plan,
+            offsets,
+            banks: BankTable::new(mems),
             arena,
         }
     }
 
     /// The compiled body for a scheduled partition, if any.
-    pub fn part(&self, sched: usize) -> Option<&CompiledPart> {
-        self.parts.get(sched).and_then(|p| p.as_ref())
+    pub fn part(&self, sched: usize) -> Option<CompiledPart<'_>> {
+        let part = self.plan.parts.get(sched)?.as_ref()?;
+        let arena = self.arena.as_ref()?;
+        Some(CompiledPart {
+            // SAFETY: the offset is within the blob copied into the
+            // mapping, whose length covers the blob.
+            entry: unsafe { arena.ptr().add(self.offsets[part.body]) },
+            body: part.body,
+            code: &self.plan.bodies[part.body],
+            record_start: part.record.0,
+        })
     }
 
     /// The bank table pointer for compiled calls.
@@ -345,26 +435,51 @@ impl JitParts {
         self.banks.ptr()
     }
 
-    /// Number of partitions currently running native code.
-    pub fn compiled_count(&self) -> usize {
-        self.parts.iter().filter(|p| p.is_some()).count()
+    /// Base of every part's operand record (a part's record is at its
+    /// [`CompiledPart::record_start`]). The buffer is never resized, so
+    /// the pointer lives, unmoved, as long as these parts.
+    pub(crate) fn records(&self) -> *const u32 {
+        self.plan.records.as_ptr()
     }
 
-    /// Bytes of machine code those partitions run.
+    /// Number of partitions currently running native code.
+    pub fn compiled_count(&self) -> usize {
+        self.plan.parts.iter().flatten().count()
+    }
+
+    /// Per body: whether a partition still runs it.
+    fn live_bodies(&self) -> Vec<bool> {
+        let mut live = vec![false; self.plan.bodies.len()];
+        for part in self.plan.parts.iter().flatten() {
+            live[part.body] = true;
+        }
+        live
+    }
+
+    /// Number of distinct bodies those partitions run.
+    pub fn body_count(&self) -> usize {
+        self.live_bodies().into_iter().filter(|&l| l).count()
+    }
+
+    /// Bytes of machine code those partitions run, each body counted
+    /// once however many partitions share it.
     pub fn code_bytes(&self) -> usize {
-        self.parts
-            .iter()
-            .flatten()
-            .map(|p| p.code.bytes.len())
+        self.live_bodies()
+            .into_iter()
+            .zip(&self.plan.bodies)
+            .filter(|(live, _)| *live)
+            .map(|(_, code)| code.bytes.len())
             .sum()
     }
 
     /// Drops one partition back to the tier-1 interpreter; returns
-    /// whether a compiled body was actually discarded. The body's bytes
-    /// stay mapped in the shared arena (bounded by the original compile
-    /// set) — only the dispatch entry is removed.
+    /// whether a compiled body was actually discarded. The body stays
+    /// mapped in the shared arena (bounded by the original plan, and
+    /// possibly still run by other members) and the record stays in the
+    /// record buffer — only the partition's dispatch entry is removed.
     pub fn deopt(&mut self, sched: usize) -> bool {
-        self.parts
+        self.plan
+            .parts
             .get_mut(sched)
             .map(|p| p.take().is_some())
             .unwrap_or(false)
@@ -372,7 +487,8 @@ impl JitParts {
 
     /// Deoptimizes every partition; returns how many were compiled.
     pub fn deopt_all(&mut self) -> usize {
-        self.parts
+        self.plan
+            .parts
             .iter_mut()
             .filter(|p| p.is_some())
             .map(|p| *p = None)

@@ -13,6 +13,8 @@
 //! | `rdx`    | div/idiv high half                        |
 //! | `r8`     | `ops` counter                             |
 //! | `r9`     | `dynamic` counter                         |
+//! | `r10`    | operand record (saved from `rcx`, arg 4)  |
+//! | `r11`    | record form: the slot just loaded         |
 //!
 //! Every arena access is `mov r64, [rdi + disp32]` / `mov [rdi + disp32],
 //! rax` — or, for the fused tail's change test, `cmp [rdi + disp32], rax`
@@ -23,6 +25,19 @@
 //! through the per-call [`JitBank`](super::JitBank) table at
 //! `[rbx + c * 16]` — uniform shapes the J07xx auditor pattern-matches
 //! exactly.
+//!
+//! **Record form.** [`emit_record`] names the same words and wakes
+//! through a per-partition `u32` *operand record* instead: slot `j` is
+//! the next entry, filled in access order. An arena access is `mov r11d,
+//! [r10 + 4j]` (the byte offset `off * 8`) then `op reg, [rdi + r11]`; a
+//! wake is `mov r11d, [r10 + 4j]` (the byte `c / 8`), `mov edx, [r10 +
+//! 4j + 4]` (the bit `1 << c % 8`), then `or [rsi + r11], dl`; the
+//! prologue adds `mov r10, rcx`. Nothing that differs between
+//! partitions whose programs differ only in arena offsets and wake
+//! targets is left in the bytes, so record-form bodies of equal bytes are
+//! interchangeable: one mapped body serves every member, each with its
+//! own record. The displacement form stays for a body nothing shares —
+//! it is shorter and loads nothing extra.
 //!
 //! **Accumulator forwarding.** After an instruction's tail `rax` holds
 //! exactly the word it stored to `dst`, and the emitter remembers that
@@ -76,10 +91,26 @@ struct Asm {
     /// `ops` and `dynamic` counted since the last [`Asm::flush_counts`].
     ops: u32,
     dynamic: u32,
+    /// Record form: the operand record filled so far (see the module
+    /// docs); `None` emits displacements.
+    record: Option<Vec<u32>>,
+}
+
+/// `mov r11d, [r10 + disp]` / `mov edx, [r10 + disp]`: (REX, ModRM `reg`).
+const R11D: (u8, u8) = (0x45, 3);
+const EDX: (u8, u8) = (0x41, 2);
+
+/// Bytes of a record-slot load of slot `j`: disp8 up to slot 31.
+fn slot_load_len(j: usize) -> usize {
+    if 4 * j <= i8::MAX as usize {
+        4
+    } else {
+        7
+    }
 }
 
 impl Asm {
-    fn new() -> Asm {
+    fn new(record: bool) -> Asm {
         Asm {
             buf: Vec::new(),
             labels: Vec::new(),
@@ -87,6 +118,7 @@ impl Asm {
             acc: None,
             ops: 0,
             dynamic: 0,
+            record: record.then(Vec::new),
         }
     }
 
@@ -114,11 +146,34 @@ impl Asm {
         self.acc = None;
     }
 
-    /// `op reg, [rdi + off*8]` / `op [rdi + off*8], reg`.
+    /// Record form: appends `value` to the record and loads it into
+    /// `dst` ([`R11D`] or [`EDX`]) from its slot, `mov dst, [r10 + 4j]`.
+    /// Leaves `rax` alone.
+    fn slot_load(&mut self, (rex, reg): (u8, u8), value: u32) {
+        let record = self.record.as_mut().expect("record form");
+        let disp = 4 * record.len();
+        record.push(value);
+        if slot_load_len(record.len() - 1) == 4 {
+            self.put_keep(&[rex, 0x8B, 0x40 | (reg << 3) | 2, disp as u8]);
+        } else {
+            self.put_keep(&[rex, 0x8B, 0x80 | (reg << 3) | 2]);
+            self.put_keep(&(disp as u32).to_le_bytes());
+        }
+    }
+
+    /// `op reg, [rdi + off*8]` / `op [rdi + off*8], reg` — in record
+    /// form `mov r11d, [r10 + 4j]; op reg, [rdi + r11]`.
     fn arena_op(&mut self, opcode: u8, reg: u8, off: u32) {
         let rex = 0x48 | ((reg >> 3) << 2);
-        self.put_keep(&[rex, opcode, 0x80 | ((reg & 7) << 3) | 7]);
-        self.put_keep(&(off.wrapping_mul(8) as i32).to_le_bytes());
+        let disp = off.wrapping_mul(8);
+        if self.record.is_some() {
+            self.slot_load(R11D, disp);
+            // REX.X names r11 as the SIB index; base rdi, scale 1.
+            self.put_keep(&[rex | 0x02, opcode, ((reg & 7) << 3) | 4, 0x1F]);
+        } else {
+            self.put_keep(&[rex, opcode, 0x80 | ((reg & 7) << 3) | 7]);
+            self.put_keep(&(disp as i32).to_le_bytes());
+        }
     }
 
     /// Brings arena word `off` into `rax` or `rcx`: nothing (`rax`) or
@@ -149,11 +204,35 @@ impl Asm {
     }
 
     /// `or byte [rsi + consumer/8], 1 << consumer%8` — a fused trigger
-    /// wake: the consumer's activity bit, in the byte that holds it.
+    /// wake: the consumer's activity bit, in the byte that holds it. In
+    /// record form both come from the record: `mov r11d, [r10 + 4j]; mov
+    /// edx, [r10 + 4j + 4]; or [rsi + r11], dl` (`rdx` is free outside a
+    /// division).
     fn wake(&mut self, consumer: u32) {
-        self.put_keep(&[0x80, 0x8E]);
-        self.put_keep(&(consumer / 8).to_le_bytes());
-        self.put_keep(&[1 << (consumer % 8)]);
+        if self.record.is_some() {
+            self.slot_load(R11D, consumer / 8);
+            self.slot_load(EDX, 1 << (consumer % 8));
+            self.put_keep(&[0x42, 0x08, 0x14, 0x1E]);
+        } else {
+            self.put_keep(&[0x80, 0x8E]);
+            self.put_keep(&(consumer / 8).to_le_bytes());
+            self.put_keep(&[1 << (consumer % 8)]);
+        }
+    }
+
+    /// Bytes of a fused tail's store and `wakes` wakes, emitted next —
+    /// what its `je` skips. A displacement store or wake is 7 bytes; in
+    /// record form each slot load is 4 or 7 by its slot.
+    fn skip_len(&self, wakes: usize) -> usize {
+        match &self.record {
+            None => 7 * (1 + wakes),
+            Some(record) => {
+                let j = record.len();
+                let wake_len =
+                    |k: usize| slot_load_len(j + 1 + 2 * k) + slot_load_len(j + 2 + 2 * k) + 4;
+                slot_load_len(j) + 4 + (0..wakes).map(wake_len).sum::<usize>()
+            }
+        }
     }
 
     /// `movabs rcx, imm` (always the 10-byte form).
@@ -281,12 +360,27 @@ fn eligible(prog: &Tier1Program, have_popcnt: bool) -> bool {
     })
 }
 
-/// Emits the full x86-64 stream for `prog`; `None` when ineligible.
+/// Emits the full x86-64 stream for `prog` in displacement form; `None`
+/// when ineligible.
 pub fn emit(prog: &Tier1Program, have_popcnt: bool) -> Option<EmittedCode> {
+    emit_form(prog, have_popcnt, false).map(|(code, _)| code)
+}
+
+/// Emits `prog` in record form: the stream and the operand record it
+/// reads (see the module docs); `None` when ineligible.
+pub fn emit_record(prog: &Tier1Program, have_popcnt: bool) -> Option<(EmittedCode, Vec<u32>)> {
+    emit_form(prog, have_popcnt, true)
+}
+
+fn emit_form(
+    prog: &Tier1Program,
+    have_popcnt: bool,
+    record: bool,
+) -> Option<(EmittedCode, Vec<u32>)> {
     if !eligible(prog, have_popcnt) {
         return None;
     }
-    let mut a = Asm::new();
+    let mut a = Asm::new(record);
     let n = prog.code.len();
     // Labels 0..=n: instruction starts plus the epilogue. Only the ones
     // a jump names are bound — binding ends accumulator forwarding.
@@ -300,9 +394,12 @@ pub fn emit(prog: &Tier1Program, have_popcnt: bool) -> Option<EmittedCode> {
     target[n] = true;
 
     // Prologue: save rbx, move the bank table out of rdx (div clobbers
-    // it), zero the counters.
+    // it) and the record out of rcx, zero the counters.
     a.put(&[0x53]); // push rbx
     a.put(&[0x48, 0x89, 0xD3]); // mov rbx, rdx
+    if record {
+        a.put(&[0x49, 0x89, 0xCA]); // mov r10, rcx
+    }
     a.put(&[0x45, 0x31, 0xC0]); // xor r8d, r8d   (ops)
     a.put(&[0x45, 0x31, 0xC9]); // xor r9d, r9d   (dynamic)
 
@@ -329,10 +426,15 @@ pub fn emit(prog: &Tier1Program, have_popcnt: bool) -> Option<EmittedCode> {
     a.put(&[0x5B]); // pop rbx
     a.put(&[0xC3]); // ret
 
-    Some(EmittedCode {
-        bytes: a.finish(),
-        marks,
-    })
+    let mut record = a.record.take().unwrap_or_default();
+    record.shrink_to_fit();
+    Some((
+        EmittedCode {
+            bytes: a.finish(),
+            marks,
+        },
+        record,
+    ))
 }
 
 /// Emits one instruction body plus (for value producers) the counting /
@@ -653,9 +755,8 @@ fn emit_inst(a: &mut Asm, prog: &Tier1Program, inst: &Inst1, inst_labels: &[usiz
         let woken = &prog.consumers[inst.ws as usize..inst.we as usize];
         a.dynamic += 1;
         a.cmp_arena(inst.dst);
-        // je: unchanged, no store, no wakes. The skipped store and wakes
-        // are 7 bytes each.
-        if 7 * (1 + woken.len()) <= i8::MAX as usize {
+        // je: unchanged, no store, no wakes.
+        if a.skip_len(woken.len()) <= i8::MAX as usize {
             a.je_short(skip);
         } else {
             a.jcc(0x84, skip);
@@ -732,13 +833,11 @@ mod tests {
         vec![0x49, 0x83, 0xC1, n]
     }
 
-    /// Emits `prog`, runs it natively and through the interpreter from
-    /// the same `arena` (the two must leave the same arena, wake the
-    /// same flags and count the same work), and returns each
-    /// instruction's bytes.
-    fn emit_and_run(prog: &Tier1Program, arena: &[u64]) -> Vec<Vec<u8>> {
-        let code = emit(prog, true).expect("test programs are eligible");
-        assert_eq!(code.marks.len(), prog.code.len());
+    /// Runs `bytes` natively under `record` and `prog` through the
+    /// interpreter from the same `arena`: the two must leave the same
+    /// arena, wake the same flags and count the same work (x86-64 Linux
+    /// hosts; elsewhere nothing runs).
+    fn run_against_interpreter(bytes: &[u8], record: &[u32], prog: &Tier1Program, arena: &[u64]) {
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
         {
             use crate::step1::{run_tier1_raw, CellFlags};
@@ -767,9 +866,11 @@ mod tests {
 
             let mut native = arena.to_vec();
             let mut words = vec![0u64; nwords];
-            let buf = super::super::ExecBuf::new(&code.bytes).expect("executable mapping");
-            // SAFETY: `buf` holds one complete emitted stream; its
-            // offsets index `native` and `words`; no banks are read.
+            let buf = super::super::ExecBuf::new(bytes).expect("executable mapping");
+            // SAFETY: `buf` holds one complete emitted stream; `record`
+            // is the one its program was emitted with (or one of an
+            // equal-bytes program); its offsets index `native` and
+            // `words`; no banks are read.
             let counted = unsafe {
                 let entry = std::mem::transmute::<*const u8, super::super::EntryFn>(buf.ptr());
                 super::super::call(
@@ -777,6 +878,7 @@ mod tests {
                     native.as_mut_ptr(),
                     words.as_mut_ptr().cast(),
                     std::ptr::null(),
+                    record.as_ptr(),
                 )
             };
             assert_eq!(native, interp, "arena");
@@ -785,11 +887,76 @@ mod tests {
             assert_eq!(counted, (ops, dynamic), "(ops, dynamic)");
         }
         #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-        let _ = arena;
+        let _ = (bytes, record, prog, arena);
+    }
+
+    fn split(code: &EmittedCode) -> Vec<Vec<u8>> {
         code.marks
             .iter()
             .map(|&(s, e)| code.bytes[s as usize..e as usize].to_vec())
             .collect()
+    }
+
+    /// Emits `prog`, runs it natively and through the interpreter from
+    /// the same `arena`, and returns each instruction's bytes.
+    fn emit_and_run(prog: &Tier1Program, arena: &[u64]) -> Vec<Vec<u8>> {
+        let code = emit(prog, true).expect("test programs are eligible");
+        assert_eq!(code.marks.len(), prog.code.len());
+        run_against_interpreter(&code.bytes, &[], prog, arena);
+        split(&code)
+    }
+
+    /// Emits `progs` in record form — their bytes must be equal — and
+    /// runs those one set of bytes under each program's own record
+    /// against the interpreter on `arena`. Returns the prologue, each
+    /// instruction's bytes and the first program's record.
+    fn emit_records_and_run(
+        progs: &[Tier1Program],
+        arena: &[u64],
+    ) -> (Vec<u8>, Vec<Vec<u8>>, Vec<u32>) {
+        let emitted: Vec<(EmittedCode, Vec<u32>)> = progs
+            .iter()
+            .map(|p| emit_record(p, true).expect("test programs are eligible"))
+            .collect();
+        let (code, _) = &emitted[0];
+        for ((other, record), prog) in emitted.iter().zip(progs) {
+            assert_eq!(other, code, "record-form bytes depend on operands");
+            run_against_interpreter(&code.bytes, record, prog, arena);
+        }
+        let prologue = code.bytes[..code.body_start() as usize].to_vec();
+        (prologue, split(code), emitted[0].1.clone())
+    }
+
+    // Record-form encodings: `mov r11d, [r10 + 4j]` / `mov edx, [r10 +
+    // 4j]`, disp8 through slot 31, then the access through `r11`.
+    fn slot(rex: u8, reg: u8, j: u32) -> Vec<u8> {
+        if j <= 31 {
+            vec![rex, 0x8B, 0x40 | reg << 3 | 2, (4 * j) as u8]
+        } else {
+            [
+                &[rex, 0x8B, 0x80 | reg << 3 | 2][..],
+                &(4 * j).to_le_bytes(),
+            ]
+            .concat()
+        }
+    }
+    fn r11(j: u32) -> Vec<u8> {
+        slot(0x45, 3, j)
+    }
+    fn rec_mov_rax(j: u32) -> Vec<u8> {
+        [r11(j), vec![0x4A, 0x8B, 0x04, 0x1F]].concat()
+    }
+    fn rec_mov_rcx(j: u32) -> Vec<u8> {
+        [r11(j), vec![0x4A, 0x8B, 0x0C, 0x1F]].concat()
+    }
+    fn rec_store(j: u32) -> Vec<u8> {
+        [r11(j), vec![0x4A, 0x89, 0x04, 0x1F]].concat()
+    }
+    fn rec_cmp(j: u32) -> Vec<u8> {
+        [r11(j), vec![0x4A, 0x39, 0x04, 0x1F]].concat()
+    }
+    fn rec_wake(j: u32) -> Vec<u8> {
+        [r11(j), slot(0x41, 2, j + 1), vec![0x42, 0x08, 0x14, 0x1E]].concat()
     }
 
     const PATTERN: u64 = 0xDEAD_BEEF_CAFE_F00D;
@@ -1016,5 +1183,147 @@ mod tests {
             insts[129],
             [NOT.to_vec(), store(0), add_ops(127), add_ops(3)].concat()
         );
+    }
+
+    /// `w(base + 2) = !w(base)` (8 bits), then `w(base + 3) = w(base + 2)
+    /// + w(base + 1)`, fused, waking `cons` and `cons + 70`.
+    fn not_then_fused_add(base: u32, cons: u32) -> Tier1Program {
+        let not = Inst1 {
+            a: base,
+            ..Inst1::new(Op1::Not, base + 2, 0xFF)
+        };
+        let fused = Inst1 {
+            a: base + 2,
+            b: base + 1,
+            ws: 0,
+            we: 2,
+            ..Inst1::new(Op1::Add, base + 3, u64::MAX)
+        };
+        program(vec![not, fused], vec![cons, cons + 70])
+    }
+
+    #[test]
+    fn record_form_reads_operands_and_wakes_from_the_record() {
+        // Words 0..=3 waking 0 and 70, and words 4..=7 waking 9 and 79:
+        // one set of bytes, two records.
+        let progs = [not_then_fused_add(0, 0), not_then_fused_add(4, 9)];
+        let arena = [PATTERN, 7, 0, 0, 0x1234, 0x77, 0, 5];
+        let (prologue, insts, record) = emit_records_and_run(&progs, &arena);
+        assert_eq!(
+            prologue,
+            [0x53, 0x48, 0x89, 0xD3, 0x49, 0x89, 0xCA, 0x45, 0x31, 0xC0, 0x45, 0x31, 0xC9]
+        );
+        assert_eq!(r11(1), [0x45, 0x8B, 0x5A, 4]);
+        assert_eq!(
+            rec_wake(5)[4..],
+            [0x41, 0x8B, 0x52, 24, 0x42, 0x08, 0x14, 0x1E]
+        );
+        let mask = vec![0x25, 0xFF, 0x00, 0x00, 0x00];
+        assert_eq!(
+            insts[0],
+            [rec_mov_rax(0), NOT.to_vec(), mask, rec_store(1)].concat()
+        );
+        // `a` forwarded; the skip covers an 8-byte store and two 12-byte
+        // wakes.
+        let tail = [
+            rec_cmp(3),
+            vec![0x74, 32],
+            rec_store(4),
+            rec_wake(5),
+            rec_wake(7),
+        ]
+        .concat();
+        assert_eq!(
+            insts[1],
+            [rec_mov_rcx(2), ADD.to_vec(), tail, add_ops(2), add_dyn(1)].concat()
+        );
+        // Byte offsets in access order; a wake is (byte, bit).
+        assert_eq!(record, [0, 16, 8, 24, 24, 0, 1, 8, 0x40]);
+    }
+
+    /// `n` negations `w(base + 2i + 1) = !w(base + 2i)` — two record slots
+    /// each, so the slots pass 31 — and then one fused copy of the last
+    /// result waking `wakes` consumers from `cons`.
+    fn long_record(base: u32, cons: u32, n: u32, wakes: u32) -> Tier1Program {
+        let mut code: Vec<Inst1> = (0..n)
+            .map(|i| Inst1 {
+                a: base + 2 * i,
+                ..Inst1::new(Op1::Not, base + 2 * i + 1, u64::MAX)
+            })
+            .collect();
+        // Reads the word two back, so nothing forwards.
+        code.push(Inst1 {
+            a: base + 2 * n - 2,
+            ws: 0,
+            we: wakes,
+            ..Inst1::new(Op1::Ext, base + 2 * n, u64::MAX)
+        });
+        program(code, (0..wakes).map(|k| cons + 3 * k).collect())
+    }
+
+    #[test]
+    fn record_slots_past_31_take_disp32_and_the_skip_is_sized_per_form() {
+        // 20 negations fill slots 0..=39; the fused copy loads from slot
+        // 40, compares through 41, stores through 42 and wakes from 43
+        // on: all disp32.
+        let arena: Vec<u64> = (0..82).map(|i| PATTERN.rotate_left(i)).collect();
+        for (wakes, je) in [(6u32, vec![0x74, 119]), (7, vec![0x0F, 0x84, 137, 0, 0, 0])] {
+            let progs = [long_record(0, 0, 20, wakes), long_record(41, 5, 20, wakes)];
+            let (_, insts, record) = emit_records_and_run(&progs, &arena);
+            assert_eq!(
+                insts[16],
+                [rec_mov_rax(32), NOT.to_vec(), rec_store(33)].concat()
+            );
+            assert_eq!(rec_mov_rax(32)[..7], [0x45, 0x8B, 0x9A, 128, 0, 0, 0]);
+            assert_eq!(rec_wake(43)[7..14], [0x41, 0x8B, 0x92, 176, 0, 0, 0]);
+            // 11-byte store, 18-byte wakes: six fit a rel8 skip, seven
+            // do not.
+            let wake_bytes: Vec<u8> = (0..wakes).flat_map(|k| rec_wake(43 + 2 * k)).collect();
+            assert_eq!(
+                insts[20],
+                [
+                    rec_mov_rax(40),
+                    rec_cmp(41),
+                    je,
+                    rec_store(42),
+                    wake_bytes,
+                    add_ops(21),
+                    add_dyn(1)
+                ]
+                .concat()
+            );
+            assert_eq!(record.len(), 43 + 2 * wakes as usize);
+            // The displacement form skips the same seven wakes short.
+            let disp = split(&emit(&progs[0], true).unwrap());
+            assert_eq!(disp[20][14..16], [0x74, 7 * (1 + wakes as u8)]);
+        }
+    }
+
+    #[test]
+    fn a_shape_with_one_member_keeps_displacements() {
+        use super::super::JitPlan;
+        let lone = not_then_fused_add(0, 0);
+        let plan = JitPlan::new(std::slice::from_ref(&lone), None, true);
+        assert_eq!(plan.bodies, [emit(&lone, true).unwrap()]);
+        assert!(plan.records.is_empty());
+
+        // Two members share one record-form body, each with its record;
+        // the program no other partition shares is displaced.
+        let progs = [
+            not_then_fused_add(0, 0),
+            long_record(8, 1, 2, 1),
+            not_then_fused_add(4, 9),
+        ];
+        let plan = JitPlan::new(&progs, None, true);
+        let (shared, record) = emit_record(&progs[2], true).unwrap();
+        assert_eq!(plan.bodies, [shared, emit(&progs[1], true).unwrap()]);
+        let parts: Vec<(usize, (u32, u32))> = plan
+            .parts
+            .iter()
+            .map(|p| p.map(|p| (p.body, p.record)).unwrap())
+            .collect();
+        // Records back to back in schedule order.
+        assert_eq!(parts, [(0, (0, 9)), (1, (9, 9)), (0, (9, 18))]);
+        assert_eq!(plan.record(&plan.parts[2].unwrap()), record);
     }
 }

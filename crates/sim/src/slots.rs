@@ -15,13 +15,14 @@
 //! for all of them (`X0801`/`X0802`).
 //!
 //! [`WakeSlots`] is the per-engine record in front of it: the native
-//! `entry` (or `None`: run the tier-1 program) beside the table's `plain`
-//! bit, so a plain wake is one record load and one call, and only
-//! non-plain partitions visit [`WakeTable::outputs`] and
-//! [`StateTable::in_place`].
+//! `entry` (or `None`: run the tier-1 program) and the operand record it
+//! reads beside the table's `plain` bit, so a plain wake is one slot
+//! load and one call, and only non-plain partitions visit
+//! [`WakeTable::outputs`] and [`StateTable::in_place`].
 //!
 //! The slots cache entry pointers into the executable arena the
-//! [`JitParts`] owns, so the two live in one struct with the parts
+//! [`JitParts`] owns, and offsets into its record buffer, so the two
+//! live in one struct with the parts
 //! private to it: every operation that changes them — deopt of one
 //! partition, deopt of all, the force-compile hook that replaces the
 //! arena — ends in [`WakeSlots::rebuild_slots`], and no stale pointer
@@ -185,6 +186,9 @@ pub(crate) struct WakeSlot {
     /// The native body to call; `None` runs the tier-1 program (or,
     /// without the tier, the generic items).
     pub entry: Option<EntryFn>,
+    /// Where the operand record `entry` reads starts in
+    /// [`WakeSlots::records`].
+    pub record: u32,
     /// The program is the whole wake.
     pub plain: bool,
 }
@@ -202,18 +206,24 @@ impl WakeSlots {
     pub fn new(jit: Option<JitParts>, plain: &[bool]) -> WakeSlots {
         let slots = plain
             .iter()
-            .map(|&plain| WakeSlot { entry: None, plain })
+            .map(|&plain| WakeSlot {
+                entry: None,
+                record: 0,
+                plain,
+            })
             .collect();
         let mut slots = WakeSlots { jit, slots };
         slots.rebuild_slots();
         slots
     }
 
-    /// Re-derives every entry from the parts as they are now.
+    /// Re-derives every entry and record from the parts as they are now.
     fn rebuild_slots(&mut self) {
         let jit = self.jit.as_ref();
         for (sched, slot) in self.slots.iter_mut().enumerate() {
-            slot.entry = jit.and_then(|j| j.part(sched)).map(|p| p.entry());
+            let part = jit.and_then(|j| j.part(sched));
+            slot.entry = part.map(|p| p.entry());
+            slot.record = part.map_or(0, |p| p.record_start());
         }
     }
 
@@ -228,6 +238,13 @@ impl WakeSlots {
     #[inline]
     pub fn banks(&self) -> *const JitBank {
         self.jit.as_ref().map_or(std::ptr::null(), |j| j.banks())
+    }
+
+    /// The base of the operand records native bodies take (null without
+    /// native parts).
+    #[inline]
+    pub fn records(&self) -> *const u32 {
+        self.jit.as_ref().map_or(std::ptr::null(), |j| j.records())
     }
 
     /// The native parts (verification, tests).

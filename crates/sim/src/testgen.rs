@@ -219,6 +219,49 @@ pub fn gen_circuit(seed: u64) -> GenCircuit {
     }
 }
 
+/// One [`gen_circuit`] module instantiated `copies` times under a top
+/// module: copy `k` reads its own inputs `in{j}_{k}` (`reset` is
+/// shared) and drives its own outputs `out{i}_{k}` — the replicated
+/// shape whose partitions differ only in arena offsets and wake targets.
+pub fn gen_replicated(seed: u64, copies: usize) -> GenCircuit {
+    let cell = gen_circuit(seed);
+    let module = cell.source.replacen("circuit Rand :\n", "", 1).replacen(
+        "module Rand :",
+        "module Cell :",
+        1,
+    );
+    let mut ports = String::from("    input clock : Clock\n    input reset : UInt<1>\n");
+    let mut wiring = String::new();
+    let mut inputs = vec![("reset".to_string(), 1)];
+    let mut outputs = Vec::new();
+    for k in 0..copies {
+        let _ = writeln!(wiring, "    inst c{k} of Cell");
+        let _ = writeln!(wiring, "    c{k}.clock <= clock");
+        let _ = writeln!(wiring, "    c{k}.reset <= reset");
+        for (name, w) in cell.inputs.iter().filter(|(name, _)| name != "reset") {
+            let _ = writeln!(ports, "    input {name}_{k} : UInt<{w}>");
+            let _ = writeln!(wiring, "    c{k}.{name} <= {name}_{k}");
+            inputs.push((format!("{name}_{k}"), *w));
+        }
+        for name in &cell.outputs {
+            // The cell's output width, read back from its port list.
+            let decl = format!("    output {name} : ");
+            let width = module
+                .lines()
+                .find_map(|l| l.strip_prefix(&decl))
+                .expect("every output is declared");
+            let _ = writeln!(ports, "    output {name}_{k} : {width}");
+            let _ = writeln!(wiring, "    {name}_{k} <= c{k}.{name}");
+            outputs.push(format!("{name}_{k}"));
+        }
+    }
+    GenCircuit {
+        source: format!("circuit Top :\n{module}  module Top :\n{ports}{wiring}"),
+        inputs,
+        outputs,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,13 +9,18 @@
 //! The dataflow engine ignores `jit` (its workers share flag bytes a
 //! native bit `or` would race on) and must stay golden-exact with it on.
 //!
+//! Partitions whose programs differ only in arena offsets and wake
+//! targets share one native body, each through its own operand record;
+//! a replicated design must compile into fewer bodies than partitions
+//! and stay exact while the members of a shared body deopt one by one.
+//!
 //! On targets where the JIT is unsupported these tests degrade to plain
 //! tier-1 equivalence runs (compile-all returns 0 bodies) and still
 //! pass — the gating itself is part of what is under test.
 
 use essent_bits::Bits;
 use essent_netlist::{interp::Interpreter, Netlist};
-use essent_sim::testgen::gen_circuit;
+use essent_sim::testgen::{gen_circuit, gen_replicated};
 use essent_sim::{EngineConfig, EssentSim, ParEssentSim, Simulator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -332,6 +337,89 @@ fn wake_slots_follow_every_change_of_the_native_parts() {
             }
             assert_eq!(
                 seq.counters(),
+                plain.counters(),
+                "seed {seed} cycle {cycle}: counters"
+            );
+        }
+    }
+}
+
+/// Four copies of one generated module: the force-compiled engine runs
+/// fewer bodies than native partitions, and stays golden-exact and
+/// counter-exact against a JIT-free twin every cycle while one member of
+/// a shared body deopts (the others keep running it) and then the rest.
+#[test]
+fn replicated_partitions_share_bodies_through_deopt() {
+    for seed in [3u64, 11, 0xE55E] {
+        let circuit = gen_replicated(seed, 4);
+        let netlist = build(&circuit.source);
+        let config = EngineConfig {
+            jit: true,
+            ..EngineConfig::default()
+        };
+        let mut golden = Interpreter::new(&netlist);
+        let mut plain = EssentSim::new(&netlist, &EngineConfig::default());
+        let mut sim = EssentSim::new(&netlist, &config);
+        let compiled = sim.jit_compile_all();
+        let Some(parts) = sim.jit_parts().filter(|_| compiled > 0) else {
+            let gated = !essent_sim::jit::supported() || cfg!(feature = "race-sanitizer");
+            assert!(gated, "seed {seed}: nothing compiled");
+            continue;
+        };
+        let bodies = parts.body_count();
+        assert!(
+            bodies < sim.jit_compiled_count(),
+            "seed {seed}: {bodies} bodies for {compiled} partitions"
+        );
+        let body_of: Vec<Option<usize>> = (0..sim.partition_count())
+            .map(|p| parts.part(p).map(|c| c.body()))
+            .collect();
+        let class: Vec<usize> = body_of
+            .iter()
+            .flatten()
+            .map(|&b| {
+                let members = (0..body_of.len()).filter(|&p| body_of[p] == Some(b));
+                members.collect::<Vec<_>>()
+            })
+            .find(|class| class.len() > 1)
+            .unwrap_or_else(|| panic!("seed {seed}: no shared body"));
+
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        for cycle in 0..48u64 {
+            match cycle {
+                12 => {
+                    assert!(sim.force_deopt(class[0]));
+                    let parts = sim.jit_parts().unwrap();
+                    assert_eq!(parts.body_count(), bodies, "the others still run it");
+                }
+                24 => {
+                    for &p in &class[1..] {
+                        assert!(sim.force_deopt(p));
+                    }
+                    assert_eq!(sim.jit_parts().unwrap().body_count(), bodies - 1);
+                }
+                _ => {}
+            }
+            poke_all(
+                &mut rng,
+                cycle,
+                &circuit.inputs,
+                &mut golden,
+                &mut [&mut plain, &mut sim],
+            );
+            golden.step(1);
+            plain.step(1);
+            sim.step(1);
+            for out in &circuit.outputs {
+                assert_eq!(
+                    sim.peek(out),
+                    golden.peek(out),
+                    "seed {seed} cycle {cycle} {out}\n{}",
+                    circuit.source
+                );
+            }
+            assert_eq!(
+                sim.counters(),
                 plain.counters(),
                 "seed {seed} cycle {cycle}: counters"
             );

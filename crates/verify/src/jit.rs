@@ -59,18 +59,56 @@
 //! (instruction 0, a jump target, the instruction after a jump) to the
 //! next — because every path through a run executes all of it: the
 //! stream adds each run's total once, and must reach the same sums.
+//!
+//! **Shared bodies.** [`check_jit_plan`] audits a whole
+//! [`JitPlan`] — exactly what the engine maps. A record-form body
+//! names its arena words and wake sites by *record slot* (`mov r11d,
+//! [r10 + 4j]` then `[rdi + r11]`; `mov r11d` / `mov edx` from two slots
+//! then `or [rsi + r11], dl`), so its facts decode once, symbolically,
+//! and each member resolves them through its own record before the
+//! comparison above runs against its own program: a slot that holds
+//! the wrong word is that member's `J0702`, a recorded wake site that
+//! names the wrong bit (or no single bit) its `J0704`. A `[rdi + r11]`
+//! or `[rsi + r11]` use without a record load of `r11` (and for a wake
+//! of `edx`) earlier in the same instruction range, or a record load in
+//! a body whose prologue does not set `r10`, is `J0701` for the body.
 
-use essent_core::diag::{codes, Diagnostic, Report};
-use essent_sim::jit::EmittedCode;
+use essent_core::diag::{codes, DiagCode, Diagnostic, Report};
+use essent_sim::jit::{EmittedCode, JitPlan};
 use essent_sim::step1::{Inst1, Op1, Tier1Program, NO_FUSE};
 use std::collections::BTreeSet;
 
-/// Facts extracted from one instruction's decoded byte range.
+/// An arena word as the bytes name it.
+#[derive(Clone, Copy)]
+enum Word {
+    /// `[rdi + disp32]`: the word `disp / 8`.
+    Disp(u32),
+    /// `[rdi + r11]`: the byte offset record slot `j` holds.
+    Slot(u32),
+    /// The word `rax` held at the instruction's first byte: the previous
+    /// instruction's `dst` where the member's program justifies it,
+    /// nothing otherwise.
+    Fwd,
+}
+
+/// An activity bit as the bytes name it.
+#[derive(Clone, Copy)]
+enum Site {
+    /// `or byte [rsi + disp32], imm8`.
+    Bit(u32),
+    /// `or [rsi + r11], dl`: the byte and the bit mask two record slots
+    /// hold.
+    Slots { byte: u32, mask: u32 },
+}
+
+/// Facts extracted from one instruction's decoded byte range, with
+/// record slots and the forwarded word not yet resolved (a body is
+/// decoded once for all its members).
 #[derive(Default)]
 struct InstFacts {
-    loads: BTreeSet<u32>,
-    stores: BTreeSet<u32>,
-    flags: BTreeSet<u32>,
+    loads: Vec<Word>,
+    stores: Vec<Word>,
+    wakes: Vec<Site>,
     banks: BTreeSet<u32>,
     imms: BTreeSet<u64>,
     /// Absolute byte offsets into the stream.
@@ -156,24 +194,40 @@ fn expect(prog: &Tier1Program, inst: &Inst1, code: &EmittedCode) -> Expect {
 // The restricted decoder
 // ---------------------------------------------------------------------
 
+/// Where a body-level finding goes: the first member's partition, and
+/// for a shared body a prefix naming it.
+struct BodyCtx {
+    partition: usize,
+    prefix: String,
+}
+
+impl BodyCtx {
+    fn push(&self, report: &mut Report, code: DiagCode, message: String) {
+        report.push(
+            Diagnostic::error(code, format!("{}{message}", self.prefix))
+                .with_partition(self.partition),
+        );
+    }
+}
+
 /// Decodes one instruction byte range of the x86-64 vocabulary into a
 /// fact set. Reports `J0701` for anything outside the vocabulary.
 ///
-/// `fwd` is the word `rax` holds at `start` — the caller's derivation
-/// from the program, never the emitter's. The decoder follows `rax`
-/// from there (see the module docs) and records a load of the word it
-/// holds wherever an encoding reads it.
+/// `rax` starts as [`Word::Fwd`]: what it holds at `start` is the
+/// caller's derivation from each member's program, never the emitter's.
+/// The decoder follows `rax` from there (see the module docs) and
+/// records a load of the word it holds wherever an encoding reads it.
+/// `record` says whether the prologue set up `r10`.
 fn decode_x64(
     bytes: &[u8],
-    start: usize,
-    end: usize,
-    fwd: Option<u32>,
+    (start, end): (usize, usize),
+    record: bool,
     report: &mut Report,
-    partition: usize,
+    ctx: &BodyCtx,
     pc: usize,
 ) -> InstFacts {
     /// How an encoding touches `rax`.
-    #[derive(Clone, Copy, PartialEq)]
+    #[derive(Clone, Copy)]
     enum Rax {
         /// Neither reads nor writes it.
         Apart,
@@ -182,13 +236,16 @@ fn decode_x64(
         Kills,
         ReadsKills,
         /// Loads this arena word into it.
-        Loads(u32),
+        Loads(Word),
     }
     let mut f = InstFacts::default();
-    let mut rax = fwd;
+    let mut rax = Some(Word::Fwd);
+    // The record slots `r11` and `edx` were last loaded from, within
+    // this range; a use consumes them.
+    let (mut r11, mut edx): (Option<u32>, Option<u32>) = (None, None);
     // Branch targets inside the range: another path joins there, so
-    // `rax` is unknown again; and a counter addition before the furthest
-    // one is an addition some path skips.
+    // `rax`, `r11` and `edx` are unknown again; and a counter addition
+    // before the furthest one is an addition some path skips.
     let mut joins: Vec<usize> = Vec::new();
     let branch = |f: &mut InstFacts, joins: &mut Vec<usize>, target: i64| {
         f.branch_targets.push(target as u32);
@@ -197,37 +254,71 @@ fn decode_x64(
     let mut p = start;
     let word = |d: &[u8]| i32::from_le_bytes([d[0], d[1], d[2], d[3]]);
     // A non-negative displacement that is a multiple of `scale`.
-    let scaled = |d: &[u8], scale: i32| {
-        let disp = word(d);
-        (disp >= 0 && disp % scale == 0).then_some((disp / scale) as u32)
-    };
+    let scaled =
+        |disp: i32, scale: i32| (disp >= 0 && disp % scale == 0).then_some((disp / scale) as u32);
+    let arena = |d: &[u8]| scaled(word(d), 8).map(Word::Disp);
+    // The arena word `[rdi + r11]` names: the slot `r11` was loaded from.
+    let indexed = |r11: &mut Option<u32>| r11.take().map(Word::Slot);
     while p < end {
         if joins.contains(&p) {
-            rax = None;
+            (rax, r11, edx) = (None, None, None);
         }
         let decoded: Option<(usize, Rax)> = match bytes[p..end] {
             // mov rax, [rdi+disp32] ; mov rcx, [rdi+disp32] ;
             // mov [rdi+disp32], rax
-            [0x48, 0x8B, 0x87, ref d @ ..] if d.len() >= 4 => scaled(d, 8).map(|off| {
-                f.loads.insert(off);
-                (7, Rax::Loads(off))
+            [0x48, 0x8B, 0x87, ref d @ ..] if d.len() >= 4 => arena(d).map(|w| {
+                f.loads.push(w);
+                (7, Rax::Loads(w))
             }),
-            [0x48, 0x8B, 0x8F, ref d @ ..] if d.len() >= 4 => scaled(d, 8).map(|off| {
-                f.loads.insert(off);
+            [0x48, 0x8B, 0x8F, ref d @ ..] if d.len() >= 4 => arena(d).map(|w| {
+                f.loads.push(w);
                 (7, Rax::Apart)
             }),
-            [0x48, 0x89, 0x87, ref d @ ..] if d.len() >= 4 => scaled(d, 8).map(|off| {
-                f.stores.insert(off);
+            [0x48, 0x89, 0x87, ref d @ ..] if d.len() >= 4 => arena(d).map(|w| {
+                f.stores.push(w);
                 (7, Rax::Reads)
             }),
             // cmp [rdi+disp32], rax: the fused tail's read of the stored
             // value.
-            [0x48, 0x39, 0x87, ref d @ ..] if d.len() >= 4 => scaled(d, 8).map(|off| {
-                f.loads.insert(off);
+            [0x48, 0x39, 0x87, ref d @ ..] if d.len() >= 4 => arena(d).map(|w| {
+                f.loads.push(w);
                 (7, Rax::Reads)
             }),
+            // The record form of the same four: mov rax, [rdi+r11] ;
+            // mov rcx, [rdi+r11] ; mov [rdi+r11], rax ; cmp [rdi+r11], rax
+            [0x4A, 0x8B, 0x04, 0x1F, ..] => indexed(&mut r11).map(|w| {
+                f.loads.push(w);
+                (4, Rax::Loads(w))
+            }),
+            [0x4A, 0x8B, 0x0C, 0x1F, ..] => indexed(&mut r11).map(|w| {
+                f.loads.push(w);
+                (4, Rax::Apart)
+            }),
+            [0x4A, 0x89, 0x04, 0x1F, ..] => indexed(&mut r11).map(|w| {
+                f.stores.push(w);
+                (4, Rax::Reads)
+            }),
+            [0x4A, 0x39, 0x04, 0x1F, ..] => indexed(&mut r11).map(|w| {
+                f.loads.push(w);
+                (4, Rax::Reads)
+            }),
+            // mov r11d, [r10+disp8/32] ; mov edx, [r10+disp8/32]: a
+            // record slot.
+            [rex @ (0x45 | 0x41), 0x8B, modrm @ (0x5A | 0x9A | 0x52 | 0x92), ref d @ ..]
+                if record && (rex == 0x45) == (modrm & 0x38 == 0x18) =>
+            {
+                let (len, disp) = match modrm & 0xC0 {
+                    0x40 if !d.is_empty() => (4, Some(d[0] as i8 as i32)),
+                    0x80 if d.len() >= 4 => (7, Some(word(d))),
+                    _ => (0, None),
+                };
+                disp.and_then(|disp| scaled(disp, 4)).map(|slot| {
+                    *if rex == 0x45 { &mut r11 } else { &mut edx } = Some(slot);
+                    (len, Rax::Apart)
+                })
+            }
             // mov rcx, [rbx+disp32]: a bank table entry.
-            [0x48, 0x8B, 0x8B, ref d @ ..] if d.len() >= 4 => scaled(d, 16).map(|bank| {
+            [0x48, 0x8B, 0x8B, ref d @ ..] if d.len() >= 4 => scaled(word(d), 16).map(|bank| {
                 f.banks.insert(bank);
                 (7, Rax::Apart)
             }),
@@ -245,10 +336,14 @@ fn decode_x64(
             [0x48, 0xC1, 0xE1 | 0xF9, _, ..] => Some((4, Rax::Apart)),
             // cmp rcx, imm8
             [0x48, 0x83, 0xF9, _, ..] => Some((4, Rax::Apart)),
-            // add/sub/and/or/xor rax, rcx; div/idiv rcx; neg/not rax;
-            // shl/shr/sar rax, cl
+            // div/idiv rcx (rdx: the high half)
+            [0x48, 0xF7, 0xF1 | 0xF9, ..] => {
+                edx = None;
+                Some((3, Rax::ReadsKills))
+            }
+            // add/sub/and/or/xor rax, rcx; neg/not rax; shl/shr/sar rax, cl
             [0x48, 0x01 | 0x29 | 0x21 | 0x09 | 0x31, 0xC8, ..]
-            | [0x48, 0xF7, 0xF1 | 0xF9 | 0xD8 | 0xD0, ..]
+            | [0x48, 0xF7, 0xD8 | 0xD0, ..]
             | [0x48, 0xD3, 0xE0 | 0xE8 | 0xF8, ..] => Some((3, Rax::ReadsKills)),
             // cmp rax, rcx ; test rax, rax ; mov rcx, rax
             [0x48, 0x39, 0xC8, ..] | [0x48, 0x85, 0xC0, ..] | [0x48, 0x89, 0xC1, ..] => {
@@ -261,19 +356,20 @@ fn decode_x64(
             // imul rax, rcx ; cmovz rax, rcx
             [0x48, 0x0F, 0xAF | 0x44, 0xC1, ..] => Some((4, Rax::ReadsKills)),
             // cqo
-            [0x48, 0x99, ..] => Some((2, Rax::Reads)),
+            [0x48, 0x99, ..] => {
+                edx = None;
+                Some((2, Rax::Reads))
+            }
             // add r8, imm8 (ops) / add r9, imm8 (dynamic)
             [0x49, 0x83, reg @ (0xC0 | 0xC1), n @ 1..=0x7F, ..] => {
                 if let Some(&t) = joins.iter().find(|&&t| t > p) {
-                    report.push(
-                        Diagnostic::error(
-                            codes::JIT_OPERAND,
-                            format!(
-                                "inst {pc}: the counter addition at byte {p} is skipped by \
-                                 the branch to byte {t}"
-                            ),
-                        )
-                        .with_partition(partition),
+                    ctx.push(
+                        report,
+                        codes::JIT_OPERAND,
+                        format!(
+                            "inst {pc}: the counter addition at byte {p} is skipped by \
+                             the branch to byte {t}"
+                        ),
                     );
                 }
                 if reg == 0xC0 {
@@ -304,15 +400,26 @@ fn decode_x64(
             }
             // or byte [rsi+disp32], imm8: one activity bit.
             [0x80, 0x8E, ref d @ ..] if d.len() >= 5 && d[4].is_power_of_two() => {
-                let bit = scaled(d, 1).and_then(|byte| byte.checked_mul(8));
+                let bit = scaled(word(d), 1).and_then(|byte| byte.checked_mul(8));
                 bit.map(|bit| {
-                    f.flags.insert(bit + d[4].trailing_zeros());
+                    f.wakes.push(Site::Bit(bit + d[4].trailing_zeros()));
                     (7, Rax::Apart)
                 })
             }
+            // or [rsi+r11], dl: the activity bit two record slots name.
+            [0x42, 0x08, 0x14, 0x1E, ..] => match (r11.take(), edx.take()) {
+                (Some(byte), Some(mask)) => {
+                    f.wakes.push(Site::Slots { byte, mask });
+                    Some((4, Rax::Apart))
+                }
+                _ => None,
+            },
             // xor eax, eax / xor edx, edx
             [0x31, 0xC0, ..] => Some((2, Rax::Kills)),
-            [0x31, 0xD2, ..] => Some((2, Rax::Apart)),
+            [0x31, 0xD2, ..] => {
+                edx = None;
+                Some((2, Rax::Apart))
+            }
             // test al, 1
             [0xA8, 0x01, ..] => Some((2, Rax::Reads)),
             // The result masks: and eax, imm8 / and eax, imm32 /
@@ -338,12 +445,10 @@ fn decode_x64(
         };
         let Some((len, effect)) = decoded else {
             f.bad = true;
-            report.push(
-                Diagnostic::error(
-                    codes::JIT_DECODE,
-                    format!("x64 stream undecodable at byte {p} (inst {pc})"),
-                )
-                .with_partition(partition),
+            ctx.push(
+                report,
+                codes::JIT_DECODE,
+                format!("x64 stream undecodable at byte {p} (inst {pc})"),
             );
             return f;
         };
@@ -352,7 +457,7 @@ fn decode_x64(
         }
         match effect {
             Rax::Kills | Rax::ReadsKills => rax = None,
-            Rax::Loads(off) => rax = Some(off),
+            Rax::Loads(w) => rax = Some(w),
             Rax::Apart | Rax::Reads => {}
         }
         p += len;
@@ -360,10 +465,19 @@ fn decode_x64(
     f
 }
 
-/// The exact prologue the x86-64 emitter produces.
+/// The exact prologue the x86-64 emitter produces in displacement form.
 const PROLOGUE: &[u8] = &[
     0x53, // push rbx
     0x48, 0x89, 0xD3, // mov rbx, rdx
+    0x45, 0x31, 0xC0, // xor r8d, r8d
+    0x45, 0x31, 0xC9, // xor r9d, r9d
+];
+
+/// The exact prologue of a record-form body.
+const RECORD_PROLOGUE: &[u8] = &[
+    0x53, // push rbx
+    0x48, 0x89, 0xD3, // mov rbx, rdx
+    0x49, 0x89, 0xCA, // mov r10, rcx
     0x45, 0x31, 0xC0, // xor r8d, r8d
     0x45, 0x31, 0xC9, // xor r9d, r9d
 ];
@@ -381,70 +495,233 @@ const EPILOGUE: &[u8] = &[
 // The audit proper
 // ---------------------------------------------------------------------
 
-/// Audits one emitted stream against its source program. `partition` is
-/// the scheduled index, used only in diagnostics.
+/// One partition running a body: its scheduled index (diagnostics), its
+/// program and its operand record.
+struct Member<'a> {
+    partition: usize,
+    prog: &'a Tier1Program,
+    record: &'a [u32],
+}
+
+/// Audits one displacement-form stream against its source program.
+/// `partition` is the scheduled index, used only in diagnostics.
 pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> Report {
+    let member = Member {
+        partition,
+        prog,
+        record: &[],
+    };
     let mut report = Report::new();
-    // --- Structure: marks cover the code exactly (J0701) -------------
-    if code.marks.len() != prog.code.len() {
-        report.push(
-            Diagnostic::error(
-                codes::JIT_DECODE,
-                format!(
-                    "mark table has {} entries for {} instruction(s)",
-                    code.marks.len(),
-                    prog.code.len()
-                ),
-            )
-            .with_partition(partition),
-        );
-        return report;
-    }
-    if code.bytes.len() < PROLOGUE.len() + EPILOGUE.len()
-        || &code.bytes[..PROLOGUE.len()] != PROLOGUE
-    {
-        report.push(
-            Diagnostic::error(codes::JIT_DECODE, "malformed prologue".to_string())
-                .with_partition(partition),
-        );
-        return report;
-    }
-    if &code.bytes[code.bytes.len() - EPILOGUE.len()..] != EPILOGUE {
-        report.push(
-            Diagnostic::error(codes::JIT_DECODE, "malformed epilogue".to_string())
-                .with_partition(partition),
-        );
-        return report;
-    }
-    let mut cursor = PROLOGUE.len() as u32;
-    for (pc, &(s, e)) in code.marks.iter().enumerate() {
-        if s != cursor || e < s || e as usize > code.bytes.len() - EPILOGUE.len() {
-            report.push(
+    check_body(code, &[member], None, &mut report);
+    report
+}
+
+/// Audits a whole [`JitPlan`] over `progs` (the programs it was planned
+/// from, by scheduled index): every body decoded once, every member
+/// checked through its own record against its own program.
+pub fn check_jit_plan(progs: &[Tier1Program], plan: &JitPlan) -> Report {
+    let mut report = Report::new();
+    let mut members: Vec<Vec<Member>> = plan.bodies.iter().map(|_| Vec::new()).collect();
+    for (partition, part) in plan.parts.iter().enumerate() {
+        let Some(part) = part else { continue };
+        match (members.get_mut(part.body), progs.get(partition)) {
+            (Some(of_body), Some(prog)) => of_body.push(Member {
+                partition,
+                prog,
+                record: plan.record(part),
+            }),
+            _ => report.push(
                 Diagnostic::error(
                     codes::JIT_DECODE,
-                    format!("mark {pc} [{s}, {e}) breaks body contiguity at {cursor}"),
+                    format!(
+                        "planned onto body {} of {} without a program among {}",
+                        part.body,
+                        plan.bodies.len(),
+                        progs.len()
+                    ),
                 )
                 .with_partition(partition),
+            ),
+        }
+    }
+    for (body, (code, members)) in plan.bodies.iter().zip(&members).enumerate() {
+        check_body(code, members, Some(body), &mut report);
+    }
+    report
+}
+
+/// Audits one body for every member that runs it: the structure and
+/// the decode once (body-level findings go to the first member, named
+/// with `body` when it is shared), then each member's resolved facts
+/// against its own program.
+fn check_body(code: &EmittedCode, members: &[Member], body: Option<usize>, report: &mut Report) {
+    let Some(first) = members.first() else {
+        return;
+    };
+    let ctx = BodyCtx {
+        partition: first.partition,
+        prefix: match body {
+            Some(b) if members.len() > 1 => {
+                format!("shared body {b} ({} partitions): ", members.len())
+            }
+            _ => String::new(),
+        },
+    };
+    // --- Structure: prologue, epilogue, marks cover the code (J0701) --
+    let bytes = &code.bytes;
+    let prologue = [RECORD_PROLOGUE, PROLOGUE]
+        .into_iter()
+        .find(|pro| bytes.len() >= pro.len() + EPILOGUE.len() && bytes.starts_with(pro));
+    let Some(prologue) = prologue else {
+        ctx.push(report, codes::JIT_DECODE, "malformed prologue".to_string());
+        return;
+    };
+    let record = prologue == RECORD_PROLOGUE;
+    if !bytes.ends_with(EPILOGUE) {
+        ctx.push(report, codes::JIT_DECODE, "malformed epilogue".to_string());
+        return;
+    }
+    let mut cursor = prologue.len() as u32;
+    for (pc, &(s, e)) in code.marks.iter().enumerate() {
+        if s != cursor || e < s || e as usize > bytes.len() - EPILOGUE.len() {
+            ctx.push(
+                report,
+                codes::JIT_DECODE,
+                format!("mark {pc} [{s}, {e}) breaks body contiguity at {cursor}"),
             );
-            return report;
+            return;
         }
         cursor = e;
     }
-    if cursor as usize != code.bytes.len() - EPILOGUE.len() {
-        report.push(
-            Diagnostic::error(
-                codes::JIT_DECODE,
-                format!(
-                    "body ends at {cursor}, epilogue begins at {}",
-                    code.bytes.len() - EPILOGUE.len()
-                ),
-            )
-            .with_partition(partition),
+    if cursor as usize != bytes.len() - EPILOGUE.len() {
+        ctx.push(
+            report,
+            codes::JIT_DECODE,
+            format!(
+                "body ends at {cursor}, epilogue begins at {}",
+                bytes.len() - EPILOGUE.len()
+            ),
         );
-        return report;
+        return;
     }
+    // --- Decode once ---------------------------------------------------
+    let mut facts = Vec::with_capacity(code.marks.len());
+    for (pc, &(s, e)) in code.marks.iter().enumerate() {
+        let f = decode_x64(bytes, (s as usize, e as usize), record, report, &ctx, pc);
+        if f.bad {
+            // The run sums are unknowable; J0701 is already reported.
+            return;
+        }
+        facts.push(f);
+    }
+    // The record slots the body reads: every member's record must hold
+    // exactly that many.
+    let mut slots = 0;
+    for f in &facts {
+        for w in f.loads.iter().chain(&f.stores) {
+            if let Word::Slot(j) = *w {
+                slots = slots.max(j as usize + 1);
+            }
+        }
+        for site in &f.wakes {
+            if let Site::Slots { byte, mask } = *site {
+                slots = slots.max(byte.max(mask) as usize + 1);
+            }
+        }
+    }
+    // --- Each member through its own record ---------------------------
+    for member in members {
+        check_member(code, &facts, slots, member, report);
+    }
+}
 
-    // --- Per-instruction facts (J0702/J0703/J0704) --------------------
+/// One member's word for a decoded arena operand: `None` (and, for a bad
+/// record slot, a `J0702`) when there is none.
+fn resolve_word(
+    w: Word,
+    fwd: Option<u32>,
+    record: &[u32],
+    push: &mut dyn FnMut(DiagCode, String),
+) -> Option<u32> {
+    match w {
+        Word::Disp(off) => Some(off),
+        Word::Fwd => fwd,
+        Word::Slot(j) => match record.get(j as usize) {
+            Some(&byte) if byte % 8 == 0 => Some(byte / 8),
+            held => {
+                push(
+                    codes::JIT_OPERAND,
+                    format!("record slot {j} holds {held:?}, not an arena byte offset"),
+                );
+                None
+            }
+        },
+    }
+}
+
+/// One member's activity bit for a decoded wake site: `None` (and a
+/// `J0704`) when its record slots name no single bit.
+fn resolve_site(site: Site, record: &[u32], push: &mut dyn FnMut(DiagCode, String)) -> Option<u32> {
+    match site {
+        Site::Bit(bit) => Some(bit),
+        Site::Slots { byte, mask } => {
+            let (b, m) = (record.get(byte as usize), record.get(mask as usize));
+            let bit = match (b, m) {
+                (Some(&b), Some(&m)) if m.is_power_of_two() && m <= 0x80 => {
+                    b.checked_mul(8).map(|base| base + m.trailing_zeros())
+                }
+                _ => None,
+            };
+            if bit.is_none() {
+                push(
+                    codes::JIT_FUSE,
+                    format!(
+                        "wake record slots {byte}/{mask} hold {b:?}/{m:?}, not one activity bit"
+                    ),
+                );
+            }
+            bit
+        }
+    }
+}
+
+/// Checks one member's resolved facts against its own program
+/// (J0702/J0703/J0704).
+fn check_member(
+    code: &EmittedCode,
+    facts: &[InstFacts],
+    slots: usize,
+    member: &Member,
+    report: &mut Report,
+) {
+    let Member {
+        partition,
+        prog,
+        record,
+    } = *member;
+    let mut push = |code, message: String| {
+        report.push(Diagnostic::error(code, message).with_partition(partition));
+    };
+    if code.marks.len() != prog.code.len() {
+        push(
+            codes::JIT_DECODE,
+            format!(
+                "mark table has {} entries for {} instruction(s)",
+                code.marks.len(),
+                prog.code.len()
+            ),
+        );
+        return;
+    }
+    if record.len() != slots {
+        push(
+            codes::JIT_OPERAND,
+            format!(
+                "operand record has {} slot(s), the body reads {slots}",
+                record.len()
+            ),
+        );
+    }
     // Jump targets, from the program: where a straight-line run starts
     // and where nothing can be assumed about the accumulator.
     let mut landing = vec![false; prog.code.len() + 1];
@@ -455,9 +732,6 @@ pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> R
             }
         }
     }
-    let push = |report: &mut Report, code, message: String| {
-        report.push(Diagnostic::error(code, message).with_partition(partition));
-    };
     // The current run: its first pc, and what the stream added to each
     // counter against what the run's instructions count.
     #[derive(Default)]
@@ -469,7 +743,7 @@ pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> R
         dynamic: u32,
     }
     let mut run = Run::default();
-    for (pc, (inst, &(s, e))) in prog.code.iter().zip(&code.marks).enumerate() {
+    for (pc, ((inst, &(s, e)), f)) in prog.code.iter().zip(&code.marks).zip(facts).enumerate() {
         // `rax` holds the previous instruction's `dst` when that
         // instruction stored one and every path here runs it.
         let fwd = pc
@@ -477,55 +751,50 @@ pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> R
             .map(|prev| &prog.code[prev])
             .filter(|prev| prev.roles().writes_dst && !landing[pc])
             .map(|prev| prev.dst);
-        let facts = decode_x64(
-            &code.bytes,
-            s as usize,
-            e as usize,
-            fwd,
-            &mut report,
-            partition,
-            pc,
-        );
-        if facts.bad {
-            // The run's sums are unknowable; J0701 is already reported.
-            return report;
-        }
+        let words = |ws: &[Word], push: &mut dyn FnMut(DiagCode, String)| -> BTreeSet<u32> {
+            ws.iter()
+                .filter_map(|&w| resolve_word(w, fwd, record, push))
+                .collect()
+        };
+        let loads = words(&f.loads, &mut push);
+        let stores = words(&f.stores, &mut push);
+        let flags: BTreeSet<u32> = f
+            .wakes
+            .iter()
+            .filter_map(|&site| resolve_site(site, record, &mut push))
+            .collect();
         let want = expect(prog, inst, code);
         let ctx = |what: &str| format!("inst {pc} ({:?}): {what}", inst.op);
-        if facts.loads != want.loads {
+        if loads != want.loads {
             push(
-                &mut report,
                 codes::JIT_OPERAND,
                 ctx(&format!(
                     "arena loads {:?} != expected {:?}",
-                    facts.loads, want.loads
+                    loads, want.loads
                 )),
             );
         }
-        if facts.stores != want.stores {
+        if stores != want.stores {
             push(
-                &mut report,
                 codes::JIT_OPERAND,
                 ctx(&format!(
                     "arena stores {:?} != expected {:?}",
-                    facts.stores, want.stores
+                    stores, want.stores
                 )),
             );
         }
-        if facts.banks != want.banks {
+        if f.banks != want.banks {
             push(
-                &mut report,
                 codes::JIT_OPERAND,
                 ctx(&format!(
                     "bank loads {:?} != expected {:?}",
-                    facts.banks, want.banks
+                    f.banks, want.banks
                 )),
             );
         }
         for imm in &want.req_imms {
-            if !facts.imms.contains(imm) {
+            if !f.imms.contains(imm) {
                 push(
-                    &mut report,
                     codes::JIT_OPERAND,
                     ctx(&format!("required immediate {imm:#x} not materialized")),
                 );
@@ -535,12 +804,11 @@ pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> R
         // the lowered jump, which must exist, land on an instruction
         // boundary, and go forward.
         let mut jump_seen = false;
-        for &t in &facts.branch_targets {
+        for &t in &f.branch_targets {
             if Some(t) == want.jump {
                 jump_seen = true;
                 if t < e {
                     push(
-                        &mut report,
                         codes::JIT_FLOW,
                         ctx(&format!(
                             "jump target {t} is not forward (inst ends at {e})"
@@ -549,7 +817,6 @@ pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> R
                 }
             } else if t < s || t > e {
                 push(
-                    &mut report,
                     codes::JIT_FLOW,
                     ctx(&format!(
                         "branch target {t} escapes instruction range [{s}, {e}]"
@@ -560,7 +827,6 @@ pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> R
         if let Some(jump) = want.jump {
             if !jump_seen {
                 push(
-                    &mut report,
                     codes::JIT_FLOW,
                     ctx(&format!(
                         "lowered jump to byte {jump} missing from the stream"
@@ -569,27 +835,25 @@ pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> R
             }
         }
         // Fuse: wake sites must be exactly the consumer list.
-        if facts.flags != want.flags {
+        if flags != want.flags {
             push(
-                &mut report,
                 codes::JIT_FUSE,
                 ctx(&format!(
                     "flag wake sites {:?} != consumer set {:?}",
-                    facts.flags, want.flags
+                    flags, want.flags
                 )),
             );
         }
         // Counters: the run ends after a jump and before a landing; its
         // additions must sum to what its instructions count.
-        run.ops_added += facts.ops_incs;
+        run.ops_added += f.ops_incs;
         run.ops += want.ops;
-        run.dyn_added += facts.dyn_incs;
+        run.dyn_added += f.dyn_incs;
         run.dynamic += want.dynamic;
         if inst.roles().jumps || landing[pc + 1] || pc + 1 == prog.code.len() {
             let first = run.first;
             if run.ops_added != run.ops {
                 push(
-                    &mut report,
                     codes::JIT_OPERAND,
                     format!(
                         "run [{first}, {pc}]: {} added to the ops counter, expected {}",
@@ -599,7 +863,6 @@ pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> R
             }
             if run.dyn_added != run.dynamic {
                 push(
-                    &mut report,
                     codes::JIT_FUSE,
                     format!(
                         "run [{first}, {pc}]: {} added to the dynamic counter, expected {}",
@@ -613,5 +876,4 @@ pub fn check_jit(prog: &Tier1Program, code: &EmittedCode, partition: usize) -> R
             };
         }
     }
-    report
 }

@@ -16,7 +16,7 @@
 //! | bytecode verifier | [`check_layout`] / [`check_blocks`] | `B____` |
 //! | footprint / race freedom | [`check_footprint`] | `R____` |
 //! | dependence / dataflow schedule | [`check_cost_model`] / [`check_depgraph`] | `F0403`, `S____` |
-//! | native-code (JIT) audit | [`check_jit`] | `J____` |
+//! | native-code (JIT) audit | [`check_jit_plan`] / [`check_jit`] | `J____` |
 //! | wake-table / batched-lane audit | [`check_wake_table`] / [`check_batch`] | `X____` |
 //!
 //! [`verify_design`] chains all of them over the plans the engines run
@@ -40,7 +40,7 @@ pub use depgraph::{check_cost_model, check_depgraph};
 pub use essent_core::depgraph::DataflowSchedule;
 pub use essent_core::diag::{DiagCode, Diagnostic, Report, Severity};
 pub use footprint::{check_footprint, Footprint, WordSet};
-pub use jit::check_jit;
+pub use jit::{check_jit, check_jit_plan};
 pub use lint::lint_netlist;
 pub use schedule::check_plan;
 pub use wake::check_wake_table;
@@ -50,6 +50,7 @@ use essent_core::plan::CcssPlan;
 use essent_netlist::Netlist;
 use essent_sim::compile::Layout;
 use essent_sim::frontend::{build_plan, out_specs, Frontend};
+use essent_sim::jit::JitPlan;
 use essent_sim::EngineConfig;
 
 /// Everything a full verification run produces: the merged report, the
@@ -105,14 +106,15 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
             config.fuses_triggers(),
             sched,
         ));
-        // --- J07: native-code audit layer -----------------------------
-        // The emitter is a pure byte generator, so the stream is
-        // generated and audited regardless of the build host (as-if
-        // popcnt is available; a host without it would simply not
-        // compile Xorr partitions at all).
-        if let Some(code) = essent_sim::jit::x64::emit(prog, true) {
-            report.merge(check_jit(prog, &code, sched));
-        }
+    }
+    // --- J07: native-code audit layer ---------------------------------
+    // The plan `JitParts::build` maps for these programs and costs. The
+    // planner is a pure byte generator, so it is generated and audited
+    // regardless of the build host (as-if popcnt is available; a host
+    // without it would simply not compile Xorr partitions at all).
+    if let Some(progs) = front.programs.as_deref() {
+        let plan = JitPlan::new(progs, Some(&front.cost.costs), true);
+        report.merge(check_jit_plan(progs, &plan));
     }
 
     // --- R05: footprint / race-freedom layer -------------------------

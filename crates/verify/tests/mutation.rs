@@ -8,9 +8,12 @@ use essent_core::diag::codes;
 use essent_core::plan::CcssPlan;
 use essent_netlist::{Netlist, SignalId};
 use essent_sim::compile::{compile_plan, Block, Item, Layout};
+use essent_sim::jit::JitPlan;
 use essent_sim::step1::{lower_tier1, Op1, OutSpec, Tier1Program, NO_FUSE};
 use essent_sim::EngineConfig;
-use essent_verify::{check_blocks, check_jit, check_plan, check_tier1, lint_netlist};
+use essent_verify::{
+    check_blocks, check_jit, check_jit_plan, check_plan, check_tier1, lint_netlist,
+};
 
 fn build(source: &str) -> Netlist {
     let parsed = essent_firrtl::parse(source).expect("test FIRRTL parses");
@@ -995,13 +998,22 @@ fn fused_prog() -> Tier1Program {
 
 #[test]
 fn pristine_jit_streams_verify_clean() {
-    for netlist in [chain(), diamond(), reg_late_readers(), mux_diamond()] {
+    for netlist in [
+        chain(),
+        diamond(),
+        reg_late_readers(),
+        mux_diamond(),
+        twin_diamonds(),
+    ] {
         for c_p in [1, 2, 64] {
             let setup = tier_setup(&netlist, c_p);
             for prog in &setup.progs {
                 let report = check_jit(prog, &jit_stream(prog), 0);
                 assert_eq!(report.error_count(), 0, "c_p={c_p}:\n{report}");
             }
+            let plan = JitPlan::new(&setup.progs, None, true);
+            let report = check_jit_plan(&setup.progs, &plan);
+            assert_eq!(report.error_count(), 0, "c_p={c_p} plan:\n{report}");
         }
     }
 }
@@ -1262,6 +1274,115 @@ fn jit_missing_reload_at_jump_target_is_j0702() {
     code.bytes[at..at + 7].copy_from_slice(&[0x48, 0x85, 0xC9, 0x31, 0xD2, 0x31, 0xD2]);
     let report = check_jit(&prog, &code, 0);
     assert_eq!(report.codes(), vec![codes::JIT_OPERAND], "{report}");
+}
+
+// Shared bodies: one record-form body per program shape, each member
+// resolved through its own operand record. One exact-code mutation each.
+
+/// [`diamond`] instantiated twice: every partition of one copy has a
+/// congruent partition in the other, so the copies share bodies —
+/// with fused wakes among them.
+fn twin_diamonds() -> Netlist {
+    build(
+        "circuit T :\n  module D :\n    input clock : Clock\n    input a : UInt<8>\n    input b : UInt<8>\n    output o : UInt<8>\n    reg r1 : UInt<8>, clock\n    reg r2 : UInt<8>, clock\n    node s = xor(r1, a)\n    node t = xor(r2, b)\n    node u1 = and(s, t)\n    node u2 = or(u1, t)\n    o <= u2\n    r1 <= not(s)\n    r2 <= not(t)\n  module T :\n    input clock : Clock\n    input a0 : UInt<8>\n    input b0 : UInt<8>\n    input a1 : UInt<8>\n    input b1 : UInt<8>\n    output o0 : UInt<8>\n    output o1 : UInt<8>\n    inst d0 of D\n    inst d1 of D\n    d0.clock <= clock\n    d1.clock <= clock\n    d0.a <= a0\n    d0.b <= b0\n    d1.a <= a1\n    d1.b <= b1\n    o0 <= d0.o\n    o1 <= d1.o\n",
+    )
+}
+
+/// [`twin_diamonds`]' programs and their plan (every eligible partition,
+/// popcnt present), checked clean, and the members of the first shared
+/// body whose stream wakes a partition.
+fn shared_plan() -> (Vec<Tier1Program>, JitPlan, Vec<usize>) {
+    let setup = tier_setup(&twin_diamonds(), 1);
+    let plan = JitPlan::new(&setup.progs, None, true);
+    let report = check_jit_plan(&setup.progs, &plan);
+    assert_eq!(report.error_count(), 0, "pristine:\n{report}");
+    let body = (0..plan.bodies.len())
+        .find(|&b| {
+            let members = plan.parts.iter().flatten().filter(|p| p.body == b).count();
+            members > 1 && plan.bodies[b].bytes.windows(4).any(|w| w == WAKE_OR)
+        })
+        .expect("a shared body with a wake");
+    let members = (0..plan.parts.len())
+        .filter(|&p| plan.parts[p].as_ref().is_some_and(|part| part.body == body))
+        .collect();
+    (setup.progs, plan, members)
+}
+
+/// `or [rsi + r11], dl`: a recorded wake.
+const WAKE_OR: [u8; 4] = [0x42, 0x08, 0x14, 0x1E];
+
+/// Partition `partition`'s operand record, to corrupt.
+fn record_of(plan: &mut JitPlan, partition: usize) -> &mut [u32] {
+    let (start, end) = plan.parts[partition].unwrap().record;
+    &mut plan.records[start as usize..end as usize]
+}
+
+#[test]
+fn shared_body_arena_slot_drift_is_j0702_for_that_member_only() {
+    let (progs, mut plan, members) = shared_plan();
+    let victim = members[1];
+    // The first slot is the body's first arena access: one word over.
+    record_of(&mut plan, victim)[0] += 8;
+    let report = check_jit_plan(&progs, &plan);
+    assert_eq!(report.codes(), vec![codes::JIT_OPERAND], "{report}");
+    assert!(
+        report
+            .diagnostics
+            .iter()
+            .all(|d| d.partition == Some(victim)),
+        "{report}"
+    );
+}
+
+#[test]
+fn shared_body_wake_record_drift_is_j0704() {
+    let (progs, mut plan, members) = shared_plan();
+    let body = plan.parts[members[0]].as_ref().unwrap().body;
+    // The `mov edx, [r10 + disp8]` before the first recorded wake names
+    // the slot of its bit mask: the neighbouring bit of the same byte is
+    // another partition's.
+    let bytes = &plan.bodies[body].bytes;
+    let at = bytes.windows(4).position(|w| w == WAKE_OR).unwrap();
+    assert_eq!(bytes[at - 4..at - 1], [0x41, 0x8B, 0x52]);
+    let mask_slot = bytes[at - 1] as usize / 4;
+    let mask = &mut record_of(&mut plan, members[0])[mask_slot];
+    *mask = (*mask as u8).rotate_left(1) as u32;
+    let report = check_jit_plan(&progs, &plan);
+    assert_eq!(report.codes(), vec![codes::JIT_FUSE], "{report}");
+}
+
+#[test]
+fn shared_body_corrupt_byte_is_j0701_once_for_the_body() {
+    let (progs, mut plan, members) = shared_plan();
+    let body = plan.parts[members[0]].as_ref().unwrap().body;
+    let code = &mut plan.bodies[body];
+    let start = code.body_start() as usize;
+    code.bytes[start] = 0x06; // `push es`: not in 64-bit mode
+    let report = check_jit_plan(&progs, &plan);
+    assert_eq!(report.codes(), vec![codes::JIT_DECODE], "{report}");
+    assert_eq!(
+        report.error_count(),
+        1,
+        "one finding, for the body:\n{report}"
+    );
+    assert!(
+        report.diagnostics[0].message.starts_with("shared body "),
+        "{report}"
+    );
+}
+
+#[test]
+fn shared_body_access_without_its_slot_load_is_j0701() {
+    let (progs, mut plan, members) = shared_plan();
+    let body = plan.parts[members[0]].as_ref().unwrap().body;
+    let code = &mut plan.bodies[body];
+    // The first `mov r11d, [r10 + disp8]` becomes `xor edx, edx` twice:
+    // the `[rdi + r11]` after it would use whatever `r11` held.
+    let start = code.body_start() as usize;
+    assert_eq!(code.bytes[start..start + 3], [0x45, 0x8B, 0x5A]);
+    code.bytes[start..start + 4].copy_from_slice(&[0x31, 0xD2, 0x31, 0xD2]);
+    let report = check_jit_plan(&progs, &plan);
+    assert_eq!(report.codes(), vec![codes::JIT_DECODE], "{report}");
 }
 
 // ---------------------------------------------------------------------------

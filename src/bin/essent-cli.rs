@@ -181,11 +181,13 @@ fn sim(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
                     ..c.clone()
                 };
                 let sim = EssentSim::new(n, &config);
+                let parts = sim.jit_parts();
                 let line = format!(
-                    "native: {} of {} partitions, {} code bytes, {} plain slots",
+                    "native: {} of {} partitions in {} bodies, {} code bytes, {} plain slots",
                     sim.jit_compiled_count(),
                     sim.partition_count(),
-                    sim.jit_parts().map_or(0, |j| j.code_bytes()),
+                    parts.map_or(0, |j| j.body_count()),
+                    parts.map_or(0, |j| j.code_bytes()),
                     sim.plain_slot_count()
                 );
                 (Box::new(sim), Some(line))

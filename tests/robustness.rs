@@ -210,11 +210,13 @@ fn cli_native_engine_runs_or_is_refused() {
             .filter(|t| !t.is_empty())
             .map(|t| t.parse().unwrap())
             .collect();
-        let &[compiled, partitions, bytes, plain] = numbers.as_slice() else {
-            panic!("expected four counts in `{line}`");
+        let &[compiled, partitions, bodies, bytes, plain] = numbers.as_slice() else {
+            panic!("expected five counts in `{line}`");
         };
         assert!(line.ends_with("plain slots") && line.contains(" code bytes, "));
+        assert!(line.contains(" partitions in ") && line.contains(" bodies, "));
         assert!(compiled >= 1 && compiled <= partitions, "{line}");
+        assert!(bodies >= 1 && bodies <= compiled, "{line}");
         assert!(bytes > 0 && plain <= partitions, "{line}");
         // Everything else the run prints is the essent engine's.
         let (ok, essent_out, _) = run("essent");
