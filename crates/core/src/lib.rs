@@ -12,7 +12,7 @@
 //! acyclic design graph can induce cycles between partitions (paper
 //! Figure 2), so merges must be checked.
 //!
-//! The partitioner ([`partition`]):
+//! The partitioner ([`partition`](fn@partition)):
 //! 1. seeds an acyclic partitioning by decomposing the graph into
 //!    **maximum fanout-free cones** ([`mffc`]), crawling up from sinks;
 //! 2. merges **single-parent partitions** into their parents (always

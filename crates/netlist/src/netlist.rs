@@ -98,15 +98,6 @@ pub enum OpKind {
     Copy,
 }
 
-impl OpKind {
-    /// `true` for operations whose cost scales with operand width and that
-    /// the paper counts as "real" simulation work (everything; provided
-    /// for symmetry with the overhead counters).
-    pub fn is_mux(self) -> bool {
-        matches!(self, OpKind::Mux)
-    }
-}
-
 /// A defining operation: `dst = kind(args, params)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Op {

@@ -1,82 +1,14 @@
-//! Constant propagation and folding.
-//!
-//! Two folding strategies share this module:
-//!
-//! * [`run`] — structural: any operation whose operands are all
-//!   [`SignalDef::Const`] is evaluated at compile time; multiplexers
-//!   with constant selectors collapse to a copy of the selected branch
-//!   even when the branches are not constant.
-//! * [`run_analysis`] — semantic: uses the known-bits/range facts from
-//!   [`crate::analysis`] to fold operations whose *result* is proven
-//!   constant even though their operands are not (a comparison decided
-//!   by disjoint ranges, a mux whose selector bit is pinned by a mask),
-//!   and to prune the unreachable way out of such muxes.
+//! Constant propagation and folding, driven by the known-bits/range
+//! facts of [`crate::analysis`]. An op whose operands are all constants
+//! is the simplest case: the transfer functions evaluate singleton
+//! operands exactly, so its result is a singleton too. The same facts
+//! fold ops whose *result* is proven constant though their operands are
+//! not (a comparison decided by disjoint ranges, a mux whose selector bit
+//! is pinned by a mask), and prune the unreachable way out of a mux
+//! whose selector is decided, constant or not.
 
 use crate::analysis::Analysis;
-use crate::eval::{eval_op, Operand};
-use crate::graph;
 use crate::netlist::{Netlist, Op, OpKind, SignalDef};
-use essent_bits::{words, Bits};
-
-/// Runs one round; returns the number of definitions folded.
-pub fn run(netlist: &mut Netlist) -> usize {
-    let order = match graph::topo_order(netlist) {
-        Ok(o) => o,
-        Err(cycle) => {
-            // Netlists are acyclic by construction (`Netlist::from_circuit`
-            // rejects combinational cycles), so a cycle here means an
-            // earlier pass corrupted the graph — don't mask that.
-            debug_assert!(false, "const_prop on cyclic netlist: {cycle:?}");
-            return 0;
-        }
-    };
-    let mut folded = 0;
-    for id in order {
-        let sig = netlist.signal(id);
-        let SignalDef::Op(op) = &sig.def else {
-            continue;
-        };
-        let width = sig.width;
-
-        // Mux with a constant selector collapses structurally.
-        if op.kind == OpKind::Mux {
-            if let SignalDef::Const(sel) = &netlist.signal(op.args[0]).def {
-                let pick = if sel.bit(0) { op.args[1] } else { op.args[2] };
-                netlist.signals[id.index()].def = SignalDef::Op(Op {
-                    kind: OpKind::Copy,
-                    args: vec![pick],
-                    params: vec![],
-                });
-                folded += 1;
-                continue;
-            }
-        }
-
-        // Full folding when every operand is constant.
-        let consts: Option<Vec<(Bits, u32, bool)>> = op
-            .args
-            .iter()
-            .map(|&a| {
-                let s = netlist.signal(a);
-                match &s.def {
-                    SignalDef::Const(c) => Some((c.clone(), s.width, s.signed)),
-                    _ => None,
-                }
-            })
-            .collect();
-        let Some(consts) = consts else { continue };
-        let operands: Vec<Operand> = consts
-            .iter()
-            .map(|(c, w, s)| Operand::new(c.limbs(), *w, *s))
-            .collect();
-        let mut dst = vec![0u64; words(width)];
-        let (kind, params) = (op.kind, op.params.clone());
-        eval_op(kind, &params, &mut dst, width, &operands);
-        netlist.signals[id.index()].def = SignalDef::Const(Bits::from_limbs(dst, width));
-        folded += 1;
-    }
-    folded
-}
 
 /// Folds operations the dataflow analysis decides; returns the number of
 /// definitions rewritten. `analysis` must come from [`crate::analysis::analyze`]
@@ -102,17 +34,9 @@ pub fn run_analysis(netlist: &mut Netlist, analysis: &Analysis) -> usize {
         // The whole result is decided (comparisons with disjoint ranges,
         // masked values, reductions of pinned bits, ...).
         if let Some(value) = facts.as_singleton() {
-            // Skip ops that are already plain constants-in-waiting; the
-            // structural pass owns those (keeps the two counters honest).
-            let all_const = op
-                .args
-                .iter()
-                .all(|&a| matches!(netlist.signal(a).def, SignalDef::Const(_)));
-            if !all_const {
-                netlist.signals[i].def = SignalDef::Const(value);
-                folded += 1;
-                continue;
-            }
+            netlist.signals[i].def = SignalDef::Const(value);
+            folded += 1;
+            continue;
         }
 
         // Mux whose selector bit is pinned: the dead way is unreachable.
@@ -142,12 +66,18 @@ mod tests {
     use super::*;
     use crate::opt::build_test_netlist;
 
+    /// One analysis and one fold, as a round of `optimize` runs them.
+    fn fold(n: &mut Netlist) -> usize {
+        let facts = crate::analysis::analyze(n).unwrap();
+        run_analysis(n, &facts)
+    }
+
     #[test]
     fn folds_constant_trees() {
         let mut n = build_test_netlist(
             "circuit F :\n  module F :\n    output o : UInt<8>\n    node a = UInt<8>(2)\n    node b = UInt<8>(3)\n    node c = bits(mul(a, b), 7, 0)\n    o <= c\n",
         );
-        run(&mut n);
+        fold(&mut n);
         let o = n.find("o").unwrap();
         // o is Copy of something; chase one level.
         let val = match &n.signal(o).def {
@@ -166,7 +96,7 @@ mod tests {
         let mut n = build_test_netlist(
             "circuit M :\n  module M :\n    input a : UInt<4>\n    input b : UInt<4>\n    output o : UInt<4>\n    o <= mux(UInt<1>(1), a, b)\n",
         );
-        run(&mut n);
+        fold(&mut n);
         let muxes = n
             .signals()
             .iter()
@@ -181,9 +111,7 @@ mod tests {
         let mut n = build_test_netlist(
             "circuit A :\n  module A :\n    input a : UInt<8>\n    output o : UInt<1>\n    node low = and(a, UInt<8>(15))\n    node c = lt(low, UInt<8>(200))\n    o <= c\n",
         );
-        assert_eq!(run(&mut n), 0, "not structurally constant");
-        let facts = crate::analysis::analyze(&n).unwrap();
-        assert!(run_analysis(&mut n, &facts) > 0);
+        assert!(fold(&mut n) > 0);
         let c = n.expect_signal("c");
         // `c` names a copy of the interned comparison; chase one level.
         let val = match &n.signal(c).def {
@@ -203,8 +131,7 @@ mod tests {
         let mut n = build_test_netlist(
             "circuit U :\n  module U :\n    input x : UInt<8>\n    input t : UInt<8>\n    input f : UInt<8>\n    output o : UInt<8>\n    node sel = geq(x, UInt<8>(0))\n    o <= mux(sel, t, f)\n",
         );
-        let facts = crate::analysis::analyze(&n).unwrap();
-        assert!(run_analysis(&mut n, &facts) > 0);
+        assert!(fold(&mut n) > 0);
         let muxes = n
             .signals()
             .iter()
@@ -218,7 +145,6 @@ mod tests {
         let mut n = build_test_netlist(
             "circuit D :\n  module D :\n    input a : UInt<4>\n    output o : UInt<5>\n    o <= add(a, UInt<4>(1))\n",
         );
-        let folded = run(&mut n);
-        assert_eq!(folded, 0);
+        assert_eq!(fold(&mut n), 0);
     }
 }

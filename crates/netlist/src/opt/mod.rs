@@ -3,8 +3,7 @@
 //! propagation, copy forwarding, common-subexpression elimination, and
 //! dead-code elimination.
 //!
-//! Each pass is independently switchable through [`OptConfig`], which the
-//! benchmark harness uses for the ablation study.
+//! [`optimize`] runs one fixed pipeline; no pass is switchable.
 
 pub mod const_prop;
 pub mod cse;
@@ -15,142 +14,67 @@ pub mod narrow;
 use crate::analysis;
 use crate::netlist::Netlist;
 
-/// Which optimizations to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptConfig {
-    pub const_prop: bool,
-    /// Fold ops decided by the known-bits/range analysis even when their
-    /// operands are not structurally constant (see [`analysis`]).
-    pub analysis_fold: bool,
-    /// Shrink signal widths the analysis proves unused
-    /// ([`narrow`]).
-    pub narrow: bool,
-    pub copy_forward: bool,
-    pub cse: bool,
-    pub dce: bool,
-    /// Fixpoint rounds (each round runs the enabled passes once).
-    pub rounds: usize,
-}
+/// Fixpoint rounds: each round runs every pass once, and the loop stops
+/// early at a round that changes nothing.
+const ROUNDS: usize = 3;
 
-impl Default for OptConfig {
-    fn default() -> Self {
-        OptConfig {
-            const_prop: true,
-            analysis_fold: true,
-            narrow: true,
-            copy_forward: true,
-            cse: true,
-            dce: true,
-            rounds: 3,
-        }
-    }
-}
-
-impl OptConfig {
-    /// Everything off — the paper's unoptimized **Baseline** tool flow.
-    pub fn none() -> Self {
-        OptConfig {
-            const_prop: false,
-            analysis_fold: false,
-            narrow: false,
-            copy_forward: false,
-            cse: false,
-            dce: false,
-            rounds: 0,
-        }
-    }
-
-    /// The structural passes only — [`Default`] minus the
-    /// analysis-driven folding and narrowing. The dataflow benchmark
-    /// uses this as the "before" side of the comparison.
-    pub fn structural() -> Self {
-        OptConfig {
-            analysis_fold: false,
-            narrow: false,
-            ..OptConfig::default()
-        }
-    }
-}
-
-/// What the optimizer did, for reports and tests.
+/// The argument [`optimize`] ignores.
+///
+/// It has no fields: it used to switch each pass and the round count,
+/// and no caller outside the tests ever changed them. It survives only
+/// because the `bench` package still passes `&OptConfig::default()`, and
+/// goes when that package next changes (ROADMAP item 10).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OptStats {
-    pub constants_folded: usize,
-    /// Ops folded or mux ways pruned from analysis facts alone.
-    pub analysis_folded: usize,
-    /// Signals narrowed or identity extractions rewritten.
-    pub signals_narrowed: usize,
-    pub copies_forwarded: usize,
-    pub exprs_deduped: usize,
-    pub signals_removed: usize,
-}
+pub struct OptConfig {}
 
-/// Runs the configured passes over the netlist in place.
+/// Optimizes the netlist in place: up to three rounds of
+/// analysis-driven folding ([`const_prop::run_analysis`]), width
+/// narrowing ([`narrow`]), copy forwarding, CSE and DCE. `_inert` is
+/// inert (see [`OptConfig`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use essent_netlist::{opt, Netlist};
+/// use essent_netlist::{opt, Netlist, SignalDef};
 /// let src = "circuit C :\n  module C :\n    input a : UInt<8>\n    output o : UInt<9>\n    node t = add(UInt<8>(2), UInt<8>(3))\n    o <= add(a, bits(t, 7, 0))\n";
 /// let lowered = essent_firrtl::passes::lower(essent_firrtl::parse(src)?)?;
 /// let mut n = Netlist::from_circuit(&lowered)?;
 /// let before = n.signal_count();
-/// let stats = opt::optimize(&mut n, &opt::OptConfig::default());
-/// assert!(stats.constants_folded > 0);
+/// opt::optimize(&mut n, &opt::OptConfig::default());
 /// assert!(n.signal_count() < before);
+/// // `t` folded to 5: the only constant left is the one `o` adds.
+/// let consts: Vec<_> = n
+///     .signals()
+///     .iter()
+///     .filter_map(|s| match &s.def {
+///         SignalDef::Const(c) => c.to_u64(),
+///         _ => None,
+///     })
+///     .collect();
+/// assert_eq!(consts, [5]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn optimize(netlist: &mut Netlist, config: &OptConfig) -> OptStats {
-    let mut stats = OptStats::default();
-    for _ in 0..config.rounds {
+pub fn optimize(netlist: &mut Netlist, _inert: &OptConfig) {
+    for _ in 0..ROUNDS {
         let mut changed = false;
-        if config.const_prop {
-            let folded = const_prop::run(netlist);
-            stats.constants_folded += folded;
-            changed |= folded > 0;
-        }
-        if config.analysis_fold || config.narrow {
-            match analysis::analyze(netlist) {
-                Ok(facts) => {
-                    if config.analysis_fold {
-                        let folded = const_prop::run_analysis(netlist, &facts);
-                        stats.analysis_folded += folded;
-                        changed |= folded > 0;
-                    }
-                    if config.narrow {
-                        // The analysis stays sound across the folds above:
-                        // they only replace ops with the constants the
-                        // analysis itself proved.
-                        let narrowed = narrow::run(netlist, &facts);
-                        stats.signals_narrowed += narrowed;
-                        changed |= narrowed > 0;
-                    }
-                }
-                Err(cycle) => {
-                    debug_assert!(false, "optimize on cyclic netlist: {cycle:?}");
-                }
+        match analysis::analyze(netlist) {
+            // Narrowing after the folds keeps the analysis sound: they
+            // only replace ops with the constants it proved.
+            Ok(facts) => {
+                changed |= const_prop::run_analysis(netlist, &facts) > 0;
+                changed |= narrow::run(netlist, &facts) > 0;
+            }
+            Err(cycle) => {
+                debug_assert!(false, "optimize on cyclic netlist: {cycle:?}");
             }
         }
-        if config.copy_forward {
-            let forwarded = forward::run(netlist);
-            stats.copies_forwarded += forwarded;
-            changed |= forwarded > 0;
-        }
-        if config.cse {
-            let deduped = cse::run(netlist);
-            stats.exprs_deduped += deduped;
-            changed |= deduped > 0;
-        }
-        if config.dce {
-            let removed = dce::run(netlist);
-            stats.signals_removed += removed;
-            changed |= removed > 0;
-        }
+        changed |= forward::run(netlist) > 0;
+        changed |= cse::run(netlist) > 0;
+        changed |= dce::run(netlist) > 0;
         if !changed {
             break;
         }
     }
-    stats
 }
 
 #[cfg(test)]
@@ -188,15 +112,5 @@ mod tests {
             opt_sim.step(1);
             assert_eq!(ref_sim.peek("o"), opt_sim.peek("o"), "cycle {cycle}");
         }
-    }
-
-    #[test]
-    fn none_config_is_identity() {
-        let src = "circuit N :\n  module N :\n    input a : UInt<4>\n    output o : UInt<4>\n    o <= not(not(a))\n";
-        let mut n = build_test_netlist(src);
-        let before = n.signal_count();
-        let stats = optimize(&mut n, &OptConfig::none());
-        assert_eq!(stats, OptStats::default());
-        assert_eq!(n.signal_count(), before);
     }
 }

@@ -697,7 +697,7 @@ impl BatchSim {
     /// lanes last — so partial eval masks cluster into the dense-prefix
     /// shape the vector loops want. A no-op when already in order.
     /// Public as a test hook; `step` triggers it automatically on lane
-    /// halt and on activity drift every [`COMPACT_INTERVAL`] cycles.
+    /// halt and on activity drift every `COMPACT_INTERVAL` cycles.
     pub fn force_compact(&mut self) {
         self.compact();
     }

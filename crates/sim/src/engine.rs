@@ -1,12 +1,15 @@
 //! The engine-facing API: the [`Simulator`] trait every engine implements
-//! and the [`EngineConfig`] ablation switches.
+//! and the [`EngineConfig`] they are built from.
 
 use crate::machine::WorkCounters;
 use essent_bits::Bits;
 use essent_netlist::SignalId;
 
-/// Configuration shared by the engines; each field is one of the paper's
-/// optimizations, independently switchable for the ablation study.
+/// Configuration shared by the engines. Most fields switch one of the
+/// paper's optimizations, for the ablation study. Four do not: `jit`
+/// selects the native tier, `lanes` the batch width, `profile` telemetry
+/// and `race_sanitizer` a dynamic race check; `par_dataflow` is inert.
+/// Each field's doc says which engines read it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Partitioning threshold `C_p` (paper Figure 6; default 8). Only the

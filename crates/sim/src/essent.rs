@@ -187,7 +187,7 @@ impl EssentSim {
         })
     }
 
-    /// Number of partitions currently running native-compiled bodies
+    /// Number of partitions running native-compiled bodies
     /// (0 when the JIT is off or unsupported on this target).
     pub fn jit_compiled_count(&self) -> usize {
         self.slots.compiled_count()
@@ -197,30 +197,6 @@ impl EssentSim {
     /// output to compare, no in-place state left to the engine.
     pub fn plain_slot_count(&self) -> usize {
         self.slots.plain_count()
-    }
-
-    /// Discards the compiled body for one partition, forcing it back to
-    /// the tier-1 interpreter (deopt testing). Returns whether a body
-    /// was actually dropped.
-    pub fn force_deopt(&mut self, sched: usize) -> bool {
-        self.slots.deopt(sched)
-    }
-
-    /// Discards every compiled body; returns how many were dropped.
-    pub fn force_deopt_all(&mut self) -> usize {
-        self.slots.deopt_all()
-    }
-
-    /// Testing hook: compiles every eligible partition regardless of the
-    /// cost threshold, so deopt tests cover partitions the threshold
-    /// would leave interpreted. Returns how many bodies now exist; 0 on
-    /// unsupported targets or when the tier/profile gating forbids JIT.
-    pub fn jit_compile_all(&mut self) -> usize {
-        self.slots.compile_all(
-            self.programs.as_deref(),
-            &self.machine.mems,
-            self.profile.is_some(),
-        )
     }
 
     /// Borrow of the compiled partitions (verification, tests).
@@ -617,15 +593,15 @@ mod tests {
     /// Drives `design(np)` for 40 cycles — `a` changes every fourth
     /// cycle, `en` toggles every fifth — checking every output against
     /// the golden interpreter and the bits past `np` after each cycle.
-    /// Under `config.jit` every partition the host can compile runs a
-    /// native body.
+    /// Under `config.jit` the partitions the cost model selects run
+    /// native bodies.
     fn walk(np: usize, config: &EngineConfig) -> EssentSim {
         let netlist = design(np);
         let mut sim = EssentSim::new(&netlist, config);
         assert_eq!(sim.partition_count(), np);
         if config.jit {
             let gated = !jit::supported() || cfg!(feature = "race-sanitizer");
-            assert!(sim.jit_compile_all() > 0 || gated);
+            assert!(sim.jit_compiled_count() > 0 || gated);
         }
         let mut golden = essent_netlist::interp::Interpreter::new(&netlist);
         let mut rng = 0x9E37_79B9_7F4A_7C15u64;

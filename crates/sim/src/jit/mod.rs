@@ -45,10 +45,11 @@
 //! when its program contains a
 //! [`Op1::Generic`](crate::step1::Op1::Generic) fallback, when an arena
 //! offset exceeds the encodable displacement range, or when a required
-//! host feature (`popcnt` for `Xorr`) is missing. The engines additionally *deopt* compiled partitions on
-//! request ([`JitParts::deopt`]) — the tier-1 interpreter is always a
-//! drop-in fallback because the JIT replicates its semantics exactly,
-//! which the J07xx audit layer and the deopt equivalence tests check.
+//! host feature (`popcnt` for `Xorr`) is missing. Which partitions run
+//! native code is fixed when the engine is built; the tier-1 interpreter
+//! is a drop-in replacement for any of them because the JIT replicates
+//! its semantics exactly, which the J07xx audit layer and the
+//! native-vs-interpreter differential tests check.
 
 pub mod x64;
 
@@ -176,22 +177,19 @@ pub struct JitPlan {
 }
 
 impl JitPlan {
-    /// Plans native code for `progs` (see the module docs). With
-    /// `costs`, the partitions whose cost clears [`JIT_MIN_COST`], and
-    /// bodies costliest first — a shared body costs what its members
-    /// cost together — until [`JIT_CODE_BUDGET`]; without, every
-    /// eligible partition, bodies in schedule order of their first
-    /// member (testing: deterministic deopt coverage needs bodies for
-    /// tiny partitions the threshold would skip).
-    pub fn new(progs: &[Tier1Program], costs: Option<&[u64]>, have_popcnt: bool) -> JitPlan {
-        let cost = |p: usize| costs.map_or(0, |c| c.get(p).copied().unwrap_or(0));
+    /// Plans native code for `progs` (see the module docs): the eligible
+    /// partitions whose cost in `costs` clears [`JIT_MIN_COST`], bodies
+    /// costliest first — a shared body costs what its members cost
+    /// together — until [`JIT_CODE_BUDGET`].
+    pub fn new(progs: &[Tier1Program], costs: &[u64], have_popcnt: bool) -> JitPlan {
+        let cost = |p: usize| costs.get(p).copied().unwrap_or(0);
         // Every candidate in record form, grouped by bytes (and marks:
         // the auditor decodes the members' instructions from them).
         let mut shape_of: HashMap<EmittedCode, usize> = HashMap::new();
         let mut members: Vec<Vec<usize>> = Vec::new();
         let mut records: Vec<Vec<u32>> = vec![Vec::new(); progs.len()];
         for (p, prog) in progs.iter().enumerate() {
-            if costs.is_some() && cost(p) < JIT_MIN_COST {
+            if cost(p) < JIT_MIN_COST {
                 continue;
             }
             let Some((code, record)) = x64::emit_record(prog, have_popcnt) else {
@@ -264,7 +262,7 @@ impl JitPlan {
 
     /// The plan for this host: `popcnt` as detected; nothing planned off
     /// x86-64.
-    fn for_host(progs: &[Tier1Program], costs: Option<&[u64]>) -> JitPlan {
+    fn for_host(progs: &[Tier1Program], costs: &[u64]) -> JitPlan {
         #[cfg(target_arch = "x86_64")]
         {
             JitPlan::new(progs, costs, std::arch::is_x86_feature_detected!("popcnt"))
@@ -289,8 +287,8 @@ pub(crate) type EntryFn =
 ///
 /// # Safety
 ///
-/// `entry` must be the [`CompiledPart::entry`] of a part its
-/// [`JitParts`] still holds, and `record` that part's operand record in
+/// `entry` must be the [`CompiledPart::entry`] of a part of a live
+/// [`JitParts`], and `record` that part's operand record in
 /// [`JitParts::records`] (at its [`CompiledPart::record_start`]).
 /// The data contract is `run_tier1_raw`'s: `arena` points at the
 /// machine's arena laid out as when the program was lowered, with no
@@ -319,7 +317,6 @@ pub(crate) unsafe fn call(
 #[derive(Clone, Copy)]
 pub struct CompiledPart<'a> {
     entry: *const u8,
-    body: usize,
     code: &'a EmittedCode,
     record_start: u32,
 }
@@ -331,11 +328,6 @@ impl<'a> CompiledPart<'a> {
         self.code
     }
 
-    /// The index of the body this partition runs.
-    pub fn body(&self) -> usize {
-        self.body
-    }
-
     /// Where the operand record the body reads starts in
     /// [`JitParts::records`].
     pub(crate) fn record_start(&self) -> u32 {
@@ -343,8 +335,8 @@ impl<'a> CompiledPart<'a> {
     }
 
     /// The body's entry point. Valid for as long as the owning
-    /// [`JitParts`] lives (the wake-slot table caches it under that
-    /// rule, next to [`CompiledPart::record_start`]).
+    /// [`JitParts`] lives (the wake-slot table, which owns the parts,
+    /// caches it next to [`CompiledPart::record_start`]).
     pub(crate) fn entry(&self) -> EntryFn {
         // SAFETY: `entry` points at a complete emitted stream for the
         // host architecture (prologue..epilogue) produced by this
@@ -355,7 +347,7 @@ impl<'a> CompiledPart<'a> {
 
 /// Per-engine JIT state: a mapped [`JitPlan`] — every distinct body
 /// packed once into a single shared executable arena — plus the bank
-/// table.
+/// table. Nothing changes it after [`JitParts::build`].
 ///
 /// Packing matters: with one page-rounded mapping per body a big design
 /// compiles into mostly-padding 4 KiB code pages, and the per-wake
@@ -363,8 +355,7 @@ impl<'a> CompiledPart<'a> {
 /// removes. One contiguous mapping, laid out costliest-first, clusters
 /// the most-woken bodies on shared pages.
 pub struct JitParts {
-    /// The bodies and each partition's place among them; a deopt clears
-    /// the partition's place, never a body.
+    /// The bodies and each partition's place among them.
     plan: JitPlan,
     /// Per body: its offset in `arena`.
     offsets: Vec<usize>,
@@ -378,14 +369,7 @@ impl JitParts {
     /// first until [`JIT_CODE_BUDGET`]; everything else stays
     /// interpreted.
     pub fn build(progs: &[Tier1Program], costs: &[u64], mems: &[MemBank]) -> JitParts {
-        JitParts::map(JitPlan::for_host(progs, Some(costs)), mems)
-    }
-
-    /// Compiles every *eligible* partition regardless of cost (testing:
-    /// deterministic deopt coverage needs bodies for tiny partitions the
-    /// threshold would skip).
-    pub fn build_all(progs: &[Tier1Program], mems: &[MemBank]) -> JitParts {
-        JitParts::map(JitPlan::for_host(progs, None), mems)
+        JitParts::map(JitPlan::for_host(progs, costs), mems)
     }
 
     /// Lays the plan's bodies into one W^X arena (16-byte entry
@@ -406,7 +390,9 @@ impl JitParts {
             .collect();
         let arena = ExecBuf::new(&blob);
         if arena.is_none() {
+            plan.bodies.clear();
             plan.parts.iter_mut().for_each(|p| *p = None);
+            plan.records.clear();
         }
         JitParts {
             plan,
@@ -424,7 +410,6 @@ impl JitParts {
             // SAFETY: the offset is within the blob copied into the
             // mapping, whose length covers the blob.
             entry: unsafe { arena.ptr().add(self.offsets[part.body]) },
-            body: part.body,
             code: &self.plan.bodies[part.body],
             record_start: part.record.0,
         })
@@ -442,57 +427,20 @@ impl JitParts {
         self.plan.records.as_ptr()
     }
 
-    /// Number of partitions currently running native code.
+    /// Number of partitions running native code.
     pub fn compiled_count(&self) -> usize {
         self.plan.parts.iter().flatten().count()
     }
 
-    /// Per body: whether a partition still runs it.
-    fn live_bodies(&self) -> Vec<bool> {
-        let mut live = vec![false; self.plan.bodies.len()];
-        for part in self.plan.parts.iter().flatten() {
-            live[part.body] = true;
-        }
-        live
-    }
-
     /// Number of distinct bodies those partitions run.
     pub fn body_count(&self) -> usize {
-        self.live_bodies().into_iter().filter(|&l| l).count()
+        self.plan.bodies.len()
     }
 
     /// Bytes of machine code those partitions run, each body counted
     /// once however many partitions share it.
     pub fn code_bytes(&self) -> usize {
-        self.live_bodies()
-            .into_iter()
-            .zip(&self.plan.bodies)
-            .filter(|(live, _)| *live)
-            .map(|(_, code)| code.bytes.len())
-            .sum()
-    }
-
-    /// Drops one partition back to the tier-1 interpreter; returns
-    /// whether a compiled body was actually discarded. The body stays
-    /// mapped in the shared arena (bounded by the original plan, and
-    /// possibly still run by other members) and the record stays in the
-    /// record buffer — only the partition's dispatch entry is removed.
-    pub fn deopt(&mut self, sched: usize) -> bool {
-        self.plan
-            .parts
-            .get_mut(sched)
-            .map(|p| p.take().is_some())
-            .unwrap_or(false)
-    }
-
-    /// Deoptimizes every partition; returns how many were compiled.
-    pub fn deopt_all(&mut self) -> usize {
-        self.plan
-            .parts
-            .iter_mut()
-            .filter(|p| p.is_some())
-            .map(|p| *p = None)
-            .count()
+        self.plan.bodies.iter().map(|code| code.bytes.len()).sum()
     }
 }
 

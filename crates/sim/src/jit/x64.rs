@@ -779,6 +779,7 @@ mod tests {
     //! are spelled out here, not produced by [`Asm`].
 
     use super::*;
+    use crate::machine::MemBank;
     use crate::step1::TierStats;
 
     fn program(code: Vec<Inst1>, consumers: Vec<u32>) -> Tier1Program {
@@ -834,10 +835,16 @@ mod tests {
     }
 
     /// Runs `bytes` natively under `record` and `prog` through the
-    /// interpreter from the same `arena`: the two must leave the same
-    /// arena, wake the same flags and count the same work (x86-64 Linux
-    /// hosts; elsewhere nothing runs).
-    fn run_against_interpreter(bytes: &[u8], record: &[u32], prog: &Tier1Program, arena: &[u64]) {
+    /// interpreter from the same `arena` and `mems`: the two must leave
+    /// the same arena, wake the same flags and count the same work
+    /// (x86-64 Linux hosts; elsewhere nothing runs).
+    fn run_against_interpreter(
+        bytes: &[u8],
+        record: &[u32],
+        prog: &Tier1Program,
+        arena: &[u64],
+        mems: &[MemBank],
+    ) {
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
         {
             use crate::step1::{run_tier1_raw, CellFlags};
@@ -852,12 +859,12 @@ mod tests {
             let cells: Vec<Cell<u64>> = vec![Cell::new(0); nwords];
             let (mut ops, mut dynamic) = (0, 0);
             // SAFETY: the program's offsets index `interp`, which nothing
-            // else touches; no banks are read.
+            // else touches; its bank references index `mems`.
             unsafe {
                 run_tier1_raw(
                     prog,
                     interp.as_mut_ptr(),
-                    &[],
+                    mems,
                     &CellFlags(&cells),
                     &mut ops,
                     &mut dynamic,
@@ -867,17 +874,18 @@ mod tests {
             let mut native = arena.to_vec();
             let mut words = vec![0u64; nwords];
             let buf = super::super::ExecBuf::new(bytes).expect("executable mapping");
+            let banks = super::super::BankTable::new(mems);
             // SAFETY: `buf` holds one complete emitted stream; `record`
             // is the one its program was emitted with (or one of an
             // equal-bytes program); its offsets index `native` and
-            // `words`; no banks are read.
+            // `words`, its bank references `banks`, built over `mems`.
             let counted = unsafe {
                 let entry = std::mem::transmute::<*const u8, super::super::EntryFn>(buf.ptr());
                 super::super::call(
                     entry,
                     native.as_mut_ptr(),
                     words.as_mut_ptr().cast(),
-                    std::ptr::null(),
+                    banks.ptr(),
                     record.as_ptr(),
                 )
             };
@@ -887,7 +895,7 @@ mod tests {
             assert_eq!(counted, (ops, dynamic), "(ops, dynamic)");
         }
         #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-        let _ = (bytes, record, prog, arena);
+        let _ = (bytes, record, prog, arena, mems);
     }
 
     fn split(code: &EmittedCode) -> Vec<Vec<u8>> {
@@ -902,7 +910,7 @@ mod tests {
     fn emit_and_run(prog: &Tier1Program, arena: &[u64]) -> Vec<Vec<u8>> {
         let code = emit(prog, true).expect("test programs are eligible");
         assert_eq!(code.marks.len(), prog.code.len());
-        run_against_interpreter(&code.bytes, &[], prog, arena);
+        run_against_interpreter(&code.bytes, &[], prog, arena, &[]);
         split(&code)
     }
 
@@ -921,7 +929,7 @@ mod tests {
         let (code, _) = &emitted[0];
         for ((other, record), prog) in emitted.iter().zip(progs) {
             assert_eq!(other, code, "record-form bytes depend on operands");
-            run_against_interpreter(&code.bytes, record, prog, arena);
+            run_against_interpreter(&code.bytes, record, prog, arena, &[]);
         }
         let prologue = code.bytes[..code.body_start() as usize].to_vec();
         (prologue, split(code), emitted[0].1.clone())
@@ -1301,20 +1309,21 @@ mod tests {
 
     #[test]
     fn a_shape_with_one_member_keeps_displacements() {
-        use super::super::JitPlan;
+        use super::super::{JitPlan, JIT_MIN_COST};
         let lone = not_then_fused_add(0, 0);
-        let plan = JitPlan::new(std::slice::from_ref(&lone), None, true);
+        let plan = JitPlan::new(std::slice::from_ref(&lone), &[JIT_MIN_COST], true);
         assert_eq!(plan.bodies, [emit(&lone, true).unwrap()]);
         assert!(plan.records.is_empty());
 
         // Two members share one record-form body, each with its record;
-        // the program no other partition shares is displaced.
+        // the program no other partition shares is displaced. The shared
+        // body costs its two members' costs together, so it comes first.
         let progs = [
             not_then_fused_add(0, 0),
             long_record(8, 1, 2, 1),
             not_then_fused_add(4, 9),
         ];
-        let plan = JitPlan::new(&progs, None, true);
+        let plan = JitPlan::new(&progs, &[JIT_MIN_COST; 3], true);
         let (shared, record) = emit_record(&progs[2], true).unwrap();
         assert_eq!(plan.bodies, [shared, emit(&progs[1], true).unwrap()]);
         let parts: Vec<(usize, (u32, u32))> = plan
@@ -1325,5 +1334,124 @@ mod tests {
         // Records back to back in schedule order.
         assert_eq!(parts, [(0, (0, 9)), (1, (9, 9)), (0, (9, 18))]);
         assert_eq!(plan.record(&plan.parts[2].unwrap()), record);
+    }
+
+    /// The opcodes the emitter handles: every one but `Generic`.
+    const EMITTED: [Op1; 35] = {
+        use Op1::*;
+        [
+            Add, Sub, Mul, DivU, DivS, RemU, RemS, LtU, LtS, LeqU, LeqS, Eq, Neq, Shl, ShrU, ShrS,
+            Dshl, DshrU, DshrS, Neg, Not, And, Or, Xor, Andr, Orr, Xorr, Cat, Bits, Ext, Mux,
+            MemRead, Commit, Jmp, JmpIf0,
+        ]
+    };
+
+    /// The primitives `gen_circuit` never draws — division, remainder,
+    /// `leq`, `neq`, unsigned and dynamic shifts, `andr`, `xorr` —
+    /// unsigned and signed, from free inputs the optimizer cannot fold.
+    const REST_OF_THE_OPS: &str = concat!(
+        "circuit R :\n",
+        "  module R :\n",
+        "    input a : UInt<8>\n",
+        "    input b : UInt<8>\n",
+        "    input s : UInt<3>\n",
+        "    output o0 : UInt<16>\n",
+        "    output o1 : UInt<16>\n",
+        "    output o2 : UInt<16>\n",
+        "    output o3 : UInt<16>\n",
+        "    output o4 : UInt<16>\n",
+        "    output o5 : UInt<16>\n",
+        "    output o6 : UInt<16>\n",
+        "    output o7 : UInt<16>\n",
+        "    output o8 : UInt<16>\n",
+        "    output o9 : UInt<16>\n",
+        "    output o10 : UInt<16>\n",
+        "    output o11 : UInt<16>\n",
+        "    output o12 : UInt<16>\n",
+        "    node sa = asSInt(a)\n",
+        "    node sb = asSInt(b)\n",
+        "    o0 <= pad(div(a, b), 16)\n",
+        "    o1 <= pad(asUInt(div(sa, sb)), 16)\n",
+        "    o2 <= pad(rem(a, b), 16)\n",
+        "    o3 <= pad(asUInt(rem(sa, sb)), 16)\n",
+        "    o4 <= pad(leq(a, b), 16)\n",
+        "    o5 <= pad(leq(sa, sb), 16)\n",
+        "    o6 <= pad(neq(a, b), 16)\n",
+        "    o7 <= pad(andr(a), 16)\n",
+        "    o8 <= pad(xorr(b), 16)\n",
+        "    o9 <= pad(shr(b, 3), 16)\n",
+        "    o10 <= pad(dshl(a, s), 16)\n",
+        "    o11 <= pad(dshr(a, s), 16)\n",
+        "    o12 <= pad(asUInt(dshr(sa, s)), 16)\n",
+    );
+
+    /// Every program the emitter accepts from random circuits (and
+    /// [`REST_OF_THE_OPS`]), lowered as the engines lower them but
+    /// whatever its cost, runs natively in both forms against the
+    /// interpreter, from random arenas and banks. Between them the
+    /// programs hold every opcode the emitter handles.
+    #[test]
+    fn every_eligible_program_of_random_circuits_runs_natively() {
+        use crate::frontend::{build_plan, Frontend};
+        use crate::machine::Machine;
+        use crate::testgen::gen_circuit;
+        use crate::EngineConfig;
+        use essent_bits::top_mask;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let config = EngineConfig::default();
+        let mut rng = StdRng::seed_from_u64(0x0E717);
+        let word = |rng: &mut StdRng| match rng.gen_range(0..6u32) {
+            0 => 0,
+            1 => u64::MAX,
+            2 => rng.gen_range(0..8u64),
+            3 => rng.gen_range(62..=65u64),
+            _ => rng.gen(),
+        };
+        let mut ran = [false; EMITTED.len()];
+        let (mut programs, mut native) = (0, 0);
+        for seed in 0..61 {
+            let source = match seed {
+                60 => REST_OF_THE_OPS.to_string(),
+                _ => gen_circuit(seed).source,
+            };
+            let lowered =
+                essent_firrtl::passes::lower(essent_firrtl::parse(&source).unwrap()).unwrap();
+            let mut netlist = essent_netlist::Netlist::from_circuit(&lowered).unwrap();
+            essent_netlist::opt::optimize(&mut netlist, &Default::default());
+            let mut machine = Machine::new(&netlist);
+            let plan = build_plan(&netlist, &config, true);
+            let front = Frontend::compile(&netlist, &machine.layout, &plan, &config, None);
+            for bank in &mut machine.mems {
+                for w in &mut bank.data {
+                    *w = rng.gen::<u64>() & top_mask(bank.width);
+                }
+            }
+            for prog in front.programs.as_deref().unwrap() {
+                programs += 1;
+                let Some(disp) = emit(prog, true) else {
+                    continue;
+                };
+                native += 1;
+                let (shared, record) = emit_record(prog, true).unwrap();
+                for _ in 0..16 {
+                    let arena: Vec<u64> =
+                        (0..machine.arena.len()).map(|_| word(&mut rng)).collect();
+                    run_against_interpreter(&disp.bytes, &[], prog, &arena, &machine.mems);
+                    run_against_interpreter(&shared.bytes, &record, prog, &arena, &machine.mems);
+                }
+                for inst in &prog.code {
+                    let i = EMITTED.iter().position(|&op| op == inst.op).unwrap();
+                    ran[i] = true;
+                }
+            }
+        }
+        let missing: Vec<Op1> = (0..EMITTED.len())
+            .filter(|&i| !ran[i])
+            .map(|i| EMITTED[i])
+            .collect();
+        assert!(missing.is_empty(), "never run natively: {missing:?}");
+        assert!(native * 2 > programs, "{native} of {programs} eligible");
     }
 }

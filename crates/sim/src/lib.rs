@@ -1,7 +1,7 @@
 //! The simulation engines: the paper's generated simulators, realized as
 //! compiled-to-bytecode interpreters over the netlist.
 //!
-//! Three engines share one compiled representation and one set of value
+//! Five engines share one compiled representation and one set of value
 //! kernels, so cross-engine equivalence is a meaningful test and
 //! cross-engine *timing* is a meaningful benchmark:
 //!
@@ -19,6 +19,11 @@
 //! * [`EventDrivenSim`] — a classic levelized event-driven simulator
 //!   (signal-granularity change propagation), the stand-in for the
 //!   commercial event-driven simulator ("CommVer") in Table III.
+//! * [`ParEssentSim`] — CCSS across threads: partitions run on workers
+//!   over a statically synthesized, verified dataflow schedule (tier-1
+//!   only; it runs no native code).
+//! * [`BatchSim`] — CCSS over N stimuli of one design in lockstep: a
+//!   lane-strided arena, per-lane wake masks and lane compaction.
 //!
 //! Supporting modules: [`frontend`] (the one partition → plan → bytecode →
 //! tier-1 → state and wake tables → cost table → native-code routine the
@@ -55,7 +60,7 @@
 //! footprint layer (`R0501`, `R0502`, `R0504`) derives every partition's
 //! exact footprint and proves each arena word has one writing partition,
 //! and the dependence layer (`S0601`–`S0605`) proves per design that the
-//! parallel engine's dataflow schedule orders every conflicting pair; the `race-sanitizer` feature ([`sanitizer`])
+//! parallel engine's dataflow schedule orders every conflicting pair; the `race-sanitizer` feature (`sanitizer`)
 //! cross-checks it dynamically.
 
 #![deny(unsafe_op_in_unsafe_fn)]

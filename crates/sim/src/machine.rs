@@ -183,12 +183,6 @@ impl Machine {
         }
     }
 
-    /// Compares two arena slots for equality.
-    #[inline]
-    pub fn slots_equal(&self, a_off: usize, b_off: usize, words: usize) -> bool {
-        self.arena[a_off..a_off + words] == self.arena[b_off..b_off + words]
-    }
-
     /// Reads a slot's low 64 bits (addresses, enables).
     #[inline]
     pub fn slot_u64(&self, sig: SignalId) -> u64 {

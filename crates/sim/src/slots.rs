@@ -14,23 +14,20 @@
 //! flags) and their schedule loop; `essent-verify` audits the table once
 //! for all of them (`X0801`/`X0802`).
 //!
-//! [`WakeSlots`] is the per-engine record in front of it: the native
+//! `WakeSlots` is the per-engine record in front of it: the native
 //! `entry` (or `None`: run the tier-1 program) and the operand record it
 //! reads beside the table's `plain` bit, so a plain wake is one slot
 //! load and one call, and only non-plain partitions visit
 //! [`WakeTable::outputs`] and [`StateTable::in_place`].
 //!
 //! The slots cache entry pointers into the executable arena the
-//! [`JitParts`] owns, and offsets into its record buffer, so the two
-//! live in one struct with the parts
-//! private to it: every operation that changes them — deopt of one
-//! partition, deopt of all, the force-compile hook that replaces the
-//! arena — ends in [`WakeSlots::rebuild_slots`], and no stale pointer
-//! survives the arena it pointed into.
+//! [`JitParts`] owns, and offsets into its record buffer, so the parts
+//! live in the same struct, private to it, and nothing changes them
+//! after `WakeSlots::new`: the pointers live exactly as long as the
+//! arena they point into.
 
 use crate::compile::{Block, Item, Layout};
-use crate::jit::{self, EntryFn, JitBank, JitParts};
-use crate::machine::MemBank;
+use crate::jit::{EntryFn, JitBank, JitParts};
 use crate::state::StateTable;
 use crate::step1::Tier1Program;
 use essent_core::plan::CcssPlan;
@@ -206,25 +203,17 @@ impl WakeSlots {
     pub fn new(jit: Option<JitParts>, plain: &[bool]) -> WakeSlots {
         let slots = plain
             .iter()
-            .map(|&plain| WakeSlot {
-                entry: None,
-                record: 0,
-                plain,
+            .enumerate()
+            .map(|(sched, &plain)| {
+                let part = jit.as_ref().and_then(|j| j.part(sched));
+                WakeSlot {
+                    entry: part.map(|p| p.entry()),
+                    record: part.map_or(0, |p| p.record_start()),
+                    plain,
+                }
             })
             .collect();
-        let mut slots = WakeSlots { jit, slots };
-        slots.rebuild_slots();
-        slots
-    }
-
-    /// Re-derives every entry and record from the parts as they are now.
-    fn rebuild_slots(&mut self) {
-        let jit = self.jit.as_ref();
-        for (sched, slot) in self.slots.iter_mut().enumerate() {
-            let part = jit.and_then(|j| j.part(sched));
-            slot.entry = part.map(|p| p.entry());
-            slot.record = part.map_or(0, |p| p.record_start());
-        }
+        WakeSlots { jit, slots }
     }
 
     /// The slots, indexed by scheduled partition.
@@ -252,7 +241,7 @@ impl WakeSlots {
         self.jit.as_ref()
     }
 
-    /// Partitions currently running native code.
+    /// Partitions running native code.
     pub fn compiled_count(&self) -> usize {
         self.jit.as_ref().map_or(0, |j| j.compiled_count())
     }
@@ -260,42 +249,5 @@ impl WakeSlots {
     /// Partitions whose wake is the program alone.
     pub fn plain_count(&self) -> usize {
         self.slots.iter().filter(|s| s.plain).count()
-    }
-
-    /// Drops one partition back to the tier-1 interpreter; returns
-    /// whether a compiled body was actually discarded.
-    pub fn deopt(&mut self, sched: usize) -> bool {
-        let dropped = self.jit.as_mut().is_some_and(|j| j.deopt(sched));
-        self.rebuild_slots();
-        dropped
-    }
-
-    /// Deoptimizes every partition; returns how many were compiled.
-    pub fn deopt_all(&mut self) -> usize {
-        let dropped = self.jit.as_mut().map_or(0, |j| j.deopt_all());
-        self.rebuild_slots();
-        dropped
-    }
-
-    /// Testing hook: replaces the native parts with a body for every
-    /// eligible program regardless of cost. Returns how many bodies now
-    /// exist; refuses (0, nothing changed) without tier-1 programs, when
-    /// `profiled` (wake attribution needs the interpreter's flag sinks),
-    /// under the race sanitizer and on unsupported hosts.
-    pub fn compile_all(
-        &mut self,
-        programs: Option<&[Tier1Program]>,
-        mems: &[MemBank],
-        profiled: bool,
-    ) -> usize {
-        let Some(programs) = programs else {
-            return 0;
-        };
-        if profiled || cfg!(feature = "race-sanitizer") || !jit::supported() {
-            return 0;
-        }
-        self.jit = Some(JitParts::build_all(programs, mems));
-        self.rebuild_slots();
-        self.compiled_count()
     }
 }

@@ -912,7 +912,7 @@ macro_rules! op1_match {
 
 /// Arena word footprint of one generic-fallback [`Item`]: the batched
 /// engine gathers these strided words into a scalar scratch arena, runs
-/// the item through [`run_items_raw`] per lane, and scatters the writes
+/// the item through `run_items_raw` per lane, and scatters the writes
 /// back. Writes are gathered too: a `CondMux` way not taken this cycle
 /// leaves its destination untouched, and the scatter must not smear a
 /// stale scratch word over a live lane value.

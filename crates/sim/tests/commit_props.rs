@@ -45,11 +45,9 @@ fn tiers(netlist: &Netlist, c_p: usize) -> Vec<(&'static str, Box<dyn Simulator>
         trigger_push: false,
         ..on.clone()
     };
-    let mut native = EssentSim::new(netlist, &jit);
-    native.jit_compile_all();
     vec![
         ("tier-1", Box::new(EssentSim::new(netlist, &on))),
-        ("native", Box::new(native)),
+        ("native", Box::new(EssentSim::new(netlist, &jit))),
         ("unfused", Box::new(EssentSim::new(netlist, &unfused))),
         ("generic", Box::new(EssentSim::new(netlist, &generic))),
         ("pull", Box::new(EssentSim::new(netlist, &pull))),

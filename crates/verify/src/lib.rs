@@ -113,7 +113,7 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
     // regardless of the build host (as-if popcnt is available; a host
     // without it would simply not compile Xorr partitions at all).
     if let Some(progs) = front.programs.as_deref() {
-        let plan = JitPlan::new(progs, Some(&front.cost.costs), true);
+        let plan = JitPlan::new(progs, &front.cost.costs, true);
         report.merge(check_jit_plan(progs, &plan));
     }
 

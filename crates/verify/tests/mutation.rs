@@ -8,7 +8,7 @@ use essent_core::diag::codes;
 use essent_core::plan::CcssPlan;
 use essent_netlist::{Netlist, SignalId};
 use essent_sim::compile::{compile_plan, Block, Item, Layout};
-use essent_sim::jit::JitPlan;
+use essent_sim::jit::{JitPlan, JIT_MIN_COST};
 use essent_sim::step1::{lower_tier1, Op1, OutSpec, Tier1Program, NO_FUSE};
 use essent_sim::EngineConfig;
 use essent_verify::{
@@ -984,6 +984,11 @@ fn jit_stream(prog: &Tier1Program) -> essent_sim::jit::EmittedCode {
     essent_sim::jit::x64::emit(prog, true).expect("fixture is x64-eligible")
 }
 
+/// A cost table that selects every eligible partition of `progs`.
+fn every_part(progs: &[Tier1Program]) -> Vec<u64> {
+    vec![JIT_MIN_COST; progs.len()]
+}
+
 /// The fixture partition with a fused trigger tail — the stage for
 /// flag-sink mutations.
 fn fused_prog() -> Tier1Program {
@@ -1011,7 +1016,7 @@ fn pristine_jit_streams_verify_clean() {
                 let report = check_jit(prog, &jit_stream(prog), 0);
                 assert_eq!(report.error_count(), 0, "c_p={c_p}:\n{report}");
             }
-            let plan = JitPlan::new(&setup.progs, None, true);
+            let plan = JitPlan::new(&setup.progs, &every_part(&setup.progs), true);
             let report = check_jit_plan(&setup.progs, &plan);
             assert_eq!(report.error_count(), 0, "c_p={c_p} plan:\n{report}");
         }
@@ -1293,7 +1298,7 @@ fn twin_diamonds() -> Netlist {
 /// body whose stream wakes a partition.
 fn shared_plan() -> (Vec<Tier1Program>, JitPlan, Vec<usize>) {
     let setup = tier_setup(&twin_diamonds(), 1);
-    let plan = JitPlan::new(&setup.progs, None, true);
+    let plan = JitPlan::new(&setup.progs, &every_part(&setup.progs), true);
     let report = check_jit_plan(&setup.progs, &plan);
     assert_eq!(report.error_count(), 0, "pristine:\n{report}");
     let body = (0..plan.bodies.len())
