@@ -33,13 +33,13 @@
 //! it profile — only [`crate::EssentSim`] does (DESIGN.md §9).
 //! `EngineConfig::jit` / `profile` are ignored here (documented in
 //! DESIGN.md §14); every other ablation switch — `c_p`, mux
-//! conditionalization, state elision, push/pull triggering, tier-1,
-//! trigger fusion — behaves per lane exactly as in [`crate::EssentSim`].
+//! conditionalization, state elision, push/pull triggering, trigger
+//! fusion — behaves per lane exactly as in [`crate::EssentSim`].
 
-use crate::compile::{Block, Layout};
+use crate::compile::Layout;
 use crate::engine::EngineConfig;
 use crate::frontend::{build_plan, Frontend};
-use crate::machine::{run_items_raw, MemBank, WorkCounters};
+use crate::machine::{MemBank, WorkCounters};
 use crate::slots::{WakeTable, Watch};
 use crate::state::{MemWrite, RegCommit, StateTable};
 use crate::step1::{item_rw, run_tier1_lanes, ItemRw, Tier1Program, TierStats};
@@ -81,14 +81,11 @@ pub struct BatchSim {
     netlist: Arc<Netlist>,
     layout: Layout,
     plan: CcssPlan,
-    blocks: Vec<Block>,
-    programs: Option<Vec<Tier1Program>>,
+    /// The word-specialized program of each partition.
+    programs: Vec<Tier1Program>,
     /// Per partition: footprints of its generic-fallback items
     /// (parallel to each program's `generic` vector).
     generic_rw: Vec<Vec<ItemRw>>,
-    /// Tier-off path: per partition, the merged footprint of its whole
-    /// block (gathered/scattered around the generic interpreter).
-    block_rw: Vec<ItemRw>,
     lanes: usize,
     /// Lane-strided SoA value arena: `total_words * lanes` words.
     arena: Vec<u64>,
@@ -160,28 +157,14 @@ impl BatchSim {
         // No native tier here: the bodies are compiled against the scalar
         // arena stride.
         let Frontend {
-            blocks,
             programs,
             state,
             wake,
             ..
         } = Frontend::compile(&netlist, &layout, &plan, config, None);
-        let generic_rw: Vec<Vec<ItemRw>> = match &programs {
-            Some(progs) => progs
-                .iter()
-                .map(|p| p.generic.iter().map(item_rw).collect())
-                .collect(),
-            None => vec![Vec::new(); blocks.len()],
-        };
-        let block_rw: Vec<ItemRw> = blocks
+        let generic_rw: Vec<Vec<ItemRw>> = programs
             .iter()
-            .map(|b| {
-                let mut rw = ItemRw::default();
-                for item in &b.items {
-                    rw.absorb(item);
-                }
-                rw
-            })
+            .map(|p| p.generic.iter().map(item_rw).collect())
             .collect();
 
         let stops = netlist
@@ -219,10 +202,8 @@ impl BatchSim {
         BatchSim {
             layout,
             plan,
-            blocks,
             programs,
             generic_rw,
-            block_rw,
             lanes,
             arena,
             scratch: vec![0u64; total],
@@ -267,12 +248,13 @@ impl BatchSim {
         self.wake.full_steps
     }
 
-    /// Aggregated word-specialization coverage (`None` when tier off).
+    /// Aggregated word-specialization coverage; always `Some`.
     pub fn tier_stats(&self) -> Option<TierStats> {
-        self.programs.as_ref().map(|ps| {
-            ps.iter()
-                .fold(TierStats::default(), |acc, p| acc.merged(&p.stats))
-        })
+        Some(
+            self.programs
+                .iter()
+                .fold(TierStats::default(), |acc, p| acc.merged(&p.stats)),
+        )
     }
 
     /// How many lane compactions have re-packed the stride so far.
@@ -479,10 +461,8 @@ impl BatchSim {
         let BatchSim {
             netlist,
             layout,
-            blocks,
             programs,
             generic_rw,
-            block_rw,
             lanes,
             arena,
             scratch,
@@ -558,58 +538,23 @@ impl BatchSim {
 
             // 2. The program across the awake lanes: members, fused
             //    output triggers and register commits.
-            match programs {
-                Some(progs) => {
-                    // SAFETY: exclusive access to the strided arena and
-                    // scratch through `&mut self`; `generic_rw[sched]`
-                    // parallels the program's generic items; `eval` is
-                    // non-zero with bits only below `lanes`; `mems` and
-                    // `counters` hold `lanes` entries.
-                    unsafe {
-                        run_tier1_lanes(
-                            &progs[sched],
-                            &generic_rw[sched],
-                            arena.as_mut_ptr(),
-                            lanes,
-                            eval,
-                            mems,
-                            scratch,
-                            flags,
-                            counters,
-                            true,
-                        );
-                    }
-                }
-                None => {
-                    // Generic tier: gather the block's whole footprint
-                    // into the scalar scratch arena, run the item
-                    // interpreter, scatter the writes back — per lane.
-                    let rw = &block_rw[sched];
-                    let items = &blocks[sched].items;
-                    for_lanes(eval, |l| {
-                        for &(off, w) in rw.reads.iter().chain(rw.writes.iter()) {
-                            for k in 0..w as usize {
-                                scratch[off as usize + k] = arena[(off as usize + k) * lanes + l];
-                            }
-                        }
-                        // SAFETY: `scratch` covers the scalar layout and
-                        // every word the block touches was just
-                        // gathered; exclusive access through &mut self.
-                        unsafe {
-                            run_items_raw(
-                                items,
-                                scratch.as_mut_ptr(),
-                                &mems[l],
-                                &mut counters[l].ops_evaluated,
-                            );
-                        }
-                        for &(off, w) in &rw.writes {
-                            for k in 0..w as usize {
-                                arena[(off as usize + k) * lanes + l] = scratch[off as usize + k];
-                            }
-                        }
-                    });
-                }
+            // SAFETY: exclusive access to the strided arena and scratch
+            // through `&mut self`; `generic_rw[sched]` parallels the
+            // program's generic items; `eval` is non-zero with bits only
+            // below `lanes`; `mems` and `counters` hold `lanes` entries.
+            unsafe {
+                run_tier1_lanes(
+                    &programs[sched],
+                    &generic_rw[sched],
+                    arena.as_mut_ptr(),
+                    lanes,
+                    eval,
+                    mems,
+                    scratch,
+                    flags,
+                    counters,
+                    true,
+                );
             }
 
             // 3. In-place state updates the program did not absorb, per

@@ -36,13 +36,13 @@ pub struct EngineConfig {
     /// the behavior of traditional event-driven simulators that the paper
     /// contrasts against (Section II).
     pub event_levelized: bool,
-    /// Lower single-word steps into the specialized one-word tier
-    /// ([`crate::step1`]); multi-word steps keep the generic kernels.
-    /// Used by the full-cycle, ESSENT, and parallel engines.
+    /// Full-cycle engine only: lower single-word steps into the
+    /// specialized one-word tier ([`crate::step1`]); multi-word steps
+    /// keep the generic kernels. The CCSS engines always run the tier.
     pub tier1: bool,
     /// Fuse partition-output trigger updates (compare + consumer wakes)
-    /// into the defining tier-1 instruction. Requires `tier1` and
-    /// push-direction triggering; ignored otherwise.
+    /// into the defining tier-1 instruction. Requires push-direction
+    /// triggering; ignored otherwise.
     pub fuse_triggers: bool,
     /// ESSENT engine only: collect per-partition telemetry
     /// ([`crate::profile`]) — evals, derived skips, ops and wake-cause
@@ -61,12 +61,12 @@ pub struct EngineConfig {
     /// ([`crate::jit`]): partitions whose estimated eval cost clears
     /// [`crate::jit::JIT_MIN_COST`] run an emitted x86-64 body (fused
     /// CCSS trigger tail included) instead of the tier-1 interpreter.
-    /// Requires `tier1`; silently ignored on targets other than x86-64
-    /// Linux, under `profile` (wake attribution needs the interpreter's
-    /// flag sinks), and under the `race-sanitizer` feature (the dynamic
-    /// oracle instruments the interpreter loop). Used by the ESSENT
-    /// engine only: the dataflow engine's workers share flag bytes a
-    /// native bit `or` would race on.
+    /// Silently ignored on targets other than x86-64 Linux, under
+    /// `profile` (wake attribution needs the interpreter's flag sinks),
+    /// and under the `race-sanitizer` feature (the dynamic oracle
+    /// instruments the interpreter loop). Used by the ESSENT engine only:
+    /// the dataflow engine's workers share flag bytes a native bit `or`
+    /// would race on.
     pub jit: bool,
     /// Parallel engine only: shadow-memory race sanitizer — tag every
     /// arena word with its last writer/reader partition during parallel
@@ -107,11 +107,11 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// Whether partition-output triggers are fused into the defining
-    /// tier-1 instruction. Fusion needs the word-specialized tier and
-    /// push-direction triggering: pull mode detects changes by input
-    /// snapshots and must not consume the outputs' consumer wakes.
+    /// tier-1 instruction. Fusion needs push-direction triggering: pull
+    /// mode detects changes by input snapshots and must not consume the
+    /// outputs' consumer wakes.
     pub fn fuses_triggers(&self) -> bool {
-        self.tier1 && self.fuse_triggers && self.trigger_push
+        self.fuse_triggers && self.trigger_push
     }
 
     /// The paper's **Baseline**: every optimization off (pure full-cycle

@@ -23,10 +23,9 @@
 //!    now is consumed only in the following cycle),
 //! 3. runs what the program did not absorb from the pre-resolved
 //!    [`StateTable`]: elided memory writes, and the elided registers that
-//!    are wider than a word (all of them under the generic tier or with
-//!    fusion off),
+//!    are wider than a word (all of them with fusion off),
 //! 4. snapshot-compares the outputs the program did not fuse (usually
-//!    none; all of them under the generic tier).
+//!    none; all of them with fusion off).
 //!
 //! The walk takes a non-zero word's pending bits at once, leaving the
 //! word clear, and after each wake re-reads it and takes only the bits
@@ -51,7 +50,6 @@
 //!
 //! [`Op1::Commit`]: crate::step1::Op1::Commit
 
-use crate::compile::Block;
 use crate::engine::{delegate_simulator_basics, EngineConfig, Simulator};
 use crate::frontend::{build_plan, Frontend};
 use crate::jit;
@@ -70,10 +68,8 @@ use std::sync::Arc;
 pub struct EssentSim {
     machine: Machine,
     plan: CcssPlan,
-    blocks: Vec<Block>,
-    /// Word-specialized programs per partition (`config.tier1`); `None`
-    /// runs the generic item interpreter.
-    programs: Option<Vec<Tier1Program>>,
+    /// The word-specialized program of each partition.
+    programs: Vec<Tier1Program>,
     /// Per partition: the native entry and its operand record
     /// (`config.jit`; partitions that cleared the cost threshold and
     /// lowered cleanly) and whether the program is the whole wake. Owns
@@ -121,7 +117,6 @@ impl EssentSim {
         let mut machine = Machine::from_arc(Arc::clone(&netlist));
         machine.capture_printf = config.capture_printf;
         let Frontend {
-            blocks,
             programs,
             state,
             wake,
@@ -147,7 +142,6 @@ impl EssentSim {
             snapshots: vec![0; wake.snapshot_words],
             machine,
             plan,
-            blocks,
             programs,
             wake,
             state,
@@ -178,13 +172,14 @@ impl EssentSim {
         &self.machine
     }
 
-    /// Aggregated word-specialization coverage over all partitions
-    /// (`None` when the tier is disabled).
+    /// Aggregated word-specialization coverage over all partitions;
+    /// always `Some`.
     pub fn tier_stats(&self) -> Option<TierStats> {
-        self.programs.as_ref().map(|ps| {
-            ps.iter()
-                .fold(TierStats::default(), |acc, p| acc.merged(&p.stats))
-        })
+        Some(
+            self.programs
+                .iter()
+                .fold(TierStats::default(), |acc, p| acc.merged(&p.stats)),
+        )
     }
 
     /// Number of partitions running native-compiled bodies
@@ -215,8 +210,7 @@ impl EssentSim {
         let state = &self.state;
         let slots = self.slots.as_slice();
         let code = Programs {
-            programs: self.programs.as_deref(),
-            blocks: &self.blocks,
+            programs: &self.programs,
             flags,
             banks: self.slots.banks(),
             records: self.slots.records(),
@@ -407,8 +401,7 @@ fn range(off: u32, words: u32) -> std::ops::Range<usize> {
 /// What a wake runs as the partition's program, and what the program
 /// needs beside the machine.
 struct Programs<'a> {
-    programs: Option<&'a [Tier1Program]>,
-    blocks: &'a [Block],
+    programs: &'a [Tier1Program],
     flags: &'a [Cell<u64>],
     banks: *const jit::JitBank,
     records: *const u32,
@@ -416,14 +409,13 @@ struct Programs<'a> {
 
 impl Programs<'_> {
     /// Step 2: partition `sched`'s program — natively when its slot has
-    /// an entry, through the word-specialized tier when lowered (outputs
-    /// and register commits compare-and-wake inline either way), through
-    /// the generic item interpreter otherwise.
+    /// an entry, through the tier-1 interpreter otherwise (outputs and
+    /// register commits compare-and-wake inline either way).
     #[inline(always)]
     fn run<P: Profiler>(&self, slot: WakeSlot, sched: usize, machine: &mut Machine, prof: &mut P) {
         let arena = machine.arena.as_mut_ptr();
-        match (slot.entry, self.programs) {
-            (Some(entry), _) => {
+        match slot.entry {
+            Some(entry) => {
                 // SAFETY: the slot table is rebuilt whenever the native
                 // parts change, so `entry` is a live body of this engine
                 // and `slot.record` is where this partition's operand
@@ -456,9 +448,9 @@ impl Programs<'_> {
             }
             // SAFETY: exclusive machine access through the engine's
             // &mut self; the bit words alias no arena or bank storage.
-            (None, Some(progs)) => unsafe {
+            None => unsafe {
                 prof.run_tier1(
-                    &progs[sched],
+                    &self.programs[sched],
                     arena,
                     &machine.mems,
                     self.flags,
@@ -467,7 +459,6 @@ impl Programs<'_> {
                     &mut machine.counters.dynamic_checks,
                 )
             },
-            (None, None) => machine.run_items(&self.blocks[sched].items),
         }
     }
 }

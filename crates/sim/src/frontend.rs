@@ -88,11 +88,12 @@ pub fn out_specs(part: &PartitionPlan) -> Vec<OutSpec> {
 
 /// Everything compiled from a plan, per scheduled partition.
 pub struct Frontend {
+    /// The bytecode the programs are lowered from and audited against;
+    /// no engine runs it.
     pub blocks: Vec<Block>,
-    /// Word-specialized programs (`config.tier1`), triggers fused per
-    /// [`EngineConfig::fuses_triggers`]; `None` runs the generic item
-    /// interpreter.
-    pub programs: Option<Vec<Tier1Program>>,
+    /// The word-specialized programs the engines run, triggers fused per
+    /// [`EngineConfig::fuses_triggers`].
+    pub programs: Vec<Tier1Program>,
     /// The state updates the programs did not absorb, and the
     /// end-of-cycle ones, pre-resolved.
     pub state: StateTable,
@@ -108,10 +109,10 @@ pub struct Frontend {
 impl Frontend {
     /// Compiles `plan`. `jit_banks` are the memory banks native bodies
     /// read; pass `None` for a consumer with no native tier (the batch
-    /// and dataflow engines, the verifier). The JIT is also skipped
-    /// without `tier1`, when profiling (wake attribution needs the
-    /// interpreter's flag sinks), under the race sanitizer (the dynamic
-    /// oracle instruments the interpreter loop) and on unsupported hosts.
+    /// and dataflow engines, the verifier). The JIT is also skipped when
+    /// profiling (wake attribution needs the interpreter's flag sinks),
+    /// under the race sanitizer (the dynamic oracle instruments the
+    /// interpreter loop) and on unsupported hosts.
     pub fn compile(
         netlist: &Netlist,
         layout: &Layout,
@@ -121,35 +122,27 @@ impl Frontend {
     ) -> Frontend {
         let blocks = compile_plan(netlist, layout, plan, config);
         let fuse = config.fuses_triggers();
-        let programs: Option<Vec<Tier1Program>> = config.tier1.then(|| {
-            plan.partitions
-                .iter()
-                .zip(&blocks)
-                .map(|(part, block)| lower_tier1(netlist, block, &out_specs(part), fuse))
-                .collect()
-        });
-        let state = StateTable::build(netlist, layout, plan, programs.as_deref());
+        let programs: Vec<Tier1Program> = plan
+            .partitions
+            .iter()
+            .zip(&blocks)
+            .map(|(part, block)| lower_tier1(netlist, block, &out_specs(part), fuse))
+            .collect();
+        let state = StateTable::build(netlist, layout, plan, &programs);
         let wake = WakeTable::build(
             netlist,
             layout,
             plan,
-            &blocks,
-            programs.as_deref(),
+            &programs,
             &state,
             config.trigger_push,
         );
         let cost = CostModel::build(plan, &blocks, None);
-        let jit = match (&programs, jit_banks) {
-            (Some(progs), Some(banks))
-                if config.jit
-                    && !config.profile
-                    && !cfg!(feature = "race-sanitizer")
-                    && jit::supported() =>
-            {
-                Some(JitParts::build(progs, &cost.costs, banks))
-            }
-            _ => None,
-        };
+        let native =
+            config.jit && !config.profile && !cfg!(feature = "race-sanitizer") && jit::supported();
+        let jit = jit_banks
+            .filter(|_| native)
+            .map(|banks| JitParts::build(&programs, &cost.costs, banks));
         Frontend {
             blocks,
             programs,

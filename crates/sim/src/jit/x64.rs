@@ -1428,7 +1428,7 @@ mod tests {
                     *w = rng.gen::<u64>() & top_mask(bank.width);
                 }
             }
-            for prog in front.programs.as_deref().unwrap() {
+            for prog in &front.programs {
                 programs += 1;
                 let Some(disp) = emit(prog, true) else {
                     continue;

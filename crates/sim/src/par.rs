@@ -33,7 +33,6 @@
 //!
 //! [`PlanOptions::elide_mem`]: essent_core::plan::PlanOptions::elide_mem
 
-use crate::compile::Block;
 use crate::engine::{delegate_simulator_basics, EngineConfig, Simulator};
 use crate::frontend::{build_plan, Frontend};
 use crate::machine::{self, Machine};
@@ -113,12 +112,11 @@ pub struct ParEssentSim {
     /// The plan, with the synthesized dataflow schedule attached
     /// (`plan.dataflow`) — the only schedule this engine runs.
     plan: CcssPlan,
-    blocks: Vec<Block>,
-    /// Word-specialized programs per partition (`config.tier1`); fused
-    /// trigger writes go through the atomic flag sink. Never native
-    /// code: a body's bit `or` from two workers into one byte would lose
-    /// wakes, so `config.jit` is ignored here.
-    programs: Option<Vec<Tier1Program>>,
+    /// The word-specialized program of each partition; fused trigger
+    /// writes go through the atomic flag sink. Never native code: a
+    /// body's bit `or` from two workers into one byte would lose wakes,
+    /// so `config.jit` is ignored here.
+    programs: Vec<Tier1Program>,
     flags: Vec<AtomicBool>,
     /// Per-partition arena offsets of the stop-condition bits the
     /// partition computes: after evaluating, the owner probes these and
@@ -160,7 +158,6 @@ impl ParEssentSim {
         let mut machine = Machine::from_arc(Arc::clone(&netlist));
         machine.capture_printf = config.capture_printf;
         let Frontend {
-            blocks,
             programs,
             state,
             wake,
@@ -214,7 +211,6 @@ impl ParEssentSim {
             snapshots: vec![0; wake.snapshot_words],
             machine,
             plan,
-            blocks,
             programs,
             stop_probe,
             wake,
@@ -241,8 +237,7 @@ impl ParEssentSim {
         self.plan.partitions.len()
     }
 
-    /// Runs partition `sched`'s program: through the tier-1 interpreter
-    /// when lowered, through the generic item interpreter otherwise.
+    /// Runs partition `sched`'s program through the tier-1 interpreter.
     ///
     /// # Safety
     ///
@@ -254,35 +249,22 @@ impl ParEssentSim {
         mems: &[crate::machine::MemBank],
         ops: &mut u64,
     ) {
-        match &self.programs {
-            Some(progs) => {
-                // Fused trigger writes go straight to the atomic flags;
-                // this engine does not track dynamic-check counts.
-                let mut dynamic = 0u64;
-                // SAFETY: the tier-1 program's footprint equals the
-                // generic block's (R0501), which the footprint layer
-                // proved single-writer and in-bounds (R0502, R0504) and
-                // the schedule orders against every overlapping
-                // partition (S0601); banks are read-only here.
-                unsafe {
-                    run_tier1_raw(
-                        &progs[sched],
-                        arena.get(),
-                        mems,
-                        &AtomicFlags(&self.flags),
-                        ops,
-                        &mut dynamic,
-                    )
-                }
-            }
-            // SAFETY: the generic block's footprint is exactly what the
-            // footprint layer analyzed and proved single-writer and
-            // in-bounds (R0502, R0504), ordered against every
-            // overlapping partition by the schedule (S0601); banks are
-            // read-only here.
-            None => unsafe {
-                machine::run_items_raw(&self.blocks[sched].items, arena.get(), mems, ops)
-            },
+        // Fused trigger writes go straight to the atomic flags; this
+        // engine does not track dynamic-check counts.
+        let mut dynamic = 0u64;
+        // SAFETY: the tier-1 program's footprint equals the block's
+        // (R0501), which the footprint layer proved single-writer and
+        // in-bounds (R0502, R0504) and the schedule orders against every
+        // overlapping partition (S0601); banks are read-only here.
+        unsafe {
+            run_tier1_raw(
+                &self.programs[sched],
+                arena.get(),
+                mems,
+                &AtomicFlags(&self.flags),
+                ops,
+                &mut dynamic,
+            )
         }
     }
 

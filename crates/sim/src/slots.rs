@@ -26,7 +26,7 @@
 //! after `WakeSlots::new`: the pointers live exactly as long as the
 //! arena they point into.
 
-use crate::compile::{Block, Item, Layout};
+use crate::compile::Layout;
 use crate::jit::{EntryFn, JitBank, JitParts};
 use crate::state::StateTable;
 use crate::step1::Tier1Program;
@@ -74,14 +74,13 @@ pub struct WakeTable {
 impl WakeTable {
     /// Resolves `plan`'s triggers against what the front end compiled:
     /// `programs` decide which outputs stay with the engine (all of them
-    /// under the generic tier), `state` which partitions have in-place
-    /// updates left, `push` the triggering direction.
+    /// with fusion off), `state` which partitions have in-place updates
+    /// left, `push` the triggering direction.
     pub fn build(
         netlist: &Netlist,
         layout: &Layout,
         plan: &CcssPlan,
-        blocks: &[Block],
-        programs: Option<&[Tier1Program]>,
+        programs: &[Tier1Program],
         state: &StateTable,
         push: bool,
     ) -> WakeTable {
@@ -90,7 +89,7 @@ impl WakeTable {
             t.out_bound.push(t.outputs.len() as u32);
             t.in_bound.push(t.inputs.len() as u32);
             for (oi, out) in part.outputs.iter().enumerate() {
-                if programs.is_some_and(|progs| !progs[sched].unfused.contains(&oi)) {
+                if !programs[sched].unfused.contains(&oi) {
                     continue;
                 }
                 let start = t.consumers.len() as u32;
@@ -98,12 +97,10 @@ impl WakeTable {
                 let watch = t.watch(layout, out.signal, (start, t.consumers.len() as u32));
                 t.outputs.push(watch);
             }
-            // A lowered program in push mode (pull refreshes input
-            // snapshots on every wake) that left the engine nothing.
+            // Push mode (pull refreshes input snapshots on every wake),
+            // and the program left the engine nothing.
             t.plain.push(
-                push && programs.is_some()
-                    && t.outputs.len() as u32 == t.out_bound[sched]
-                    && !state.has_in_place(sched),
+                push && t.outputs.len() as u32 == t.out_bound[sched] && !state.has_in_place(sched),
             );
             if push {
                 continue;
@@ -132,11 +129,7 @@ impl WakeTable {
         t.out_bound.push(t.outputs.len() as u32);
         t.in_bound.push(t.inputs.len() as u32);
         t.input_wake = plan.input_wakes.iter().cloned().collect();
-        t.full_steps = blocks
-            .iter()
-            .flat_map(|b| b.items.iter())
-            .map(Item::step_count)
-            .sum();
+        t.full_steps = programs.iter().map(|p| p.stats.total_steps).sum();
         t
     }
 
@@ -180,8 +173,7 @@ impl WakeTable {
 /// One partition's record (see the module docs).
 #[derive(Clone, Copy)]
 pub(crate) struct WakeSlot {
-    /// The native body to call; `None` runs the tier-1 program (or,
-    /// without the tier, the generic items).
+    /// The native body to call; `None` runs the tier-1 program.
     pub entry: Option<EntryFn>,
     /// Where the operand record `entry` reads starts in
     /// [`WakeSlots::records`].

@@ -9,8 +9,8 @@
 //!   partition's program: its elided memory writes and the elided
 //!   register commits the program did not absorb as
 //!   [`Op1::Commit`](crate::step1::Op1::Commit) instructions (registers
-//!   wider than a word; every elided register under the generic tier or
-//!   with trigger fusion off — [`Tier1Program::unabsorbed`]);
+//!   wider than a word; every elided register with trigger fusion off —
+//!   [`Tier1Program::unabsorbed`]);
 //! * **end of cycle**: the non-elided writes and registers, with change
 //!   detection.
 //!
@@ -111,15 +111,14 @@ pub struct StateTable {
 
 impl StateTable {
     /// Flattens `plan`'s state updates. `programs` are the tier-1
-    /// programs the engine will run (their
+    /// programs the engine will run: their
     /// [`unabsorbed`](Tier1Program::unabsorbed) lists index each
-    /// partition's `elided_regs`); `None` — the generic tier — leaves
-    /// every elided register here.
+    /// partition's `elided_regs`.
     pub fn build(
         netlist: &Netlist,
         layout: &Layout,
         plan: &CcssPlan,
-        programs: Option<&[Tier1Program]>,
+        programs: &[Tier1Program],
     ) -> StateTable {
         let mut t = StateTable::default();
         let reg = |t: &mut StateTable, ri: usize| {
@@ -144,13 +143,8 @@ impl StateTable {
             for &wi in &part.elided_writes {
                 write(&mut t, wi);
             }
-            match programs {
-                Some(progs) => {
-                    for &ci in &progs[sched].unabsorbed {
-                        reg(&mut t, part.elided_regs[ci]);
-                    }
-                }
-                None => part.elided_regs.iter().for_each(|&ri| reg(&mut t, ri)),
+            for &ci in &programs[sched].unabsorbed {
+                reg(&mut t, part.elided_regs[ci]);
             }
         }
         t.reg_bound.push(t.regs.len() as u32);

@@ -1483,7 +1483,8 @@ mod tests {
     use super::Op1::Commit;
     use super::Op1::*;
     use super::*;
-    use crate::machine::{commit_state_raw, run_step_raw};
+    use crate::machine::{commit_state_raw, run_step_raw, Machine};
+    use essent_netlist::SignalDef;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::cell::RefCell;
@@ -2286,5 +2287,134 @@ mod tests {
             VECTOR.len(),
             "vector forms hit: {vectorized:?}"
         );
+    }
+
+    // ---- the lowering against the bytecode, partition by partition ----
+
+    /// A random arena for `machine`'s layout: every signal but a constant
+    /// gets random words, normalized to its width as the engines store
+    /// it (upper bits of the top word clear); constants keep their value.
+    fn random_arena(machine: &Machine, rng: &mut StdRng) -> Vec<u64> {
+        let (layout, mut arena) = (&machine.layout, machine.arena.clone());
+        for (i, s) in machine.netlist.signals().iter().enumerate() {
+            if matches!(s.def, SignalDef::Const(_)) {
+                continue;
+            }
+            let sig = SignalId(i as u32);
+            let (off, words) = (layout.offset(sig), layout.words(sig));
+            for (k, word) in arena[off..off + words].iter_mut().enumerate() {
+                let bits = s.width.saturating_sub(64 * k as u32).min(64);
+                *word = rand_word(rng) & top_mask(bits);
+            }
+        }
+        arena
+    }
+
+    /// The tier-1 law, one partition at a time. Every partition's block,
+    /// lowered unfused, runs from the same random width-normalized arena
+    /// and random banks as the block's items through the generic
+    /// interpreter, and must leave the identical arena, count the
+    /// identical `ops`, perform no dynamic check and wake nothing. Over
+    /// 60 random circuits, raw and optimized, and optimized r16, at
+    /// `c_p` 1 and 8 with mux conditionalization on and off — every mux
+    /// way, every opcode shape and every generic fallback the lowering
+    /// makes of a real schedule.
+    #[test]
+    fn every_partition_program_matches_its_block() {
+        use crate::compile::compile_plan;
+        use crate::frontend::{build_plan, out_specs};
+        use crate::testgen::gen_circuit;
+        use crate::EngineConfig;
+        use essent_designs::soc::{generate_soc, SocConfig};
+        use essent_netlist::opt;
+
+        let optimized = |mut netlist: Netlist| {
+            opt::optimize(&mut netlist, &opt::OptConfig::default());
+            netlist
+        };
+        let mut rng = StdRng::seed_from_u64(0x1AB0);
+        let (mut partitions, mut generic, mut muxes) = (0usize, 0usize, 0usize);
+        for design in 0..=120u64 {
+            let (name, netlist) = match design {
+                120 => (
+                    "r16".to_string(),
+                    optimized(netlist_of(&generate_soc(&SocConfig::r16()))),
+                ),
+                _ if design % 2 == 0 => {
+                    let seed = design / 2;
+                    (
+                        format!("seed {seed} raw"),
+                        netlist_of(&gen_circuit(seed).source),
+                    )
+                }
+                _ => {
+                    let seed = design / 2;
+                    let netlist = optimized(netlist_of(&gen_circuit(seed).source));
+                    (format!("seed {seed} optimized"), netlist)
+                }
+            };
+            let mut machine = Machine::new(&netlist);
+            for (c_p, mux_conditional) in [(1, false), (1, true), (8, false), (8, true)] {
+                let config = EngineConfig {
+                    c_p,
+                    mux_conditional,
+                    ..EngineConfig::default()
+                };
+                let plan = build_plan(&netlist, &config, config.elide_state);
+                let blocks = compile_plan(&netlist, &machine.layout, &plan, &config);
+                let flags = vec![Cell::new(0u64); plan.partitions.len().div_ceil(64)];
+                for bank in &mut machine.mems {
+                    for w in &mut bank.data {
+                        *w = rand_word(&mut rng) & top_mask(bank.width);
+                    }
+                }
+                let arena = random_arena(&machine, &mut rng);
+                for (sched, (part, block)) in plan.partitions.iter().zip(&blocks).enumerate() {
+                    let prog = lower_tier1(&netlist, block, &out_specs(part), false);
+                    partitions += 1;
+                    generic += prog.generic.len();
+                    muxes += prog.code.iter().filter(|i| i.op == JmpIf0).count();
+                    let (mut want, mut got) = (arena.clone(), arena.clone());
+                    let mut want_ops = 0;
+                    let (mut ops, mut dynamic) = (0, 0);
+                    // SAFETY: both arenas have the layout's size, which
+                    // every offset of the block and of its lowering is
+                    // inside; single-threaded.
+                    unsafe {
+                        run_items_raw(
+                            &block.items,
+                            want.as_mut_ptr(),
+                            &machine.mems,
+                            &mut want_ops,
+                        );
+                        run_tier1_raw(
+                            &prog,
+                            got.as_mut_ptr(),
+                            &machine.mems,
+                            &CellFlags(&flags),
+                            &mut ops,
+                            &mut dynamic,
+                        );
+                    }
+                    let at = format!("{name} c_p={c_p} mux={mux_conditional} p{sched}");
+                    assert_eq!(ops, want_ops, "{at}: ops");
+                    assert_eq!(dynamic, 0, "{at}: dynamic checks");
+                    assert!(flags.iter().all(|f| f.get() == 0), "{at}: woke a partition");
+                    if got != want {
+                        let word = (0..got.len()).find(|&w| got[w] != want[w]).unwrap();
+                        panic!(
+                            "{at}: arena word {word} is {:#x}, the block leaves {:#x}",
+                            got[word], want[word]
+                        );
+                    }
+                }
+            }
+        }
+        // The corpus reaches the shapes the law is about.
+        assert!(
+            generic > 0 && muxes > 0,
+            "{generic} generic items, {muxes} mux diamonds"
+        );
+        assert!(partitions > 1000, "{partitions} partitions");
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! Produces valid FIRRTL text with registers, memories, `when` blocks,
 //! and a spread of primitive operations — the stimulus source for the
-//! cross-engine equivalence suite and for debugging miscompares.
+//! cross-engine equivalence suite and for debugging miscompares — and the
+//! engine switch matrix those suites run it under.
 
+use crate::engine::EngineConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write;
@@ -260,6 +262,32 @@ pub fn gen_replicated(seed: u64, copies: usize) -> GenCircuit {
         inputs,
         outputs,
     }
+}
+
+/// The CCSS switch matrix the differential suites share: all 16
+/// combinations of push triggering, mux conditionalization, state
+/// elision and trigger fusion at `c_p = 4`, each labelled by the switches
+/// it turns on (`"push+mux+elide+fuse"`, …, `""`).
+pub fn switch_matrix() -> Vec<(String, EngineConfig)> {
+    (0..16u32)
+        .map(|bits| {
+            let on = |i: usize| bits & (1 << i) != 0;
+            let config = EngineConfig {
+                trigger_push: on(0),
+                mux_conditional: on(1),
+                elide_state: on(2),
+                fuse_triggers: on(3),
+                c_p: 4,
+                ..EngineConfig::default()
+            };
+            let label: Vec<&str> = ["push", "mux", "elide", "fuse"]
+                .into_iter()
+                .enumerate()
+                .filter_map(|(i, name)| on(i).then_some(name))
+                .collect();
+            (label.join("+"), config)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 use essent_bits::Bits;
 use essent_netlist::Netlist;
 use essent_sim::batch::BatchSim;
-use essent_sim::testgen::gen_circuit;
+use essent_sim::testgen::{gen_circuit, switch_matrix};
 use essent_sim::{EngineConfig, EssentSim, Simulator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -124,31 +124,15 @@ fn check_lanes(
     }
 }
 
-/// The full 2^5 engine switch matrix, batched vs single per lane. The
-/// compaction is forced on half the points (it must be a no-op for
-/// observable behavior everywhere).
+/// The engine switch matrix, batched vs single per lane. The compaction
+/// is forced on half the points (it must be a no-op for observable
+/// behavior everywhere).
 fn check_lane_matrix(seed: u64) {
     let circuit = gen_circuit(seed);
     let netlist = build(&circuit.source);
-    for bits in 0..32u32 {
-        let config = EngineConfig {
-            trigger_push: bits & 1 != 0,
-            mux_conditional: bits & 2 != 0,
-            elide_state: bits & 4 != 0,
-            tier1: bits & 8 != 0,
-            fuse_triggers: bits & 16 != 0,
-            c_p: 4,
-            ..EngineConfig::default()
-        };
-        let compact_at = (bits % 2 == 0).then_some(11u64);
-        check_lanes(
-            seed,
-            &format!("bits={bits:05b}"),
-            &netlist,
-            &config,
-            &circuit,
-            compact_at,
-        );
+    for (i, (label, config)) in switch_matrix().iter().enumerate() {
+        let compact_at = (i % 2 == 0).then_some(11u64);
+        check_lanes(seed, label, &netlist, config, &circuit, compact_at);
     }
 }
 
@@ -180,16 +164,7 @@ const HALTER: &str = "circuit H :\n  module H :\n    input clock : Clock\n    in
 #[test]
 fn divergent_halts_match_singles() {
     let netlist = build(HALTER);
-    for bits in 0..32u32 {
-        let config = EngineConfig {
-            trigger_push: bits & 1 != 0,
-            mux_conditional: bits & 2 != 0,
-            elide_state: bits & 4 != 0,
-            tier1: bits & 8 != 0,
-            fuse_triggers: bits & 16 != 0,
-            c_p: 4,
-            ..EngineConfig::default()
-        };
+    for (label, config) in switch_matrix() {
         let lanes = 4usize;
         let batch_config = EngineConfig {
             lanes,
@@ -216,27 +191,27 @@ fn divergent_halts_match_singles() {
             assert_eq!(
                 batch.cycle_of(lane),
                 single.cycle(),
-                "bits={bits:05b} lane {lane} cycle count"
+                "[{label}] lane {lane} cycle count"
             );
             assert_eq!(
                 batch.halted_of(lane),
                 single.halted(),
-                "bits={bits:05b} lane {lane} halt code"
+                "[{label}] lane {lane} halt code"
             );
             assert_eq!(
                 batch.peek_lane(lane, "q"),
                 single.peek("q"),
-                "bits={bits:05b} lane {lane} frozen output"
+                "[{label}] lane {lane} frozen output"
             );
             assert_eq!(
                 batch.counters_of(lane),
                 single.counters(),
-                "bits={bits:05b} lane {lane} work counters"
+                "[{label}] lane {lane} work counters"
             );
             assert_eq!(
                 batch.lane_arena(lane),
                 single.machine().arena,
-                "bits={bits:05b} lane {lane} arena"
+                "[{label}] lane {lane} arena"
             );
         }
         // Lanes 0..3 halted at distinct cycles; the halt compactions
@@ -245,11 +220,11 @@ fn divergent_halts_match_singles() {
             batch.halted_of(0).is_some()
                 && batch.halted_of(2).is_some()
                 && batch.halted_of(3).is_none(),
-            "bits={bits:05b}: expected divergent halts"
+            "[{label}]: expected divergent halts"
         );
         assert!(
             batch.compactions() > 0,
-            "bits={bits:05b}: halts must trigger lane compaction"
+            "[{label}]: halts must trigger lane compaction"
         );
     }
 }

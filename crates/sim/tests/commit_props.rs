@@ -4,7 +4,7 @@
 //! directed designs pin the seams of that split against the golden
 //! interpreter on every tier — scalar tier-1, native, lanes, dataflow
 //! workers (tier-1 only: that engine runs no native code), and the
-//! generic and unfused configurations that absorb nothing.
+//! unfused configuration that absorbs nothing.
 
 use essent_bits::Bits;
 use essent_netlist::{interp::Interpreter, opt, Netlist};
@@ -37,10 +37,6 @@ fn tiers(netlist: &Netlist, c_p: usize) -> Vec<(&'static str, Box<dyn Simulator>
         fuse_triggers: false,
         ..on.clone()
     };
-    let generic = EngineConfig {
-        tier1: false,
-        ..on.clone()
-    };
     let pull = EngineConfig {
         trigger_push: false,
         ..on.clone()
@@ -49,12 +45,11 @@ fn tiers(netlist: &Netlist, c_p: usize) -> Vec<(&'static str, Box<dyn Simulator>
         ("tier-1", Box::new(EssentSim::new(netlist, &on))),
         ("native", Box::new(EssentSim::new(netlist, &jit))),
         ("unfused", Box::new(EssentSim::new(netlist, &unfused))),
-        ("generic", Box::new(EssentSim::new(netlist, &generic))),
         ("pull", Box::new(EssentSim::new(netlist, &pull))),
         ("dataflow", Box::new(ParEssentSim::new(netlist, &on, 2))),
         (
-            "dataflow generic",
-            Box::new(ParEssentSim::new(netlist, &generic, 2)),
+            "dataflow unfused",
+            Box::new(ParEssentSim::new(netlist, &unfused, 2)),
         ),
     ]
 }

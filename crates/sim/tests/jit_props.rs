@@ -21,7 +21,7 @@
 
 use essent_bits::Bits;
 use essent_netlist::{interp::Interpreter, Netlist};
-use essent_sim::testgen::{gen_circuit, gen_replicated};
+use essent_sim::testgen::{gen_circuit, gen_replicated, switch_matrix};
 use essent_sim::{EngineConfig, EssentSim, ParEssentSim, Simulator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -105,24 +105,21 @@ fn check_jit_essent(seed: u64, config: &EngineConfig) -> usize {
     compiled
 }
 
-/// The tier-relevant switch matrix for the JIT path: everything that
-/// changes what the compiled body must replicate (mux lowering, state
-/// elision, trigger direction, fusion) at two partition sizes. Returns
-/// how many partitions ran native code over the matrix.
+/// The switch matrix for the JIT path — everything that changes what
+/// the compiled body must replicate (mux lowering, state elision,
+/// trigger direction, fusion) — at two partition sizes. Returns how many
+/// partitions ran native code over the matrix.
 fn check_jit_config_matrix(seed: u64) -> usize {
     let mut compiled = 0;
-    for bits in 0..32u32 {
-        let config = EngineConfig {
-            trigger_push: bits & 1 != 0,
-            mux_conditional: bits & 2 != 0,
-            elide_state: bits & 4 != 0,
-            fuse_triggers: bits & 8 != 0,
-            c_p: if bits & 16 != 0 { 64 } else { 4 },
-            tier1: true,
-            jit: true,
-            ..EngineConfig::default()
-        };
-        compiled += check_jit_essent(seed, &config);
+    for (_, config) in switch_matrix() {
+        for c_p in [4, 64] {
+            let config = EngineConfig {
+                c_p,
+                jit: true,
+                ..config.clone()
+            };
+            compiled += check_jit_essent(seed, &config);
+        }
     }
     compiled
 }

@@ -4,8 +4,8 @@
 
 use essent_bits::Bits;
 use essent_netlist::{interp::Interpreter, Netlist};
-use essent_sim::testgen::gen_circuit;
-use essent_sim::{EngineConfig, EssentSim, ParEssentSim, Simulator};
+use essent_sim::testgen::{gen_circuit, switch_matrix};
+use essent_sim::{EssentSim, ParEssentSim, Simulator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,16 +34,7 @@ fn check_dataflow_differential(seed: u64) {
     const WORKERS: [usize; 3] = [1, 2, 4];
     let circuit = gen_circuit(seed);
     let netlist = build(&circuit.source);
-    for bits in 0..32u32 {
-        let config = EngineConfig {
-            trigger_push: bits & 1 != 0,
-            mux_conditional: bits & 2 != 0,
-            elide_state: bits & 4 != 0,
-            tier1: bits & 8 != 0,
-            fuse_triggers: bits & 16 != 0,
-            c_p: 4,
-            ..EngineConfig::default()
-        };
+    for (label, config) in switch_matrix() {
         // Per-cycle phase, then a batched phase on fresh engines: one
         // poke, sixteen cycles in a single engine call.
         for steps in [&[1u64; 20][..], &[2, 16][..]] {
@@ -53,7 +44,7 @@ fn check_dataflow_differential(seed: u64) {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xDA7A);
             let mut cycle = 0u64;
             for &n in steps {
-                let tag = format!("seed {seed} bits={bits:05b} cycle {cycle}+{n}");
+                let tag = format!("seed {seed} [{label}] cycle {cycle}+{n}");
                 for (name, width) in &circuit.inputs {
                     let value = if name == "reset" {
                         Bits::from_u64((cycle < 2 || rng.gen_bool(0.05)) as u64, 1)
@@ -104,7 +95,7 @@ fn check_dataflow_differential(seed: u64) {
 }
 
 proptest! {
-    // The matrix is 32 configs deep per case; keep the case count low.
+    // The matrix is 16 configs deep per case; keep the case count low.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]

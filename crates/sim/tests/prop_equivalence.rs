@@ -10,7 +10,7 @@
 
 use essent_bits::Bits;
 use essent_netlist::{interp::Interpreter, opt, Netlist};
-use essent_sim::testgen::gen_circuit;
+use essent_sim::testgen::{gen_circuit, switch_matrix};
 use essent_sim::{EngineConfig, EssentSim, EventDrivenSim, FullCycleSim, ParEssentSim, Simulator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -217,21 +217,12 @@ fn check_observer_twins(
     );
 }
 
-/// The full 2^5 switch matrix for the CCSS engine, each point run as
+/// The switch matrix for the CCSS engine, each point run as
 /// profiled/unprofiled twins.
 fn check_config_matrix(seed: u64) {
     let circuit = gen_circuit(seed);
     let netlist = build(&circuit.source);
-    for bits in 0..32u32 {
-        let config = EngineConfig {
-            trigger_push: bits & 1 != 0,
-            mux_conditional: bits & 2 != 0,
-            elide_state: bits & 4 != 0,
-            tier1: bits & 8 != 0,
-            fuse_triggers: bits & 16 != 0,
-            c_p: 4,
-            ..EngineConfig::default()
-        };
+    for (label, config) in switch_matrix() {
         let mut golden = Interpreter::new(&netlist);
         let mut off = EssentSim::new(&netlist, &config);
         let mut on = EssentSim::new(
@@ -243,7 +234,7 @@ fn check_config_matrix(seed: u64) {
         );
         check_observer_twins(
             seed,
-            &format!("essent bits={bits:05b}"),
+            &format!("essent [{label}]"),
             &mut golden,
             &mut off,
             &mut on,

@@ -5,8 +5,8 @@
 //! `S0601`–`S0605`) claim the dataflow schedule is race-free, and the
 //! sanitizer panics exactly on races — and
 //! (b) behave identically to the sanitizer-off twin: same outputs every
-//! cycle, same [`WorkCounters`] at the end, across the full 32-config
-//! engine matrix — stepping cycle by cycle at 1, 2, and 3 workers, and in
+//! cycle, same [`WorkCounters`] at the end, across the engine switch
+//! matrix — stepping cycle by cycle at 1, 2, and 3 workers, and in
 //! batched steps (where cycles overlap) at 1, 2, and 4.
 //!
 //! Without the feature the test still runs (both twins are plain
@@ -14,7 +14,7 @@
 
 use essent_bits::Bits;
 use essent_netlist::{interp::Interpreter, Netlist};
-use essent_sim::testgen::gen_circuit;
+use essent_sim::testgen::{gen_circuit, switch_matrix};
 use essent_sim::{EngineConfig, ParEssentSim, Simulator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -29,22 +29,13 @@ fn build(source: &str) -> Netlist {
         .unwrap_or_else(|e| panic!("generated FIRRTL must build: {e}\n{source}"))
 }
 
-/// Sanitizer-on vs sanitizer-off parallel twins over the 32-config
-/// matrix (same bit layout as `prop_equivalence::check_config_matrix`),
-/// each checked against the reference interpreter.
+/// Sanitizer-on vs sanitizer-off parallel twins over the switch matrix
+/// (`testgen::switch_matrix`), each checked against the reference
+/// interpreter.
 fn check_sanitizer_twins(seed: u64, threads: usize) {
     let circuit = gen_circuit(seed);
     let netlist = build(&circuit.source);
-    for bits in 0..32u32 {
-        let config = EngineConfig {
-            trigger_push: bits & 1 != 0,
-            mux_conditional: bits & 2 != 0,
-            elide_state: bits & 4 != 0,
-            tier1: bits & 8 != 0,
-            fuse_triggers: bits & 16 != 0,
-            c_p: 4,
-            ..EngineConfig::default()
-        };
+    for (label, config) in switch_matrix() {
         let mut golden = Interpreter::new(&netlist);
         let mut off = ParEssentSim::new(&netlist, &config, threads);
         let mut on = ParEssentSim::new(
@@ -78,13 +69,13 @@ fn check_sanitizer_twins(seed: u64, threads: usize) {
                 assert_eq!(
                     off.peek(out),
                     expect,
-                    "sanitizer-off `{out}` diverged (seed={seed} bits={bits:05b} \
+                    "sanitizer-off `{out}` diverged (seed={seed} [{label}] \
                      threads={threads} cycle={cycle})"
                 );
                 assert_eq!(
                     on.peek(out),
                     expect,
-                    "sanitizer-on `{out}` diverged (seed={seed} bits={bits:05b} \
+                    "sanitizer-on `{out}` diverged (seed={seed} [{label}] \
                      threads={threads} cycle={cycle})"
                 );
             }
@@ -92,7 +83,7 @@ fn check_sanitizer_twins(seed: u64, threads: usize) {
         assert_eq!(
             on.counters(),
             off.counters(),
-            "sanitizer changed work counters (seed={seed} bits={bits:05b} threads={threads})"
+            "sanitizer changed work counters (seed={seed} [{label}] threads={threads})"
         );
     }
 }
@@ -104,16 +95,7 @@ fn check_sanitizer_twins(seed: u64, threads: usize) {
 fn check_batched_sanitizer_twins(seed: u64, threads: usize) {
     let circuit = gen_circuit(seed);
     let netlist = build(&circuit.source);
-    for bits in 0..32u32 {
-        let config = EngineConfig {
-            trigger_push: bits & 1 != 0,
-            mux_conditional: bits & 2 != 0,
-            elide_state: bits & 4 != 0,
-            tier1: bits & 8 != 0,
-            fuse_triggers: bits & 16 != 0,
-            c_p: 4,
-            ..EngineConfig::default()
-        };
+    for (label, config) in switch_matrix() {
         let mut golden = Interpreter::new(&netlist);
         let mut off = ParEssentSim::new(&netlist, &config, threads);
         let mut on = ParEssentSim::new(
@@ -147,13 +129,13 @@ fn check_batched_sanitizer_twins(seed: u64, threads: usize) {
                 assert_eq!(
                     off.peek(out),
                     expect,
-                    "batched sanitizer-off `{out}` diverged (seed={seed} bits={bits:05b} \
+                    "batched sanitizer-off `{out}` diverged (seed={seed} [{label}] \
                      threads={threads} phase={phase})"
                 );
                 assert_eq!(
                     on.peek(out),
                     expect,
-                    "batched sanitizer-on `{out}` diverged (seed={seed} bits={bits:05b} \
+                    "batched sanitizer-on `{out}` diverged (seed={seed} [{label}] \
                      threads={threads} phase={phase})"
                 );
             }
@@ -161,7 +143,7 @@ fn check_batched_sanitizer_twins(seed: u64, threads: usize) {
         assert_eq!(
             on.counters(),
             off.counters(),
-            "batched sanitizer changed work counters (seed={seed} bits={bits:05b} \
+            "batched sanitizer changed work counters (seed={seed} [{label}] \
              threads={threads})"
         );
     }

@@ -1,14 +1,20 @@
-//! Differential testing of the word-specialized tier: on randomly
-//! generated circuits under random stimulus, the tiered CCSS engines
-//! (specialized instructions, fused trigger writes) must be *bit- and
-//! work-identical* to the same engines running the generic interpreter —
-//! same outputs every cycle, same arena contents, and the same
-//! `ops_evaluated` count after the run. Counter identity is the strong
-//! claim: the tier is a pure re-encoding of the schedule, so it must
-//! evaluate exactly the operations the generic path evaluates, never
-//! more (no speculation) and never fewer (no lost wake-ups).
+//! Differential testing of trigger fusion: on randomly generated
+//! circuits under random stimulus, the CCSS engines with fused trigger
+//! writes must be *bit- and work-identical* to the same engine with
+//! fusion off — same outputs every cycle, same arena contents, and the
+//! same `ops_evaluated`, `dynamic_checks` and `static_checks` after the
+//! run: a fused compare-and-wake tail is a pure re-encoding of the
+//! engine's snapshot compare, so it must evaluate exactly the operations
+//! and checks the unfused path does, never more (no speculation) and
+//! never fewer (no lost wake-ups). Both, and the dataflow engine, agree
+//! with the golden interpreter every cycle.
+//!
+//! That the tier-1 program of each partition computes what its bytecode
+//! does is held one level down, partition by partition, by
+//! `step1::tests::every_partition_program_matches_its_block`.
 
 use essent_bits::Bits;
+use essent_netlist::interp::Interpreter;
 use essent_netlist::Netlist;
 use essent_sim::testgen::gen_circuit;
 use essent_sim::{EngineConfig, EssentSim, ParEssentSim, Simulator};
@@ -28,23 +34,17 @@ fn build(source: &str) -> Netlist {
 fn check_tier_differential(seed: u64) {
     let circuit = gen_circuit(seed);
     let netlist = build(&circuit.source);
-    let on = EngineConfig::default();
-    assert!(on.tier1 && on.fuse_triggers, "default config runs the tier");
+    let fused = EngineConfig::default();
+    assert!(fused.fuses_triggers(), "default config fuses triggers");
     let unfused = EngineConfig {
         fuse_triggers: false,
-        ..on.clone()
-    };
-    let off = EngineConfig {
-        tier1: false,
-        fuse_triggers: false,
-        ..on.clone()
+        ..fused.clone()
     };
 
-    let mut seq_on = EssentSim::new(&netlist, &on);
+    let mut golden = Interpreter::new(&netlist);
+    let mut seq_fused = EssentSim::new(&netlist, &fused);
     let mut seq_unfused = EssentSim::new(&netlist, &unfused);
-    let mut seq_off = EssentSim::new(&netlist, &off);
-    let mut par_on = ParEssentSim::new(&netlist, &on, 3);
-    let mut par_off = ParEssentSim::new(&netlist, &off, 3);
+    let mut par_fused = ParEssentSim::new(&netlist, &fused, 3);
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x71E2);
     for cycle in 0..40u64 {
@@ -56,72 +56,53 @@ fn check_tier_differential(seed: u64) {
                 let hi = rng.gen::<u64>();
                 Bits::from_limbs(vec![lo, hi], *width)
             };
-            for e in [&mut seq_on, &mut seq_unfused, &mut seq_off] {
-                e.poke(name, value.clone());
-            }
-            for e in [&mut par_on, &mut par_off] {
-                e.poke(name, value.clone());
-            }
+            golden.poke(name, value.clone());
+            seq_fused.poke(name, value.clone());
+            seq_unfused.poke(name, value.clone());
+            par_fused.poke(name, value);
         }
-        seq_on.step(1);
+        golden.step(1);
+        seq_fused.step(1);
         seq_unfused.step(1);
-        seq_off.step(1);
-        par_on.step(1);
-        par_off.step(1);
+        par_fused.step(1);
         for out in &circuit.outputs {
-            let expect = seq_off.peek(out);
+            let expect = golden.peek(out);
             for (label, got) in [
-                ("tier+fuse", seq_on.peek(out)),
+                ("tier+fuse", seq_fused.peek(out)),
                 ("tier", seq_unfused.peek(out)),
-                ("par tier+fuse", par_on.peek(out)),
-                ("par generic", par_off.peek(out)),
+                ("par tier+fuse", par_fused.peek(out)),
             ] {
                 assert_eq!(
                     got, expect,
-                    "seed {seed} cycle {cycle}: {label} disagrees on {out}\n{}",
+                    "seed {seed} cycle {cycle}: {label} disagrees with golden on {out}\n{}",
                     circuit.source
                 );
             }
         }
     }
 
-    // Arena identity: the tier writes exactly the slots the generic
-    // interpreter writes, with exactly the same normalized values.
-    let golden = &seq_off.machine().arena;
-    assert_eq!(&seq_on.machine().arena, golden, "seed {seed}: tiered arena");
+    // Arena identity: the fused tails write exactly the slots the
+    // unfused program and the engine's compare leave behind.
     assert_eq!(
-        &seq_unfused.machine().arena,
-        golden,
-        "seed {seed}: unfused tiered arena"
-    );
-    assert_eq!(
-        &par_on.machine().arena,
-        &par_off.machine().arena,
-        "seed {seed}: parallel tiered arena"
+        seq_fused.machine().arena,
+        seq_unfused.machine().arena,
+        "seed {seed}: fused arena"
     );
 
-    // Work identity: same number of operations evaluated (the tier may
-    // never skip or duplicate work), and the fused compare-and-wake tail
-    // accounts for exactly the dynamic checks the engine loop performs.
-    let base = seq_off.counters();
-    for (label, c) in [
-        ("tier+fuse", seq_on.counters()),
-        ("tier", seq_unfused.counters()),
-    ] {
-        assert_eq!(
-            c.ops_evaluated, base.ops_evaluated,
-            "seed {seed}: {label} ops_evaluated"
-        );
-        assert_eq!(
-            c.dynamic_checks, base.dynamic_checks,
-            "seed {seed}: {label} dynamic_checks"
-        );
-        assert_eq!(c.static_checks, base.static_checks, "seed {seed}: {label}");
-    }
+    // Work identity: the fused compare-and-wake tail accounts for
+    // exactly the dynamic checks the engine loop performs unfused.
+    let (f, u) = (seq_fused.counters(), seq_unfused.counters());
     assert_eq!(
-        par_on.counters().ops_evaluated,
-        par_off.counters().ops_evaluated,
-        "seed {seed}: parallel ops_evaluated"
+        f.ops_evaluated, u.ops_evaluated,
+        "seed {seed}: ops_evaluated"
+    );
+    assert_eq!(
+        f.dynamic_checks, u.dynamic_checks,
+        "seed {seed}: dynamic_checks"
+    );
+    assert_eq!(
+        f.static_checks, u.static_checks,
+        "seed {seed}: static_checks"
     );
 }
 
@@ -129,7 +110,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn tiered_engines_match_generic(seed in any::<u64>()) {
+    fn fused_engines_match_unfused(seed in any::<u64>()) {
         check_tier_differential(seed);
     }
 }

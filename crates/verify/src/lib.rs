@@ -65,10 +65,10 @@ pub struct VerifyArtifacts {
 
 /// Runs the full verifier stack on a design: lints the netlist, builds
 /// the CCSS plan the engines build for `config` and verifies it, then
-/// compiles the plan to bytecode and verifies that — including, when `config.tier1` is on,
-/// auditing every partition's word-specialized program against an
-/// independent re-derivation from the netlist (`B0210`–`B0212`). One
-/// merged report; clean iff no layer found an error.
+/// compiles the plan to bytecode and verifies that — including auditing
+/// every partition's word-specialized program against an independent
+/// re-derivation from the netlist (`B0210`–`B0212`). One merged report;
+/// clean iff no layer found an error.
 pub fn verify_design(netlist: &Netlist, config: &EngineConfig) -> Report {
     verify_design_full(netlist, config).report
 }
@@ -96,7 +96,7 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
     let front = Frontend::compile(netlist, &layout, &plan, config, None);
     report.merge(check_blocks(netlist, &layout, &front.blocks, Some(&plan)));
     report.merge(check_wake_table(&layout, &plan, &front));
-    for (sched, prog) in front.programs.iter().flatten().enumerate() {
+    for (sched, prog) in front.programs.iter().enumerate() {
         report.merge(check_tier1(
             netlist,
             &layout,
@@ -112,10 +112,8 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
     // planner is a pure byte generator, so it is generated and audited
     // regardless of the build host (as-if popcnt is available; a host
     // without it would simply not compile Xorr partitions at all).
-    if let Some(progs) = front.programs.as_deref() {
-        let plan = JitPlan::new(progs, &front.cost.costs, true);
-        report.merge(check_jit_plan(progs, &plan));
-    }
+    let jit_plan = JitPlan::new(&front.programs, &front.cost.costs, true);
+    report.merge(check_jit_plan(&front.programs, &jit_plan));
 
     // --- R05: footprint / race-freedom layer -------------------------
     // Analyzed over the exact plan shape the parallel engine runs:
@@ -129,7 +127,7 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
         &layout,
         &par_plan,
         &par.blocks,
-        par.programs.as_deref(),
+        Some(&par.programs),
     ));
     report.merge(check_wake_table(&layout, &par_plan, &par));
 

@@ -111,15 +111,13 @@ pub fn check_wake_table(layout: &Layout, plan: &CcssPlan, front: &Frontend) -> R
                 reg_wakes[r.plan as usize].extend(front.state.woken(r.wake));
             }
         }
-        if let Some(progs) = &front.programs {
-            let prog = &progs[sched];
-            for inst in prog.code.iter().filter(|i| i.ws != NO_FUSE) {
-                let woken = &prog.consumers[inst.ws as usize..inst.we as usize];
-                if inst.op == Op1::Commit {
-                    reg_wakes[inst.imm as usize].extend(woken);
-                } else {
-                    routes.entry(inst.dst).or_default().extend(woken);
-                }
+        let prog = &front.programs[sched];
+        for inst in prog.code.iter().filter(|i| i.ws != NO_FUSE) {
+            let woken = &prog.consumers[inst.ws as usize..inst.we as usize];
+            if inst.op == Op1::Commit {
+                reg_wakes[inst.imm as usize].extend(woken);
+            } else {
+                routes.entry(inst.dst).or_default().extend(woken);
             }
         }
 

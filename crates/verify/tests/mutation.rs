@@ -1433,11 +1433,7 @@ fn pristine_wake_tables_verify_clean() {
     let configs = [
         at_cp(1),
         base.clone(),
-        // Tier off: every output routes through the table.
-        EngineConfig {
-            tier1: false,
-            ..at_cp(1)
-        },
+        // Fusion off: every output routes through the table.
         EngineConfig {
             fuse_triggers: false,
             ..at_cp(1)
@@ -1520,8 +1516,6 @@ fn commit_dropped_consumer_is_x0802() {
     let (layout, plan, mut front) = wake_setup(&netlist, &at_cp(1));
     let commit = front
         .programs
-        .as_mut()
-        .expect("tier on")
         .iter_mut()
         .flat_map(|p| &mut p.code)
         .find(|i| i.op == Op1::Commit && i.we > i.ws)

@@ -5,11 +5,13 @@
 //! essent-cli partition <design.fir> [--cp N]        C_p sweep table
 //! essent-cli sim <design.fir> [options]             run the simulation
 //!     --cycles N          cycles to run (default 1000, stops early on `stop`)
-//!     --engine E          essent | native | full | event | parallel (default
-//!                         essent; native = essent with the hot partitions
-//!                         compiled to machine code, x86-64 Linux only;
-//!                         parallel = CCSS over the static dataflow
-//!                         schedule, one worker per available core)
+//!     --engine E          native | essent | full | event | parallel (default
+//!                         native where the host supports it, else essent;
+//!                         native = essent with the hot partitions compiled
+//!                         to machine code, x86-64 Linux only; essent = the
+//!                         tier-1 interpreter; parallel = CCSS over the
+//!                         static dataflow schedule, one worker per
+//!                         available core)
 //!     --cp N              partitioning threshold (default 8)
 //!     --poke NAME=VALUE   hold an input at a value (repeatable; default all 0,
 //!                         reset pulsed for 2 cycles when present)
@@ -167,12 +169,19 @@ fn sim(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
         c_p: opts.number("--cp")?.unwrap_or(8),
         ..EngineConfig::default()
     };
-    // Each engine with the line it adds to the summary, if any.
+    // Each engine with the line it adds to the summary, if any. Without
+    // `--engine` the native engine runs where it can, and the tier-1
+    // interpreter says that it stood in.
     type Build = fn(&Netlist, &EngineConfig) -> (Box<dyn Simulator>, Option<String>);
-    let build: Build = match opts.get("--engine").unwrap_or("essent") {
-        "essent" => |n, c| (Box::new(EssentSim::new(n, c)), None),
-        "native" => {
-            if !essent::sim::jit::supported() {
+    let native = essent::sim::jit::supported();
+    let build: Build = match opts.get("--engine") {
+        None if !native => |n, c| {
+            let line = "native: unavailable on this host; ran tier-1".to_string();
+            (Box::new(EssentSim::new(n, c)), Some(line))
+        },
+        Some("essent") => |n, c| (Box::new(EssentSim::new(n, c)), None),
+        None | Some("native") => {
+            if !native {
                 return Err("engine `native` needs x86-64 Linux".into());
             }
             |n, c| {
@@ -193,10 +202,10 @@ fn sim(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
                 (Box::new(sim), Some(line))
             }
         }
-        "full" => |n, c| (Box::new(FullCycleSim::new(n, c)), None),
-        "event" => |n, c| (Box::new(EventDrivenSim::new(n, c)), None),
-        "parallel" => |n, c| (Box::new(ParEssentSim::new(n, c, 0)), None),
-        other => return Err(format!("unknown engine `{other}`").into()),
+        Some("full") => |n, c| (Box::new(FullCycleSim::new(n, c)), None),
+        Some("event") => |n, c| (Box::new(EventDrivenSim::new(n, c)), None),
+        Some("parallel") => |n, c| (Box::new(ParEssentSim::new(n, c, 0)), None),
+        Some(other) => return Err(format!("unknown engine `{other}`").into()),
     };
     let netlist = essent::compile(source)?;
 

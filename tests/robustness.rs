@@ -181,8 +181,10 @@ fn cli_rejects_hostile_input_without_panicking() {
 
 /// `--engine native` is the essent engine with `jit: true`: same results
 /// and work as `--engine essent`, plus one line saying what was
-/// compiled. On a host that cannot execute emitted code it is refused
-/// with the usual one-line diagnosis before anything is simulated.
+/// compiled. It is also what `sim` runs without `--engine`. On a host
+/// that cannot execute emitted code an explicit `--engine native` is
+/// refused with the usual one-line diagnosis before anything is
+/// simulated, and the default runs the tier-1 interpreter and says so.
 #[test]
 fn cli_native_engine_runs_or_is_refused() {
     let design = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("robustness_native.fir");
@@ -197,6 +199,8 @@ fn cli_native_engine_runs_or_is_refused() {
             "sim", fir, "--cycles", "20", "--poke", "a=0x5", "--engine", engine,
         ])
     };
+    let (default_ok, default_out, _) = cli(&["sim", fir, "--cycles", "20", "--poke", "a=0x5"]);
+    assert!(default_ok, "{default_out}");
 
     let (ok, stdout, stderr) = run("native");
     if essent::sim::jit::supported() {
@@ -223,7 +227,18 @@ fn cli_native_engine_runs_or_is_refused() {
         assert!(ok);
         let rest: String = stdout.lines().filter(|&l| l != line).collect();
         assert_eq!(rest, essent_out.lines().collect::<String>());
+        // x86-64 Linux: the default engine is native.
+        assert_eq!(default_out, stdout);
     } else {
+        // The default stands in with tier-1 and says so.
+        let (_, essent_out, _) = run("essent");
+        let unavailable = "native: unavailable on this host; ran tier-1";
+        let rest: String = default_out.lines().filter(|&l| l != unavailable).collect();
+        assert!(
+            default_out.lines().any(|l| l == unavailable),
+            "{default_out}"
+        );
+        assert_eq!(rest, essent_out.lines().collect::<String>());
         assert!(!ok);
         assert!(
             stderr.starts_with("essent-cli: ") && stderr.contains("native"),
