@@ -60,7 +60,7 @@ impl fmt::Display for DiagCode {
 /// `F____` cost-table invariants, `R____` footprint / race-freedom
 /// invariants, `S____` dependence / dataflow-schedule invariants,
 /// `M____` testbench memory references, `J____` native-code emission
-/// invariants, `X____` wake-table and batched-lane invariants (`P____`
+/// invariants, `X____` wake-table invariants (`P____`
 /// is retired).
 pub mod codes {
     use super::DiagCode;
@@ -229,25 +229,21 @@ pub mod codes {
     /// table: a wake store is missing, spurious, or hits the wrong flag.
     pub const JIT_FUSE: DiagCode = DiagCode::new("J0704", "jit-fuse");
 
-    // --- X: wake-table and batched-lane invariants ---------------------------
+    // --- X: wake-table invariants ----------------------------------------
     /// A watched range is misplaced: an unfused output of the front end's
-    /// wake table lies outside its partition's derived write footprint,
-    /// or the batch engine's stride geometry is inconsistent (lane count
-    /// out of mask range, stride ≠ lanes, arena/scratch sized off the
-    /// layout).
-    pub const BATCH_STRIDE: DiagCode = DiagCode::new("X0801", "batch-stride");
+    /// wake table lies outside its partition's derived write footprint.
+    pub const WAKE_WATCH: DiagCode = DiagCode::new("X0801", "wake-watch");
     /// The wake routing the engines run from (wake-table outputs ∪ fused
     /// instruction ranges; `Commit` instructions ∪ state-table entries;
     /// input wakes) disagrees with the plan's consumer sets — a change
     /// would wake the wrong partitions.
     pub const WAKE_ROUTE: DiagCode = DiagCode::new("X0802", "wake-route");
-    /// The lane compaction permutation is not a bijection or its two
-    /// directions disagree — a logical lane has been lost or duplicated
-    /// by a remap.
-    pub const BATCH_LANE_PERM: DiagCode = DiagCode::new("X0803", "batch-lane-perm");
-    /// A lane's memory bank shapes disagree with the netlist's memory
-    /// declarations.
-    pub const BATCH_BANK_SHAPE: DiagCode = DiagCode::new("X0804", "batch-bank-shape");
+    // X0801's other half (batch-stride: the lane-strided arena's
+    // geometry), X0803 (batch-lane-perm: the lane compaction permutation)
+    // and X0804 (batch-bank-shape: per-lane bank shapes) audited the
+    // lockstep batch engine and went with it: a fleet lane is an
+    // `EssentSim`, with nothing of its own to audit. The numbers are not
+    // reused.
 }
 
 /// One finding.

@@ -7,7 +7,7 @@ use essent_netlist::SignalId;
 
 /// Configuration shared by the engines. Most fields switch one of the
 /// paper's optimizations, for the ablation study. Four do not: `jit`
-/// selects the native tier, `lanes` the batch width, `profile` telemetry
+/// selects the native tier, `lanes` the fleet width, `profile` telemetry
 /// and `race_sanitizer` a dynamic race check; `par_dataflow` is inert.
 /// Each field's doc says which engines read it.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,9 +64,9 @@ pub struct EngineConfig {
     /// Silently ignored on targets other than x86-64 Linux, under
     /// `profile` (wake attribution needs the interpreter's flag sinks),
     /// and under the `race-sanitizer` feature (the dynamic oracle
-    /// instruments the interpreter loop). Used by the ESSENT engine only:
-    /// the dataflow engine's workers share flag bytes a native bit `or`
-    /// would race on.
+    /// instruments the interpreter loop). Used by the ESSENT engine and
+    /// the lanes of a fleet, which share one set of bodies: the dataflow
+    /// engine's workers share flag bytes a native bit `or` would race on.
     pub jit: bool,
     /// Parallel engine only: shadow-memory race sanitizer — tag every
     /// arena word with its last writer/reader partition during parallel
@@ -76,12 +76,12 @@ pub struct EngineConfig {
     /// Only effective when `essent-sim` is compiled with the
     /// `race-sanitizer` cargo feature; a no-op (and zero-cost) otherwise.
     pub race_sanitizer: bool,
-    /// Batched engine ([`crate::batch::BatchSim`]) only: number of
-    /// design instances evaluated in lockstep over one schedule. The
-    /// arena becomes an N-lane SoA (lane-strided words) and activity
-    /// flags become per-lane wake masks, so a partition evaluates only
-    /// the union of awake lanes and a flag test covers all lanes at
-    /// once. 1..=64 (one `u64` mask word); the other engines ignore it.
+    /// Fleet ([`crate::batch::BatchSim`]) only: the number of lanes —
+    /// independent [`crate::EssentSim`] instances over one compiled
+    /// design, each with its own stimulus. Every other field, `jit` and
+    /// `profile` included, applies to each lane as to a single engine. A
+    /// `step` runs the lanes on as many threads as the host has cores,
+    /// up to one per lane. At least 1; the other engines ignore it.
     pub lanes: usize,
 }
 

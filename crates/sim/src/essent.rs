@@ -48,11 +48,18 @@
 //! detection, from the same table, and external input changes wake their
 //! reader partitions in the main eval function.
 //!
+//! The engine is two halves: the compiled design (`Compiled`: plan,
+//! programs, both tables, wake slots and native bodies), which names no
+//! instance's storage, and the instance (machine, activity bits,
+//! snapshots, profile, and the bank table native bodies read its banks
+//! through). A fleet ([`crate::BatchSim`]) compiles once and shares the
+//! first half between its lanes.
+//!
 //! [`Op1::Commit`]: crate::step1::Op1::Commit
 
 use crate::engine::{delegate_simulator_basics, EngineConfig, Simulator};
 use crate::frontend::{build_plan, Frontend};
-use crate::jit;
+use crate::jit::{self, BankTable};
 use crate::machine::Machine;
 use crate::profile::{NoProfile, ProfileArena, ProfileReport, Profiler};
 use crate::slots::{WakeSlot, WakeSlots, WakeTable};
@@ -64,9 +71,13 @@ use essent_netlist::Netlist;
 use std::cell::Cell;
 use std::sync::Arc;
 
-/// The CCSS simulator.
-pub struct EssentSim {
-    machine: Machine,
+/// What every instance of one compiled design shares: the plan, the
+/// programs, the two tables and the wake slots with the native bodies
+/// they point into. None of it names an instance's storage — arena,
+/// flags and banks reach a body as call arguments — so a fleet
+/// ([`crate::BatchSim`]) builds it once and its lanes hold it behind an
+/// `Arc`.
+pub(crate) struct Compiled {
     plan: CcssPlan,
     /// The word-specialized program of each partition.
     programs: Vec<Tier1Program>,
@@ -75,19 +86,50 @@ pub struct EssentSim {
     /// lowered cleanly) and whether the program is the whole wake. Owns
     /// the native parts.
     slots: WakeSlots,
-    /// Activity bits: partition `s` is bit `s % 64` of word `s / 64`;
-    /// the bits past the partition count are always clear.
-    flags: Vec<u64>,
     /// What a wake does beyond its program: the unfused outputs to
     /// snapshot-compare, the inputs pull mode watches, input wakes.
     wake: WakeTable,
-    /// Last-seen values of everything the wake table watches.
-    snapshots: Vec<u64>,
     /// The state updates the programs did not absorb, and the
     /// end-of-cycle commit path.
     state: StateTable,
     /// Push (true) or pull (false) activity triggering.
     push: bool,
+}
+
+impl Compiled {
+    /// Compiles `plan` against `machine`'s layout: programs, tables and,
+    /// under `config.jit`, native bodies.
+    pub(crate) fn new(machine: &Machine, plan: CcssPlan, config: &EngineConfig) -> Compiled {
+        let Frontend {
+            programs,
+            state,
+            wake,
+            jit,
+            ..
+        } = Frontend::compile(&machine.netlist, &machine.layout, &plan, config, true);
+        Compiled {
+            slots: WakeSlots::new(jit, &wake.plain),
+            plan,
+            programs,
+            wake,
+            state,
+            push: config.trigger_push,
+        }
+    }
+}
+
+/// The CCSS simulator: one instance of a compiled design.
+pub struct EssentSim {
+    machine: Machine,
+    /// The compiled half; a fleet's lanes share one.
+    design: Arc<Compiled>,
+    /// Activity bits: partition `s` is bit `s % 64` of word `s / 64`;
+    /// the bits past the partition count are always clear.
+    flags: Vec<u64>,
+    /// Last-seen values of everything the wake table watches.
+    snapshots: Vec<u64>,
+    /// The bank table native bodies read, over this machine's banks.
+    banks: BankTable,
     /// Telemetry arena ([`EngineConfig::profile`]); taken out of the
     /// option for the duration of a `step` so the cycle loop
     /// monomorphizes over the enabled/disabled profiler.
@@ -114,57 +156,60 @@ impl EssentSim {
         plan: CcssPlan,
         config: &EngineConfig,
     ) -> EssentSim {
-        let mut machine = Machine::from_arc(Arc::clone(&netlist));
+        let machine = EssentSim::fresh_machine(netlist, config);
+        let design = Arc::new(Compiled::new(&machine, plan, config));
+        EssentSim::instance(design, machine, config)
+    }
+
+    /// The machine an instance starts from: zeroed state, constants in
+    /// place.
+    pub(crate) fn fresh_machine(netlist: Arc<Netlist>, config: &EngineConfig) -> Machine {
+        let mut machine = Machine::from_arc(netlist);
         machine.capture_printf = config.capture_printf;
-        let Frontend {
-            programs,
-            state,
-            wake,
-            jit,
-            ..
-        } = Frontend::compile(
-            &netlist,
-            &machine.layout,
-            &plan,
-            config,
-            Some(&machine.mems),
-        );
-        let profile = config.profile.then(|| Box::new(ProfileArena::new(&plan)));
-        // Every partition starts awake.
-        let np = plan.partitions.len();
+        machine
+    }
+
+    /// One more instance of `design`, starting from `machine` (a
+    /// [`EssentSim::fresh_machine`] of the design's netlist): its own
+    /// flags, snapshots, bank table and profile, every partition awake.
+    pub(crate) fn instance(
+        design: Arc<Compiled>,
+        machine: Machine,
+        config: &EngineConfig,
+    ) -> EssentSim {
+        let profile = config
+            .profile
+            .then(|| Box::new(ProfileArena::new(&design.plan)));
+        let np = design.plan.partitions.len();
         let mut flags = vec![u64::MAX; np.div_ceil(64)];
         if let (Some(last), tail @ 1..) = (flags.last_mut(), np % 64) {
             *last = (1 << tail) - 1;
         }
         EssentSim {
             flags,
-            slots: WakeSlots::new(jit, &wake.plain),
-            snapshots: vec![0; wake.snapshot_words],
+            snapshots: vec![0; design.wake.snapshot_words],
+            banks: BankTable::new(&machine.mems),
             machine,
-            plan,
-            programs,
-            wake,
-            state,
-            push: config.trigger_push,
+            design,
             profile,
         }
     }
 
     /// Number of partitions in the schedule.
     pub fn partition_count(&self) -> usize {
-        self.plan.partitions.len()
+        self.design.plan.partitions.len()
     }
 
     /// The compiled plan (reports, tests).
     pub fn plan(&self) -> &CcssPlan {
-        &self.plan
+        &self.design.plan
     }
 
     /// Steps a full-cycle evaluation of this design would run per cycle;
     /// `counters().ops_evaluated / (cycles * full_steps_per_cycle)` is the
     /// *effective activity factor* of Figure 7.
     pub fn full_steps_per_cycle(&self) -> usize {
-        self.wake.full_steps
+        self.design.wake.full_steps
     }
 
     /// Borrow of the underlying machine.
@@ -176,7 +221,8 @@ impl EssentSim {
     /// always `Some`.
     pub fn tier_stats(&self) -> Option<TierStats> {
         Some(
-            self.programs
+            self.design
+                .programs
                 .iter()
                 .fold(TierStats::default(), |acc, p| acc.merged(&p.stats)),
         )
@@ -185,38 +231,39 @@ impl EssentSim {
     /// Number of partitions running native-compiled bodies
     /// (0 when the JIT is off or unsupported on this target).
     pub fn jit_compiled_count(&self) -> usize {
-        self.slots.compiled_count()
+        self.design.slots.compiled_count()
     }
 
     /// Number of partitions whose wake is the program alone: no unfused
     /// output to compare, no in-place state left to the engine.
     pub fn plain_slot_count(&self) -> usize {
-        self.slots.plain_count()
+        self.design.slots.plain_count()
     }
 
     /// Borrow of the compiled partitions (verification, tests).
     pub fn jit_parts(&self) -> Option<&jit::JitParts> {
-        self.slots.jit()
+        self.design.slots.jit()
     }
 
     fn run_cycle<P: Profiler>(&mut self, prof: &mut P) {
+        let design = &*self.design;
         let machine = &mut self.machine;
         // Interior-mutable view of the activity bits so fused trigger
         // writes inside the tier-1 interpreter can wake consumers while
         // the bit words stay borrowed here.
         let flags = Cell::from_mut(self.flags.as_mut_slice()).as_slice_of_cells();
-        let wake = &self.wake;
+        let wake = &design.wake;
         let snaps = self.snapshots.as_mut_slice();
-        let state = &self.state;
-        let slots = self.slots.as_slice();
+        let state = &design.state;
+        let slots = design.slots.as_slice();
         let code = Programs {
-            programs: &self.programs,
+            programs: &design.programs,
             flags,
-            banks: self.slots.banks(),
-            records: self.slots.records(),
+            banks: self.banks.ptr(),
+            records: design.slots.records(),
         };
 
-        let push = self.push;
+        let push = design.push;
         let np = slots.len();
         // A woken non-plain partition, its bit already cleared: steps 2
         // to 4 of the module docs.
@@ -416,10 +463,12 @@ impl Programs<'_> {
         let arena = machine.arena.as_mut_ptr();
         match slot.entry {
             Some(entry) => {
-                // SAFETY: the slot table is rebuilt whenever the native
-                // parts change, so `entry` is a live body of this engine
-                // and `slot.record` is where this partition's operand
-                // record for it starts in the parts' record buffer;
+                // SAFETY: the slot table and the native parts it points
+                // into live in the shared design this engine holds, and
+                // nothing changes them after build, so `entry` is a live
+                // body and `slot.record` is where this partition's
+                // operand record for it starts in the parts' record
+                // buffer;
                 // exclusive machine access through the engine's &mut
                 // self; the body touches only arena offsets lowered from
                 // this partition's tier-1 program — its members' slots
@@ -432,8 +481,8 @@ impl Programs<'_> {
                 // consumer list, which only names scheduled partitions,
                 // so every byte is inside the bit words; no reference to
                 // their contents is live across the call), and reads
-                // memory banks through the pinned bank table built from
-                // this machine's mems.
+                // memory banks through this instance's own bank table,
+                // built from this machine's mems.
                 let (o, d) = unsafe {
                     jit::call(
                         entry,
@@ -475,11 +524,11 @@ impl Simulator for EssentSim {
         );
         if self.machine.set_value(id, &value) {
             let flags = Cell::from_mut(self.flags.as_mut_slice()).as_slice_of_cells();
-            for &c in self.wake.input_wakes(id) {
+            for &c in self.design.wake.input_wakes(id) {
                 wake_bit(flags, c);
             }
             if let Some(p) = &mut self.profile {
-                p.wake_input(&self.plan, id);
+                p.wake_input(&self.design.plan, id);
             }
         }
     }
@@ -505,7 +554,7 @@ impl Simulator for EssentSim {
         self.profile.as_ref().map(|p| {
             p.report(
                 &self.machine.netlist,
-                &self.plan,
+                &self.design.plan,
                 self.machine.counters.cycles,
             )
         })

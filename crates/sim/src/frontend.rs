@@ -3,17 +3,17 @@
 //! table → wake table → cost table → native bodies
 //! ([`Frontend::compile`]).
 //!
-//! [`EssentSim`](crate::EssentSim), [`ParEssentSim`](crate::ParEssentSim)
-//! and [`BatchSim`](crate::BatchSim) run from these artifacts — they add
-//! storage (arena, snapshots, flags) and a schedule loop, no table of
-//! their own — and `essent-verify` audits the same artifacts, so the
-//! lowering an engine runs and the lowering the verifier proves cannot
-//! drift apart.
+//! [`EssentSim`](crate::EssentSim) and
+//! [`ParEssentSim`](crate::ParEssentSim) run from these artifacts — they
+//! add storage (arena, snapshots, flags) and a schedule loop, no table of
+//! their own; the lanes of a [`BatchSim`](crate::BatchSim) are
+//! `EssentSim`s sharing one compilation — and `essent-verify` audits the
+//! same artifacts, so the lowering an engine runs and the lowering the
+//! verifier proves cannot drift apart.
 
 use crate::compile::{compile_plan, Block, Item, Layout};
 use crate::engine::EngineConfig;
 use crate::jit::{self, JitParts};
-use crate::machine::MemBank;
 use crate::slots::WakeTable;
 use crate::state::StateTable;
 use crate::step1::{lower_tier1, OutSpec, Tier1Program};
@@ -107,9 +107,9 @@ pub struct Frontend {
 }
 
 impl Frontend {
-    /// Compiles `plan`. `jit_banks` are the memory banks native bodies
-    /// read; pass `None` for a consumer with no native tier (the batch
-    /// and dataflow engines, the verifier). The JIT is also skipped when
+    /// Compiles `plan`. `native` asks for native bodies; pass `false`
+    /// for a consumer with no native tier (the dataflow engine, the
+    /// verifier). The JIT is also skipped unless `config.jit`, when
     /// profiling (wake attribution needs the interpreter's flag sinks),
     /// under the race sanitizer (the dynamic oracle instruments the
     /// interpreter loop) and on unsupported hosts.
@@ -118,7 +118,7 @@ impl Frontend {
         layout: &Layout,
         plan: &CcssPlan,
         config: &EngineConfig,
-        jit_banks: Option<&[MemBank]>,
+        native: bool,
     ) -> Frontend {
         let blocks = compile_plan(netlist, layout, plan, config);
         let fuse = config.fuses_triggers();
@@ -138,11 +138,12 @@ impl Frontend {
             config.trigger_push,
         );
         let cost = CostModel::build(plan, &blocks, None);
-        let native =
-            config.jit && !config.profile && !cfg!(feature = "race-sanitizer") && jit::supported();
-        let jit = jit_banks
-            .filter(|_| native)
-            .map(|banks| JitParts::build(&programs, &cost.costs, banks));
+        let jit = (native
+            && config.jit
+            && !config.profile
+            && !cfg!(feature = "race-sanitizer")
+            && jit::supported())
+        .then(|| JitParts::build(&programs, &cost.costs, &[]));
         Frontend {
             blocks,
             programs,

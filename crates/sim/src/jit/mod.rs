@@ -94,19 +94,21 @@ pub struct JitBank {
 
 /// Per-call bank table handed to compiled partitions.
 ///
-/// Holds raw pointers into the machine's bank storage. The storage is
+/// Holds raw pointers into one machine's bank storage. The storage is
 /// allocated once at machine construction and only ever written in
-/// place, so the pointers stay valid for the simulator's lifetime even
-/// as the owning struct moves.
+/// place, so the pointers stay valid for the machine's lifetime even as
+/// the owning struct moves. Each [`EssentSim`](crate::EssentSim) builds
+/// its own over its own machine: native bodies are shared by every
+/// instance of a design, bank tables are not.
 pub struct BankTable(Vec<JitBank>);
 
-// SAFETY: the table only holds pointers; compiled partitions read banks
-// under the same discipline as the interpreter — banks are written only
-// in the end-of-cycle commit, never during partition evaluation — and
-// only the sequential engine, on its own thread, runs native code.
+// SAFETY: the table points only at the heap banks of the one machine it
+// was built over, and only the thread that currently owns that machine's
+// simulator calls bodies with it — moving the simulator to another
+// thread moves the banks' sole accessor with it. Bodies read banks under
+// the interpreter's discipline: banks are written only in the
+// end-of-cycle commit and the back door, never during a body.
 unsafe impl Send for BankTable {}
-// SAFETY: as above — concurrent `&BankTable` access is read-only.
-unsafe impl Sync for BankTable {}
 
 impl BankTable {
     /// Builds the table over the machine's banks (index-aligned with
@@ -297,7 +299,7 @@ pub(crate) type EntryFn =
 /// activity bits — one per scheduled partition, little-endian `u64`
 /// words, no other thread touching them (a wake is a plain
 /// read-modify-write `or` of one byte); `banks` points at a
-/// [`BankTable`] built over the machine's banks.
+/// [`BankTable`] built over the same machine's banks.
 #[inline(always)]
 pub(crate) unsafe fn call(
     entry: EntryFn,
@@ -345,9 +347,10 @@ impl<'a> CompiledPart<'a> {
     }
 }
 
-/// Per-engine JIT state: a mapped [`JitPlan`] — every distinct body
-/// packed once into a single shared executable arena — plus the bank
-/// table. Nothing changes it after [`JitParts::build`].
+/// A design's native tier: a mapped [`JitPlan`] — every distinct body
+/// packed once into a single executable arena. It names no instance's
+/// storage (arena, flags and banks arrive per call), so every instance
+/// of the design shares it. Nothing changes it after [`JitParts::build`].
 ///
 /// Packing matters: with one page-rounded mapping per body a big design
 /// compiles into mostly-padding 4 KiB code pages, and the per-wake
@@ -359,7 +362,6 @@ pub struct JitParts {
     plan: JitPlan,
     /// Per body: its offset in `arena`.
     offsets: Vec<usize>,
-    banks: BankTable,
     arena: Option<ExecBuf>,
 }
 
@@ -368,14 +370,19 @@ impl JitParts {
     /// partitions whose cost clears [`JIT_MIN_COST`], costliest body
     /// first until [`JIT_CODE_BUDGET`]; everything else stays
     /// interpreted.
-    pub fn build(progs: &[Tier1Program], costs: &[u64], mems: &[MemBank]) -> JitParts {
-        JitParts::map(JitPlan::for_host(progs, costs), mems)
+    ///
+    /// `_mems` is inert: the bank table belongs to each instance (see
+    /// [`BankTable`]), not to the shared bodies. It survives only because
+    /// the frozen `bench` package still passes it, and goes when that
+    /// package next changes (ROADMAP item 12).
+    pub fn build(progs: &[Tier1Program], costs: &[u64], _mems: &[MemBank]) -> JitParts {
+        JitParts::map(JitPlan::for_host(progs, costs))
     }
 
     /// Lays the plan's bodies into one W^X arena (16-byte entry
     /// alignment) in plan order. Mapping failure — or an empty plan —
     /// yields a JIT-free state.
-    fn map(mut plan: JitPlan, mems: &[MemBank]) -> JitParts {
+    fn map(mut plan: JitPlan) -> JitParts {
         let mut blob: Vec<u8> = Vec::new();
         let offsets = plan
             .bodies
@@ -397,7 +404,6 @@ impl JitParts {
         JitParts {
             plan,
             offsets,
-            banks: BankTable::new(mems),
             arena,
         }
     }
@@ -413,11 +419,6 @@ impl JitParts {
             code: &self.plan.bodies[part.body],
             record_start: part.record.0,
         })
-    }
-
-    /// The bank table pointer for compiled calls.
-    pub fn banks(&self) -> *const JitBank {
-        self.banks.ptr()
     }
 
     /// Base of every part's operand record (a part's record is at its

@@ -1422,7 +1422,7 @@ mod tests {
             essent_netlist::opt::optimize(&mut netlist, &Default::default());
             let mut machine = Machine::new(&netlist);
             let plan = build_plan(&netlist, &config, true);
-            let front = Frontend::compile(&netlist, &machine.layout, &plan, &config, None);
+            let front = Frontend::compile(&netlist, &machine.layout, &plan, &config, false);
             for bank in &mut machine.mems {
                 for w in &mut bank.data {
                     *w = rng.gen::<u64>() & top_mask(bank.width);

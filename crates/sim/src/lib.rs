@@ -22,8 +22,9 @@
 //! * [`ParEssentSim`] — CCSS across threads: partitions run on workers
 //!   over a statically synthesized, verified dataflow schedule (tier-1
 //!   only; it runs no native code).
-//! * [`BatchSim`] — CCSS over N stimuli of one design in lockstep: a
-//!   lane-strided arena, per-lane wake masks and lane compaction.
+//! * [`BatchSim`] — CCSS over N stimuli of one design: a fleet of
+//!   `EssentSim`s sharing one compilation (native bodies included),
+//!   stepped on every core.
 //!
 //! Supporting modules: [`frontend`] (the one partition → plan → bytecode →
 //! tier-1 → state and wake tables → cost table → native-code routine the
@@ -61,7 +62,9 @@
 //! exact footprint and proves each arena word has one writing partition,
 //! and the dependence layer (`S0601`–`S0605`) proves per design that the
 //! parallel engine's dataflow schedule orders every conflicting pair; the `race-sanitizer` feature (`sanitizer`)
-//! cross-checks it dynamically.
+//! cross-checks it dynamically. The fleet's threads need no such proof:
+//! its lanes share only the immutable compiled design, and each lane's
+//! arena, flags and banks are touched by the one thread stepping it.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
@@ -88,7 +91,7 @@ pub mod testbench;
 pub mod testgen;
 pub mod vcd;
 
-pub use batch::{BatchAudit, BatchSim};
+pub use batch::BatchSim;
 pub use engine::{EngineConfig, Simulator};
 pub use essent::EssentSim;
 pub use event::EventDrivenSim;

@@ -75,7 +75,8 @@ pub struct Machine {
     /// Shared, immutable netlist: engines over the same design share one
     /// allocation instead of deep-cloning the graph per instance.
     pub netlist: Arc<Netlist>,
-    pub layout: Layout,
+    /// Shared like the netlist: a fleet's lanes clone one machine.
+    pub layout: Arc<Layout>,
     pub arena: Vec<u64>,
     pub mems: Vec<MemBank>,
     pub cycle: u64,
@@ -96,7 +97,7 @@ impl Machine {
 
     /// Builds a machine over an already-shared netlist (no deep clone).
     pub fn from_arc(netlist: Arc<Netlist>) -> Machine {
-        let layout = Layout::new(&netlist);
+        let layout = Arc::new(Layout::new(&netlist));
         let mut arena = vec![0u64; layout.total_words()];
         for (i, s) in netlist.signals().iter().enumerate() {
             if let SignalDef::Const(c) = &s.def {

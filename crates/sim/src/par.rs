@@ -163,7 +163,7 @@ impl ParEssentSim {
             wake,
             cost,
             ..
-        } = Frontend::compile(&netlist, &machine.layout, &plan, config, None);
+        } = Frontend::compile(&netlist, &machine.layout, &plan, config, false);
 
         let np = plan.partitions.len();
 

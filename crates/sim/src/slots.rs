@@ -14,7 +14,7 @@
 //! flags) and their schedule loop; `essent-verify` audits the table once
 //! for all of them (`X0801`/`X0802`).
 //!
-//! `WakeSlots` is the per-engine record in front of it: the native
+//! `WakeSlots` is the per-design record in front of it: the native
 //! `entry` (or `None`: run the tier-1 program) and the operand record it
 //! reads beside the table's `plain` bit, so a plain wake is one slot
 //! load and one call, and only non-plain partitions visit
@@ -24,10 +24,11 @@
 //! [`JitParts`] owns, and offsets into its record buffer, so the parts
 //! live in the same struct, private to it, and nothing changes them
 //! after `WakeSlots::new`: the pointers live exactly as long as the
-//! arena they point into.
+//! arena they point into. Nothing in a slot names an instance's storage,
+//! so every `EssentSim` over one compiled design shares one slot table.
 
 use crate::compile::Layout;
-use crate::jit::{EntryFn, JitBank, JitParts};
+use crate::jit::{EntryFn, JitParts};
 use crate::state::StateTable;
 use crate::step1::Tier1Program;
 use essent_core::plan::CcssPlan;
@@ -39,8 +40,7 @@ use std::collections::{BTreeSet, HashMap};
 pub struct Watch {
     pub off: u32,
     pub words: u32,
-    /// Snapshot offset in *scalar* words: lane-independent, so a
-    /// lane-strided engine multiplies by its lane count.
+    /// Snapshot offset, in words of the engine's snapshot storage.
     pub snap: u32,
     /// Consumers to wake on change ([`WakeTable::woken`]); empty for a
     /// pull input, whose change wakes the watching partition itself.
@@ -64,7 +64,7 @@ pub struct WakeTable {
     pub plain: Vec<bool>,
     /// Per external input: the partitions to wake when it changes.
     pub input_wake: HashMap<SignalId, Vec<u32>>,
-    /// Scalar words of snapshot storage the `snap` offsets address.
+    /// Words of snapshot storage the `snap` offsets address.
     pub snapshot_words: usize,
     /// Steps a full-cycle evaluation would run per cycle (the
     /// denominator of the effective activity factor).
@@ -212,13 +212,6 @@ impl WakeSlots {
     #[inline]
     pub fn as_slice(&self) -> &[WakeSlot] {
         &self.slots
-    }
-
-    /// The bank table native bodies take (null without native parts —
-    /// no slot has an entry then).
-    #[inline]
-    pub fn banks(&self) -> *const JitBank {
-        self.jit.as_ref().map_or(std::ptr::null(), |j| j.banks())
     }
 
     /// The base of the operand records native bodies take (null without

@@ -40,13 +40,13 @@
 //! [`Op1::Commit`] — a raw copy of the `next` slot into the `out` slot
 //! under the same compare-store-wake tail, charged as one dynamic check
 //! and no op — so the commit runs wherever the program runs (scalar
-//! loop, lane loop, native body) and the engines have no state epilogue.
+//! loop or native body) and the engines have no state epilogue.
 //! Registers wider than a word, and every commit when fusion is off,
 //! are reported in [`Tier1Program::unabsorbed`] for the engine's
 //! [`StateTable`](crate::state::StateTable).
 
 use crate::compile::{ArgRef, Block, Commit, DstRef, Item, Step, StepKind};
-use crate::machine::{run_items_raw, MemBank, WorkCounters};
+use crate::machine::{run_items_raw, MemBank};
 use essent_bits::top_mask;
 use essent_netlist::{Netlist, OpKind, SignalId};
 use std::cell::Cell;
@@ -786,9 +786,8 @@ unsafe fn mem_read(mems: &[MemBank], inst: &Inst1, addr: u64, en: u64) -> u64 {
 /// result is spelled out. Expands to one `match $inst.op` whose 33
 /// value arms each hand the opcode's *unmasked* result expression to
 /// the callback as `$k!($ka.. expr)`, so the caller decides what
-/// surrounds the expression (the scalar executor takes it as is; the
-/// lane executor wraps it in its three per-lane loop shapes) while the
-/// opcode dispatch stays outside that loop. `$ld` is how an arena slot
+/// surrounds the expression (the executor takes it as is; the unit
+/// tests mask it and record the loads). `$ld` is how an arena slot
 /// is loaded (`$ld(off) -> u64`), `$mems` the `&[MemBank]` in effect;
 /// `$ctl` are the caller's arms for `Jmp`, `JmpIf0` and `Generic`,
 /// which produce no value.
@@ -908,461 +907,6 @@ macro_rules! op1_match {
             $($ctl)*
         }
     };
-}
-
-/// Arena word footprint of one generic-fallback [`Item`]: the batched
-/// engine gathers these strided words into a scalar scratch arena, runs
-/// the item through `run_items_raw` per lane, and scatters the writes
-/// back. Writes are gathered too: a `CondMux` way not taken this cycle
-/// leaves its destination untouched, and the scatter must not smear a
-/// stale scratch word over a live lane value.
-#[derive(Debug, Clone, Default)]
-pub struct ItemRw {
-    /// `(offset, words)` ranges the item may read.
-    pub reads: Vec<(u32, u16)>,
-    /// `(offset, words)` ranges the item may write.
-    pub writes: Vec<(u32, u16)>,
-}
-
-impl ItemRw {
-    /// Accumulates `item`'s accesses (recursing into mux ways).
-    pub fn absorb(&mut self, item: &Item) {
-        match item {
-            Item::Step(step) => {
-                for a in &step.args {
-                    self.reads.push((a.off, a.words));
-                }
-                self.writes.push((step.dst.off, step.dst.words));
-            }
-            Item::CondMux {
-                sel,
-                dst,
-                high_items,
-                high,
-                low_items,
-                low,
-                ..
-            } => {
-                self.reads.push((sel.off, sel.words));
-                self.reads.push((high.off, high.words));
-                self.reads.push((low.off, low.words));
-                self.writes.push((dst.off, dst.words));
-                for it in high_items.iter().chain(low_items.iter()) {
-                    self.absorb(it);
-                }
-            }
-        }
-    }
-}
-
-/// The word footprint of a single item (see [`ItemRw`]).
-pub fn item_rw(item: &Item) -> ItemRw {
-    let mut rw = ItemRw::default();
-    rw.absorb(item);
-    rw
-}
-
-/// Executes a lowered program over every lane in `eval_mask` of an
-/// N-lane batched arena (word-major SoA: word `w` of lane `l` lives at
-/// `w * lanes + l`, so one instruction's operand values for all lanes
-/// are contiguous and the dense lane loops auto-vectorize; hot
-/// unsigned ALU/mux ops additionally take an explicit AVX2 path when
-/// the host supports it).
-///
-/// Control-flow divergence uses per-lane resume points: lane `l`
-/// executes instruction `pc` iff `resume[l] <= pc`, which is sound
-/// because every jump is strictly forward (re-proven by `B0212`) — a
-/// diverged lane simply waits for `pc` to reach its target, and
-/// `next_join`, the nearest pending target, is the only pc where the
-/// active mask can grow back.
-///
-/// Work accounting per lane matches [`run_tier1_raw`] exactly: one
-/// `ops_evaluated` per value-producing instruction a lane executes
-/// (jumps and commits free, the taken `Ext` stands in for a mux
-/// diamond), one `dynamic_checks` per fused trigger or commit compare.
-/// Fused wakes set the lane's bit in the consumers' wake masks.
-///
-/// # Safety
-///
-/// `arena` must point at the batched strided arena sized
-/// `layout.total_words() * lanes` for the layout `prog` was lowered
-/// from, with no concurrent access; `scratch` must be a scalar arena of
-/// `layout.total_words()` words; `generic_rw` must parallel
-/// `prog.generic`; `lane_mems` and `counters` must have at least
-/// `lanes` entries; `eval_mask` must be non-zero with no bit at or
-/// above `lanes`, and `lanes` in `1..=64`. `simd` only *permits* the
-/// AVX2 kernels (they still need a host that has them); the engine
-/// passes `true`, the unit tests pass `false` to reach the scalar lane
-/// loops an AVX2 host otherwise never runs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn run_tier1_lanes(
-    prog: &Tier1Program,
-    generic_rw: &[ItemRw],
-    arena: *mut u64,
-    lanes: usize,
-    eval_mask: u64,
-    lane_mems: &[Vec<MemBank>],
-    scratch: &mut [u64],
-    flags: &[Cell<u64>],
-    counters: &mut [WorkCounters],
-    simd: bool,
-) {
-    debug_assert!(eval_mask != 0 && (1..=64).contains(&lanes));
-    #[cfg(target_arch = "x86_64")]
-    let avx2 = simd && lanes >= 4 && std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd; // no vector kernels on this target
-    let code = prog.code.as_slice();
-    // SAFETY (both closures): `off` is an in-bounds layout slot — the
-    // same B0210/R05xx-audited offsets `run_tier1_raw` dereferences —
-    // and `lane < lanes`, so `off * lanes + lane` stays inside the
-    // strided arena; the caller holds exclusive arena access.
-    let ld = move |off: u32, lane: usize| -> u64 {
-        // SAFETY: see above.
-        unsafe { *arena.add(off as usize * lanes + lane) }
-    };
-    let st = move |off: u32, lane: usize, v: u64| {
-        // SAFETY: see above.
-        unsafe { *arena.add(off as usize * lanes + lane) = v }
-    };
-
-    let mut resume = [0u32; 64];
-    let mut active = eval_mask;
-    let mut next_join = u32::MAX;
-    // Specialized instructions executed since the active mask last
-    // changed; each is worth one `ops_evaluated` for every active lane.
-    let mut seg: u64 = 0;
-
-    macro_rules! flush_seg {
-        () => {
-            if seg != 0 {
-                let mut m = active;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    counters[l].ops_evaluated += seg;
-                }
-                // The final flush's reset is dead by construction; kept
-                // so every flush leaves the counter consistent.
-                #[allow(unused_assignments)]
-                {
-                    seg = 0;
-                }
-            }
-        };
-    }
-
-    /// The three per-lane loop shapes around one opcode's value `$val`
-    /// (an expression over lane `$l`, from `op1_match!`): a contiguous
-    /// `$done..n` loop whenever the active lanes form a prefix (the shape
-    /// compaction maintains, and the one that auto-vectorizes), a
-    /// bit-scan over a sparse mask, and the fused-tail loop.
-    macro_rules! lanes_op {
-        ($inst:ident, $l:ident, $done:ident, $val:expr) => {{
-            seg += ($inst.op != Op1::Commit) as u64;
-            if $inst.ws == NO_FUSE {
-                if active & active.wrapping_add(1) == 0 {
-                    let n = active.count_ones() as usize;
-                    for $l in $done..n {
-                        let v = $val;
-                        st($inst.dst, $l, v & $inst.mask);
-                    }
-                } else {
-                    let mut m = active;
-                    while m != 0 {
-                        let $l = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        let v = $val;
-                        st($inst.dst, $l, v & $inst.mask);
-                    }
-                }
-            } else {
-                // Fused CCSS tail, per lane: the pre-write slot value is
-                // last cycle's output, so the compare is exactly the
-                // engine's snapshot compare; wakes set the lane's bit.
-                let mut m = active;
-                while m != 0 {
-                    let $l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let v = ($val) & $inst.mask;
-                    counters[$l].dynamic_checks += 1;
-                    if ld($inst.dst, $l) != v {
-                        st($inst.dst, $l, v);
-                        for &c in &prog.consumers[$inst.ws as usize..$inst.we as usize] {
-                            let f = &flags[c as usize];
-                            f.set(f.get() | (1u64 << $l));
-                        }
-                    }
-                }
-            }
-        }};
-    }
-
-    let mut pc = 0usize;
-    while pc < code.len() {
-        if pc as u32 == next_join {
-            // Reconvergence: rejoin every waiting lane whose resume pc
-            // has arrived.
-            flush_seg!();
-            active = 0;
-            next_join = u32::MAX;
-            let mut m = eval_mask;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                m &= m - 1;
-                if resume[l] <= pc as u32 {
-                    active |= 1 << l;
-                } else {
-                    next_join = next_join.min(resume[l]);
-                }
-            }
-        }
-        // SAFETY: the loop condition bounds `pc` on every iteration,
-        // including after jump fast-forwards.
-        let inst = unsafe { code.get_unchecked(pc) };
-        pc += 1;
-
-        match inst.op {
-            Op1::Jmp => {
-                flush_seg!();
-                let mut m = active;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    resume[l] = inst.a;
-                }
-                next_join = next_join.min(inst.a);
-                active = 0;
-                // Every lane is waiting; skip straight to the nearest
-                // resume point.
-                pc = next_join as usize;
-                continue;
-            }
-            Op1::JmpIf0 => {
-                let mut taken = 0u64;
-                let mut m = active;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if ld(inst.b, l) & 1 == 0 {
-                        taken |= 1 << l;
-                        resume[l] = inst.a;
-                    }
-                }
-                if taken != 0 {
-                    flush_seg!();
-                    active &= !taken;
-                    next_join = next_join.min(inst.a);
-                    if active == 0 {
-                        pc = next_join as usize;
-                    }
-                }
-                continue;
-            }
-            Op1::Generic => {
-                // Gather → scalar interpreter → scatter, per lane. The
-                // gather covers writes too: a mux way not taken leaves
-                // its destination untouched, and the scatter must not
-                // smear a stale scratch word over a live lane value.
-                let item = &prog.generic[inst.a as usize];
-                let rw = &generic_rw[inst.a as usize];
-                let sp = scratch.as_mut_ptr();
-                let mut m = active;
-                while m != 0 {
-                    let lane = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    for &(off, w) in rw.reads.iter().chain(rw.writes.iter()) {
-                        for k in 0..w as u32 {
-                            // SAFETY: `off + k` is an in-bounds layout
-                            // slot (B02xx), hence inside the
-                            // `total_words`-sized scratch.
-                            unsafe { *sp.add((off + k) as usize) = ld(off + k, lane) };
-                        }
-                    }
-                    // SAFETY: `scratch` is an exclusively-borrowed
-                    // scalar arena covering the layout; every word the
-                    // item touches was just gathered, and `inst.a`
-                    // indexes `prog.generic` by construction (B0210).
-                    unsafe {
-                        run_items_raw(
-                            std::slice::from_ref(item),
-                            sp,
-                            &lane_mems[lane],
-                            &mut counters[lane].ops_evaluated,
-                        );
-                    }
-                    for &(off, w) in &rw.writes {
-                        for k in 0..w as u32 {
-                            // SAFETY: in-bounds as above.
-                            st(off + k, lane, unsafe { *sp.add((off + k) as usize) });
-                        }
-                    }
-                }
-                continue;
-            }
-            _ => {}
-        }
-
-        // Dense unfused prefixes go four lanes at a time where the op has
-        // a vector form; `done` is how many lanes that finished.
-        #[cfg(target_arch = "x86_64")]
-        let done = if avx2
-            && inst.ws == NO_FUSE
-            && active & active.wrapping_add(1) == 0
-            && active.count_ones() >= 4
-        {
-            let n = active.count_ones() as usize;
-            // SAFETY: AVX2 detected above; `inst` offsets and the strided
-            // arena satisfy this function's contract, and `n <= lanes`
-            // because `active ⊆ eval_mask`.
-            let done = unsafe { lanes_simd::dispatch(inst, arena, lanes, n) };
-            if done == n {
-                seg += 1;
-                continue;
-            }
-            done
-        } else {
-            0
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let done = 0;
-
-        op1_match!(inst, |off| ld(off, l), &lane_mems[l], lanes_op!(inst, l, done,), {
-            // The control opcodes, handled above (the scalar executor's
-            // expansion is the one that keeps the arms exhaustive).
-            _ => unreachable!(),
-        });
-    }
-    flush_seg!();
-}
-
-/// AVX2 lane kernels for the hot unsigned single-word ops: four lanes
-/// per vector over the contiguous per-word lane stripes of the batched
-/// arena. Anything signed, fused, or exotic — and the last `n % 4` lanes
-/// of everything — is left to the scalar lane loop (which the compiler
-/// auto-vectorizes anyway — this path pins the vector shape for the ops
-/// that dominate ALU-heavy designs).
-#[cfg(target_arch = "x86_64")]
-mod lanes_simd {
-    use super::{Inst1, Op1};
-    #[allow(clippy::wildcard_imports)]
-    use std::arch::x86_64::*;
-
-    /// Evaluates `inst` across dense lanes `0..done` and returns `done`:
-    /// `n` rounded down to a multiple of four, or `0` when the op/operand
-    /// shape has no vector form. The caller's scalar lane loop executes
-    /// lanes `done..n`.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees AVX2 is available, `arena` is the exclusively
-    /// accessed strided batch arena, `inst` carries in-bounds layout
-    /// offsets, and `n <= lanes`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dispatch(inst: &Inst1, arena: *mut u64, lanes: usize, n: usize) -> usize {
-        // SAFETY: `off * lanes .. off * lanes + n` is inside the strided
-        // arena for every operand offset (caller contract); unaligned
-        // vector loads/stores are used throughout.
-        unsafe {
-            let pa = arena.add(inst.a as usize * lanes).cast_const();
-            let pb = arena.add(inst.b as usize * lanes).cast_const();
-            let pc_ = arena.add(inst.c as usize * lanes).cast_const();
-            let pd = arena.add(inst.dst as usize * lanes);
-            let vmask = _mm256_set1_epi64x(inst.mask as i64);
-            let one = _mm256_set1_epi64x(1);
-            let mut i = 0usize;
-            // `dst[i..i+4] = $vec & $and` over whole vectors of lanes, with
-            // `$va`/`$vb` bound to the `a`/`b` operand vectors.
-            macro_rules! lanes4 {
-                (|$va:ident, $vb:ident| $vec:expr, $and:expr) => {
-                    while i + 4 <= n {
-                        let $va = _mm256_loadu_si256(pa.add(i).cast());
-                        let $vb = _mm256_loadu_si256(pb.add(i).cast());
-                        let v: __m256i = $vec;
-                        _mm256_storeu_si256(pd.add(i).cast(), _mm256_and_si256(v, $and));
-                        i += 4;
-                    }
-                };
-            }
-            // Uniform-count shifts: the count comes from the instruction,
-            // not the lanes, so the `_mm256_sll/srl_epi64` forms (count in
-            // the low xmm lane) apply.
-            let vcount = _mm_cvtsi64_si128(inst.imm as i64);
-            let flip = _mm256_set1_epi64x(i64::MIN);
-            let ones = _mm256_set1_epi64x(-1);
-            // Each guard is where the vector form stops matching the scalar
-            // definition: sign-extended operands, and static shift counts
-            // the definition special-cases (or `sll`/`srl` cannot take).
-            let plain = inst.sxa == 0 && inst.sxb == 0;
-            match inst.op {
-                Op1::Add if plain => lanes4!(|va, vb| _mm256_add_epi64(va, vb), vmask),
-                Op1::Sub if plain => lanes4!(|va, vb| _mm256_sub_epi64(va, vb), vmask),
-                Op1::And if plain => lanes4!(|va, vb| _mm256_and_si256(va, vb), vmask),
-                Op1::Or if plain => lanes4!(|va, vb| _mm256_or_si256(va, vb), vmask),
-                Op1::Xor if plain => lanes4!(|va, vb| _mm256_xor_si256(va, vb), vmask),
-                // 0/1 predicate results from a lane-wide compare mask.
-                Op1::Eq if plain => lanes4!(|va, vb| _mm256_cmpeq_epi64(va, vb), one),
-                Op1::Neq if plain => {
-                    lanes4!(
-                        |va, vb| _mm256_xor_si256(_mm256_cmpeq_epi64(va, vb), ones),
-                        one
-                    )
-                }
-                Op1::LtU => lanes4!(
-                    |va, vb| _mm256_cmpgt_epi64(
-                        _mm256_xor_si256(vb, flip),
-                        _mm256_xor_si256(va, flip)
-                    ),
-                    one
-                ),
-                Op1::LeqU => lanes4!(
-                    |va, vb| {
-                        let gt = _mm256_cmpgt_epi64(
-                            _mm256_xor_si256(va, flip),
-                            _mm256_xor_si256(vb, flip),
-                        );
-                        _mm256_xor_si256(gt, ones)
-                    },
-                    one
-                ),
-                Op1::Orr => lanes4!(
-                    |va, _vb| _mm256_xor_si256(
-                        _mm256_cmpeq_epi64(va, _mm256_setzero_si256()),
-                        ones
-                    ),
-                    one
-                ),
-                Op1::Andr => lanes4!(
-                    |va, _vb| _mm256_cmpeq_epi64(va, _mm256_set1_epi64x(inst.imm as i64)),
-                    one
-                ),
-                Op1::Bits | Op1::ShrU if inst.imm < 64 => {
-                    lanes4!(|va, _vb| _mm256_srl_epi64(va, vcount), vmask)
-                }
-                Op1::Shl if inst.imm < 64.min(inst.sxc as u64) => {
-                    lanes4!(|va, _vb| _mm256_sll_epi64(va, vcount), vmask)
-                }
-                Op1::Cat if inst.imm < 64 => {
-                    lanes4!(
-                        |va, vb| _mm256_or_si256(_mm256_sll_epi64(va, vcount), vb),
-                        vmask
-                    )
-                }
-                Op1::Ext if inst.sxa == 0 => lanes4!(|va, _vb| va, vmask),
-                // `a` is the selector, `b`/`c` the high/low ways.
-                Op1::Mux if inst.sxb == 0 && inst.sxc == 0 => lanes4!(
-                    |va, vb| {
-                        let hi = _mm256_cmpeq_epi64(_mm256_and_si256(va, one), one);
-                        let vc = _mm256_loadu_si256(pc_.add(i).cast());
-                        _mm256_blendv_epi8(vc, vb, hi)
-                    },
-                    vmask
-                ),
-                _ => {}
-            }
-            i
-        }
-    }
 }
 
 /// Executes a lowered program over the arena.
@@ -2078,215 +1622,6 @@ mod tests {
             };
             assert_eq!(sink.0.into_inner(), woken);
         }
-    }
-
-    // ---- the lane executor ----
-
-    /// A random forward-jumping program over operand slots `0..16`:
-    /// value instructions (about a third fused), a mux diamond, a
-    /// `MemRead` and one `Generic` fallback item. Every instruction has
-    /// its own destination, as lowered programs do.
-    fn rand_program(rng: &mut StdRng) -> Tier1Program {
-        // `ALL` lists the 31 slot-to-slot value opcodes first.
-        const VALUE: &[Op1] = ALL.split_at(31).0;
-        let mut code = Vec::new();
-        let mut consumers = Vec::new();
-        let mut next_dst = 16;
-        let mut value_inst = |code: &mut Vec<Inst1>, op: Op1, rng: &mut StdRng| {
-            let mut inst = Inst1::new(op, next_dst, 0);
-            next_dst += 1;
-            rand_fields(&mut inst, rng);
-            // Operands: inputs, or an earlier result.
-            let mut slot = || rng.gen_range(0..inst.dst);
-            (inst.a, inst.b, inst.c) = (slot(), slot(), slot());
-            if rng.gen_bool(0.35) {
-                inst.ws = consumers.len() as u32;
-                consumers.extend((0..rng.gen_range(0..3u32)).map(|_| rng.gen_range(0..4u32)));
-                inst.we = consumers.len() as u32;
-            }
-            code.push(inst);
-        };
-        for _ in 0..6 {
-            let op = VALUE[rng.gen_range(0..VALUE.len())];
-            value_inst(&mut code, op, rng);
-        }
-        let mut mem = Inst1::new(MemRead, 38, u64::MAX);
-        (mem.a, mem.b, mem.c, mem.imm) = (0, 1, rng.gen_range(0..2), DEPTH as u64);
-        code.push(mem);
-        // Diamond: both ways end in an `Ext` to the same destination.
-        let jif = code.len();
-        code.push(Inst1 {
-            b: rng.gen_range(0..16),
-            ..Inst1::new(JmpIf0, 0, 0)
-        });
-        value_inst(&mut code, VALUE[rng.gen_range(0..VALUE.len())], rng);
-        let join = Inst1 {
-            a: rng.gen_range(0..16),
-            ..Inst1::new(Ext, 39, u64::MAX)
-        };
-        code.push(join);
-        let jmp = code.len();
-        code.push(Inst1::new(Jmp, 0, 0));
-        code[jif].a = code.len() as u32;
-        value_inst(&mut code, VALUE[rng.gen_range(0..VALUE.len())], rng);
-        code.push(Inst1 {
-            a: rng.gen_range(0..16),
-            ..join
-        });
-        code[jmp].a = code.len() as u32;
-        code.push(Inst1::new(Generic, 0, 0));
-        for _ in 0..3 {
-            let op = VALUE[rng.gen_range(0..VALUE.len())];
-            value_inst(&mut code, op, rng);
-        }
-        // The program's tail: a register commit of an earlier result.
-        let ws = consumers.len() as u32;
-        consumers.push(rng.gen_range(0..4u32));
-        code.push(Inst1 {
-            a: rng.gen_range(16..20),
-            ws,
-            we: ws + 1,
-            ..Inst1::new(Commit, 36, u64::MAX)
-        });
-        let mut fallback = typed_step(OpKind::Add, rng);
-        (fallback.dst.off, fallback.dst.width) = (37, 64);
-        program(code, vec![Item::Step(fallback)], consumers)
-    }
-
-    /// (c) The lane executor ≡ the scalar executor run once per awake
-    /// lane — arena image, both work counters and the wake masks — on
-    /// sparse and dense masks, fused tails, divergent diamonds and the
-    /// gather/scatter fallback. `simd = false` is the scalar lane path
-    /// an AVX2 host otherwise never reaches (and the only one Miri sees);
-    /// `simd = true` adds the vector kernels where the host has them.
-    #[test]
-    fn lane_executor_matches_per_lane_scalar() {
-        let mut rng = StdRng::seed_from_u64(0x1A7E5);
-        for trial in 0..TRIALS {
-            let prog = rand_program(&mut rng);
-            let generic_rw: Vec<ItemRw> = prog.generic.iter().map(item_rw).collect();
-            let lanes = [1, 3, 5, 8, 12, 64][trial % 6];
-            let all = u64::MAX >> (64 - lanes);
-            let eval_mask = match trial % 3 {
-                0 => all,                                         // dense: the prefix loops
-                1 => (rng.gen::<u64>() & all) | 1 << (lanes - 1), // sparse
-                _ => all >> rng.gen_range(0..lanes),              // shorter prefix
-            };
-            let lane_mems: Vec<Vec<MemBank>> = (0..lanes).map(|l| banks(l as u64)).collect();
-            let before: Vec<u64> = (0..WORDS * lanes).map(|_| rand_word(&mut rng)).collect();
-            for simd in [false, true] {
-                let mut strided = before.clone();
-                let mut scratch = vec![0u64; WORDS];
-                let flags: Vec<Cell<u64>> = (0..4).map(|_| Cell::new(0)).collect();
-                let mut counters = vec![WorkCounters::default(); lanes];
-                // SAFETY: the arena is `WORDS * lanes` words for programs
-                // confined to `0..WORDS`, `scratch` is `WORDS` words,
-                // `generic_rw` parallels `prog.generic`, there is one
-                // bank set and one counter per lane, and the mask is
-                // non-zero inside `lanes`.
-                unsafe {
-                    run_tier1_lanes(
-                        &prog,
-                        &generic_rw,
-                        strided.as_mut_ptr(),
-                        lanes,
-                        eval_mask,
-                        &lane_mems,
-                        &mut scratch,
-                        &flags,
-                        &mut counters,
-                        simd,
-                    );
-                }
-                for l in 0..lanes {
-                    let lane = |img: &[u64]| -> Vec<u64> {
-                        (0..WORDS).map(|w| img[w * lanes + l]).collect()
-                    };
-                    let mut scalar = lane(&before);
-                    let woken = [Cell::new(0u64)];
-                    let mut expect = WorkCounters::default();
-                    if eval_mask >> l & 1 == 1 {
-                        (expect.ops_evaluated, expect.dynamic_checks) =
-                            run_scalar(&prog, &mut scalar, &lane_mems[l], &woken);
-                    }
-                    let ctx = format!("trial {trial} lane {l}/{lanes} simd {simd}");
-                    assert_eq!(lane(&strided), scalar, "{ctx}: arena");
-                    assert_eq!(counters[l], expect, "{ctx}: counters");
-                    for (c, flag) in flags.iter().enumerate() {
-                        let bit = woken[0].get() >> c & 1;
-                        assert_eq!(flag.get() >> l & 1, bit, "{ctx}: wake {c}");
-                    }
-                }
-            }
-        }
-    }
-
-    /// (b) `lanes_simd::dispatch` plus the scalar remainder ≡ the
-    /// definition, for every opcode with a vector form, `n` in `4..=11`:
-    /// the returned count is a multiple of four no larger than `n`, zero
-    /// where the vector form must decline (sign-extended operands, shift
-    /// counts the definition special-cases), lanes `0..done` hold the
-    /// definition's value and no lane at or past `done` is touched.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_dispatch_matches_the_definition() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
-        const VECTOR: [Op1; 17] = [
-            Add, Sub, And, Or, Xor, Eq, Neq, LtU, LeqU, Orr, Andr, Bits, ShrU, Shl, Cat, Ext, Mux,
-        ];
-        const LANES: usize = 12;
-        let mut rng = StdRng::seed_from_u64(0xA2);
-        let mems = banks(0);
-        let mut vectorized = BTreeSet::new();
-        for op in VECTOR {
-            for trial in 0..TRIALS {
-                let n = 4 + trial % 8;
-                let mut inst = Inst1::new(op, 16, 0);
-                (inst.a, inst.b, inst.c) = (3, 7, 11);
-                rand_fields(&mut inst, &mut rng);
-                if trial % 2 == 0 {
-                    // The shapes lowering emits for unsigned operands.
-                    (inst.sxa, inst.sxb) = (0, 0);
-                    if op == Mux {
-                        inst.sxc = 0;
-                    }
-                }
-                let before: Vec<u64> = (0..WORDS * LANES).map(|_| rand_word(&mut rng)).collect();
-                let mut strided = before.clone();
-                // SAFETY: AVX2 checked above; offsets 3, 7, 11, 16 are
-                // inside the `WORDS * LANES` arena and `n <= LANES`.
-                let done = unsafe { lanes_simd::dispatch(&inst, strided.as_mut_ptr(), LANES, n) };
-                assert!(done == 0 || done == n & !3, "{inst:?}: done {done} of {n}");
-                let must_decline = match op {
-                    Add | Sub | And | Or | Xor | Eq | Neq => inst.sxa != 0 || inst.sxb != 0,
-                    Ext => inst.sxa != 0,
-                    Mux => inst.sxb != 0 || inst.sxc != 0,
-                    Shl => inst.imm >= 64 || inst.imm >= inst.sxc as u64,
-                    ShrU => inst.imm >= 64,
-                    _ => false,
-                };
-                assert_eq!(done == 0, must_decline, "{inst:?}");
-                if done != 0 {
-                    vectorized.insert(format!("{op:?}"));
-                }
-                for l in 0..LANES {
-                    let lane: Vec<u64> = (0..WORDS).map(|w| before[w * LANES + l]).collect();
-                    let got = strided[16 * LANES + l];
-                    if l < done {
-                        assert_eq!(Some(got), eval(&inst, &lane, &mems).0, "{inst:?} lane {l}");
-                    } else {
-                        assert_eq!(got, lane[16], "{inst:?}: lane {l} is past `done`");
-                    }
-                }
-            }
-        }
-        assert_eq!(
-            vectorized.len(),
-            VECTOR.len(),
-            "vector forms hit: {vectorized:?}"
-        );
     }
 
     // ---- the lowering against the bytecode, partition by partition ----

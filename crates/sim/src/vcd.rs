@@ -3,13 +3,15 @@
 //! The paper points out that even the ubiquitous VCD format exploits
 //! inactivity: it only records signals when they change. This writer does
 //! exactly that — it tracks previous values and emits deltas — so dumping
-//! a low-activity design is cheap.
+//! a low-activity design is cheap. It samples any engine through
+//! [`Simulator::peek_id`], so the waveform is the one the engine being
+//! run computed.
 
-use crate::machine::Machine;
+use crate::engine::Simulator;
 use essent_netlist::{Netlist, SignalDef, SignalId};
 use std::io::{self, Write};
 
-/// Streaming VCD writer over a machine's named signals.
+/// Streaming VCD writer over a design's named signals.
 pub struct VcdWriter<W: Write> {
     out: W,
     tracked: Vec<Tracked>,
@@ -104,13 +106,13 @@ impl<W: Write> VcdWriter<W> {
         self.tracked.len()
     }
 
-    /// Emits one timestep: only signals whose value changed are dumped
-    /// (the first sample dumps everything under `$dumpvars`).
+    /// Emits one timestep of `sim`: only signals whose value changed are
+    /// dumped (the first sample dumps everything under `$dumpvars`).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn sample(&mut self, machine: &Machine, time: u64) -> io::Result<()> {
+    pub fn sample(&mut self, sim: &(impl Simulator + ?Sized), time: u64) -> io::Result<()> {
         if !self.started {
             // Viewers expect the initial `$dumpvars` block at time zero
             // — even when sampling starts later, every variable needs a
@@ -118,9 +120,9 @@ impl<W: Write> VcdWriter<W> {
             writeln!(self.out, "#0")?;
             writeln!(self.out, "$dumpvars")?;
             for t in &mut self.tracked {
-                let cur = machine.slot(t.sig);
-                write_value(&mut self.out, cur, t.width, &t.code)?;
-                t.prev = Some(cur.to_vec());
+                let cur = sim.peek_id(t.sig);
+                write_value(&mut self.out, cur.limbs(), t.width, &t.code)?;
+                t.prev = Some(cur.limbs().to_vec());
             }
             writeln!(self.out, "$end")?;
             self.started = true;
@@ -131,14 +133,14 @@ impl<W: Write> VcdWriter<W> {
         }
         writeln!(self.out, "#{time}")?;
         for t in &mut self.tracked {
-            let cur = machine.slot(t.sig);
+            let cur = sim.peek_id(t.sig);
             let changed = match &t.prev {
-                Some(prev) => prev.as_slice() != cur,
+                Some(prev) => prev.as_slice() != cur.limbs(),
                 None => true,
             };
             if changed {
-                write_value(&mut self.out, cur, t.width, &t.code)?;
-                t.prev = Some(cur.to_vec());
+                write_value(&mut self.out, cur.limbs(), t.width, &t.code)?;
+                t.prev = Some(cur.limbs().to_vec());
             }
         }
         Ok(())
@@ -165,7 +167,7 @@ fn write_value<W: Write>(out: &mut W, words: &[u64], width: u32, code: &str) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineConfig, Simulator};
+    use crate::engine::EngineConfig;
     use crate::full_cycle::FullCycleSim;
     use essent_bits::Bits;
 
@@ -180,7 +182,7 @@ mod tests {
         sim.poke("reset", Bits::from_u64(1, 1));
         for t in 0..6 {
             sim.step(1);
-            vcd.sample(sim.machine(), t).unwrap();
+            vcd.sample(&sim, t).unwrap();
         }
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("$var wire 4"));
@@ -288,7 +290,7 @@ mod tests {
         // with a #0 $dumpvars block.
         for t in 3..8u64 {
             sim.step(1);
-            vcd.sample(sim.machine(), t).unwrap();
+            vcd.sample(&sim, t).unwrap();
         }
         let text = String::from_utf8(buf).unwrap();
         let (vars, events) = parse_vcd(&text);

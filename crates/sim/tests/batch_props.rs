@@ -1,27 +1,30 @@
-//! Lane-equivalence differential suite: lane `i` of an N-lane batched
-//! run must be indistinguishable — arena words, outputs, work counters,
-//! cycle counts, halt codes — from an independent single-instance
-//! [`EssentSim`] run over the same per-lane stimulus, across the full
-//! engine config matrix, under divergent per-lane halts, and across
-//! forced lane compactions.
+//! The fleet law: lane `i` of a [`BatchSim`] is an [`EssentSim`] — on
+//! every cycle it agrees with an independently built `EssentSim` driven
+//! by the same stimulus in every output, its cycle count and halt code,
+//! and all five work counters, and at the end in its printf log, arena
+//! and memory banks. Checked at 1, 3 and 8 lanes (3 is odd and more than a 2-core
+//! host's workers), across the engine switch matrix, on the tier-1
+//! interpreter and — where the host can run it — on native bodies.
 //!
-//! This is the batch engine's central correctness argument: lane
-//! batching (strided arena, wake masks, SIMD lane loops, compaction
-//! remaps) is pure throughput mechanics and can never change what any
-//! single lane computes or how much work it is accounted.
+//! The fleet shares one compilation between its lanes and steps them on
+//! several threads; neither may change what any lane computes or how
+//! much work it is accounted.
 
 use essent_bits::Bits;
 use essent_netlist::Netlist;
 use essent_sim::batch::BatchSim;
-use essent_sim::testgen::{gen_circuit, switch_matrix};
-use essent_sim::{EngineConfig, EssentSim, Simulator};
+use essent_sim::testgen::{gen_circuit, switch_matrix, GenCircuit};
+use essent_sim::{jit, EngineConfig, EssentSim, Simulator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
-// Five lanes: enough for the AVX2 fast path (4-wide) plus a scalar
-// tail lane, so the differential proof covers both evaluation routes.
-const LANES: usize = 5;
+/// The fleet hands lanes to worker threads.
+const _: fn() = assert_send::<EssentSim>;
+fn assert_send<T: Send>() {}
+
+const LANE_COUNTS: [usize; 3] = [1, 3, 8];
 
 fn build(source: &str) -> Netlist {
     let parsed = essent_firrtl::parse(source)
@@ -32,107 +35,145 @@ fn build(source: &str) -> Netlist {
         .unwrap_or_else(|e| panic!("generated FIRRTL must build: {e}\n{source}"))
 }
 
-/// One per-lane stimulus stream, reproducible from `(seed, lane)` — the
-/// same derivation the batch bench's `--seed-stride` flag uses.
+/// `config` on each tier this host runs: tier-1, and native where the
+/// emitter's code can execute.
+fn tiers(label: &str, config: &EngineConfig) -> Vec<(String, EngineConfig)> {
+    let mut out = vec![(format!("{label} tier-1"), config.clone())];
+    if jit::supported() {
+        let native = EngineConfig {
+            jit: true,
+            ..config.clone()
+        };
+        out.push((format!("{label} native"), native));
+    }
+    out
+}
+
+/// A fleet of `lanes` lanes and as many independently built engines.
+fn fleet_and_singles(
+    netlist: &Netlist,
+    config: &EngineConfig,
+    lanes: usize,
+) -> (BatchSim, Vec<EssentSim>) {
+    let fleet = BatchSim::new(
+        netlist,
+        &EngineConfig {
+            lanes,
+            ..config.clone()
+        },
+    );
+    let singles = (0..lanes)
+        .map(|_| EssentSim::new(netlist, config))
+        .collect();
+    (fleet, singles)
+}
+
+/// Each lane against its single: outputs, cycle, halt code, counters
+/// (all five fields) and the native partition count.
+fn check_lanes(fleet: &BatchSim, singles: &[EssentSim], outputs: &[String], ctx: &str) {
+    for (l, single) in singles.iter().enumerate() {
+        let lane = fleet.lane(l);
+        for out in outputs {
+            assert_eq!(lane.peek(out), single.peek(out), "{ctx} lane {l}: `{out}`");
+        }
+        assert_eq!(lane.cycle(), single.cycle(), "{ctx} lane {l}: cycles");
+        assert_eq!(lane.halted(), single.halted(), "{ctx} lane {l}: halt");
+        assert_eq!(
+            lane.counters(),
+            single.counters(),
+            "{ctx} lane {l}: counters"
+        );
+        assert_eq!(
+            lane.jit_compiled_count(),
+            single.jit_compiled_count(),
+            "{ctx} lane {l}: native partitions"
+        );
+    }
+}
+
+/// At the end of a run: each lane's printf log, arena and memory banks
+/// (bank contents are not in the arena, so a bank write that went wrong
+/// shows only here unless its address is read back).
+fn check_final(fleet: &BatchSim, singles: &[EssentSim], ctx: &str) {
+    for (l, single) in singles.iter().enumerate() {
+        let lane = fleet.lane(l);
+        assert_eq!(
+            lane.printf_log(),
+            single.printf_log(),
+            "{ctx} lane {l}: printf"
+        );
+        assert_eq!(
+            lane.machine().arena,
+            single.machine().arena,
+            "{ctx} lane {l}: arena"
+        );
+        let (banks, single_banks) = (&lane.machine().mems, &single.machine().mems);
+        assert_eq!(banks.len(), single_banks.len(), "{ctx} lane {l}: banks");
+        for (b, (bank, single_bank)) in banks.iter().zip(single_banks).enumerate() {
+            assert_eq!(
+                bank.data, single_bank.data,
+                "{ctx} lane {l}: memory bank {b} diverged"
+            );
+        }
+    }
+}
+
+/// One per-lane stimulus stream, reproducible from `(seed, lane)`.
 fn lane_rng(seed: u64, lane: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ 0xD1CE ^ (lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Drives an N-lane batch engine and N independent single-instance
-/// engines with identical per-lane stimulus and requires bit- and
-/// counter-exact agreement every cycle; optionally forces a lane
-/// compaction mid-run (which must be invisible to every lane).
-fn check_lanes(
-    seed: u64,
-    label: &str,
-    netlist: &Netlist,
-    config: &EngineConfig,
-    circuit: &essent_sim::testgen::GenCircuit,
-    compact_at: Option<u64>,
-) {
-    let batch_config = EngineConfig {
-        lanes: LANES,
-        ..config.clone()
-    };
-    let mut batch = BatchSim::new(netlist, &batch_config);
-    let mut singles: Vec<EssentSim> = (0..LANES)
-        .map(|_| EssentSim::new(netlist, config))
-        .collect();
-    let mut rngs: Vec<StdRng> = (0..LANES).map(|l| lane_rng(seed, l)).collect();
-
-    for cycle in 0..30u64 {
-        if compact_at == Some(cycle) {
-            batch.force_compact();
-        }
-        for (lane, rng) in rngs.iter_mut().enumerate() {
-            for (name, width) in &circuit.inputs {
-                let value = if name == "reset" {
-                    Bits::from_u64((cycle < 2 || rng.gen_bool(0.05)) as u64, 1)
-                } else {
-                    Bits::from_limbs(vec![rng.gen(), rng.gen()], *width)
-                };
-                batch.poke_lane(lane, name, value.clone());
-                singles[lane].poke(name, value);
-            }
-        }
-        batch.step(1);
-        for s in singles.iter_mut() {
-            s.step(1);
-        }
-        for (lane, single) in singles.iter().enumerate() {
-            for out in &circuit.outputs {
-                assert_eq!(
-                    batch.peek_lane(lane, out),
-                    single.peek(out),
-                    "seed {seed} [{label}] cycle {cycle} lane {lane}: \
-                     batch disagrees on {out}\n{}",
-                    circuit.source
-                );
-            }
-            assert_eq!(
-                batch.counters_of(lane),
-                single.counters(),
-                "seed {seed} [{label}] cycle {cycle} lane {lane}: work counters diverged\n{}",
-                circuit.source
-            );
-        }
-    }
-    for (lane, single) in singles.iter().enumerate() {
-        assert_eq!(
-            batch.cycle_of(lane),
-            single.cycle(),
-            "[{label}] lane {lane}"
-        );
-        assert_eq!(
-            batch.halted_of(lane),
-            single.halted(),
-            "[{label}] lane {lane}"
-        );
-        assert_eq!(
-            batch.lane_arena(lane),
-            single.machine().arena,
-            "seed {seed} [{label}] lane {lane}: final arena images diverged\n{}",
-            circuit.source
-        );
-        for (bank, sbank) in batch.lane_banks(lane).iter().zip(&single.machine().mems) {
-            assert_eq!(
-                bank.data, sbank.data,
-                "seed {seed} [{label}] lane {lane}: memory banks diverged\n{}",
-                circuit.source
-            );
-        }
-    }
+/// `circuit` plus a free-running cycle counter that `printf`s while
+/// `reset` is high and `stop`s on a `reset` pulse after cycle 6: random
+/// per-lane resets make the lanes log and halt at different cycles.
+fn with_log_and_halt(circuit: &GenCircuit) -> String {
+    format!(
+        "{}    reg fleet_t : UInt<8>, clock\n    fleet_t <= tail(add(fleet_t, UInt<8>(1)), 1)\n    printf(clock, reset, \"t=%d\\n\", fleet_t)\n    stop(clock, and(reset, gt(fleet_t, UInt<8>(6))), 3)\n",
+        circuit.source
+    )
 }
 
-/// The engine switch matrix, batched vs single per lane. The compaction
-/// is forced on half the points (it must be a no-op for observable
-/// behavior everywhere).
-fn check_lane_matrix(seed: u64) {
+/// The law on random circuit `seed`, one cycle per `step`, at every
+/// lane count, switch-matrix point and tier.
+fn check_fleet_matrix(seed: u64) {
     let circuit = gen_circuit(seed);
-    let netlist = build(&circuit.source);
-    for (i, (label, config)) in switch_matrix().iter().enumerate() {
-        let compact_at = (i % 2 == 0).then_some(11u64);
-        check_lanes(seed, label, &netlist, config, &circuit, compact_at);
+    let source = with_log_and_halt(&circuit);
+    let netlist = build(&source);
+    for (label, config) in switch_matrix().iter().flat_map(|(l, c)| tiers(l, c)) {
+        for lanes in LANE_COUNTS {
+            let (mut fleet, mut singles) = fleet_and_singles(&netlist, &config, lanes);
+            let mut rngs: Vec<StdRng> = (0..lanes).map(|l| lane_rng(seed, l)).collect();
+            for cycle in 0..40u64 {
+                for (l, rng) in rngs.iter_mut().enumerate() {
+                    for (name, width) in &circuit.inputs {
+                        let value = if name == "reset" {
+                            Bits::from_u64((cycle < 2 || rng.gen_bool(0.05)) as u64, 1)
+                        } else {
+                            Bits::from_limbs(vec![rng.gen(), rng.gen()], *width)
+                        };
+                        fleet.lane_mut(l).poke(name, value.clone());
+                        singles[l].poke(name, value);
+                    }
+                }
+                let ran = fleet.step(1);
+                let most = singles.iter_mut().map(|s| s.step(1)).max();
+                let ctx = format!("seed {seed} [{label}] {lanes} lanes, cycle {cycle}");
+                assert_eq!(Some(ran), most, "{ctx}: cycles stepped\n{source}");
+                check_lanes(&fleet, &singles, &circuit.outputs, &ctx);
+            }
+            let ctx = format!("seed {seed} [{label}] {lanes} lanes");
+            check_final(&fleet, &singles, &ctx);
+            if lanes == 8 {
+                // Not vacuous: the lanes halt, and not all at once.
+                let ends: BTreeSet<(u64, Option<u64>)> = (0..lanes)
+                    .map(|l| (fleet.cycle_of(l), fleet.halted_of(l)))
+                    .collect();
+                assert!(
+                    ends.len() > 1 && ends.iter().any(|e| e.1.is_some()),
+                    "{ctx}: {ends:?}"
+                );
+            }
+        }
     }
 }
 
@@ -141,90 +182,61 @@ proptest! {
 
     #[test]
     fn lanes_match_singles_across_config_matrix(seed in any::<u64>()) {
-        check_lane_matrix(seed);
+        check_fleet_matrix(seed);
     }
 }
 
 /// Fixed seeds for the matrix, trivially re-runnable on failure.
 #[test]
 fn lane_matrix_fixed_seeds() {
+    // Not vacuous: seed 0 instantiates a memory, so the bank check runs.
+    assert!(gen_circuit(0).source.contains("mem m :"));
     for seed in [0u64, 42] {
-        check_lane_matrix(seed);
+        check_fleet_matrix(seed);
     }
 }
 
-// --- Divergent activity: lanes halt at different cycles ------------------
+// --- Divergent halts inside one `step` --------------------------------
 
-/// A counter that `stop`s when it reaches a per-lane threshold input:
-/// lane `l` halts at a different cycle than lane `l+1`, so the batch
-/// run exercises partial run masks, frozen-lane state, and the
-/// halt-triggered compaction path.
-const HALTER: &str = "circuit H :\n  module H :\n    input clock : Clock\n    input reset : UInt<1>\n    input t : UInt<8>\n    output q : UInt<8>\n    reg c : UInt<8>, clock with : (reset => (reset, UInt<8>(0)))\n    c <= tail(add(c, UInt<8>(1)), 1)\n    q <= c\n    stop(clock, eq(c, t), 7)\n";
+/// A counter that logs every cycle and `stop`s when it reaches a
+/// per-lane threshold input `t`.
+const HALTER: &str = "circuit H :\n  module H :\n    input clock : Clock\n    input reset : UInt<1>\n    input t : UInt<8>\n    output q : UInt<8>\n    reg c : UInt<8>, clock with : (reset => (reset, UInt<8>(0)))\n    c <= tail(add(c, UInt<8>(1)), 1)\n    q <= c\n    printf(clock, UInt<1>(1), \"c=%d\\n\", c)\n    stop(clock, eq(c, t), 7)\n";
 
+/// One `step(40)` in which lane `l` halts when its counter reaches
+/// `3 + 2l`: every lane stops partway through, at a different cycle,
+/// and `step` returns the longest lane's count.
 #[test]
 fn divergent_halts_match_singles() {
     let netlist = build(HALTER);
-    for (label, config) in switch_matrix() {
-        let lanes = 4usize;
-        let batch_config = EngineConfig {
-            lanes,
-            ..config.clone()
-        };
-        let mut batch = BatchSim::new(&netlist, &batch_config);
-        let mut singles: Vec<EssentSim> = (0..lanes)
-            .map(|_| EssentSim::new(&netlist, &config))
-            .collect();
-        // Lane l halts once the counter reaches 3 + 4*l; lane 3 never
-        // halts inside the run.
-        for (lane, single) in singles.iter_mut().enumerate() {
-            let t = 3 + 4 * lane as u64;
-            batch.poke_lane(lane, "t", Bits::from_u64(t, 8));
-            single.poke("t", Bits::from_u64(t, 8));
-            batch.poke_lane(lane, "reset", Bits::from_u64(0, 1));
-            single.poke("reset", Bits::from_u64(0, 1));
+    let outputs = ["q".to_string()];
+    for (label, config) in switch_matrix().iter().flat_map(|(l, c)| tiers(l, c)) {
+        for lanes in LANE_COUNTS {
+            let (mut fleet, mut singles) = fleet_and_singles(&netlist, &config, lanes);
+            for (l, single) in singles.iter_mut().enumerate() {
+                let t = Bits::from_u64(3 + 2 * l as u64, 8);
+                fleet.lane_mut(l).poke("t", t.clone());
+                single.poke("t", t);
+            }
+            fleet.poke("reset", Bits::from_u64(0, 1));
+            for single in &mut singles {
+                single.poke("reset", Bits::from_u64(0, 1));
+            }
+            let ran = fleet.step(40);
+            let each: Vec<u64> = singles.iter_mut().map(|s| s.step(40)).collect();
+            let ctx = format!("[{label}] {lanes} lanes");
+            assert!(
+                each.iter().all(|&n| n < 40) && each.windows(2).all(|w| w[0] < w[1]),
+                "{ctx}: every lane halts partway, each later than the last: {each:?}"
+            );
+            assert_eq!(
+                Some(&ran),
+                each.iter().max(),
+                "{ctx}: step returns the longest lane"
+            );
+            check_lanes(&fleet, &singles, &outputs, &ctx);
+            check_final(&fleet, &singles, &ctx);
+            // A fleet whose lanes have all halted runs nothing more.
+            assert_eq!(fleet.step(5), 0, "{ctx}: halted fleet");
         }
-        batch.step(14);
-        for s in singles.iter_mut() {
-            s.step(14);
-        }
-        for (lane, single) in singles.iter().enumerate() {
-            assert_eq!(
-                batch.cycle_of(lane),
-                single.cycle(),
-                "[{label}] lane {lane} cycle count"
-            );
-            assert_eq!(
-                batch.halted_of(lane),
-                single.halted(),
-                "[{label}] lane {lane} halt code"
-            );
-            assert_eq!(
-                batch.peek_lane(lane, "q"),
-                single.peek("q"),
-                "[{label}] lane {lane} frozen output"
-            );
-            assert_eq!(
-                batch.counters_of(lane),
-                single.counters(),
-                "[{label}] lane {lane} work counters"
-            );
-            assert_eq!(
-                batch.lane_arena(lane),
-                single.machine().arena,
-                "[{label}] lane {lane} arena"
-            );
-        }
-        // Lanes 0..3 halted at distinct cycles; the halt compactions
-        // re-packed the stride at least once.
-        assert!(
-            batch.halted_of(0).is_some()
-                && batch.halted_of(2).is_some()
-                && batch.halted_of(3).is_none(),
-            "[{label}]: expected divergent halts"
-        );
-        assert!(
-            batch.compactions() > 0,
-            "[{label}]: halts must trigger lane compaction"
-        );
     }
 }

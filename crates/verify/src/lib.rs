@@ -17,7 +17,7 @@
 //! | footprint / race freedom | [`check_footprint`] | `R____` |
 //! | dependence / dataflow schedule | [`check_cost_model`] / [`check_depgraph`] | `F0403`, `S____` |
 //! | native-code (JIT) audit | [`check_jit_plan`] / [`check_jit`] | `J____` |
-//! | wake-table / batched-lane audit | [`check_wake_table`] / [`check_batch`] | `X____` |
+//! | wake-table audit | [`check_wake_table`] | `X____` |
 //!
 //! [`verify_design`] chains all of them over the plans the engines run
 //! for `config` and the front end's compilation of each, which is what
@@ -25,7 +25,6 @@
 //! [`verify_design_full`] additionally returns the sequential plan it
 //! audited and the [`DataflowSchedule`] the dependence layer proved.
 
-pub mod batch;
 pub mod bytecode;
 pub mod depgraph;
 pub mod footprint;
@@ -34,7 +33,6 @@ pub mod lint;
 pub mod schedule;
 pub mod wake;
 
-pub use batch::check_batch;
 pub use bytecode::{check_blocks, check_layout, check_tier1};
 pub use depgraph::{check_cost_model, check_depgraph};
 pub use essent_core::depgraph::DataflowSchedule;
@@ -54,7 +52,7 @@ use essent_sim::jit::JitPlan;
 use essent_sim::EngineConfig;
 
 /// Everything a full verification run produces: the merged report, the
-/// plan audited for the sequential and batch engines, and the dataflow
+/// plan audited for the sequential engine and its fleets, and the dataflow
 /// schedule the dependence layer verified (`None` when verification
 /// aborted before the respective layer ran).
 pub struct VerifyArtifacts {
@@ -85,7 +83,7 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
             dataflow: None,
         };
     }
-    // The plan `EssentSim` and `BatchSim` run for this config (the
+    // The plan `EssentSim` and its fleets run for this config (the
     // dataflow engine's, memory-write elision off, is audited below).
     let plan = build_plan(netlist, config, config.elide_state);
     report.merge(check_plan(netlist, &plan));
@@ -93,7 +91,7 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
     report.merge(check_layout(netlist, &layout));
     // Compile and lower through the engines' own front end, then audit
     // every artifact it produced.
-    let front = Frontend::compile(netlist, &layout, &plan, config, None);
+    let front = Frontend::compile(netlist, &layout, &plan, config, false);
     report.merge(check_blocks(netlist, &layout, &front.blocks, Some(&plan)));
     report.merge(check_wake_table(&layout, &plan, &front));
     for (sched, prog) in front.programs.iter().enumerate() {
@@ -121,7 +119,7 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
     // phase), register elision per config. The dual derivation needs the
     // tier-1 programs lowered the way the engines lower them.
     let par_plan = build_plan(netlist, config, false);
-    let par = Frontend::compile(netlist, &layout, &par_plan, config, None);
+    let par = Frontend::compile(netlist, &layout, &par_plan, config, false);
     report.merge(check_footprint(
         netlist,
         &layout,
@@ -147,18 +145,6 @@ pub fn verify_design_full(netlist: &Netlist, config: &EngineConfig) -> VerifyArt
         &par.blocks,
         &dsched,
     ));
-
-    // --- X08: batched-lane audit layer --------------------------------
-    // The wake routing every engine runs from was audited above, once
-    // per front end (`check_wake_table`); what a 4-lane batch engine
-    // built as the batch driver would build it adds is its stride
-    // geometry, lane permutation and bank shapes.
-    let batch_config = EngineConfig {
-        lanes: 4,
-        ..config.clone()
-    };
-    let bsim = essent_sim::batch::BatchSim::new(netlist, &batch_config);
-    report.merge(check_batch(netlist, &bsim.batch_audit()));
 
     VerifyArtifacts {
         report,

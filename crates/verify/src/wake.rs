@@ -1,4 +1,4 @@
-//! Ninth layer, first half: audit of the front end's **wake table**
+//! Ninth layer: audit of the front end's **wake table**
 //! (`X0801`/`X0802`).
 //!
 //! What a wake does beyond running the partition's program — which
@@ -6,9 +6,9 @@
 //! `plain` — is resolved once by
 //! [`Frontend::compile`](essent_sim::frontend::Frontend::compile) into a
 //! [`WakeTable`](essent_sim::slots::WakeTable), and
-//! [`EssentSim`](essent_sim::EssentSim),
-//! [`ParEssentSim`](essent_sim::ParEssentSim) and
-//! [`BatchSim`](essent_sim::BatchSim) all run from it. A misrouted
+//! [`EssentSim`](essent_sim::EssentSim) — alone or as the lanes of a
+//! [`BatchSim`](essent_sim::BatchSim) fleet — and
+//! [`ParEssentSim`](essent_sim::ParEssentSim) run from it. A misrouted
 //! consumer there is a partition that silently sleeps through a change
 //! on every engine at once, so the table is audited against the plan it
 //! was resolved from:
@@ -89,7 +89,7 @@ pub fn check_wake_table(layout: &Layout, plan: &CcssPlan, front: &Frontend) -> R
                         misplaced = true;
                         report.push(
                             Diagnostic::error(
-                                codes::BATCH_STRIDE,
+                                codes::WAKE_WATCH,
                                 format!(
                                     "watched output at arena offset {} ({} word(s)) is outside \
                                      the partition's derived write footprint — the compare \

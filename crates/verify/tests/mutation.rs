@@ -1391,7 +1391,7 @@ fn shared_body_access_without_its_slot_load_is_j0701() {
 }
 
 // ---------------------------------------------------------------------------
-// Layer nine: wake-table and batched-lane audit (X0801-X0804)
+// Layer nine: wake-table audit (X0801, X0802)
 // ---------------------------------------------------------------------------
 //
 // The routing corruptions mutate the wake table the front end resolves
@@ -1402,13 +1402,13 @@ fn shared_body_access_without_its_slot_load_is_j0701() {
 // a `plain` bit set wrongly a wake that skips its compare altogether.
 
 use essent_sim::frontend::{build_plan, Frontend};
-use essent_verify::{check_batch, check_wake_table};
+use essent_verify::check_wake_table;
 
 /// The front end's compilation of the plan `config` runs sequentially.
 fn wake_setup(netlist: &Netlist, config: &EngineConfig) -> (Layout, CcssPlan, Frontend) {
     let plan = build_plan(netlist, config, config.elide_state);
     let layout = Layout::new(netlist);
-    let front = Frontend::compile(netlist, &layout, &plan, config, None);
+    let front = Frontend::compile(netlist, &layout, &plan, config, false);
     (layout, plan, front)
 }
 
@@ -1455,7 +1455,7 @@ fn pristine_wake_tables_verify_clean() {
             assert!(report.is_empty(), "{config:?}:\n{report}");
             // The dataflow engine's plan: memory-write elision off.
             let par_plan = build_plan(&netlist, config, false);
-            let par = Frontend::compile(&netlist, &layout, &par_plan, config, None);
+            let par = Frontend::compile(&netlist, &layout, &par_plan, config, false);
             let report = check_wake_table(&layout, &par_plan, &par);
             assert!(report.is_empty(), "dataflow {config:?}:\n{report}");
         }
@@ -1492,7 +1492,7 @@ fn wake_table_offset_outside_footprint_is_x0801() {
         .expect("`s` is an unfused output");
     out.off = input_off;
     let report = check_wake_table(&layout, &plan, &front);
-    assert_eq!(report.codes(), vec![codes::BATCH_STRIDE], "{report}");
+    assert_eq!(report.codes(), vec![codes::WAKE_WATCH], "{report}");
 }
 
 #[test]
@@ -1524,74 +1524,6 @@ fn commit_dropped_consumer_is_x0802() {
     commit.we -= 1;
     let report = check_wake_table(&layout, &plan, &front);
     assert_eq!(report.codes(), vec![codes::WAKE_ROUTE], "{report}");
-}
-
-// The batch corruptions mutate the audit a live `BatchSim` captures — the
-// checker must catch a lying engine, not merely a lying test: a stride
-// drift (lane l reads lane l+1's words), a compaction remap that loses a
-// lane, and a lane whose banks have the wrong shape.
-
-fn batch_setup(netlist: &Netlist, lanes: usize) -> essent_sim::BatchAudit {
-    let config = EngineConfig {
-        lanes,
-        ..EngineConfig::default()
-    };
-    essent_sim::BatchSim::new(netlist, &config).batch_audit()
-}
-
-#[test]
-fn pristine_batch_audits_verify_clean() {
-    for netlist in [chain(), diamond(), memful()] {
-        for lanes in [1, 4] {
-            let report = check_batch(&netlist, &batch_setup(&netlist, lanes));
-            assert_eq!(report.error_count(), 0, "lanes={lanes}:\n{report}");
-        }
-    }
-}
-
-#[test]
-fn batch_stride_drift_is_x0801() {
-    let netlist = diamond();
-    let mut audit = batch_setup(&netlist, 4);
-    // A stride one wider than the lane count: every word of lane l
-    // would be read from lane l's slot in a differently shaped arena.
-    audit.stride += 1;
-    let report = check_batch(&netlist, &audit);
-    assert!(report.contains(codes::BATCH_STRIDE), "{report}");
-}
-
-#[test]
-fn batch_lost_lane_remap_is_x0803() {
-    let netlist = diamond();
-    let mut audit = batch_setup(&netlist, 4);
-    // A compaction remap that maps two logical lanes onto one physical
-    // slot: lane 1's state is gone.
-    audit.phys_of_log[1] = audit.phys_of_log[0];
-    let report = check_batch(&netlist, &audit);
-    assert!(report.contains(codes::BATCH_LANE_PERM), "{report}");
-}
-
-#[test]
-fn batch_inverse_mismatch_is_x0803() {
-    let netlist = diamond();
-    let mut audit = batch_setup(&netlist, 4);
-    // Both directions are bijections but disagree with each other.
-    audit.log_of_phys.swap(0, 1);
-    audit.phys_of_log.swap(2, 3);
-    let report = check_batch(&netlist, &audit);
-    assert!(report.contains(codes::BATCH_LANE_PERM), "{report}");
-}
-
-#[test]
-fn batch_bank_shape_is_x0804() {
-    let netlist = memful();
-    let mut audit = batch_setup(&netlist, 4);
-    // One lane's bank claims the wrong depth: its back-door and port
-    // bounds checks would cover the wrong address range.
-    assert!(!audit.bank_shapes[2].is_empty(), "memful must have a bank");
-    audit.bank_shapes[2][0].1 += 1;
-    let report = check_batch(&netlist, &audit);
-    assert!(report.contains(codes::BATCH_BANK_SHAPE), "{report}");
 }
 
 // ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     sim.poke("reset", Bits::from_u64(0, 1));
     for t in 0..500 {
         sim.step(1);
-        vcd.sample(sim.machine(), t)?;
+        vcd.sample(&sim, t)?;
     }
     println!(
         "\nwrote a 500-cycle waveform of {} signals to {}",

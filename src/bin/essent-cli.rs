@@ -238,19 +238,15 @@ fn sim(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
     apply_stimulus(sim.as_mut(), has_reset, &pokes);
 
     let ran = if let Some(path) = opts.get("--vcd") {
-        // VCD sampling requires per-cycle stepping and machine access:
-        // use a dedicated full-cycle engine mirror for dumping.
+        // The chosen engine, one cycle per step, sampled after each.
         let file = BufWriter::new(fs::File::create(path)?);
         let mut vcd = VcdWriter::new(file, &netlist, &netlist.name)?;
-        let mut mirror = FullCycleSim::new(&netlist, &config);
-        apply_stimulus(&mut mirror, has_reset, &pokes);
         let mut t = 0;
-        while t < cycles && mirror.halted().is_none() {
-            mirror.step(1);
-            vcd.sample(mirror.machine(), t)?;
+        while t < cycles && sim.step(1) == 1 {
+            vcd.sample(sim.as_ref(), t)?;
             t += 1;
         }
-        sim.step(t)
+        t
     } else {
         sim.step(cycles)
     };

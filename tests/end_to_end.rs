@@ -154,7 +154,7 @@ fn vcd_dump_of_soc_is_well_formed() {
     sim.poke("reset", Bits::from_u64(1, 1));
     for t in 0..20 {
         sim.step(1);
-        vcd.sample(sim.machine(), t).unwrap();
+        vcd.sample(&sim, t).unwrap();
     }
     let text = String::from_utf8(buf).unwrap();
     assert!(text.contains("$enddefinitions"));

@@ -248,3 +248,48 @@ fn cli_native_engine_runs_or_is_refused() {
         assert!(!stdout.contains("ran "), "{stdout}");
     }
 }
+
+/// `sim --vcd` samples the engine it runs: the CCSS engine (native where
+/// the host runs it) and the full-cycle engine write the same waveform,
+/// byte for byte, over 200 cycles of the `tiny` SoC.
+#[test]
+fn cli_vcd_is_the_chosen_engines_waveform() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let design = dir.join("robustness_vcd.fir");
+    let soc = essent::designs::soc::generate_soc(&essent::designs::soc::SocConfig::tiny());
+    std::fs::write(&design, soc).unwrap();
+    let fir = design.to_str().unwrap();
+    let ccss = if essent::sim::jit::supported() {
+        "native"
+    } else {
+        "essent"
+    };
+    let dump = |engine: &str| {
+        let vcd = dir.join(format!("robustness_{engine}.vcd"));
+        let (ok, stdout, stderr) = cli(&[
+            "sim",
+            fir,
+            "--cycles",
+            "200",
+            "--engine",
+            engine,
+            "--vcd",
+            vcd.to_str().unwrap(),
+        ]);
+        assert!(
+            ok && stdout.contains("ran 200 cycles"),
+            "{engine}: {stderr}"
+        );
+        std::fs::read(vcd).unwrap()
+    };
+    let (ccss_vcd, full_vcd) = (dump(ccss), dump("full"));
+    assert!(ccss_vcd.len() > 1000, "{} bytes", ccss_vcd.len());
+    if ccss_vcd != full_vcd {
+        let (a, b) = (
+            String::from_utf8_lossy(&ccss_vcd),
+            String::from_utf8_lossy(&full_vcd),
+        );
+        let first = a.lines().zip(b.lines()).position(|(x, y)| x != y);
+        panic!("{ccss} and full VCDs differ first at line {first:?}");
+    }
+}
