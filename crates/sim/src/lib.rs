@@ -1,5 +1,6 @@
 //! The simulation engines: the paper's generated simulators, realized as
-//! compiled-to-bytecode interpreters over the netlist.
+//! bytecode and tier-1 interpreters over the netlist, with the CCSS
+//! engine's hot partitions lowered to x86-64 machine code ([`jit`]).
 //!
 //! Five engines share one compiled representation and one set of value
 //! kernels, so cross-engine equivalence is a meaningful test and
@@ -33,8 +34,9 @@
 //! multiplexer-way optimization of Section III-B), [`machine`] (arena,
 //! memory banks, commit logic, work counters for the Figure 7 overhead
 //! decomposition), [`activity`] (per-cycle activity-factor measurement
-//! for Figure 5), [`vcd`] (waveform dumping), and [`codegen`] (a C++
-//! emitter mirroring ESSENT's generated code).
+//! for Figure 5), [`vcd`] (waveform dumping), and [`jit`] (the native
+//! tier: tier-1 programs lowered to x86-64 in-process, this crate's
+//! counterpart of ESSENT's emitted C++).
 //!
 //! # Examples
 //!
@@ -71,7 +73,6 @@
 
 pub mod activity;
 pub mod batch;
-pub mod codegen;
 pub mod compile;
 pub mod engine;
 pub mod essent;

@@ -17,7 +17,6 @@
 //!                         reset pulsed for 2 cycles when present)
 //!     --vcd FILE          dump a waveform
 //!     --peek NAME         print a signal at the end (repeatable)
-//! essent-cli codegen <design.fir> [-o out.h]        emit the C++ simulator
 //! ```
 
 use essent::netlist::SignalDef;
@@ -42,25 +41,20 @@ fn main() -> ExitCode {
 
 fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
     let Some(command) = args.first() else {
-        return Err(
-            "usage: essent-cli <stats|partition|sim|codegen> <design.fir> [options]".into(),
-        );
+        return Err("usage: essent-cli <stats|partition|sim> <design.fir> [options]".into());
+    };
+    type Command = fn(&str, &[String]) -> Result<(), Box<dyn Error>>;
+    let command: Command = match command.as_str() {
+        "stats" => stats,
+        "partition" => partition_sweep,
+        "sim" => sim,
+        other => return Err(format!("unknown command `{other}`").into()),
     };
     let file = args
         .get(1)
         .ok_or("missing FIRRTL input file (second argument)")?;
     let source = fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
-    let rest = &args[2..];
-    match command.as_str() {
-        "stats" => {
-            Opts::parse(rest, &[])?;
-            stats(&source)
-        }
-        "partition" => partition_sweep(&source, rest),
-        "sim" => sim(&source, rest),
-        "codegen" => codegen(&source, rest),
-        other => Err(format!("unknown command `{other}`").into()),
-    }
+    command(&source, &args[2..])
 }
 
 /// The `--name value` pairs after the input file. Every option takes
@@ -107,7 +101,8 @@ impl<'a> Opts<'a> {
     }
 }
 
-fn stats(source: &str) -> Result<(), Box<dyn Error>> {
+fn stats(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
+    Opts::parse(rest, &[])?;
     let unopt = essent::compile_unoptimized(source)?;
     let opt = essent::compile(source)?;
     println!("raw netlist      : {}", unopt.stats());
@@ -209,8 +204,9 @@ fn sim(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
     };
     let netlist = essent::compile(source)?;
 
-    // Every name is resolved before any engine is built or cycle run: a
-    // typo costs a message, not a finished simulation and a panic.
+    // Every name is resolved, and the waveform file created, before any
+    // engine is built or cycle run: a typo costs a message, not a
+    // finished simulation and a panic.
     let is_input = |id| matches!(netlist.signal(id).def, SignalDef::Input);
     let mut pokes = Vec::new();
     for poke in opts.all("--poke") {
@@ -233,14 +229,17 @@ fn sim(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
         .map(|name| Ok((name, netlist.lookup(name)?)))
         .collect::<Result<Vec<_>, String>>()?;
     let has_reset = netlist.find("reset").is_some_and(is_input);
+    let vcd_file = opts
+        .get("--vcd")
+        .map(|path| fs::File::create(path).map_err(|e| format!("writing {path}: {e}")))
+        .transpose()?;
 
     let (mut sim, engine_line) = build(&netlist, &config);
     apply_stimulus(sim.as_mut(), has_reset, &pokes);
 
-    let ran = if let Some(path) = opts.get("--vcd") {
+    let ran = if let Some(file) = vcd_file {
         // The chosen engine, one cycle per step, sampled after each.
-        let file = BufWriter::new(fs::File::create(path)?);
-        let mut vcd = VcdWriter::new(file, &netlist, &netlist.name)?;
+        let mut vcd = VcdWriter::new(BufWriter::new(file), &netlist, &netlist.name)?;
         let mut t = 0;
         while t < cycles && sim.step(1) == 1 {
             vcd.sample(sim.as_ref(), t)?;
@@ -275,19 +274,5 @@ fn sim(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
         "work: {} ops, {} static checks, {} dynamic checks",
         c.ops_evaluated, c.static_checks, c.dynamic_checks
     );
-    Ok(())
-}
-
-fn codegen(source: &str, rest: &[String]) -> Result<(), Box<dyn Error>> {
-    let opts = Opts::parse(rest, &["-o"])?;
-    let netlist = essent::compile(source)?;
-    let cpp = essent::sim::codegen::emit_cpp(&netlist, &EngineConfig::default())?;
-    match opts.get("-o") {
-        Some(path) => {
-            fs::write(path, cpp)?;
-            println!("wrote {path}");
-        }
-        None => print!("{cpp}"),
-    }
     Ok(())
 }

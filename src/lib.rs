@@ -19,7 +19,7 @@
 //! | [`firrtl`] | FIRRTL parser, AST, lowering passes |
 //! | [`netlist`] | flat design graph, optimizations, reference interpreter |
 //! | [`core`] | **the acyclic partitioner** (MFFC + merge phases) and CCSS plan |
-//! | [`sim`] | the engines: full-cycle, event-driven, and three CCSS engines that run tier-1 programs — ESSENT (interpreted or native), thread-parallel and N-lane batched; activity probe; VCD; C++ codegen |
+//! | [`sim`] | the engines: full-cycle, event-driven, and three CCSS engines that run tier-1 programs — ESSENT (interpreted or native), thread-parallel, and a fleet of ESSENT lanes over one shared compile; activity probe; VCD |
 //! | [`designs`] | RV32IM SoC generator, assembler, the three paper workloads |
 //!
 //! # Quickstart

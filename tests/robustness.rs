@@ -148,7 +148,7 @@ fn cli_rejects_hostile_input_without_panicking() {
         "{stdout}"
     );
 
-    let cases: [(&[&str], &str); 12] = [
+    let cases: [(&[&str], &str); 13] = [
         (&["sim", fir, "--peek", "nope"], "no signal named `nope`"),
         (&["sim", fir, "--poke", "nope=1"], "no signal named `nope`"),
         (&["sim", fir, "--poke", "o=1"], "`o` is not an input"),
@@ -161,6 +161,10 @@ fn cli_rejects_hostile_input_without_panicking() {
         (&["stats", fir, "--verbose", "1"], "unknown option"),
         (&["simulate", fir], "unknown command"),
         (&["sim", "/nonexistent/design.fir"], "reading"),
+        (
+            &["sim", fir, "--vcd", "/nonexistent/dir/w.vcd"],
+            "writing /nonexistent/dir/w.vcd",
+        ),
     ];
     for (args, needle) in cases {
         let (ok, stdout, stderr) = cli(args);
