@@ -1,13 +1,28 @@
-//! Random synchronous-circuit generation for differential testing.
+//! Random synchronous-circuit generation for differential testing, the
+//! engine switch matrix the differential suites run it under, and the
+//! one lockstep driver ([`Lockstep`]) every such suite states its law
+//! with.
 //!
-//! Produces valid FIRRTL text with registers, memories, `when` blocks,
-//! and a spread of primitive operations — the stimulus source for the
-//! cross-engine equivalence suite and for debugging miscompares — and the
-//! engine switch matrix those suites run it under.
+//! [`gen_circuit`] produces valid FIRRTL text with registers, memories,
+//! `when` blocks and a spread of primitive operations. A law is then a
+//! set of *rows* — engines, or lanes of a [`BatchSim`] — each fed one
+//! seeded stimulus stream and held to that stream's golden
+//! [`Interpreter`] on every output after every step, plus *twins*: row
+//! pairs that must also agree on their work counters, cycle and halt
+//! code every step, and on every signal, memory word, printf line and
+//! profile at the end.
 
-use crate::engine::EngineConfig;
+use crate::batch::BatchSim;
+use crate::engine::{EngineConfig, Simulator};
+use crate::essent::EssentSim;
+use crate::machine::Machine;
+use crate::profile::ProfileReport;
+use essent_bits::Bits;
+use essent_netlist::interp::Interpreter;
+use essent_netlist::{opt, Netlist, SignalId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::any::Any;
 use std::fmt::Write;
 
 /// A generated circuit: FIRRTL source plus its interface.
@@ -290,18 +305,282 @@ pub fn switch_matrix() -> Vec<(String, EngineConfig)> {
         .collect()
 }
 
+/// Parses, lowers and builds `source` into a netlist, then runs the
+/// optimizer over it when `optimize` is set.
+///
+/// # Panics
+///
+/// Panics, quoting the source, if any stage rejects it.
+pub fn build(source: &str, optimize: bool) -> Netlist {
+    let parsed = essent_firrtl::parse(source)
+        .unwrap_or_else(|e| panic!("test FIRRTL must parse: {e}\n{source}"));
+    let lowered = essent_firrtl::passes::lower(parsed)
+        .unwrap_or_else(|e| panic!("test FIRRTL must lower: {e}\n{source}"));
+    let mut netlist = Netlist::from_circuit(&lowered)
+        .unwrap_or_else(|e| panic!("test FIRRTL must build: {e}\n{source}"));
+    if optimize {
+        opt::optimize(&mut netlist, &opt::OptConfig::default());
+    }
+    netlist
+}
+
+/// How [`Lockstep::run`] drives the input named `reset`.
+#[derive(Debug, Clone, Copy)]
+pub enum Reset {
+    /// High in cycles 0 and 1; from cycle 2 on, one draw per step makes
+    /// it high with probability 1/20.
+    Random,
+    /// High on exactly the steps that start at one of these cycles; no
+    /// draw.
+    At(&'static [u64]),
+}
+
+/// What a pair of twin rows must agree on every step, beyond `cycle()`
+/// and `halted()`.
+#[derive(Debug, Clone, Copy)]
+pub enum Match {
+    /// All five [`WorkCounters`](crate::WorkCounters) fields.
+    Counters,
+    /// `cycles` and `ops_evaluated` only: the dataflow engine's checks
+    /// are its own, its evaluated work is the sequential engine's.
+    Ops,
+}
+
+/// A row's engine, downcastable to [`EssentSim`] for its raw machine.
+trait Engine: Simulator + Any {
+    fn as_any(&self) -> &dyn Any;
+}
+
+impl<T: Simulator + Any> Engine for T {
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+enum Sim {
+    One(Box<dyn Engine>),
+    /// Lane `.1` of fleet `.0`.
+    Lane(usize, usize),
+}
+
+struct Row {
+    label: String,
+    stream: usize,
+    sim: Sim,
+}
+
+/// The lockstep driver (see the module docs): rows, their stimulus
+/// streams' golden interpreters, and the twin pairs among the rows.
+pub struct Lockstep<'a> {
+    ctx: String,
+    circuit: &'a GenCircuit,
+    netlist: &'a Netlist,
+    goldens: Vec<Interpreter>,
+    rows: Vec<Row>,
+    /// Each fleet with its lanes' streams.
+    fleets: Vec<(BatchSim, Vec<usize>)>,
+    twins: Vec<(usize, usize, Match)>,
+}
+
+impl<'a> Lockstep<'a> {
+    /// A driver for `circuit`, built as `netlist`; `ctx` (seed, config)
+    /// opens every failure message.
+    pub fn new(ctx: impl Into<String>, circuit: &'a GenCircuit, netlist: &'a Netlist) -> Self {
+        Lockstep {
+            ctx: ctx.into(),
+            circuit,
+            netlist,
+            goldens: Vec::new(),
+            rows: Vec::new(),
+            fleets: Vec::new(),
+            twins: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, label: String, stream: usize, sim: Sim) -> usize {
+        while self.goldens.len() <= stream {
+            self.goldens.push(Interpreter::new(self.netlist));
+        }
+        self.rows.push(Row { label, stream, sim });
+        self.rows.len() - 1
+    }
+
+    /// Adds an engine on stimulus stream 0; returns its row.
+    pub fn row(&mut self, label: &str, sim: impl Simulator + 'static) -> usize {
+        self.row_in(0, label, sim)
+    }
+
+    /// Adds an engine on stimulus stream `stream`; returns its row.
+    pub fn row_in(&mut self, stream: usize, label: &str, sim: impl Simulator + 'static) -> usize {
+        self.push(label.to_string(), stream, Sim::One(Box::new(sim)))
+    }
+
+    /// Adds every lane of `fleet` as a row, lane `l` on stream
+    /// `streams[l]`; returns the lanes' rows. The fleet is stepped
+    /// whole, through [`BatchSim::step`].
+    pub fn fleet(&mut self, label: &str, fleet: BatchSim, streams: &[usize]) -> Vec<usize> {
+        assert_eq!(fleet.lanes(), streams.len(), "one stream per lane");
+        self.fleets.push((fleet, streams.to_vec()));
+        let f = self.fleets.len() - 1;
+        streams
+            .iter()
+            .enumerate()
+            .map(|(l, &s)| self.push(format!("{label} lane {l}"), s, Sim::Lane(f, l)))
+            .collect()
+    }
+
+    /// Declares rows `a` and `b` twins that must `m`atch.
+    pub fn twin(&mut self, a: usize, b: usize, m: Match) {
+        self.twins.push((a, b, m));
+    }
+
+    /// One row, as the engine it is.
+    pub fn sim(&self, row: usize) -> &dyn Simulator {
+        match self.rows[row].sim {
+            Sim::One(ref sim) => &**sim,
+            Sim::Lane(f, l) => self.fleets[f].0.lane(l),
+        }
+    }
+
+    /// A CCSS row's machine: its raw arena and memory banks.
+    fn machine(&self, row: usize) -> Option<&Machine> {
+        match self.rows[row].sim {
+            Sim::One(ref sim) => sim.as_any().downcast_ref().map(EssentSim::machine),
+            Sim::Lane(f, l) => Some(self.fleets[f].0.lane(l).machine()),
+        }
+    }
+
+    /// Pokes `name` on stream `stream`'s golden interpreter and rows.
+    pub fn poke(&mut self, stream: usize, name: &str, value: Bits) {
+        self.goldens[stream].poke(name, value.clone());
+        for row in self.rows.iter_mut().filter(|r| r.stream == stream) {
+            match &mut row.sim {
+                Sim::One(sim) => sim.poke(name, value.clone()),
+                Sim::Lane(f, l) => self.fleets[*f].0.lane_mut(*l).poke(name, value.clone()),
+            }
+        }
+    }
+
+    /// Runs the law: one step per entry of `steps` (cycles per step,
+    /// e.g. `&[1; 40]` per cycle or `&[2, 16]` batched). Before each
+    /// step, stream `s` — drawing from `seed ^ s·0x9E3779B97F4A7C15` —
+    /// pokes the circuit's inputs in interface order: `reset` by
+    /// `reset`, every other input two fresh random limbs. After it, each
+    /// row's step count and outputs must be its golden's and each twin
+    /// pair must match; at the end, the twins' whole state must too.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first disagreement, naming the rows, the cycle and
+    /// the circuit.
+    pub fn run(&mut self, seed: u64, reset: Reset, steps: &[u64]) {
+        let circuit = self.circuit;
+        let mut rngs: Vec<StdRng> = (0..self.goldens.len() as u64)
+            .map(|s| StdRng::seed_from_u64(seed ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+            .collect();
+        let mut cycle = 0;
+        for &n in steps {
+            for (s, rng) in rngs.iter_mut().enumerate() {
+                for (name, width) in &circuit.inputs {
+                    let value = if name != "reset" {
+                        Bits::from_limbs(vec![rng.gen(), rng.gen()], *width)
+                    } else if let Reset::At(cycles) = reset {
+                        Bits::from_u64(cycles.contains(&cycle) as u64, 1)
+                    } else {
+                        Bits::from_u64((cycle < 2 || rng.gen_bool(0.05)) as u64, 1)
+                    };
+                    self.poke(s, name, value);
+                }
+            }
+            let at = format!("{} cycle {cycle}+{n}", self.ctx);
+            let ran: Vec<u64> = self.goldens.iter_mut().map(|g| g.step(n)).collect();
+            for row in &mut self.rows {
+                if let Sim::One(sim) = &mut row.sim {
+                    let got = sim.step(n);
+                    assert_eq!(got, ran[row.stream], "{at}: {} cycles run", row.label);
+                }
+            }
+            for (fleet, streams) in &mut self.fleets {
+                // A fleet's step runs as long as its longest lane.
+                let longest = streams.iter().map(|&s| ran[s]).max();
+                assert_eq!(Some(fleet.step(n)), longest, "{at}: fleet cycles run");
+            }
+            cycle += n;
+            self.check_step(&at);
+        }
+        self.check_end();
+    }
+
+    fn check_step(&self, at: &str) {
+        let source = &self.circuit.source;
+        for (r, row) in self.rows.iter().enumerate() {
+            let (sim, golden) = (self.sim(r), &self.goldens[row.stream]);
+            for out in &self.circuit.outputs {
+                assert_eq!(
+                    sim.peek(out),
+                    golden.peek(out),
+                    "{at}: {} disagrees with golden on `{out}`\n{source}",
+                    row.label
+                );
+            }
+        }
+        for &(a, b, m) in &self.twins {
+            let (x, y) = (self.sim(a), self.sim(b));
+            let (cx, cy) = (x.counters(), y.counters());
+            let pair = format!("{at}: {} vs {}", self.rows[a].label, self.rows[b].label);
+            match m {
+                Match::Counters => assert_eq!(cx, cy, "{pair}: counters\n{source}"),
+                Match::Ops => assert_eq!(
+                    (cx.cycles, cx.ops_evaluated),
+                    (cy.cycles, cy.ops_evaluated),
+                    "{pair}: evaluated ops\n{source}"
+                ),
+            }
+            assert_eq!(x.cycle(), y.cycle(), "{pair}: cycle");
+            assert_eq!(x.halted(), y.halted(), "{pair}: halt");
+        }
+    }
+
+    fn check_end(&self) {
+        for &(a, b, _) in &self.twins {
+            let (x, y) = (self.sim(a), self.sim(b));
+            let pair = format!(
+                "{}: {} vs {}",
+                self.ctx, self.rows[a].label, self.rows[b].label
+            );
+            for (i, signal) in self.netlist.signals().iter().enumerate() {
+                let id = SignalId(i as u32);
+                assert_eq!(x.peek_id(id), y.peek_id(id), "{pair}: `{}`", signal.name);
+            }
+            for mem in self.netlist.mems() {
+                for addr in 0..mem.depth {
+                    let (u, v) = (x.read_mem(&mem.name, addr), y.read_mem(&mem.name, addr));
+                    assert_eq!(u, v, "{pair}: `{}[{addr}]`", mem.name);
+                }
+            }
+            assert_eq!(x.printf_log(), y.printf_log(), "{pair}: printf");
+            // Two CCSS engines: also the raw words, bits past each
+            // signal's width included.
+            if let (Some(m), Some(n)) = (self.machine(a), self.machine(b)) {
+                assert!(m.arena == n.arena, "{pair}: arena words");
+                let same = m
+                    .mems
+                    .iter()
+                    .map(|b| &b.data)
+                    .eq(n.mems.iter().map(|b| &b.data));
+                assert!(same, "{pair}: memory bank words");
+            }
+            if let (Some(p), Some(q)) = (x.profile_report(), y.profile_report()) {
+                let fields = |r: ProfileReport| (r.cycles, r.units, r.state_causes, r.input_causes);
+                assert_eq!(fields(p), fields(q), "{pair}: profile");
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn netlist_of(source: &str) -> essent_netlist::Netlist {
-        let parsed = essent_firrtl::parse(source)
-            .unwrap_or_else(|e| panic!("generated FIRRTL must parse: {e}\n{source}"));
-        let lowered = essent_firrtl::passes::lower(parsed)
-            .unwrap_or_else(|e| panic!("generated FIRRTL must lower: {e}\n{source}"));
-        essent_netlist::Netlist::from_circuit(&lowered)
-            .unwrap_or_else(|e| panic!("generated FIRRTL must build: {e}\n{source}"))
-    }
 
     /// Every corpus seed must produce a valid design, and across the
     /// corpus the generator must actually exercise its feature set:
@@ -313,7 +592,7 @@ mod tests {
         let (mut signed, mut mems, mut nested, mut elses) = (0, 0, 0, 0);
         for seed in 0..60u64 {
             let c = gen_circuit(seed);
-            let netlist = netlist_of(&c.source);
+            let netlist = build(&c.source, false);
             assert!(!c.outputs.is_empty(), "seed {seed} has no outputs");
             assert!(netlist.signal_count() > 0);
             signed += c.source.contains("asSInt") as u32;

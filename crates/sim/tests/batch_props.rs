@@ -1,10 +1,12 @@
 //! The fleet law: lane `i` of a [`BatchSim`] is an [`EssentSim`] — on
 //! every cycle it agrees with an independently built `EssentSim` driven
-//! by the same stimulus in every output, its cycle count and halt code,
-//! and all five work counters, and at the end in its printf log, arena
-//! and memory banks. Checked at 1, 3 and 8 lanes (3 is odd and more than a 2-core
-//! host's workers), across the engine switch matrix, on the tier-1
-//! interpreter and — where the host can run it — on native bodies.
+//! by the same stimulus, and both with the golden interpreter, in every
+//! output, its cycle count and halt code, and all five work counters,
+//! and at the end in every signal, memory word, printf line and (when
+//! profiled) profile. Checked at 1, 3 and 8 lanes (3 is odd and more
+//! than a 2-core host's workers), across the engine switch matrix, on
+//! the tier-1 interpreter and — where the host can run it — on native
+//! bodies; each lane is a twin row of the `testgen::Lockstep` driver.
 //!
 //! The fleet shares one compilation between its lanes and steps them on
 //! several threads; neither may change what any lane computes or how
@@ -13,11 +15,9 @@
 use essent_bits::Bits;
 use essent_netlist::Netlist;
 use essent_sim::batch::BatchSim;
-use essent_sim::testgen::{gen_circuit, switch_matrix, GenCircuit};
-use essent_sim::{jit, EngineConfig, EssentSim, Simulator};
+use essent_sim::testgen::{build, gen_circuit, switch_matrix, GenCircuit, Lockstep, Match, Reset};
+use essent_sim::{jit, EngineConfig, EssentSim};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 /// The fleet hands lanes to worker threads.
@@ -25,15 +25,6 @@ const _: fn() = assert_send::<EssentSim>;
 fn assert_send<T: Send>() {}
 
 const LANE_COUNTS: [usize; 3] = [1, 3, 8];
-
-fn build(source: &str) -> Netlist {
-    let parsed = essent_firrtl::parse(source)
-        .unwrap_or_else(|e| panic!("generated FIRRTL must parse: {e}\n{source}"));
-    let lowered = essent_firrtl::passes::lower(parsed)
-        .unwrap_or_else(|e| panic!("generated FIRRTL must lower: {e}\n{source}"));
-    Netlist::from_circuit(&lowered)
-        .unwrap_or_else(|e| panic!("generated FIRRTL must build: {e}\n{source}"))
-}
 
 /// `config` on each tier this host runs: tier-1, and native where the
 /// emitter's code can execute.
@@ -49,12 +40,15 @@ fn tiers(label: &str, config: &EngineConfig) -> Vec<(String, EngineConfig)> {
     out
 }
 
-/// A fleet of `lanes` lanes and as many independently built engines.
+/// A fleet of `lanes` lanes, lane `l` on stimulus stream `l`, each the
+/// counter-exact twin of an independently built engine on the same
+/// stream with as many native partitions; returns the lanes' rows.
 fn fleet_and_singles(
+    run: &mut Lockstep,
     netlist: &Netlist,
     config: &EngineConfig,
     lanes: usize,
-) -> (BatchSim, Vec<EssentSim>) {
+) -> Vec<usize> {
     let fleet = BatchSim::new(
         netlist,
         &EngineConfig {
@@ -62,111 +56,54 @@ fn fleet_and_singles(
             ..config.clone()
         },
     );
-    let singles = (0..lanes)
+    let singles: Vec<EssentSim> = (0..lanes)
         .map(|_| EssentSim::new(netlist, config))
         .collect();
-    (fleet, singles)
-}
-
-/// Each lane against its single: outputs, cycle, halt code, counters
-/// (all five fields) and the native partition count.
-fn check_lanes(fleet: &BatchSim, singles: &[EssentSim], outputs: &[String], ctx: &str) {
     for (l, single) in singles.iter().enumerate() {
-        let lane = fleet.lane(l);
-        for out in outputs {
-            assert_eq!(lane.peek(out), single.peek(out), "{ctx} lane {l}: `{out}`");
-        }
-        assert_eq!(lane.cycle(), single.cycle(), "{ctx} lane {l}: cycles");
-        assert_eq!(lane.halted(), single.halted(), "{ctx} lane {l}: halt");
+        let native = single.jit_compiled_count();
         assert_eq!(
-            lane.counters(),
-            single.counters(),
-            "{ctx} lane {l}: counters"
-        );
-        assert_eq!(
-            lane.jit_compiled_count(),
-            single.jit_compiled_count(),
-            "{ctx} lane {l}: native partitions"
+            fleet.lane(l).jit_compiled_count(),
+            native,
+            "lane {l}: native partitions"
         );
     }
-}
-
-/// At the end of a run: each lane's printf log, arena and memory banks
-/// (bank contents are not in the arena, so a bank write that went wrong
-/// shows only here unless its address is read back).
-fn check_final(fleet: &BatchSim, singles: &[EssentSim], ctx: &str) {
-    for (l, single) in singles.iter().enumerate() {
-        let lane = fleet.lane(l);
-        assert_eq!(
-            lane.printf_log(),
-            single.printf_log(),
-            "{ctx} lane {l}: printf"
-        );
-        assert_eq!(
-            lane.machine().arena,
-            single.machine().arena,
-            "{ctx} lane {l}: arena"
-        );
-        let (banks, single_banks) = (&lane.machine().mems, &single.machine().mems);
-        assert_eq!(banks.len(), single_banks.len(), "{ctx} lane {l}: banks");
-        for (b, (bank, single_bank)) in banks.iter().zip(single_banks).enumerate() {
-            assert_eq!(
-                bank.data, single_bank.data,
-                "{ctx} lane {l}: memory bank {b} diverged"
-            );
-        }
+    let rows = run.fleet("fleet", fleet, &Vec::from_iter(0..lanes));
+    for (l, single) in singles.into_iter().enumerate() {
+        let single = run.row_in(l, &format!("single {l}"), single);
+        run.twin(rows[l], single, Match::Counters);
     }
-}
-
-/// One per-lane stimulus stream, reproducible from `(seed, lane)`.
-fn lane_rng(seed: u64, lane: usize) -> StdRng {
-    StdRng::seed_from_u64(seed ^ 0xD1CE ^ (lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    rows
 }
 
 /// `circuit` plus a free-running cycle counter that `printf`s while
 /// `reset` is high and `stop`s on a `reset` pulse after cycle 6: random
 /// per-lane resets make the lanes log and halt at different cycles.
-fn with_log_and_halt(circuit: &GenCircuit) -> String {
-    format!(
-        "{}    reg fleet_t : UInt<8>, clock\n    fleet_t <= tail(add(fleet_t, UInt<8>(1)), 1)\n    printf(clock, reset, \"t=%d\\n\", fleet_t)\n    stop(clock, and(reset, gt(fleet_t, UInt<8>(6))), 3)\n",
-        circuit.source
-    )
+fn with_log_and_halt(circuit: GenCircuit) -> GenCircuit {
+    GenCircuit {
+        source: format!(
+            "{}    reg fleet_t : UInt<8>, clock\n    fleet_t <= tail(add(fleet_t, UInt<8>(1)), 1)\n    printf(clock, reset, \"t=%d\\n\", fleet_t)\n    stop(clock, and(reset, gt(fleet_t, UInt<8>(6))), 3)\n",
+            circuit.source
+        ),
+        ..circuit
+    }
 }
 
 /// The law on random circuit `seed`, one cycle per `step`, at every
 /// lane count, switch-matrix point and tier.
 fn check_fleet_matrix(seed: u64) {
-    let circuit = gen_circuit(seed);
-    let source = with_log_and_halt(&circuit);
-    let netlist = build(&source);
+    let circuit = with_log_and_halt(gen_circuit(seed));
+    let netlist = build(&circuit.source, false);
     for (label, config) in switch_matrix().iter().flat_map(|(l, c)| tiers(l, c)) {
         for lanes in LANE_COUNTS {
-            let (mut fleet, mut singles) = fleet_and_singles(&netlist, &config, lanes);
-            let mut rngs: Vec<StdRng> = (0..lanes).map(|l| lane_rng(seed, l)).collect();
-            for cycle in 0..40u64 {
-                for (l, rng) in rngs.iter_mut().enumerate() {
-                    for (name, width) in &circuit.inputs {
-                        let value = if name == "reset" {
-                            Bits::from_u64((cycle < 2 || rng.gen_bool(0.05)) as u64, 1)
-                        } else {
-                            Bits::from_limbs(vec![rng.gen(), rng.gen()], *width)
-                        };
-                        fleet.lane_mut(l).poke(name, value.clone());
-                        singles[l].poke(name, value);
-                    }
-                }
-                let ran = fleet.step(1);
-                let most = singles.iter_mut().map(|s| s.step(1)).max();
-                let ctx = format!("seed {seed} [{label}] {lanes} lanes, cycle {cycle}");
-                assert_eq!(Some(ran), most, "{ctx}: cycles stepped\n{source}");
-                check_lanes(&fleet, &singles, &circuit.outputs, &ctx);
-            }
             let ctx = format!("seed {seed} [{label}] {lanes} lanes");
-            check_final(&fleet, &singles, &ctx);
+            let mut run = Lockstep::new(&ctx, &circuit, &netlist);
+            let rows = fleet_and_singles(&mut run, &netlist, &config, lanes);
+            run.run(seed ^ 0xD1CE, Reset::Random, &[1; 40]);
             if lanes == 8 {
                 // Not vacuous: the lanes halt, and not all at once.
-                let ends: BTreeSet<(u64, Option<u64>)> = (0..lanes)
-                    .map(|l| (fleet.cycle_of(l), fleet.halted_of(l)))
+                let ends: BTreeSet<(u64, Option<u64>)> = rows
+                    .iter()
+                    .map(|&r| (run.sim(r).cycle(), run.sim(r).halted()))
                     .collect();
                 assert!(
                     ends.len() > 1 && ends.iter().any(|e| e.1.is_some()),
@@ -204,39 +141,61 @@ const HALTER: &str = "circuit H :\n  module H :\n    input clock : Clock\n    in
 
 /// One `step(40)` in which lane `l` halts when its counter reaches
 /// `3 + 2l`: every lane stops partway through, at a different cycle,
-/// and `step` returns the longest lane's count.
+/// and `step` returns the longest lane's count; a following `step(5)`
+/// of the all-halted fleet runs nothing.
 #[test]
 fn divergent_halts_match_singles() {
-    let netlist = build(HALTER);
-    let outputs = ["q".to_string()];
+    let circuit = GenCircuit {
+        source: HALTER.to_string(),
+        inputs: vec![("reset".to_string(), 1)],
+        outputs: vec!["q".to_string()],
+    };
+    let netlist = build(HALTER, false);
     for (label, config) in switch_matrix().iter().flat_map(|(l, c)| tiers(l, c)) {
         for lanes in LANE_COUNTS {
-            let (mut fleet, mut singles) = fleet_and_singles(&netlist, &config, lanes);
-            for (l, single) in singles.iter_mut().enumerate() {
-                let t = Bits::from_u64(3 + 2 * l as u64, 8);
-                fleet.lane_mut(l).poke("t", t.clone());
-                single.poke("t", t);
-            }
-            fleet.poke("reset", Bits::from_u64(0, 1));
-            for single in &mut singles {
-                single.poke("reset", Bits::from_u64(0, 1));
-            }
-            let ran = fleet.step(40);
-            let each: Vec<u64> = singles.iter_mut().map(|s| s.step(40)).collect();
             let ctx = format!("[{label}] {lanes} lanes");
+            let mut run = Lockstep::new(&ctx, &circuit, &netlist);
+            let rows = fleet_and_singles(&mut run, &netlist, &config, lanes);
+            for l in 0..lanes {
+                run.poke(l, "t", Bits::from_u64(3 + 2 * l as u64, 8));
+            }
+            run.run(0, Reset::At(&[]), &[40, 5]);
+            let each: Vec<u64> = rows.iter().map(|&r| run.sim(r).cycle()).collect();
             assert!(
                 each.iter().all(|&n| n < 40) && each.windows(2).all(|w| w[0] < w[1]),
                 "{ctx}: every lane halts partway, each later than the last: {each:?}"
             );
-            assert_eq!(
-                Some(&ran),
-                each.iter().max(),
-                "{ctx}: step returns the longest lane"
+        }
+    }
+}
+
+/// `profile` applies to each lane as to a single engine: every lane's
+/// profile report equals that of an independently built profiled
+/// `EssentSim` under the same stimulus, across the switch matrix.
+#[test]
+fn profiled_lanes_match_profiled_singles() {
+    for seed in [0u64, 42] {
+        let circuit = with_log_and_halt(gen_circuit(seed));
+        let netlist = build(&circuit.source, false);
+        for (label, config) in switch_matrix() {
+            let config = EngineConfig {
+                profile: true,
+                ..config
+            };
+            let mut run = Lockstep::new(
+                format!("seed {seed} [{label}] profiled"),
+                &circuit,
+                &netlist,
             );
-            check_lanes(&fleet, &singles, &outputs, &ctx);
-            check_final(&fleet, &singles, &ctx);
-            // A fleet whose lanes have all halted runs nothing more.
-            assert_eq!(fleet.step(5), 0, "{ctx}: halted fleet");
+            let rows = fleet_and_singles(&mut run, &netlist, &config, 3);
+            run.run(seed ^ 0x9F0F, Reset::Random, &[1; 40]);
+            for r in rows {
+                let report = run.sim(r).profile_report().expect("every lane profiles");
+                assert!(
+                    report.total_evals() > 0,
+                    "seed {seed} [{label}]: no activity"
+                );
+            }
         }
     }
 }

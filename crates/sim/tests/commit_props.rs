@@ -6,100 +6,44 @@
 //! workers (tier-1 only: that engine runs no native code), and the
 //! unfused configuration that absorbs nothing.
 
-use essent_bits::Bits;
-use essent_netlist::{interp::Interpreter, opt, Netlist};
-use essent_sim::testgen::gen_circuit;
-use essent_sim::{BatchSim, EngineConfig, EssentSim, ParEssentSim, Simulator};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use essent_netlist::Netlist;
+use essent_sim::testgen::{build, gen_circuit, GenCircuit, Lockstep, Reset};
+use essent_sim::{BatchSim, EngineConfig, EssentSim, ParEssentSim};
 
-fn build(source: &str, optimize: bool) -> Netlist {
-    let lowered = essent_firrtl::passes::lower(essent_firrtl::parse(source).expect("parses"))
-        .expect("lowers");
-    let mut netlist = Netlist::from_circuit(&lowered).expect("builds");
-    if optimize {
-        opt::optimize(&mut netlist, &opt::OptConfig::default());
+/// A directed design's interface, in the order the stimulus pokes it.
+fn circuit(source: &str, inputs: &[(&str, u32)], outputs: &[&str]) -> GenCircuit {
+    GenCircuit {
+        source: source.to_string(),
+        inputs: inputs.iter().map(|&(n, w)| (n.to_string(), w)).collect(),
+        outputs: outputs.iter().map(|o| o.to_string()).collect(),
     }
-    netlist
 }
 
-/// Every way a CCSS engine can run a partition's commits.
-fn tiers(netlist: &Netlist, c_p: usize) -> Vec<(&'static str, Box<dyn Simulator>)> {
+/// Drives the golden interpreter, every way a CCSS engine can run a
+/// partition's commits and a 3-lane fleet with one stimulus (reset in
+/// cycles 0, 1 and 31) and compares the outputs every cycle.
+fn check_against_golden(circuit: &GenCircuit, netlist: &Netlist, c_p: usize) {
     let on = EngineConfig {
         c_p,
         ..EngineConfig::default()
     };
-    let jit = EngineConfig {
-        jit: true,
-        ..on.clone()
+    let with = |tweak: fn(&mut EngineConfig)| {
+        let mut config = on.clone();
+        tweak(&mut config);
+        config
     };
-    let unfused = EngineConfig {
-        fuse_triggers: false,
-        ..on.clone()
-    };
-    let pull = EngineConfig {
-        trigger_push: false,
-        ..on.clone()
-    };
-    vec![
-        ("tier-1", Box::new(EssentSim::new(netlist, &on))),
-        ("native", Box::new(EssentSim::new(netlist, &jit))),
-        ("unfused", Box::new(EssentSim::new(netlist, &unfused))),
-        ("pull", Box::new(EssentSim::new(netlist, &pull))),
-        ("dataflow", Box::new(ParEssentSim::new(netlist, &on, 2))),
-        (
-            "dataflow unfused",
-            Box::new(ParEssentSim::new(netlist, &unfused, 2)),
-        ),
-    ]
-}
-
-/// Drives the golden interpreter, every tier and a 3-lane batch engine
-/// with one stimulus and compares `probes` every cycle.
-fn check_against_golden(netlist: &Netlist, c_p: usize, inputs: &[(&str, u32)], probes: &[&str]) {
-    let mut golden = Interpreter::new(netlist);
-    let mut engines = tiers(netlist, c_p);
-    let mut batch = BatchSim::new(
-        netlist,
-        &EngineConfig {
-            c_p,
-            lanes: 3,
-            ..EngineConfig::default()
-        },
-    );
-    let mut rng = StdRng::seed_from_u64(0xC0111);
-    for cycle in 0..60u64 {
-        for &(name, width) in inputs {
-            let value = if name == "reset" {
-                Bits::from_u64((cycle < 2 || cycle == 31) as u64, 1)
-            } else {
-                Bits::from_limbs(vec![rng.gen(), rng.gen()], width)
-            };
-            golden.poke(name, value.clone());
-            for (_, e) in engines.iter_mut() {
-                e.poke(name, value.clone());
-            }
-            batch.poke(name, value);
-        }
-        golden.step(1);
-        engines.iter_mut().for_each(|(_, e)| {
-            e.step(1);
-        });
-        batch.step(1);
-        for probe in probes {
-            let want = golden.peek(probe);
-            for (tier, e) in &engines {
-                assert_eq!(e.peek(probe), want, "cycle {cycle}: {tier} on `{probe}`");
-            }
-            for lane in 0..3 {
-                assert_eq!(
-                    batch.peek_lane(lane, probe),
-                    want,
-                    "cycle {cycle}: batch lane {lane} on `{probe}`"
-                );
-            }
-        }
-    }
+    let unfused = with(|c| c.fuse_triggers = false);
+    let mut run = Lockstep::new(format!("c_p={c_p}"), circuit, netlist);
+    run.row("tier-1", EssentSim::new(netlist, &on));
+    run.row("native", EssentSim::new(netlist, &with(|c| c.jit = true)));
+    run.row("unfused", EssentSim::new(netlist, &unfused));
+    let pull = with(|c| c.trigger_push = false);
+    run.row("pull", EssentSim::new(netlist, &pull));
+    run.row("dataflow", ParEssentSim::new(netlist, &on, 2));
+    run.row("dataflow unfused", ParEssentSim::new(netlist, &unfused, 2));
+    let batch = BatchSim::new(netlist, &with(|c| c.lanes = 3));
+    run.fleet("batch", batch, &[0, 0, 0]);
+    run.run(0xC0111, Reset::At(&[0, 1, 31]), &[1; 60]);
 }
 
 /// A write port whose `data` and `addr` *are* register outputs (after
@@ -111,10 +55,11 @@ fn check_against_golden(netlist: &Netlist, c_p: usize, inputs: &[(&str, u32)], p
 #[test]
 fn write_port_fed_by_registers_sees_pre_commit_values() {
     const SRC: &str = "circuit W :\n  module W :\n    input clock : Clock\n    input reset : UInt<1>\n    input x : UInt<8>\n    output o : UInt<8>\n    output q : UInt<8>\n    reg r : UInt<8>, clock with : (reset => (reset, UInt<8>(1)))\n    reg a : UInt<3>, clock with : (reset => (reset, UInt<3>(0)))\n    r <= tail(add(r, x), 1)\n    a <= tail(add(a, UInt<3>(1)), 1)\n    mem m :\n      data-type => UInt<8>\n      depth => 8\n      read-latency => 0\n      write-latency => 1\n      reader => rd\n      writer => w\n    m.rd.clk <= clock\n    m.rd.en <= UInt<1>(1)\n    m.rd.addr <= bits(x, 2, 0)\n    o <= m.rd.data\n    q <= r\n    m.w.clk <= clock\n    m.w.en <= UInt<1>(1)\n    m.w.mask <= UInt<1>(1)\n    m.w.data <= r\n    m.w.addr <= a\n";
+    let w = circuit(SRC, &[("reset", 1), ("x", 8)], &["o", "q"]);
     for optimize in [false, true] {
         let netlist = build(SRC, optimize);
         for c_p in [1, 8, 64] {
-            check_against_golden(&netlist, c_p, &[("reset", 1), ("x", 8)], &["o", "q"]);
+            check_against_golden(&w, &netlist, c_p);
         }
     }
     // The hazard shape is real: one partition holds the elided write and
@@ -152,14 +97,10 @@ fn write_port_fed_by_registers_sees_pre_commit_values() {
 #[test]
 fn wide_elided_register_commits_from_the_table_and_still_wakes() {
     const SRC: &str = "circuit R :\n  module R :\n    input clock : Clock\n    input reset : UInt<1>\n    input x : UInt<100>\n    output o : UInt<100>\n    output p : UInt<8>\n    output u : UInt<100>\n    output v : UInt<100>\n    reg w : UInt<100>, clock with : (reset => (reset, UInt<100>(5)))\n    reg n : UInt<8>, clock with : (reset => (reset, UInt<8>(0)))\n    w <= xor(shl(bits(w, 98, 0), 1), x)\n    n <= tail(add(n, bits(x, 7, 0)), 1)\n    o <= not(w)\n    p <= n\n    node s = xor(w, shl(bits(x, 98, 0), 1))\n    u <= not(s)\n    v <= and(s, x)\n";
+    let r = circuit(SRC, &[("reset", 1), ("x", 100)], &["o", "p", "u", "v"]);
     let netlist = build(SRC, true);
     for c_p in [1, 8] {
-        check_against_golden(
-            &netlist,
-            c_p,
-            &[("reset", 1), ("x", 100)],
-            &["o", "p", "u", "v"],
-        );
+        check_against_golden(&r, &netlist, c_p);
     }
     let sim = EssentSim::new(
         &netlist,
@@ -214,27 +155,16 @@ fn commit_wakes_are_attributed_like_table_wakes() {
             fuse_triggers: false,
             ..absorbed.clone()
         };
-        let mut sims = [
+        let (absorbed, table) = (
             EssentSim::new(&netlist, &absorbed),
             EssentSim::new(&netlist, &table),
-        ];
-        let absorbed_commits = sims[0].tier_stats().unwrap().absorbed_commits;
-        assert_eq!(sims[1].tier_stats().unwrap().absorbed_commits, 0);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA77);
-        for cycle in 0..50u64 {
-            for (name, width) in &circuit.inputs {
-                let value = if name == "reset" {
-                    Bits::from_u64((cycle < 2) as u64, 1)
-                } else {
-                    Bits::from_limbs(vec![rng.gen(), rng.gen()], *width)
-                };
-                sims.iter_mut().for_each(|s| s.poke(name, value.clone()));
-            }
-            sims.iter_mut().for_each(|s| {
-                s.step(1);
-            });
-        }
-        let [got, want] = sims.map(|s| s.profile_report().expect("profiled"));
+        );
+        let absorbed_commits = absorbed.tier_stats().unwrap().absorbed_commits;
+        assert_eq!(table.tier_stats().unwrap().absorbed_commits, 0);
+        let mut run = Lockstep::new(format!("seed {seed}"), &circuit, &netlist);
+        let rows = [run.row("absorbed", absorbed), run.row("table", table)];
+        run.run(seed ^ 0xA77, Reset::At(&[0, 1]), &[1; 50]);
+        let [got, want] = rows.map(|r| run.sim(r).profile_report().expect("profiled"));
         assert_eq!(got.state_causes, want.state_causes, "seed {seed}");
         for (g, w) in got.units.iter().zip(&want.units) {
             assert_eq!(

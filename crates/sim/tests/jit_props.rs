@@ -19,106 +19,73 @@
 //! tier-1 equivalence runs (nothing compiles) and still pass — the
 //! gating itself is part of what is under test.
 
-use essent_bits::Bits;
-use essent_netlist::{interp::Interpreter, Netlist};
-use essent_sim::testgen::{gen_circuit, gen_replicated, switch_matrix};
+use essent_netlist::Netlist;
+use essent_sim::testgen::{
+    build, gen_circuit, gen_replicated, switch_matrix, GenCircuit, Lockstep, Match, Reset,
+};
 use essent_sim::{EngineConfig, EssentSim, ParEssentSim, Simulator};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-fn build(source: &str) -> Netlist {
-    let parsed = essent_firrtl::parse(source)
-        .unwrap_or_else(|e| panic!("generated FIRRTL must parse: {e}\n{source}"));
-    let lowered = essent_firrtl::passes::lower(parsed)
-        .unwrap_or_else(|e| panic!("generated FIRRTL must lower: {e}\n{source}"));
-    Netlist::from_circuit(&lowered)
-        .unwrap_or_else(|e| panic!("generated FIRRTL must build: {e}\n{source}"))
-}
-
-/// One random stimulus vector per input, shared across all engines.
-fn poke_all(
-    rng: &mut StdRng,
-    cycle: u64,
-    inputs: &[(String, u32)],
-    golden: &mut Interpreter,
-    engines: &mut [&mut dyn Simulator],
+/// `on` (built with `jit: true`) and its `jit: false` twin `off`, both
+/// against the golden interpreter, counter-exact every cycle, under a
+/// per-cycle stimulus drawn from `seed` with random resets.
+fn check_native_twins(
+    ctx: String,
+    circuit: &GenCircuit,
+    netlist: &Netlist,
+    off: impl Simulator + 'static,
+    on: impl Simulator + 'static,
+    seed: u64,
+    steps: &[u64],
 ) {
-    for (name, width) in inputs {
-        let value = if name == "reset" {
-            Bits::from_u64((cycle < 2 || rng.gen_bool(0.05)) as u64, 1)
-        } else {
-            Bits::from_limbs(vec![rng.gen(), rng.gen()], *width)
-        };
-        golden.poke(name, value.clone());
-        for e in engines.iter_mut() {
-            e.poke(name, value.clone());
-        }
-    }
+    let mut run = Lockstep::new(ctx, circuit, netlist);
+    let off = run.row("jit off", off);
+    let on = run.row("jit on", on);
+    run.twin(off, on, Match::Counters);
+    run.run(seed, Reset::Random, steps);
 }
 
-/// Sequential engine under `config` (`jit: true`) vs golden and a
-/// JIT-free twin, checking outputs + counters every cycle; returns how
-/// many partitions ran native code.
-fn check_jit_essent(seed: u64, config: &EngineConfig) -> usize {
-    let circuit = gen_circuit(seed);
-    let netlist = build(&circuit.source);
-    let mut golden = Interpreter::new(&netlist);
-    let off = EngineConfig {
-        jit: false,
-        ..config.clone()
-    };
-    let mut plain = EssentSim::new(&netlist, &off);
-    let mut jitted = EssentSim::new(&netlist, config);
-    let compiled = jitted.jit_compiled_count();
-    let parts = jitted.partition_count();
-
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x717);
-    for cycle in 0..40u64 {
-        poke_all(
-            &mut rng,
-            cycle,
-            &circuit.inputs,
-            &mut golden,
-            &mut [&mut plain, &mut jitted],
-        );
-        golden.step(1);
-        plain.step(1);
-        jitted.step(1);
-        for out in &circuit.outputs {
-            let expect = golden.peek(out);
-            assert_eq!(
-                jitted.peek(out),
-                expect,
-                "seed {seed} cycle {cycle} ({compiled}/{parts} compiled): \
-                 jitted essent disagrees with golden on {out}\n{}",
-                circuit.source
-            );
-        }
-        assert_eq!(
-            jitted.counters(),
-            plain.counters(),
-            "seed {seed} cycle {cycle}: JIT perturbed work counters\n{}",
-            circuit.source
-        );
+/// The default config with `jit: true`.
+fn native() -> EngineConfig {
+    EngineConfig {
+        jit: true,
+        ..EngineConfig::default()
     }
-    compiled
 }
 
 /// The switch matrix for the JIT path — everything that changes what
 /// the compiled body must replicate (mux lowering, state elision,
-/// trigger direction, fusion) — at two partition sizes. Returns how many
-/// partitions ran native code over the matrix.
+/// trigger direction, fusion) — at two partition sizes: each point's
+/// sequential engine with `jit: true` against golden and a JIT-free
+/// twin, outputs and counters every cycle. Returns how many partitions
+/// ran native code over the matrix.
 fn check_jit_config_matrix(seed: u64) -> usize {
+    let circuit = gen_circuit(seed);
+    let netlist = build(&circuit.source, false);
     let mut compiled = 0;
-    for (_, config) in switch_matrix() {
+    for (label, config) in switch_matrix() {
         for c_p in [4, 64] {
-            let config = EngineConfig {
+            let off = EngineConfig {
                 c_p,
-                jit: true,
                 ..config.clone()
             };
-            compiled += check_jit_essent(seed, &config);
+            let on = EngineConfig {
+                jit: true,
+                ..off.clone()
+            };
+            let jitted = EssentSim::new(&netlist, &on);
+            let native = jitted.jit_compiled_count();
+            let parts = jitted.partition_count();
+            check_native_twins(
+                format!("seed {seed} [{label}] c_p={c_p} ({native}/{parts} compiled)"),
+                &circuit,
+                &netlist,
+                EssentSim::new(&netlist, &off),
+                jitted,
+                seed ^ 0x717,
+                &[1; 40],
+            );
+            compiled += native;
         }
     }
     compiled
@@ -151,43 +118,18 @@ fn jit_fixed_seeds() {
 /// work counters throughout.
 #[test]
 fn jit_par_matches_golden() {
-    let off = EngineConfig::default();
-    let on = EngineConfig {
-        jit: true,
-        ..off.clone()
-    };
     for seed in [0u64, 1, 42, 0xE55E] {
         let circuit = gen_circuit(seed);
-        let netlist = build(&circuit.source);
-        let mut golden = Interpreter::new(&netlist);
-        let mut plain = ParEssentSim::new(&netlist, &off, 3);
-        let mut par = ParEssentSim::new(&netlist, &on, 3);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x939);
-        for cycle in 0..40u64 {
-            poke_all(
-                &mut rng,
-                cycle,
-                &circuit.inputs,
-                &mut golden,
-                &mut [&mut plain, &mut par],
-            );
-            golden.step(1);
-            plain.step(1);
-            par.step(1);
-            for out in &circuit.outputs {
-                assert_eq!(
-                    par.peek(out),
-                    golden.peek(out),
-                    "seed {seed} cycle {cycle}: par with jit disagrees with golden on {out}\n{}",
-                    circuit.source
-                );
-            }
-            assert_eq!(
-                par.counters(),
-                plain.counters(),
-                "seed {seed} cycle {cycle}"
-            );
-        }
+        let netlist = build(&circuit.source, false);
+        check_native_twins(
+            format!("seed {seed} dataflow"),
+            &circuit,
+            &netlist,
+            ParEssentSim::new(&netlist, &EngineConfig::default(), 3),
+            ParEssentSim::new(&netlist, &native(), 3),
+            seed ^ 0x939,
+            &[1; 40],
+        );
     }
 }
 
@@ -199,37 +141,16 @@ fn jit_par_matches_golden() {
 fn jit_stays_disabled_under_sanitizer() {
     for seed in [0u64, 42, 0xE55E] {
         let circuit = gen_circuit(seed);
-        let netlist = build(&circuit.source);
-        let config = EngineConfig {
-            jit: true,
-            ..EngineConfig::default()
-        };
-        let mut golden = Interpreter::new(&netlist);
-        let mut sim = EssentSim::new(&netlist, &config);
+        let netlist = build(&circuit.source, false);
+        let sim = EssentSim::new(&netlist, &native());
         assert_eq!(
             sim.jit_compiled_count(),
             0,
             "seed {seed}: sanitizer must gate JIT"
         );
-        let mut rng = StdRng::seed_from_u64(seed);
-        for cycle in 0..20u64 {
-            poke_all(
-                &mut rng,
-                cycle,
-                &circuit.inputs,
-                &mut golden,
-                &mut [&mut sim],
-            );
-            golden.step(1);
-            sim.step(1);
-            for out in &circuit.outputs {
-                assert_eq!(
-                    sim.peek(out),
-                    golden.peek(out),
-                    "seed {seed} cycle {cycle} {out}"
-                );
-            }
-        }
+        let mut run = Lockstep::new(format!("seed {seed}"), &circuit, &netlist);
+        run.row("jit on", sim);
+        run.run(seed, Reset::Random, &[1; 20]);
     }
 }
 
@@ -239,32 +160,16 @@ fn jit_stays_disabled_under_sanitizer() {
 fn jit_threshold_selection_is_transparent() {
     for seed in [7u64, 0xBEE] {
         let circuit = gen_circuit(seed);
-        let netlist = build(&circuit.source);
-        let mut golden = Interpreter::new(&netlist);
-        let off = EngineConfig::default();
-        let on = EngineConfig {
-            jit: true,
-            ..off.clone()
-        };
-        let mut plain = EssentSim::new(&netlist, &off);
-        let mut jitted = EssentSim::new(&netlist, &on);
-        let mut rng = StdRng::seed_from_u64(seed);
-        for cycle in 0..30u64 {
-            poke_all(
-                &mut rng,
-                cycle,
-                &circuit.inputs,
-                &mut golden,
-                &mut [&mut plain, &mut jitted],
-            );
-            golden.step(1);
-            plain.step(1);
-            jitted.step(1);
-            for out in &circuit.outputs {
-                assert_eq!(jitted.peek(out), golden.peek(out), "seed {seed} {out}");
-            }
-            assert_eq!(jitted.counters(), plain.counters(), "seed {seed} counters");
-        }
+        let netlist = build(&circuit.source, false);
+        check_native_twins(
+            format!("seed {seed}"),
+            &circuit,
+            &netlist,
+            EssentSim::new(&netlist, &EngineConfig::default()),
+            EssentSim::new(&netlist, &native()),
+            seed,
+            &[1; 30],
+        );
     }
 }
 
@@ -275,14 +180,8 @@ fn jit_threshold_selection_is_transparent() {
 fn replicated_partitions_share_bodies() {
     for seed in [3u64, 11, 0xE55E] {
         let circuit = gen_replicated(seed, 4);
-        let netlist = build(&circuit.source);
-        let config = EngineConfig {
-            jit: true,
-            ..EngineConfig::default()
-        };
-        let mut golden = Interpreter::new(&netlist);
-        let mut plain = EssentSim::new(&netlist, &EngineConfig::default());
-        let mut sim = EssentSim::new(&netlist, &config);
+        let netlist = build(&circuit.source, false);
+        let sim = EssentSim::new(&netlist, &native());
         let compiled = sim.jit_compiled_count();
         let Some(parts) = sim.jit_parts().filter(|_| compiled > 0) else {
             let gated = !essent_sim::jit::supported() || cfg!(feature = "race-sanitizer");
@@ -294,32 +193,14 @@ fn replicated_partitions_share_bodies() {
             bodies < compiled,
             "seed {seed}: {bodies} bodies for {compiled} partitions"
         );
-
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-        for cycle in 0..48u64 {
-            poke_all(
-                &mut rng,
-                cycle,
-                &circuit.inputs,
-                &mut golden,
-                &mut [&mut plain, &mut sim],
-            );
-            golden.step(1);
-            plain.step(1);
-            sim.step(1);
-            for out in &circuit.outputs {
-                assert_eq!(
-                    sim.peek(out),
-                    golden.peek(out),
-                    "seed {seed} cycle {cycle} {out}\n{}",
-                    circuit.source
-                );
-            }
-            assert_eq!(
-                sim.counters(),
-                plain.counters(),
-                "seed {seed} cycle {cycle}: counters"
-            );
-        }
+        check_native_twins(
+            format!("seed {seed}"),
+            &circuit,
+            &netlist,
+            EssentSim::new(&netlist, &EngineConfig::default()),
+            sim,
+            seed ^ 0x5EED,
+            &[1; 48],
+        );
     }
 }

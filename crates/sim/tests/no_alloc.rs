@@ -1,5 +1,7 @@
 //! Steady-state allocation audit: after warm-up, stepping a sequential
-//! engine must not allocate at all. The hot path is pre-resolved at
+//! engine — the full-cycle engine, the CCSS engine on tier-1 and, where
+//! the host runs emitted code, on native bodies — must not allocate at
+//! all. The hot path is pre-resolved at
 //! compile time — tiered instructions, preallocated snapshots, in-place
 //! mem-write compare — and sharing the netlist behind an `Arc` removed
 //! the historical per-engine deep clone and per-firing `Printf` clone.
@@ -9,7 +11,7 @@
 
 use essent_bits::Bits;
 use essent_netlist::Netlist;
-use essent_sim::{EngineConfig, EssentSim, FullCycleSim, Simulator};
+use essent_sim::{jit, EngineConfig, EssentSim, FullCycleSim, Simulator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -72,11 +74,26 @@ fn steady_state_cycles_do_not_allocate() {
         3,
         "engines must share the netlist, not clone it"
     );
+    // The native path, where the host runs it (the sanitizer build keeps
+    // the JIT off): partitions that run an emitted body instead of the
+    // tier-1 interpreter.
+    let native_runs = jit::supported() && !cfg!(feature = "race-sanitizer");
+    let mut native = native_runs.then(|| {
+        let jit = EngineConfig {
+            jit: true,
+            ..config.clone()
+        };
+        let sim = EssentSim::new_shared(Arc::clone(&netlist), &jit);
+        assert!(sim.jit_compiled_count() > 0, "nothing runs natively");
+        sim
+    });
 
-    for sim in [
+    let mut sims = vec![
         &mut essent as &mut dyn Simulator,
         &mut full as &mut dyn Simulator,
-    ] {
+    ];
+    sims.extend(native.as_mut().map(|n| n as &mut dyn Simulator));
+    for sim in sims {
         sim.poke("reset", Bits::from_u64(1, 1));
         sim.step(2);
         sim.poke("reset", Bits::from_u64(0, 1));
@@ -97,5 +114,9 @@ fn steady_state_cycles_do_not_allocate() {
 
     // The work actually happened: the counter runs and writes memory.
     assert_eq!(essent.peek("o"), full.peek("o"));
+    if let Some(native) = &native {
+        assert_eq!(native.peek("o"), essent.peek("o"));
+        assert_eq!(native.counters(), essent.counters());
+    }
     assert!(essent.counters().ops_evaluated > 0);
 }

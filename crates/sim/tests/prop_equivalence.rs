@@ -1,131 +1,46 @@
 //! Cross-engine equivalence: on randomly generated synchronous circuits
 //! driven by random stimulus, every engine (full-cycle, ESSENT at several
-//! `C_p` values, event-driven) must agree with the reference interpreter
-//! on every output, every cycle — with and without netlist optimizations.
+//! `C_p` values, event-driven, dataflow) must agree with the reference
+//! interpreter on every output, every cycle — with and without netlist
+//! optimizations.
 //!
 //! This is the central correctness argument of the repository: the CCSS
 //! machinery (partitioning, activity flags, push triggers, state update
 //! elision, conditional mux ways) is pure optimization and can never
 //! change observable behavior.
 
-use essent_bits::Bits;
-use essent_netlist::{interp::Interpreter, opt, Netlist};
-use essent_sim::testgen::{gen_circuit, switch_matrix};
+use essent_sim::testgen::{build, gen_circuit, switch_matrix, Lockstep, Match, Reset};
 use essent_sim::{EngineConfig, EssentSim, EventDrivenSim, FullCycleSim, ParEssentSim, Simulator};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-fn build(source: &str) -> Netlist {
-    let parsed = essent_firrtl::parse(source)
-        .unwrap_or_else(|e| panic!("generated FIRRTL must parse: {e}\n{source}"));
-    let lowered = essent_firrtl::passes::lower(parsed)
-        .unwrap_or_else(|e| panic!("generated FIRRTL must lower: {e}\n{source}"));
-    Netlist::from_circuit(&lowered)
-        .unwrap_or_else(|e| panic!("generated FIRRTL must build: {e}\n{source}"))
-}
 
 /// Drives all engines with identical stimulus and compares every output
 /// every cycle against the interpreter.
 fn check_equivalence(seed: u64, optimize: bool) {
     let circuit = gen_circuit(seed);
-    let mut netlist = build(&circuit.source);
-    if optimize {
-        opt::optimize(&mut netlist, &opt::OptConfig::default());
-    }
+    let netlist = build(&circuit.source, optimize);
     let config = EngineConfig::default();
-    let mut golden = Interpreter::new(&netlist);
-    let mut engines: Vec<Box<dyn Simulator>> = vec![
-        Box::new(FullCycleSim::new(&netlist, &config)),
-        Box::new(FullCycleSim::new(&netlist, &EngineConfig::baseline())),
-        Box::new(EventDrivenSim::new(&netlist, &config)),
-        Box::new(EssentSim::new(
-            &netlist,
-            &EngineConfig {
-                c_p: 1,
-                ..config.clone()
-            },
-        )),
-        Box::new(EssentSim::new(
-            &netlist,
-            &EngineConfig {
-                c_p: 4,
-                ..config.clone()
-            },
-        )),
-        Box::new(EssentSim::new(
-            &netlist,
-            &EngineConfig {
-                c_p: 8,
-                ..config.clone()
-            },
-        )),
-        Box::new(EssentSim::new(
-            &netlist,
-            &EngineConfig {
-                c_p: 64,
-                ..config.clone()
-            },
-        )),
-        Box::new(EssentSim::new(
-            &netlist,
-            &EngineConfig {
-                elide_state: false,
-                mux_conditional: false,
-                ..config.clone()
-            },
-        )),
-        Box::new(EssentSim::new(
-            &netlist,
-            &EngineConfig {
-                trigger_push: false,
-                ..config.clone()
-            },
-        )),
-        Box::new(EventDrivenSim::new(
-            &netlist,
-            &EngineConfig {
-                event_levelized: false,
-                ..config.clone()
-            },
-        )),
-        Box::new(ParEssentSim::new(&netlist, &config, 3)),
-    ];
-
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xD1CE);
-    for cycle in 0..40u64 {
-        for (name, width) in &circuit.inputs {
-            // Hold reset high for the first two cycles, then random.
-            let value = if name == "reset" {
-                Bits::from_u64((cycle < 2 || rng.gen_bool(0.05)) as u64, 1)
-            } else {
-                let lo = rng.gen::<u64>();
-                let hi = rng.gen::<u64>();
-                Bits::from_limbs(vec![lo, hi], *width)
-            };
-            golden.poke(name, value.clone());
-            for e in engines.iter_mut() {
-                e.poke(name, value.clone());
-            }
-        }
-        golden.step(1);
-        for e in engines.iter_mut() {
-            e.step(1);
-        }
-        for out in &circuit.outputs {
-            let expect = golden.peek(out);
-            for e in engines.iter() {
-                let got = e.peek(out);
-                assert_eq!(
-                    got,
-                    expect,
-                    "seed {seed} opt={optimize} cycle {cycle}: engine {} disagrees on {out}\n{}",
-                    e.engine_name(),
-                    circuit.source
-                );
-            }
-        }
-    }
+    let with = |tweak: fn(&mut EngineConfig)| {
+        let mut config = config.clone();
+        tweak(&mut config);
+        config
+    };
+    let essent = |tweak| EssentSim::new(&netlist, &with(tweak));
+    let mut run = Lockstep::new(format!("seed {seed} opt={optimize}"), &circuit, &netlist);
+    run.row("full-cycle", FullCycleSim::new(&netlist, &config));
+    let baseline = EngineConfig::baseline();
+    run.row("baseline", FullCycleSim::new(&netlist, &baseline));
+    run.row("event-driven", EventDrivenSim::new(&netlist, &config));
+    let fifo = with(|c| c.event_levelized = false);
+    run.row("event-driven fifo", EventDrivenSim::new(&netlist, &fifo));
+    run.row("essent c_p=1", essent(|c| c.c_p = 1));
+    run.row("essent c_p=4", essent(|c| c.c_p = 4));
+    run.row("essent c_p=8", essent(|c| c.c_p = 8));
+    run.row("essent c_p=64", essent(|c| c.c_p = 64));
+    let no_mux = |c: &mut EngineConfig| (c.elide_state, c.mux_conditional) = (false, false);
+    run.row("essent no elision, no mux ways", essent(no_mux));
+    run.row("essent pull", essent(|c| c.trigger_push = false));
+    run.row("dataflow", ParEssentSim::new(&netlist, &config, 3));
+    run.run(seed ^ 0xD1CE, Reset::Random, &[1; 40]);
 }
 
 proptest! {
@@ -161,84 +76,33 @@ fn equivalence_fixed_seeds() {
 // decisions, or elision shows up here even when outputs happen to
 // match).
 
-/// Drives a profiled/unprofiled engine pair plus the interpreter over
-/// shared stimulus; returns nothing, panics with full context on any
-/// divergence.
-fn check_observer_twins(
-    seed: u64,
-    label: &str,
-    golden: &mut Interpreter,
-    off: &mut dyn Simulator,
-    on: &mut dyn Simulator,
-    circuit: &essent_sim::testgen::GenCircuit,
-) {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
-    for cycle in 0..30u64 {
-        for (name, width) in &circuit.inputs {
-            let value = if name == "reset" {
-                Bits::from_u64((cycle < 2 || rng.gen_bool(0.05)) as u64, 1)
-            } else {
-                Bits::from_limbs(vec![rng.gen(), rng.gen()], *width)
-            };
-            golden.poke(name, value.clone());
-            off.poke(name, value.clone());
-            on.poke(name, value);
-        }
-        golden.step(1);
-        off.step(1);
-        on.step(1);
-        for out in &circuit.outputs {
-            let expect = golden.peek(out);
-            for (which, e) in [("profile-off", &*off), ("profile-on", &*on)] {
-                assert_eq!(
-                    e.peek(out),
-                    expect,
-                    "seed {seed} [{label}] cycle {cycle}: {which} {} disagrees on {out}\n{}",
-                    e.engine_name(),
-                    circuit.source
-                );
-            }
-        }
-        assert_eq!(
-            off.counters(),
-            on.counters(),
-            "seed {seed} [{label}] cycle {cycle}: profiling perturbed {}'s work counters\n{}",
-            off.engine_name(),
-            circuit.source
-        );
-    }
-    let report = on
-        .profile_report()
-        .expect("profiled engine must produce a report");
-    assert_eq!(report.cycles, on.cycle(), "[{label}] report cycle count");
-    assert!(
-        report.total_evals() + report.total_skips() > 0,
-        "[{label}] report saw no activity at all"
-    );
-}
-
 /// The switch matrix for the CCSS engine, each point run as
 /// profiled/unprofiled twins.
 fn check_config_matrix(seed: u64) {
     let circuit = gen_circuit(seed);
-    let netlist = build(&circuit.source);
+    let netlist = build(&circuit.source, false);
     for (label, config) in switch_matrix() {
-        let mut golden = Interpreter::new(&netlist);
-        let mut off = EssentSim::new(&netlist, &config);
-        let mut on = EssentSim::new(
-            &netlist,
-            &EngineConfig {
-                profile: true,
-                ..config.clone()
-            },
+        let mut run = Lockstep::new(format!("seed {seed} [{label}]"), &circuit, &netlist);
+        let off = run.row("profile-off", EssentSim::new(&netlist, &config));
+        let profiled = EngineConfig {
+            profile: true,
+            ..config.clone()
+        };
+        let on = run.row("profile-on", EssentSim::new(&netlist, &profiled));
+        run.twin(off, on, Match::Counters);
+        run.run(seed ^ 0xBEEF, Reset::Random, &[1; 30]);
+        let report = run
+            .sim(on)
+            .profile_report()
+            .expect("profiled engine must produce a report");
+        assert_eq!(
+            report.cycles,
+            run.sim(on).cycle(),
+            "[{label}] report cycle count"
         );
-        check_observer_twins(
-            seed,
-            &format!("essent [{label}]"),
-            &mut golden,
-            &mut off,
-            &mut on,
-            &circuit,
+        assert!(
+            report.total_evals() + report.total_skips() > 0,
+            "[{label}] report saw no activity at all"
         );
     }
 }
@@ -248,7 +112,7 @@ fn check_config_matrix(seed: u64) {
 /// golden equivalence is [`check_equivalence`]'s.
 #[test]
 fn profile_is_pure_observer_other_engines() {
-    let netlist = build(&gen_circuit(0).source);
+    let netlist = build(&gen_circuit(0).source, false);
     let on = EngineConfig {
         profile: true,
         ..EngineConfig::default()

@@ -10,16 +10,11 @@ use essent_netlist::{Netlist, SignalId};
 use essent_sim::compile::{compile_plan, Block, Item, Layout};
 use essent_sim::jit::{JitPlan, JIT_MIN_COST};
 use essent_sim::step1::{lower_tier1, Op1, OutSpec, Tier1Program, NO_FUSE};
+use essent_sim::testgen::build;
 use essent_sim::EngineConfig;
 use essent_verify::{
     check_blocks, check_jit, check_jit_plan, check_plan, check_tier1, lint_netlist,
 };
-
-fn build(source: &str) -> Netlist {
-    let parsed = essent_firrtl::parse(source).expect("test FIRRTL parses");
-    let lowered = essent_firrtl::passes::lower(parsed).expect("test FIRRTL lowers");
-    Netlist::from_circuit(&lowered).expect("test netlist builds")
-}
 
 /// Four inverters in a row. The whole chain is one fanout-free cone, so
 /// it always lands in a single partition — the stage for in-partition
@@ -27,6 +22,7 @@ fn build(source: &str) -> Netlist {
 fn chain() -> Netlist {
     build(
         "circuit chain :\n  module chain :\n    input clock : Clock\n    input a : UInt<8>\n    output o : UInt<8>\n    node n0 = not(a)\n    node n1 = not(n0)\n    node n2 = not(n1)\n    node n3 = not(n2)\n    o <= n3\n",
+        false,
     )
 }
 
@@ -37,6 +33,7 @@ fn chain() -> Netlist {
 fn diamond() -> Netlist {
     build(
         "circuit diamond :\n  module diamond :\n    input clock : Clock\n    input a : UInt<8>\n    input b : UInt<8>\n    output o : UInt<8>\n    reg r1 : UInt<8>, clock\n    reg r2 : UInt<8>, clock\n    node s = xor(r1, a)\n    node t = xor(r2, b)\n    node u1 = and(s, t)\n    node u2 = or(u1, t)\n    o <= u2\n    r1 <= not(s)\n    r2 <= not(t)\n",
+        false,
     )
 }
 
@@ -46,6 +43,7 @@ fn diamond() -> Netlist {
 fn reg_late_readers() -> Netlist {
     build(
         "circuit regs :\n  module regs :\n    input clock : Clock\n    input a : UInt<8>\n    input b : UInt<8>\n    output o1 : UInt<8>\n    output o2 : UInt<8>\n    reg r : UInt<8>, clock\n    node m = xor(r, a)\n    r <= m\n    node u = and(r, b)\n    o1 <= u\n    node v = xor(r, b)\n    o2 <= v\n",
+        false,
     )
 }
 
@@ -164,6 +162,7 @@ fn unsafe_elision_is_v0106() {
 fn reg_fed_write() -> Netlist {
     let mut netlist = build(
         "circuit W :\n  module W :\n    input clock : Clock\n    input x : UInt<8>\n    output o : UInt<8>\n    reg r : UInt<8>, clock\n    reg a : UInt<3>, clock\n    r <= tail(add(r, x), 1)\n    a <= tail(add(a, UInt<3>(1)), 1)\n    mem m :\n      data-type => UInt<8>\n      depth => 8\n      read-latency => 0\n      write-latency => 1\n      reader => rd\n      writer => w\n    m.rd.clk <= clock\n    m.rd.en <= UInt<1>(1)\n    m.rd.addr <= bits(x, 2, 0)\n    o <= m.rd.data\n    m.w.clk <= clock\n    m.w.en <= UInt<1>(1)\n    m.w.mask <= UInt<1>(1)\n    m.w.data <= r\n    m.w.addr <= a\n",
+        false,
     );
     // Copy forwarding makes the port fields *be* the register outputs.
     essent_netlist::opt::optimize(&mut netlist, &essent_netlist::opt::OptConfig::default());
@@ -311,6 +310,7 @@ fn tier_report(netlist: &Netlist, setup: &TierSetup) -> essent_core::diag::Repor
 fn mux_diamond() -> Netlist {
     build(
         "circuit M :\n  module M :\n    input clock : Clock\n    input c : UInt<1>\n    input a : UInt<8>\n    input b : UInt<8>\n    output o : UInt<16>\n    node hi = mul(a, a)\n    node lo = mul(b, b)\n    o <= mux(c, hi, lo)\n",
+        false,
     )
 }
 
@@ -319,6 +319,7 @@ fn mux_diamond() -> Netlist {
 fn wide() -> Netlist {
     build(
         "circuit W :\n  module W :\n    input clock : Clock\n    input a : UInt<100>\n    input b : UInt<100>\n    output o : UInt<100>\n    node s = xor(a, b)\n    node t = and(s, a)\n    o <= or(t, b)\n",
+        false,
     )
 }
 
@@ -329,6 +330,7 @@ fn wide() -> Netlist {
 fn wide_reg() -> Netlist {
     build(
         "circuit R :\n  module R :\n    input clock : Clock\n    input a : UInt<100>\n    output o : UInt<100>\n    output p : UInt<8>\n    reg w : UInt<100>, clock\n    reg n : UInt<8>, clock\n    w <= xor(w, a)\n    n <= tail(add(n, UInt<8>(1)), 1)\n    o <= w\n    p <= n\n",
+        false,
     )
 }
 
@@ -483,6 +485,7 @@ fn dead_upper_bits_is_l0006() {
     // `and(a, 15)` pins the top four bits of an eight-bit signal to zero.
     let netlist = build(
         "circuit du :\n  module du :\n    input a : UInt<8>\n    output o : UInt<8>\n    node m = and(a, UInt<8>(15))\n    o <= m\n",
+        false,
     );
     assert_only_analysis_code(&lint_netlist(&netlist), codes::DEAD_UPPER_BITS);
 }
@@ -492,6 +495,7 @@ fn const_comparison_is_l0007() {
     // An eight-bit value is always below 256; the ranges never overlap.
     let netlist = build(
         "circuit cc :\n  module cc :\n    input a : UInt<8>\n    output o : UInt<1>\n    node c = lt(a, UInt<9>(256))\n    o <= c\n",
+        false,
     );
     assert_only_analysis_code(&lint_netlist(&netlist), codes::CONST_COMPARISON);
 }
@@ -501,6 +505,7 @@ fn const_register_is_l0008() {
     // A self-fed register can never leave its power-on zero.
     let netlist = build(
         "circuit cr :\n  module cr :\n    input clock : Clock\n    output o : UInt<1>\n    reg r : UInt<1>, clock\n    r <= r\n    o <= r\n",
+        false,
     );
     assert_only_analysis_code(&lint_netlist(&netlist), codes::CONST_REGISTER);
 }
@@ -510,6 +515,7 @@ fn unreachable_mux_way_is_l0009() {
     // The selector is masked to zero without being a literal constant.
     let netlist = build(
         "circuit um :\n  module um :\n    input b : UInt<1>\n    input x : UInt<8>\n    input y : UInt<8>\n    output o : UInt<8>\n    node sel = and(b, UInt<1>(0))\n    o <= mux(sel, x, y)\n",
+        false,
     );
     assert_only_analysis_code(&lint_netlist(&netlist), codes::UNREACHABLE_MUX_WAY);
 }
@@ -519,6 +525,7 @@ fn unreachable_mux_way_is_l0009() {
 fn memful() -> Netlist {
     build(
         "circuit memful :\n  module memful :\n    input clock : Clock\n    input a : UInt<8>\n    input we : UInt<1>\n    output o : UInt<8>\n    mem m :\n      data-type => UInt<8>\n      depth => 8\n      read-latency => 0\n      write-latency => 1\n      reader => rd\n      writer => wr\n      read-under-write => undefined\n    reg r : UInt<3>, clock\n    r <= tail(add(r, UInt<3>(1)), 1)\n    m.rd.clk <= clock\n    m.rd.en <= UInt<1>(1)\n    m.rd.addr <= r\n    m.wr.clk <= clock\n    m.wr.en <= we\n    m.wr.addr <= r\n    m.wr.data <= a\n    m.wr.mask <= UInt<1>(1)\n    o <= m.rd.data\n",
+        false,
     )
 }
 
@@ -526,6 +533,7 @@ fn memful() -> Netlist {
 fn dead_code_and_truncation_lints() {
     let netlist = build(
         "circuit lints :\n  module lints :\n    input clock : Clock\n    input a : UInt<8>\n    output o : UInt<4>\n    node dead = not(a)\n    node keep = not(a)\n    o <= keep\n",
+        false,
     );
     let report = lint_netlist(&netlist);
     assert!(report.contains(codes::DEAD_SIGNAL), "{report}");
@@ -868,6 +876,7 @@ fn pristine_dataflow_schedules_verify_clean() {
 fn sunk_diamond() -> Netlist {
     build(
         "circuit sunk :\n  module sunk :\n    input clock : Clock\n    input a : UInt<8>\n    input b : UInt<8>\n    output o : UInt<8>\n    reg r1 : UInt<8>, clock\n    reg r2 : UInt<8>, clock\n    reg r3 : UInt<8>, clock\n    node s = xor(r1, a)\n    node t = xor(r2, b)\n    node u1 = and(s, t)\n    node u2 = or(u1, t)\n    r3 <= u2\n    o <= r3\n    r1 <= not(s)\n    r2 <= not(t)\n",
+        false,
     )
 }
 
@@ -1290,6 +1299,7 @@ fn jit_missing_reload_at_jump_target_is_j0702() {
 fn twin_diamonds() -> Netlist {
     build(
         "circuit T :\n  module D :\n    input clock : Clock\n    input a : UInt<8>\n    input b : UInt<8>\n    output o : UInt<8>\n    reg r1 : UInt<8>, clock\n    reg r2 : UInt<8>, clock\n    node s = xor(r1, a)\n    node t = xor(r2, b)\n    node u1 = and(s, t)\n    node u2 = or(u1, t)\n    o <= u2\n    r1 <= not(s)\n    r2 <= not(t)\n  module T :\n    input clock : Clock\n    input a0 : UInt<8>\n    input b0 : UInt<8>\n    input a1 : UInt<8>\n    input b1 : UInt<8>\n    output o0 : UInt<8>\n    output o1 : UInt<8>\n    inst d0 of D\n    inst d1 of D\n    d0.clock <= clock\n    d1.clock <= clock\n    d0.a <= a0\n    d0.b <= b0\n    d1.a <= a1\n    d1.b <= b1\n    o0 <= d0.o\n    o1 <= d1.o\n",
+        false,
     )
 }
 
@@ -1417,6 +1427,7 @@ fn wake_setup(netlist: &Netlist, config: &EngineConfig) -> (Layout, CcssPlan, Fr
 fn wide_fanout() -> Netlist {
     build(
         "circuit F :\n  module F :\n    input clock : Clock\n    input a : UInt<100>\n    input b : UInt<100>\n    output o1 : UInt<100>\n    output o2 : UInt<100>\n    node s = xor(a, b)\n    o1 <= and(s, a)\n    o2 <= or(s, b)\n",
+        false,
     )
 }
 

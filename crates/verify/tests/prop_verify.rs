@@ -7,28 +7,15 @@
 //! circuits routinely contain dead cones.
 
 use essent_core::plan::CcssPlan;
-use essent_netlist::{opt, Netlist};
 use essent_sim::compile::{compile_plan, Layout};
-use essent_sim::testgen::gen_circuit;
+use essent_sim::testgen::{build, gen_circuit};
 use essent_sim::EngineConfig;
 use essent_verify::{check_blocks, check_layout, check_plan, lint_netlist};
 use proptest::prelude::*;
 
-fn build(source: &str) -> Netlist {
-    let parsed = essent_firrtl::parse(source)
-        .unwrap_or_else(|e| panic!("generated FIRRTL must parse: {e}\n{source}"));
-    let lowered = essent_firrtl::passes::lower(parsed)
-        .unwrap_or_else(|e| panic!("generated FIRRTL must lower: {e}\n{source}"));
-    Netlist::from_circuit(&lowered)
-        .unwrap_or_else(|e| panic!("generated FIRRTL must build: {e}\n{source}"))
-}
-
 fn check_generated(seed: u64, optimize: bool) {
     let circuit = gen_circuit(seed);
-    let mut netlist = build(&circuit.source);
-    if optimize {
-        opt::optimize(&mut netlist, &opt::OptConfig::default());
-    }
+    let netlist = build(&circuit.source, optimize);
     let lints = lint_netlist(&netlist);
     assert_eq!(
         lints.error_count(),

@@ -58,17 +58,22 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 /// The `--name value` pairs after the input file. Every option takes
-/// exactly one value; a name outside `known` or a trailing name with no
-/// value is an error, never silently the default.
+/// exactly one value; a name outside `known`, a trailing name with no
+/// value or a second occurrence of an option other than `--poke` and
+/// `--peek` is an error, never silently the default or the first value.
 struct Opts<'a>(Vec<(&'a str, &'a str)>);
 
 impl<'a> Opts<'a> {
     fn parse(rest: &'a [String], known: &[&str]) -> Result<Opts<'a>, String> {
-        let mut pairs = Vec::new();
+        let mut pairs: Vec<(&str, &str)> = Vec::new();
         let mut it = rest.iter();
         while let Some(name) = it.next() {
             if !known.contains(&name.as_str()) {
                 return Err(format!("unknown option `{name}`"));
+            }
+            let repeatable = ["--poke", "--peek"].contains(&name.as_str());
+            if !repeatable && pairs.iter().any(|&(n, _)| n == name) {
+                return Err(format!("option `{name}` given more than once"));
             }
             let value = it
                 .next()

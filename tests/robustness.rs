@@ -148,7 +148,7 @@ fn cli_rejects_hostile_input_without_panicking() {
         "{stdout}"
     );
 
-    let cases: [(&[&str], &str); 13] = [
+    let cases: [(&[&str], &str); 15] = [
         (&["sim", fir, "--peek", "nope"], "no signal named `nope`"),
         (&["sim", fir, "--poke", "nope=1"], "no signal named `nope`"),
         (&["sim", fir, "--poke", "o=1"], "`o` is not an input"),
@@ -158,6 +158,14 @@ fn cli_rejects_hostile_input_without_panicking() {
         (&["sim", fir, "--cycles"], "`--cycles` needs a value"),
         (&["sim", fir, "--cycles", "many"], "expects a number"),
         (&["sim", fir, "--engine", "warp"], "unknown engine `warp`"),
+        (
+            &["sim", fir, "--cycles", "3", "--cycles", "7"],
+            "option `--cycles` given more than once",
+        ),
+        (
+            &["sim", fir, "--engine", "full", "--engine", "event"],
+            "option `--engine` given more than once",
+        ),
         (&["stats", fir, "--verbose", "1"], "unknown option"),
         (&["simulate", fir], "unknown command"),
         (&["sim", "/nonexistent/design.fir"], "reading"),
