@@ -8,8 +8,8 @@ use essent_netlist::SignalId;
 /// Configuration shared by the engines. Most fields switch one of the
 /// paper's optimizations, for the ablation study. Four do not: `jit`
 /// selects the native tier, `lanes` the fleet width, `profile` telemetry
-/// and `race_sanitizer` a dynamic race check; `par_dataflow` is inert.
-/// Each field's doc says which engines read it.
+/// and `race_sanitizer` a dynamic race check; `tier1` and `par_dataflow`
+/// are inert. Each field's doc says which engines read it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Partitioning threshold `C_p` (paper Figure 6; default 8). Only the
@@ -36,9 +36,12 @@ pub struct EngineConfig {
     /// the behavior of traditional event-driven simulators that the paper
     /// contrasts against (Section II).
     pub event_levelized: bool,
-    /// Full-cycle engine only: lower single-word steps into the
-    /// specialized one-word tier ([`crate::step1`]); multi-word steps
-    /// keep the generic kernels. The CCSS engines always run the tier.
+    /// Inert. It used to choose between the generic item interpreter
+    /// and the one-word tier ([`crate::step1`]) for the full-cycle
+    /// engine; every engine but the event-driven one now runs the tier,
+    /// and nothing reads this field. It survives only because the frozen
+    /// `bench` package still names it, and goes when that package next
+    /// changes (ROADMAP item 1).
     pub tier1: bool,
     /// Fuse partition-output trigger updates (compare + consumer wakes)
     /// into the defining tier-1 instruction. Requires push-direction
@@ -115,7 +118,8 @@ impl EngineConfig {
     }
 
     /// The paper's **Baseline**: every optimization off (pure full-cycle
-    /// evaluation of the unoptimized netlist).
+    /// evaluation of the unoptimized netlist, on the tier the CCSS
+    /// engines run).
     pub fn baseline() -> Self {
         EngineConfig {
             c_p: 1,
@@ -124,7 +128,7 @@ impl EngineConfig {
             capture_printf: true,
             trigger_push: true,
             event_levelized: true,
-            tier1: false,
+            tier1: true,
             fuse_triggers: false,
             profile: false,
             par_dataflow: true,
@@ -192,9 +196,12 @@ pub trait Simulator {
     }
 }
 
-/// Shared poke/peek plumbing for engines embedding a
+/// Shared peek plumbing for engines embedding a
 /// [`Machine`](crate::machine::Machine); macro instead of trait default
-/// methods so each engine can intercept `poke` for wakeups.
+/// methods. Each engine writes its own `poke` and `write_mem` over
+/// [`Machine::poke_input`](crate::machine::Machine::poke_input) and
+/// [`Machine::write_mem_backdoor`](crate::machine::Machine::write_mem_backdoor),
+/// waking what the change reaches.
 macro_rules! delegate_simulator_basics {
     () => {
         fn peek(&self, name: &str) -> Bits {
@@ -220,10 +227,6 @@ macro_rules! delegate_simulator_basics {
 
         fn peek_id(&self, id: essent_netlist::SignalId) -> Bits {
             self.machine.value(id)
-        }
-
-        fn write_mem(&mut self, mem: &str, addr: usize, value: Bits) {
-            self.machine.write_mem_backdoor(mem, addr, &value);
         }
 
         fn read_mem(&self, mem: &str, addr: usize) -> Bits {

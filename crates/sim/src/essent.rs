@@ -439,6 +439,14 @@ fn first_set(words: &[Cell<u64>]) -> Option<usize> {
     words.iter().position(|word| word.get() != 0)
 }
 
+/// Sets the activity bits of `consumers`: a testbench's change between
+/// steps, seen by the next cycle's walk.
+fn wake_all(flags: &mut [u64], consumers: &[u32]) {
+    for &c in consumers {
+        flags[c as usize / 64] |= 1 << (c % 64);
+    }
+}
+
 /// The `words` words at `off`, as a slice range.
 #[inline(always)]
 fn range(off: u32, words: u32) -> std::ops::Range<usize> {
@@ -514,22 +522,17 @@ impl Programs<'_> {
 
 impl Simulator for EssentSim {
     fn poke(&mut self, name: &str, value: Bits) {
-        let id = self.machine.netlist.expect_signal(name);
-        assert!(
-            matches!(
-                self.machine.netlist.signal(id).def,
-                essent_netlist::SignalDef::Input
-            ),
-            "`{name}` is not an input"
-        );
-        if self.machine.set_value(id, &value) {
-            let flags = Cell::from_mut(self.flags.as_mut_slice()).as_slice_of_cells();
-            for &c in self.design.wake.input_wakes(id) {
-                wake_bit(flags, c);
-            }
+        if let Some(id) = self.machine.poke_input(name, &value) {
+            wake_all(&mut self.flags, self.design.wake.input_wakes(id));
             if let Some(p) = &mut self.profile {
                 p.wake_input(&self.design.plan, id);
             }
+        }
+    }
+
+    fn write_mem(&mut self, mem: &str, addr: usize, value: Bits) {
+        if let Some(m) = self.machine.write_mem_backdoor(mem, addr, &value) {
+            wake_all(&mut self.flags, self.design.wake.mem_wakes(m));
         }
     }
 

@@ -22,8 +22,9 @@
 use crate::compile::{step_for, Step};
 use crate::engine::{delegate_simulator_basics, EngineConfig, Simulator};
 use crate::machine::Machine;
+use crate::state::{resolve_state, MemWrite, RegCommit};
 use essent_bits::Bits;
-use essent_netlist::{graph, Netlist, SignalDef, SignalId};
+use essent_netlist::{graph, Netlist, SignalId};
 
 /// Levelized event-driven simulator.
 pub struct EventDrivenSim {
@@ -46,6 +47,9 @@ pub struct EventDrivenSim {
     /// Signals to enqueue when a memory's contents change (its read-data
     /// signals), per memory.
     mem_read_sigs: Vec<Vec<u32>>,
+    /// Every memory write port and every register, in netlist order.
+    writes: Vec<MemWrite>,
+    regs: Vec<RegCommit>,
 }
 
 impl EventDrivenSim {
@@ -95,6 +99,7 @@ impl EventDrivenSim {
             .map(|m| m.readers.iter().map(|r| r.data.0).collect())
             .collect();
 
+        let (writes, regs) = resolve_state(netlist, &layout);
         let max_words = (0..n)
             .map(|i| layout.words(SignalId(i as u32)))
             .max()
@@ -111,6 +116,8 @@ impl EventDrivenSim {
             levelized: config.event_levelized,
             fifo: std::collections::VecDeque::new(),
             mem_read_sigs,
+            writes,
+            regs,
         };
         // First cycle: everything is an event.
         for i in 0..n {
@@ -145,6 +152,14 @@ impl EventDrivenSim {
         let changed = self.machine.arena[off..off + w] != self.scratch[..w];
         self.steps[sig as usize] = Some(step);
         changed
+    }
+
+    fn enqueue_mem_readers(&mut self, mem: usize) {
+        let reads = std::mem::take(&mut self.mem_read_sigs[mem]);
+        for &d in &reads {
+            self.enqueue(d);
+        }
+        self.mem_read_sigs[mem] = reads;
     }
 
     fn enqueue_fanouts(&mut self, sig: u32) {
@@ -190,23 +205,18 @@ impl EventDrivenSim {
         // Commit state; changes schedule next-cycle events. Memory writes
         // go first — their port fields may alias register outputs after
         // copy forwarding and must see intra-cycle values.
-        for m in 0..self.machine.netlist.mems().len() {
-            for wp in 0..self.machine.netlist.mems()[m].writers.len() {
-                self.machine.counters.static_checks += 1;
-                if self.machine.run_mem_write(m, wp) {
-                    let reads = std::mem::take(&mut self.mem_read_sigs[m]);
-                    for &d in &reads {
-                        self.enqueue(d);
-                    }
-                    self.mem_read_sigs[m] = reads;
-                }
+        for i in 0..self.writes.len() {
+            self.machine.counters.static_checks += 1;
+            let w = self.writes[i];
+            if self.machine.write_port(&w) {
+                self.enqueue_mem_readers(w.mem as usize);
             }
         }
-        for r in 0..self.machine.netlist.regs().len() {
+        for i in 0..self.regs.len() {
             self.machine.counters.static_checks += 1;
-            if self.machine.commit_reg(r) {
-                let out = self.machine.netlist.regs()[r].out;
-                self.enqueue_fanouts(out.0);
+            let r = self.regs[i];
+            if self.machine.commit(&r) {
+                self.enqueue_fanouts(self.machine.netlist.regs()[r.plan as usize].out.0);
             }
         }
         self.machine.cycle += 1;
@@ -216,13 +226,14 @@ impl EventDrivenSim {
 
 impl Simulator for EventDrivenSim {
     fn poke(&mut self, name: &str, value: Bits) {
-        let id = self.machine.netlist.expect_signal(name);
-        assert!(
-            matches!(self.machine.netlist.signal(id).def, SignalDef::Input),
-            "`{name}` is not an input"
-        );
-        if self.machine.set_value(id, &value) {
+        if let Some(id) = self.machine.poke_input(name, &value) {
             self.enqueue_fanouts(id.0);
+        }
+    }
+
+    fn write_mem(&mut self, mem: &str, addr: usize, value: Bits) {
+        if let Some(m) = self.machine.write_mem_backdoor(mem, addr, &value) {
+            self.enqueue_mem_readers(m);
         }
     }
 

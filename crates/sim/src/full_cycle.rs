@@ -5,11 +5,15 @@
 //! is the paper's **Baseline**; with optimizations on it corresponds to a
 //! leading full-cycle compiled simulator (the "Verilator" row of Table
 //! III — the paper observes the two are performance-comparable because
-//! both are full-cycle).
+//! both are full-cycle). Either way it runs the tier the CCSS engines
+//! run: the whole design is one tier-1 program, and the end-of-cycle
+//! state updates are entries resolved once, as in the CCSS engines'
+//! [`StateTable`](crate::state::StateTable).
 
-use crate::compile::{compile_full, Block, Item};
+use crate::compile::compile_full;
 use crate::engine::{delegate_simulator_basics, EngineConfig, Simulator};
 use crate::machine::Machine;
+use crate::state::{resolve_state, MemWrite, RegCommit};
 use crate::step1::{lower_tier1, run_tier1_raw, NoWake, Tier1Program};
 use essent_bits::Bits;
 use essent_netlist::Netlist;
@@ -18,10 +22,12 @@ use std::sync::Arc;
 /// Full-cycle simulator: activity-oblivious, minimum per-cycle overhead.
 pub struct FullCycleSim {
     machine: Machine,
-    block: Block,
-    /// Word-specialized program (`config.tier1`); no triggers to fuse in
-    /// a full-cycle schedule.
-    program: Option<Tier1Program>,
+    /// The whole design as one tier-1 program; a full-cycle schedule has
+    /// no triggers to fuse.
+    program: Tier1Program,
+    /// Every memory write port and every register, in netlist order.
+    writes: Vec<MemWrite>,
+    regs: Vec<RegCommit>,
 }
 
 impl FullCycleSim {
@@ -35,20 +41,23 @@ impl FullCycleSim {
     pub fn new_shared(netlist: Arc<Netlist>, config: &EngineConfig) -> FullCycleSim {
         let mut machine = Machine::from_arc(Arc::clone(&netlist));
         machine.capture_printf = config.capture_printf;
-        let block = compile_full(&netlist, &machine.layout.clone(), config);
-        let program = config
-            .tier1
-            .then(|| lower_tier1(&netlist, &block, &[], false));
+        let block = compile_full(&netlist, &machine.layout, config);
+        let (writes, regs) = resolve_state(&netlist, &machine.layout);
         FullCycleSim {
+            program: lower_tier1(&netlist, &block, &[], false),
             machine,
-            block,
-            program,
+            writes,
+            regs,
         }
     }
 
-    /// The number of bytecode steps evaluated per cycle (for reports).
+    /// The number of bytecode steps evaluated per cycle (for reports):
+    /// the definition [`EssentSim::full_steps_per_cycle`] sums over its
+    /// partitions.
+    ///
+    /// [`EssentSim::full_steps_per_cycle`]: crate::EssentSim::full_steps_per_cycle
     pub fn steps_per_cycle(&self) -> usize {
-        self.block.items.iter().map(Item::step_count).sum()
+        self.program.stats.total_steps
     }
 
     /// Borrow of the underlying machine (testing, activity profiling).
@@ -59,59 +68,47 @@ impl FullCycleSim {
 
 impl Simulator for FullCycleSim {
     fn poke(&mut self, name: &str, value: Bits) {
-        let id = self.machine.netlist.expect_signal(name);
-        assert!(
-            matches!(
-                self.machine.netlist.signal(id).def,
-                essent_netlist::SignalDef::Input
-            ),
-            "`{name}` is not an input"
-        );
-        self.machine.set_value(id, &value);
+        self.machine.poke_input(name, &value);
+    }
+
+    fn write_mem(&mut self, mem: &str, addr: usize, value: Bits) {
+        self.machine.write_mem_backdoor(mem, addr, &value);
     }
 
     fn step(&mut self, n: u64) -> u64 {
         for i in 0..n {
-            if self.machine.halted.is_some() {
+            let machine = &mut self.machine;
+            if machine.halted.is_some() {
                 return i;
             }
-            match &self.program {
-                Some(prog) => {
-                    let machine = &mut self.machine;
-                    let arena = machine.arena.as_mut_ptr();
-                    let mut dynamic = 0u64;
-                    // SAFETY: exclusive machine access through &mut self.
-                    unsafe {
-                        run_tier1_raw(
-                            prog,
-                            arena,
-                            &machine.mems,
-                            &NoWake,
-                            &mut machine.counters.ops_evaluated,
-                            &mut dynamic,
-                        )
-                    }
-                }
-                None => self.machine.run_items(&self.block.items),
+            let mut dynamic = 0u64;
+            // SAFETY: exclusive machine access through &mut self.
+            unsafe {
+                run_tier1_raw(
+                    &self.program,
+                    machine.arena.as_mut_ptr(),
+                    &machine.mems,
+                    &NoWake,
+                    &mut machine.counters.ops_evaluated,
+                    &mut dynamic,
+                )
             }
-            self.machine.side_effects();
+            machine.side_effects();
             // Commit every memory write, then every register, every
             // cycle. Memory writes go first: a write port's fields can
             // alias a register output after copy forwarding, and the
             // write must observe the value the register held *during*
             // the cycle.
-            for m in 0..self.machine.netlist.mems().len() {
-                for w in 0..self.machine.netlist.mems()[m].writers.len() {
-                    self.machine.counters.static_checks += 1;
-                    self.machine.run_mem_write(m, w);
-                }
+            for w in &self.writes {
+                machine.counters.static_checks += 1;
+                machine.write_port(w);
             }
-            for r in 0..self.machine.netlist.regs().len() {
-                self.machine.counters.static_checks += 1;
-                self.machine.commit_reg(r);
+            for r in &self.regs {
+                machine.counters.static_checks += 1;
+                machine.commit(r);
             }
-            self.machine.cycle += 1;
-            self.machine.counters.cycles += 1;
+            machine.cycle += 1;
+            machine.counters.cycles += 1;
         }
         n
     }

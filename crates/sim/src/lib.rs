@@ -7,9 +7,11 @@
 //! cross-engine *timing* is a meaningful benchmark:
 //!
 //! * [`FullCycleSim`] — evaluates the entire design every cycle from a
-//!   static schedule. With netlist optimizations disabled this is the
-//!   paper's **Baseline**; with them enabled it plays the **Verilator**
-//!   row (the paper notes both are full-cycle and comparable).
+//!   static schedule: one tier-1 program, then every write port and
+//!   register from entries resolved once. With netlist optimizations
+//!   disabled this is the paper's **Baseline**; with them enabled it
+//!   plays the **Verilator** row (the paper notes both are full-cycle and
+//!   comparable).
 //! * [`EssentSim`] — the paper's contribution: **CCSS execution**
 //!   (conditional, coarsened, singular, static). Partitions produced by
 //!   `essent-core` carry activation flags; an active partition

@@ -152,6 +152,22 @@ impl Machine {
         }
     }
 
+    /// Sets external input `name` — every engine's `poke`. Returns the
+    /// input when its stored value changed, for the engine to wake its
+    /// readers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is unknown or not an input.
+    pub fn poke_input(&mut self, name: &str, value: &Bits) -> Option<SignalId> {
+        let id = self.netlist.expect_signal(name);
+        assert!(
+            matches!(self.netlist.signal(id).def, SignalDef::Input),
+            "`{name}` is not an input"
+        );
+        self.set_value(id, value).then_some(id)
+    }
+
     /// Executes one step against the arena.
     ///
     /// Uses raw-pointer slices because the destination and source slots of
@@ -164,19 +180,6 @@ impl Machine {
         unsafe {
             run_step_raw(
                 step,
-                self.arena.as_mut_ptr(),
-                &self.mems,
-                &mut self.counters.ops_evaluated,
-            )
-        }
-    }
-
-    /// Executes a block of items, honoring conditional mux ways.
-    pub fn run_items(&mut self, items: &[Item]) {
-        // SAFETY: exclusive access to the arena through &mut self.
-        unsafe {
-            run_items_raw(
-                items,
                 self.arena.as_mut_ptr(),
                 &self.mems,
                 &mut self.counters.ops_evaluated,
@@ -220,12 +223,6 @@ impl Machine {
         self.halted.is_some()
     }
 
-    /// Commits one register (copy next → out); returns `true` on change.
-    #[inline]
-    pub fn commit_reg(&mut self, reg_index: usize) -> bool {
-        self.commit(&RegCommit::resolve(&self.netlist, &self.layout, reg_index))
-    }
-
     /// Runs one pre-resolved register commit; `true` on change.
     #[inline]
     pub fn commit(&mut self, reg: &RegCommit) -> bool {
@@ -239,17 +236,6 @@ impl Machine {
                 reg.words as usize,
             )
         }
-    }
-
-    /// Executes one memory write port if enabled; returns `true` when the
-    /// stored contents changed.
-    pub fn run_mem_write(&mut self, mem_index: usize, writer: usize) -> bool {
-        self.write_port(&MemWrite::resolve(
-            &self.netlist,
-            &self.layout,
-            mem_index,
-            writer,
-        ))
     }
 
     /// Runs one pre-resolved memory write port; `true` when the stored
@@ -271,13 +257,15 @@ impl Machine {
     /// Back-door memory write (program loading), with a structured error
     /// for bad references — the same [`MemRefError`] the golden
     /// interpreter returns, liftable into a coded
-    /// `essent_core::diag::Diagnostic` via `From`.
+    /// `essent_core::diag::Diagnostic` via `From`. Returns the memory's
+    /// index when the stored word changed, for the engine to wake the
+    /// memory's readers.
     pub fn try_write_mem_backdoor(
         &mut self,
         mem: &str,
         addr: usize,
         value: &Bits,
-    ) -> Result<(), MemRefError> {
+    ) -> Result<Option<usize>, MemRefError> {
         let id = self
             .netlist
             .find_mem(mem)
@@ -292,10 +280,13 @@ impl Machine {
                 depth: bank.depth,
             });
         }
-        let width = bank.width;
-        let adapted = value.extend(width, false);
-        bank.entry_mut(addr).copy_from_slice(adapted.limbs());
-        Ok(())
+        let adapted = value.extend(bank.width, false);
+        let entry = bank.entry_mut(addr);
+        if entry == adapted.limbs() {
+            return Ok(None);
+        }
+        entry.copy_from_slice(adapted.limbs());
+        Ok(Some(id.index()))
     }
 
     /// Back-door memory read, with a structured error for bad references.
@@ -317,16 +308,18 @@ impl Machine {
         Ok(Bits::from_limbs(bank.entry(addr).to_vec(), bank.width))
     }
 
-    /// Back-door memory write (program loading).
+    /// Back-door memory write — every engine's `write_mem`. Returns the
+    /// memory's index when the stored word changed, for the engine to
+    /// wake the memory's readers.
     ///
     /// # Panics
     ///
     /// Panics on unknown memory or out-of-range address, rendering the
     /// structured diagnostic (`M0001`/`M0002`). Use
     /// [`Machine::try_write_mem_backdoor`] to handle the error instead.
-    pub fn write_mem_backdoor(&mut self, mem: &str, addr: usize, value: &Bits) {
+    pub fn write_mem_backdoor(&mut self, mem: &str, addr: usize, value: &Bits) -> Option<usize> {
         self.try_write_mem_backdoor(mem, addr, value)
-            .unwrap_or_else(|e| panic!("{}", essent_core::diag::Diagnostic::from(e)));
+            .unwrap_or_else(|e| panic!("{}", essent_core::diag::Diagnostic::from(e)))
     }
 
     /// Back-door memory read.
@@ -617,14 +610,37 @@ mod tests {
         Netlist::from_circuit(&lowered).unwrap()
     }
 
+    /// Evaluates every computed signal once, through the generic kernels.
+    fn eval_all(m: &mut Machine, n: &Netlist) {
+        let block = compile_full(n, &m.layout, &EngineConfig::default());
+        // SAFETY: exclusive access to the arena through `&mut m`.
+        unsafe {
+            run_items_raw(
+                &block.items,
+                m.arena.as_mut_ptr(),
+                &m.mems,
+                &mut m.counters.ops_evaluated,
+            )
+        }
+    }
+
+    fn commit_reg(m: &mut Machine, reg_index: usize) -> bool {
+        let reg = RegCommit::resolve(&m.netlist, &m.layout, reg_index);
+        m.commit(&reg)
+    }
+
+    fn run_mem_write(m: &mut Machine) -> bool {
+        let port = MemWrite::resolve(&m.netlist, &m.layout, 0, 0);
+        m.write_port(&port)
+    }
+
     #[test]
     fn constants_materialize_in_arena() {
         let n = netlist_of(
             "circuit C :\n  module C :\n    output o : UInt<8>\n    o <= UInt<8>(\"hab\")\n",
         );
         let mut m = Machine::new(&n);
-        let block = compile_full(&n, &m.layout.clone(), &EngineConfig::default());
-        m.run_items(&block.items);
+        eval_all(&mut m, &n);
         assert_eq!(m.value(n.find("o").unwrap()).to_u64(), Some(0xab));
     }
 
@@ -634,8 +650,7 @@ mod tests {
         let mut m = Machine::new(&n);
         m.set_value(n.find("a").unwrap(), &Bits::from_u64(200, 8));
         m.set_value(n.find("b").unwrap(), &Bits::from_u64(100, 8));
-        let block = compile_full(&n, &m.layout.clone(), &EngineConfig::default());
-        m.run_items(&block.items);
+        eval_all(&mut m, &n);
         assert_eq!(m.value(n.find("o").unwrap()).to_u64(), Some(300));
         assert!(m.counters.ops_evaluated >= 1);
     }
@@ -645,10 +660,9 @@ mod tests {
         let n = netlist_of("circuit R :\n  module R :\n    input clock : Clock\n    input d : UInt<4>\n    output q : UInt<4>\n    reg r : UInt<4>, clock\n    r <= d\n    q <= r\n");
         let mut m = Machine::new(&n);
         m.set_value(n.find("d").unwrap(), &Bits::from_u64(5, 4));
-        let block = compile_full(&n, &m.layout.clone(), &EngineConfig::default());
-        m.run_items(&block.items);
-        assert!(m.commit_reg(0), "first commit changes 0 -> 5");
-        assert!(!m.commit_reg(0), "second commit is idempotent");
+        eval_all(&mut m, &n);
+        assert!(commit_reg(&mut m, 0), "first commit changes 0 -> 5");
+        assert!(!commit_reg(&mut m, 0), "second commit is idempotent");
         assert_eq!(m.value(n.find("r").unwrap()).to_u64(), Some(5));
     }
 
@@ -676,10 +690,10 @@ mod tests {
         let mut m = Machine::new(&n);
         drive_write(&mut m, &port, 2);
         m.set_value(port.data, &Bits::from_u64(0xb, 4));
-        assert!(m.run_mem_write(0, 0), "first write changes the entry");
+        assert!(run_mem_write(&mut m), "first write changes the entry");
         assert_eq!(m.read_mem_backdoor("m", 2).to_u64(), Some(0x0b));
         assert!(
-            !m.run_mem_write(0, 0),
+            !run_mem_write(&mut m),
             "re-writing the same value is a no-op"
         );
     }
@@ -696,7 +710,7 @@ mod tests {
         let mut m = Machine::new(&n);
         drive_write(&mut m, &port, 3);
         m.set_value(port.data, &Bits::from_u64(0xb, 4)); // -5 as SInt<4>
-        assert!(m.run_mem_write(0, 0));
+        assert!(run_mem_write(&mut m));
         assert_eq!(m.read_mem_backdoor("m", 3).to_u64(), Some(0xfb));
     }
 
@@ -708,20 +722,29 @@ mod tests {
         let mut m = Machine::new(&n);
         drive_write(&mut m, &port, 1);
         m.set_value(port.data, &Bits::from_u64(0x1ab, 16));
-        assert!(m.run_mem_write(0, 0));
+        assert!(run_mem_write(&mut m));
         assert_eq!(m.read_mem_backdoor("m", 1).to_u64(), Some(0xab));
-        assert!(!m.run_mem_write(0, 0), "idempotent after truncation");
+        assert!(!run_mem_write(&mut m), "idempotent after truncation");
     }
 
     #[test]
     fn mem_backdoor_roundtrip() {
         let n = netlist_of("circuit M :\n  module M :\n    input clock : Clock\n    input addr : UInt<3>\n    output o : UInt<8>\n    mem m :\n      data-type => UInt<8>\n      depth => 8\n      read-latency => 0\n      write-latency => 1\n      reader => r\n    m.r.clk <= clock\n    m.r.en <= UInt<1>(1)\n    m.r.addr <= addr\n    o <= m.r.data\n");
         let mut m = Machine::new(&n);
-        m.write_mem_backdoor("m", 5, &Bits::from_u64(99, 8));
+        let word = Bits::from_u64(99, 8);
+        assert_eq!(
+            m.write_mem_backdoor("m", 5, &word),
+            Some(0),
+            "memory 0 changed"
+        );
+        assert_eq!(
+            m.write_mem_backdoor("m", 5, &word),
+            None,
+            "the same word again"
+        );
         assert_eq!(m.read_mem_backdoor("m", 5).to_u64(), Some(99));
         m.set_value(n.find("addr").unwrap(), &Bits::from_u64(5, 3));
-        let block = compile_full(&n, &m.layout.clone(), &EngineConfig::default());
-        m.run_items(&block.items);
+        eval_all(&mut m, &n);
         assert_eq!(m.value(n.find("o").unwrap()).to_u64(), Some(99));
     }
 }

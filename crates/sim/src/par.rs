@@ -737,16 +737,16 @@ impl ParEssentSim {
 
 impl Simulator for ParEssentSim {
     fn poke(&mut self, name: &str, value: Bits) {
-        let id = self.machine.netlist.expect_signal(name);
-        assert!(
-            matches!(
-                self.machine.netlist.signal(id).def,
-                essent_netlist::SignalDef::Input
-            ),
-            "`{name}` is not an input"
-        );
-        if self.machine.set_value(id, &value) {
+        if let Some(id) = self.machine.poke_input(name, &value) {
             for &c in self.wake.input_wakes(id) {
+                self.flags[c as usize].store(true, Ordering::Relaxed);
+            }
+        }
+    }
+
+    fn write_mem(&mut self, mem: &str, addr: usize, value: Bits) {
+        if let Some(m) = self.machine.write_mem_backdoor(mem, addr, &value) {
+            for &c in self.wake.mem_wakes(m) {
                 self.flags[c as usize].store(true, Ordering::Relaxed);
             }
         }

@@ -25,6 +25,9 @@
 //!   `plan.input_wakes`. There is no slot table to build or audit; names
 //!   come from the netlist and plan when a report is made. Wakes fused
 //!   into tier-1 instructions are charged through [`ProfCellFlags`].
+//!   A back-door memory write between steps wakes the memory's readers
+//!   with no cause: the plan numbers no such cause, so those wakes are
+//!   in no `woke_*` counter (the partitions' evals still count).
 //! * **Skips derived, not counted.** The walk runs or skips every
 //!   partition exactly once per cycle, so a unit's skips are
 //!   `cycles − evals` at report time, and an idle partition costs the

@@ -10,7 +10,8 @@
 //! changed), the cross-partition inputs a pull-mode partition watches,
 //! and the `plain` bit — *the program is the whole wake*: no unfused
 //! output, no in-place state update the program did not absorb — plus
-//! the external-input wake map. Engines keep only storage (snapshots,
+//! the wakes of a testbench's changes between steps: per external input
+//! and, for back-door writes, per memory. Engines keep only storage (snapshots,
 //! flags) and their schedule loop; `essent-verify` audits the table once
 //! for all of them (`X0801`/`X0802`).
 //!
@@ -64,6 +65,9 @@ pub struct WakeTable {
     pub plain: Vec<bool>,
     /// Per external input: the partitions to wake when it changes.
     pub input_wake: HashMap<SignalId, Vec<u32>>,
+    /// Per memory: the partitions holding its read ports, to wake when a
+    /// back-door write changes a word.
+    pub mem_wake: Vec<Vec<u32>>,
     /// Words of snapshot storage the `snap` offsets address.
     pub snapshot_words: usize,
     /// Steps a full-cycle evaluation would run per cycle (the
@@ -129,6 +133,18 @@ impl WakeTable {
         t.out_bound.push(t.outputs.len() as u32);
         t.in_bound.push(t.inputs.len() as u32);
         t.input_wake = plan.input_wakes.iter().cloned().collect();
+        t.mem_wake = netlist
+            .mems()
+            .iter()
+            .map(|m| {
+                let readers: BTreeSet<u32> = m
+                    .readers
+                    .iter()
+                    .map(|r| plan.sched_of_signal[r.data.index()])
+                    .collect();
+                readers.into_iter().collect()
+            })
+            .collect();
         t.full_steps = programs.iter().map(|p| p.stats.total_steps).sum();
         t
     }
@@ -167,6 +183,11 @@ impl WakeTable {
     /// The partitions a change of external input `sig` wakes.
     pub fn input_wakes(&self, sig: SignalId) -> &[u32] {
         self.input_wake.get(&sig).map_or(&[], Vec::as_slice)
+    }
+
+    /// The partitions a back-door write to memory `mem` wakes.
+    pub fn mem_wakes(&self, mem: usize) -> &[u32] {
+        &self.mem_wake[mem]
     }
 }
 

@@ -94,6 +94,24 @@ impl MemWrite {
     }
 }
 
+/// Every memory write port and every register of `netlist`, resolved
+/// in netlist order: the end-of-cycle updates of an engine without a
+/// plan, writes then registers.
+pub fn resolve_state(netlist: &Netlist, layout: &Layout) -> (Vec<MemWrite>, Vec<RegCommit>) {
+    let writes = netlist
+        .mems()
+        .iter()
+        .enumerate()
+        .flat_map(|(m, mem)| {
+            (0..mem.writers.len()).map(move |w| MemWrite::resolve(netlist, layout, m, w))
+        })
+        .collect();
+    let regs = (0..netlist.regs().len())
+        .map(|r| RegCommit::resolve(netlist, layout, r))
+        .collect();
+    (writes, regs)
+}
+
 /// The flat table (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct StateTable {

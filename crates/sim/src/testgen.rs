@@ -453,10 +453,28 @@ impl<'a> Lockstep<'a> {
     /// Pokes `name` on stream `stream`'s golden interpreter and rows.
     pub fn poke(&mut self, stream: usize, name: &str, value: Bits) {
         self.goldens[stream].poke(name, value.clone());
+        self.each_row(stream, |sim| sim.poke(name, value.clone()));
+    }
+
+    /// Back-door writes `mem[addr]` on stream `stream`'s golden
+    /// interpreter and rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown memory or an out-of-range address.
+    pub fn write_mem(&mut self, stream: usize, mem: &str, addr: usize, value: Bits) {
+        self.goldens[stream]
+            .write_mem(mem, addr, value.clone())
+            .expect("a memory of the design and an address inside it");
+        self.each_row(stream, |sim| sim.write_mem(mem, addr, value.clone()));
+    }
+
+    /// Runs `act` on every row of stream `stream`, fleet lanes included.
+    fn each_row(&mut self, stream: usize, mut act: impl FnMut(&mut dyn Simulator)) {
         for row in self.rows.iter_mut().filter(|r| r.stream == stream) {
             match &mut row.sim {
-                Sim::One(sim) => sim.poke(name, value.clone()),
-                Sim::Lane(f, l) => self.fleets[*f].0.lane_mut(*l).poke(name, value.clone()),
+                Sim::One(sim) => act(&mut **sim),
+                Sim::Lane(f, l) => act(self.fleets[*f].0.lane_mut(*l)),
             }
         }
     }

@@ -4,11 +4,13 @@
 //! directed designs pin the seams of that split against the golden
 //! interpreter on every tier — scalar tier-1, native, lanes, dataflow
 //! workers (tier-1 only: that engine runs no native code), and the
-//! unfused configuration that absorbs nothing.
+//! unfused configuration that absorbs nothing. The last law holds every
+//! engine to the wakes of a back-door memory write between steps.
 
+use essent_bits::Bits;
 use essent_netlist::Netlist;
 use essent_sim::testgen::{build, gen_circuit, GenCircuit, Lockstep, Reset};
-use essent_sim::{BatchSim, EngineConfig, EssentSim, ParEssentSim};
+use essent_sim::{BatchSim, EngineConfig, EssentSim, EventDrivenSim, FullCycleSim, ParEssentSim};
 
 /// A directed design's interface, in the order the stimulus pokes it.
 fn circuit(source: &str, inputs: &[(&str, u32)], outputs: &[&str]) -> GenCircuit {
@@ -179,5 +181,66 @@ fn commit_wakes_are_attributed_like_table_wakes() {
             absorbed_commits == 0 || state_wakes > 0,
             "seed {seed}: {absorbed_commits} commit instruction(s) never woke anyone"
         );
+    }
+}
+
+/// A back-door write between steps (`write_mem`, as a testbench loads a
+/// program mid-run) changes a word no port wrote: every engine must wake
+/// the partitions or signals that read the memory, or they keep the
+/// value they read before the write. Read at a fixed address, on a ROM
+/// and on a memory written through its port only under reset, by every
+/// engine, a fleet's lanes and the golden interpreter; the second
+/// back-door value writes over the first.
+#[test]
+fn backdoor_writes_between_steps_wake_the_memory_readers() {
+    const MEM: &str = "    mem m :\n      data-type => UInt<8>\n      depth => 8\n      read-latency => 0\n      write-latency => 1\n      reader => rd\n";
+    const READ: &str = "    m.rd.clk <= clock\n    m.rd.en <= UInt<1>(1)\n    m.rd.addr <= UInt<3>(3)\n    q <= m.rd.data\n";
+    let head = |name: &str| {
+        format!("circuit {name} :\n  module {name} :\n    input clock : Clock\n    input reset : UInt<1>\n    output q : UInt<8>\n")
+    };
+    let rom = format!("{}{MEM}{READ}", head("Rom"));
+    let ram = format!(
+        "{}    reg c : UInt<8>, clock\n    c <= tail(add(c, UInt<8>(1)), 1)\n{MEM}      writer => w\n{READ}    m.w.clk <= clock\n    m.w.en <= reset\n    m.w.mask <= UInt<1>(1)\n    m.w.addr <= bits(c, 2, 0)\n    m.w.data <= c\n",
+        head("Ram")
+    );
+    for source in [rom, ram] {
+        let design = circuit(&source, &[("reset", 1)], &["q"]);
+        for optimize in [false, true] {
+            let netlist = build(&source, optimize);
+            for c_p in [1, 8] {
+                let on = EngineConfig {
+                    c_p,
+                    ..EngineConfig::default()
+                };
+                let with = |tweak: fn(&mut EngineConfig)| {
+                    let mut config = on.clone();
+                    tweak(&mut config);
+                    config
+                };
+                let ctx = format!("c_p={c_p} opt={optimize}");
+                let mut run = Lockstep::new(ctx, &design, &netlist);
+                run.row("tier-1", EssentSim::new(&netlist, &on));
+                run.row("native", EssentSim::new(&netlist, &with(|c| c.jit = true)));
+                let unfused = with(|c| c.fuse_triggers = false);
+                run.row("unfused", EssentSim::new(&netlist, &unfused));
+                let pull = with(|c| c.trigger_push = false);
+                run.row("pull", EssentSim::new(&netlist, &pull));
+                run.row("dataflow", ParEssentSim::new(&netlist, &on, 2));
+                run.row("event-driven", EventDrivenSim::new(&netlist, &on));
+                let fifo = with(|c| c.event_levelized = false);
+                run.row("event-driven fifo", EventDrivenSim::new(&netlist, &fifo));
+                run.row("full-cycle", FullCycleSim::new(&netlist, &on));
+                let baseline = EngineConfig::baseline();
+                run.row("baseline", FullCycleSim::new(&netlist, &baseline));
+                let fleet = BatchSim::new(&netlist, &with(|c| c.lanes = 2));
+                run.fleet("fleet", fleet, &[0, 0]);
+                run.run(0xBAC4, Reset::At(&[0, 1]), &[1; 5]);
+                for value in [0x5A, 0x33] {
+                    run.write_mem(0, "m", 3, Bits::from_u64(value, 8));
+                    run.run(0xBAC4, Reset::At(&[]), &[1; 2]);
+                    assert_eq!(run.sim(0).peek("q").to_u64(), Some(value));
+                }
+            }
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! Steady-state allocation audit: after warm-up, stepping a sequential
-//! engine — the full-cycle engine, the CCSS engine on tier-1 and, where
-//! the host runs emitted code, on native bodies — must not allocate at
-//! all. The hot path is pre-resolved at
+//! engine — the full-cycle engine under the default and the Baseline
+//! configuration, the levelized event-driven engine, the CCSS engine on
+//! tier-1 and, where the host runs emitted code, on native bodies — must
+//! not allocate at all. The hot path is pre-resolved at
 //! compile time — tiered instructions, preallocated snapshots, in-place
 //! mem-write compare — and sharing the netlist behind an `Arc` removed
 //! the historical per-engine deep clone and per-firing `Printf` clone.
@@ -11,7 +12,7 @@
 
 use essent_bits::Bits;
 use essent_netlist::Netlist;
-use essent_sim::{jit, EngineConfig, EssentSim, FullCycleSim, Simulator};
+use essent_sim::{jit, EngineConfig, EssentSim, EventDrivenSim, FullCycleSim, Simulator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -74,6 +75,12 @@ fn steady_state_cycles_do_not_allocate() {
         3,
         "engines must share the netlist, not clone it"
     );
+    let baseline = EngineConfig {
+        capture_printf: false,
+        ..EngineConfig::baseline()
+    };
+    let mut base = FullCycleSim::new_shared(Arc::clone(&netlist), &baseline);
+    let mut event = EventDrivenSim::new(&netlist, &config);
     // The native path, where the host runs it (the sanitizer build keeps
     // the JIT off): partitions that run an emitted body instead of the
     // tier-1 interpreter.
@@ -91,6 +98,8 @@ fn steady_state_cycles_do_not_allocate() {
     let mut sims = vec![
         &mut essent as &mut dyn Simulator,
         &mut full as &mut dyn Simulator,
+        &mut base as &mut dyn Simulator,
+        &mut event as &mut dyn Simulator,
     ];
     sims.extend(native.as_mut().map(|n| n as &mut dyn Simulator));
     for sim in sims {
@@ -114,6 +123,8 @@ fn steady_state_cycles_do_not_allocate() {
 
     // The work actually happened: the counter runs and writes memory.
     assert_eq!(essent.peek("o"), full.peek("o"));
+    assert_eq!(base.peek("o"), full.peek("o"));
+    assert_eq!(event.peek("o"), full.peek("o"));
     if let Some(native) = &native {
         assert_eq!(native.peek("o"), essent.peek("o"));
         assert_eq!(native.counters(), essent.counters());

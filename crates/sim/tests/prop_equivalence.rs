@@ -26,9 +26,18 @@ fn check_equivalence(seed: u64, optimize: bool) {
     };
     let essent = |tweak| EssentSim::new(&netlist, &with(tweak));
     let mut run = Lockstep::new(format!("seed {seed} opt={optimize}"), &circuit, &netlist);
-    run.row("full-cycle", FullCycleSim::new(&netlist, &config));
-    let baseline = EngineConfig::baseline();
-    run.row("baseline", FullCycleSim::new(&netlist, &baseline));
+    let full = FullCycleSim::new(&netlist, &config);
+    let baseline = FullCycleSim::new(&netlist, &EngineConfig::baseline());
+    // One definition of a cycle's full work: the bench's full-cycle facts
+    // read the first count, Figure 7's activity factor the third.
+    let steps = [
+        full.steps_per_cycle(),
+        baseline.steps_per_cycle(),
+        EssentSim::new(&netlist, &config).full_steps_per_cycle(),
+    ];
+    assert_eq!(steps, [steps[0]; 3], "seed {seed}: steps per cycle");
+    run.row("full-cycle", full);
+    run.row("baseline", baseline);
     run.row("event-driven", EventDrivenSim::new(&netlist, &config));
     let fifo = with(|c| c.event_levelized = false);
     run.row("event-driven fifo", EventDrivenSim::new(&netlist, &fifo));

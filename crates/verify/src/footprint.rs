@@ -252,6 +252,12 @@ pub(crate) fn block_writes(block: &Block) -> WordSet {
     block_access(block).writes
 }
 
+/// The memory banks a partition's generic block reads — the partitions
+/// a back-door write to one of them must wake ([`crate::wake`]).
+pub(crate) fn block_bank_reads(block: &Block) -> BTreeSet<u32> {
+    block_access(block).bank_reads
+}
+
 fn add_inst(inst: &Inst1, prog: &Tier1Program, acc: &mut Access) {
     if inst.op == Op1::Generic {
         // The fallback interprets the original generic item; its

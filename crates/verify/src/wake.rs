@@ -16,14 +16,14 @@
 //! | code | check |
 //! |---|---|
 //! | `X0801` | every watched output range lies inside its partition's derived write footprint (the `R05xx` machinery) |
-//! | `X0802` | the routing the engines perform — table outputs ∪ fused instruction ranges per output slot, `Commit` instructions ∪ state-table entries per register and write port, the input-wake map — equals [`CcssPlan::wake_routing`] |
+//! | `X0802` | the routing the engines perform — table outputs ∪ fused instruction ranges per output slot, `Commit` instructions ∪ state-table entries per register and write port, the input-wake map — equals [`CcssPlan::wake_routing`]; each memory's back-door wake list names exactly the partitions whose blocks read its bank |
 //!
 //! "Perform" is taken literally: a `plain` partition runs its program
 //! and nothing else, so its table outputs and in-place state entries do
 //! not count — a wrongly set `plain` bit shows up as the routes it
 //! drops.
 
-use crate::footprint::block_writes;
+use crate::footprint::{block_bank_reads, block_writes};
 use essent_core::diag::{codes, Diagnostic, Report};
 use essent_core::plan::CcssPlan;
 use essent_sim::compile::Layout;
@@ -179,6 +179,28 @@ pub fn check_wake_table(layout: &Layout, plan: &CcssPlan, front: &Frontend) -> R
                 "input wake routing disagrees with the plan: engines perform {got_inputs:?}, \
                  plan {:?}",
                 routing.input_wakes
+            ),
+        ));
+    }
+    // Back-door memory wakes: a bank's readers, re-derived from the
+    // blocks' read ports rather than the netlist the table was built
+    // from.
+    let mut want_mems = vec![Vec::new(); wake.mem_wake.len()];
+    for (sched, block) in front.blocks.iter().enumerate() {
+        for bank in block_bank_reads(block).into_iter().map(|b| b as usize) {
+            if bank >= want_mems.len() {
+                want_mems.resize(bank + 1, Vec::new());
+            }
+            want_mems[bank].push(sched as u32);
+        }
+    }
+    let got_mems: Vec<Vec<u32>> = wake.mem_wake.iter().map(|l| canon(l)).collect();
+    if got_mems != want_mems {
+        report.push(Diagnostic::error(
+            codes::WAKE_ROUTE,
+            format!(
+                "back-door memory wake routing disagrees with the read ports: engines \
+                 perform {got_mems:?}, blocks read {want_mems:?}"
             ),
         ));
     }

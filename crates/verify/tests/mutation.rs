@@ -1522,6 +1522,18 @@ fn wake_table_wrong_plain_bit_is_x0802() {
 }
 
 #[test]
+fn wake_table_dropped_memory_reader_is_x0802() {
+    let netlist = memful();
+    let (layout, plan, mut front) = wake_setup(&netlist, &at_cp(1));
+    let readers = &mut front.wake.mem_wake[0];
+    assert!(!readers.is_empty(), "`m` has a read port");
+    // The read port's partition would sleep through a program load.
+    readers.pop();
+    let report = check_wake_table(&layout, &plan, &front);
+    assert_eq!(report.codes(), vec![codes::WAKE_ROUTE], "{report}");
+}
+
+#[test]
 fn commit_dropped_consumer_is_x0802() {
     let netlist = diamond();
     let (layout, plan, mut front) = wake_setup(&netlist, &at_cp(1));
