@@ -13,7 +13,7 @@ use essent_core::partition::{
     merge_single_parent, merge_small_into_any_sibling, merge_small_siblings, partition,
     Partitioning,
 };
-use essent_core::plan::extended_dag;
+use essent_core::plan::{extended_dag, CcssPlan, PlanOptions};
 use essent_designs::soc::{generate_soc, SocConfig};
 use essent_netlist::{opt, Netlist};
 use proptest::prelude::*;
@@ -209,36 +209,90 @@ fn phase_b_matches_the_set_and_sort_reference() {
     );
 }
 
-/// FNV-1a over the assignment, as little-endian `u64`s.
-fn digest(assignment: &[usize]) -> u64 {
+/// FNV-1a over little-endian `u64`s.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &p in assignment {
-        for byte in (p as u64).to_le_bytes() {
+    for w in words {
+        for byte in w.to_le_bytes() {
             hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
         }
     }
     hash
 }
 
-/// The default partitioning of two benchmark designs is pinned: any
-/// change to the optimizer or a merge phase that moves a single node
-/// changes these digests.
+/// FNV-1a over the assignment.
+fn digest(assignment: &[usize]) -> u64 {
+    fnv(assignment.iter().map(|&p| p as u64))
+}
+
+/// Partition indices as `u64`s.
+fn ids(v: &[u32]) -> impl ExactSizeIterator<Item = u64> + '_ {
+    v.iter().map(|&c| u64::from(c))
+}
+
+/// Appends a length-prefixed list.
+fn push_list(words: &mut Vec<u64>, items: impl ExactSizeIterator<Item = u64>) {
+    words.push(items.len() as u64);
+    words.extend(items);
+}
+
+/// FNV-1a over a canonical dump of a plan, in schedule order: each
+/// partition's members, its outputs with their consumers, its elided
+/// registers and writes; then every register plan's and write plan's
+/// elision and wake list, and the input wakes.
+fn plan_digest(plan: &CcssPlan) -> u64 {
+    let mut words = vec![plan.partitions.len() as u64];
+    for p in &plan.partitions {
+        push_list(&mut words, p.members.iter().map(|m| u64::from(m.0)));
+        words.push(p.outputs.len() as u64);
+        for o in &p.outputs {
+            words.push(u64::from(o.signal.0));
+            push_list(&mut words, ids(&o.consumers));
+        }
+        push_list(&mut words, p.elided_regs.iter().map(|&r| r as u64));
+        push_list(&mut words, p.elided_writes.iter().map(|&w| w as u64));
+    }
+    words.push(plan.reg_plans.len() as u64);
+    for r in &plan.reg_plans {
+        words.extend([u64::from(r.reg.0), u64::from(r.elided)]);
+        push_list(&mut words, ids(&r.wake_on_change));
+    }
+    words.push(plan.mem_write_plans.len() as u64);
+    for w in &plan.mem_write_plans {
+        words.extend([u64::from(w.mem.0), w.writer as u64, u64::from(w.elided)]);
+        push_list(&mut words, ids(&w.wake_on_change));
+    }
+    words.push(plan.input_wakes.len() as u64);
+    for (input, wakes) in &plan.input_wakes {
+        words.push(u64::from(input.0));
+        push_list(&mut words, ids(wakes));
+    }
+    fnv(words)
+}
+
+/// The default partitioning and plan of three benchmark designs are
+/// pinned: any change to the optimizer, a merge phase or the plan's
+/// elision and scheduling that moves a single node, reorders a
+/// partition or changes a wake list changes these digests.
 #[test]
 fn soc_partitionings_are_pinned() {
-    for (config, nodes, expected) in [
-        (SocConfig::r16(), 3_721, 0x9f15_4ca3_d5ac_3870),
-        (SocConfig::r18(), 10_490, 0xe715_bb4b_f197_2f00),
+    for (config, nodes, expected, plan_expected) in [
+        (SocConfig::r16(), 3_721, 0x9f15_4ca3_d5ac_3870, 0x6e78_08ca_2dd8_4706),
+        (SocConfig::r18(), 10_490, 0xe715_bb4b_f197_2f00, 0x18d4_8f45_1c1a_fd8f),
+        (SocConfig::boom(), 24_861, 0x8574_b391_081e_f8eb, 0xea53_115b_3814_fe67),
     ] {
         let circuit = essent_firrtl::parse(&generate_soc(&config)).expect("generated FIRRTL");
         let lowered = essent_firrtl::passes::lower(circuit).expect("lowers");
         let mut netlist = Netlist::from_circuit(&lowered).expect("builds");
         opt::optimize(&mut netlist, &opt::OptConfig::default());
-        let (dag, _) = extended_dag(&netlist);
+        let (dag, writes) = extended_dag(&netlist);
         let parts = partition(&dag, 8);
         let assignment = parts.assignment();
+        let plan =
+            CcssPlan::from_partitioning(&netlist, &dag, &writes, &parts, PlanOptions::default());
         assert_eq!(
-            (assignment.len(), digest(assignment)),
-            (nodes, expected),
+            (assignment.len(), digest(assignment), plan_digest(&plan)),
+            (nodes, expected, plan_expected),
             "design `{}`",
             config.name
         );

@@ -127,3 +127,75 @@ fn deep_shift_chain_takes_the_give_up_path() {
         assert_eq!(facts.value(reg.out), &AbsVal::top(8, false), "{}", reg.name);
     }
 }
+
+/// FNV-1a over little-endian words, the hash `opt_digest.rs` uses.
+struct Fnv(u64);
+
+impl Fnv {
+    fn u64(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn i128(&mut self, v: i128) {
+        self.u64(v as u64);
+        self.u64((v >> 64) as u64);
+    }
+
+    fn words(&mut self, words: &[u64]) {
+        self.u64(words.len() as u64);
+        for &w in words {
+            self.u64(w);
+        }
+    }
+}
+
+/// FNV-1a over every fact of an analysis: per signal its width,
+/// signedness, known-zero and known-one masks, range and demanded
+/// width, then the sweep count.
+fn facts_digest(facts: &analysis::Analysis) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    h.u64(facts.values.len() as u64);
+    for (v, &demanded) in facts.values.iter().zip(&facts.demanded) {
+        h.u64(u64::from(v.width));
+        h.u64(u64::from(v.signed));
+        h.words(&v.zeros);
+        h.words(&v.ones);
+        match v.range {
+            Some((lo, hi)) => {
+                h.u64(1);
+                h.i128(lo);
+                h.i128(hi);
+            }
+            None => h.u64(0),
+        }
+        h.u64(u64::from(demanded));
+    }
+    h.u64(facts.sweeps as u64);
+    h.0
+}
+
+/// The facts of the unoptimised SoC netlists are pinned by digest:
+/// `opt_digest` sees only the folds the facts enable, while the
+/// `L0006`–`L0009` lints read every one of them. A change to the
+/// fixpoint or to the abstract domain's representation that keeps its
+/// answers must pass this unchanged.
+#[test]
+fn soc_analysis_facts_are_pinned() {
+    for (config, sweeps, expected) in [
+        (SocConfig::tiny(), 9, 0x200c_adc8_3513_cef1),
+        (SocConfig::r16(), 11, 0x8e69_c095_0075_6e16),
+        (SocConfig::r18(), 13, 0xf827_8a7a_5a7f_9950),
+        (SocConfig::boom(), 15, 0x962b_5d51_253c_3923),
+    ] {
+        let netlist = essent::compile_unoptimized(&generate_soc(&config)).expect("builds");
+        let facts = analysis::analyze(&netlist).expect("acyclic");
+        assert_eq!(
+            (facts.sweeps, facts_digest(&facts)),
+            (sweeps, expected),
+            "design `{}`",
+            config.name
+        );
+    }
+}
