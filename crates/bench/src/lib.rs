@@ -9,6 +9,7 @@ use essent_designs::soc::{generate_soc, SocConfig};
 use essent_designs::workloads::{dhrystone, matmul, pchase, run_workload, RunResult, Workload};
 use essent_netlist::{opt, Netlist};
 use essent_sim::{EngineConfig, EssentSim, EventDrivenSim, FullCycleSim, Simulator};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Command-line options shared by the harness binaries.
@@ -80,8 +81,9 @@ impl Cli {
 /// A built design: optimized and baseline (unoptimized) netlists.
 pub struct BuiltDesign {
     pub config: SocConfig,
-    pub optimized: Netlist,
-    pub unoptimized: Netlist,
+    /// Shared by every engine built from it ([`Engine::build`]).
+    pub optimized: Arc<Netlist>,
+    pub unoptimized: Arc<Netlist>,
 }
 
 /// Generates and compiles one SoC configuration both ways.
@@ -99,8 +101,8 @@ pub fn build_design(config: &SocConfig) -> BuiltDesign {
     opt::optimize(&mut optimized, &opt::OptConfig::default());
     BuiltDesign {
         config: config.clone(),
-        optimized,
-        unoptimized,
+        optimized: Arc::new(optimized),
+        unoptimized: Arc::new(unoptimized),
     }
 }
 
@@ -179,29 +181,31 @@ impl Engine {
         }
     }
 
-    /// Instantiates the engine over the appropriate netlist variant.
+    /// Instantiates the engine over the appropriate netlist variant,
+    /// sharing it rather than cloning it.
     pub fn build(self, design: &BuiltDesign) -> Box<dyn Simulator> {
         let quiet = EngineConfig {
             capture_printf: false,
             ..EngineConfig::default()
         };
+        let optimized = Arc::clone(&design.optimized);
         match self {
-            Engine::CommVer => Box::new(EventDrivenSim::new(
-                &design.optimized,
+            Engine::CommVer => Box::new(EventDrivenSim::new_shared(
+                optimized,
                 &EngineConfig {
                     event_levelized: false,
                     ..quiet
                 },
             )),
-            Engine::Verilator => Box::new(FullCycleSim::new(&design.optimized, &quiet)),
-            Engine::Baseline => Box::new(FullCycleSim::new(
-                &design.unoptimized,
+            Engine::Verilator => Box::new(FullCycleSim::new_shared(optimized, &quiet)),
+            Engine::Baseline => Box::new(FullCycleSim::new_shared(
+                Arc::clone(&design.unoptimized),
                 &EngineConfig {
                     capture_printf: false,
                     ..EngineConfig::baseline()
                 },
             )),
-            Engine::Essent => Box::new(EssentSim::new(&design.optimized, &quiet)),
+            Engine::Essent => Box::new(EssentSim::new_shared(optimized, &quiet)),
         }
     }
 }

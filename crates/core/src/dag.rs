@@ -39,7 +39,7 @@ impl DagView {
         let n = netlist.signal_count();
         let mut edges = Vec::new();
         for i in 0..n {
-            for dep in netlist.deps(SignalId(i as u32)) {
+            for &dep in netlist.deps(SignalId(i as u32)).iter() {
                 edges.push((dep.index(), i));
             }
         }

@@ -149,7 +149,7 @@ impl DepGraph {
                 // Writing a slot the serial phase reads, or one it
                 // writes, is a conflict either way.
                 conflict = conflict || serial_reads[m.index()] || serial_writes[m.index()];
-                for dep in netlist.deps(m) {
+                for &dep in netlist.deps(m).iter() {
                     conflict = conflict || serial_writes[dep.index()];
                 }
                 if let SignalDef::MemRead { mem, .. } = netlist.signal(m).def {

@@ -11,48 +11,89 @@
 
 use crate::partition::Partitioning;
 
-/// Returns `true` when merging `a` and `b` keeps the partition graph
-/// acyclic.
-///
-/// Runs a forward search from each side's successors (excluding the other
-/// side) looking for the other side; because the partition graph is
-/// acyclic, at most one direction can have a path, but both are checked
-/// since the pair may have no direct edge.
-pub fn merge_legal(parts: &Partitioning, a: usize, b: usize) -> bool {
-    debug_assert!(a != b);
-    !indirect_path(parts, a, b) && !indirect_path(parts, b, a)
+/// Per-node marks that clear in O(1): a node is marked when its stamp
+/// equals the current epoch, so a graph walk reuses one buffer instead
+/// of allocating a visited vector per query.
+#[derive(Debug, Default)]
+pub(crate) struct Marks {
+    stamp: Vec<u32>,
+    epoch: u32,
 }
 
-/// `true` if a path `from -> X -> ... -> to` exists with every
-/// intermediate partition distinct from both endpoints.
-fn indirect_path(parts: &Partitioning, from: usize, to: usize) -> bool {
-    let mut visited = vec![false; parts.succs.len()];
-    let mut stack: Vec<usize> = parts.succs[from]
-        .iter()
-        .copied()
-        .filter(|&s| s != to && s != from)
-        .collect();
-    for &s in &stack {
-        visited[s] = true;
-    }
-    while let Some(p) = stack.pop() {
-        for &s in parts.succs[p].iter() {
-            if s == to {
-                return true;
-            }
-            if s != from && !visited[s] {
-                visited[s] = true;
-                stack.push(s);
-            }
+impl Marks {
+    /// Unmarks every node of an `n`-node graph.
+    pub(crate) fn clear(&mut self, n: usize) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
         }
     }
-    false
+
+    /// Marks `node`; `false` if it was already marked.
+    pub(crate) fn mark(&mut self, node: usize) -> bool {
+        let fresh = self.stamp[node] != self.epoch;
+        self.stamp[node] = self.epoch;
+        fresh
+    }
+}
+
+/// The legality test with its scratch: the visited marks and the search
+/// stack are kept across queries, so a test allocates nothing.
+#[derive(Debug, Default)]
+pub struct MergeCheck {
+    visited: Marks,
+    stack: Vec<usize>,
+}
+
+impl MergeCheck {
+    /// Returns `true` when merging `a` and `b` keeps the partition graph
+    /// acyclic.
+    ///
+    /// Runs a forward search from each side's successors (excluding the
+    /// other side) looking for the other side; because the partition
+    /// graph is acyclic, at most one direction can have a path, but both
+    /// are checked since the pair may have no direct edge.
+    pub fn merge_legal(&mut self, parts: &Partitioning, a: usize, b: usize) -> bool {
+        debug_assert!(a != b);
+        !self.indirect_path(parts, a, b) && !self.indirect_path(parts, b, a)
+    }
+
+    /// `true` if a path `from -> X -> ... -> to` exists with every
+    /// intermediate partition distinct from both endpoints.
+    fn indirect_path(&mut self, parts: &Partitioning, from: usize, to: usize) -> bool {
+        self.visited.clear(parts.succs.len());
+        self.stack.clear();
+        for &s in &parts.succs[from] {
+            if s != to && s != from && self.visited.mark(s) {
+                self.stack.push(s);
+            }
+        }
+        while let Some(p) = self.stack.pop() {
+            for &s in &parts.succs[p] {
+                if s == to {
+                    return true;
+                }
+                if s != from && self.visited.mark(s) {
+                    self.stack.push(s);
+                }
+            }
+        }
+        false
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dag::DagView;
+
+    fn merge_legal(parts: &Partitioning, a: usize, b: usize) -> bool {
+        MergeCheck::default().merge_legal(parts, a, b)
+    }
 
     fn singletons(dag: &DagView) -> Partitioning {
         let n = dag.node_count();

@@ -23,7 +23,8 @@ use crate::dag::DagView;
 use crate::diag::{codes, Diagnostic, Report};
 use crate::legality;
 use crate::mffc;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::fmt;
 
 /// An assignment of every node to exactly one partition, with the
@@ -108,7 +109,8 @@ impl Partitioning {
     /// and the partition graph.
     ///
     /// The caller is responsible for having checked
-    /// [`legality::merge_legal`]; this method only performs the move.
+    /// [`legality::MergeCheck::merge_legal`]; this method only performs
+    /// the move.
     ///
     /// # Panics
     ///
@@ -331,21 +333,24 @@ pub fn merge_single_parent(parts: &mut Partitioning) {
 /// as the number of common ancestors"), merges greedily in score order
 /// (ties by ascending `(a, b)`), and repeats until no legal merge remains.
 /// Scores are taken at the start of a round.
+///
+/// A pair is only tried while both sides are alive and small, and a
+/// partition never shrinks, so once `a` has died or grown every later
+/// pair `(a, _)` is a no-op. The candidates are therefore never listed
+/// whole: each `a`'s row of pairs waits in a heap under a bound on its
+/// best score, and is scored from the round-start adjacency only when
+/// that bound comes up and `a` is still alive and small; its pairs at a
+/// score are taken out only when the row's turn at that score comes.
 pub fn merge_small_siblings(parts: &mut Partitioning, c_p: usize) {
+    let mut rows = SiblingRows::default();
+    let mut check = legality::MergeCheck::default();
     loop {
-        let buckets = sibling_pairs(parts, c_p);
+        rows.start_round(parts, c_p);
         let mut merged_any = false;
-        for &(a, b) in buckets.iter().rev().flatten() {
-            let (a, b) = (a as usize, b as usize);
-            if !parts.is_alive(a) || !parts.is_alive(b) {
-                continue;
-            }
-            // Both must still be small: merges grow partitions.
-            if parts.members(a).len() >= c_p || parts.members(b).len() >= c_p {
-                continue;
-            }
-            if legality::merge_legal(parts, a, b) {
+        while let Some((a, b)) = rows.next_pair() {
+            if check.merge_legal(parts, a, b) {
                 parts.merge(a, b);
+                rows.merged(a, b, parts.members(a).len() < c_p);
                 merged_any = true;
             }
         }
@@ -355,52 +360,243 @@ pub fn merge_small_siblings(parts: &mut Partitioning, c_p: usize) {
     }
 }
 
-/// Phase B's candidates: every pair `a < b` of small partitions with a
-/// shared parent, bucketed by score (shared parents + direct edges) and
-/// in ascending `(a, b)` order within a bucket.
-///
-/// Built one row per small `a`: walking the children of `a`'s parents
-/// counts, for each small sibling `b > a`, how many parents the two
-/// share. That is still Σ k² over each parent's k small children, but
-/// with one counter increment per step and no set or sort of pairs.
-fn sibling_pairs(parts: &Partitioning, c_p: usize) -> Vec<Vec<(u32, u32)>> {
-    let small = |p: usize| parts.members(p).len() < c_p;
-    let mut buckets: Vec<Vec<(u32, u32)>> = Vec::new();
-    // `score[b]` counts for row `a` while `row[b] == a + 1`.
-    let mut row = vec![0; parts.members.len()];
-    let mut score = vec![0; parts.members.len()];
-    let mut siblings = Vec::new();
-    for a in parts.live_partitions().filter(|&a| small(a)) {
+/// Phase B's candidate pairs for one round, in merge order (see
+/// [`merge_small_siblings`]).
+#[derive(Debug, Default)]
+struct SiblingRows {
+    /// The round-start adjacency, flat: `preds[pred_at[p]..pred_at[p + 1]]`
+    /// are partition `p`'s parents, ascending, and `succs[succ_at[p]..
+    /// succ_end[p]]` its children. Scoring prunes children that are no
+    /// longer alive and small from the end of a list's range: they stay
+    /// so for the rest of the round and count for no row.
+    pred_at: Vec<usize>,
+    preds: Vec<usize>,
+    succ_at: Vec<usize>,
+    succ_end: Vec<usize>,
+    succs: Vec<usize>,
+    /// Per partition: alive and small, kept current through the round's
+    /// merges.
+    small: Vec<bool>,
+    /// Rows waiting, by `(score, Reverse(a))`: the key bounds the best
+    /// score among the row's pairs not yet taken out.
+    heap: BinaryHeap<(usize, Reverse<usize>)>,
+    /// The row whose pairs are being taken out, at its score, and the
+    /// next lower score the row has pairs at (0 for none).
+    active: Option<(usize, usize, usize)>,
+    /// The active row's siblings at its score, descending (taken from
+    /// the back).
+    level: Vec<usize>,
+    /// Row-scoring scratch: `score[b]` counts for the latest scoring
+    /// while `owner[b] == scoring`; `siblings` lists those `b`.
+    scoring: usize,
+    owner: Vec<usize>,
+    score: Vec<usize>,
+    siblings: Vec<usize>,
+    /// Bounding scratch: the wide parents of the row being bounded.
+    wide: Vec<usize>,
+}
+
+impl SiblingRows {
+    /// Snapshots the adjacency and queues one row per small `a`.
+    fn start_round(&mut self, parts: &Partitioning, c_p: usize) {
+        let n = parts.members.len();
+        let flatten = |sets: &[BTreeSet<usize>], at: &mut Vec<usize>, flat: &mut Vec<usize>| {
+            at.clear();
+            flat.clear();
+            at.push(0);
+            for set in sets {
+                flat.extend(set.iter().copied());
+                at.push(flat.len());
+            }
+        };
+        flatten(&parts.preds, &mut self.pred_at, &mut self.preds);
+        flatten(&parts.succs, &mut self.succ_at, &mut self.succs);
+        self.succ_end.clear();
+        self.succ_end.extend_from_slice(&self.succ_at[1..]);
+        self.small.clear();
+        self.small
+            .extend((0..n).map(|p| parts.is_alive(p) && parts.members(p).len() < c_p));
+        self.heap.clear();
+        self.active = None;
+        self.owner.resize(n, 0);
+        self.score.resize(n, 0);
+        for a in 0..n {
+            if !self.small[a] {
+                continue;
+            }
+            if let Some(bound) = self.bound(a) {
+                self.heap.push((bound, Reverse(a)));
+            }
+        }
+    }
+
+    /// A bound on the best score in `a`'s row, `None` for an empty row.
+    /// The siblings a narrow parent or a direct edge names are scored
+    /// exactly; any other sibling shares only wide parents, so it scores
+    /// at most the number of wide parents with a child past `a`.
+    fn bound(&mut self, a: usize) -> Option<usize> {
+        /// Parents with more children than this count as wide.
+        const NARROW: usize = 32;
+        let SiblingRows {
+            pred_at,
+            preds,
+            succ_at,
+            succ_end,
+            succs,
+            small,
+            scoring,
+            owner,
+            score,
+            siblings,
+            wide,
+            ..
+        } = self;
+        *scoring += 1;
         siblings.clear();
-        for &parent in &parts.preds[a] {
-            for &b in parts.succs[parent].range(a + 1..) {
-                if !small(b) {
+        wide.clear();
+        let mut named = |b: usize, owner: &mut Vec<usize>, score: &mut Vec<usize>| {
+            if owner[b] != *scoring {
+                owner[b] = *scoring;
+                score[b] = 0;
+                siblings.push(b);
+            }
+        };
+        let parents = &preds[pred_at[a]..pred_at[a + 1]];
+        for &q in parents {
+            let children = &succs[succ_at[q]..succ_end[q]];
+            let later = children.partition_point(|&b| b <= a);
+            if later == children.len() {
+                continue;
+            }
+            if children.len() > NARROW {
+                wide.push(q);
+                continue;
+            }
+            for &b in children[later..].iter().filter(|&&b| small[b]) {
+                named(b, owner, score);
+                score[b] += 1;
+            }
+        }
+        let children = &succs[succ_at[a]..succ_end[a]];
+        for &b in parents.iter().chain(children) {
+            if b > a && small[b] {
+                named(b, owner, score);
+            }
+        }
+        let mut best = wide.len();
+        for &b in siblings.iter() {
+            let in_wide = wide
+                .iter()
+                .filter(|&&q| succs[succ_at[q]..succ_end[q]].binary_search(&b).is_ok())
+                .count();
+            let shared = score[b] + in_wide;
+            if shared > 0 {
+                let direct =
+                    parents.binary_search(&b).is_ok() || children.binary_search(&b).is_ok();
+                best = best.max(shared + direct as usize);
+            }
+        }
+        (best > 0).then_some(best)
+    }
+
+    /// The next pair `(a, b)` of the round whose sides are both still
+    /// alive and small, or `None` when the round is over.
+    fn next_pair(&mut self) -> Option<(usize, usize)> {
+        loop {
+            if let Some((_, a, lower)) = self.active {
+                if self.small[a] {
+                    while let Some(b) = self.level.pop() {
+                        if self.small[b] {
+                            return Some((a, b));
+                        }
+                    }
+                    if lower > 0 {
+                        self.heap.push((lower, Reverse(a)));
+                    }
+                }
+                self.active = None;
+            }
+            let (bound, Reverse(a)) = self.heap.pop()?;
+            if !self.small[a] {
+                continue;
+            }
+            // Pairs scoring above the bound were taken out at an
+            // earlier turn of this row.
+            self.score_row(a);
+            let scores = self.siblings.iter().map(|&b| self.score[b]);
+            match scores.filter(|&s| s <= bound).max() {
+                Some(best) if best < bound => self.heap.push((best, Reverse(a))),
+                Some(best) => {
+                    let scores = self.siblings.iter().map(|&b| self.score[b]);
+                    let lower = scores.filter(|&s| s < best).max().unwrap_or(0);
+                    self.level.clear();
+                    let at_best = self.siblings.iter().filter(|&&b| self.score[b] == best);
+                    self.level.extend(at_best);
+                    self.level.sort_unstable_by(|x, y| y.cmp(x));
+                    self.active = Some((best, a, lower));
+                }
+                None => {}
+            }
+        }
+    }
+
+    /// Records that `b` merged into `a`, which is still small or not.
+    fn merged(&mut self, a: usize, b: usize, a_small: bool) {
+        self.small[a] = a_small;
+        self.small[b] = false;
+    }
+
+    /// Scores `a`'s row from the round-start adjacency: walking the
+    /// children of `a`'s parents counts, for each sibling `b > a`, how
+    /// many parents the two share. Siblings no longer alive and small
+    /// are left out, as every pair with them would be skipped.
+    fn score_row(&mut self, a: usize) {
+        let SiblingRows {
+            pred_at,
+            preds,
+            succ_at,
+            succ_end,
+            succs,
+            small,
+            scoring,
+            owner,
+            score,
+            siblings,
+            ..
+        } = self;
+        *scoring += 1;
+        siblings.clear();
+        for &parent in &preds[pred_at[a]..pred_at[a + 1]] {
+            let (start, end) = (succ_at[parent], succ_end[parent]);
+            let later = start + succs[start..end].partition_point(|&b| b <= a);
+            let mut kept = later;
+            for i in later..end {
+                let b = succs[i];
+                if !small[b] {
                     continue;
                 }
-                if row[b] != a + 1 {
-                    row[b] = a + 1;
+                succs[kept] = b;
+                kept += 1;
+                if owner[b] != *scoring {
+                    owner[b] = *scoring;
                     score[b] = 0;
                     siblings.push(b);
                 }
                 score[b] += 1;
             }
+            succ_end[parent] = kept;
         }
         // A direct edge between the two is one more cut edge removed
         // (the graph is acyclic, so at most one direction exists).
-        for &b in parts.preds[a].iter().chain(&parts.succs[a]) {
-            if row[b] == a + 1 {
+        let neighbors = preds[pred_at[a]..pred_at[a + 1]]
+            .iter()
+            .chain(&succs[succ_at[a]..succ_end[a]]);
+        for &b in neighbors {
+            if owner[b] == *scoring {
                 score[b] += 1;
             }
         }
-        siblings.sort_unstable();
-        for &b in &siblings {
-            if buckets.len() <= score[b] {
-                buckets.resize_with(score[b] + 1, Vec::new);
-            }
-            buckets[score[b]].push((a as u32, b as u32));
-        }
     }
-    buckets
 }
 
 /// Phase C (Figure 4C): remaining small partitions merge with *any*
@@ -408,6 +604,7 @@ fn sibling_pairs(parts: &Partitioning, c_p: usize) -> Vec<Vec<(u32, u32)>> {
 /// fraction of shared input partitions (the paper's "fraction of input
 /// signals in common" at the granularity the partition graph retains).
 pub fn merge_small_into_any_sibling(parts: &mut Partitioning, c_p: usize) {
+    let mut check = legality::MergeCheck::default();
     loop {
         let mut merged_any = false;
         let smalls: Vec<usize> = parts
@@ -447,7 +644,7 @@ pub fn merge_small_into_any_sibling(parts: &mut Partitioning, c_p: usize) {
                 }
             }
             if let Some((_score, sib)) = best {
-                if legality::merge_legal(parts, sib, p) {
+                if check.merge_legal(parts, sib, p) {
                     parts.merge(sib, p);
                     merged_any = true;
                 }

@@ -31,6 +31,7 @@
 
 use crate::dag::DagView;
 use crate::diag::{codes, Diagnostic, Report};
+use crate::legality::Marks;
 use crate::partition::{partition, Partitioning};
 use essent_netlist::{MemId, Netlist, RegId, SignalDef, SignalId};
 use std::collections::BTreeSet;
@@ -163,20 +164,21 @@ impl CcssPlan {
             }
         }
 
-        let reach = |succs: &Vec<BTreeSet<usize>>, from: usize, to: usize| -> bool {
-            if from == to {
-                return false;
-            }
-            let mut visited = vec![false; succs.len()];
-            let mut stack = vec![from];
-            visited[from] = true;
+        // One walk per state element: does the writer reach any of its
+        // (sorted) readers? The graph is acyclic, so it never reaches
+        // itself. Marks are epoch-stamped and reused.
+        let mut visited = Marks::default();
+        let mut stack = Vec::new();
+        let mut reaches_a_reader = |succs: &[BTreeSet<usize>], writer: usize, readers: &[usize]| {
+            visited.clear(succs.len());
+            stack.clear();
+            stack.push(writer);
             while let Some(p) = stack.pop() {
                 for &s in &succs[p] {
-                    if s == to {
+                    if readers.binary_search(&s).is_ok() {
                         return true;
                     }
-                    if !visited[s] {
-                        visited[s] = true;
+                    if visited.mark(s) {
                         stack.push(s);
                     }
                 }
@@ -210,10 +212,7 @@ impl CcssPlan {
             }
             let writer = rank_of_part(parts.part_of(signal_count + wi));
             let readers = &mem_reader_parts[mem.index()];
-            if readers
-                .iter()
-                .all(|&p| p == writer || !reach(&succs, writer, p))
-            {
+            if !reaches_a_reader(&succs, writer, readers) {
                 write_elided[wi] = true;
                 for &p in readers {
                     if p != writer {
@@ -259,10 +258,7 @@ impl CcssPlan {
                 continue;
             }
             // Elidable iff no reader is downstream of the writer.
-            if readers
-                .iter()
-                .all(|&p| p == writer || !reach(&succs, writer, p))
-            {
+            if !reaches_a_reader(&succs, writer, &reg_readers[ri]) {
                 reg_elided[ri] = true;
                 for &p in &readers {
                     if p != writer {
@@ -464,7 +460,7 @@ impl CcssPlan {
         }
         for (sched, part) in self.partitions.iter().enumerate() {
             for (i, &m) in part.members.iter().enumerate() {
-                for dep in netlist.deps(m) {
+                for &dep in netlist.deps(m).iter() {
                     let dep_def = &netlist.signal(dep).def;
                     if !matches!(dep_def, SignalDef::Op(_) | SignalDef::MemRead { .. }) {
                         continue;
@@ -561,7 +557,7 @@ pub fn extended_dag(netlist: &Netlist) -> (DagView, Vec<(MemId, usize)>) {
     let s = netlist.signal_count();
     let mut edges = Vec::new();
     for i in 0..s {
-        for dep in netlist.deps(SignalId(i as u32)) {
+        for &dep in netlist.deps(SignalId(i as u32)).iter() {
             edges.push((dep.index(), i));
         }
     }

@@ -7,7 +7,7 @@
 //! have.
 
 use essent_core::dag::DagView;
-use essent_core::legality::merge_legal;
+use essent_core::legality::MergeCheck;
 use essent_core::mffc::mffc_decompose;
 use essent_core::partition::{
     merge_single_parent, merge_small_into_any_sibling, merge_small_siblings, partition,
@@ -119,6 +119,7 @@ proptest! {
 /// and each round sorts the whole list. Returns how many rounds merged.
 fn reference_phase_b(parts: &mut Partitioning, cp: usize) -> usize {
     let small = |parts: &Partitioning, p: usize| parts.members(p).len() < cp;
+    let mut check = MergeCheck::default();
     let mut rounds = 0;
     loop {
         let mut preds: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
@@ -147,7 +148,7 @@ fn reference_phase_b(parts: &mut Partitioning, cp: usize) -> usize {
         let mut merged_any = false;
         for (_, a, b) in pairs {
             let live_small = |p| parts.is_alive(p) && small(parts, p);
-            if live_small(a) && live_small(b) && merge_legal(parts, a, b) {
+            if live_small(a) && live_small(b) && check.merge_legal(parts, a, b) {
                 parts.merge(a, b);
                 merged_any = true;
             }
@@ -176,27 +177,58 @@ fn random_dag(rng: &mut StdRng, giant: bool) -> DagView {
     DagView::from_edges(n, &edges)
 }
 
-/// The counted, bucketed phase B merges exactly what the set-and-sort
-/// one does, round for round, including when stale round-start scores
-/// and many rounds are involved.
+/// A random DAG of 80 to 200 nodes in which nodes 0 and 1 each feed
+/// most of the others: two parents share a few dozen small children
+/// (more than phase B scores child by child when bounding a row), the
+/// shape of a design's clock-enable and reset fan-out.
+fn wide_dag(rng: &mut StdRng) -> DagView {
+    let n = rng.gen_range(80usize..200);
+    let density = [0.01, 0.02, 0.04][rng.gen_range(0usize..3)];
+    let mut edges = Vec::new();
+    for a in 0..n {
+        for b in (a + 1)..n {
+            if (a < 2 && rng.gen_bool(0.7)) || rng.gen_bool(density) {
+                edges.push((a, b));
+            }
+        }
+    }
+    DagView::from_edges(n, &edges)
+}
+
+/// The counted, lazily scored phase B merges exactly what the
+/// set-and-sort one does, round for round, including when stale
+/// round-start scores, many rounds and wide parents are involved.
 #[test]
 fn phase_b_matches_the_set_and_sort_reference() {
     let mut rng = StdRng::seed_from_u64(0xB5EED);
-    let (mut multi_round, mut giant_multi_round) = (0, 0);
-    for case in 0..3000 {
-        let giant = case % 3 == 0;
-        let dag = random_dag(&mut rng, giant);
+    let (mut multi_round, mut giant_multi_round, mut wide_parent) = (0, 0, 0);
+    for case in 0..3300 {
+        let wide = case >= 3000;
+        let giant = !wide && case % 3 == 0;
+        let dag = if wide {
+            wide_dag(&mut rng)
+        } else {
+            random_dag(&mut rng, giant)
+        };
         let cp = rng.gen_range(1usize..12);
         let mut parts = mffc_decompose(&dag);
         parts.attach(&dag);
         merge_single_parent(&mut parts);
+        let small_children = |p: usize| {
+            let children = parts.succs_of(p);
+            children
+                .iter()
+                .filter(|&&c| parts.members(c).len() < cp)
+                .count()
+        };
+        wide_parent += parts.live_partitions().any(|p| small_children(p) > 32) as usize;
         let mut reference = parts.clone();
         merge_small_siblings(&mut parts, cp);
         let rounds = reference_phase_b(&mut reference, cp);
         assert_eq!(
             parts.assignment(),
             reference.assignment(),
-            "case {case} (cp {cp}, giant {giant}, {rounds} rounds)"
+            "case {case} (cp {cp}, giant {giant}, wide {wide}, {rounds} rounds)"
         );
         if rounds >= 2 {
             multi_round += 1;
@@ -204,8 +236,9 @@ fn phase_b_matches_the_set_and_sort_reference() {
         }
     }
     assert!(
-        multi_round >= 100 && giant_multi_round >= 30,
-        "too few multi-round cases: {multi_round} ({giant_multi_round} with a giant parent)"
+        multi_round >= 100 && giant_multi_round >= 30 && wide_parent >= 100,
+        "too few multi-round cases: {multi_round} ({giant_multi_round} with a giant parent), \
+         {wide_parent} with a wide one"
     );
 }
 
@@ -277,9 +310,24 @@ fn plan_digest(plan: &CcssPlan) -> u64 {
 #[test]
 fn soc_partitionings_are_pinned() {
     for (config, nodes, expected, plan_expected) in [
-        (SocConfig::r16(), 3_721, 0x9f15_4ca3_d5ac_3870, 0x6e78_08ca_2dd8_4706),
-        (SocConfig::r18(), 10_490, 0xe715_bb4b_f197_2f00, 0x18d4_8f45_1c1a_fd8f),
-        (SocConfig::boom(), 24_861, 0x8574_b391_081e_f8eb, 0xea53_115b_3814_fe67),
+        (
+            SocConfig::r16(),
+            3_721,
+            0x9f15_4ca3_d5ac_3870,
+            0x6e78_08ca_2dd8_4706,
+        ),
+        (
+            SocConfig::r18(),
+            10_490,
+            0xe715_bb4b_f197_2f00,
+            0x18d4_8f45_1c1a_fd8f,
+        ),
+        (
+            SocConfig::boom(),
+            24_861,
+            0x8574_b391_081e_f8eb,
+            0xea53_115b_3814_fe67,
+        ),
     ] {
         let circuit = essent_firrtl::parse(&generate_soc(&config)).expect("generated FIRRTL");
         let lowered = essent_firrtl::passes::lower(circuit).expect("lowers");

@@ -14,11 +14,82 @@
 //! sound (masks are never derived from an absent range).
 
 use essent_bits::{top_mask, words, Bits};
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// Widest signal for which a numeric `i128` interval is tracked.
 /// 120 bits leaves headroom so interval arithmetic on two in-domain
 /// values cannot overflow `i128` undetected (checked ops are still used).
 pub const RANGE_MAX_WIDTH: u32 = 120;
+
+/// A little-endian limb vector, stored inline up to two limbs (128
+/// bits) so the masks of nearly every signal, and the analysis's
+/// temporaries, never touch the heap; it is no larger than a `Vec`. It
+/// dereferences to `[u64]`.
+#[derive(Clone)]
+pub struct Limbs(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    One(u64),
+    Two([u64; 2]),
+    /// No limbs, or more than two.
+    Heap(Box<[u64]>),
+}
+
+impl Limbs {
+    /// `n` zero limbs.
+    pub fn zeroed(n: usize) -> Limbs {
+        Limbs(match n {
+            1 => Repr::One(0),
+            2 => Repr::Two([0; 2]),
+            _ => Repr::Heap(vec![0; n].into_boxed_slice()),
+        })
+    }
+
+    /// A copy of `limbs`.
+    pub fn from_slice(limbs: &[u64]) -> Limbs {
+        let mut out = Limbs::zeroed(limbs.len());
+        out.copy_from_slice(limbs);
+        out
+    }
+}
+
+impl Deref for Limbs {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match &self.0 {
+            Repr::One(limb) => std::slice::from_ref(limb),
+            Repr::Two(limbs) => limbs,
+            Repr::Heap(limbs) => limbs,
+        }
+    }
+}
+
+impl DerefMut for Limbs {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match &mut self.0 {
+            Repr::One(limb) => std::slice::from_mut(limb),
+            Repr::Two(limbs) => limbs,
+            Repr::Heap(limbs) => limbs,
+        }
+    }
+}
+
+impl PartialEq for Limbs {
+    fn eq(&self, other: &Limbs) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Limbs {}
+
+impl fmt::Debug for Limbs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// Abstract value: known bits plus an optional numeric interval.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,9 +99,9 @@ pub struct AbsVal {
     /// Signedness under which `range` is interpreted.
     pub signed: bool,
     /// Mask of bits proven zero (normalized: bits `>= width` clear).
-    pub zeros: Vec<u64>,
+    pub zeros: Limbs,
     /// Mask of bits proven one (disjoint from `zeros`).
-    pub ones: Vec<u64>,
+    pub ones: Limbs,
     /// Inclusive numeric interval, when `width <= RANGE_MAX_WIDTH`.
     pub range: Option<(i128, i128)>,
 }
@@ -84,35 +155,36 @@ impl AbsVal {
         AbsVal {
             width,
             signed,
-            zeros: vec![0; n],
-            ones: vec![0; n],
+            zeros: Limbs::zeroed(n),
+            ones: Limbs::zeroed(n),
             range,
         }
     }
 
     /// The singleton abstract value for one concrete pattern.
     pub fn exact(value: &Bits, signed: bool) -> AbsVal {
-        let width = value.width();
-        let n = words(width);
-        let mut zeros = vec![0u64; n];
-        for (i, z) in zeros.iter_mut().enumerate() {
-            *z = !value.limbs()[i];
+        AbsVal::exact_limbs(value.limbs(), value.width(), signed)
+    }
+
+    /// [`AbsVal::exact`] of the `width`-bit pattern `limbs`
+    /// (`words(width)` limbs; bits past `width` are ignored).
+    pub fn exact_limbs(limbs: &[u64], width: u32, signed: bool) -> AbsVal {
+        let mut ones = Limbs::from_slice(limbs);
+        essent_bits::kernels::normalize(&mut ones, width);
+        let mut zeros = Limbs::zeroed(ones.len());
+        for (z, o) in zeros.iter_mut().zip(ones.iter()) {
+            *z = !o;
         }
-        if let Some(last) = zeros.last_mut() {
-            *last &= top_mask(width);
-        }
-        if width == 0 {
-            zeros[0] = 0;
-        }
+        essent_bits::kernels::normalize(&mut zeros, width);
         let range = (width <= RANGE_MAX_WIDTH).then(|| {
-            let v = value_of(value.limbs(), width, signed);
+            let v = value_of(&ones, width, signed);
             (v, v)
         });
         AbsVal {
             width,
             signed,
             zeros,
-            ones: value.limbs().to_vec(),
+            ones,
             range,
         }
     }
@@ -135,30 +207,31 @@ impl AbsVal {
 
     /// `Some(value)` when every bit is known (or the range is a point).
     pub fn as_singleton(&self) -> Option<Bits> {
-        let mut all_known = true;
-        for i in 0..words(self.width) {
-            let covered = self.zeros[i] | self.ones[i];
+        self.singleton_limbs()
+            .map(|limbs| Bits::from_limbs(limbs.to_vec(), self.width))
+    }
+
+    /// [`AbsVal::as_singleton`]'s pattern as limbs, without building a
+    /// [`Bits`].
+    pub fn singleton_limbs(&self) -> Option<Limbs> {
+        let n = words(self.width);
+        let all_known = (0..n).all(|i| {
             let want = if self.width == 0 {
                 0
-            } else if i + 1 == words(self.width) {
+            } else if i + 1 == n {
                 top_mask(self.width)
             } else {
                 u64::MAX
             };
-            if covered & want != want {
-                all_known = false;
-                break;
-            }
-        }
+            (self.zeros[i] | self.ones[i]) & want == want
+        });
         if all_known {
-            return Some(Bits::from_limbs(self.ones.clone(), self.width));
+            return Some(self.ones.clone());
         }
-        if let Some((lo, hi)) = self.range {
-            if lo == hi {
-                return Some(bits_of_value(lo, self.width));
-            }
+        match self.range {
+            Some((lo, hi)) if lo == hi => Some(value_limbs(lo, self.width)),
+            _ => None,
         }
-        None
     }
 
     /// `true` when the concrete pattern is a member of this abstract set.
@@ -185,18 +258,14 @@ impl AbsVal {
     pub fn join(&self, other: &AbsVal) -> AbsVal {
         debug_assert_eq!(self.width, other.width);
         debug_assert_eq!(self.signed, other.signed);
-        let zeros = self
-            .zeros
-            .iter()
-            .zip(&other.zeros)
-            .map(|(a, b)| a & b)
-            .collect();
-        let ones = self
-            .ones
-            .iter()
-            .zip(&other.ones)
-            .map(|(a, b)| a & b)
-            .collect();
+        let mut zeros = self.zeros.clone();
+        let mut ones = self.ones.clone();
+        for (z, b) in zeros.iter_mut().zip(other.zeros.iter()) {
+            *z &= b;
+        }
+        for (o, b) in ones.iter_mut().zip(other.ones.iter()) {
+            *o &= b;
+        }
         let range = match (self.range, other.range) {
             (Some((al, ah)), Some((bl, bh))) => Some((al.min(bl), ah.max(bh))),
             _ => None,
@@ -232,7 +301,7 @@ impl AbsVal {
         // Minimum: unknown bits 0 — except a signed unknown sign bit,
         // which is minimized by setting it. Maximum: the mirror image.
         let mut min_limbs = self.ones.clone();
-        let mut max_limbs = vec![0u64; words(self.width)];
+        let mut max_limbs = Limbs::zeroed(words(self.width));
         for (i, m) in max_limbs.iter_mut().enumerate() {
             *m = self.ones[i] | !self.zeros[i];
         }
@@ -315,7 +384,7 @@ impl AbsVal {
         }
         // A point interval fixes every bit.
         if lo == hi {
-            let v = bits_of_value(lo, self.width);
+            let v = value_limbs(lo, self.width);
             for i in 0..words(self.width) {
                 let want = if self.width == 0 {
                     0
@@ -324,8 +393,8 @@ impl AbsVal {
                 } else {
                     u64::MAX
                 };
-                self.ones[i] = v.limbs()[i];
-                self.zeros[i] = !v.limbs()[i] & want;
+                self.ones[i] = v[i];
+                self.zeros[i] = !v[i] & want;
             }
         }
     }
@@ -366,9 +435,8 @@ fn bit_len(v: i128) -> u32 {
 }
 
 /// The normalized pattern of numeric value `v` at `width` bits.
-pub fn bits_of_value(v: i128, width: u32) -> Bits {
-    let n = words(width);
-    let mut limbs = vec![0u64; n];
+fn value_limbs(v: i128, width: u32) -> Limbs {
+    let mut limbs = Limbs::zeroed(words(width));
     let mut x = v as u128; // two's complement reinterpretation
     for l in limbs.iter_mut() {
         *l = x as u64;
@@ -379,7 +447,8 @@ pub fn bits_of_value(v: i128, width: u32) -> Bits {
             x = u128::MAX;
         }
     }
-    Bits::from_limbs(limbs, width)
+    essent_bits::kernels::normalize(&mut limbs, width);
+    limbs
 }
 
 #[cfg(test)]
@@ -437,7 +506,7 @@ mod tests {
         assert!(a.contains(&v));
         assert_eq!(domain(5, true), (-16, 15));
         assert_eq!(value_of(v.limbs(), 5, true), -3);
-        assert_eq!(bits_of_value(-3, 5), v);
+        assert_eq!(&*value_limbs(-3, 5), v.limbs());
     }
 
     #[test]
@@ -457,6 +526,17 @@ mod tests {
         let t = AbsVal::top(4, true);
         assert_eq!(t.mask_range(true), Some((-8, 7)));
         assert_eq!(t.mask_range(false), Some((0, 15)));
+    }
+
+    #[test]
+    fn masks_are_no_larger_than_a_vec() {
+        assert!(std::mem::size_of::<Limbs>() <= std::mem::size_of::<Vec<u64>>());
+        for n in 0..5 {
+            let mut l = Limbs::zeroed(n);
+            assert_eq!(l.len(), n);
+            l.iter_mut().enumerate().for_each(|(i, w)| *w = i as u64);
+            assert_eq!(Limbs::from_slice(&l), l);
+        }
     }
 
     #[test]

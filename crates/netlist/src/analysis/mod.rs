@@ -9,9 +9,10 @@
 //! registers start at their reset value (all engines zero-initialize
 //! state), each sweep joins the next-value's abstract value into the
 //! register's, and iteration stops when no register changes. Only the
-//! first sweep evaluates every signal; each later one re-runs the
-//! transfer functions of the outputs of registers that changed and of
-//! whatever reads a value that changed in that sweep.
+//! first sweep evaluates every signal; each later one runs from a
+//! worklist in topological position, re-running the transfer functions
+//! of the outputs of registers that changed and of whatever reads a
+//! value that changed in that sweep, so a sweep costs what it changes.
 //!
 //! Joins only *widen* register values, but the range component can climb
 //! long chains (a counter's interval grows by one per sweep), so after
@@ -32,9 +33,11 @@ pub mod transfer;
 
 pub use absval::AbsVal;
 
-use crate::graph;
+use crate::graph::{self, Fanouts};
 use crate::netlist::{Netlist, SignalDef, SignalId};
 use essent_bits::Bits;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Sweep after which still-changing registers get their range widened.
 pub const RANGE_WIDEN_SWEEP: usize = 4;
@@ -73,7 +76,7 @@ impl Analysis {
 /// graph is not acyclic (impossible for netlists built through
 /// `Netlist::from_circuit`, which rejects cycles).
 pub fn analyze(netlist: &Netlist) -> Result<Analysis, Vec<SignalId>> {
-    let order = graph::topo_order(netlist)?;
+    let (order, fanouts) = graph::topo_order_and_fanouts(netlist)?;
     let mut values: Vec<AbsVal> = netlist
         .signals()
         .iter()
@@ -87,25 +90,24 @@ pub fn analyze(netlist: &Netlist) -> Result<Analysis, Vec<SignalId>> {
         .collect();
 
     // The first sweep evaluates everything; later ones only what changed.
-    let mut dirty = Dirty {
-        all: true,
-        regs: vec![false; reg_abs.len()],
-        signals: vec![false; values.len()],
-    };
-    let mut sweeps = 0;
+    for &id in &order {
+        values[id.index()] = evaluate(netlist, id, &reg_abs, &values);
+    }
+    let mut work = Worklist::new(&order);
+    // Per register: its last update changed its abstract value.
+    let mut reg_changed = vec![false; reg_abs.len()];
+    let mut sweeps = 1;
     loop {
-        sweeps += 1;
-        sweep(netlist, &order, &reg_abs, &mut values, &mut dirty);
         // An update is a function of the register's value, its next
         // value and the widening step: with all three as its last update
         // saw them, the answer is again "no change".
         let step_moves = sweeps == 1 || sweeps == RANGE_WIDEN_SWEEP || sweeps == TOP_WIDEN_SWEEP;
         let mut changed = false;
         for (i, reg) in netlist.regs().iter().enumerate() {
-            if !step_moves && !dirty.regs[i] && !dirty.signals[reg.next.index()] {
+            if !step_moves && !reg_changed[i] && !work.changed[reg.next.index()] {
                 continue;
             }
-            dirty.regs[i] = false;
+            reg_changed[i] = false;
             let next = transfer::cast(&values[reg.next.index()], reg.width, reg.signed);
             let mut joined = reg_abs[i].join(&next);
             if joined != reg_abs[i] {
@@ -116,7 +118,7 @@ pub fn analyze(netlist: &Netlist) -> Result<Analysis, Vec<SignalId>> {
                 }
                 if joined != reg_abs[i] {
                     reg_abs[i] = joined;
-                    dirty.regs[i] = true;
+                    reg_changed[i] = true;
                     changed = true;
                 }
             }
@@ -124,14 +126,17 @@ pub fn analyze(netlist: &Netlist) -> Result<Analysis, Vec<SignalId>> {
         if !changed {
             break;
         }
-        if sweeps >= MAX_SWEEPS {
+        let give_up = sweeps >= MAX_SWEEPS;
+        if give_up {
             // Defensive: give up on precision, stay sound.
             for (i, reg) in netlist.regs().iter().enumerate() {
                 reg_abs[i] = AbsVal::top(reg.width, reg.signed);
             }
-            dirty.regs.fill(true);
-            sweeps += 1;
-            sweep(netlist, &order, &reg_abs, &mut values, &mut dirty);
+            reg_changed.fill(true);
+        }
+        sweeps += 1;
+        work.sweep(netlist, &fanouts, &reg_changed, &reg_abs, &mut values);
+        if give_up {
             break;
         }
     }
@@ -144,55 +149,103 @@ pub fn analyze(netlist: &Netlist) -> Result<Analysis, Vec<SignalId>> {
     })
 }
 
-/// What the next [`sweep`] must re-evaluate.
-struct Dirty {
-    /// Everything (the first sweep).
-    all: bool,
-    /// Per register: the last update changed its abstract value.
-    regs: Vec<bool>,
-    /// Per signal: its value changed in the current sweep.
-    signals: Vec<bool>,
+/// The abstract value of `id` from the current register values and the
+/// values of its operands.
+fn evaluate(netlist: &Netlist, id: SignalId, reg_abs: &[AbsVal], values: &[AbsVal]) -> AbsVal {
+    let sig = netlist.signal(id);
+    match &sig.def {
+        // Memory contents are not tracked; reads are opaque.
+        SignalDef::Input | SignalDef::MemRead { .. } => AbsVal::top(sig.width, sig.signed),
+        SignalDef::Const(c) => AbsVal::exact(c, sig.signed),
+        SignalDef::RegOut(r) => transfer::cast(&reg_abs[r.index()], sig.width, sig.signed),
+        SignalDef::Op(op) => {
+            // Ops have at most three operands.
+            let mut srcs = [&values[id.index()]; 3];
+            for (src, a) in srcs.iter_mut().zip(&op.args) {
+                *src = &values[a.index()];
+            }
+            let srcs = &srcs[..op.args.len()];
+            transfer::transfer(op.kind, &op.params, sig.width, sig.signed, srcs)
+        }
+    }
 }
 
-/// One forward pass in topological order. Transfer functions are pure,
-/// so a signal is re-evaluated only if it is a register output whose
-/// register changed or an op reading a signal that changed earlier in
-/// this pass; every other value is already what a full pass would give.
-fn sweep(
-    netlist: &Netlist,
-    order: &[SignalId],
-    reg_abs: &[AbsVal],
-    values: &mut [AbsVal],
-    dirty: &mut Dirty,
-) {
-    for &id in order {
-        let sig = netlist.signal(id);
-        let v = match &sig.def {
-            SignalDef::Input if dirty.all => AbsVal::top(sig.width, sig.signed),
-            SignalDef::Const(c) if dirty.all => AbsVal::exact(c, sig.signed),
-            SignalDef::RegOut(r) if dirty.all || dirty.regs[r.index()] => {
-                transfer::cast(&reg_abs[r.index()], sig.width, sig.signed)
-            }
-            // Memory contents are not tracked; reads are opaque.
-            SignalDef::MemRead { .. } if dirty.all => AbsVal::top(sig.width, sig.signed),
-            SignalDef::Op(op) if dirty.all || op.args.iter().any(|a| dirty.signals[a.index()]) => {
-                // Ops have at most three operands.
-                let mut srcs = [&values[id.index()]; 3];
-                for (src, a) in srcs.iter_mut().zip(&op.args) {
-                    *src = &values[a.index()];
-                }
-                let srcs = &srcs[..op.args.len()];
-                transfer::transfer(op.kind, &op.params, sig.width, sig.signed, srcs)
-            }
-            _ => {
-                dirty.signals[id.index()] = false;
+/// The signals a sweep after the first re-evaluates, in topological
+/// position: the outputs of registers whose value changed, then every op
+/// reading a value that changed in this sweep. Transfer functions are
+/// pure, so every other value is already what a full sweep would give.
+struct Worklist<'a> {
+    /// The topological order, indexed by position.
+    order: &'a [SignalId],
+    /// Topological position of every signal.
+    pos: Vec<u32>,
+    /// Positions waiting in this sweep (a min-heap).
+    heap: BinaryHeap<Reverse<u32>>,
+    /// Per signal: already waiting in this sweep.
+    queued: Vec<bool>,
+    /// Per signal: its value changed in the last sweep.
+    changed: Vec<bool>,
+    /// The signals `changed` marks, so it is cleared without a scan.
+    changed_list: Vec<SignalId>,
+}
+
+impl<'a> Worklist<'a> {
+    fn new(order: &'a [SignalId]) -> Worklist<'a> {
+        let mut pos = vec![0u32; order.len()];
+        for (p, id) in order.iter().enumerate() {
+            pos[id.index()] = p as u32;
+        }
+        Worklist {
+            order,
+            pos,
+            heap: BinaryHeap::new(),
+            queued: vec![false; order.len()],
+            changed: vec![false; order.len()],
+            changed_list: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, id: SignalId) {
+        if !self.queued[id.index()] {
+            self.queued[id.index()] = true;
+            self.heap.push(Reverse(self.pos[id.index()]));
+        }
+    }
+
+    /// One sweep after the first: re-evaluates what the changed
+    /// registers reach, and records which values changed.
+    fn sweep(
+        &mut self,
+        netlist: &Netlist,
+        fanouts: &Fanouts,
+        reg_changed: &[bool],
+        reg_abs: &[AbsVal],
+        values: &mut [AbsVal],
+    ) {
+        for id in self.changed_list.drain(..) {
+            self.changed[id.index()] = false;
+        }
+        for (reg, _) in netlist.regs().iter().zip(reg_changed).filter(|(_, &c)| c) {
+            self.push(reg.out);
+        }
+        while let Some(Reverse(p)) = self.heap.pop() {
+            let id = self.order[p as usize];
+            self.queued[id.index()] = false;
+            let v = evaluate(netlist, id, reg_abs, values);
+            if v == values[id.index()] {
                 continue;
             }
-        };
-        dirty.signals[id.index()] = v != values[id.index()];
-        values[id.index()] = v;
+            values[id.index()] = v;
+            self.changed[id.index()] = true;
+            self.changed_list.push(id);
+            // Memory reads stay opaque: only ops re-evaluate.
+            for &reader in &fanouts[id.index()] {
+                if matches!(netlist.signal(reader).def, SignalDef::Op(_)) {
+                    self.push(reader);
+                }
+            }
+        }
     }
-    dirty.all = false;
 }
 
 #[cfg(test)]

@@ -12,10 +12,10 @@
 //! [`eval_op`], which both guarantees bit-exact agreement with the
 //! concrete semantics and gives constant folding maximal precision.
 
-use super::absval::{domain, AbsVal, RANGE_MAX_WIDTH};
+use super::absval::{domain, AbsVal, Limbs, RANGE_MAX_WIDTH};
 use crate::eval::{eval_op, Operand};
 use crate::netlist::OpKind;
-use essent_bits::{words, Bits};
+use essent_bits::words;
 
 /// Computes the abstract result of `kind(srcs, params)` at destination
 /// type `(dst_w, dst_signed)`.
@@ -26,20 +26,28 @@ pub fn transfer(
     dst_signed: bool,
     srcs: &[&AbsVal],
 ) -> AbsVal {
-    // All operands known: defer to the concrete semantics. (`Bits` is
-    // path-qualified: `use OpKind::*` below shadows the struct with the
-    // extraction variant for this whole block.)
-    let singletons: Option<Vec<essent_bits::Bits>> =
-        srcs.iter().map(|s| s.as_singleton()).collect();
-    if let Some(vals) = singletons {
-        let operands: Vec<Operand> = vals
-            .iter()
-            .zip(srcs)
-            .map(|(b, s)| Operand::new(b.limbs(), s.width, s.signed))
-            .collect();
-        let mut dst = vec![0u64; words(dst_w)];
-        eval_op(kind, params, &mut dst, dst_w, &operands);
-        return AbsVal::exact(&essent_bits::Bits::from_limbs(dst, dst_w), dst_signed);
+    // All operands known: defer to the concrete semantics. Ops have at
+    // most three operands, so their patterns and the result stay on the
+    // stack.
+    let mut vals = [Limbs::zeroed(1), Limbs::zeroed(1), Limbs::zeroed(1)];
+    let mut all_known = true;
+    for (val, src) in vals.iter_mut().zip(srcs) {
+        match src.singleton_limbs() {
+            Some(limbs) => *val = limbs,
+            None => {
+                all_known = false;
+                break;
+            }
+        }
+    }
+    if all_known {
+        let operands: [Operand; 3] = std::array::from_fn(|i| match srcs.get(i) {
+            Some(s) => Operand::new(&vals[i], s.width, s.signed),
+            None => Operand::new(&[], 0, false),
+        });
+        let mut dst = Limbs::zeroed(words(dst_w));
+        eval_op(kind, params, &mut dst, dst_w, &operands[..srcs.len()]);
+        return AbsVal::exact_limbs(&dst, dst_w, dst_signed);
     }
 
     use OpKind::*;
@@ -367,11 +375,11 @@ fn sar(x: i128, sh: i128) -> i128 {
 
 /// The concrete `shift_amount()` of a singleton shift operand.
 fn singleton_shift(v: &AbsVal) -> Option<u64> {
-    let b = v.as_singleton()?;
-    if b.limbs()[1..].iter().any(|&w| w != 0) {
+    let b = v.singleton_limbs()?;
+    if b[1..].iter().any(|&w| w != 0) {
         Some(u64::MAX)
     } else {
-        Some(b.limbs()[0])
+        Some(b[0])
     }
 }
 
@@ -387,17 +395,18 @@ fn bin_range(
 
 /// Builds an [`AbsVal`] from a per-bit fact function plus an optional
 /// numeric interval (kept only when it fits the destination domain).
+/// `f` is called once per bit, in ascending order.
 fn from_bit_fn(
     dst_w: u32,
     dst_signed: bool,
     range: Option<(i128, i128)>,
-    f: impl Fn(u32) -> Option<bool>,
+    mut f: impl FnMut(u32) -> Option<bool>,
 ) -> AbsVal {
     let mut out = AbsVal {
         width: dst_w,
         signed: dst_signed,
-        zeros: vec![0; words(dst_w)],
-        ones: vec![0; words(dst_w)],
+        zeros: Limbs::zeroed(words(dst_w)),
+        ones: Limbs::zeroed(words(dst_w)),
         range: fit_range(range, dst_w, dst_signed),
     };
     for i in 0..dst_w {
@@ -430,7 +439,11 @@ fn fit_range(range: Option<(i128, i128)>, dst_w: u32, dst_signed: bool) -> Optio
 /// A known or unknown 1-bit result at the destination type.
 fn bool_result(dst_w: u32, dst_signed: bool, v: Option<bool>) -> AbsVal {
     match v {
-        Some(b) => AbsVal::exact(&Bits::from_u64(b as u64, dst_w), dst_signed),
+        Some(b) => {
+            let mut limbs = Limbs::zeroed(words(dst_w));
+            limbs[0] = b as u64;
+            AbsVal::exact_limbs(&limbs, dst_w, dst_signed)
+        }
         None => {
             // Only bit 0 can ever be set.
             from_bit_fn(dst_w, dst_signed, None, |i| (i > 0).then_some(false))
@@ -534,14 +547,15 @@ fn ripple(
     carry0: bool,
     range: Option<(i128, i128)>,
 ) -> AbsVal {
-    let mut bits: Vec<Option<bool>> = Vec::with_capacity(dst_w as usize);
+    // `from_bit_fn` asks for the bits in ascending order, so the carry
+    // ripples through its closure.
     let mut carry = Some(carry0);
-    for i in 0..dst_w {
+    from_bit_fn(dst_w, dst_signed, range, |i| {
         let (ai, bi) = (a(i), b(i));
-        bits.push(match (ai, bi, carry) {
+        let bit = match (ai, bi, carry) {
             (Some(x), Some(y), Some(c)) => Some(x ^ y ^ c),
             _ => None,
-        });
+        };
         carry = match (ai, bi, carry) {
             (Some(x), Some(y), Some(c)) => Some((x as u8 + y as u8 + c as u8) >= 2),
             (Some(true), Some(true), _)
@@ -552,13 +566,14 @@ fn ripple(
             | (_, Some(false), Some(false)) => Some(false),
             _ => None,
         };
-    }
-    from_bit_fn(dst_w, dst_signed, range, |i| bits[i as usize])
+        bit
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use essent_bits::Bits;
 
     fn top(w: u32) -> AbsVal {
         AbsVal::top(w, false)

@@ -15,22 +15,32 @@ use crate::netlist::{Netlist, SignalId};
 ///
 /// On a combinational cycle, returns the signals of one cycle.
 pub fn topo_order(netlist: &Netlist) -> Result<Vec<SignalId>, Vec<SignalId>> {
+    topo_order_and_fanouts(netlist).map(|(order, _)| order)
+}
+
+/// [`topo_order`] together with the fan-out lists it is computed from,
+/// for callers that walk the graph forward afterwards.
+///
+/// # Errors
+///
+/// On a combinational cycle, returns the signals of one cycle.
+pub fn topo_order_and_fanouts(
+    netlist: &Netlist,
+) -> Result<(Vec<SignalId>, Fanouts), Vec<SignalId>> {
     let n = netlist.signal_count();
-    let mut indegree = vec![0u32; n];
     let fanouts = fanout_lists(netlist);
-    for (i, d) in indegree.iter_mut().enumerate() {
-        *d = netlist.deps(SignalId(i as u32)).len() as u32;
-    }
+    let mut indegree: Vec<u32> = (0..n)
+        .map(|i| netlist.deps(SignalId(i as u32)).len() as u32)
+        .collect();
     let mut queue: Vec<SignalId> = (0..n)
         .filter(|&i| indegree[i] == 0)
         .map(|i| SignalId(i as u32))
         .collect();
-    let mut order = Vec::with_capacity(n);
+    queue.reserve(n - queue.len());
     let mut head = 0;
     while head < queue.len() {
         let id = queue[head];
         head += 1;
-        order.push(id);
         for &succ in &fanouts[id.index()] {
             indegree[succ.index()] -= 1;
             if indegree[succ.index()] == 0 {
@@ -38,14 +48,13 @@ pub fn topo_order(netlist: &Netlist) -> Result<Vec<SignalId>, Vec<SignalId>> {
             }
         }
     }
-    if order.len() == n {
-        Ok(order)
+    if queue.len() == n {
+        Ok((queue, fanouts))
     } else {
         // Extract one cycle for the error message: walk predecessors among
         // the unordered residue until a repeat.
-        let leftover: Vec<usize> = (0..n).filter(|&i| indegree[i] > 0).collect();
         let mut cycle = Vec::new();
-        if let Some(&start) = leftover.first() {
+        if let Some(start) = (0..n).find(|&i| indegree[i] > 0) {
             let mut seen = vec![false; n];
             let mut cur = start;
             loop {
@@ -57,7 +66,8 @@ pub fn topo_order(netlist: &Netlist) -> Result<Vec<SignalId>, Vec<SignalId>> {
                 // Follow any dependency that is also stuck.
                 let next = netlist
                     .deps(SignalId(cur as u32))
-                    .into_iter()
+                    .iter()
+                    .copied()
                     .find(|d| indegree[d.index()] > 0);
                 match next {
                     Some(d) => cur = d.index(),
@@ -69,19 +79,46 @@ pub fn topo_order(netlist: &Netlist) -> Result<Vec<SignalId>, Vec<SignalId>> {
     }
 }
 
-/// Builds the fan-out adjacency lists: `fanouts[a]` holds every signal
-/// whose definition reads `a` (duplicates preserved when a signal is read
-/// twice — callers that need sets must dedup).
-pub fn fanout_lists(netlist: &Netlist) -> Vec<Vec<SignalId>> {
+/// Fan-out adjacency in compressed (CSR) form: indexing with a signal's
+/// index gives every signal whose definition reads it, in ascending id
+/// order, with duplicates preserved when a signal is read twice (callers
+/// that need sets must dedup).
+#[derive(Debug, Clone)]
+pub struct Fanouts {
+    /// `succs[start[a]..start[a + 1]]` are the readers of signal `a`.
+    start: Vec<u32>,
+    succs: Vec<SignalId>,
+}
+
+impl std::ops::Index<usize> for Fanouts {
+    type Output = [SignalId];
+
+    fn index(&self, signal: usize) -> &[SignalId] {
+        &self.succs[self.start[signal] as usize..self.start[signal + 1] as usize]
+    }
+}
+
+/// Builds the fan-out adjacency of every signal (see [`Fanouts`]).
+pub fn fanout_lists(netlist: &Netlist) -> Fanouts {
     let n = netlist.signal_count();
-    let mut fanouts = vec![Vec::new(); n];
+    let mut start = vec![0u32; n + 1];
     for i in 0..n {
-        let id = SignalId(i as u32);
-        for dep in netlist.deps(id) {
-            fanouts[dep.index()].push(id);
+        for &dep in netlist.deps(SignalId(i as u32)).iter() {
+            start[dep.index() + 1] += 1;
         }
     }
-    fanouts
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut fill = start.clone();
+    let mut succs = vec![SignalId(0); start[n] as usize];
+    for i in 0..n {
+        for &dep in netlist.deps(SignalId(i as u32)).iter() {
+            succs[fill[dep.index()] as usize] = SignalId(i as u32);
+            fill[dep.index()] += 1;
+        }
+    }
+    Fanouts { start, succs }
 }
 
 /// Tarjan's strongly-connected-components algorithm (iterative), returning
@@ -190,7 +227,7 @@ pub fn reaching(netlist: &Netlist, sinks: &[SignalId]) -> Vec<bool> {
         seen[s.index()] = true;
     }
     while let Some(id) = stack.pop() {
-        for dep in netlist.deps(id) {
+        for &dep in netlist.deps(id).iter() {
             if !seen[dep.index()] {
                 seen[dep.index()] = true;
                 stack.push(dep);

@@ -50,6 +50,6 @@ pub mod width;
 
 pub use build::BuildError;
 pub use netlist::{
-    MemId, Memory, Netlist, Op, OpKind, Printf, ReadPort, RegId, Register, Signal, SignalDef,
+    Deps, MemId, Memory, Netlist, Op, OpKind, Printf, ReadPort, RegId, Register, Signal, SignalDef,
     SignalId, Stop, WritePort,
 };

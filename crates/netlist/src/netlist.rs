@@ -330,23 +330,23 @@ impl Netlist {
     }
 
     /// The combinational dependencies of a signal: the signals that must
-    /// be evaluated before it within a cycle.
+    /// be evaluated before it within a cycle, borrowed from the netlist.
     ///
     /// Register outputs have none (their value is state); memory reads
     /// depend on their address and enable.
-    pub fn deps_of(&self, signal: &Signal) -> Vec<SignalId> {
+    pub fn deps_of<'a>(&'a self, signal: &'a Signal) -> Deps<'a> {
         match &signal.def {
-            SignalDef::Input | SignalDef::Const(_) | SignalDef::RegOut(_) => Vec::new(),
-            SignalDef::Op(op) => op.args.clone(),
+            SignalDef::Input | SignalDef::Const(_) | SignalDef::RegOut(_) => Deps::Args(&[]),
+            SignalDef::Op(op) => Deps::Args(&op.args),
             SignalDef::MemRead { mem, port } => {
                 let p = &self.mems[mem.index()].readers[*port];
-                vec![p.addr, p.en]
+                Deps::Port([p.addr, p.en])
             }
         }
     }
 
     /// The combinational dependencies of the signal with the given id.
-    pub fn deps(&self, id: SignalId) -> Vec<SignalId> {
+    pub fn deps(&self, id: SignalId) -> Deps<'_> {
         self.deps_of(&self.signals[id.index()])
     }
 
@@ -388,6 +388,28 @@ impl Netlist {
             mem_bits: self.mems.iter().map(|m| m.depth * m.width as usize).sum(),
             inputs: self.inputs.len(),
             outputs: self.outputs.len(),
+        }
+    }
+}
+
+/// The combinational dependencies of one signal ([`Netlist::deps`]): an
+/// op's operands, borrowed, or a memory read port's `addr` and `en`. It
+/// dereferences to a slice, so walks over the graph allocate nothing.
+#[derive(Debug, Clone, Copy)]
+pub enum Deps<'a> {
+    /// An op's operands (empty for sources).
+    Args(&'a [SignalId]),
+    /// A memory read port's `[addr, en]`.
+    Port([SignalId; 2]),
+}
+
+impl std::ops::Deref for Deps<'_> {
+    type Target = [SignalId];
+
+    fn deref(&self) -> &[SignalId] {
+        match self {
+            Deps::Args(args) => args,
+            Deps::Port(fields) => fields,
         }
     }
 }

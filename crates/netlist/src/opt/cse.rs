@@ -8,49 +8,40 @@
 //! by DCE.
 
 use crate::netlist::{Netlist, SignalDef, SignalId};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// Key identifying a definition's value.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum DefKey {
-    Const(Vec<u64>, u32, bool),
-    Op(crate::netlist::OpKind, Vec<SignalId>, Vec<u64>, u32, bool),
+/// Key identifying a definition's value, borrowed from the netlist.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum DefKey<'a> {
+    Const(&'a [u64], u32, bool),
+    Op(crate::netlist::OpKind, &'a [SignalId], &'a [u64], u32, bool),
 }
 
 /// Runs one round; returns the number of duplicate definitions redirected.
 pub fn run(netlist: &mut Netlist) -> usize {
     let n = netlist.signal_count();
-    let mut table: HashMap<DefKey, SignalId> = HashMap::new();
     let mut replace: Vec<SignalId> = (0..n).map(|i| SignalId(i as u32)).collect();
     let mut deduped = 0;
-
-    // `netlist.signals` cannot be iterated directly while `replace` is
-    // written through the same index.
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..n {
-        let sig = &netlist.signals[i];
+    let mut table: HashMap<DefKey, SignalId> = HashMap::with_capacity(n);
+    for (i, sig) in netlist.signals.iter().enumerate() {
         let key = match &sig.def {
-            SignalDef::Const(c) => DefKey::Const(c.limbs().to_vec(), sig.width, sig.signed),
-            SignalDef::Op(op) => DefKey::Op(
-                op.kind,
-                op.args.clone(),
-                op.params.clone(),
-                sig.width,
-                sig.signed,
-            ),
+            SignalDef::Const(c) => DefKey::Const(c.limbs(), sig.width, sig.signed),
+            SignalDef::Op(op) => DefKey::Op(op.kind, &op.args, &op.params, sig.width, sig.signed),
             // Inputs, register outputs, and memory reads are unique values.
             _ => continue,
         };
-        match table.get(&key) {
-            Some(&rep) => {
-                replace[i] = rep;
+        match table.entry(key) {
+            Entry::Occupied(rep) => {
+                replace[i] = *rep.get();
                 deduped += 1;
             }
-            None => {
-                table.insert(key, SignalId(i as u32));
+            Entry::Vacant(slot) => {
+                slot.insert(SignalId(i as u32));
             }
         }
     }
+    drop(table);
     if deduped == 0 {
         return 0;
     }

@@ -5,72 +5,59 @@
 //! Inputs are always preserved — the testbench interface is part of the
 //! design's contract even when an input is unused.
 
-use crate::graph;
 use crate::netlist::{Netlist, SignalDef, SignalId};
 
 /// Runs one round; returns the number of signals removed.
 pub fn run(netlist: &mut Netlist) -> usize {
-    // Liveness fixpoint: a register is live only if its *output* is
-    // observed; a memory is live only if some read data is observed. Live
-    // state adds new roots (the register's next-value, the memory's write
-    // port fields), which can make more state live.
-    let mut base_roots: Vec<SignalId> = Vec::new();
-    base_roots.extend(netlist.outputs.iter().copied());
-    base_roots.extend(netlist.inputs.iter().copied());
-    for s in &netlist.stops {
-        base_roots.push(s.en);
-    }
-    for p in &netlist.printfs {
-        base_roots.push(p.en);
-        base_roots.extend(p.args.iter().copied());
-    }
+    // Liveness in one worklist pass: a register is live only if its
+    // *output* is observed; a memory is live only if some read data is
+    // observed. State becoming live adds its roots to the same walk (the
+    // register's next-value; the memory's write port fields and every
+    // read port, whose address and enable a kept port still reads),
+    // which can make more state live.
+    let mut live = vec![false; netlist.signal_count()];
     let mut live_regs = vec![false; netlist.regs.len()];
     let mut live_mems = vec![false; netlist.mems.len()];
-    let mut live;
-    loop {
-        let mut roots = base_roots.clone();
-        for (i, reg) in netlist.regs.iter().enumerate() {
-            if live_regs[i] {
-                roots.push(reg.next);
-            }
+    let mut stack: Vec<SignalId> = Vec::new();
+    fn mark(id: SignalId, live: &mut [bool], stack: &mut Vec<SignalId>) {
+        if !live[id.index()] {
+            live[id.index()] = true;
+            stack.push(id);
         }
-        for (i, mem) in netlist.mems.iter().enumerate() {
-            if live_mems[i] {
-                for w in &mem.writers {
-                    roots.extend([w.addr, w.en, w.mask, w.data]);
+    }
+    for &id in netlist.outputs.iter().chain(&netlist.inputs) {
+        mark(id, &mut live, &mut stack);
+    }
+    for s in &netlist.stops {
+        mark(s.en, &mut live, &mut stack);
+    }
+    for p in &netlist.printfs {
+        for &id in std::iter::once(&p.en).chain(&p.args) {
+            mark(id, &mut live, &mut stack);
+        }
+    }
+    while let Some(id) = stack.pop() {
+        for &dep in netlist.deps(id).iter() {
+            mark(dep, &mut live, &mut stack);
+        }
+        match netlist.signal(id).def {
+            SignalDef::RegOut(r) if !live_regs[r.index()] => {
+                live_regs[r.index()] = true;
+                mark(netlist.regs[r.index()].next, &mut live, &mut stack);
+            }
+            SignalDef::MemRead { mem, .. } if !live_mems[mem.index()] => {
+                live_mems[mem.index()] = true;
+                let m = &netlist.mems[mem.index()];
+                for r in &m.readers {
+                    mark(r.data, &mut live, &mut stack);
+                }
+                for w in &m.writers {
+                    for field in [w.addr, w.en, w.mask, w.data] {
+                        mark(field, &mut live, &mut stack);
+                    }
                 }
             }
-        }
-        live = graph::reaching(netlist, &roots);
-        let mut changed = false;
-        for (i, reg) in netlist.regs.iter().enumerate() {
-            if !live_regs[i] && live[reg.out.index()] {
-                live_regs[i] = true;
-                changed = true;
-            }
-        }
-        for (i, mem) in netlist.mems.iter().enumerate() {
-            if !live_mems[i] && mem.readers.iter().any(|r| live[r.data.index()]) {
-                live_mems[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Keep live state's identity signals.
-    for (i, reg) in netlist.regs.iter().enumerate() {
-        if live_regs[i] {
-            live[reg.out.index()] = true;
-            live[reg.next.index()] = true;
-        }
-    }
-    for (i, mem) in netlist.mems.iter().enumerate() {
-        if live_mems[i] {
-            for r in &mem.readers {
-                live[r.data.index()] = true;
-            }
+            _ => {}
         }
     }
 
@@ -201,6 +188,23 @@ mod tests {
         assert!(n.find("unused").is_none());
     }
 
+    /// A live memory keeps every read port, including one whose data
+    /// nobody reads: the port's address and enable cones stay too.
+    #[test]
+    fn unread_port_of_a_live_memory_keeps_its_address() {
+        let mut n = build_test_netlist(
+            "circuit M :\n  module M :\n    input clock : Clock\n    input a : UInt<2>\n    output o : UInt<8>\n    mem m :\n      data-type => UInt<8>\n      depth => 4\n      read-latency => 0\n      write-latency => 1\n      reader => used\n      reader => unused\n    m.used.clk <= clock\n    m.used.en <= UInt<1>(1)\n    m.used.addr <= a\n    m.unused.clk <= clock\n    m.unused.en <= UInt<1>(1)\n    m.unused.addr <= not(a)\n    o <= m.used.data\n",
+        );
+        run(&mut n);
+        assert_eq!(n.mems().len(), 1);
+        assert_eq!(n.mems()[0].readers.len(), 2);
+        for s in n.signals() {
+            for d in n.deps_of(s).iter() {
+                assert!(d.index() < n.signal_count());
+            }
+        }
+    }
+
     #[test]
     fn mem_ports_stay_live() {
         let mut n = build_test_netlist(
@@ -226,7 +230,7 @@ mod tests {
         run(&mut n);
         // Every operand reference must be in range after compaction.
         for s in n.signals() {
-            for d in n.deps_of(s) {
+            for &d in n.deps_of(s).iter() {
                 assert!(d.index() < n.signal_count());
             }
         }

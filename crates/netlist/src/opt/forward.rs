@@ -56,13 +56,11 @@ pub fn run(netlist: &mut Netlist) -> usize {
         // A Copy's own operand is intentionally left alone when it IS the
         // alias (redirecting `x = Copy(y)` to `x = Copy(root(y))` is fine
         // and is what we do).
-        let mut def = netlist.signals[i].def.clone();
-        if let SignalDef::Op(op) = &mut def {
+        if let SignalDef::Op(op) = &mut netlist.signals[i].def {
             for a in &mut op.args {
                 redirect(a, &mut alias, &mut forwarded);
             }
         }
-        netlist.signals[i].def = def;
     }
     for r in 0..netlist.regs.len() {
         // `next` points at the named next-signal; its def was redirected
@@ -101,11 +99,9 @@ pub fn run(netlist: &mut Netlist) -> usize {
         let mut en = netlist.printfs[p].en;
         redirect(&mut en, &mut alias, &mut forwarded);
         netlist.printfs[p].en = en;
-        let mut args = netlist.printfs[p].args.clone();
-        for a in &mut args {
+        for a in &mut netlist.printfs[p].args {
             redirect(a, &mut alias, &mut forwarded);
         }
-        netlist.printfs[p].args = args;
     }
     // Register next links: keep pointing at the named `$next` signal so the
     // register sink stays identifiable; its def was already redirected.

@@ -23,7 +23,7 @@ const ROUNDS: usize = 3;
 /// It has no fields: it used to switch each pass and the round count,
 /// and no caller outside the tests ever changed them. It survives only
 /// because the `bench` package still passes `&OptConfig::default()`, and
-/// goes when that package next changes (ROADMAP item 10).
+/// goes when that package next changes (ROADMAP item 1).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OptConfig {}
 

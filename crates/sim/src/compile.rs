@@ -233,7 +233,7 @@ fn engine_visible(netlist: &Netlist) -> Vec<bool> {
 ///
 /// `ordered` must be in dependency order; `cross_read` marks signals read
 /// outside this block (cross-partition outputs), which stay eagerly
-/// evaluated.
+/// evaluated. `visible` is [`engine_visible`], computed once per design.
 fn build_block(
     netlist: &Netlist,
     layout: &Layout,
@@ -241,8 +241,8 @@ fn build_block(
     cross_read: &HashSet<SignalId>,
     mux_cond: bool,
     fanout_count: &[u32],
+    visible: &[bool],
 ) -> Block {
-    let visible = engine_visible(netlist);
     let in_block: HashSet<SignalId> = ordered.iter().copied().collect();
 
     // A signal is absorbable into its consuming mux when: computed here,
@@ -305,7 +305,7 @@ fn build_block(
         }
         absorbed.insert(way);
         // Dependencies first.
-        for dep in netlist.deps(way) {
+        for &dep in netlist.deps(way).iter() {
             collect_way(netlist, layout, dep, absorbable, absorbed, out);
         }
         out.push(item_for(netlist, layout, way, absorbable, absorbed));
@@ -346,14 +346,14 @@ pub fn compile_full(netlist: &Netlist, layout: &Layout, config: &EngineConfig) -
             )
         })
         .collect();
-    let fanouts = fanout_counts(netlist);
     build_block(
         netlist,
         layout,
         &order,
         &HashSet::new(),
         config.mux_conditional,
-        &fanouts,
+        &fanout_counts(netlist),
+        &engine_visible(netlist),
     )
 }
 
@@ -367,6 +367,7 @@ pub fn compile_plan(
     config: &EngineConfig,
 ) -> Vec<Block> {
     let fanouts = fanout_counts(netlist);
+    let visible = engine_visible(netlist);
     plan.partitions
         .iter()
         .map(|p| {
@@ -378,6 +379,7 @@ pub fn compile_plan(
                 &cross,
                 config.mux_conditional,
                 &fanouts,
+                &visible,
             );
             block.commits = p
                 .elided_regs
@@ -405,7 +407,7 @@ pub fn compile_plan(
 pub fn fanout_counts(netlist: &Netlist) -> Vec<u32> {
     let mut counts = vec![0u32; netlist.signal_count()];
     for i in 0..netlist.signal_count() {
-        for dep in netlist.deps(SignalId(i as u32)) {
+        for &dep in netlist.deps(SignalId(i as u32)).iter() {
             counts[dep.index()] += 1;
         }
     }

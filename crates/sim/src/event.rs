@@ -25,6 +25,7 @@ use crate::machine::Machine;
 use crate::state::{resolve_state, MemWrite, RegCommit};
 use essent_bits::Bits;
 use essent_netlist::{graph, Netlist, SignalId};
+use std::sync::Arc;
 
 /// Levelized event-driven simulator.
 pub struct EventDrivenSim {
@@ -55,8 +56,15 @@ pub struct EventDrivenSim {
 impl EventDrivenSim {
     /// Compiles the netlist for event-driven execution.
     pub fn new(netlist: &Netlist, config: &EngineConfig) -> EventDrivenSim {
-        let mut machine = Machine::new(netlist);
+        EventDrivenSim::new_shared(Arc::new(netlist.clone()), config)
+    }
+
+    /// [`EventDrivenSim::new`] over an already-shared netlist (no deep
+    /// clone).
+    pub fn new_shared(netlist: Arc<Netlist>, config: &EngineConfig) -> EventDrivenSim {
+        let mut machine = Machine::from_arc(Arc::clone(&netlist));
         machine.capture_printf = config.capture_printf;
+        let netlist: &Netlist = &netlist;
         let layout = machine.layout.clone();
         let n = netlist.signal_count();
 
@@ -84,7 +92,7 @@ impl EventDrivenSim {
             if step.is_none() {
                 continue;
             }
-            for dep in netlist.deps(SignalId(i as u32)) {
+            for &dep in netlist.deps(SignalId(i as u32)).iter() {
                 fanouts[dep.index()].push(i as u32);
             }
         }

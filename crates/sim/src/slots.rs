@@ -114,7 +114,7 @@ impl WakeTable {
             // register outputs, external inputs — deduplicated.
             let mut seen = BTreeSet::new();
             for &m in &part.members {
-                for dep in netlist.deps(m) {
+                for &dep in netlist.deps(m).iter() {
                     if plan.sched_of_signal[dep.index()] as usize != sched
                         || !matches!(
                             netlist.signal(dep).def,

@@ -68,19 +68,19 @@ fn steady_state_cycles_do_not_allocate() {
     };
 
     // Engine construction shares the netlist instead of deep-cloning it.
-    let mut essent = EssentSim::new_shared(Arc::clone(&netlist), &config);
-    let mut full = FullCycleSim::new_shared(Arc::clone(&netlist), &config);
-    assert_eq!(
-        Arc::strong_count(&netlist),
-        3,
-        "engines must share the netlist, not clone it"
-    );
     let baseline = EngineConfig {
         capture_printf: false,
         ..EngineConfig::baseline()
     };
+    let mut essent = EssentSim::new_shared(Arc::clone(&netlist), &config);
+    let mut full = FullCycleSim::new_shared(Arc::clone(&netlist), &config);
     let mut base = FullCycleSim::new_shared(Arc::clone(&netlist), &baseline);
-    let mut event = EventDrivenSim::new(&netlist, &config);
+    let mut event = EventDrivenSim::new_shared(Arc::clone(&netlist), &config);
+    assert_eq!(
+        Arc::strong_count(&netlist),
+        5,
+        "engines must share the netlist, not clone it"
+    );
     // The native path, where the host runs it (the sanitizer build keeps
     // the JIT off): partitions that run an emitted body instead of the
     // tier-1 interpreter.

@@ -177,7 +177,7 @@ pub fn check_plan(netlist: &Netlist, plan: &CcssPlan) -> Report {
         if user_sched >= n_parts {
             continue;
         }
-        for dep in netlist.deps(user) {
+        for &dep in netlist.deps(user).iter() {
             if !computed(netlist, dep) {
                 continue;
             }
@@ -222,7 +222,7 @@ pub fn check_plan(netlist: &Netlist, plan: &CcssPlan) -> Report {
     // --- Topological order of the schedule and of member lists ------------
     for (sched, part) in plan.partitions.iter().enumerate() {
         for (i, &m) in part.members.iter().enumerate() {
-            for dep in netlist.deps(m) {
+            for &dep in netlist.deps(m).iter() {
                 if !computed(netlist, dep) {
                     continue;
                 }
@@ -306,7 +306,7 @@ pub fn check_plan(netlist: &Netlist, plan: &CcssPlan) -> Report {
     // Every cross-partition combinational edge must be triggered.
     for (sched, part) in plan.partitions.iter().enumerate() {
         for &m in &part.members {
-            for dep in netlist.deps(m) {
+            for &dep in netlist.deps(m).iter() {
                 if !computed(netlist, dep) {
                     continue;
                 }
