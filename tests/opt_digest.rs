@@ -3,8 +3,13 @@
 //! redefines a single signal of tiny, r16, r18 or boom changes these
 //! numbers. A change meant to keep the optimizer's output (a faster
 //! fixpoint, a pass folded into another) must pass this test unchanged.
+//!
+//! The front end is pinned the same way: the printed text of the lowered
+//! circuit and the unoptimised netlist the builder makes of it. A faster
+//! lowering pass or netlist builder must pass those unchanged too.
 
 use essent::designs::soc::{generate_soc, SocConfig};
+use essent::firrtl::{parse, passes, print_circuit};
 use essent::netlist::{opt, Netlist, SignalDef};
 
 /// FNV-1a, fed field by field.
@@ -128,6 +133,53 @@ fn optimized_soc_netlists_are_pinned() {
         assert_eq!(
             (netlist.signal_count(), digest(&netlist)),
             (signals, expected),
+            "design `{}`",
+            config.name
+        );
+    }
+}
+
+#[test]
+fn lowered_circuits_and_unoptimised_netlists_are_pinned() {
+    for (config, text_bytes, text_digest, signals, netlist_digest) in [
+        (
+            SocConfig::tiny(),
+            14_082,
+            0xb940_312e_0e09_bc23,
+            572,
+            0x08c7_92aa_1e75_3d82,
+        ),
+        (
+            SocConfig::r16(),
+            174_702,
+            0x2948_3c1a_c6ef_ccde,
+            5_180,
+            0xaa0c_3069_c689_7b87,
+        ),
+        (
+            SocConfig::r18(),
+            501_378,
+            0x0fb0_6729_9cf7_c85c,
+            14_909,
+            0x74cc_5aec_0112_92de,
+        ),
+        (
+            SocConfig::boom(),
+            1_770_279,
+            0x943b_710f_a949_3a80,
+            35_639,
+            0x7a11_3983_8f0a_03c3,
+        ),
+    ] {
+        let lowered =
+            passes::lower(parse(&generate_soc(&config)).expect("parses")).expect("lowers");
+        let text = print_circuit(&lowered);
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        h.bytes(text.as_bytes());
+        let netlist = Netlist::from_circuit(&lowered).expect("builds");
+        assert_eq!(
+            (text.len(), h.0, netlist.signal_count(), digest(&netlist)),
+            (text_bytes, text_digest, signals, netlist_digest),
             "design `{}`",
             config.name
         );
