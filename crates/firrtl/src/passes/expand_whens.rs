@@ -32,19 +32,19 @@ enum Driver {
     Invalid,
 }
 
-/// One lexical scope of drivers (a `when` branch or the module body).
+/// One lexical scope of drivers (a `when` branch or the module body),
+/// keyed by sink index.
 #[derive(Debug, Default)]
 struct Scope {
-    map: HashMap<String, Driver>,
-    order: Vec<String>,
+    map: HashMap<u32, Driver>,
+    order: Vec<u32>,
 }
 
 impl Scope {
-    fn set(&mut self, key: String, driver: Driver) {
-        if !self.map.contains_key(&key) {
-            self.order.push(key.clone());
+    fn set(&mut self, sink: u32, driver: Driver) {
+        if self.map.insert(sink, driver).is_none() {
+            self.order.push(sink);
         }
-        self.map.insert(key, driver);
     }
 }
 
@@ -52,9 +52,15 @@ struct Ctx {
     decls: Vec<Stmt>,
     stops: Vec<Stmt>,
     printfs: Vec<Stmt>,
-    regs: HashSet<String>,
-    /// Canonical key → connect-target expression.
-    sinks: HashMap<String, Expr>,
+    /// Canonical key (the printed target; a register's name) → sink
+    /// index.
+    index: HashMap<String, u32>,
+    /// Per sink index: the connect target, from its first connect.
+    sinks: Vec<Option<Expr>>,
+    /// Per sink index: a register, which holds when a branch leaves it
+    /// unassigned.
+    is_reg: Vec<bool>,
+    /// Names a generated `_GEN_` node must not take.
     used_names: HashSet<String>,
     gen_counter: usize,
 }
@@ -68,6 +74,36 @@ impl Ctx {
                 return name;
             }
         }
+    }
+
+    /// The index of the sink with canonical key `key`, new if unseen.
+    fn sink_index(&mut self, key: &str) -> u32 {
+        if let Some(&i) = self.index.get(key) {
+            return i;
+        }
+        let i = self.sinks.len() as u32;
+        self.index.insert(key.to_string(), i);
+        self.sinks.push(None);
+        self.is_reg.push(false);
+        i
+    }
+
+    /// The index of connect target `loc`, which becomes the sink's
+    /// target when it is the first connect to it. A plain reference is
+    /// its own key; other targets are keyed by their printed form.
+    fn sink(&mut self, loc: Expr) -> u32 {
+        let i = match &loc {
+            Expr::Ref(name) => self.sink_index(name),
+            other => {
+                let key = canon(other);
+                self.sink_index(&key)
+            }
+        };
+        let slot = &mut self.sinks[i as usize];
+        if slot.is_none() {
+            *slot = Some(loc);
+        }
+        i
     }
 }
 
@@ -90,19 +126,23 @@ pub fn run(circuit: Circuit) -> Result<Circuit, LowerError> {
         decls: Vec::new(),
         stops: Vec::new(),
         printfs: Vec::new(),
-        regs: HashSet::new(),
-        sinks: HashMap::new(),
-        used_names: collect_names(&module),
+        index: HashMap::new(),
+        sinks: Vec::new(),
+        is_reg: Vec::new(),
+        used_names: generated_names(&module),
         gen_counter: 0,
     };
     let mut root = Scope::default();
-    process(&module.body, None, &mut root, &mut ctx)?;
+    process(module.body, None, &mut root, &mut ctx)?;
 
     let mut body = std::mem::take(&mut ctx.decls);
-    for key in &root.order {
-        let loc = ctx.sinks[key].clone();
-        let value = match &root.map[key] {
-            Driver::Value(e) => e.clone(),
+    body.reserve(root.order.len() + ctx.stops.len() + ctx.printfs.len());
+    for sink in root.order {
+        let loc = ctx.sinks[sink as usize]
+            .take()
+            .expect("a driven sink has a target");
+        let value = match root.map.remove(&sink).expect("ordered sinks are driven") {
+            Driver::Value(e) => e,
             Driver::Invalid => Expr::uint(0, 1),
         };
         body.push(Stmt::Connect {
@@ -125,20 +165,22 @@ pub fn run(circuit: Circuit) -> Result<Circuit, LowerError> {
     })
 }
 
-fn collect_names(module: &Module) -> HashSet<String> {
-    let mut names: HashSet<String> = module.ports.iter().map(|p| p.name.clone()).collect();
+/// The declared names a generated `_GEN_` name could collide with: only
+/// those that start with the prefix.
+fn generated_names(module: &Module) -> HashSet<String> {
+    fn keep(name: &str, names: &mut HashSet<String>) {
+        if name.starts_with("_GEN_") {
+            names.insert(name.to_string());
+        }
+    }
     fn walk(stmts: &[Stmt], names: &mut HashSet<String>) {
         for stmt in stmts {
             match stmt {
                 Stmt::Wire { name, .. }
                 | Stmt::Reg { name, .. }
                 | Stmt::Node { name, .. }
-                | Stmt::Inst { name, .. } => {
-                    names.insert(name.clone());
-                }
-                Stmt::Mem(decl) => {
-                    names.insert(decl.name.clone());
-                }
+                | Stmt::Inst { name, .. } => keep(name, names),
+                Stmt::Mem(decl) => keep(&decl.name, names),
                 Stmt::When {
                     then_body,
                     else_body,
@@ -150,6 +192,10 @@ fn collect_names(module: &Module) -> HashSet<String> {
                 _ => {}
             }
         }
+    }
+    let mut names = HashSet::new();
+    for port in &module.ports {
+        keep(&port.name, &mut names);
     }
     walk(&module.body, &mut names);
     names
@@ -176,18 +222,27 @@ fn not_expr(a: Expr) -> Expr {
     }
 }
 
+/// `en` under the accumulated guard.
+fn guarded(guard: Option<&Expr>, en: Expr) -> Expr {
+    match guard {
+        Some(g) => and_expr(g.clone(), en),
+        None => en,
+    }
+}
+
 fn process(
-    stmts: &[Stmt],
+    stmts: Vec<Stmt>,
     guard: Option<&Expr>,
     scope: &mut Scope,
     ctx: &mut Ctx,
 ) -> Result<(), LowerError> {
     for stmt in stmts {
         match stmt {
-            Stmt::Wire { .. } | Stmt::Mem(_) | Stmt::Node { .. } => ctx.decls.push(stmt.clone()),
-            Stmt::Reg { name, .. } => {
-                ctx.regs.insert(name.clone());
-                ctx.decls.push(stmt.clone());
+            Stmt::Wire { .. } | Stmt::Mem(_) | Stmt::Node { .. } => ctx.decls.push(stmt),
+            Stmt::Reg { ref name, .. } => {
+                let sink = ctx.sink_index(name);
+                ctx.is_reg[sink as usize] = true;
+                ctx.decls.push(stmt);
             }
             Stmt::Inst { .. } => {
                 return Err(LowerError::new(
@@ -196,14 +251,12 @@ fn process(
                 ))
             }
             Stmt::Connect { loc, value, .. } => {
-                let key = canon(loc);
-                ctx.sinks.entry(key.clone()).or_insert_with(|| loc.clone());
-                scope.set(key, Driver::Value(value.clone()));
+                let sink = ctx.sink(loc);
+                scope.set(sink, Driver::Value(value));
             }
             Stmt::Invalidate { loc, .. } => {
-                let key = canon(loc);
-                ctx.sinks.entry(key.clone()).or_insert_with(|| loc.clone());
-                scope.set(key, Driver::Invalid);
+                let sink = ctx.sink(loc);
+                scope.set(sink, Driver::Invalid);
             }
             Stmt::When {
                 cond,
@@ -214,59 +267,52 @@ fn process(
                 // Hoist the condition into a node so mux joins share it by
                 // reference instead of duplicating the expression.
                 let cond_ref = match cond {
-                    Expr::Ref(_) | Expr::UIntLit { .. } => cond.clone(),
+                    Expr::Ref(_) | Expr::UIntLit { .. } => cond,
                     _ => {
                         let name = ctx.fresh("when");
                         ctx.decls.push(Stmt::Node {
                             name: name.clone(),
-                            value: cond.clone(),
+                            value: cond,
                             info: Info::default(),
                         });
                         Expr::Ref(name)
                     }
                 };
-                let then_guard = match guard {
-                    Some(g) => and_expr(g.clone(), cond_ref.clone()),
-                    None => cond_ref.clone(),
-                };
-                let else_guard = match guard {
-                    Some(g) => and_expr(g.clone(), not_expr(cond_ref.clone())),
-                    None => not_expr(cond_ref.clone()),
-                };
+                let then_guard = guarded(guard, cond_ref.clone());
+                let else_guard = guarded(guard, not_expr(cond_ref.clone()));
 
                 let mut then_scope = Scope::default();
                 process(then_body, Some(&then_guard), &mut then_scope, ctx)?;
                 let mut else_scope = Scope::default();
                 process(else_body, Some(&else_guard), &mut else_scope, ctx)?;
 
-                // Join: deterministic order (then-branch keys, then new
-                // else-branch keys).
-                let mut keys = then_scope.order.clone();
-                for k in &else_scope.order {
-                    if !then_scope.map.contains_key(k) {
-                        keys.push(k.clone());
-                    }
-                }
-                for key in keys {
-                    let fallback = scope.map.get(&key).cloned().or_else(|| {
-                        if ctx.regs.contains(&key) {
-                            Some(Driver::Value(Expr::Ref(key.clone())))
-                        } else {
-                            None
-                        }
+                // Join: deterministic order (then-branch sinks, then new
+                // else-branch sinks). Each branch's driver and the prior
+                // one are taken, never copied: a sink only one branch
+                // assigns falls back to the prior driver, or for a
+                // register to the register itself.
+                let else_only: Vec<u32> = else_scope
+                    .order
+                    .iter()
+                    .copied()
+                    .filter(|k| !then_scope.map.contains_key(k))
+                    .collect();
+                for sink in then_scope.order.into_iter().chain(else_only) {
+                    let prior = scope.map.remove(&sink);
+                    let known = prior.is_some();
+                    let mut fallback = prior.or_else(|| {
+                        ctx.is_reg[sink as usize].then(|| {
+                            Driver::Value(ctx.sinks[sink as usize].clone().expect("driven"))
+                        })
                     });
-                    let tv = then_scope
-                        .map
-                        .get(&key)
-                        .cloned()
-                        .or_else(|| fallback.clone());
-                    let ev = else_scope
-                        .map
-                        .get(&key)
-                        .cloned()
-                        .or_else(|| fallback.clone());
+                    let tv = then_scope.map.remove(&sink).or_else(|| fallback.take());
+                    let ev = else_scope.map.remove(&sink).or_else(|| fallback.take());
                     let joined = join(&cond_ref, tv, ev);
-                    scope.set(key, joined);
+                    if known {
+                        scope.map.insert(sink, joined);
+                    } else {
+                        scope.set(sink, joined);
+                    }
                 }
             }
             Stmt::Stop {
@@ -275,19 +321,13 @@ fn process(
                 en,
                 code,
                 info,
-            } => {
-                let en = match guard {
-                    Some(g) => and_expr(g.clone(), en.clone()),
-                    None => en.clone(),
-                };
-                ctx.stops.push(Stmt::Stop {
-                    name: name.clone(),
-                    clock: clock.clone(),
-                    en,
-                    code: *code,
-                    info: info.clone(),
-                });
-            }
+            } => ctx.stops.push(Stmt::Stop {
+                name,
+                clock,
+                en: guarded(guard, en),
+                code,
+                info,
+            }),
             Stmt::Printf {
                 name,
                 clock,
@@ -295,20 +335,14 @@ fn process(
                 fmt,
                 args,
                 info,
-            } => {
-                let en = match guard {
-                    Some(g) => and_expr(g.clone(), en.clone()),
-                    None => en.clone(),
-                };
-                ctx.printfs.push(Stmt::Printf {
-                    name: name.clone(),
-                    clock: clock.clone(),
-                    en,
-                    fmt: fmt.clone(),
-                    args: args.clone(),
-                    info: info.clone(),
-                });
-            }
+            } => ctx.printfs.push(Stmt::Printf {
+                name,
+                clock,
+                en: guarded(guard, en),
+                fmt,
+                args,
+                info,
+            }),
             Stmt::Skip => {}
         }
     }

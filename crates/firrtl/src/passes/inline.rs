@@ -26,14 +26,14 @@ const PASS: &str = "InlineInstances";
 /// Returns an error on unknown module references or recursive
 /// instantiation.
 pub fn run(circuit: Circuit) -> Result<Circuit, LowerError> {
-    let map: HashMap<String, Module> = circuit
+    let mut modules: HashMap<String, Module> = circuit
         .modules
-        .iter()
-        .map(|m| (m.name.clone(), m.clone()))
+        .into_iter()
+        .map(|m| (m.name.clone(), m))
         .collect();
     let mut done: HashMap<String, Module> = HashMap::new();
     let mut visiting = HashSet::new();
-    inline_module(&circuit.name, &map, &mut done, &mut visiting)?;
+    inline_module(&circuit.name, &mut modules, &mut done, &mut visiting)?;
     let top = done.remove(&circuit.name).expect("top was inlined");
     Ok(Circuit {
         name: circuit.name,
@@ -42,9 +42,11 @@ pub fn run(circuit: Circuit) -> Result<Circuit, LowerError> {
     })
 }
 
+/// Flattens module `name`, taken out of `modules`, into `done`, after
+/// its children.
 fn inline_module(
     name: &str,
-    map: &HashMap<String, Module>,
+    modules: &mut HashMap<String, Module>,
     done: &mut HashMap<String, Module>,
     visiting: &mut HashSet<String>,
 ) -> Result<(), LowerError> {
@@ -57,26 +59,26 @@ fn inline_module(
             format!("recursive instantiation of `{name}`"),
         ));
     }
-    let module = map
-        .get(name)
-        .ok_or_else(|| LowerError::new(PASS, format!("unknown module `{name}`")))?
-        .clone();
+    let module = modules
+        .remove(name)
+        .ok_or_else(|| LowerError::new(PASS, format!("unknown module `{name}`")))?;
 
     // Inline children first.
-    let mut child_names = Vec::new();
-    collect_instances(&module.body, &mut child_names);
-    for child in &child_names {
-        inline_module(child, map, done, visiting)?;
+    let mut bindings = Vec::new();
+    collect_instances(&module.body, &mut bindings);
+    for (_, child) in &bindings {
+        inline_module(child, modules, done, visiting)?;
     }
 
-    let instances: HashMap<String, String> = {
-        let mut m = HashMap::new();
-        collect_instance_bindings(&module.body, &mut m);
-        m
+    // A leaf module's body is already flat.
+    let body = if bindings.is_empty() {
+        module.body
+    } else {
+        let instances: HashSet<String> = bindings.into_iter().map(|(inst, _)| inst).collect();
+        let mut body = Vec::with_capacity(module.body.len());
+        splice_stmts(module.body, &instances, done, &mut body)?;
+        body
     };
-
-    let mut body = Vec::new();
-    splice_stmts(&module.body, &instances, done, &mut body)?;
     visiting.remove(name);
     done.insert(
         name.to_string(),
@@ -90,10 +92,11 @@ fn inline_module(
     Ok(())
 }
 
-fn collect_instances(stmts: &[Stmt], out: &mut Vec<String>) {
+/// Every `(instance, module)` binding of a body, in statement order.
+fn collect_instances(stmts: &[Stmt], out: &mut Vec<(String, String)>) {
     for stmt in stmts {
         match stmt {
-            Stmt::Inst { module, .. } => out.push(module.clone()),
+            Stmt::Inst { name, module, .. } => out.push((name.clone(), module.clone())),
             Stmt::When {
                 then_body,
                 else_body,
@@ -107,36 +110,20 @@ fn collect_instances(stmts: &[Stmt], out: &mut Vec<String>) {
     }
 }
 
-fn collect_instance_bindings(stmts: &[Stmt], out: &mut HashMap<String, String>) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Inst { name, module, .. } => {
-                out.insert(name.clone(), module.clone());
-            }
-            Stmt::When {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_instance_bindings(then_body, out);
-                collect_instance_bindings(else_body, out);
-            }
-            _ => {}
-        }
-    }
-}
-
+/// Moves `stmts` into `out`, each instance replaced by its port wires and
+/// its module's prefixed body, and every `inst.port` reference resolved
+/// in place.
 fn splice_stmts(
-    stmts: &[Stmt],
-    instances: &HashMap<String, String>,
+    stmts: Vec<Stmt>,
+    instances: &HashSet<String>,
     done: &HashMap<String, Module>,
     out: &mut Vec<Stmt>,
 ) -> Result<(), LowerError> {
-    for stmt in stmts {
+    for mut stmt in stmts {
         match stmt {
             Stmt::Inst { name, module, info } => {
                 let child = done
-                    .get(module)
+                    .get(&module)
                     .ok_or_else(|| LowerError::new(PASS, format!("unknown module `{module}`")))?;
                 let prefix = format!("{name}$");
                 // Port wires carry values across the former boundary.
@@ -152,124 +139,95 @@ fn splice_stmts(
                 }
             }
             Stmt::When {
-                cond,
+                mut cond,
                 then_body,
                 else_body,
                 info,
             } => {
-                let mut then_out = Vec::new();
+                resolve_expr(&mut cond, instances);
+                let mut then_out = Vec::with_capacity(then_body.len());
                 splice_stmts(then_body, instances, done, &mut then_out)?;
-                let mut else_out = Vec::new();
+                let mut else_out = Vec::with_capacity(else_body.len());
                 splice_stmts(else_body, instances, done, &mut else_out)?;
                 out.push(Stmt::When {
-                    cond: resolve_expr(cond, instances),
+                    cond,
                     then_body: then_out,
                     else_body: else_out,
-                    info: info.clone(),
+                    info,
                 });
             }
-            other => out.push(map_stmt_exprs(other, &|e| resolve_expr(e, instances))),
+            _ => {
+                resolve_stmt(&mut stmt, instances);
+                out.push(stmt);
+            }
         }
     }
     Ok(())
 }
 
 /// Rewrites `inst.port` references into the inlined wire names.
-fn resolve_expr(expr: &Expr, instances: &HashMap<String, String>) -> Expr {
+fn resolve_expr(expr: &mut Expr, instances: &HashSet<String>) {
     match expr {
-        Expr::SubField(base, field) => {
-            if let Expr::Ref(root) = base.as_ref() {
-                if instances.contains_key(root) {
-                    return Expr::Ref(format!("{root}${field}"));
-                }
+        Expr::SubField(base, field) => match base.as_mut() {
+            Expr::Ref(root) if instances.contains(root.as_str()) => {
+                let name = format!("{root}${field}");
+                *expr = Expr::Ref(name);
             }
-            Expr::SubField(Box::new(resolve_expr(base, instances)), field.clone())
-        }
-        Expr::SubIndex(base, index) => {
-            Expr::SubIndex(Box::new(resolve_expr(base, instances)), *index)
-        }
-        Expr::SubAccess(base, index) => Expr::SubAccess(
-            Box::new(resolve_expr(base, instances)),
-            Box::new(resolve_expr(index, instances)),
-        ),
-        Expr::Mux(s, h, l) => Expr::Mux(
-            Box::new(resolve_expr(s, instances)),
-            Box::new(resolve_expr(h, instances)),
-            Box::new(resolve_expr(l, instances)),
-        ),
-        Expr::ValidIf(c, v) => Expr::ValidIf(
-            Box::new(resolve_expr(c, instances)),
-            Box::new(resolve_expr(v, instances)),
-        ),
-        Expr::Prim { op, args, params } => Expr::Prim {
-            op: *op,
-            args: args.iter().map(|a| resolve_expr(a, instances)).collect(),
-            params: params.clone(),
+            base => resolve_expr(base, instances),
         },
-        other => other.clone(),
+        Expr::SubIndex(base, _) => resolve_expr(base, instances),
+        Expr::SubAccess(base, index) => {
+            resolve_expr(base, instances);
+            resolve_expr(index, instances);
+        }
+        Expr::Mux(s, h, l) => {
+            resolve_expr(s, instances);
+            resolve_expr(h, instances);
+            resolve_expr(l, instances);
+        }
+        Expr::ValidIf(c, v) => {
+            resolve_expr(c, instances);
+            resolve_expr(v, instances);
+        }
+        Expr::Prim { args, .. } => {
+            for a in args {
+                resolve_expr(a, instances);
+            }
+        }
+        Expr::Ref(_) | Expr::UIntLit { .. } | Expr::SIntLit { .. } => {}
     }
 }
 
-/// Applies `f` to every expression position of a statement (whens handled
-/// by the caller).
-fn map_stmt_exprs(stmt: &Stmt, f: &dyn Fn(&Expr) -> Expr) -> Stmt {
+/// Resolves every expression position of a statement (whens handled by
+/// the caller).
+fn resolve_stmt(stmt: &mut Stmt, instances: &HashSet<String>) {
+    let f = |e: &mut Expr| resolve_expr(e, instances);
     match stmt {
-        Stmt::Reg {
-            name,
-            ty,
-            clock,
-            reset,
-            info,
-        } => Stmt::Reg {
-            name: name.clone(),
-            ty: ty.clone(),
-            clock: f(clock),
-            reset: reset.as_ref().map(|(c, i)| (f(c), f(i))),
-            info: info.clone(),
-        },
-        Stmt::Node { name, value, info } => Stmt::Node {
-            name: name.clone(),
-            value: f(value),
-            info: info.clone(),
-        },
-        Stmt::Connect { loc, value, info } => Stmt::Connect {
-            loc: f(loc),
-            value: f(value),
-            info: info.clone(),
-        },
-        Stmt::Invalidate { loc, info } => Stmt::Invalidate {
-            loc: f(loc),
-            info: info.clone(),
-        },
-        Stmt::Stop {
-            name,
-            clock,
-            en,
-            code,
-            info,
-        } => Stmt::Stop {
-            name: name.clone(),
-            clock: f(clock),
-            en: f(en),
-            code: *code,
-            info: info.clone(),
-        },
+        Stmt::Reg { clock, reset, .. } => {
+            f(clock);
+            if let Some((c, i)) = reset {
+                f(c);
+                f(i);
+            }
+        }
+        Stmt::Node { value, .. } => f(value),
+        Stmt::Connect { loc, value, .. } => {
+            f(loc);
+            f(value);
+        }
+        Stmt::Invalidate { loc, .. } => f(loc),
+        Stmt::Stop { clock, en, .. } => {
+            f(clock);
+            f(en);
+        }
         Stmt::Printf {
-            name,
-            clock,
-            en,
-            fmt,
-            args,
-            info,
-        } => Stmt::Printf {
-            name: name.clone(),
-            clock: f(clock),
-            en: f(en),
-            fmt: fmt.clone(),
-            args: args.iter().map(f).collect(),
-            info: info.clone(),
-        },
-        other => other.clone(),
+            clock, en, args, ..
+        } => {
+            f(clock);
+            f(en);
+            args.iter_mut().for_each(f);
+        }
+        Stmt::Wire { .. } | Stmt::Mem(_) | Stmt::Inst { .. } | Stmt::When { .. } | Stmt::Skip => {}
     }
 }
 

@@ -19,161 +19,208 @@
 //!   read, so any signed-extended operand is demanded in full.
 //!
 //! Register feedback (`out` demanded ⇒ `next` demanded) makes the
-//! problem cyclic; demands grow monotonically from zero, so a few
-//! reverse-topological sweeps reach the fixpoint. A defensive sweep cap
-//! falls back to full demand (which disables narrowing, never breaks
-//! it).
+//! problem cyclic; demands grow monotonically from zero and are bounded
+//! by the widths, so rounds of propagation reach the fixpoint. A round
+//! hands a register's output demand to its next-value, then carries every
+//! raised demand to its operands in reverse topological position — only
+//! signals whose demand rose are visited, and their operands are visited
+//! later in the same round. A defensive round cap falls back to full
+//! demand (which disables narrowing, never breaks it).
 
 use crate::netlist::{Netlist, OpKind, Signal, SignalDef, SignalId};
+use std::collections::BinaryHeap;
 
-/// Sweep cap; demands saturate to declared widths if ever exceeded.
+/// Round cap; demands saturate to declared widths if ever exceeded.
 const MAX_SWEEPS: usize = 64;
 
 /// Computes the demanded width of every signal. `order` must be a
 /// topological order of the combinational graph.
 pub fn demanded_widths(netlist: &Netlist, order: &[SignalId]) -> Vec<u32> {
-    let mut demand = vec![0u32; netlist.signal_count()];
-    let full = |demand: &mut Vec<u32>, id: SignalId| {
-        demand[id.index()] = netlist.signal(id).width;
+    let mut d = Demand {
+        netlist,
+        order,
+        demand: vec![0; netlist.signal_count()],
+        pos: vec![0; netlist.signal_count()],
+        heap: BinaryHeap::new(),
+        queued: vec![false; netlist.signal_count()],
+        raised_regs: Vec::new(),
+        changed: false,
     };
+    for (p, id) in order.iter().enumerate() {
+        d.pos[id.index()] = p as u32;
+    }
 
     // Externally observable sinks need every declared bit. Register
     // next-values are *not* seeded here: they are only observed through
     // the register, which forwards exactly the demand on its output.
     for &o in netlist.outputs() {
-        full(&mut demand, o);
+        d.bump(o, u32::MAX);
     }
     for s in netlist.stops() {
-        full(&mut demand, s.en);
+        d.bump(s.en, u32::MAX);
     }
     for p in netlist.printfs() {
-        full(&mut demand, p.en);
+        d.bump(p.en, u32::MAX);
         for &a in &p.args {
-            full(&mut demand, a);
+            d.bump(a, u32::MAX);
         }
     }
     for m in netlist.mems() {
         for r in &m.readers {
-            full(&mut demand, r.addr);
-            full(&mut demand, r.en);
+            d.bump(r.addr, u32::MAX);
+            d.bump(r.en, u32::MAX);
         }
         for w in &m.writers {
-            full(&mut demand, w.addr);
-            full(&mut demand, w.en);
-            full(&mut demand, w.mask);
-            full(&mut demand, w.data);
+            d.bump(w.addr, u32::MAX);
+            d.bump(w.en, u32::MAX);
+            d.bump(w.mask, u32::MAX);
+            d.bump(w.data, u32::MAX);
         }
     }
 
-    for sweep in 0.. {
-        if sweep >= MAX_SWEEPS {
-            // Defensive: saturate everything (sound — disables narrowing).
-            for (i, s) in netlist.signals().iter().enumerate() {
-                demand[i] = s.width;
+    // The first round hands every register's demand on; later ones only
+    // those of registers whose output demand rose.
+    let mut regs: Vec<usize> = (0..netlist.regs().len()).collect();
+    d.raised_regs.clear();
+    let mut saturate = true;
+    'rounds: for _ in 0..MAX_SWEEPS {
+        d.changed = false;
+        for &r in &regs {
+            let reg = &netlist.regs()[r];
+            let want = d.demand[reg.out.index()];
+            if d.demand[reg.next.index()] < want {
+                d.changed = true;
+                d.bump(reg.next, want);
+                if d.demand[reg.next.index()] < want {
+                    // A next-value narrower than the demand on its
+                    // register never catches up: every round from here
+                    // on changes, so the cap is certain to be hit.
+                    break 'rounds;
+                }
             }
+        }
+        d.propagate();
+        if !d.changed {
+            saturate = false;
             break;
         }
-        let mut changed = false;
-        for reg in netlist.regs() {
-            let d = demand[reg.out.index()];
-            if demand[reg.next.index()] < d {
-                demand[reg.next.index()] = d.min(netlist.signal(reg.next).width);
-                changed = true;
-            }
-        }
-        for &id in order.iter().rev() {
-            let d = demand[id.index()];
-            if d == 0 {
-                continue;
-            }
-            let sig = netlist.signal(id);
-            let SignalDef::Op(op) = &sig.def else {
-                continue;
-            };
-            let mut bump = |demand: &mut Vec<u32>, arg: SignalId, want: u32| {
-                let cap = netlist.signal(arg).width;
-                let want = want.min(cap);
-                if demand[arg.index()] < want {
-                    demand[arg.index()] = want;
-                    changed = true;
-                }
-            };
-            use OpKind::*;
-            match op.kind {
-                Add | Sub | Mul | Neg | Not | And | Or | Xor => {
-                    // These extend operands with the first operand's
-                    // signedness; sign extension reads the top bit.
-                    let w = if netlist.signal(op.args[0]).signed {
-                        u32::MAX
-                    } else {
-                        d
-                    };
-                    for &a in &op.args {
-                        bump(&mut demand, a, w);
-                    }
-                }
-                Shl => {
-                    bump(
-                        &mut demand,
-                        op.args[0],
-                        d.saturating_sub(op.params[0] as u32),
-                    );
-                }
-                Shr => {
-                    let w = if netlist.signal(op.args[0]).signed {
-                        u32::MAX
-                    } else {
-                        d.saturating_add(op.params[0].min(u32::MAX as u64) as u32)
-                    };
-                    bump(&mut demand, op.args[0], w);
-                }
-                Dshl => {
-                    bump(&mut demand, op.args[0], d);
-                    bump(&mut demand, op.args[1], u32::MAX);
-                }
-                Bits => {
-                    let lo = op.params[1] as u32;
-                    let hi = op.params[0] as u32;
-                    bump(&mut demand, op.args[0], (lo + d).min(hi + 1));
-                }
-                Mux => {
-                    bump(&mut demand, op.args[0], 1);
-                    for &way in &op.args[1..] {
-                        let w = if netlist.signal(way).signed {
-                            u32::MAX
-                        } else {
-                            d
-                        };
-                        bump(&mut demand, way, w);
-                    }
-                }
-                Copy => {
-                    let w = if netlist.signal(op.args[0]).signed {
-                        u32::MAX
-                    } else {
-                        d
-                    };
-                    bump(&mut demand, op.args[0], w);
-                }
-                // Numeric and positional readers: the whole value.
-                Lt | Leq | Gt | Geq | Eq | Neq | Div | Rem | Dshr | Cat | Andr | Orr | Xorr => {
-                    for &a in &op.args {
-                        bump(&mut demand, a, u32::MAX);
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
+        regs.clear();
+        regs.append(&mut d.raised_regs);
+    }
+    if saturate {
+        // Defensive: saturate everything (sound — disables narrowing).
+        for (i, s) in netlist.signals().iter().enumerate() {
+            d.demand[i] = s.width;
         }
     }
 
     debug_assert!(netlist
         .signals()
         .iter()
-        .zip(&demand)
+        .zip(&d.demand)
         .all(|(s, &d): (&Signal, _)| d <= s.width));
-    demand
+    d.demand
+}
+
+/// The demand propagation state.
+struct Demand<'n> {
+    netlist: &'n Netlist,
+    /// The topological order, indexed by position.
+    order: &'n [SignalId],
+    demand: Vec<u32>,
+    /// Topological position of every signal.
+    pos: Vec<u32>,
+    /// Positions of signals whose demand rose and whose operands have not
+    /// seen it yet (a max-heap: reverse topological order).
+    heap: BinaryHeap<u32>,
+    /// Per signal: waiting in `heap`.
+    queued: Vec<bool>,
+    /// Registers whose output demand rose in this round.
+    raised_regs: Vec<usize>,
+    /// Some demand rose in this round.
+    changed: bool,
+}
+
+impl Demand<'_> {
+    /// Raises the demand of `id` to `want` (capped at its width) and
+    /// queues it when that is a rise.
+    fn bump(&mut self, id: SignalId, want: u32) {
+        let sig = self.netlist.signal(id);
+        let want = want.min(sig.width);
+        if self.demand[id.index()] >= want {
+            return;
+        }
+        self.demand[id.index()] = want;
+        self.changed = true;
+        match sig.def {
+            SignalDef::Op(_) if !self.queued[id.index()] => {
+                self.queued[id.index()] = true;
+                self.heap.push(self.pos[id.index()]);
+            }
+            SignalDef::RegOut(r) => self.raised_regs.push(r.index()),
+            _ => {}
+        }
+    }
+
+    /// Carries every queued demand to the operands, in reverse
+    /// topological position, until nothing is queued.
+    fn propagate(&mut self) {
+        let netlist = self.netlist;
+        while let Some(p) = self.heap.pop() {
+            let id = self.order[p as usize];
+            self.queued[id.index()] = false;
+            let d = self.demand[id.index()];
+            let SignalDef::Op(op) = &netlist.signal(id).def else {
+                continue;
+            };
+            let signed = |a: SignalId| netlist.signal(a).signed;
+            use OpKind::*;
+            match op.kind {
+                Add | Sub | Mul | Neg | Not | And | Or | Xor => {
+                    // These extend operands with the first operand's
+                    // signedness; sign extension reads the top bit.
+                    let w = if signed(op.args[0]) { u32::MAX } else { d };
+                    for &a in &op.args {
+                        self.bump(a, w);
+                    }
+                }
+                Shl => self.bump(op.args[0], d.saturating_sub(op.params[0] as u32)),
+                Shr => {
+                    let w = if signed(op.args[0]) {
+                        u32::MAX
+                    } else {
+                        d.saturating_add(op.params[0].min(u32::MAX as u64) as u32)
+                    };
+                    self.bump(op.args[0], w);
+                }
+                Dshl => {
+                    self.bump(op.args[0], d);
+                    self.bump(op.args[1], u32::MAX);
+                }
+                Bits => {
+                    let lo = op.params[1] as u32;
+                    let hi = op.params[0] as u32;
+                    self.bump(op.args[0], (lo + d).min(hi + 1));
+                }
+                Mux => {
+                    self.bump(op.args[0], 1);
+                    for &way in &op.args[1..] {
+                        self.bump(way, if signed(way) { u32::MAX } else { d });
+                    }
+                }
+                Copy => {
+                    let w = if signed(op.args[0]) { u32::MAX } else { d };
+                    self.bump(op.args[0], w);
+                }
+                // Numeric and positional readers: the whole value.
+                Lt | Leq | Gt | Geq | Eq | Neq | Div | Rem | Dshr | Cat | Andr | Orr | Xorr => {
+                    for &a in &op.args {
+                        self.bump(a, u32::MAX);
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

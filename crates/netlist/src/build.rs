@@ -13,6 +13,8 @@ use crate::netlist::*;
 use crate::width::{self, Ty};
 use essent_bits::Bits;
 use essent_firrtl::{Circuit, Direction, Expr, PrimOp, Stmt, Type};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -79,7 +81,7 @@ impl Netlist {
         for stmt in &module.body {
             b.handle_connect(stmt)?;
         }
-        b.finalize(module)?;
+        b.finalize()?;
 
         let netlist = b.netlist;
         check_acyclic(&netlist)?;
@@ -97,37 +99,80 @@ fn port_ty(ty: &Type) -> Option<Ty> {
 }
 
 /// Structural interning key for an op definition: kind, operands, static
-/// parameters, width, and signedness.
-type OpKey = (OpKind, Vec<SignalId>, Vec<u64>, u32, bool);
-
-#[derive(Default)]
-struct Builder {
-    netlist: Netlist,
-    names: HashMap<String, SignalId>,
-    intern: HashMap<OpKey, SignalId>,
-    consts: HashMap<(Vec<u64>, u32, bool), SignalId>,
-    temp_counter: usize,
-    /// reg name → converted driving value (from its connect).
-    reg_drive: HashMap<String, SignalId>,
-    /// reg name → (reset cond expr, init expr) captured at declaration.
-    reg_reset: HashMap<String, (Expr, Expr)>,
-    /// (reg name, clock expr) pairs for the single-clock check.
-    reg_clocks: Vec<(String, Expr)>,
+/// parameters, width, and signedness, held inline (an op has at most
+/// three operands and two parameters).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct OpKey {
+    kind: OpKind,
+    args: [u32; 3],
+    params: [u64; 2],
+    nargs: u8,
+    nparams: u8,
+    width: u32,
+    signed: bool,
 }
 
-impl Builder {
-    fn declare(&mut self, name: &str, ty: Ty, def: SignalDef) -> Result<SignalId, BuildError> {
-        if self.names.contains_key(name) {
-            return Err(BuildError(format!("duplicate signal `{name}`")));
+impl OpKey {
+    fn new(kind: OpKind, args: &[SignalId], params: &[u64], ty: Ty) -> OpKey {
+        let mut key = OpKey {
+            kind,
+            args: [0; 3],
+            params: [0; 2],
+            nargs: args.len() as u8,
+            nparams: params.len() as u8,
+            width: ty.width,
+            signed: ty.signed,
+        };
+        for (k, a) in key.args.iter_mut().zip(args) {
+            *k = a.0;
         }
+        key.params[..params.len()].copy_from_slice(params);
+        key
+    }
+}
+
+/// Builder state. Names, literals and register clocks and resets are
+/// borrowed from the circuit; only generated names are owned.
+#[derive(Default)]
+struct Builder<'a> {
+    netlist: Netlist,
+    names: HashMap<Cow<'a, str>, SignalId>,
+    intern: HashMap<OpKey, SignalId>,
+    /// (literal, signedness) → its constant signal.
+    consts: HashMap<(&'a Bits, bool), SignalId>,
+    temp_counter: usize,
+    /// Per register: the converted driving value (from its connect).
+    reg_drive: Vec<Option<SignalId>>,
+    /// Per register: (reset cond expr, init expr) from its declaration.
+    reg_reset: Vec<Option<&'a (Expr, Expr)>>,
+    /// Per register: (name, clock expr) for the single-clock check.
+    reg_clocks: Vec<(&'a str, &'a Expr)>,
+}
+
+impl<'a> Builder<'a> {
+    fn declare(
+        &mut self,
+        name: impl Into<Cow<'a, str>>,
+        ty: Ty,
+        def: SignalDef,
+    ) -> Result<SignalId, BuildError> {
         let id = SignalId(self.netlist.signals.len() as u32);
+        let name = match self.names.entry(name.into()) {
+            Entry::Occupied(e) => {
+                return Err(BuildError(format!("duplicate signal `{}`", e.key())))
+            }
+            Entry::Vacant(e) => {
+                let name = e.key().to_string();
+                e.insert(id);
+                name
+            }
+        };
         self.netlist.signals.push(Signal {
-            name: name.to_string(),
+            name,
             width: ty.width,
             signed: ty.signed,
             def,
         });
-        self.names.insert(name.to_string(), id);
         Ok(id)
     }
 
@@ -136,39 +181,45 @@ impl Builder {
         Ty::new(s.width, s.signed)
     }
 
-    fn emit_const(&mut self, value: Bits, signed: bool) -> SignalId {
-        let key = (value.limbs().to_vec(), value.width(), signed);
-        if let Some(&id) = self.consts.get(&key) {
-            return id;
+    fn emit_const(&mut self, value: &'a Bits, signed: bool) -> SignalId {
+        let count = self.consts.len();
+        match self.consts.entry((value, signed)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = SignalId(self.netlist.signals.len() as u32);
+                self.netlist.signals.push(Signal {
+                    name: format!("_C{count}"),
+                    width: value.width(),
+                    signed,
+                    def: SignalDef::Const(value.clone()),
+                });
+                e.insert(id);
+                id
+            }
         }
-        let id = SignalId(self.netlist.signals.len() as u32);
-        let name = format!("_C{}", self.consts.len());
-        self.netlist.signals.push(Signal {
-            name,
-            width: value.width(),
-            signed,
-            def: SignalDef::Const(value),
-        });
-        self.consts.insert(key, id);
-        id
     }
 
-    fn emit_op(&mut self, kind: OpKind, args: Vec<SignalId>, params: Vec<u64>, ty: Ty) -> SignalId {
-        let key = (kind, args.clone(), params.clone(), ty.width, ty.signed);
-        if let Some(&id) = self.intern.get(&key) {
-            return id;
+    fn emit_op(&mut self, kind: OpKind, args: &[SignalId], params: &[u64], ty: Ty) -> SignalId {
+        match self.intern.entry(OpKey::new(kind, args, params, ty)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = SignalId(self.netlist.signals.len() as u32);
+                let name = format!("_T{}", self.temp_counter);
+                self.temp_counter += 1;
+                self.netlist.signals.push(Signal {
+                    name,
+                    width: ty.width,
+                    signed: ty.signed,
+                    def: SignalDef::Op(Op {
+                        kind,
+                        args: args.to_vec(),
+                        params: params.to_vec(),
+                    }),
+                });
+                e.insert(id);
+                id
+            }
         }
-        let id = SignalId(self.netlist.signals.len() as u32);
-        let name = format!("_T{}", self.temp_counter);
-        self.temp_counter += 1;
-        self.netlist.signals.push(Signal {
-            name,
-            width: ty.width,
-            signed: ty.signed,
-            def: SignalDef::Op(Op { kind, args, params }),
-        });
-        self.intern.insert(key, id);
-        id
     }
 
     /// Emits a width/sign-adapting copy unless the source already matches.
@@ -176,27 +227,35 @@ impl Builder {
         if self.ty_of(src) == ty {
             src
         } else {
-            self.emit_op(OpKind::Copy, vec![src], vec![], ty)
+            self.emit_op(OpKind::Copy, &[src], &[], ty)
         }
     }
 
-    fn convert(&mut self, expr: &Expr) -> Result<SignalId, BuildError> {
+    /// The signal named by a reference or a memory port field.
+    fn lookup(&self, expr: &Expr) -> Option<SignalId> {
+        match expr {
+            Expr::Ref(name) => self.names.get(name.as_str()).copied(),
+            // Memory port field: its canonical dotted name was declared.
+            other => self
+                .names
+                .get(essent_firrtl::print_expr(other).as_str())
+                .copied(),
+        }
+    }
+
+    fn convert(&mut self, expr: &'a Expr) -> Result<SignalId, BuildError> {
         match expr {
             Expr::Ref(name) => self
-                .names
-                .get(name)
-                .copied()
+                .lookup(expr)
                 .ok_or_else(|| BuildError(format!("reference to unknown signal `{name}`"))),
-            Expr::SubField(..) => {
-                // Memory port field: canonical dotted name was declared.
-                let name = essent_firrtl::print_expr(expr);
-                self.names
-                    .get(&name)
-                    .copied()
-                    .ok_or_else(|| BuildError(format!("unknown memory port field `{name}`")))
-            }
-            Expr::UIntLit { value, .. } => Ok(self.emit_const(value.clone(), false)),
-            Expr::SIntLit { value, .. } => Ok(self.emit_const(value.clone(), true)),
+            Expr::SubField(..) => self.lookup(expr).ok_or_else(|| {
+                BuildError(format!(
+                    "unknown memory port field `{}`",
+                    essent_firrtl::print_expr(expr)
+                ))
+            }),
+            Expr::UIntLit { value, .. } => Ok(self.emit_const(value, false)),
+            Expr::SIntLit { value, .. } => Ok(self.emit_const(value, true)),
             Expr::Mux(sel, high, low) => {
                 let s = self.convert(sel)?;
                 let h = self.convert(high)?;
@@ -206,7 +265,7 @@ impl Builder {
                     &[self.ty_of(s), self.ty_of(h), self.ty_of(l)],
                     &[],
                 )?;
-                Ok(self.emit_op(OpKind::Mux, vec![s, h, l], vec![], ty))
+                Ok(self.emit_op(OpKind::Mux, &[s, h, l], &[], ty))
             }
             Expr::ValidIf(_cond, value) => {
                 // validif(c, v) simulates as v (don't-care resolved to the
@@ -224,17 +283,31 @@ impl Builder {
     fn convert_prim(
         &mut self,
         op: PrimOp,
-        args: &[Expr],
+        args: &'a [Expr],
         params: &[u64],
     ) -> Result<SignalId, BuildError> {
-        let ids = args
-            .iter()
-            .map(|a| self.convert(a))
-            .collect::<Result<Vec<_>, _>>()?;
-        let tys: Vec<Ty> = ids.iter().map(|&i| self.ty_of(i)).collect();
+        if args.len() != op.arg_count() || params.len() != op.param_count() {
+            return Err(BuildError(format!(
+                "`{}` takes {} operands and {} parameters, got {} and {}",
+                op.name(),
+                op.arg_count(),
+                op.param_count(),
+                args.len(),
+                params.len()
+            )));
+        }
+        // Primitive ops take at most two operands.
+        let mut ids = [SignalId(0); 2];
+        let mut tys = [Ty::new(0, false); 2];
+        for (i, a) in args.iter().enumerate() {
+            ids[i] = self.convert(a)?;
+            tys[i] = self.ty_of(ids[i]);
+        }
+        let (ids, tys) = (&ids[..args.len()], &tys[..args.len()]);
 
         // Normalize spec sugar into the netlist op set.
-        let (kind, params): (OpKind, Vec<u64>) = match op {
+        let bits: [u64; 2];
+        let (kind, params): (OpKind, &[u64]) = match op {
             PrimOp::Pad => {
                 let ty = Ty::new(tys[0].width.max(params[0] as u32), tys[0].signed);
                 return Ok(self.adapt(ids[0], ty));
@@ -265,10 +338,8 @@ impl Builder {
                         tys[0].width
                     )));
                 }
-                (
-                    OpKind::Bits,
-                    vec![(tys[0].width - 1) as u64, (tys[0].width - n) as u64],
-                )
+                bits = [(tys[0].width - 1) as u64, (tys[0].width - n) as u64];
+                (OpKind::Bits, &bits)
             }
             PrimOp::Tail => {
                 let n = params[0] as u32;
@@ -278,39 +349,40 @@ impl Builder {
                         tys[0].width
                     )));
                 }
-                (OpKind::Bits, vec![(tys[0].width - n - 1) as u64, 0])
+                bits = [(tys[0].width - n - 1) as u64, 0];
+                (OpKind::Bits, &bits)
             }
-            PrimOp::Add => (OpKind::Add, vec![]),
-            PrimOp::Sub => (OpKind::Sub, vec![]),
-            PrimOp::Mul => (OpKind::Mul, vec![]),
-            PrimOp::Div => (OpKind::Div, vec![]),
-            PrimOp::Rem => (OpKind::Rem, vec![]),
-            PrimOp::Lt => (OpKind::Lt, vec![]),
-            PrimOp::Leq => (OpKind::Leq, vec![]),
-            PrimOp::Gt => (OpKind::Gt, vec![]),
-            PrimOp::Geq => (OpKind::Geq, vec![]),
-            PrimOp::Eq => (OpKind::Eq, vec![]),
-            PrimOp::Neq => (OpKind::Neq, vec![]),
-            PrimOp::Shl => (OpKind::Shl, params.to_vec()),
-            PrimOp::Shr => (OpKind::Shr, params.to_vec()),
-            PrimOp::Dshl => (OpKind::Dshl, vec![]),
-            PrimOp::Dshr => (OpKind::Dshr, vec![]),
-            PrimOp::Neg => (OpKind::Neg, vec![]),
-            PrimOp::Not => (OpKind::Not, vec![]),
-            PrimOp::And => (OpKind::And, vec![]),
-            PrimOp::Or => (OpKind::Or, vec![]),
-            PrimOp::Xor => (OpKind::Xor, vec![]),
-            PrimOp::Andr => (OpKind::Andr, vec![]),
-            PrimOp::Orr => (OpKind::Orr, vec![]),
-            PrimOp::Xorr => (OpKind::Xorr, vec![]),
-            PrimOp::Cat => (OpKind::Cat, vec![]),
-            PrimOp::Bits => (OpKind::Bits, params.to_vec()),
+            PrimOp::Add => (OpKind::Add, &[]),
+            PrimOp::Sub => (OpKind::Sub, &[]),
+            PrimOp::Mul => (OpKind::Mul, &[]),
+            PrimOp::Div => (OpKind::Div, &[]),
+            PrimOp::Rem => (OpKind::Rem, &[]),
+            PrimOp::Lt => (OpKind::Lt, &[]),
+            PrimOp::Leq => (OpKind::Leq, &[]),
+            PrimOp::Gt => (OpKind::Gt, &[]),
+            PrimOp::Geq => (OpKind::Geq, &[]),
+            PrimOp::Eq => (OpKind::Eq, &[]),
+            PrimOp::Neq => (OpKind::Neq, &[]),
+            PrimOp::Shl => (OpKind::Shl, params),
+            PrimOp::Shr => (OpKind::Shr, params),
+            PrimOp::Dshl => (OpKind::Dshl, &[]),
+            PrimOp::Dshr => (OpKind::Dshr, &[]),
+            PrimOp::Neg => (OpKind::Neg, &[]),
+            PrimOp::Not => (OpKind::Not, &[]),
+            PrimOp::And => (OpKind::And, &[]),
+            PrimOp::Or => (OpKind::Or, &[]),
+            PrimOp::Xor => (OpKind::Xor, &[]),
+            PrimOp::Andr => (OpKind::Andr, &[]),
+            PrimOp::Orr => (OpKind::Orr, &[]),
+            PrimOp::Xorr => (OpKind::Xorr, &[]),
+            PrimOp::Cat => (OpKind::Cat, &[]),
+            PrimOp::Bits => (OpKind::Bits, params),
         };
-        let ty = width::infer(kind, &tys, &params)?;
+        let ty = width::infer(kind, tys, params)?;
         Ok(self.emit_op(kind, ids, params, ty))
     }
 
-    fn handle_decl(&mut self, stmt: &Stmt) -> Result<(), BuildError> {
+    fn handle_decl(&mut self, stmt: &'a Stmt) -> Result<(), BuildError> {
         match stmt {
             Stmt::Wire { name, ty, .. } => {
                 let ty = port_ty(ty)
@@ -329,7 +401,7 @@ impl Builder {
                 let reg_id = RegId(self.netlist.regs.len() as u32);
                 let out = self.declare(name, ty, SignalDef::RegOut(reg_id))?;
                 let next = self.declare(
-                    &format!("{name}$next"),
+                    format!("{name}$next"),
                     ty,
                     SignalDef::Const(Bits::zero(ty.width)),
                 )?;
@@ -340,11 +412,9 @@ impl Builder {
                     out,
                     next,
                 });
-                if let Some((cond, init)) = reset {
-                    self.reg_reset
-                        .insert(name.clone(), (cond.clone(), init.clone()));
-                }
-                self.reg_clocks.push((name.clone(), clock.clone()));
+                self.reg_drive.push(None);
+                self.reg_reset.push(reset.as_ref());
+                self.reg_clocks.push((name, clock));
             }
             Stmt::Mem(decl) => self.declare_mem(decl)?,
             Stmt::Node { name, value, .. } => {
@@ -389,12 +459,12 @@ impl Builder {
         let zero_def = |w: u32| SignalDef::Const(Bits::zero(w));
         for r in &decl.readers {
             let base = format!("{}.{r}", decl.name);
-            let addr = self.declare(&format!("{base}.addr"), addr_ty, zero_def(aw))?;
-            let en = self.declare(&format!("{base}.en"), bit, zero_def(1))?;
-            self.declare(&format!("{base}.clk"), bit, zero_def(1))?;
+            let addr = self.declare(format!("{base}.addr"), addr_ty, zero_def(aw))?;
+            let en = self.declare(format!("{base}.en"), bit, zero_def(1))?;
+            self.declare(format!("{base}.clk"), bit, zero_def(1))?;
             let port = memory.readers.len();
             let data = self.declare(
-                &format!("{base}.data"),
+                format!("{base}.data"),
                 data_ty,
                 SignalDef::MemRead { mem: mem_id, port },
             )?;
@@ -407,11 +477,11 @@ impl Builder {
         }
         for w in &decl.writers {
             let base = format!("{}.{w}", decl.name);
-            let addr = self.declare(&format!("{base}.addr"), addr_ty, zero_def(aw))?;
-            let en = self.declare(&format!("{base}.en"), bit, zero_def(1))?;
-            self.declare(&format!("{base}.clk"), bit, zero_def(1))?;
-            let data = self.declare(&format!("{base}.data"), data_ty, zero_def(data_ty.width))?;
-            let mask = self.declare(&format!("{base}.mask"), bit, zero_def(1))?;
+            let addr = self.declare(format!("{base}.addr"), addr_ty, zero_def(aw))?;
+            let en = self.declare(format!("{base}.en"), bit, zero_def(1))?;
+            self.declare(format!("{base}.clk"), bit, zero_def(1))?;
+            let data = self.declare(format!("{base}.data"), data_ty, zero_def(data_ty.width))?;
+            let mask = self.declare(format!("{base}.mask"), bit, zero_def(1))?;
             memory.writers.push(WritePort {
                 name: w.clone(),
                 addr,
@@ -424,15 +494,15 @@ impl Builder {
         // the gating ops are created in `finalize` once connects are known.
         for rw in &decl.readwriters {
             let base = format!("{}.{rw}", decl.name);
-            let addr = self.declare(&format!("{base}.addr"), addr_ty, zero_def(aw))?;
-            let en = self.declare(&format!("{base}.en"), bit, zero_def(1))?;
-            self.declare(&format!("{base}.clk"), bit, zero_def(1))?;
-            let wmode = self.declare(&format!("{base}.wmode"), bit, zero_def(1))?;
-            let wdata = self.declare(&format!("{base}.wdata"), data_ty, zero_def(data_ty.width))?;
-            let wmask = self.declare(&format!("{base}.wmask"), bit, zero_def(1))?;
+            let addr = self.declare(format!("{base}.addr"), addr_ty, zero_def(aw))?;
+            let en = self.declare(format!("{base}.en"), bit, zero_def(1))?;
+            self.declare(format!("{base}.clk"), bit, zero_def(1))?;
+            let wmode = self.declare(format!("{base}.wmode"), bit, zero_def(1))?;
+            let wdata = self.declare(format!("{base}.wdata"), data_ty, zero_def(data_ty.width))?;
+            let wmask = self.declare(format!("{base}.wmask"), bit, zero_def(1))?;
             let port = memory.readers.len();
             let rdata = self.declare(
-                &format!("{base}.rdata"),
+                format!("{base}.rdata"),
                 data_ty,
                 SignalDef::MemRead { mem: mem_id, port },
             )?;
@@ -456,20 +526,25 @@ impl Builder {
         Ok(())
     }
 
-    fn handle_connect(&mut self, stmt: &Stmt) -> Result<(), BuildError> {
+    fn handle_connect(&mut self, stmt: &'a Stmt) -> Result<(), BuildError> {
         match stmt {
             Stmt::Connect { loc, value, .. } => {
-                let key = essent_firrtl::print_expr(loc);
-                let Some(&target) = self.names.get(&key) else {
-                    return Err(BuildError(format!("connect to unknown sink `{key}`")));
+                let Some(target) = self.lookup(loc) else {
+                    return Err(BuildError(format!(
+                        "connect to unknown sink `{}`",
+                        essent_firrtl::print_expr(loc)
+                    )));
                 };
                 match self.netlist.signals[target.index()].def {
-                    SignalDef::RegOut(_) => {
+                    SignalDef::RegOut(r) => {
                         let src = self.convert(value)?;
-                        self.reg_drive.insert(key, src);
+                        self.reg_drive[r.index()] = Some(src);
                     }
                     SignalDef::MemRead { .. } => {
-                        return Err(BuildError(format!("cannot drive memory read data `{key}`")));
+                        return Err(BuildError(format!(
+                            "cannot drive memory read data `{}`",
+                            essent_firrtl::print_expr(loc)
+                        )));
                     }
                     _ => {
                         let src = self.convert(value)?;
@@ -519,13 +594,13 @@ impl Builder {
         Ok(())
     }
 
-    fn finalize(&mut self, _module: &essent_firrtl::Module) -> Result<(), BuildError> {
+    fn finalize(&mut self) -> Result<(), BuildError> {
         // Single-clock check: resolve each register's clock through wire
         // copies down to its defining input signal.
         let mut clock_roots: Vec<SignalId> = Vec::new();
-        for (reg_name, clock) in self.reg_clocks.clone() {
+        for (reg_name, clock) in std::mem::take(&mut self.reg_clocks) {
             let mut id = self
-                .convert(&clock)
+                .convert(clock)
                 .map_err(|e| BuildError(format!("register `{reg_name}` clock: {e}")))?;
             // Chase copy/alias chains to the source.
             let mut hops = 0;
@@ -555,26 +630,27 @@ impl Builder {
         }
 
         // Register next-values: driven value (or hold), with reset folded in.
-        for i in 0..self.netlist.regs.len() {
-            let reg = self.netlist.regs[i].clone();
-            let ty = Ty::new(reg.width, reg.signed);
-            let driven = self.reg_drive.get(&reg.name).copied().unwrap_or(reg.out);
-            let driven = self.adapt(driven, ty);
-            let final_src = if let Some((cond, init)) = self.reg_reset.get(&reg.name).cloned() {
-                let c = self.convert(&cond)?;
+        let drives = std::mem::take(&mut self.reg_drive);
+        let resets = std::mem::take(&mut self.reg_reset);
+        for (i, (drive, reset)) in drives.into_iter().zip(resets).enumerate() {
+            let reg = &self.netlist.regs[i];
+            let (out, next, ty) = (reg.out, reg.next, Ty::new(reg.width, reg.signed));
+            let driven = self.adapt(drive.unwrap_or(out), ty);
+            let final_src = if let Some((cond, init)) = reset {
+                let c = self.convert(cond)?;
                 if self.ty_of(c).width != 1 {
                     return Err(BuildError(format!(
                         "reset condition of `{}` must be 1 bit",
-                        reg.name
+                        self.netlist.regs[i].name
                     )));
                 }
-                let init = self.convert(&init)?;
+                let init = self.convert(init)?;
                 let init = self.adapt(init, ty);
-                self.emit_op(OpKind::Mux, vec![c, init, driven], vec![], ty)
+                self.emit_op(OpKind::Mux, &[c, init, driven], &[], ty)
             } else {
                 driven
             };
-            self.netlist.signals[reg.next.index()].def = SignalDef::Op(Op {
+            self.netlist.signals[next.index()].def = SignalDef::Op(Op {
                 kind: OpKind::Copy,
                 args: vec![final_src],
                 params: vec![],
@@ -583,31 +659,30 @@ impl Builder {
 
         // Readwriter gating: reader enabled when `en & !wmode`, writer when
         // `en & wmode` (mask handled separately).
+        let bit = Ty::new(1, false);
         for m in 0..self.netlist.mems.len() {
             for r in 0..self.netlist.mems[m].readers.len() {
-                let (name, en) = {
-                    let port = &self.netlist.mems[m].readers[r];
-                    (port.name.clone(), port.en)
+                let mem = &self.netlist.mems[m];
+                let port = &mem.readers[r];
+                let Some(base) = port.name.strip_suffix("$r") else {
+                    continue;
                 };
-                if let Some(base) = name.strip_suffix("$r") {
-                    let wmode_name = format!("{}.{base}.wmode", self.netlist.mems[m].name);
-                    let wmode = self.names[&wmode_name];
-                    let not_w = self.emit_op(OpKind::Not, vec![wmode], vec![], Ty::new(1, false));
-                    let gated =
-                        self.emit_op(OpKind::And, vec![en, not_w], vec![], Ty::new(1, false));
-                    self.netlist.mems[m].readers[r].en = gated;
-                }
+                let (wmode_name, en) = (format!("{}.{base}.wmode", mem.name), port.en);
+                let wmode = self.names[wmode_name.as_str()];
+                let not_w = self.emit_op(OpKind::Not, &[wmode], &[], bit);
+                let gated = self.emit_op(OpKind::And, &[en, not_w], &[], bit);
+                self.netlist.mems[m].readers[r].en = gated;
             }
             for w in 0..self.netlist.mems[m].writers.len() {
-                let name = self.netlist.mems[m].writers[w].name.clone();
-                if let Some(base) = name.strip_suffix("$w") {
-                    let en_name = format!("{}.{base}.en", self.netlist.mems[m].name);
-                    let en = self.names[&en_name];
-                    let wmode = self.netlist.mems[m].writers[w].en;
-                    let gated =
-                        self.emit_op(OpKind::And, vec![en, wmode], vec![], Ty::new(1, false));
-                    self.netlist.mems[m].writers[w].en = gated;
-                }
+                let mem = &self.netlist.mems[m];
+                let port = &mem.writers[w];
+                let Some(base) = port.name.strip_suffix("$w") else {
+                    continue;
+                };
+                let (en_name, wmode) = (format!("{}.{base}.en", mem.name), port.en);
+                let en = self.names[en_name.as_str()];
+                let gated = self.emit_op(OpKind::And, &[en, wmode], &[], bit);
+                self.netlist.mems[m].writers[w].en = gated;
             }
         }
         Ok(())

@@ -2,13 +2,16 @@
 //! changed since the previous sweep. Transfer functions are pure, so it
 //! must produce exactly the facts of the plain formulation that runs
 //! every transfer function in every sweep — kept here as the reference.
+//! Likewise `demand::demanded_widths` visits only the operands whose
+//! demand rose; the reference re-walks the whole reverse topological
+//! order every sweep, with the same sweep cap.
 
 use essent::bits::Bits;
 use essent::designs::soc::{generate_soc, SocConfig};
 use essent::netlist::analysis::{
-    self, demand, transfer, AbsVal, MAX_SWEEPS, RANGE_WIDEN_SWEEP, TOP_WIDEN_SWEEP,
+    self, transfer, AbsVal, MAX_SWEEPS, RANGE_WIDEN_SWEEP, TOP_WIDEN_SWEEP,
 };
-use essent::netlist::{graph, Netlist, SignalDef};
+use essent::netlist::{graph, Netlist, OpKind, SignalDef, SignalId};
 use essent::sim::testgen::gen_circuit;
 
 /// `(values, demanded, sweeps)` from full sweeps only.
@@ -68,7 +71,105 @@ fn full_sweep_reference(netlist: &Netlist) -> (Vec<AbsVal>, Vec<u32>, usize) {
             break;
         }
     }
-    (values, demand::demanded_widths(netlist, &order), sweeps)
+    (values, full_sweep_demand(netlist, &order), sweeps)
+}
+
+/// Demanded widths by whole reverse-topological sweeps until none
+/// changes; past 64 sweeps every signal is demanded in full.
+fn full_sweep_demand(netlist: &Netlist, order: &[SignalId]) -> Vec<u32> {
+    let mut demand = vec![0u32; netlist.signal_count()];
+    let mut full = |id: SignalId| demand[id.index()] = netlist.signal(id).width;
+    for &o in netlist.outputs() {
+        full(o);
+    }
+    for s in netlist.stops() {
+        full(s.en);
+    }
+    for p in netlist.printfs() {
+        full(p.en);
+        p.args.iter().for_each(|&a| full(a));
+    }
+    for m in netlist.mems() {
+        for r in &m.readers {
+            full(r.addr);
+            full(r.en);
+        }
+        for w in &m.writers {
+            [w.addr, w.en, w.mask, w.data]
+                .into_iter()
+                .for_each(&mut full);
+        }
+    }
+    for sweep in 0.. {
+        if sweep >= 64 {
+            for (i, s) in netlist.signals().iter().enumerate() {
+                demand[i] = s.width;
+            }
+            break;
+        }
+        let mut changed = false;
+        for reg in netlist.regs() {
+            let d = demand[reg.out.index()];
+            if demand[reg.next.index()] < d {
+                demand[reg.next.index()] = d.min(netlist.signal(reg.next).width);
+                changed = true;
+            }
+        }
+        for &id in order.iter().rev() {
+            let d = demand[id.index()];
+            let SignalDef::Op(op) = &netlist.signal(id).def else {
+                continue;
+            };
+            if d == 0 {
+                continue;
+            }
+            let mut bump = |arg: SignalId, want: u32| {
+                let want = want.min(netlist.signal(arg).width);
+                if demand[arg.index()] < want {
+                    demand[arg.index()] = want;
+                    changed = true;
+                }
+            };
+            let signed = |a: SignalId| netlist.signal(a).signed;
+            use OpKind::*;
+            match op.kind {
+                Add | Sub | Mul | Neg | Not | And | Or | Xor | Copy => {
+                    let w = if signed(op.args[0]) { u32::MAX } else { d };
+                    op.args.iter().for_each(|&a| bump(a, w));
+                }
+                Shl => bump(op.args[0], d.saturating_sub(op.params[0] as u32)),
+                Shr => {
+                    let w = if signed(op.args[0]) {
+                        u32::MAX
+                    } else {
+                        d.saturating_add(op.params[0].min(u32::MAX as u64) as u32)
+                    };
+                    bump(op.args[0], w);
+                }
+                Dshl => {
+                    bump(op.args[0], d);
+                    bump(op.args[1], u32::MAX);
+                }
+                Bits => {
+                    let (hi, lo) = (op.params[0] as u32, op.params[1] as u32);
+                    bump(op.args[0], (lo + d).min(hi + 1));
+                }
+                Mux => {
+                    bump(op.args[0], 1);
+                    for &way in &op.args[1..] {
+                        bump(way, if signed(way) { u32::MAX } else { d });
+                    }
+                }
+                Lt | Leq | Gt | Geq | Eq | Neq | Div | Rem | Dshr | Cat | Andr | Orr | Xorr => {
+                    op.args.iter().for_each(|&a| bump(a, u32::MAX));
+                }
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    demand
 }
 
 fn assert_same_facts(netlist: &Netlist, what: &str) -> usize {
@@ -126,6 +227,29 @@ fn deep_shift_chain_takes_the_give_up_path() {
     for reg in netlist.regs() {
         assert_eq!(facts.value(reg.out), &AbsVal::top(8, false), "{}", reg.name);
     }
+}
+
+/// A register chain deeper than the demand sweep cap: the narrow demand
+/// at its end would need one sweep per register to travel back, so both
+/// formulations give up and demand every signal in full.
+#[test]
+fn deep_register_chain_saturates_demand() {
+    let mut source = String::from(
+        "circuit D :\n  module D :\n    input clock : Clock\n    input x : UInt<8>\n    output o : UInt<4>\n",
+    );
+    for i in 0..70 {
+        source += &format!("    reg r{i} : UInt<8>, clock\n");
+    }
+    source += "    r0 <= x\n";
+    for i in 1..70 {
+        source += &format!("    r{i} <= r{}\n", i - 1);
+    }
+    source += "    o <= bits(r69, 3, 0)\n";
+    let netlist = essent::compile_unoptimized(&source).expect("compiles");
+    assert_same_facts(&netlist, "deep chain");
+    let facts = analysis::analyze(&netlist).expect("acyclic");
+    let r0 = netlist.regs()[0].out;
+    assert_eq!(facts.demanded(r0), 8, "saturated, not the 4 bits read");
 }
 
 /// FNV-1a over little-endian words, the hash `opt_digest.rs` uses.
